@@ -7,12 +7,24 @@ gives the backward step
 
     P_m = P_{m+k} - 2 P_{m+k-1} - (P_{m+1} + ... + P_{m+k-2}).
 
+Subtracting the recurrence at n-1 from the one at n cancels every lag but
+three, P_n - P_{n-1} = 2 P_{n-1} - P_{n-2} - P_{n-k-1}, so
+
+    P_n = 3 P_{n-1} - P_{n-2} - P_{n-k-1}   and, backward,
+    P_m = 3 P_{m+k} - P_{m+k-1} - P_{m+k+1}.
+
+KContext evaluates by the k-term rules above and keeps every term it has
+seen; backward_terms streams P_0, P_{-1}, ... by the three-term step,
+holding only the last k+1 terms (three_term_orbit).
+
 Everything here is arbitrary-precision integer arithmetic; no rounding.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 DEFAULT_LIMIT = 10_000_000
@@ -106,3 +118,30 @@ def eval_range(ctx: KContext, n_lo: int, n_hi: int) -> list[ExactTerm]:
         raise ValueError(f"empty range [{n_lo}, {n_hi}]")
     vals = ctx._ensure(n_lo, n_hi)
     return [ExactTerm(n, vals[n]) for n in range(n_lo, n_hi + 1)]
+
+
+def three_term_orbit(k: int, window: Sequence[int]) -> Iterator[int]:
+    """Endless continuation of x_n = 3 x_{n-k} - x_{n-k+1} - x_{n-k-1}
+    from window = (x_{n-k-1}, ..., x_{n-1}), its k+1 latest terms.
+
+    Yields x_n, x_{n+1}, ... from a ring of k+1 slots, where x_n
+    displaces x_{n-k-1}."""
+    if len(window) != k + 1:
+        raise ValueError(f"window needs k+1 = {k + 1} terms, got {len(window)}")
+    ring = deque(window, maxlen=k + 1)
+    while True:
+        term = 3 * ring[1] - ring[2] - ring[0]
+        ring.append(term)
+        yield term
+
+
+def backward_terms(k: int) -> Iterator[int]:
+    """P_0, P_{-1}, P_{-2}, ... exactly, in O(k) memory.
+
+    Read by depth d = -m, the backward step is x_d = 3 x_{d-k} -
+    x_{d-k+1} - x_{d-k-1}, continued from P_2, P_1, P_0, ...,
+    P_{-(k-2)}."""
+    if k < 2:
+        raise ValueError(f"order k must be >= 2, got {k}")
+    yield from [0] * (k - 1)
+    yield from three_term_orbit(k, [2, 1] + [0] * (k - 1))

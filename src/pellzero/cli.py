@@ -21,7 +21,8 @@ from datetime import datetime, timezone
 import mpmath as mp
 
 from . import bigseq, effbounds, reduction, spectra, zerostruct
-from .ball import IndeterminateComparison, PREC_START, PrecisionExhausted
+from .ball import (DomainError, IndeterminateComparison, PREC_START,
+                   PrecisionExhausted, ZeroDivisionEnclosure)
 
 SCHEMA = "pellzero-report/1"
 K_GUARD = 500
@@ -42,6 +43,7 @@ class ZeroReport:
     detail: str
     timestamp: str
     precision_used: int
+    scan_floor: int
     schema: str = SCHEMA
 
     def to_json(self) -> dict:
@@ -58,6 +60,7 @@ class ZeroReport:
             "bound_used": self.bound_used,
             "checks": self.checks,
             "precision_used": self.precision_used,
+            "scan_floor": self.scan_floor,
             "timestamp": self.timestamp,
         }
 
@@ -125,6 +128,7 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
     if reduce_certs is not None:
         checks["reduction"] = reduce_certs
 
+    wanted_depth = floor_depth
     floor_depth = min(floor_depth, bigseq.DEFAULT_LIMIT)
     if k >= 4:
         predicted = zerostruct.predicted_intervals(k)
@@ -157,6 +161,12 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
             failures.append(f"root bound {name} failed")
     if bound_used["R"] is not None and -deepest > bound_used["R"]:
         failures.append(f"bound {bound_used['R']} below deepest zero {deepest}")
+    if bound_used["R"] is not None and floor_depth < bound_used["R"]:
+        reason = (f"depth capped at bigseq.DEFAULT_LIMIT = {bigseq.DEFAULT_LIMIT}"
+                  if floor_depth < wanted_depth else "rerun with --full")
+        failures.append(f"scan stopped at index {-floor_depth}, "
+                        f"{bound_used['R'] - floor_depth} short of bound "
+                        f"R = {bound_used['R']} ({reason})")
 
     status = "PASS" if not failures else "FAIL"
     report = ZeroReport(
@@ -165,7 +175,7 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
         chi_formula=chi_formula, chi_observed=chi_observed,
         bound_used=bound_used, checks=checks, status=status,
         detail="; ".join(failures), timestamp=_now(),
-        precision_used=rs.prec)
+        precision_used=rs.prec, scan_floor=-floor_depth)
     return report.to_json()
 
 
@@ -173,11 +183,12 @@ def _verify_worker(args):
     k, full, m_value = args
     try:
         return _verify_one(k, full, m_value)
-    except (PrecisionExhausted, bigseq.LimitExceeded,
-            IndeterminateComparison) as exc:
+    except (PrecisionExhausted, bigseq.LimitExceeded, IndeterminateComparison,
+            reduction.ReductionExhausted, ZeroDivisionEnclosure, DomainError,
+            spectra.CertificationFailure, MemoryError) as exc:
         return {"schema": SCHEMA, "k": k, "status": "ERROR",
                 "detail": f"{type(exc).__name__}: {exc}",
-                "timestamp": _now()}
+                "scan_floor": None, "timestamp": _now()}
 
 
 _CSV_COLUMNS = ["k", "parity", "status", "chi_formula", "chi_observed",

@@ -17,7 +17,9 @@ points at exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
+from . import bigseq
 from .bigseq import KContext
 
 
@@ -77,16 +79,18 @@ class IntervalStructure:
         return out
 
 
-def enumerate_zeros(k: int, floor: int, ctx: KContext | None = None) -> ZeroSet:
-    """Exact backward scan: all n in [floor, 0] with term value 0."""
+def enumerate_zeros(k: int, floor: int) -> ZeroSet:
+    """Exact backward scan: all n in [floor, 0] with term value 0.
+
+    Streams the terms (bigseq.backward_terms), so memory stays O(k)
+    whatever the depth."""
     if floor >= 0:
         raise ValueError(f"floor must be negative, got {floor}")
-    if ctx is None:
-        ctx = KContext(k)
-    elif ctx.k != k:
-        raise ValueError(f"context is for k={ctx.k}, not {k}")
-    zeros = tuple(n for n in range(floor, 1) if ctx.value(n) == 0)
-    return ZeroSet(k=k, indices=zeros, search_floor=floor)
+    if -floor > bigseq.DEFAULT_LIMIT:
+        raise bigseq.LimitExceeded(floor, bigseq.DEFAULT_LIMIT)
+    terms = islice(bigseq.backward_terms(k), 1 - floor)
+    zeros = [-d for d, value in enumerate(terms) if value == 0]
+    return ZeroSet(k=k, indices=tuple(reversed(zeros)), search_floor=floor)
 
 
 def predicted_intervals(k: int) -> IntervalStructure:
@@ -213,11 +217,17 @@ def variant_mirror(k: int, n_hi: int) -> list:
 
 def variant_zero_set(k: int, floor: int) -> tuple:
     """Nonpositive indices -m for the zeros of the variant orbit with
-    depth m <= |floor|."""
+    depth m <= |floor|.
+
+    Same orbit as variant_mirror, streamed: subtracting its rule at n-1
+    from the one at n leaves G_n = 3 G_{n-k} - G_{n-k+1} - G_{n-k-1} for
+    n >= k+1, so only the last k+1 terms are kept."""
     if floor >= 0:
         raise ValueError(f"floor must be negative, got {floor}")
-    orbit = variant_mirror(k, -floor)
-    return tuple(-m for m in range(len(orbit)) if orbit[m] == 0)
+    head = variant_mirror(k, k)
+    orbit = chain(head, bigseq.three_term_orbit(k, head))
+    return tuple(-m for m, value in enumerate(islice(orbit, 1 - floor))
+                 if value == 0)
 
 
 def default_floor(k: int) -> int:

@@ -346,3 +346,47 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "12"
+
+
+def test_verify_records_scan_floor(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "--k", "4", "--full")
+    rec = json.loads(out)
+    assert rec["scan_floor"] == -39 == -rec["bound_used"]["R"]
+    assert "short of bound" not in rec["detail"]
+
+
+def test_verify_without_full_names_the_shortfall(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "--k", "4")
+    rec = json.loads(out)
+    assert rec["scan_floor"] == -32
+    assert "7 short of bound R = 39" in rec["detail"]
+
+
+def test_verify_truncated_scan_is_not_pass(capsys, monkeypatch):
+    from pellzero import bigseq
+    monkeypatch.setattr(bigseq, "DEFAULT_LIMIT", 1)
+    rc, out, _ = run_cli(capsys, "verify", "--k", "2", "--full")
+    rec = json.loads(out)
+    assert rec["bound_used"]["R"] == 2
+    assert rec["scan_floor"] == -1
+    assert rec["status"] == "FAIL"
+    assert rc == 1
+    assert "1 short of bound R = 2" in rec["detail"]
+    assert "DEFAULT_LIMIT" in rec["detail"]
+
+
+def test_verify_one_bad_order_keeps_the_sweep(capsys, monkeypatch):
+    from pellzero import reduction
+
+    def exhausted(k, m):
+        raise reduction.ReductionExhausted(f"planted failure at k={k}")
+
+    monkeypatch.setattr(reduction, "odd_k_reduce", exhausted)
+    rc, out, _ = run_cli(capsys, "verify", "--k-range", "4:6", "--full")
+    assert rc == 2
+    records = {rec["k"]: rec for rec in map(json.loads, out.splitlines())}
+    assert sorted(records) == [4, 5, 6]
+    assert records[5]["status"] == "ERROR"
+    assert "ReductionExhausted" in records[5]["detail"]
+    assert records[4]["status"] == records[6]["status"] == "FAIL"
+    assert records[6]["scan_floor"] == -records[6]["bound_used"]["R"]
