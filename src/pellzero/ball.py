@@ -1,32 +1,127 @@
-"""Midpoint-radius (ball) arithmetic on mpmath numbers with outward rounding.
+"""Midpoint-radius (ball) arithmetic on raw mpmath.libmp values with
+directed rounding.
 
 A Ball stores an mpf or mpc midpoint, a nonnegative mpf radius, and the
-working precision (bits) its midpoint was computed at.  Every operation
-widens the radius enough to cover both the propagated input radii and the
-rounding error of the midpoint computation, so a Ball that starts as a true
-enclosure stays one.  Radii are computed at a fixed small precision with a
-one-sided safety bump; midpoints are computed at the ball's precision.
+working precision p (bits) its midpoint is computed at.  It stands for
+every number in the closed disc (for a real midpoint, the interval) of
+that radius around the midpoint.  Every operation returns a ball holding
+the result of the operation at every point of its input balls, so a
+Ball that starts as a true enclosure stays one.
 
-Endpoints of real balls are exact dyadic rationals, so certified
-comparisons and containment checks go through fractions.Fraction with no
-rounding at all.
+Soundness argument
+------------------
+An operation computes its midpoint from the input midpoints at
+p = min(input precisions), rounding to nearest, and its radius as the
+sum of two bounds:
+
+* the propagated error, a bound on |f(x) - f(mid)| over the inputs,
+  built from the input radii and from bounds on the midpoint moduli;
+* the midpoint error, a bound on |f(mid) - computed midpoint|.
+
+Radius arithmetic runs on raw mpfs with 30-bit mantissas (_RADIUS_BITS)
+and round_ceiling, on nonnegative values only, so each computed radius
+is at least the exact value of its formula.  The quantities a radius
+formula divides by or subtracts (|b| in a divisor, lb_abs) are rounded
+with round_floor.  Moduli |x + iy| come from x^2 + y^2 on 32-bit scaled
+integers, rounded in the required direction, and an integer square root
+corrected in the same direction (_hypot).  mpf_hypot and mpc_abs are not
+used for bounds: they round x^2 + y^2 by truncation at p+4 bits before
+the square root, so even with round_ceiling they can land below |z|.
+No step relies on a multiplicative safety factor, and no operation
+opens an mpmath precision context.
+
+Midpoint error.  For a nonzero raw mpf c at p bits let ulp(c) = 2^(e-p),
+where 2^(e-1) <= |c| < 2^e; for a complex c take the largest e of its
+nonzero parts.  libmp forms each real part of a sum or product exactly
+and rounds it once, to nearest (mpf_add, mpf_mul, mpc_add, mpc_sub,
+mpc_mul_mpf, and mpc_mul, whose four products are exact).  So each part
+is off by at most ulp/2 of itself, the complex error is below
+sqrt(2) ulp/2 < ulp(mid), and ulp(mid) <= |mid| 2^(1-p).  A part that
+rounds to zero is exact: mpf has no underflow.  mpf_div rounds once;
+mpc_div also truncates its intermediate sums at p+10 bits, which adds
+below 2^-7 ulp per part, so division is charged 2 ulp(mid).
+
+    op          midpoint, p bits, nearest        radius, each term rounded up
+    a + b       mpf_add / mpc_add                ra + rb + ulp
+    a - b       mpf_add(_sub) / mpc_sub          ra + rb + ulp
+    a * b       mpf_mul / mpc_mul / mpc_mul_mpf  |a| rb + |b| ra + ra rb + ulp
+    a / b       mpf_div / mpc_div / mpc_div_mpf  (ra |b| + rb |a|)
+                                                   / (|b|_lo (|b|_lo - rb)) + 2 ulp
+    |a|         mpf_abs (exact) / mpc_abs        ra (+ ulp when complex: the
+                                                   truncated sum costs < ulp/8)
+    f(a), f in  f(lo), f(hi) at p+16 bits;       (f(hi) - f(lo))/2 + ulp + cover
+    sqrt, log,  mid = (f(lo) + f(hi))/2          cover = (|f(lo)| + |f(hi)|
+    exp                                            + |mid|) 2^(4-p)
+    arg a       mpf_atan2                        2 ra / (|a|_lo - ra) + |mid| 2^(3-p)
+    pi          mpf_pi                           |mid| 2^(3-p)
+
+|a| and |b| above are upper bounds on the midpoint moduli, |b|_lo a lower
+one.  The division term bounds |a/b - ma/mb| = |(a - ma) mb - ma (b - mb)|
+/ |b mb| with |b| >= |mb| - rb > 0.  For f = sqrt, log, exp the input
+interval's endpoints lo, hi are rounded outward at p+16 bits and f is
+increasing, so f([lo, hi]) = [f(lo), f(hi)].  libmp does not promise
+correct rounding for log, exp, atan2 or pi (sqrt is correctly rounded);
+their error is a few ulps in practice, and the covers, at least 2^19
+ulps of the p+16-bit evaluation for f and 4 ulps for arg and pi, absorb
+it.  arg uses |arg z - arg m| <= arcsin(ra/|m|) <= (pi/2) ra/|m|.
+
+Endpoints mid -/+ rad of real balls are dyadic and are formed exactly
+(mpf_add and mpf_sub without a precision), so gt, lt and contains
+compare them exactly with mpf_cmp, cross-multiplying by the denominator
+of a Fraction operand.  No comparison rounds.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import mpf_neg
+from mpmath.libmp import (
+    MPZ_ONE,
+    from_float,
+    from_int,
+    from_man_exp,
+    from_rational,
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_div,
+    mpc_div_mpf,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_sub,
+    mpf_abs,
+    mpf_add,
+    mpf_atan2,
+    mpf_cmp,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_neg,
+    mpf_pi,
+    mpf_shift,
+    mpf_sqrt,
+    mpf_sub,
+    round_ceiling,
+    round_down,
+    round_floor,
+    round_nearest,
+    round_up,
+)
 
 PREC_START = 128
 PREC_CEILING = 1 << 20
 
-# Radius bookkeeping runs at this precision with a multiplicative bump that
-# dwarfs its rounding error (2**-64 per op vs. a 2**-16 cushion).
-_RAD_PREC = 64
-_BUMP = None  # initialised lazily under _RAD_PREC
+# Mantissa bits of radii and of the modulus bounds that feed them.
+_RADIUS_BITS = 30
+
+_MPF = mp.mpf
+_MPC = mp.mpc
+_ZERO = mp.mpf(0)
+_new = object.__new__
 
 
 class IndeterminateComparison(ArithmeticError):
@@ -46,12 +141,94 @@ class PrecisionExhausted(RuntimeError):
     """Certification failed at the configured precision ceiling."""
 
 
-def _bump():
-    global _BUMP
-    if _BUMP is None:
-        with mp.workprec(_RAD_PREC):
-            _BUMP = mp.mpf(1) + mp.mpf(2) ** -16
-    return _BUMP
+# -- raw mpf helpers ------------------------------------------------------
+
+def _mpf(t):
+    x = _new(_MPF)
+    x._mpf_ = t
+    return x
+
+
+def _mpc(z):
+    x = _new(_MPC)
+    x._mpc_ = z
+    return x
+
+
+def _add_up(a, b):
+    """a + b rounded up, for nonnegative raw mpfs."""
+    if not a[1]:
+        return b
+    if not b[1]:
+        return a
+    return mpf_add(a, b, _RADIUS_BITS, round_ceiling)
+
+
+def _mul_up(a, b):
+    """a * b rounded up, for nonnegative raw mpfs."""
+    return mpf_mul(a, b, _RADIUS_BITS, round_ceiling)
+
+
+def _ulp(t, p):
+    """ulp of a raw mpf at p bits (0 for zero): the error bound for the
+    round-to-nearest that produced it, with a factor 2 to spare."""
+    return (0, MPZ_ONE, t[2] + t[3] - p, 1) if t[1] else fzero
+
+
+def _ulp_c(z, p):
+    re, im = z
+    if not im[1]:
+        return _ulp(re, p)
+    if not re[1]:
+        return _ulp(im, p)
+    return (0, MPZ_ONE, max(re[2] + re[3], im[2] + im[3]) - p, 1)
+
+
+def _hypot(x, y, up):
+    """sqrt(x^2 + y^2) for raw mpfs, rounded up (up=1) or down (up=0).
+
+    Both parts are scaled to integers below 2^32 against the larger
+    one's top bit, rounding in the requested direction; the sum of
+    squares is then exact and the integer square root is corrected in
+    the same direction."""
+    rnd = round_ceiling if up else round_floor
+    if not y[1]:
+        return mpf_abs(x, _RADIUS_BITS, rnd)
+    if not x[1]:
+        return mpf_abs(y, _RADIUS_BITS, rnd)
+    e = max(x[2] + x[3], y[2] + y[3]) - 32
+    s = 0
+    for _, man, exp, _ in (x, y):
+        shift = exp - e
+        man = man << shift if shift >= 0 else (man >> -shift) + up
+        s += man * man
+    r = math.isqrt(s)
+    if up and r * r < s:
+        r += 1
+    return from_man_exp(r, e, _RADIUS_BITS, rnd)
+
+
+def _raw_c(x):
+    return x._mpc_ if isinstance(x, _MPC) else (x._mpf_, fzero)
+
+
+def _ub(value):
+    """Raw mpf upper bound on a real given as mpf, int, float or
+    anything Fraction accepts."""
+    if isinstance(value, _MPF):
+        return value._mpf_
+    if isinstance(value, float):
+        return from_float(value)
+    fr = Fraction(value)
+    return from_rational(fr.numerator, fr.denominator, _RADIUS_BITS,
+                         round_ceiling)
+
+
+def _cmp_q(t, v: Fraction) -> int:
+    """Sign of t - v for a raw mpf t, exactly."""
+    if v.denominator != 1:
+        t = mpf_mul(t, from_int(v.denominator))
+    return mpf_cmp(t, from_int(v.numerator))
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -74,40 +251,21 @@ def fraction_to_mpf_ub(fr: Fraction):
     """An mpf upper bound for a nonnegative Fraction."""
     if fr < 0:
         raise ValueError("expected nonnegative")
-    if fr == 0:
-        return mp.mpf(0)
-    with mp.workprec(_RAD_PREC):
-        approx = mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
-        return approx * _bump()
-
-
-def _ulp_rel(prec):
-    # Relative rounding slack for one mpmath op at `prec` bits, with an
-    # 8x cushion over the correctly-rounded bound (covers mpc cross terms).
-    return mp.mpf(2) ** (3 - prec)
-
-
-def _abs_ub(x, rad=None):
-    """Upper bound on |x| (+ rad), computed at radius precision."""
-    with mp.workprec(_RAD_PREC):
-        a = abs(x) * _bump()
-        if rad is not None:
-            a = (a + rad) * _bump()
-        return a
+    return _mpf(_ub(fr))
 
 
 def neg_exact(x):
     """Exact negation: mpmath's unary minus rounds to the ambient
     context precision, which silently truncates high-precision mids."""
-    if isinstance(x, mp.mpc):
-        return mp.make_mpc((mpf_neg(x._mpc_[0]), mpf_neg(x._mpc_[1])))
-    return mp.make_mpf(mpf_neg(x._mpf_))
+    if isinstance(x, _MPC):
+        return _mpc((mpf_neg(x._mpc_[0]), mpf_neg(x._mpc_[1])))
+    return _mpf(mpf_neg(x._mpf_))
 
 
 def conj_exact(x):
     """Exact conjugation (same ambient-rounding pitfall as negation)."""
-    if isinstance(x, mp.mpc):
-        return mp.make_mpc((x._mpc_[0], mpf_neg(x._mpc_[1])))
+    if isinstance(x, _MPC):
+        return _mpc((x._mpc_[0], mpf_neg(x._mpc_[1])))
     return x
 
 
@@ -125,46 +283,42 @@ class Ball:
     def exact(cls, value, prec=PREC_START):
         """Ball around an int, Fraction, or mpf/mpc, with exact radius.
 
-        The radius is zero when `value` is representable at `prec` bits,
-        and the exact (outward-rounded) representation error otherwise.
+        ints and mpf/mpc values are kept exactly (radius zero); a
+        Fraction is rounded to `prec` bits and the radius is its exact
+        representation error, rounded up.
         """
-        if isinstance(value, (mp.mpf, mp.mpc)):
-            return cls(value, mp.mpf(0), prec)
+        if isinstance(value, (_MPF, _MPC)):
+            return cls(value, _ZERO, prec)
         if isinstance(value, numbers.Integral):
-            value = Fraction(int(value))
+            return cls(_mpf(from_int(int(value))), _ZERO, prec)
         if not isinstance(value, Fraction):
             raise TypeError(f"cannot build an exact Ball from {type(value)}")
-        with mp.workprec(prec):
-            mid = mp.mpf(value.numerator) / mp.mpf(value.denominator)
-        err = abs(value - mpf_to_fraction(mid))
-        return cls(mid, fraction_to_mpf_ub(err), prec)
+        num, den = from_int(value.numerator), from_int(value.denominator)
+        mid = mpf_div(num, den, prec, round_nearest)
+        err = mpf_abs(mpf_sub(num, mpf_mul(mid, den)))
+        rad = mpf_div(err, den, _RADIUS_BITS, round_ceiling)
+        return cls(_mpf(mid), _mpf(rad), prec)
 
     @classmethod
     def from_midrad(cls, mid, rad, prec):
-        if not isinstance(rad, mp.mpf):
-            # Converting through the ambient context may round either way;
-            # bump so the stored radius never lands below the requested one.
-            with mp.workprec(_RAD_PREC):
-                rad = mp.mpf(rad) * _bump()
-        if rad < 0:
+        """Ball from a midpoint and a radius; a radius that is not an mpf
+        is converted rounding up."""
+        rad = _ub(rad)
+        if rad[0] and rad[1]:
             raise ValueError("negative radius")
-        return cls(mid, rad, prec)
+        return cls(mid, _mpf(rad), prec)
 
     @classmethod
     def pi(cls, prec=PREC_START):
-        with mp.workprec(prec):
-            mid = +mp.pi
-        return cls(mid, _abs_ub(mid) * _ulp_rel(prec), prec)
+        mid = mpf_pi(prec, round_nearest)
+        rad = mpf_shift(mpf_abs(mid, _RADIUS_BITS, round_ceiling), 3 - prec)
+        return cls(_mpf(mid), _mpf(rad), prec)
 
     # -- bookkeeping ---------------------------------------------------
 
     @property
     def is_complex(self):
-        return isinstance(self.mid, mp.mpc)
-
-    def _pad(self, prec):
-        # Radius term covering the rounding of the freshly computed mid.
-        return _abs_ub(self.mid) * _ulp_rel(prec)
+        return isinstance(self.mid, _MPC)
 
     def __repr__(self):
         return f"Ball({mp.nstr(self.mid, 12)} +/- {mp.nstr(self.rad, 4)} @{self.prec}b)"
@@ -173,23 +327,44 @@ class Ball:
         digits = digits or max(6, int(self.prec * 0.30103) + 2)
         return {"mid": mp.nstr(self.mid, digits), "rad": mp.nstr(self.rad, 6)}
 
+    def _mag(self, up):
+        """Raw bound on |mid|: upper for up=1, lower for up=0."""
+        m = self.mid
+        if isinstance(m, _MPC):
+            return _hypot(*m._mpc_, up)
+        return mpf_abs(m._mpf_, _RADIUS_BITS,
+                       round_ceiling if up else round_floor)
+
+    def _lb(self):
+        """Raw lower bound on |value| (nonpositive: reaches zero)."""
+        return mpf_sub(self._mag(0), self.rad._mpf_, _RADIUS_BITS, round_floor)
+
     # -- ring operations -----------------------------------------------
 
     @staticmethod
     def _coerce(other, prec):
         if isinstance(other, Ball):
             return other
+        if type(other) is int:
+            return Ball(_mpf(from_int(other)), _ZERO, prec)
         return Ball.exact(other, prec)
 
-    def __add__(self, other):
+    def _add(self, other, sub):
         other = self._coerce(other, self.prec)
         p = min(self.prec, other.prec)
-        with mp.workprec(p):
-            mid = self.mid + other.mid
-        with mp.workprec(_RAD_PREC):
-            rad = ((self.rad + other.rad) * _bump()
-                   + _abs_ub(mid) * _ulp_rel(p))
-        return Ball(mid, rad, p)
+        a, b = self.mid, other.mid
+        if isinstance(a, _MPC) or isinstance(b, _MPC):
+            z = (mpc_sub if sub else mpc_add)(_raw_c(a), _raw_c(b), p,
+                                              round_nearest)
+            mid, err = _mpc(z), _ulp_c(z, p)
+        else:
+            t = mpf_add(a._mpf_, b._mpf_, p, round_nearest, sub)
+            mid, err = _mpf(t), _ulp(t, p)
+        rad = _add_up(_add_up(self.rad._mpf_, other.rad._mpf_), err)
+        return Ball(mid, _mpf(rad), p)
+
+    def __add__(self, other):
+        return self._add(other, 0)
 
     __radd__ = __add__
 
@@ -197,41 +372,66 @@ class Ball:
         return Ball(neg_exact(self.mid), self.rad, self.prec)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other, self.prec))
+        return self._add(other, 1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._coerce(other, self.prec)._add(self, 1)
 
     def __mul__(self, other):
         other = self._coerce(other, self.prec)
         p = min(self.prec, other.prec)
-        with mp.workprec(p):
-            mid = self.mid * other.mid
-        with mp.workprec(_RAD_PREC):
-            rad = ((_abs_ub(self.mid) * other.rad
-                    + _abs_ub(other.mid) * self.rad
-                    + self.rad * other.rad) * _bump()
-                   + _abs_ub(mid) * _ulp_rel(p))
-        return Ball(mid, rad, p)
+        a, b = self.mid, other.mid
+        if isinstance(a, _MPC):
+            if isinstance(b, _MPC):
+                z = mpc_mul(a._mpc_, b._mpc_, p, round_nearest)
+            else:
+                z = mpc_mul_mpf(a._mpc_, b._mpf_, p, round_nearest)
+            mid, rad = _mpc(z), _ulp_c(z, p)
+        elif isinstance(b, _MPC):
+            z = mpc_mul_mpf(b._mpc_, a._mpf_, p, round_nearest)
+            mid, rad = _mpc(z), _ulp_c(z, p)
+        else:
+            t = mpf_mul(a._mpf_, b._mpf_, p, round_nearest)
+            mid, rad = _mpf(t), _ulp(t, p)
+        ra, rb = self.rad._mpf_, other.rad._mpf_
+        if rb[1]:
+            rad = _add_up(rad, _mul_up(self._mag(1), rb))
+        if ra[1]:
+            rad = _add_up(rad, _mul_up(other._mag(1), ra))
+            if rb[1]:
+                rad = _add_up(rad, _mul_up(ra, rb))
+        return Ball(mid, _mpf(rad), p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other, self.prec)
         p = min(self.prec, other.prec)
-        lb_b = other.lb_abs()
-        if lb_b <= 0:
+        rb = other.rad._mpf_
+        b_lo = other._mag(0)
+        lb_b = mpf_sub(b_lo, rb, _RADIUS_BITS, round_floor)
+        if lb_b[0] or not lb_b[1]:
             raise ZeroDivisionEnclosure(
                 f"divisor enclosure contains zero: {other!r}")
-        with mp.workprec(p):
-            mid = self.mid / other.mid
-        with mp.workprec(_RAD_PREC):
-            denom_mid_lb = abs(other.mid) / _bump()
-            rad = ((self.rad * _abs_ub(other.mid)
-                    + other.rad * _abs_ub(self.mid))
-                   / (denom_mid_lb * lb_b) * _bump()
-                   + _abs_ub(mid) * _ulp_rel(p))
-        return Ball(mid, rad, p)
+        a, b = self.mid, other.mid
+        if isinstance(b, _MPC):
+            z = mpc_div(_raw_c(a), b._mpc_, p, round_nearest)
+            mid, err = _mpc(z), _ulp_c(z, p)
+        elif isinstance(a, _MPC):
+            z = mpc_div_mpf(a._mpc_, b._mpf_, p, round_nearest)
+            mid, err = _mpc(z), _ulp_c(z, p)
+        else:
+            t = mpf_div(a._mpf_, b._mpf_, p, round_nearest)
+            mid, err = _mpf(t), _ulp(t, p)
+        rad = mpf_shift(err, 1)
+        ra = self.rad._mpf_
+        num = _mul_up(ra, other._mag(1)) if ra[1] else fzero
+        if rb[1]:
+            num = _add_up(num, _mul_up(rb, self._mag(1)))
+        if num[1]:
+            den = mpf_mul(b_lo, lb_b, _RADIUS_BITS, round_floor)
+            rad = _add_up(rad, mpf_div(num, den, _RADIUS_BITS, round_ceiling))
+        return Ball(mid, _mpf(rad), p)
 
     def __rtruediv__(self, other):
         return self._coerce(other, self.prec) / self
@@ -261,73 +461,63 @@ class Ball:
         return Ball(mid, self.rad, self.prec)
 
     def imag(self):
-        mid = self.mid.imag if self.is_complex else mp.mpf(0)
+        mid = self.mid.imag if self.is_complex else _ZERO
         return Ball(mid, self.rad, self.prec)
 
     def magnitude(self) -> "Ball":
         """Real ball enclosing |self|."""
-        with mp.workprec(self.prec):
-            mid = abs(self.mid)
-        with mp.workprec(_RAD_PREC):
-            rad = self.rad * _bump() + _abs_ub(mid) * _ulp_rel(self.prec)
-        return Ball(mid, rad, self.prec)
+        if not self.is_complex:
+            return Ball(_mpf(mpf_abs(self.mid._mpf_)), self.rad, self.prec)
+        t = mpc_abs(self.mid._mpc_, self.prec, round_nearest)
+        rad = _add_up(self.rad._mpf_, _ulp(t, self.prec))
+        return Ball(_mpf(t), _mpf(rad), self.prec)
 
     def add_error(self, extra) -> "Ball":
-        with mp.workprec(_RAD_PREC):
-            rad = (self.rad + mp.mpf(extra)) * _bump()
-        return Ball(self.mid, rad, self.prec)
+        """The same midpoint with `extra` (mpf, int, float or Fraction,
+        rounded up) added to the radius."""
+        return Ball(self.mid, _mpf(_add_up(self.rad._mpf_, _ub(extra))),
+                    self.prec)
 
     # -- real elementary functions (monotone, endpoint evaluation) ------
 
     def _endpoints(self):
-        """Outer endpoints [lo, hi] computed at full precision.
-
-        The subtraction/addition is done at prec+16 bits and then widened
-        by an absolute slip larger than that rounding error, so [lo, hi]
-        certifiedly contains [mid-rad, mid+rad] while staying tight
-        relative to the input radius.
-        """
+        """Raw endpoints [lo, hi] rounded outward at prec+16 bits."""
         if self.is_complex:
             raise TypeError("real-only operation on a complex ball")
-        p = self.prec
-        with mp.workprec(p + 16):
-            slip = (abs(self.mid) + self.rad) * mp.mpf(2) ** (-p - 8)
-            lo = (self.mid - self.rad) - slip
-            hi = (self.mid + self.rad) + slip
-        return lo, hi
+        wp = self.prec + 16
+        m, r = self.mid._mpf_, self.rad._mpf_
+        return mpf_sub(m, r, wp, round_floor), mpf_add(m, r, wp, round_ceiling)
 
     def _monotone(self, fn, lo, hi):
-        """Enclosure of fn over [lo, hi] for increasing fn.
-
-        Evaluations and the width arithmetic run at prec+16 bits; the
-        radius gets an additive cover for mpmath's function rounding
-        (a few ulp) and a final multiplicative bump.
-        """
+        """Enclosure of fn over [lo, hi] for an increasing libmp function
+        fn(x, prec, rnd), evaluated at prec+16 bits; the radius covers the
+        half width, the evaluation error and the midpoint rounding."""
         p = self.prec
-        with mp.workprec(p + 16):
-            flo, fhi = fn(lo), fn(hi)
-            mid = (flo + fhi) / 2
-            rad = ((fhi - flo) / 2
-                   + (abs(flo) + abs(fhi) + abs(mid)) * mp.mpf(2) ** (4 - p))
-        with mp.workprec(_RAD_PREC):
-            rad = rad * _bump()
-        return Ball(mid, rad, p)
+        flo = fn(lo, p + 16, round_nearest)
+        fhi = fn(hi, p + 16, round_nearest)
+        mid = mpf_shift(mpf_add(flo, fhi, p, round_nearest), -1)
+        half = mpf_shift(mpf_abs(mpf_sub(fhi, flo, _RADIUS_BITS, round_up)), -1)
+        cover = _add_up(_add_up(mpf_abs(flo, _RADIUS_BITS, round_ceiling),
+                                mpf_abs(fhi, _RADIUS_BITS, round_ceiling)),
+                        mpf_abs(mid, _RADIUS_BITS, round_ceiling))
+        rad = _add_up(_add_up(half, mpf_shift(cover, 4 - p)), _ulp(mid, p))
+        return Ball(_mpf(mid), _mpf(rad), p)
 
     def sqrt(self):
         lo, hi = self._endpoints()
-        if lo < 0:
+        if lo[0] and lo[1]:
             raise DomainError(f"sqrt of enclosure reaching below zero: {self!r}")
-        return self._monotone(mp.sqrt, lo, hi)
+        return self._monotone(mpf_sqrt, lo, hi)
 
     def log(self):
         lo, hi = self._endpoints()
-        if lo <= 0:
+        if lo[0] or not lo[1]:
             raise DomainError(f"log of enclosure touching zero: {self!r}")
-        return self._monotone(mp.log, lo, hi)
+        return self._monotone(mpf_log, lo, hi)
 
     def exp(self):
         lo, hi = self._endpoints()
-        return self._monotone(mp.exp, lo, hi)
+        return self._monotone(mpf_exp, lo, hi)
 
     def arg(self) -> "Ball":
         """Principal argument in (-pi, pi] of a complex enclosure.
@@ -335,23 +525,35 @@ class Ball:
         Raises DomainError when the disc contains zero or crosses the
         negative real axis (where the principal branch jumps).
         """
-        lb = self.lb_abs()
-        if lb <= 0:
+        lb = self._lb()
+        if lb[0] or not lb[1]:
             raise DomainError("arg of enclosure containing zero")
-        if self.is_complex and self.mid.real < 0:
-            with mp.workprec(_RAD_PREC):
-                if abs(self.mid.imag) <= self.rad * _bump():
-                    raise DomainError("arg enclosure crosses the branch cut")
         p = self.prec
-        with mp.workprec(p):
-            mid = mp.arg(self.mid)
-        with mp.workprec(_RAD_PREC):
-            # |arg(z) - arg(mid)| <= arcsin(rad/|mid|) <= (pi/2) rad/lb|z|
-            rad = (mp.mpf(2) * self.rad / lb) * _bump() \
-                + _abs_ub(mid) * _ulp_rel(p)
-        return Ball(mid, rad, p)
+        r = self.rad._mpf_
+        if self.is_complex:
+            re, im = self.mid._mpc_
+            if re[0] and re[1] and mpf_cmp(mpf_abs(im), r) <= 0:
+                raise DomainError("arg enclosure crosses the branch cut")
+            mid = mpf_atan2(im, re, p, round_nearest)
+        else:
+            mid = mpf_pi(p, round_nearest) if self.mid._mpf_[0] else fzero
+        rad = _add_up(
+            mpf_div(mpf_shift(r, 1), lb, _RADIUS_BITS, round_ceiling),
+            mpf_shift(mpf_abs(mid, _RADIUS_BITS, round_ceiling), 3 - p))
+        return Ball(_mpf(mid), _mpf(rad), p)
 
-    # -- certified predicates (exact, via Fraction endpoints) -----------
+    # -- certified predicates (exact endpoints) -------------------------
+
+    def _lo(self):
+        """Exact lower endpoint of a real ball, as a raw mpf."""
+        if self.is_complex:
+            raise TypeError("real-only predicate on a complex ball")
+        return mpf_sub(self.mid._mpf_, self.rad._mpf_)
+
+    def _hi(self):
+        if self.is_complex:
+            raise TypeError("real-only predicate on a complex ball")
+        return mpf_add(self.mid._mpf_, self.rad._mpf_)
 
     def fr_mid(self):
         if self.is_complex:
@@ -359,37 +561,36 @@ class Ball:
         return mpf_to_fraction(self.mid)
 
     def fr_lo(self) -> Fraction:
-        return self.fr_mid() - mpf_to_fraction(self.rad)
+        return mpf_to_fraction(_mpf(self._lo()))
 
     def fr_hi(self) -> Fraction:
-        return self.fr_mid() + mpf_to_fraction(self.rad)
+        return mpf_to_fraction(_mpf(self._hi()))
 
     def lb_abs(self):
         """mpf lower bound on |value| (0 when the enclosure reaches 0)."""
-        with mp.workprec(_RAD_PREC):
-            lb = (abs(self.mid) / _bump() - self.rad * _bump()) / _bump()
-            return lb if lb > 0 else mp.mpf(0)
+        lb = self._lb()
+        return _ZERO if lb[0] or not lb[1] else _mpf(lb)
 
     def ub_abs(self):
-        return _abs_ub(self.mid, self.rad)
+        return _mpf(_add_up(self._mag(1), self.rad._mpf_))
 
     def contains(self, value) -> bool:
         """Exact containment of an int or Fraction in a real ball."""
         v = Fraction(value)
-        return self.fr_lo() <= v <= self.fr_hi()
+        return _cmp_q(self._lo(), v) <= 0 <= _cmp_q(self._hi(), v)
 
     def gt(self, other) -> bool:
         """Certified self > other (other: Ball, int, or Fraction)."""
         if isinstance(other, Ball):
-            if self.fr_lo() > other.fr_hi():
+            if mpf_cmp(self._lo(), other._hi()) > 0:
                 return True
-            if self.fr_hi() <= other.fr_lo():
+            if mpf_cmp(self._hi(), other._lo()) <= 0:
                 return False
             raise IndeterminateComparison(f"{self!r} vs {other!r}")
         v = Fraction(other)
-        if self.fr_lo() > v:
+        if _cmp_q(self._lo(), v) > 0:
             return True
-        if self.fr_hi() <= v:
+        if _cmp_q(self._hi(), v) <= 0:
             return False
         raise IndeterminateComparison(f"{self!r} vs {v}")
 
@@ -397,18 +598,27 @@ class Ball:
         if isinstance(other, Ball):
             return other.gt(self)
         v = Fraction(other)
-        if self.fr_hi() < v:
+        if _cmp_q(self._hi(), v) < 0:
             return True
-        if self.fr_lo() >= v:
+        if _cmp_q(self._lo(), v) >= 0:
             return False
         raise IndeterminateComparison(f"{self!r} vs {v}")
 
     def is_nonzero(self) -> bool:
-        return self.lb_abs() > 0
+        lb = self._lb()
+        return not lb[0] and bool(lb[1])
+
+    def disjoint(self, other: "Ball") -> bool:
+        """Certified: no value lies in both enclosures, i.e. a lower
+        bound on the distance of the midpoints exceeds the rounded-up
+        sum of the radii."""
+        (ax, ay), (bx, by) = _raw_c(self.mid), _raw_c(other.mid)
+        dist_lo = _hypot(mpf_sub(ax, bx, _RADIUS_BITS, round_down),
+                         mpf_sub(ay, by, _RADIUS_BITS, round_down), 0)
+        return mpf_cmp(dist_lo, _add_up(self.rad._mpf_, other.rad._mpf_)) > 0
 
     def unique_floor(self) -> int:
         """floor(value) when it is the same for the whole enclosure."""
-        import math
         lo = math.floor(self.fr_lo())
         hi = math.floor(self.fr_hi())
         if lo != hi:

@@ -15,7 +15,8 @@ three, P_n - P_{n-1} = 2 P_{n-1} - P_{n-2} - P_{n-k-1}, so
 
 KContext evaluates by the k-term rules above and keeps every term it has
 seen; backward_terms streams P_0, P_{-1}, ... by the three-term step,
-holding only the last k+1 terms (three_term_orbit).
+holding only the last k+1 terms (three_term_orbit), and backward_value
+reads one nonpositive index off that stream.
 
 Everything here is arbitrary-precision integer arithmetic; no rounding.
 """
@@ -26,6 +27,7 @@ import threading
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 DEFAULT_LIMIT = 10_000_000
 
@@ -145,3 +147,14 @@ def backward_terms(k: int) -> Iterator[int]:
         raise ValueError(f"order k must be >= 2, got {k}")
     yield from [0] * (k - 1)
     yield from three_term_orbit(k, [2, 1] + [0] * (k - 1))
+
+
+def backward_value(k: int, n: int, limit: int = DEFAULT_LIMIT) -> int:
+    """P_n for n <= 0 by walking backward_terms: O(k) memory, no cache.
+
+    Raises LimitExceeded when |n| exceeds `limit`, as KContext does."""
+    if n > 0:
+        raise ValueError(f"backward_value needs n <= 0, got {n}")
+    if -n > limit:
+        raise LimitExceeded(n, limit)
+    return next(islice(backward_terms(k), -n, None))

@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from decimal import Decimal
 
 import mpmath as mp
 
@@ -99,32 +100,35 @@ def _spectra_checks(rs) -> dict:
 
 def _verify_one(k: int, full: bool, m_value: int) -> dict:
     parity = "even" if k % 2 == 0 else "odd"
-    rs = spectra.solve_roots(k, PREC_START)
-    checks = _spectra_checks(rs)
+    # Every stage that needs roots gets them from solve_roots, so the
+    # highest precision it handed out is the highest any stage used.
+    with spectra.record_precisions() as precs:
+        rs = spectra.solve_roots(k, PREC_START)
+        checks = _spectra_checks(rs)
 
-    bound_used: dict = {"kind": None, "value_log10": None, "R": None}
-    floor_depth = k * k + 4 * k
-    reduce_certs = None
-    if k % 2 == 0:
-        l_k = effbounds.refined_even_bound(rs)
-        bound_used = {"kind": "refined_even",
-                      "value_log10": effbounds.LogMagnitude.from_value(max(l_k, 1)).to_json()["log10"],
-                      "R": l_k}
-        if full:
-            floor_depth = max(floor_depth, l_k)
-    elif k >= 5 and full:
-        outcome = reduction.odd_k_reduce(k, m_value)
-        reduce_certs = outcome.to_json()
-        bound_used = {"kind": "reduced_odd",
-                      "value_log10": effbounds.LogMagnitude.from_value(outcome.R).to_json()["log10"],
-                      "R": outcome.R}
-        floor_depth = max(floor_depth, outcome.R)
-    elif k >= 4:
-        lm = effbounds.global_zero_index_bound(k)
-        bound_used = {"kind": "global", "value_log10": lm.to_json()["log10"],
-                      "R": None}
-    else:
-        bound_used = {"kind": "scan", "value_log10": None, "R": None}
+        bound_used: dict = {"kind": None, "value_log10": None, "R": None}
+        floor_depth = k * k + 4 * k
+        reduce_certs = None
+        if k % 2 == 0:
+            l_k = effbounds.refined_even_bound(rs)
+            bound_used = {"kind": "refined_even",
+                          "value_log10": effbounds.LogMagnitude.from_value(max(l_k, 1)).to_json()["log10"],
+                          "R": l_k}
+            if full:
+                floor_depth = max(floor_depth, l_k)
+        elif k >= 5 and full:
+            outcome = reduction.odd_k_reduce(k, m_value)
+            reduce_certs = outcome.to_json()
+            bound_used = {"kind": "reduced_odd",
+                          "value_log10": effbounds.LogMagnitude.from_value(outcome.R).to_json()["log10"],
+                          "R": outcome.R}
+            floor_depth = max(floor_depth, outcome.R)
+        elif k >= 4:
+            lm = effbounds.global_zero_index_bound(k)
+            bound_used = {"kind": "global", "value_log10": lm.to_json()["log10"],
+                          "R": None}
+        else:
+            bound_used = {"kind": "scan", "value_log10": None, "R": None}
     if reduce_certs is not None:
         checks["reduction"] = reduce_certs
 
@@ -175,7 +179,7 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
         chi_formula=chi_formula, chi_observed=chi_observed,
         bound_used=bound_used, checks=checks, status=status,
         detail="; ".join(failures), timestamp=_now(),
-        precision_used=rs.prec, scan_floor=-floor_depth)
+        precision_used=max(precs), scan_floor=-floor_depth)
     return report.to_json()
 
 
@@ -224,13 +228,18 @@ def _emit(records, fmt, out):
 
 
 def cmd_eval(args) -> int:
-    ctx = bigseq.KContext(args.k, limit=args.limit)
-    term = bigseq.eval_term(ctx, args.n)
+    if args.n <= 0:
+        value = bigseq.backward_value(args.k, args.n, args.limit)
+    else:
+        value = bigseq.KContext(args.k, limit=args.limit).value(args.n)
+    # str(int) refuses values past 4300 digits (Python 3.11+); the
+    # Decimal conversion has no such cap.
+    text = str(Decimal(value))
     if args.format == "json":
-        print(json.dumps({"k": args.k, "n": args.n, "value": str(term.value)},
+        print(json.dumps({"k": args.k, "n": args.n, "value": text},
                          sort_keys=True))
     else:
-        print(term.value)
+        print(text)
     return 0
 
 

@@ -212,7 +212,7 @@ def dp_reduce(inst: ReductionInstance, refine=None,
             e_hi = norm_hi - inst.M * dist_tau.fr_lo()
             if e_lo > 0:
                 eps = Ball.exact(Fraction(e_lo + e_hi, 2),
-                                 inst.tau.prec).add_error(float(e_hi - e_lo) / 2)
+                                 inst.tau.prec).add_error((e_hi - e_lo) / 2)
                 r_bound = _outward_R(inst.A, q, e_lo, inst.B)
                 return ReductionOutcome(q_used=q, m_index=idx, epsilon=eps,
                                         R=r_bound, attempts=attempts)

@@ -30,6 +30,8 @@ import hashlib
 import json
 import os
 import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,7 +46,6 @@ from .ball import (
     PrecisionExhausted,
     ZeroDivisionEnclosure,
     ball_sum,
-    conj_exact,
     escalate,
 )
 
@@ -91,6 +92,26 @@ class GValue:
 
 _cache_lock = threading.Lock()
 _root_cache: dict = {}
+_solve_precs: ContextVar = ContextVar("pellzero_solve_precs", default=None)
+
+
+@contextmanager
+def record_precisions():
+    """Yield a list that collects the precision of every root system
+    solve_roots returns inside the block, cache hits included."""
+    seen = []
+    token = _solve_precs.set(seen)
+    try:
+        yield seen
+    finally:
+        _solve_precs.reset(token)
+
+
+def _recorded(rs: "RootSystem") -> "RootSystem":
+    seen = _solve_precs.get()
+    if seen is not None:
+        seen.append(rs.prec)
+    return rs
 
 
 def psi_coeffs(k: int) -> list[int]:
@@ -151,11 +172,6 @@ def _polish(k: int, seeds, prec: int):
     return out
 
 
-def _dist(a, b, prec):
-    with mp.workprec(prec + 16):
-        return abs(a - b)
-
-
 def _certify(k: int, centers, prec: int) -> RootSystem:
     balls = [Ball.exact(c, prec) for c in centers]
     one = Ball.exact(1, prec)
@@ -175,34 +191,26 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
             w = num / den
         except ZeroDivisionEnclosure:
             raise CertificationFailure(f"coincident centers near index {i}")
-        with mp.workprec(64):
-            radii.append(w.ub_abs() * (k + 1) * (1 + mp.mpf(2) ** -16))
+        radii.append((w * (k + 1)).ub_abs())
+    root_balls = [Ball(c, r, prec) for c, r in zip(centers, radii)]
 
     # Pairwise disjointness, including the exact node at 1 (radius 0).
-    all_centers = centers + [mp.mpf(1)]
-    all_radii = radii + [mp.mpf(0)]
-    with mp.workprec(64):
-        guard = 1 + mp.mpf(2) ** -16
-        for i in range(len(all_centers)):
-            for j in range(i + 1, len(all_centers)):
-                d = _dist(all_centers[i], all_centers[j], prec)
-                if not d / guard > (all_radii[i] + all_radii[j]) * guard:
-                    raise CertificationFailure(
-                        f"disks {i},{j} not certifiedly disjoint at {prec} bits")
+    disks = root_balls + [one]
+    for i in range(len(disks)):
+        for j in range(i + 1, len(disks)):
+            if not disks[i].disjoint(disks[j]):
+                raise CertificationFailure(
+                    f"disks {i},{j} not certifiedly disjoint at {prec} bits")
 
     # Conjugate pairing via unique conjugate-disk intersection.
     pairs = {}
     realify = []
-    for i, c in enumerate(centers):
-        if isinstance(c, mp.mpf):
+    for i, bi in enumerate(root_balls):
+        if not bi.is_complex:
             continue
-        cc = conj_exact(c)
-        hits = []
-        with mp.workprec(64):
-            for j in range(len(centers)):
-                d = _dist(cc, centers[j], prec)
-                if d / guard <= (radii[i] + radii[j]) * guard:
-                    hits.append(j)
+        mirror = bi.conjugate()
+        hits = [j for j, bj in enumerate(root_balls)
+                if not mirror.disjoint(bj)]
         if hits == [i]:
             realify.append(i)
         elif len(hits) != 1:
@@ -217,7 +225,6 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
         if pairs.get(j) != i or i == j:
             raise CertificationFailure(f"asymmetric pairing {i}<->{j}")
 
-    root_balls = [Ball(c, r, prec) for c, r in zip(centers, radii)]
     moduli = [b.magnitude() for b in root_balls]
 
     # Sort by descending modulus midpoint; conjugate partners stay adjacent
@@ -274,7 +281,7 @@ def solve_roots(k: int, target_prec: int = PREC_START, seeds=None,
         with _cache_lock:
             hit = _root_cache.get(k)
         if hit is not None and hit.prec >= target_prec:
-            return hit
+            return _recorded(hit)
     prec = max(target_prec, PREC_START)
     if seeds is None:
         seeds = _initial_seeds(k)
@@ -298,7 +305,7 @@ def solve_roots(k: int, target_prec: int = PREC_START, seeds=None,
             old = _root_cache.get(k)
             if old is None or old.prec < rs.prec:
                 _root_cache[k] = rs
-    return rs
+    return _recorded(rs)
 
 
 def eval_gk(k: int, x: Ball) -> GValue:

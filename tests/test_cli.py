@@ -390,3 +390,51 @@ def test_verify_one_bad_order_keeps_the_sweep(capsys, monkeypatch):
     assert "ReductionExhausted" in records[5]["detail"]
     assert records[4]["status"] == records[6]["status"] == "FAIL"
     assert records[6]["scan_floor"] == -records[6]["bound_used"]["R"]
+
+
+def test_verify_precision_used_covers_the_odd_reduction(capsys):
+    from pellzero import reduction
+    rc, out, _ = run_cli(capsys, "verify", "--k", "5", "--full")
+    rec = json.loads(out)
+    assert rec["bound_used"]["kind"] == "reduced_odd"
+    assert rec["precision_used"] >= reduction.working_prec_for(reduction.DEFAULT_M)
+
+
+def test_verify_precision_used_covers_the_dominant_resolve(capsys):
+    # k = 86 is the smallest order whose dominant-root envelope check
+    # cannot settle on the 128-bit system and re-solves at 256 bits.
+    from pellzero import spectra
+    spectra.clear_cache()
+    assert spectra.solve_roots(86, 128).prec == 128
+    rc, out, _ = run_cli(capsys, "verify", "--k", "86")
+    rec = json.loads(out)
+    assert rec["checks"]["dominant_in_envelope"]["holds"] is True
+    assert rec["precision_used"] >= 256
+
+
+def test_eval_negative_index_streams_in_bounded_memory(capsys):
+    import tracemalloc
+    from pellzero.bigseq import KContext
+    tracemalloc.start()
+    try:
+        rc, out, _ = run_cli(capsys, "eval", "--k", "40", "--n", "-30000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 1 << 20
+    rc, out, _ = run_cli(capsys, "eval", "--k", "7", "--n", "-3000")
+    assert int(out) == KContext(7).value(-3000)
+
+
+def test_eval_prints_terms_past_the_int_str_digit_cap(capsys):
+    from decimal import Decimal
+    from pellzero.bigseq import KContext
+    want = Decimal(KContext(2).value(-12000))
+    assert len(str(want)) > 4300
+    rc, out, _ = run_cli(capsys, "eval", "--k", "2", "--n", "-12000")
+    assert rc == 0
+    assert Decimal(out.strip()) == want
+    rc, out, _ = run_cli(capsys, "eval", "--k", "2", "--n", "-12000",
+                         "--format", "json")
+    assert Decimal(json.loads(out)["value"]) == want

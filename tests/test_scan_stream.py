@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pellzero.bigseq import KContext, backward_terms, three_term_orbit
+from pellzero.bigseq import (KContext, LimitExceeded, backward_terms,
+                             backward_value, three_term_orbit)
 from pellzero.zerostruct import enumerate_zeros, variant_mirror, variant_zero_set
 
 
@@ -89,3 +90,28 @@ def test_scan_to_refined_bound_in_bounded_memory():
         tracemalloc.stop()
     assert len(zset) == 15 * 15
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_backward_value_matches_kcontext(k):
+    ctx = KContext(k)
+    for n in range(0, -501, -1):
+        assert backward_value(k, n) == ctx.value(n)
+
+
+def test_backward_value_limit_and_domain():
+    assert backward_value(3, -1000, limit=1000) == KContext(3).value(-1000)
+    with pytest.raises(LimitExceeded):
+        backward_value(3, -1001, limit=1000)
+    with pytest.raises(ValueError):
+        backward_value(3, 1)
+
+
+def test_backward_value_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        backward_value(40, -30000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
