@@ -34,7 +34,6 @@ from .reduction import (
     odd_k_reduce,
 )
 from .spectra import (
-    GValue,
     RootSystem,
     binet_reconstruct,
     check_dominant_bounds,
@@ -50,8 +49,10 @@ from .zerostruct import (
     IdentityViolation,
     IntervalStructure,
     StructureMismatch,
+    ZeroComparison,
     ZeroSet,
     chi,
+    compare_zeros,
     enumerate_zeros,
     mirror_sequence,
     predicted_intervals,

@@ -33,14 +33,14 @@ DEFAULT_LIMIT = 10_000_000
 
 
 class LimitExceeded(RuntimeError):
-    """Requested index magnitude exceeds the context's resource limit."""
+    """Requested index magnitude exceeds a resource limit; `name` says
+    which one (the KContext limit, bigseq.DEFAULT_LIMIT, --limit, ...)."""
 
-    def __init__(self, n, limit):
-        super().__init__(
-            f"index {n} exceeds the configured limit {limit}; "
-            f"construct KContext with a higher limit to allow this")
+    def __init__(self, n, limit, name):
+        super().__init__(f"index {n} exceeds {name} = {limit}")
         self.n = n
         self.limit = limit
+        self.name = name
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,12 @@ class KContext:
     serialized by an internal lock.
     """
 
-    def __init__(self, k: int, limit: int = DEFAULT_LIMIT, use_cache: bool = True):
+    def __init__(self, k: int, limit: int = DEFAULT_LIMIT):
         if k < 2:
             raise ValueError(f"order k must be >= 2, got {k}")
         self.k = k
         self.limit = limit
-        self.use_cache = use_cache
         self._lock = threading.Lock()
-        self._reset()
-
-    def _reset(self):
-        k = self.k
         self._vals = {n: 0 for n in range(-(k - 2), 1)}
         self._vals[1] = 1
         self._lo = -(k - 2)
@@ -91,18 +86,12 @@ class KContext:
     def _ensure(self, n_lo: int, n_hi: int):
         if abs(n_lo) > self.limit or abs(n_hi) > self.limit:
             worst = n_lo if abs(n_lo) > abs(n_hi) else n_hi
-            raise LimitExceeded(worst, self.limit)
+            raise LimitExceeded(worst, self.limit, "the KContext limit")
         with self._lock:
             if n_hi > self._hi:
                 self._extend_up(n_hi)
             if n_lo < self._lo:
                 self._extend_down(n_lo)
-            if not self.use_cache:
-                # Keep only the window; recompute on the next call.
-                vals = self._vals
-                result = {n: vals[n] for n in range(n_lo, n_hi + 1)}
-                self._reset()
-                return result
             return self._vals
 
     def value(self, n: int) -> int:
@@ -156,5 +145,5 @@ def backward_value(k: int, n: int, limit: int = DEFAULT_LIMIT) -> int:
     if n > 0:
         raise ValueError(f"backward_value needs n <= 0, got {n}")
     if -n > limit:
-        raise LimitExceeded(n, limit)
+        raise LimitExceeded(n, limit, "the backward_value limit")
     return next(islice(backward_terms(k), -n, None))

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -27,7 +26,6 @@ from .ball import (DomainError, IndeterminateComparison, PREC_START,
 
 SCHEMA = "pellzero-report/1"
 K_GUARD = 500
-CACHE_ENV = "PELLZERO_CACHE_DIR"
 
 
 @dataclass
@@ -46,24 +44,6 @@ class ZeroReport:
     precision_used: int
     scan_floor: int
     schema: str = SCHEMA
-
-    def to_json(self) -> dict:
-        return {
-            "schema": self.schema,
-            "k": self.k,
-            "parity": self.parity,
-            "status": self.status,
-            "detail": self.detail,
-            "zeros": self.zeros,
-            "predicted_blocks": self.predicted_blocks,
-            "chi_formula": self.chi_formula,
-            "chi_observed": self.chi_observed,
-            "bound_used": self.bound_used,
-            "checks": self.checks,
-            "precision_used": self.precision_used,
-            "scan_floor": self.scan_floor,
-            "timestamp": self.timestamp,
-        }
 
 
 def _now() -> str:
@@ -134,28 +114,19 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
 
     wanted_depth = floor_depth
     floor_depth = min(floor_depth, bigseq.DEFAULT_LIMIT)
-    if k >= 4:
-        predicted = zerostruct.predicted_intervals(k)
-        predicted_blocks = [list(b) for b in predicted.blocks]
-        predicted_set = predicted.index_set()
-    else:
-        predicted_blocks = []
-        predicted_set = {0} if k == 2 else {0, -1}
-    zset = zerostruct.enumerate_zeros(k, -floor_depth)
-    observed = set(zset.indices)
+    predicted_blocks = ([list(b) for b in zerostruct.predicted_intervals(k).blocks]
+                        if k >= 4 else [])
+    cmp = zerostruct.compare_zeros(k, -floor_depth)
     chi_formula = zerostruct.chi(k)
-    chi_observed = len(observed)
-    deepest = min(observed)
+    chi_observed = len(cmp.observed)
+    deepest = cmp.observed[0]
 
     failures = []
-    if observed != predicted_set:
-        missing = sorted(predicted_set - observed)
-        extra = sorted(observed - predicted_set)
-        note = ""
-        if set(zerostruct.variant_zero_set(k, -floor_depth)) == predicted_set:
-            note = "; predicted intervals match the variant mirror orbit instead"
-        failures.append(f"zero set mismatch: predicted-but-absent {missing}, "
-                        f"unpredicted {extra}{note}")
+    if not cmp.equal:
+        note = ("; predicted intervals match the variant mirror orbit instead"
+                if cmp.variant_match else "")
+        failures.append(f"zero set mismatch: predicted-but-absent "
+                        f"{list(cmp.missing)}, unpredicted {list(cmp.extra)}{note}")
     if chi_observed != chi_formula:
         failures.append(f"count mismatch: observed {chi_observed}, "
                         f"formula {chi_formula} "
@@ -174,13 +145,13 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
 
     status = "PASS" if not failures else "FAIL"
     report = ZeroReport(
-        k=k, parity=parity, zeros=sorted(observed),
+        k=k, parity=parity, zeros=list(cmp.observed),
         predicted_blocks=predicted_blocks,
         chi_formula=chi_formula, chi_observed=chi_observed,
         bound_used=bound_used, checks=checks, status=status,
         detail="; ".join(failures), timestamp=_now(),
         precision_used=max(precs), scan_floor=-floor_depth)
-    return report.to_json()
+    return asdict(report)
 
 
 def _verify_worker(args):
@@ -217,17 +188,24 @@ def _csv_row(rec: dict) -> str:
     return ",".join(vals)
 
 
-def _emit(records, fmt, out):
+def _emit(records, fmt, out) -> int:
+    """Print each record as it arrives and return the exit code: 2 if
+    any record is an ERROR, else 1 if any is not a PASS, else 0."""
     if fmt == "csv":
-        print(",".join(_CSV_COLUMNS), file=out)
-        for rec in records:
-            print(_csv_row(rec), file=out)
-    else:
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True), file=out)
+        print(",".join(_CSV_COLUMNS), file=out, flush=True)
+    statuses = set()
+    for rec in records:
+        line = _csv_row(rec) if fmt == "csv" else json.dumps(rec, sort_keys=True)
+        print(line, file=out, flush=True)
+        statuses.add(rec.get("status"))
+    if "ERROR" in statuses:
+        return 2
+    return 0 if statuses <= {"PASS"} else 1
 
 
 def cmd_eval(args) -> int:
+    if abs(args.n) > args.limit:
+        raise bigseq.LimitExceeded(args.n, args.limit, "--limit")
     if args.n <= 0:
         value = bigseq.backward_value(args.k, args.n, args.limit)
     else:
@@ -270,14 +248,7 @@ def cmd_chi(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    cache_dir = os.environ.get(CACHE_ENV)
-    rs = None
-    if cache_dir:
-        rs = spectra.load_root_system(args.k, args.precision, cache_dir)
-    if rs is None:
-        rs = spectra.solve_roots(args.k, args.precision)
-        if cache_dir:
-            spectra.save_root_system(rs, cache_dir)
+    rs = spectra.solve_roots(args.k, args.precision)
     digits = max(6, int(rs.prec * 0.30103) - 2)
     roots = []
     for b in rs.roots:
@@ -321,40 +292,6 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def cmd_cache(args) -> int:
-    cache_dir = args.dir or os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        print(f"no cache directory (set {CACHE_ENV} or pass --dir)",
-              file=sys.stderr)
-        return 2
-    if args.action == "clear":
-        removed = 0
-        if os.path.isdir(cache_dir):
-            for name in os.listdir(cache_dir):
-                if name.startswith("roots_k") and name.endswith(".json"):
-                    os.unlink(os.path.join(cache_dir, name))
-                    removed += 1
-        spectra.clear_cache()
-        print(json.dumps({"cleared": removed, "dir": cache_dir}))
-        return 0
-    entries = []
-    if os.path.isdir(cache_dir):
-        for name in sorted(os.listdir(cache_dir)):
-            if not (name.startswith("roots_k") and name.endswith(".json")):
-                continue
-            path = os.path.join(cache_dir, name)
-            try:
-                with open(path) as fh:
-                    payload = json.load(fh)
-                stale = payload.get("checksum") != spectra._coeff_checksum(payload["k"])
-                entries.append({"file": name, "k": payload["k"],
-                                "prec": payload["prec"], "stale": stale})
-            except (OSError, json.JSONDecodeError, KeyError):
-                entries.append({"file": name, "error": "unreadable"})
-    print(json.dumps({"dir": cache_dir, "entries": entries}, sort_keys=True))
-    return 0
-
-
 def cmd_verify(args) -> int:
     if args.k is not None:
         ks = [args.k]
@@ -379,13 +316,8 @@ def cmd_verify(args) -> int:
     work = [(k, args.full, args.M) for k in ks]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_verify_worker, work))
-    else:
-        records = [_verify_worker(w) for w in work]
-    _emit(records, args.format, sys.stdout)
-    if any(rec.get("status") == "ERROR" for rec in records):
-        return 2
-    return 0 if all(rec.get("status") == "PASS" for rec in records) else 1
+            return _emit(pool.map(_verify_worker, work), args.format, sys.stdout)
+    return _emit(map(_verify_worker, work), args.format, sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,11 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--M", type=_parse_m, default=reduction.DEFAULT_M)
     p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("cache", help="inspect or clear the root cache")
-    p.add_argument("action", choices=["inspect", "clear"])
-    p.add_argument("--dir", default=None)
-    p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser("verify", help="per-k verification reports")
     sel = p.add_mutually_exclusive_group(required=True)

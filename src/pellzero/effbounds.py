@@ -241,7 +241,7 @@ def weight_height_check(rs: RootSystem) -> dict:
             z = root.mid
             den_val = k * (z * z - 3 * z + 1) + (z * z - 1)
             h_est += mp.log(max(mp.mpf(1), abs(den_val)))
-            g = eval_gk(k, root).at_root.mid
+            g = eval_gk(k, root).mid
             h_est += mp.log(max(mp.mpf(1), abs(g)))
         h_est /= k
         bound = 5 * mp.log(k)

@@ -265,7 +265,7 @@ def odd_k_instance(rs: RootSystem, M: int) -> ReductionInstance:
     gamma_s = _small_pair_branch(rs)
     pi_ball = Ball.pi(p)
     tau = gamma_s.arg() * (-2) / pi_ball
-    gval = eval_gk(k, gamma_s).at_root
+    gval = eval_gk(k, gamma_s)
     mu = gval.arg() * 2 / pi_ball
     g_mag = gval.magnitude()
     a_ball = Ball.exact(1, p) / g_mag
@@ -279,7 +279,7 @@ def odd_k_instance(rs: RootSystem, M: int) -> ReductionInstance:
         tau_conj = gamma_s.conjugate().arg() * (-2) / pi_ball
         if tau_conj.gt(tau_lo) and tau_conj.lt(tau_hi):
             tau = tau_conj
-            mu = eval_gk(k, gamma_s.conjugate()).at_root.arg() * 2 / pi_ball
+            mu = eval_gk(k, gamma_s.conjugate()).arg() * 2 / pi_ball
             in_range = True
             switched = True
     certs["tau_in_range"] = bool(in_range)

@@ -26,13 +26,10 @@ real polynomial, which must then be real.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -83,11 +80,6 @@ class RootSystem:
             if i == b:
                 return a
         return None
-
-
-@dataclass
-class GValue:
-    at_root: Ball
 
 
 _cache_lock = threading.Lock()
@@ -269,22 +261,19 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
                       conj_pairs=conj_pairs, real_roots=real_roots, prec=prec)
 
 
-def solve_roots(k: int, target_prec: int = PREC_START, seeds=None,
-                use_cache: bool = True) -> RootSystem:
+def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     """Certified root system of Psi_k, escalating precision until the
     Weierstrass disks are disjoint and all orderings separate."""
     if k < 2:
         raise ValueError(f"order k must be >= 2, got {k}")
     if target_prec < 64:
         raise ValueError("target_prec below 64 bits is not supported")
-    if use_cache:
-        with _cache_lock:
-            hit = _root_cache.get(k)
-        if hit is not None and hit.prec >= target_prec:
-            return _recorded(hit)
+    with _cache_lock:
+        hit = _root_cache.get(k)
+    if hit is not None and hit.prec >= target_prec:
+        return _recorded(hit)
     prec = max(target_prec, PREC_START)
-    if seeds is None:
-        seeds = _initial_seeds(k)
+    seeds = _initial_seeds(k)
     while True:
         centers = _polish(k, seeds, prec)
         try:
@@ -300,15 +289,14 @@ def solve_roots(k: int, target_prec: int = PREC_START, seeds=None,
         except (IndeterminateComparison, ZeroDivisionEnclosure):
             seeds = centers
             prec = escalate(prec)
-    if use_cache:
-        with _cache_lock:
-            old = _root_cache.get(k)
-            if old is None or old.prec < rs.prec:
-                _root_cache[k] = rs
+    with _cache_lock:
+        old = _root_cache.get(k)
+        if old is None or old.prec < rs.prec:
+            _root_cache[k] = rs
     return _recorded(rs)
 
 
-def eval_gk(k: int, x: Ball) -> GValue:
+def eval_gk(k: int, x: Ball) -> Ball:
     """The Binet weight g_k(x) = (x-1) / (k (x^2 - 3x + 1) + x^2 - 1).
 
     The denominator is kept in this factored form; its expanded constant
@@ -317,67 +305,17 @@ def eval_gk(k: int, x: Ball) -> GValue:
     """
     sq = x * x
     den = (sq - 3 * x + 1) * k + (sq - 1)
-    return GValue((x - 1) / den)
-
-
-# -- Binet reconstruction -------------------------------------------------
-
-_offset_lock = threading.Lock()
-_calibrated_offset: int | None = None
-
-
-def _binet_sum(k: int, n: int, rs: RootSystem, offset: int) -> Ball:
-    total = None
-    for root in rs.roots:
-        term = eval_gk(k, root).at_root * root.pow_int(n + offset)
-        total = term if total is None else total + term
-    # The exact value is a real integer; fold the (tiny) imaginary slack
-    # into the radius of the real part.
-    real_part = total.real()
-    with mp.workprec(64):
-        slack = abs(total.mid.imag) if total.is_complex else mp.mpf(0)
-    return real_part.add_error(slack)
-
-
-def calibrate_offset(force: bool = False) -> int:
-    """Fix the exponent shift o in e(n) = n + o by exact matching of the
-    reconstruction against the integer sequence for k = 2, 3, n = 1..10.
-
-    The calibrated value is cached for the process; it comes out 0.
-    """
-    global _calibrated_offset
-    with _offset_lock:
-        if _calibrated_offset is not None and not force:
-            return _calibrated_offset
-        from . import bigseq
-        viable = []
-        for o in (-1, 0, 1):
-            ok = True
-            for k in (2, 3):
-                ctx = bigseq.KContext(k)
-                rs = solve_roots(k, 192)
-                for n in range(1, 11):
-                    ball = _binet_sum(k, n, rs, o)
-                    exact = ctx.value(n)
-                    if not (ball.rad < mp.mpf("0.5") and ball.contains(exact)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                viable.append(o)
-        if len(viable) != 1:
-            raise PrecisionExhausted(
-                f"offset calibration did not single out a shift: {viable}")
-        _calibrated_offset = viable[0]
-        return _calibrated_offset
+    return (x - 1) / den
 
 
 def binet_reconstruct(k: int, n: int, rs: RootSystem) -> Ball:
-    """Sum of g_k(root) * root^{e(n)} over all roots, as a Ball that must
-    contain the exact integer term.  Raises PrecisionExhausted when the
-    enclosure is too wide to pin an integer (radius >= 0.4)."""
-    ball = _binet_sum(k, n, rs, calibrate_offset())
+    """Sum of g_k(root) * root^n over all roots, as a Ball that must
+    contain the exact integer term.  The sum is real, and the real part
+    of a ball keeps the full disc radius, so it covers the dropped
+    imaginary part.  Raises PrecisionExhausted when the enclosure is too
+    wide to pin an integer (radius >= 0.4)."""
+    terms = (eval_gk(k, root) * root.pow_int(n) for root in rs.roots)
+    ball = ball_sum(terms).real()
     if not ball.rad < mp.mpf("0.4"):
         raise PrecisionExhausted(
             f"reconstruction radius {mp.nstr(ball.rad, 6)} cannot pin an "
@@ -459,7 +397,7 @@ def check_root_bounds(rs: RootSystem) -> dict:
     report["modulus_ratio_floor"] = {
         "holds": holds, "min_margin": float(min_margin if min_margin is not None else 0)}
 
-    g_dom = eval_gk(k, rs.gamma).at_root
+    g_dom = eval_gk(k, rs.gamma)
     lo, hi = Fraction(276, 1000), Fraction(1, 2)
     report["dominant_weight_range"] = {
         "holds": bool(g_dom.gt(lo) and g_dom.lt(hi)),
@@ -473,7 +411,7 @@ def check_root_bounds(rs: RootSystem) -> dict:
     for i in range(rs.k):
         if i == rs.dominant:
             continue
-        gv = eval_gk(k, rs.roots[i]).at_root.magnitude()
+        gv = eval_gk(k, rs.roots[i]).magnitude()
         if not gv.lt(bound):
             holds3 = False
         with mp.workprec(64):
@@ -486,7 +424,7 @@ def check_root_bounds(rs: RootSystem) -> dict:
     log_gamma = rs.gamma.magnitude().log()
     smallest = rs.moduli[-1]
     cap = Ball.exact(1, p) - log_gamma / (2 * k)
-    g_small = eval_gk(k, rs.roots[-1]).at_root.magnitude()
+    g_small = eval_gk(k, rs.roots[-1]).magnitude()
     floor_w = log_gamma / (2 * k * (5 * k + 2))
     report["smallest_root_caps"] = {
         "modulus_below_cap": bool(cap.gt(smallest)),
@@ -568,63 +506,6 @@ def check_root_separation(rs: RootSystem) -> list[dict]:
         out.append({"pair": (i, j), "case": case, "holds": bool(holds),
                     "log10_margin": margin})
     return out
-
-
-# -- optional file cache ----------------------------------------------------
-
-def _coeff_checksum(k: int) -> str:
-    blob = ",".join(str(c) for c in psi_coeffs(k)).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def save_root_system(rs: RootSystem, cache_dir: str) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
-    digits = int(rs.prec * 0.30103) + 8
-    payload = {
-        "k": rs.k,
-        "prec": rs.prec,
-        "checksum": _coeff_checksum(rs.k),
-        "roots": [
-            {"re": mp.nstr(b.mid.real if b.is_complex else b.mid, digits),
-             "im": mp.nstr(b.mid.imag, digits) if b.is_complex else "0"}
-            for b in rs.roots
-        ],
-    }
-    path = os.path.join(cache_dir, f"roots_k{rs.k}_p{rs.prec}.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    return path
-
-
-def load_root_system(k: int, target_prec: int, cache_dir: str):
-    """Best stored seed set for (k, >= target_prec), re-certified from
-    scratch (stored digits are only a warm start, never trusted)."""
-    best = None
-    if not os.path.isdir(cache_dir):
-        return None
-    for name in os.listdir(cache_dir):
-        if not name.startswith(f"roots_k{k}_p") or not name.endswith(".json"):
-            continue
-        try:
-            with open(os.path.join(cache_dir, name)) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            continue
-        if payload.get("checksum") != _coeff_checksum(k):
-            continue
-        if payload.get("prec", 0) < target_prec:
-            continue
-        if best is None or payload["prec"] > best["prec"]:
-            best = payload
-    if best is None:
-        return None
-    prec = best["prec"]
-    with mp.workprec(prec + 16):
-        seeds = []
-        for r in best["roots"]:
-            re, im = mp.mpf(r["re"]), mp.mpf(r["im"])
-            seeds.append(re if im == 0 else mp.mpc(re, im))
-    return solve_roots(k, target_prec=prec, seeds=seeds, use_cache=True)
 
 
 def clear_cache():

@@ -2,16 +2,17 @@
 
 Scanning the exact sequence backward gives the observed zero set; the
 predicted interval structure is a closed-form family of blocks with a
-count formula chi.  verify_structure compares the two and reports or
-raises with the exact symmetric difference.
+count formula chi.  compare_zeros sets the two side by side once, with
+the exact symmetric difference; verify_structure, observed_report and
+the CLI's verify records are all read off that comparison.
 
 The observed sets have their own closed form (observed_blocks): block j
 sits at depths [j(k+1), j(k+1) + k - 2 - 2j] for j = 0, 1, ... while the
 upper end stays at or above the lower.  The predicted intervals instead
 match the zero pattern of a variant mirror orbit whose doubled
 coefficient sits on the shallowest lag rather than the deepest
-(variant_mirror below); the mismatch diagnosis in verify_structure
-points at exactly that.
+(variant_mirror below); compare_zeros records whether a mismatch is
+exactly that.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def enumerate_zeros(k: int, floor: int) -> ZeroSet:
     if floor >= 0:
         raise ValueError(f"floor must be negative, got {floor}")
     if -floor > bigseq.DEFAULT_LIMIT:
-        raise bigseq.LimitExceeded(floor, bigseq.DEFAULT_LIMIT)
+        raise bigseq.LimitExceeded(floor, bigseq.DEFAULT_LIMIT,
+                                   "bigseq.DEFAULT_LIMIT")
     terms = islice(bigseq.backward_terms(k), 1 - floor)
     zeros = [-d for d, value in enumerate(terms) if value == 0]
     return ZeroSet(k=k, indices=tuple(reversed(zeros)), search_floor=floor)
@@ -152,22 +154,9 @@ def observed_chi(k: int) -> int:
     return (k * k - 1) // 4
 
 
-def mirror_shift(k: int) -> int:
-    """Shift c making the reflected reading G_n = P(c - n) start with
-    G_i = 0 for i = 0..k-2.  The seed window pins c = 0 uniquely; the
-    reflected recurrence itself holds for every shift, being the forward
-    rule read backwards."""
-    ctx = KContext(k)
-    for c in range(-2 * k, 2 * k + 1):
-        if all(ctx.value(c - i) == 0 for i in range(k - 1)) \
-                and ctx.value(c - (k - 1)) != 0:
-            return c
-    raise ArithmeticError(f"no shift reproduces the zero window for k={k}")
-
-
 def mirror_sequence(k: int, n_hi: int, check_identity: bool = True) -> list:
-    """G_0..G_{n_hi} where G_n reads the sequence at index c - n with the
-    calibrated shift c (= 0).  With check_identity on (the default), each
+    """G_0..G_{n_hi} where G_n = P(-n), the sequence read backward from
+    its zero window.  With check_identity on (the default), each
     n >= k+1 is tested against the cross-lag identity
 
         G_n = 3 G_{n-k} + sum_{i=1}^{k-3} G_{n-(k-i)} - 2 G_{n-k-1} + 3 G_{n-2}
@@ -178,9 +167,8 @@ def mirror_sequence(k: int, n_hi: int, check_identity: bool = True) -> list:
     """
     if n_hi < k:
         raise ValueError(f"n_hi must be >= k, got {n_hi} < {k}")
-    c = mirror_shift(k)
     ctx = KContext(k)
-    g = [ctx.value(c - n) for n in range(n_hi + 1)]
+    g = [ctx.value(-n) for n in range(n_hi + 1)]
     if check_identity:
         for n in range(k + 1, n_hi + 1):
             rhs = (3 * g[n - k]
@@ -234,6 +222,51 @@ def default_floor(k: int) -> int:
     return -(k * k + 4 * k)
 
 
+def predicted_set(k: int) -> frozenset:
+    """Index 0 plus the predicted blocks: {0} for k = 2, {0, -1} for
+    k = 3, and predicted_intervals(k).index_set() from k = 4 on."""
+    if k >= 4:
+        return frozenset(predicted_intervals(k).index_set())
+    if k < 2:
+        raise ValueError(f"order k must be >= 2, got {k}")
+    return frozenset(range(2 - k, 1))
+
+
+@dataclass(frozen=True)
+class ZeroComparison:
+    """The scanned zero set against the predicted one, as sorted index
+    tuples.  variant_match is set only on a mismatch, when the predicted
+    set is exactly the zero set of the variant mirror orbit."""
+    observed: tuple
+    predicted: tuple
+    missing: tuple
+    extra: tuple
+    variant_match: bool
+
+    @property
+    def equal(self) -> bool:
+        return not (self.missing or self.extra)
+
+
+def compare_zeros(k: int, floor: int) -> ZeroComparison:
+    """Scan [floor, 0] once and compare it with predicted_set(k); the
+    variant orbit is scanned to the same floor only on a mismatch."""
+    observed = set(enumerate_zeros(k, floor).indices)
+    predicted = predicted_set(k)
+    variant_match = (observed != predicted
+                     and set(variant_zero_set(k, floor)) == predicted)
+    return ZeroComparison(
+        observed=tuple(sorted(observed)),
+        predicted=tuple(sorted(predicted)),
+        missing=tuple(sorted(predicted - observed)),
+        extra=tuple(sorted(observed - predicted)),
+        variant_match=variant_match)
+
+
+def _scan_floor(bound: int) -> int:
+    return -bound if bound > 0 else -1
+
+
 def verify_structure(k: int, bound: int) -> dict:
     """Scan down to -bound and demand exact equality between the
     observed zeros and {0} plus the predicted blocks.  Returns a report
@@ -241,54 +274,43 @@ def verify_structure(k: int, bound: int) -> dict:
     difference and a diagnosis otherwise."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
-    if k >= 4:
-        predicted = predicted_intervals(k).index_set()
-    else:
-        predicted = {0} if k == 2 else {0, -1}
-    deepest_pred = min(predicted)
+    deepest_pred = min(predicted_set(k))
     if bound < -deepest_pred:
         raise ValueError(
             f"bound {bound} does not cover the deepest predicted index "
             f"{deepest_pred}")
-    floor = -bound if bound > 0 else -1
-    observed = set(enumerate_zeros(k, floor).indices)
-    if observed != predicted:
-        missing = predicted - observed
-        extra = observed - predicted
-        diagnosis = ""
-        if set(variant_zero_set(k, floor)) == predicted:
-            diagnosis = ("predicted intervals match the variant mirror "
-                         "orbit, not the reflected sequence")
-        raise StructureMismatch(k, missing, extra, sorted(observed),
-                                sorted(predicted), diagnosis)
-    deepest = min(observed)
+    floor = _scan_floor(bound)
+    cmp = compare_zeros(k, floor)
+    if not cmp.equal:
+        diagnosis = ("predicted intervals match the variant mirror "
+                     "orbit, not the reflected sequence"
+                     if cmp.variant_match else "")
+        raise StructureMismatch(k, cmp.missing, cmp.extra, cmp.observed,
+                                cmp.predicted, diagnosis)
     return {
         "k": k,
         "bound": bound,
-        "zeros": sorted(observed),
-        "count": len(observed),
+        "zeros": list(cmp.observed),
+        "count": len(cmp.observed),
         "chi": chi(k),
         "equal": True,
-        "deepest_zero": deepest,
-        "margin": deepest - floor,
+        "deepest_zero": cmp.observed[0],
+        "margin": cmp.observed[0] - floor,
     }
 
 
 def observed_report(k: int, bound: int) -> dict:
     """Companion report that compares the scan against observed_blocks
     (the closed form that does hold)."""
-    floor = -bound if bound > 0 else -1
-    zset = enumerate_zeros(k, floor)
-    observed = set(zset.indices)
-    closed = observed_blocks(k).index_set()
-    deepest = min(observed)
+    floor = _scan_floor(bound)
+    observed = compare_zeros(k, floor).observed
     return {
         "k": k,
         "bound": bound,
-        "zeros": sorted(observed),
+        "zeros": list(observed),
         "count": len(observed),
         "observed_chi": observed_chi(k),
-        "closed_form_equal": observed == closed,
-        "deepest_zero": deepest,
-        "margin": deepest - floor,
+        "closed_form_equal": set(observed) == observed_blocks(k).index_set(),
+        "deepest_zero": observed[0],
+        "margin": observed[0] - floor,
     }

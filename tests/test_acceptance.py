@@ -35,7 +35,6 @@ from pellzero.reduction import (
     odd_k_reduce,
 )
 from pellzero.spectra import (
-    calibrate_offset,
     check_dominant_bounds,
     check_even_modulus_gap,
     check_root_bounds,
@@ -254,15 +253,14 @@ def test_criterion_5_root_inequalities():
 
 def test_criterion_6_binet_fidelity():
     start = time.perf_counter()
-    offset = calibrate_offset()
     half = Fraction(1, 2)
     for k in range(2, 21):
         prec = suggested_prec(k, 200)
         rs = solve_roots(k, prec)
         ctx = KContext(k)
-        g_dom = eval_gk(k, rs.gamma).at_root
+        g_dom = eval_gk(k, rs.gamma)
         for n in range(1, 201):
-            est = g_dom * rs.gamma.pow_int(n + offset)
+            est = g_dom * rs.gamma.pow_int(n)
             diff = (est - Ball.exact(ctx.value(n), prec)).magnitude()
             assert diff.lt(half), f"k={k} n={n}"
         from pellzero.spectra import binet_reconstruct

@@ -60,16 +60,14 @@ def test_eval_range_matches_eval_term():
     ctx = KContext(6)
     terms = eval_range(ctx, -30, 10)
     assert [t.n for t in terms] == list(range(-30, 11))
-    fresh = KContext(6, use_cache=False)
     for t in terms:
-        assert eval_term(fresh, t.n).value == t.value
+        assert eval_term(KContext(6), t.n).value == t.value
 
 
 def test_cache_transparency():
     with_cache = KContext(9)
-    without = KContext(9, use_cache=False)
     for n in (-40, -7, 0, 13, 55):
-        assert with_cache.value(n) == without.value(n)
+        assert with_cache.value(n) == KContext(9).value(n)
 
 
 def test_exact_term_fields():
@@ -92,6 +90,20 @@ def test_resource_limit():
         ctx.value(-101)
     assert KContext(2, limit=200).value(101) != 0
     assert DEFAULT_LIMIT == 10 ** 7
+
+
+def test_limit_exceeded_names_the_limit():
+    from pellzero.bigseq import backward_value
+    from pellzero.zerostruct import enumerate_zeros
+    with pytest.raises(LimitExceeded, match="the KContext limit = 100"):
+        KContext(2, limit=100).value(-101)
+    with pytest.raises(LimitExceeded, match="the backward_value limit = 100"):
+        backward_value(2, -101, limit=100)
+    with pytest.raises(LimitExceeded) as exc:
+        enumerate_zeros(2, -(DEFAULT_LIMIT + 1))
+    assert str(exc.value) == (f"index {-(DEFAULT_LIMIT + 1)} exceeds "
+                              f"bigseq.DEFAULT_LIMIT = {DEFAULT_LIMIT}")
+    assert "KContext" not in str(exc.value)
 
 
 def test_range_order_guard():

@@ -1,5 +1,5 @@
 """End-to-end command-line behavior: subcommand output shapes, exit
-codes, report streams, and the cache plumbing."""
+codes and report streams."""
 
 import json
 import subprocess
@@ -315,31 +315,6 @@ def test_verify_selector_is_required():
     assert info.value.code == 2
 
 
-def test_cache_roundtrip(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("PELLZERO_CACHE_DIR", str(tmp_path))
-    rc, out, _ = run_cli(capsys, "cache", "inspect")
-    assert rc == 0
-    assert json.loads(out)["entries"] == []
-    rc, _, _ = run_cli(capsys, "roots", "--k", "6")
-    assert rc == 0
-    rc, out, _ = run_cli(capsys, "cache", "inspect")
-    entries = json.loads(out)["entries"]
-    assert len(entries) == 1
-    assert entries[0]["k"] == 6 and entries[0]["stale"] is False
-    rc, out, _ = run_cli(capsys, "cache", "clear")
-    assert rc == 0
-    assert json.loads(out)["cleared"] == 1
-    rc, out, _ = run_cli(capsys, "cache", "inspect")
-    assert json.loads(out)["entries"] == []
-
-
-def test_cache_needs_a_directory(capsys, monkeypatch):
-    monkeypatch.delenv("PELLZERO_CACHE_DIR", raising=False)
-    rc, _, err = run_cli(capsys, "cache", "inspect")
-    assert rc == 2
-    assert "PELLZERO_CACHE_DIR" in err
-
-
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pellzero", "eval", "--k", "2", "--n", "4"],
@@ -438,3 +413,58 @@ def test_eval_prints_terms_past_the_int_str_digit_cap(capsys):
     rc, out, _ = run_cli(capsys, "eval", "--k", "2", "--n", "-12000",
                          "--format", "json")
     assert Decimal(json.loads(out)["value"]) == want
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_verify_streams_records_before_a_later_error(capsys, monkeypatch, fmt):
+    from pellzero import cli
+    real = cli._verify_one
+    seen_before_error = []
+
+    def planted(k, full, m_value):
+        if k == 3:
+            seen_before_error.append(capsys.readouterr().out)
+            raise MemoryError("a planted failure")
+        return real(k, full, m_value)
+
+    monkeypatch.setattr(cli, "_verify_one", planted)
+    rc, rest, _ = run_cli(capsys, "verify", "--k-range", "2:4", "--format", fmt)
+    assert rc == 2
+    [early] = seen_before_error
+    early_lines, rest_lines = early.splitlines(), rest.splitlines()
+    if fmt == "csv":
+        assert early_lines[0].startswith("k,parity,status")
+        early_lines = early_lines[1:]
+        ks = [line.split(",")[:3] for line in early_lines + rest_lines]
+        assert ks == [["2", "even", "PASS"], ["3", "", "ERROR"],
+                      ["4", "even", "FAIL"]]
+    else:
+        early_recs = [json.loads(line) for line in early_lines]
+        rest_recs = [json.loads(line) for line in rest_lines]
+        assert [r["k"] for r in early_recs] == [2]
+        assert early_recs[0]["status"] == "PASS"
+        assert [(r["k"], r["status"]) for r in rest_recs] == [(3, "ERROR"),
+                                                            (4, "FAIL")]
+        assert "a planted failure" in rest_recs[0]["detail"]
+
+
+def test_verify_detail_names_the_structure_mismatch(capsys):
+    from pellzero.zerostruct import StructureMismatch, verify_structure
+    with pytest.raises(StructureMismatch) as exc:
+        verify_structure(8, 100)
+    rc, out, _ = run_cli(capsys, "verify", "--k", "8")
+    detail = json.loads(out)["detail"]
+    assert (f"zero set mismatch: predicted-but-absent {list(exc.value.missing)}, "
+            f"unpredicted {list(exc.value.extra)}; predicted intervals match "
+            f"the variant mirror orbit instead") in detail
+    assert exc.value.missing and exc.value.extra
+
+
+def test_eval_limit_error_names_the_option(capsys):
+    for n in ("-101", "101"):
+        rc, out, err = run_cli(capsys, "eval", "--k", "2", "--n", n,
+                               "--limit", "100")
+        assert rc == 2
+        assert out == ""
+        assert f"index {n} exceeds --limit = 100" in err
+        assert "KContext" not in err

@@ -10,23 +10,20 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from pellzero.ball import Ball, IndeterminateComparison
+from pellzero.ball import Ball, IndeterminateComparison, ball_sum
 from pellzero.bigseq import KContext
 from pellzero.spectra import (
     RootSystem,
     binet_reconstruct,
-    calibrate_offset,
     check_dominant_bounds,
     check_even_modulus_gap,
     check_root_bounds,
     check_root_separation,
     clear_cache,
     eval_gk,
-    load_root_system,
     mahler_measure,
     psi_coeffs,
     psi_eval,
-    save_root_system,
     solve_roots,
     suggested_prec,
 )
@@ -133,23 +130,33 @@ def test_exactly_one_root_outside_unit_circle():
 
 def test_gk_at_k2_roots_is_quarter_sqrt2():
     rs = solve_roots(2)
-    g_dom = eval_gk(2, rs.gamma).at_root
+    g_dom = eval_gk(2, rs.gamma)
     # sqrt(2)/4: (4 g)^2 = 2
     assert (g_dom * 4).pow_int(2).contains(2)
     assert g_dom.gt(0)
-    g_other = eval_gk(2, rs.roots[1]).at_root
+    g_other = eval_gk(2, rs.roots[1])
     assert (g_other * 4).pow_int(2).contains(2)
     assert g_other.lt(0)
 
 
 def test_gk_dominant_window():
     for k in (4, 7, 30):
-        g = eval_gk(k, solve_roots(k).gamma).at_root
+        g = eval_gk(k, solve_roots(k).gamma)
         assert g.gt(Fraction(275, 1000)) and g.lt(Fraction(1, 2))
 
 
-def test_calibrated_offset_is_zero():
-    assert calibrate_offset() == 0
+def test_binet_exponent_is_the_index():
+    # sum_i g_k(root_i) root_i^e pins P_n at e = n and at neither
+    # neighbouring exponent, so the Binet exponent carries no offset.
+    for k in (2, 3):
+        ctx = KContext(k)
+        rs = solve_roots(k, 192)
+        for n in range(1, 11):
+            for e in (n - 1, n, n + 1):
+                ball = ball_sum(eval_gk(k, r) * r.pow_int(e)
+                                for r in rs.roots).real()
+                assert ball.rad < mp.mpf("0.5"), (k, n, e)
+                assert ball.contains(ctx.value(n)) == (e == n), (k, n, e)
 
 
 def test_binet_contains_exact_terms():
@@ -181,7 +188,7 @@ def test_dominant_term_estimate():
     for k in (2, 3, 10, 20):
         ctx = KContext(k)
         rs = solve_roots(k, target_prec=suggested_prec(k, 200))
-        g = eval_gk(k, rs.gamma).at_root
+        g = eval_gk(k, rs.gamma)
         for n in range(1, 201, 11):
             approx = g * rs.gamma.pow_int(n)
             err = (approx - ctx.value(n)).magnitude()
@@ -206,7 +213,7 @@ def test_root_bound_report():
 def test_offdominant_weight_below_one():
     rs = solve_roots(4)
     for i in range(1, 4):
-        assert eval_gk(4, rs.roots[i]).at_root.magnitude().lt(1)
+        assert eval_gk(4, rs.roots[i]).magnitude().lt(1)
 
 
 def test_even_modulus_gap():
@@ -254,33 +261,12 @@ def test_order_and_precision_guards():
         solve_roots(4, target_prec=32)
 
 
-def test_file_cache_roundtrip(tmp_path):
-    rs = solve_roots(6)
-    path = save_root_system(rs, str(tmp_path))
-    assert path.endswith(".json")
-    loaded = load_root_system(6, 128, str(tmp_path))
-    assert loaded is not None
-    assert loaded.k == 6
-    assert abs(loaded.gamma.fr_mid() - rs.gamma.fr_mid()) < Fraction(1, 10 ** 25)
-    assert load_root_system(6, 4096, str(tmp_path)) is None  # too coarse
-    assert load_root_system(7, 128, str(tmp_path)) is None
-
-
-def test_file_cache_checksum_guard(tmp_path):
-    import json
-    rs = solve_roots(5)
-    path = save_root_system(rs, str(tmp_path))
-    blob = json.load(open(path))
-    blob["checksum"] = "0" * 64
-    json.dump(blob, open(path, "w"))
-    assert load_root_system(5, 128, str(tmp_path)) is None
-
-
 def test_in_process_cache_reuse():
     clear_cache()
     a = solve_roots(9)
     b = solve_roots(9)
     assert a is b
-    c = solve_roots(9, use_cache=False)
+    clear_cache()
+    c = solve_roots(9)
     assert c is not a
     clear_cache()

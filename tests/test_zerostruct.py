@@ -21,7 +21,6 @@ from pellzero.zerostruct import (
     default_floor,
     enumerate_zeros,
     mirror_sequence,
-    mirror_shift,
     observed_blocks,
     observed_chi,
     observed_report,
@@ -192,9 +191,11 @@ def test_variant_orbit_window():
 # -- mirror orbit and the shifted-index identity -------------------------
 
 
-def test_mirror_shift_is_zero():
+def test_mirror_sequence_starts_with_the_zero_window():
     for k in (2, 3, 5, 8):
-        assert mirror_shift(k) == 0
+        g = mirror_sequence(k, k)
+        assert g[:k - 1] == [0] * (k - 1), k
+        assert g[k - 1] != 0, k
 
 
 def test_mirror_head_is_reflected_sequence():
