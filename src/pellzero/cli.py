@@ -80,14 +80,15 @@ def _spectra_checks(rs) -> dict:
 
 def _verify_one(k: int, full: bool, m_value: int) -> dict:
     parity = "even" if k % 2 == 0 else "odd"
-    # Every stage that needs roots gets them from solve_roots, so the
-    # highest precision it handed out is the highest any stage used.
+    # Every stage that needs roots gets them from solve_roots, and the
+    # dominant-root check records where its own evaluations settle, so the
+    # highest recorded precision is the highest any stage used.
     with spectra.record_precisions() as precs:
         rs = spectra.solve_roots(k, PREC_START)
         checks = _spectra_checks(rs)
 
         bound_used: dict = {"kind": None, "value_log10": None, "R": None}
-        floor_depth = k * k + 4 * k
+        floor_depth = -zerostruct.default_floor(k)
         reduce_certs = None
         if k % 2 == 0:
             l_k = effbounds.refined_even_bound(rs)

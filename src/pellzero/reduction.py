@@ -158,8 +158,7 @@ def _nearest_int_distance(y: Ball):
     floating the midpoint first would misround once |y| outgrows the
     radius working precision (q here reaches ~1e48).
     """
-    n0 = int(round(y.fr_mid()))
-    return (y - n0).magnitude(), n0
+    return (y - int(round(y.fr_mid()))).magnitude()
 
 
 def _outward_R(A: Ball, q: int, e_lo: Fraction, B: Ball) -> int:
@@ -199,7 +198,7 @@ def dp_reduce(inst: ReductionInstance, refine=None,
                 continue
             attempts += 1
             dist_tau = (inst.tau * q - p).magnitude()
-            dist_mu, _ = _nearest_int_distance(inst.mu * q)
+            dist_mu = _nearest_int_distance(inst.mu * q)
             # ||.|| folds at half-integers: when the enclosure of
             # |mu q - n0| crosses 1/2, the distance to the next integer
             # over takes the minimum, so the norm interval is toggled

@@ -37,7 +37,6 @@ import numpy as np
 
 from .ball import (
     Ball,
-    DomainError,
     IndeterminateComparison,
     PREC_START,
     PrecisionExhausted,
@@ -73,14 +72,6 @@ class RootSystem:
     def gamma(self) -> Ball:
         return self.roots[self.dominant]
 
-    def pair_of(self, i: int):
-        for a, b in self.conj_pairs:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        return None
-
 
 _cache_lock = threading.Lock()
 _root_cache: dict = {}
@@ -90,7 +81,8 @@ _solve_precs: ContextVar = ContextVar("pellzero_solve_precs", default=None)
 @contextmanager
 def record_precisions():
     """Yield a list that collects the precision of every root system
-    solve_roots returns inside the block, cache hits included."""
+    solve_roots returns inside the block, cache hits included, and the
+    precision check_dominant_bounds settles at."""
     seen = []
     token = _solve_precs.set(seen)
     try:
@@ -99,11 +91,10 @@ def record_precisions():
         _solve_precs.reset(token)
 
 
-def _recorded(rs: "RootSystem") -> "RootSystem":
+def _record(prec: int) -> None:
     seen = _solve_precs.get()
     if seen is not None:
-        seen.append(rs.prec)
-    return rs
+        seen.append(prec)
 
 
 def psi_coeffs(k: int) -> list[int]:
@@ -271,7 +262,8 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     with _cache_lock:
         hit = _root_cache.get(k)
     if hit is not None and hit.prec >= target_prec:
-        return _recorded(hit)
+        _record(hit.prec)
+        return hit
     prec = max(target_prec, PREC_START)
     seeds = _initial_seeds(k)
     while True:
@@ -293,7 +285,8 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
         old = _root_cache.get(k)
         if old is None or old.prec < rs.prec:
             _root_cache[k] = rs
-    return _recorded(rs)
+    _record(rs.prec)
+    return rs
 
 
 def eval_gk(k: int, x: Ball) -> Ball:
@@ -335,11 +328,16 @@ def _phi(prec: int) -> Ball:
 
 
 def check_dominant_bounds(rs: RootSystem) -> bool:
-    """Certifies phi^2 (1 - phi^-k) < gamma < phi^2.
+    """Certifies phi^2 (1 - phi^-k) < gamma < phi^2 by a sign test.
 
-    The upper gap closes like phi^(-2k), so the comparison can be
-    indeterminate at the precision the system was certified at; this
-    re-solves at doubled precision until the comparison settles.
+    rs certifies gamma as the only root of Psi_k of modulus above 1, and
+    a simple one, so on (1, oo) delta_k = (x - 1) Psi_k vanishes only at
+    gamma: it is negative below gamma and positive above, since it tends
+    to +oo.  The envelope therefore holds iff lower > 1,
+    delta_k(lower) < 0 and delta_k(phi^2) > 0.  delta_k(phi^2) is exactly
+    1 (phi^2 is a root of x^2 - 3x + 1), but its enclosure loses about
+    1.39k bits, so the two evaluations escalate from rs.prec until both
+    signs settle; record_precisions sees the precision they settle at.
     """
     k = rs.k
     prec = rs.prec
@@ -347,13 +345,14 @@ def check_dominant_bounds(rs: RootSystem) -> bool:
         phi = _phi(prec)
         phi2 = phi * phi
         lower = phi2 * (Ball.exact(1, prec) - phi.pow_int(-k))
-        g = rs.gamma
         try:
-            return (g.magnitude().gt(lower.magnitude())
-                    and phi2.magnitude().gt(g.magnitude()))
+            holds = (lower.gt(1) and _delta_ball(k, lower).lt(0)
+                     and _delta_ball(k, phi2).gt(0))
         except IndeterminateComparison:
             prec = escalate(prec)
-            rs = solve_roots(k, target_prec=prec)
+            continue
+        _record(prec)
+        return holds
 
 
 def _distinct_modulus_pairs(rs: RootSystem):
@@ -384,9 +383,13 @@ def check_root_bounds(rs: RootSystem) -> dict:
     report = {}
 
     floor_ratio = Ball.exact(1, p) + Ball.exact(Fraction(159, 100), p).pow_int(-k ** 3)
+    # A non-adjacent ratio is a product of adjacent ones, so adjacent distinct
+    # moduli decide; a conjugate pair's first member stands for its modulus.
+    partners = {b for _, b in rs.conj_pairs}
+    distinct = [i for i in range(k) if i not in partners]
     holds = True
     min_margin = None
-    for i, j in _distinct_modulus_pairs(rs):
+    for i, j in zip(distinct, distinct[1:]):
         ratio = rs.moduli[i] / rs.moduli[j]
         if not ratio.gt(floor_ratio):
             holds = False
@@ -449,15 +452,9 @@ def check_even_modulus_gap(rs: RootSystem) -> bool:
 
 
 def mahler_measure(rs: RootSystem) -> Ball:
-    """Product of root moduli exceeding 1; for Psi_k this is gamma."""
-    out = None
-    for i, m in enumerate(rs.moduli):
-        above = m.fr_lo() > 1
-        if above:
-            out = m if out is None else out * m
-    if out is None:
-        raise IndeterminateComparison("no modulus certified above 1")
-    return out
+    """Product of root moduli exceeding 1.  rs certifies moduli[0] > 1
+    and every other modulus < 1, so for Psi_k it is gamma's modulus."""
+    return rs.moduli[0]
 
 
 def check_root_separation(rs: RootSystem) -> list[dict]:

@@ -3,8 +3,9 @@
 Scanning the exact sequence backward gives the observed zero set; the
 predicted interval structure is a closed-form family of blocks with a
 count formula chi.  compare_zeros sets the two side by side once, with
-the exact symmetric difference; verify_structure, observed_report and
-the CLI's verify records are all read off that comparison.
+the exact symmetric difference; verify_structure and the CLI's verify
+records are read off that comparison, while observed_report needs only
+the scan.
 
 The observed sets have their own closed form (observed_blocks): block j
 sits at depths [j(k+1), j(k+1) + k - 2 - 2j] for j = 0, 1, ... while the
@@ -303,7 +304,7 @@ def observed_report(k: int, bound: int) -> dict:
     """Companion report that compares the scan against observed_blocks
     (the closed form that does hold)."""
     floor = _scan_floor(bound)
-    observed = compare_zeros(k, floor).observed
+    observed = enumerate_zeros(k, floor).indices
     return {
         "k": k,
         "bound": bound,

@@ -377,7 +377,7 @@ def test_verify_precision_used_covers_the_odd_reduction(capsys):
 
 def test_verify_precision_used_covers_the_dominant_resolve(capsys):
     # k = 86 is the smallest order whose dominant-root envelope check
-    # cannot settle on the 128-bit system and re-solves at 256 bits.
+    # cannot settle at 128 bits and escalates its sign test to 256.
     from pellzero import spectra
     spectra.clear_cache()
     assert spectra.solve_roots(86, 128).prec == 128

@@ -291,3 +291,16 @@ def test_default_floor_covers_both_layouts():
         floor = default_floor(k)
         assert floor < min(predicted_intervals(k).index_set())
         assert floor < min(observed_blocks(k).index_set())
+
+
+def test_observed_report_does_not_scan_the_variant_orbit(monkeypatch):
+    import pellzero.zerostruct as zs
+
+    def no_variant_scan(k, floor):
+        raise AssertionError("observed_report scanned the variant orbit")
+
+    monkeypatch.setattr(zs, "variant_zero_set", no_variant_scan)
+    rep = observed_report(8, 100)
+    assert rep["deepest_zero"] == -27
+    assert rep["closed_form_equal"] is True
+    assert rep["count"] == observed_chi(8)
