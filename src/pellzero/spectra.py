@@ -4,24 +4,38 @@ Psi_k(x) = x^k - 2x^{k-1} - x^{k-2} - ... - x - 1 is irreducible with a
 single root gamma outside the unit circle.  Multiplying by (x - 1) gives
 the sparse form
 
-    delta_k(x) = (x - 1) Psi_k(x) = x^{k+1} - 3x^k + x^{k-1} + 1,
+    delta_k(x)  = (x - 1) Psi_k(x) = x^{k+1} - 3x^k + x^{k-1} + 1
+                = x^{k-2} x (x^2 - 3x + 1) + 1,
+    delta_k'(x) = x^{k-2} ((k+1) x^2 - 3k x + (k-1)),
 
-whose evaluation costs O(log k) multiplications, at the price of a
-spurious simple root at x = 1 (delta'(1) = -k != 0).
+so both come from one power x^{k-2} (_delta_pair), in O(log k)
+multiplications, at the price of a spurious simple root at x = 1
+(delta_k'(1) = -k != 0).
 
 solve_roots seeds all k roots from the companion-matrix eigenvalues,
 polishes each with Newton's method on delta_k at escalating precision,
-and certifies the result a posteriori with Weierstrass correction disks:
-for a monic degree-d polynomial and d pairwise-distinct points z_i, every
-root lies in the union of the disks D(z_i, d*|W_i|) with
-W_i = p(z_i)/prod_{j != i}(z_i - z_j), and a connected component made of
-m disks holds exactly m roots.  Pairwise disjoint disks therefore pin one
-root each.  The point x = 1 joins the node list exactly (its correction
-is exactly zero), so the remaining k disks isolate the roots of Psi_k.
+and certifies the result a posteriori with Newton inclusion disks
+(Henrici, Applied and Computational Complex Analysis I, 6.4; Rump, JCAM
+156, 2003).  For a polynomial p of degree d with roots r_i and a point z
+with p'(z) != 0, p'(z)/p(z) = sum_i 1/(z - r_i); if every root were
+farther than R = d |p(z)/p'(z)| from z the sum would have modulus below
+d/R = |p'(z)/p(z)|.  So the closed disk D(z, R) holds at least one root.
+Each centre gets R for delta_k (d = k + 1) from Ball enclosures of
+delta_k(z) and delta_k'(z), rounded up; the exact node x = 1 is a root
+and gets radius 0.  k + 1 pairwise disjoint disks each hold at least one
+of the k + 1 roots of delta_k, so each holds exactly one, and the k
+disks apart from the node isolate the k roots of Psi_k.
 
-Realness is certified by conjugation symmetry: a disjoint disk with real
-center that is its own conjugate partner contains exactly one root of a
-real polynomial, which must then be real.
+Disjointness is tested by a sweep (ball.overlapping_pairs): two disks
+that meet share a point and so its real part, so only pairs whose exact
+real projections overlap go to Ball.disjoint.  Realness and conjugate
+pairing follow from conjugation symmetry.  The mirror of a disk holds
+the conjugate of its root, which is a root of Psi_k and so lies in some
+disk; the mirror has the disk's own real projection, so that disk is the
+disk itself or one of its sweep neighbours, and only those are tested.
+A mirror that meets only its own disk means the root is real (the disk
+holds one root), so the centre is made real and the system re-polished;
+a disk with a real centre is its own mirror and holds a real root.
 """
 
 from __future__ import annotations
@@ -43,6 +57,8 @@ from .ball import (
     ZeroDivisionEnclosure,
     ball_sum,
     escalate,
+    overlapping_pairs,
+    pow_by_squaring,
 )
 
 
@@ -109,29 +125,30 @@ def psi_eval(k: int, x: Ball) -> Ball:
     """
     shift = x - 1
     if shift.lb_abs() > mp.mpf(0.25):
-        return _delta_ball(k, x) / shift
+        return _delta_pair(k, x)[0] / shift
     acc = Ball.exact(1, x.prec)
     for c in psi_coeffs(k)[1:]:
         acc = acc * x + c
     return acc
 
 
-def _delta_ball(k: int, x: Ball) -> Ball:
-    # x^{k-1} (x^2 - 3x + 1) + 1
-    return x.pow_int(k - 1) * (x * x - 3 * x + 1) + 1
-
-
-def _delta_raw(k: int, z):
-    return z ** (k + 1) - 3 * z ** k + z ** (k - 1) + 1
-
-
-def _delta_prime_raw(k: int, z):
-    return (k + 1) * z ** k - 3 * k * z ** (k - 1) + (k - 1) * z ** (k - 2)
+def _delta_pair(k: int, z):
+    """(delta_k(z), delta_k'(z)) from the one power z^(k-2), for a Ball or
+    for an mpmath number at the ambient precision."""
+    w = pow_by_squaring(z, k - 2)
+    zz = z * z
+    return (w * (z * (zz - 3 * z + 1)) + 1,
+            w * ((k + 1) * zz - 3 * k * z + (k - 1)))
 
 
 def _initial_seeds(k: int):
     eig = np.roots(np.array(psi_coeffs(k), dtype=float))
     return [mp.mpc(z.real, z.imag) for z in eig]
+
+
+def _newton_step(k: int, z):
+    delta, slope = _delta_pair(k, z)
+    return delta / slope
 
 
 def _polish(k: int, seeds, prec: int):
@@ -142,58 +159,51 @@ def _polish(k: int, seeds, prec: int):
         for z in seeds:
             z = mp.mpc(z) if isinstance(z, (complex, mp.mpc)) else mp.mpf(z)
             for _ in range(64):
-                dz = _delta_raw(k, z) / _delta_prime_raw(k, z)
+                dz = _newton_step(k, z)
                 z = z - dz
                 if abs(dz) <= abs(z) * tol:
                     break
             if isinstance(z, mp.mpc) and abs(z.imag) < abs(z) * mp.mpf(2) ** (-prec // 2):
                 x = z.real
                 for _ in range(8):
-                    x = x - _delta_raw(k, x) / _delta_prime_raw(k, x)
+                    x = x - _newton_step(k, x)
                 z = x
             out.append(z)
     return out
 
 
 def _certify(k: int, centers, prec: int) -> RootSystem:
-    balls = [Ball.exact(c, prec) for c in centers]
-    one = Ball.exact(1, prec)
-    nodes = balls + [one]
-
-    # Weierstrass corrections and disk radii (k+1 for deg delta_k).
-    radii = []
-    for i, bi in enumerate(balls):
-        num = _delta_ball(k, bi)
-        den = None
-        for j, bj in enumerate(nodes):
-            if j == i:
-                continue
-            term = bi - bj
-            den = term if den is None else den * term
+    # Newton inclusion radii (k+1) |delta_k / delta_k'|, rounded up.
+    root_balls = []
+    for i, c in enumerate(centers):
+        delta, slope = _delta_pair(k, Ball.exact(c, prec))
         try:
-            w = num / den
+            w = delta / slope
         except ZeroDivisionEnclosure:
-            raise CertificationFailure(f"coincident centers near index {i}")
-        radii.append((w * (k + 1)).ub_abs())
-    root_balls = [Ball(c, r, prec) for c, r in zip(centers, radii)]
+            raise CertificationFailure(f"delta_k' not certified nonzero at root {i}")
+        root_balls.append(Ball(c, (w * (k + 1)).ub_abs(), prec))
 
-    # Pairwise disjointness, including the exact node at 1 (radius 0).
-    disks = root_balls + [one]
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            if not disks[i].disjoint(disks[j]):
-                raise CertificationFailure(
-                    f"disks {i},{j} not certifiedly disjoint at {prec} bits")
+    # Pairwise disjointness, including the exact node at 1 (radius 0);
+    # pairs with apart real projections are disjoint already.
+    disks = root_balls + [Ball.exact(1, prec)]
+    near = [[] for _ in disks]
+    for i, j in overlapping_pairs(disks):
+        if not disks[i].disjoint(disks[j]):
+            raise CertificationFailure(
+                f"disks {min(i, j)},{max(i, j)} not certifiedly disjoint at {prec} bits")
+        near[i].append(j)
+        near[j].append(i)
 
-    # Conjugate pairing via unique conjugate-disk intersection.
+    # Conjugate pairing: a mirror can only meet its own disk or a sweep
+    # neighbour, since it has the same real projection.
     pairs = {}
     realify = []
     for i, bi in enumerate(root_balls):
         if not bi.is_complex:
             continue
         mirror = bi.conjugate()
-        hits = [j for j, bj in enumerate(root_balls)
-                if not mirror.disjoint(bj)]
+        hits = [j for j in [i] + near[i]
+                if j < k and not mirror.disjoint(root_balls[j])]
         if hits == [i]:
             realify.append(i)
         elif len(hits) != 1:
@@ -253,8 +263,22 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
 
 
 def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
-    """Certified root system of Psi_k, escalating precision until the
-    Weierstrass disks are disjoint and all orderings separate."""
+    """Certified root system of Psi_k at target_prec bits or more.
+
+    Newton-polished centres get the inclusion radii (k+1) |delta_k /
+    delta_k'|, each disk holding a root of delta_k; together with the
+    exact node at 1, k + 1 pairwise disjoint disks hold one root each
+    (see the module docstring), and the k disks other than the node are
+    the roots of Psi_k.  Disjointness is tested only between disks whose
+    real projections overlap, and each mirror disk only against its own
+    disk and those neighbours, which is where the conjugate root must
+    lie.  Certification then orders the moduli strictly (conjugate
+    partners aside), certifies a unique real positive dominant root
+    above 1, and checks that the roots sum to 2 and that their product
+    has modulus 1.  A complex centre whose mirror meets only its own
+    disk is made real and the system re-polished; any other failure
+    doubles the precision.  Results are cached per order for the
+    process."""
     if k < 2:
         raise ValueError(f"order k must be >= 2, got {k}")
     if target_prec < 64:
@@ -346,8 +370,8 @@ def check_dominant_bounds(rs: RootSystem) -> bool:
         phi2 = phi * phi
         lower = phi2 * (Ball.exact(1, prec) - phi.pow_int(-k))
         try:
-            holds = (lower.gt(1) and _delta_ball(k, lower).lt(0)
-                     and _delta_ball(k, phi2).gt(0))
+            holds = (lower.gt(1) and _delta_pair(k, lower)[0].lt(0)
+                     and _delta_pair(k, phi2)[0].gt(0))
         except IndeterminateComparison:
             prec = escalate(prec)
             continue

@@ -1,0 +1,216 @@
+"""Root certification by Newton inclusion disks and a sorted disk sweep.
+
+The enclosure test checks that every 128-bit root ball holds the disk of
+the matching certified 512-bit root, in mpmath at 600 bits.  The failure-path
+tests feed _certify centres that must not certify: a duplicated centre,
+and a centre moved so far towards a neighbour that the disks meet.  The
+sweep tests check ball.overlapping_pairs against an all-pairs oracle
+on random disks, and pin the number of Ball.disjoint calls one
+certification makes.
+"""
+
+import mpmath as mp
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
+
+from pellzero import spectra
+from pellzero.ball import Ball, mpf_to_fraction, overlapping_pairs
+from pellzero.spectra import CertificationFailure
+
+
+@pytest.fixture(autouse=True)
+def cold_cache():
+    """Each test starts cold and leaves no high-precision system behind
+    for later tests that expect a 128-bit solve."""
+    spectra.clear_cache()
+    yield
+    spectra.clear_cache()
+
+
+def _dyadic(man, exp):
+    return mp.make_mpf(from_man_exp(man, exp))
+
+
+def _centres(k, prec=128):
+    return spectra._polish(k, spectra._initial_seeds(k), prec)
+
+
+@pytest.mark.parametrize("k", list(range(2, 61)) + [86])
+def test_root_balls_contain_the_512_bit_centres(k):
+    low = spectra.solve_roots(k, 128)
+    assert low.prec == 128
+    # The 512-bit system is polished from the 128-bit centres and
+    # certified on its own.  Both list the roots by descending modulus,
+    # conjugate partners by descending imaginary part, so the certified
+    # order matches them up.
+    high = spectra._certify(k, spectra._polish(k, [b.mid for b in low.roots], 512), 512)
+    with mp.workprec(600):
+        for lo_ball, hi_ball in zip(low.roots, high.roots):
+            assert abs(hi_ball.mid - lo_ball.mid) + hi_ball.rad <= lo_ball.rad, (k, lo_ball)
+
+
+def test_duplicated_centre_raises():
+    k = 9
+    centres = _centres(k)
+    spectra._certify(k, centres, 128)
+    real = centres.index(max(c for c in centres if isinstance(c, mp.mpf)))
+    cplx = next(i for i, c in enumerate(centres) if isinstance(c, mp.mpc))
+    for src, dst in ((real, cplx), (cplx, real), (cplx, (cplx + 1) % k)):
+        dup = list(centres)
+        dup[dst] = dup[src]
+        with pytest.raises(CertificationFailure, match="not certifiedly disjoint"):
+            spectra._certify(k, dup, 128)
+
+
+def test_centre_at_the_spurious_root_raises():
+    # delta_k = (x - 1) Psi_k: a centre that homes in on x = 1 finds a
+    # root of delta_k, and only the exact node at 1 exposes it.
+    k = 9
+    centres = _centres(k)
+    centres[1] = _dyadic((1 << 100) + 1, -100)
+    with pytest.raises(CertificationFailure, match=f"disks 1,{k} not certifiedly disjoint"):
+        spectra._certify(k, centres, 128)
+
+
+def test_centre_moved_onto_a_neighbour_raises():
+    k = 9
+    centres = _centres(k)
+    upper = [i for i, c in enumerate(centres)
+             if isinstance(c, mp.mpc) and c.imag > 0]
+    with mp.workprec(200):
+        i, j = min(((a, b) for a in upper for b in upper if a < b),
+                   key=lambda p: abs(centres[p[0]] - centres[p[1]]))
+        moved = list(centres)
+        moved[i] = centres[i] + (centres[j] - centres[i]) * mp.mpf(0.45)
+    with pytest.raises(CertificationFailure, match="not certifiedly disjoint") as exc:
+        spectra._certify(k, moved, 128)
+    assert exc.value.realify == ()
+
+
+def test_near_real_centre_is_made_real(monkeypatch):
+    k = 10
+    polish, certify = spectra._polish, spectra._certify
+    failures = []
+    tilted = []
+
+    def polish_then_tilt(kk, seeds, prec):
+        centres = polish(kk, seeds, prec)
+        if not tilted:
+            # The negative real root, 2^-200 off the axis: far inside
+            # its disk, so the mirror disk meets only its own disk.
+            i = centres.index(min(c for c in centres if isinstance(c, mp.mpf)))
+            centres[i] = mp.make_mpc((centres[i]._mpf_, from_man_exp(1, -200)))
+            tilted.append(i)
+        return centres
+
+    def recording_certify(kk, centres, prec):
+        try:
+            return certify(kk, centres, prec)
+        except CertificationFailure as fail:
+            failures.append(fail)
+            raise
+
+    monkeypatch.setattr(spectra, "_polish", polish_then_tilt)
+    monkeypatch.setattr(spectra, "_certify", recording_certify)
+    rs = spectra.solve_roots(k)
+    assert [f.realify for f in failures] == [tuple(tilted)]
+    assert rs.prec == 128
+    assert rs.real_roots == [0, k - 1]
+    assert rs.roots[k - 1].fr_mid() < 0
+    assert len(rs.conj_pairs) == (k - 2) // 2
+
+
+@pytest.mark.parametrize("k", [499, 500])
+def test_top_of_the_paper_range_certifies(k):
+    rs = spectra.solve_roots(k, 128)
+    assert rs.prec == 128
+    assert len(rs.conj_pairs) == ((k - 1) // 2 if k % 2 else (k - 2) // 2)
+    assert rs.real_roots == ([0] if k % 2 else [0, k - 1])
+
+
+# -- the sweep ----------------------------------------------------------
+
+@st.composite
+def disk_lists(draw):
+    """Disks on a coarse dyadic grid, so that overlaps, exact touching
+    (along either axis), duplicates and disks just apart by 2^-120 all
+    occur; centres are real mpfs, complex mpcs (some on the real axis)
+    with a 128-bit tail, and radii are zero or 30-bit mantissas."""
+    disks = []
+    for _ in range(draw(st.integers(0, 14))):
+        how = draw(st.sampled_from(["fresh", "duplicate", "touch_re", "touch_im",
+                                    "just_apart"])) if disks else "fresh"
+        rad = (_dyadic(draw(st.integers(0, (1 << 30) - 1)), -36)
+               if draw(st.integers(0, 3)) else mp.mpf(0))
+        if how == "fresh":
+            re = _dyadic((draw(st.integers(-40, 40)) << 128)
+                         + draw(st.integers(0, (1 << 128) - 1)), -134)
+            if draw(st.booleans()):
+                mid = re
+            else:
+                mid = mp.make_mpc((re._mpf_, _dyadic(draw(st.integers(-40, 40)), -6)._mpf_))
+            disks.append(Ball(mid, rad, 128))
+            continue
+        old = disks[draw(st.integers(0, len(disks) - 1))]
+        if how == "duplicate":
+            disks.append(Ball(old.mid, old.rad, old.prec))
+            continue
+        with mp.workprec(2000):
+            gap = old.rad + rad + (_dyadic(1, -120) if how == "just_apart" else 0)
+            if how == "touch_im":
+                mid = old.mid + mp.mpc(0, gap)
+            else:
+                mid = old.mid + gap
+        disks.append(Ball(mid, rad, 128))
+    return disks
+
+
+def _projection(b):
+    re = mpf_to_fraction(b.mid.real)
+    r = mpf_to_fraction(b.rad)
+    return re - r, re + r
+
+
+@given(disk_lists())
+def test_sweep_holds_every_pair_disjoint_rejects(disks):
+    pairs = overlapping_pairs(disks)
+    found = {frozenset(p) for p in pairs}
+    assert len(found) == len(pairs)
+    assert all(len(p) == 2 for p in found)
+    spans = [_projection(b) for b in disks]
+    for i in range(len(disks)):
+        for j in range(i + 1, len(disks)):
+            meet = spans[i][0] <= spans[j][1] and spans[j][0] <= spans[i][1]
+            assert (frozenset((i, j)) in found) == meet, (i, j)
+            if not disks[i].disjoint(disks[j]):
+                assert frozenset((i, j)) in found, (i, j)
+
+
+def test_disjoint_decides_apart_real_projections_exactly():
+    # Centres 2r + 2^-120 apart with radius r: the 30-bit distance bound
+    # alone rounds the gap away.
+    r = _dyadic((1 << 30) - 1, -30)
+    with mp.workprec(200):
+        far = 2 * r + _dyadic(1, -120)
+    a, b = Ball(mp.mpf(0), r, 128), Ball(far, r, 128)
+    assert a.disjoint(b) and b.disjoint(a)
+    assert not a.disjoint(Ball(2 * r, r, 128))
+
+
+def test_certify_calls_disjoint_linearly(monkeypatch):
+    k = 200
+    centres = _centres(k)
+    calls = 0
+    disjoint = Ball.disjoint
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return disjoint(self, other)
+
+    monkeypatch.setattr(Ball, "disjoint", counting)
+    rs = spectra._certify(k, centres, 128)
+    assert len(rs.conj_pairs) == (k - 2) // 2
+    assert calls < 4 * (k + 1)
