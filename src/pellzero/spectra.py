@@ -36,6 +36,19 @@ disk itself or one of its sweep neighbours, and only those are tested.
 A mirror that meets only its own disk means the root is real (the disk
 holds one root), so the centre is made real and the system re-polished;
 a disk with a real centre is its own mirror and holds a real root.
+
+Newton steps and radii are computed once per conjugate class: a real
+centre, or the upper member of a conjugate pair.  delta_k has real
+coefficients, so delta_k(conj z) = conj delta_k(z): in exact arithmetic
+the Newton iterates from conj z are the mirrors of those from z, and
+|delta_k / delta_k'| takes the same value at z and at conj z, so a bound
+on it at z bounds it at conj z.  _polish gives the lower member of a
+pair the exact mirror of the polished upper one, and _certify gives it
+the upper one's radius.  Nothing else takes the symmetry on trust: every
+disk, mirrors included, still goes through the sweep, the disjointness
+and the pairing tests.  The mirror must be exact (ball.conj_exact):
+mpmath's mpc.conjugate() rounds to the ambient 53-bit context, which
+would leave the lower centres, and so their radii, near 1e-16.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
@@ -56,6 +70,7 @@ from .ball import (
     PrecisionExhausted,
     ZeroDivisionEnclosure,
     ball_sum,
+    conj_exact,
     escalate,
     overlapping_pairs,
     pow_by_squaring,
@@ -87,6 +102,20 @@ class RootSystem:
     @property
     def gamma(self) -> Ball:
         return self.roots[self.dominant]
+
+    @cached_property
+    def weights(self) -> list:
+        """g_k at each root, in root order: eval_gk at a real root and at
+        the first member of each conjugate pair, and the exact mirror for
+        the second (g_k has real coefficients, and the pair is certified
+        conjugate, so the mirror encloses the partner's weight)."""
+        w = [None] * self.k
+        for i in self.real_roots:
+            w[i] = eval_gk(self.k, self.roots[i])
+        for a, b in self.conj_pairs:
+            w[a] = eval_gk(self.k, self.roots[a])
+            w[b] = w[a].conjugate()
+        return w
 
 
 _cache_lock = threading.Lock()
@@ -142,8 +171,11 @@ def _delta_pair(k: int, z):
 
 
 def _initial_seeds(k: int):
+    """Companion-matrix eigenvalues: an mpf where LAPACK reports the
+    imaginary part as exactly 0, an mpc otherwise."""
     eig = np.roots(np.array(psi_coeffs(k), dtype=float))
-    return [mp.mpc(z.real, z.imag) for z in eig]
+    return [mp.mpf(z.real) if z.imag == 0 else mp.mpc(z.real, z.imag)
+            for z in eig]
 
 
 def _newton_step(k: int, z):
@@ -151,37 +183,61 @@ def _newton_step(k: int, z):
     return delta / slope
 
 
+def _newton(k: int, z, prec: int):
+    """Newton on delta_k from z until a step is below |z| 2^(8-prec).
+
+    The test compares exponents: |dz| < 2^mag(dz) and |z| >= 2^(mag(z)-2),
+    so mag(dz) < mag(z) + 7 - prec gives |dz| < |z| 2^(8-prec)."""
+    for _ in range(64):
+        dz = _newton_step(k, z)
+        z = z - dz
+        if mp.mag(dz) < mp.mag(z) + 7 - prec:
+            break
+    return z
+
+
+def _upper(z):
+    """The class representative of z: z itself, or its exact mirror when
+    z lies below the real axis."""
+    return conj_exact(z) if isinstance(z, mp.mpc) and z.imag < 0 else z
+
+
 def _polish(k: int, seeds, prec: int):
-    """Newton on delta_k per root; realifies near-real candidates."""
+    """Newton on delta_k once per conjugate class of seeds; the lower
+    member of a pair gets the exact mirror of the polished upper one.  A
+    centre with |Im| < |z| 2^(-prec/2) (tested on exponents, as in
+    _newton) is made real and polished in real arithmetic."""
+    polished = {}
     out = []
     with mp.workprec(prec + 16):
-        tol = mp.mpf(2) ** (8 - prec)
-        for z in seeds:
-            z = mp.mpc(z) if isinstance(z, (complex, mp.mpc)) else mp.mpf(z)
-            for _ in range(64):
-                dz = _newton_step(k, z)
-                z = z - dz
-                if abs(dz) <= abs(z) * tol:
-                    break
-            if isinstance(z, mp.mpc) and abs(z.imag) < abs(z) * mp.mpf(2) ** (-prec // 2):
-                x = z.real
-                for _ in range(8):
-                    x = x - _newton_step(k, x)
-                z = x
-            out.append(z)
+        for seed in seeds:
+            key = _upper(seed)
+            z = polished.get(key)
+            if z is None:
+                z = _newton(k, key, prec)
+                if isinstance(z, mp.mpc) and mp.mag(z.imag) < mp.mag(z) - 1 - prec // 2:
+                    z = _newton(k, z.real, prec)
+                polished[key] = z
+            out.append(z if key is seed else conj_exact(z))
     return out
 
 
 def _certify(k: int, centers, prec: int) -> RootSystem:
-    # Newton inclusion radii (k+1) |delta_k / delta_k'|, rounded up.
+    # Newton inclusion radii (k+1) |delta_k / delta_k'|, rounded up, once
+    # per conjugate class: the bound at z holds at conj(z).
+    radii = {}
     root_balls = []
     for i, c in enumerate(centers):
-        delta, slope = _delta_pair(k, Ball.exact(c, prec))
-        try:
-            w = delta / slope
-        except ZeroDivisionEnclosure:
-            raise CertificationFailure(f"delta_k' not certified nonzero at root {i}")
-        root_balls.append(Ball(c, (w * (k + 1)).ub_abs(), prec))
+        key = _upper(c)
+        rad = radii.get(key)
+        if rad is None:
+            delta, slope = _delta_pair(k, Ball.exact(key, prec))
+            try:
+                w = delta / slope
+            except ZeroDivisionEnclosure:
+                raise CertificationFailure(f"delta_k' not certified nonzero at root {i}")
+            rad = radii[key] = (w * (k + 1)).ub_abs()
+        root_balls.append(Ball(c, rad, prec))
 
     # Pairwise disjointness, including the exact node at 1 (radius 0);
     # pairs with apart real projections are disjoint already.
@@ -275,10 +331,14 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     lie.  Certification then orders the moduli strictly (conjugate
     partners aside), certifies a unique real positive dominant root
     above 1, and checks that the roots sum to 2 and that their product
-    has modulus 1.  A complex centre whose mirror meets only its own
-    disk is made real and the system re-polished; any other failure
-    doubles the precision.  Results are cached per order for the
-    process."""
+    has modulus 1.  Newton and the radius run once per conjugate class
+    (a real root or a pair): delta_k has real coefficients, so the
+    iterates and the radius bound mirror, and the lower member of a pair
+    gets the exact mirror (ball.conj_exact) of the upper centre and the
+    same radius; every disk, mirrors included, is still tested.  A
+    complex centre whose mirror meets only its own disk is made real and
+    the system re-polished; any other failure doubles the precision.
+    Results are cached per order for the process."""
     if k < 2:
         raise ValueError(f"order k must be >= 2, got {k}")
     if target_prec < 64:
@@ -327,12 +387,18 @@ def eval_gk(k: int, x: Ball) -> Ball:
 
 def binet_reconstruct(k: int, n: int, rs: RootSystem) -> Ball:
     """Sum of g_k(root) * root^n over all roots, as a Ball that must
-    contain the exact integer term.  The sum is real, and the real part
-    of a ball keeps the full disc radius, so it covers the dropped
-    imaginary part.  Raises PrecisionExhausted when the enclosure is too
-    wide to pin an integer (radius >= 0.4)."""
-    terms = (eval_gk(k, root) * root.pow_int(n) for root in rs.roots)
-    ball = ball_sum(terms).real()
+    contain the exact integer term.  It is summed once per conjugate
+    class, from rs.weights: g * r^n for a real root, and 2 Re(g * r^n)
+    for a pair, since g_k has real coefficients and the partner's term
+    is the conjugate.  The real part of a ball keeps the full disc
+    radius, so it covers the dropped imaginary part.  Raises
+    PrecisionExhausted when the enclosure is too wide to pin an integer
+    (radius >= 0.4)."""
+    w = rs.weights
+    terms = [w[i] * rs.roots[i].pow_int(n) for i in rs.real_roots]
+    terms += [(w[a] * rs.roots[a].pow_int(n)).real() * 2
+              for a, _ in rs.conj_pairs]
+    ball = ball_sum(terms)
     if not ball.rad < mp.mpf("0.4"):
         raise PrecisionExhausted(
             f"reconstruction radius {mp.nstr(ball.rad, 6)} cannot pin an "
@@ -424,7 +490,7 @@ def check_root_bounds(rs: RootSystem) -> dict:
     report["modulus_ratio_floor"] = {
         "holds": holds, "min_margin": float(min_margin if min_margin is not None else 0)}
 
-    g_dom = eval_gk(k, rs.gamma)
+    g_dom = rs.weights[rs.dominant]
     lo, hi = Fraction(276, 1000), Fraction(1, 2)
     report["dominant_weight_range"] = {
         "holds": bool(g_dom.gt(lo) and g_dom.lt(hi)),
@@ -438,7 +504,7 @@ def check_root_bounds(rs: RootSystem) -> dict:
     for i in range(rs.k):
         if i == rs.dominant:
             continue
-        gv = eval_gk(k, rs.roots[i]).magnitude()
+        gv = rs.weights[i].magnitude()
         if not gv.lt(bound):
             holds3 = False
         with mp.workprec(64):
@@ -451,7 +517,7 @@ def check_root_bounds(rs: RootSystem) -> dict:
     log_gamma = rs.gamma.magnitude().log()
     smallest = rs.moduli[-1]
     cap = Ball.exact(1, p) - log_gamma / (2 * k)
-    g_small = eval_gk(k, rs.roots[-1]).magnitude()
+    g_small = rs.weights[-1].magnitude()
     floor_w = log_gamma / (2 * k * (5 * k + 2))
     report["smallest_root_caps"] = {
         "modulus_below_cap": bool(cap.gt(smallest)),

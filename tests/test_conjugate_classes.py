@@ -1,0 +1,106 @@
+"""Newton polishing, inclusion radii and weights once per conjugate class.
+
+delta_k and g_k have real coefficients, so spectra computes a Newton run,
+an inclusion radius and a weight once per class (a real root, or the
+upper member of a pair) and gives the partner the exact mirror.  The
+mirror tests check that partners are conj_exact of each other bit for
+bit, radii and weights included, and that the mirrored weight is what
+eval_gk gives at the partner itself.  The cost tests pin one Newton run
+and one radius per class, and check the per-class Binet sum against an
+all-roots sum written here.
+"""
+
+import mpmath as mp
+import pytest
+
+from pellzero import spectra
+from pellzero.ball import Ball, ball_sum, conj_exact
+from pellzero.bigseq import KContext
+
+ORDERS = list(range(2, 61)) + [86]
+
+
+@pytest.fixture(autouse=True)
+def cold_cache():
+    spectra.clear_cache()
+    yield
+    spectra.clear_cache()
+
+
+def _raw(x):
+    return x._mpc_ if isinstance(x, mp.mpc) else x._mpf_
+
+
+def _same(a: Ball, b: Ball):
+    return _raw(a.mid) == _raw(b.mid) and a.rad._mpf_ == b.rad._mpf_
+
+
+@pytest.mark.parametrize("prec", [128, 390])
+@pytest.mark.parametrize("k", ORDERS)
+def test_partners_and_weights_are_exact_mirrors(k, prec):
+    centres = spectra._polish(k, spectra._initial_seeds(k), prec)
+    raw = [_raw(c) for c in centres]
+    lower = [c for c in centres if isinstance(c, mp.mpc) and c.imag < 0]
+    upper = [c for c in centres if isinstance(c, mp.mpc) and c.imag > 0]
+    assert len(lower) == len(upper)
+    for c in lower:
+        assert raw.count(_raw(conj_exact(c))) == 1, (k, c)
+
+    rs = spectra.solve_roots(k, prec)
+    assert rs.prec == prec
+    assert len(rs.real_roots) + 2 * len(rs.conj_pairs) == k
+    w = rs.weights
+    assert len(w) == k
+    for a, b in rs.conj_pairs:
+        assert _same(rs.roots[b], rs.roots[a].conjugate()), (k, a, b)
+        assert _same(w[b], w[a].conjugate()), (k, a, b)
+    for i, root in enumerate(rs.roots):
+        assert _same(w[i], spectra.eval_gk(k, root)), (k, i)
+
+
+def test_polish_runs_newton_once_per_class(monkeypatch):
+    k = 53
+    seeds = spectra._initial_seeds(k)
+    step = spectra._newton_step
+    calls = 0
+
+    def counting(kk, z):
+        nonlocal calls
+        calls += 1
+        return step(kk, z)
+
+    monkeypatch.setattr(spectra, "_newton_step", counting)
+    spectra._polish(k, seeds, 390)
+    assert calls < 3 * k
+
+
+@pytest.mark.parametrize("k", [9, 10, 200])
+def test_certify_computes_one_radius_per_class(k, monkeypatch):
+    centres = spectra._polish(k, spectra._initial_seeds(k), 128)
+    pair = spectra._delta_pair
+    calls = 0
+
+    def counting(kk, z):
+        nonlocal calls
+        calls += 1
+        return pair(kk, z)
+
+    monkeypatch.setattr(spectra, "_delta_pair", counting)
+    rs = spectra._certify(k, centres, 128)
+    assert calls == len(rs.real_roots) + len(rs.conj_pairs)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_binet_per_class_matches_all_roots_sum(k):
+    rs = spectra.solve_roots(k, spectra.suggested_prec(k, 60))
+    ctx = KContext(k)
+    tol = mp.mpf("1e-20")
+    for n in range(-60, 61):
+        exact = ctx.value(n)
+        per_class = spectra.binet_reconstruct(k, n, rs)
+        all_roots = ball_sum(spectra.eval_gk(k, r) * r.pow_int(n)
+                             for r in rs.roots).real()
+        assert per_class.contains(exact), (k, n)
+        assert all_roots.contains(exact), (k, n)
+        with mp.workprec(rs.prec):
+            assert abs(per_class.mid - all_roots.mid) < tol, (k, n)
