@@ -12,7 +12,7 @@ so both come from one power x^{k-2} (_delta_pair), in O(log k)
 multiplications, at the price of a spurious simple root at x = 1
 (delta_k'(1) = -k != 0).
 
-solve_roots seeds all k roots from the companion-matrix eigenvalues,
+solve_roots seeds each root from its closed-form position (below),
 polishes each with Newton's method on delta_k at escalating precision,
 and certifies the result a posteriori with Newton inclusion disks
 (Henrici, Applied and Computational Complex Analysis I, 6.4; Rump, JCAM
@@ -25,6 +25,16 @@ delta_k(z) and delta_k'(z), rounded up; the exact node x = 1 is a root
 and gets radius 0.  k + 1 pairwise disjoint disks each hold at least one
 of the k + 1 roots of delta_k, so each holds exactly one, and the k
 disks apart from the node isolate the k roots of Psi_k.
+
+The seeds come from delta_k itself.  Near the unit circle, x = r e^(it)
+gives x^2 - 3x + 1 = x (x + 1/x - 3), close to x (2 cos t - 3), so
+delta_k(x) = 0 gives x^k close to 1 / (3 - 2 cos t): the roots other
+than gamma sit near t_j = 2 pi j / k, r_j = (3 - 2 cos t_j)^(-1/k) for
+j = 1..k-1 (j = 0 is the node at 1), and for even k, j = k/2 is the
+negative real root near -5^(-1/k).  gamma, the one root outside the
+unit circle, lies below phi^2 (check_dominant_bounds) and is seeded
+there.  Real roots get mpf seeds, so they are polished in real
+arithmetic; each j < k/2 gives an upper seed and its exact mirror.
 
 Disjointness is tested by a sweep (ball.overlapping_pairs): two disks
 that meet share a point and so its real part, so only pairs whose exact
@@ -53,6 +63,8 @@ would leave the lower centres, and so their radii, near 1e-16.
 
 from __future__ import annotations
 
+import cmath
+import math
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -61,7 +73,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import mpmath as mp
-import numpy as np
 
 from .ball import (
     Ball,
@@ -162,8 +173,9 @@ def psi_eval(k: int, x: Ball) -> Ball:
 
 
 def _delta_pair(k: int, z):
-    """(delta_k(z), delta_k'(z)) from the one power z^(k-2), for a Ball or
-    for an mpmath number at the ambient precision."""
+    """(delta_k(z), delta_k'(z)) from the one power z^(k-2), for a Ball,
+    for an mpmath number at the ambient precision, or for a Python float
+    or complex in double precision."""
     w = pow_by_squaring(z, k - 2)
     zz = z * z
     return (w * (z * (zz - 3 * z + 1)) + 1,
@@ -171,11 +183,21 @@ def _delta_pair(k: int, z):
 
 
 def _initial_seeds(k: int):
-    """Companion-matrix eigenvalues: an mpf where LAPACK reports the
-    imaginary part as exactly 0, an mpc otherwise."""
-    eig = np.roots(np.array(psi_coeffs(k), dtype=float))
-    return [mp.mpf(z.real) if z.imag == 0 else mp.mpc(z.real, z.imag)
-            for z in eig]
+    """One seed per root of Psi_k at its closed-form position (module
+    docstring): an mpf at phi^2 for gamma, an mpf for the negative real
+    root of even k, and an upper mpc and its exact mirror per pair.
+
+    The seeds near the unit circle are first refined by Newton in
+    double precision.  gamma's seed is not: gamma^k leaves the double
+    range from about k = 737, where float Newton gives inf or nan."""
+    seeds = [mp.mpf((3 + math.sqrt(5)) / 2)]
+    if k % 2 == 0:
+        seeds.append(mp.mpf(_newton(k, -(5 ** (-1 / k)), 50)))
+    for j in range(1, (k + 1) // 2):
+        t = 2 * math.pi * j / k
+        z = mp.mpc(_newton(k, cmath.rect((3 - 2 * math.cos(t)) ** (-1 / k), t), 50))
+        seeds += [z, conj_exact(z)]
+    return seeds
 
 
 def _newton_step(k: int, z):
@@ -184,7 +206,9 @@ def _newton_step(k: int, z):
 
 
 def _newton(k: int, z, prec: int):
-    """Newton on delta_k from z until a step is below |z| 2^(8-prec).
+    """Newton on delta_k from z until a step is below |z| 2^(8-prec); z is
+    an mpmath number at the ambient precision, or a Python float or
+    complex in double precision.
 
     The test compares exponents: |dz| < 2^mag(dz) and |z| >= 2^(mag(z)-2),
     so mag(dz) < mag(z) + 7 - prec gives |dz| < |z| 2^(8-prec)."""
@@ -393,7 +417,9 @@ def binet_reconstruct(k: int, n: int, rs: RootSystem) -> Ball:
     is the conjugate.  The real part of a ball keeps the full disc
     radius, so it covers the dropped imaginary part.  Raises
     PrecisionExhausted when the enclosure is too wide to pin an integer
-    (radius >= 0.4)."""
+    (radius >= 0.4), and ValueError when k is not the order of rs."""
+    if k != rs.k:
+        raise ValueError(f"order k = {k} does not match the root system's k = {rs.k}")
     w = rs.weights
     terms = [w[i] * rs.roots[i].pow_int(n) for i in rs.real_roots]
     terms += [(w[a] * rs.roots[a].pow_int(n)).real() * 2

@@ -6,7 +6,9 @@ tests feed _certify centres that must not certify: a duplicated centre,
 and a centre moved so far towards a neighbour that the disks meet.  The
 sweep tests check ball.overlapping_pairs against an all-pairs oracle
 on random disks, and pin the number of Ball.disjoint calls one
-certification makes.
+certification makes.  The seed tests check that _initial_seeds gives one
+seed per root, real roots as mpfs and pairs as exact mirrors, and that
+gamma's seed stays finite where gamma^k leaves the double range.
 """
 
 import mpmath as mp
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
 from pellzero import spectra
-from pellzero.ball import Ball, mpf_to_fraction, overlapping_pairs
+from pellzero.ball import Ball, conj_exact, mpf_to_fraction, overlapping_pairs
 from pellzero.spectra import CertificationFailure
 
 
@@ -128,6 +130,31 @@ def test_top_of_the_paper_range_certifies(k):
     assert rs.prec == 128
     assert len(rs.conj_pairs) == ((k - 1) // 2 if k % 2 else (k - 2) // 2)
     assert rs.real_roots == ([0] if k % 2 else [0, k - 1])
+
+
+# -- the seeds ----------------------------------------------------------
+
+@pytest.mark.parametrize("k", list(range(2, 61)) + [499, 500])
+def test_seeds_are_one_per_root_by_conjugate_class(k):
+    seeds = spectra._initial_seeds(k)
+    assert len(seeds) == k
+    reals = sorted(z for z in seeds if isinstance(z, mp.mpf))
+    assert len(reals) == (2 if k % 2 == 0 else 1)
+    assert reals[-1] > 0 and all(z < 0 for z in reals[:-1])
+    pairs = [z for z in seeds if isinstance(z, mp.mpc)]
+    assert len(pairs) == k - len(reals)
+    assert all(z.imag != 0 for z in pairs)
+    members = {z._mpc_ for z in pairs}
+    assert all(conj_exact(z)._mpc_ in members for z in pairs)
+
+
+def test_gamma_seed_stays_finite_past_the_double_range():
+    # gamma^800 is far above the largest double, so a double-precision
+    # Newton pass on gamma's seed would give inf or nan here.
+    assert all(mp.isfinite(z) for z in spectra._initial_seeds(800))
+    rs = spectra.solve_roots(800, 128)
+    assert rs.prec == 128
+    assert len(rs.roots) == 800
 
 
 # -- the sweep ----------------------------------------------------------

@@ -2,6 +2,8 @@
 codes and report streams."""
 
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -321,6 +323,22 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "12"
+
+
+def test_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pellzero; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_mpmath_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        deps = tomllib.load(f)["project"]["dependencies"]
+    assert [re.split(r"[<>=!~ \[;]", d)[0] for d in deps] == ["mpmath"]
 
 
 def test_verify_records_scan_floor(capsys):

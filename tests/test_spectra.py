@@ -173,6 +173,12 @@ def test_binet_k2_small_points():
     assert binet_reconstruct(2, 4, rs).contains(12)
 
 
+def test_binet_rejects_another_order():
+    rs = solve_roots(4)
+    with pytest.raises(ValueError):
+        binet_reconstruct(rs.k + 1, 3, rs)
+
+
 @pytest.mark.xfail(strict=True,
                    reason="claimed value 12 at n=5 is the n=4 term here")
 def test_claimed_binet_value_n5():
