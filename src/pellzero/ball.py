@@ -627,10 +627,8 @@ class Ball:
 
 
 def pow_by_squaring(base, n: int):
-    """base**n for an integer n >= 0 by repeated squaring, in base's own
-    arithmetic: a Ball, or an mpmath number at the ambient precision
-    (where ** takes an exact big-integer power, or exp(n log base) once
-    n times the precision is large).  n = 0 gives the int 1."""
+    """base**n for a Ball base and an integer n >= 0 by repeated
+    squaring, in Ball arithmetic.  n = 0 gives the int 1."""
     result = None
     while n:
         if n & 1:

@@ -124,6 +124,34 @@ def test_near_real_centre_is_made_real(monkeypatch):
     assert len(rs.conj_pairs) == (k - 2) // 2
 
 
+@pytest.mark.parametrize("k", [9, 10])
+def test_failed_certification_escalates_from_the_old_centres(k, monkeypatch):
+    # One plain failure sends the 128-bit centres to a polish at 256
+    # bits, which reads them at the new fixed point.
+    certify = spectra._certify
+    failed = []
+
+    def fail_once(kk, centres, prec):
+        if not failed:
+            failed.append(prec)
+            raise CertificationFailure("forced")
+        return certify(kk, centres, prec)
+
+    monkeypatch.setattr(spectra, "_certify", fail_once)
+    rs = spectra.solve_roots(k)
+    assert failed == [128]
+    monkeypatch.setattr(spectra, "_certify", certify)
+    spectra.clear_cache()
+    direct = spectra.solve_roots(k, 256)
+    assert rs.prec == direct.prec == 256
+    assert rs.conj_pairs == direct.conj_pairs
+    assert rs.real_roots == direct.real_roots
+    assert ([mp.nstr(b.mid, 30) for b in rs.roots]
+            == [mp.nstr(b.mid, 30) for b in direct.roots])
+    # Polished at the new precision, not left at the old one.
+    assert max(b.rad for b in rs.roots) < mp.mpf(2) ** -200
+
+
 @pytest.mark.parametrize("k", [499, 500])
 def test_top_of_the_paper_range_certifies(k):
     rs = spectra.solve_roots(k, 128)
