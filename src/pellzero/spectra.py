@@ -8,9 +8,9 @@ the sparse form
                 = x^{k-2} x (x^2 - 3x + 1) + 1,
     delta_k'(x) = x^{k-2} ((k+1) x^2 - 3k x + (k-1)),
 
-so both come from one power x^{k-2} (_delta_pair), in O(log k)
-multiplications, at the price of a spurious simple root at x = 1
-(delta_k'(1) = -k != 0).
+so both come from one power x^{k-2}, in O(log k) multiplications
+(_delta_fixed in fixed point, _delta_pair on Balls), at the price of a
+spurious simple root at x = 1 (delta_k'(1) = -k != 0).
 
 solve_roots seeds each root from its closed-form position (below),
 polishes each with Newton's method on delta_k (fixed point, below),
@@ -20,9 +20,10 @@ and certifies the result a posteriori with Newton inclusion disks
 with p'(z) != 0, p'(z)/p(z) = sum_i 1/(z - r_i); if every root were
 farther than R = d |p(z)/p'(z)| from z the sum would have modulus below
 d/R = |p'(z)/p(z)|.  So the closed disk D(z, R) holds at least one root.
-Each centre gets R for delta_k (d = k + 1) from Ball enclosures of
-delta_k(z) and delta_k'(z), rounded up; the exact node x = 1 is a root
-and gets radius 0.  k + 1 pairwise disjoint disks each hold at least one
+Each centre gets an upper bound on R for delta_k (d = k + 1) from a
+fixed-point evaluation of delta_k(z) and delta_k'(z) with a tracked
+integer error bound (below); the exact node x = 1 is a root and gets
+radius 0.  k + 1 pairwise disjoint disks each hold at least one
 of the k + 1 roots of delta_k, so each holds exactly one, and the k
 disks apart from the node isolate the k roots of Psi_k.
 
@@ -49,6 +50,36 @@ overhead in libmp, against 15 us at 144 bits and 37 us at 406 bits on
 ints, so starting mpmath Newton at low precision and doubling it would
 save little.  Newton's output is not trusted: the inclusion disks below
 certify the centres it gives, whatever their error.
+
+Radius soundness.  The radius comes from the same fixed-point
+evaluation (_delta_fixed), with an integer E carried beside each value
+(X, Y): the exact value lies within E 2^-P of (X + iY) 2^-P.  The
+centre converts exactly (E = 0): P is prec + 16, or more when the
+centre has bits below 2^-(prec+16).  For exact values A + a and B + b
+with |a| <= eA and |b| <= eB, (A + a)(B + b) - AB = A b + B a + a b, and
+each floored part of a product is off by less than one unit, so:
+
+    step                  value (units of 2^-P)     error E (units of 2^-P)
+    A B                   both parts floored        2 + ceil((|A| eB + |B| eA
+                                                      + eA eB) 2^-P)
+    sum c_i A_i, c_i int  exact                     sum |c_i| e_i
+    z^(k-2)               A B at each squaring      as A B
+    R                     (k+1) (ceil|D| + eD) / (floor|S| - eS), rounded
+                          up to a 30-bit radius mpf (ball._RADIUS_BITS)
+
+|A| is bounded above by |X| + |Y|.  D and S are delta_k(z) and
+delta_k'(z) in units of 2^-P; ceil|D| and floor|S| come from math.isqrt,
+corrected in the required direction, as in ball._hypot.  When floor|S|
+<= eS, delta_k'(z) is not certified nonzero and certification fails.
+Neither alternative is as cheap.  Exact Gaussian-integer evaluation at
+the dyadic centre (the test oracle) grows to k P bits, and Ball
+arithmetic pays libmp's overhead and the radius bookkeeping on every
+operation.  Summed over the classes of odd k = 5..53 at 390 bits, the
+radii took 26 ms in fixed point, 154 ms as Balls and 0.50 s exactly; for
+k = 100, 200 and 500 at 128 bits, 26 ms, 0.31 s and 8.4 s (2-vCPU
+machine).  The fixed-point bound came out 2.5e3 to 4.7e5 times tighter
+than the Ball one on every system of k = 2..500 at 128 bits and odd
+k = 3..99 at 390 bits.
 
 Disjointness is tested by a sweep (ball.overlapping_pairs): two disks
 that meet share a point and so its real part, so only pairs whose exact
@@ -86,14 +117,14 @@ from fractions import Fraction
 from functools import cached_property
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, round_ceiling
 
 from .ball import (
     Ball,
     IndeterminateComparison,
     PREC_START,
     PrecisionExhausted,
-    ZeroDivisionEnclosure,
+    _RADIUS_BITS,
     _mpc,
     _mpf,
     _raw_c,
@@ -190,7 +221,9 @@ def psi_eval(k: int, x: Ball) -> Ball:
 
 
 def _delta_pair(k: int, z: Ball):
-    """(delta_k(z), delta_k'(z)) for a Ball, from the one power z^(k-2)."""
+    """(delta_k(z), delta_k'(z)) for a Ball, from the one power z^(k-2).
+    psi_eval and check_dominant_bounds use it; the inclusion radii use
+    the fixed-point _delta_fixed."""
     w = pow_by_squaring(z, k - 2)
     zz = z * z
     return (w * (z * (zz - 3 * z + 1)) + 1,
@@ -224,31 +257,67 @@ def _mag(X: int, Y: int) -> int:
     return max(X.bit_length(), Y.bit_length()) + bool(X and Y)
 
 
-def _newton_step(k: int, X: int, Y: int, P: int):
-    """delta_k(z) / delta_k'(z) at z = (X + iY) 2^-P, as a fixed-point
-    pair.  Products are floored to P fraction bits; both values come from
-    the one power z^(k-2), as in _delta_pair.  Real coefficients keep
-    Y = 0 exactly 0."""
-    def mul(a, b, c, d):
-        return (a * c - b * d) >> P, (a * d + b * c) >> P
+def _fmul(P: int, a: int, b: int, ea: int, c: int, d: int, ec: int):
+    """(a + ib)(c + id) 2^-P with both parts floored, and its error bound
+    in units of 2^-P: 2 for the two floors, plus the propagated
+    ceil((|A| ec + |C| ea + ea ec) 2^-P), |A| bounded by |a| + |b|."""
+    e = 2 - (-((abs(a) + abs(b)) * ec + (abs(c) + abs(d)) * ea + ea * ec) >> P)
+    return (a * c - b * d) >> P, (a * d + b * c) >> P, e
 
+
+def _delta_fixed(k: int, X: int, Y: int, P: int):
+    """(delta_k(z), delta_k'(z)) at z = (X + iY) 2^-P in fixed point, as
+    (DX, DY, eD, SX, SY, eS): each exact value lies within e 2^-P of
+    (X + iY) 2^-P for its own (X, Y, e).  Both come from the one power
+    z^(k-2), as in _delta_pair; products go through _fmul, and an
+    integer combination adds sum |c_i| e_i.  Real coefficients keep
+    Y = 0 exactly 0."""
     one = 1 << P
-    wX, wY = one, 0
-    bX, bY = X, Y
+    w = None  # z^(k-2); None stands for 1
+    b = (X, Y, 0)
     n = k - 2
     while n:
         if n & 1:
-            wX, wY = mul(wX, wY, bX, bY)
+            w = b if w is None else _fmul(P, *w, *b)
         n >>= 1
         if n:
-            bX, bY = mul(bX, bY, bX, bY)
-    zzX, zzY = mul(X, Y, X, Y)
-    dX, dY = mul(wX, wY, *mul(X, Y, zzX - 3 * X + one, zzY - 3 * Y))
-    dX += one
-    sX, sY = mul(wX, wY, (k + 1) * zzX - 3 * k * X + (k - 1) * one,
-                 (k + 1) * zzY - 3 * k * Y)
+            b = _fmul(P, *b, *b)
+    zzX, zzY, ezz = _fmul(P, X, Y, 0, X, Y, 0)
+    d = _fmul(P, X, Y, 0, zzX - 3 * X + one, zzY - 3 * Y, ezz)
+    s = ((k + 1) * zzX - 3 * k * X + (k - 1) * one, (k + 1) * zzY - 3 * k * Y,
+         (k + 1) * ezz)
+    if w is not None:
+        d, s = _fmul(P, *w, *d), _fmul(P, *w, *s)
+    return d[0] + one, d[1], d[2], *s
+
+
+def _newton_step(k: int, X: int, Y: int, P: int):
+    """delta_k(z) / delta_k'(z) at z = (X + iY) 2^-P, as a fixed-point
+    pair: delta_k conj(delta_k') / |delta_k'|^2 from _delta_fixed, whose
+    error bounds Newton does not need, as a floor division."""
+    dX, dY, _, sX, sY, _ = _delta_fixed(k, X, Y, P)
     norm = sX * sX + sY * sY
     return ((dX * sX + dY * sY) << P) // norm, ((dY * sX - dX * sY) << P) // norm
+
+
+def _inclusion_radius(k: int, z, prec: int):
+    """The Newton inclusion radius (k+1) |delta_k(z) / delta_k'(z)| at a
+    centre z, bounded above from _delta_fixed: (k+1) (ceil|D| + eD) /
+    (floor|S| - eS), rounded up to a radius mpf.  P is prec + 16, or
+    more when z has bits below 2^-(prec+16), so that z converts exactly.
+    Raises CertificationFailure when floor|S| <= eS, i.e. delta_k'(z) is
+    not certified nonzero."""
+    re, im = _raw_c(z)
+    P = max([prec + 16] + [-t[2] for t in (re, im) if t[1]])
+    dX, dY, eD, sX, sY, eS = _delta_fixed(k, _fix(re, P), _fix(im, P), P)
+    d2 = dX * dX + dY * dY
+    num = math.isqrt(d2)
+    if num * num < d2:
+        num += 1
+    den = math.isqrt(sX * sX + sY * sY) - eS
+    if den <= 0:
+        raise CertificationFailure(f"delta_k' not certified nonzero at {mp.nstr(z, 8)}")
+    return _mpf(from_rational((k + 1) * (num + eD), den, _RADIUS_BITS, round_ceiling))
 
 
 def _newton(k: int, X: int, Y: int, P: int, prec: int):
@@ -320,20 +389,15 @@ def _polish(k: int, seeds, prec: int):
 
 
 def _certify(k: int, centers, prec: int) -> RootSystem:
-    # Newton inclusion radii (k+1) |delta_k / delta_k'|, rounded up, once
-    # per conjugate class: the bound at z holds at conj(z).
+    # Newton inclusion radii (k+1) |delta_k / delta_k'|, bounded above in
+    # fixed point, once per conjugate class: the bound at z holds at conj(z).
     radii = {}
     root_balls = []
-    for i, c in enumerate(centers):
+    for c in centers:
         key = _upper(c)
         rad = radii.get(key)
         if rad is None:
-            delta, slope = _delta_pair(k, Ball.exact(key, prec))
-            try:
-                w = delta / slope
-            except ZeroDivisionEnclosure:
-                raise CertificationFailure(f"delta_k' not certified nonzero at root {i}")
-            rad = radii[key] = (w * (k + 1)).ub_abs()
+            rad = radii[key] = _inclusion_radius(k, key, prec)
         root_balls.append(Ball(c, rad, prec))
 
     # Pairwise disjointness, including the exact node at 1 (radius 0);
@@ -401,14 +465,15 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
     if dom.is_complex or dom.mid <= 0:
         raise CertificationFailure("dominant root is not real positive")
 
-    # Coefficient sanity: sum of roots is 2, |product| is 1.
+    # Coefficient sanity: sum of roots is 2, |product| is 1, taken as the
+    # product of the certified moduli (|prod r_i| = prod |r_i|).
     s = ball_sum(root_balls)
     if not (s.real().contains(2) and s.imag().contains(0)):
         raise CertificationFailure("root sum does not enclose 2")
-    prod = root_balls[0]
-    for b in root_balls[1:]:
-        prod = prod * b
-    if not prod.magnitude().contains(1):
+    prod = moduli[0]
+    for m in moduli[1:]:
+        prod = prod * m
+    if not prod.contains(1):
         raise CertificationFailure("|root product| does not enclose 1")
 
     return RootSystem(k=k, roots=root_balls, moduli=moduli, dominant=0,
@@ -419,23 +484,25 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     """Certified root system of Psi_k at target_prec bits or more.
 
     Newton-polished centres get the inclusion radii (k+1) |delta_k /
-    delta_k'|, each disk holding a root of delta_k; together with the
-    exact node at 1, k + 1 pairwise disjoint disks hold one root each
-    (see the module docstring), and the k disks other than the node are
-    the roots of Psi_k.  Disjointness is tested only between disks whose
-    real projections overlap, and each mirror disk only against its own
-    disk and those neighbours, which is where the conjugate root must
-    lie.  Certification then orders the moduli strictly (conjugate
-    partners aside), certifies a unique real positive dominant root
-    above 1, and checks that the roots sum to 2 and that their product
-    has modulus 1.  Newton and the radius run once per conjugate class
-    (a real root or a pair): delta_k has real coefficients, so the
-    iterates and the radius bound mirror, and the lower member of a pair
-    gets the exact mirror (ball.conj_exact) of the upper centre and the
-    same radius; every disk, mirrors included, is still tested.  A
-    complex centre whose mirror meets only its own disk is made real and
-    the system re-polished; any other failure doubles the precision.
-    Results are cached per order for the process."""
+    delta_k'|, bounded above from a fixed-point evaluation with a
+    tracked integer error bound, each disk holding a root of delta_k;
+    together with the exact node at 1, k + 1 pairwise disjoint disks
+    hold one root each (see the module docstring), and the k disks other
+    than the node are the roots of Psi_k.  Disjointness is tested only
+    between disks whose real projections overlap, and each mirror disk
+    only against its own disk and those neighbours, which is where the
+    conjugate root must lie.  Certification then orders the moduli
+    strictly (conjugate partners aside), certifies a unique real positive
+    dominant root above 1, and checks that the roots sum to 2 and that
+    the product of their moduli is 1.  Newton and the radius run once
+    per conjugate class (a real root or a pair): delta_k has real
+    coefficients, so the iterates and the radius bound mirror, and the
+    lower member of a pair gets the exact mirror (ball.conj_exact) of
+    the upper centre and the same radius; every disk, mirrors included,
+    is still tested.  A complex centre whose mirror meets only its own
+    disk is made real and the system re-polished; any other failure
+    doubles the precision.  Results are cached per order for the
+    process."""
     if k < 2:
         raise ValueError(f"order k must be >= 2, got {k}")
     if target_prec < 64:
@@ -459,7 +526,7 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
                 continue
             seeds = centers
             prec = escalate(prec)
-        except (IndeterminateComparison, ZeroDivisionEnclosure):
+        except IndeterminateComparison:
             seeds = centers
             prec = escalate(prec)
     with _cache_lock:

@@ -78,16 +78,17 @@ def test_polish_runs_newton_once_per_class(monkeypatch):
 @pytest.mark.parametrize("k", [9, 10, 200])
 def test_certify_computes_one_radius_per_class(k, monkeypatch):
     centres = spectra._polish(k, spectra._initial_seeds(k), 128)
-    pair = spectra._delta_pair
+    radius = spectra._inclusion_radius
     calls = 0
 
-    def counting(kk, z):
+    def counting(kk, z, prec):
         nonlocal calls
         calls += 1
-        return pair(kk, z)
+        return radius(kk, z, prec)
 
-    monkeypatch.setattr(spectra, "_delta_pair", counting)
+    monkeypatch.setattr(spectra, "_inclusion_radius", counting)
     rs = spectra._certify(k, centres, 128)
+    assert calls > 0
     assert calls == len(rs.real_roots) + len(rs.conj_pairs)
 
 

@@ -1,0 +1,252 @@
+"""Newton inclusion radii from the fixed-point evaluation of delta_k.
+
+spectra._inclusion_radius bounds (k+1) |delta_k(z) / delta_k'(z)| from
+_delta_fixed, which evaluates delta_k and delta_k' on Gaussian integers
+(X + iY) 2^-P with an integer error bound per value.  The oracle here is
+exact: delta_k and delta_k' at the same dyadic centre in Gaussian-integer
+arithmetic, with no rounding at all.  The tests check that each radius
+is at least the exact one, at the polished centres for k = 2..40 at 128
+and 390 bits and at Hypothesis-drawn centres away from the roots; that
+each error bound of _delta_fixed and of the floored product _fmul
+holds; that the radius bounds (k+1)(|D| + eD)/(|S| - eS) for any
+evaluator output, evaluated at the centre itself and not at the centre
+truncated to the polish grid; that on polished centres the radius is no looser than
+the Ball-arithmetic bound it replaced; and that a centre where delta_k'
+vanishes raises CertificationFailure.
+"""
+
+import math
+
+import mpmath as mp
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_add, mpf_neg
+
+from pellzero import spectra
+from pellzero.ball import Ball, mpf_to_fraction
+from pellzero.spectra import CertificationFailure
+
+
+@pytest.fixture(autouse=True)
+def cold_cache():
+    spectra.clear_cache()
+    yield
+    spectra.clear_cache()
+
+
+def _dyadic(man, exp):
+    return mp.make_mpf(from_man_exp(man, exp))
+
+
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _scaled(z):
+    """(X, Y, Q) with z = (X + iY) 2^-Q exactly, from the exact rational
+    parts of z (not from spectra's conversion)."""
+    parts = [mpf_to_fraction(t) for t in ((z.real, z.imag) if isinstance(z, mp.mpc)
+                                          else (z, mp.mpf(0)))]
+    Q = max(p.denominator.bit_length() - 1 for p in parts)
+    return int(parts[0] * (1 << Q)), int(parts[1] * (1 << Q)), Q
+
+
+def _exact_pair(k, X, Y, Q):
+    """delta_k(z) 2^((k+1)Q) and delta_k'(z) 2^(kQ) as exact Gaussian
+    integers, z = (X + iY) 2^-Q."""
+    one = 1 << Q
+    zn = [(1, 0)]  # zn[i] = (X + iY)^i
+    for _ in range(k + 1):
+        zn.append(_gmul(zn[-1], (X, Y)))
+    d = [zn[k + 1][j] - 3 * one * zn[k][j] + one ** 2 * zn[k - 1][j] for j in (0, 1)]
+    d[0] += one ** (k + 1)
+    s = [(k + 1) * zn[k][j] - 3 * k * one * zn[k - 1][j] + (k - 1) * one ** 2 * zn[k - 2][j]
+         for j in (0, 1)]
+    return d, s
+
+
+def _norm(v):
+    return v[0] * v[0] + v[1] * v[1]
+
+
+def _covers(r, k, D2, eD, S2, eS):
+    """Exactly whether r (sqrt(S2) - eS) >= (k+1) (sqrt(D2) + eD), for
+    a rational r >= 0 and integers: with u = r sqrt(S2), v = (k+1)
+    sqrt(D2) and c = (k+1) eD + r eS >= 0, u - v >= c iff
+    U - V - c^2 >= 0 and (U - V - c^2)^2 >= 4 c^2 V."""
+    U, V = r * r * S2, (k + 1) ** 2 * D2
+    c = (k + 1) * eD + r * eS
+    t = U - V - c * c
+    return t >= 0 and t * t >= 4 * c * c * V
+
+
+def _assert_above_exact(k, z, prec):
+    """The radius at z is at least the exact (k+1)|delta_k/delta_k'|."""
+    X, Y, Q = _scaled(z)
+    d, s = _exact_pair(k, X, Y, Q)
+    r = mpf_to_fraction(spectra._inclusion_radius(k, z, prec))
+    # delta_k / delta_k' = (d / s) 2^-Q
+    assert _covers(r * (1 << Q), k, _norm(d), 0, _norm(s), 0), (k, z, prec)
+
+
+def _classes(k, prec):
+    """The polished class representatives: real centres and upper
+    members of pairs."""
+    centres = spectra._polish(k, spectra._initial_seeds(k), prec)
+    return [c for c in centres if not (isinstance(c, mp.mpc) and c.imag < 0)]
+
+
+@pytest.mark.parametrize("prec", [128, 390])
+@pytest.mark.parametrize("k", range(2, 41))
+def test_radius_covers_the_exact_radius_at_polished_centres(k, prec):
+    # Each centre also moved by 3/4 of an ulp of the polish grid, into
+    # bits below 2^-(prec+16), where the radius is as tight as it gets.
+    tail = from_man_exp(3, -(prec + 18))
+    for c in _classes(k, prec):
+        _assert_above_exact(k, c, prec)
+        for t in (tail, mpf_neg(tail)):
+            if isinstance(c, mp.mpc):
+                moved = [mp.make_mpc((mpf_add(c._mpc_[0], t), c._mpc_[1])),
+                         mp.make_mpc((c._mpc_[0], mpf_add(c._mpc_[1], t)))]
+            else:
+                moved = [mp.make_mpf(mpf_add(c._mpf_, t))]
+            for z in moved:
+                _assert_above_exact(k, z, prec)
+
+
+@pytest.mark.parametrize("prec", [128, 390])
+@pytest.mark.parametrize("k", range(2, 41))
+def test_radius_is_no_looser_than_the_ball_radius(k, prec):
+    for c in _classes(k, prec):
+        delta, slope = spectra._delta_pair(k, Ball.exact(c, prec))
+        ball = (delta / slope * (k + 1)).ub_abs()
+        assert spectra._inclusion_radius(k, c, prec) <= ball, (k, c, prec)
+
+
+@st.composite
+def centres(draw):
+    """Dyadic centres away from the roots: negative real parts, real
+    centres, centres with bits far below 2^-(prec+16), and centres
+    near the node at 1."""
+    prec = draw(st.sampled_from([128, 390]))
+    kind = draw(st.sampled_from(["negative", "real", "fine", "near_one"]))
+    low = prec + 16 + (draw(st.integers(1, 200)) if kind == "fine" else 0)
+
+    def part(lo, hi):
+        # A dyadic value in about [lo, hi]: a 20-bit lead and a tail with
+        # bits down to 2^-low.
+        lead = draw(st.integers(int(lo * (1 << 20)), int(hi * (1 << 20))))
+        return _dyadic((lead << (low - 20)) + draw(st.integers(0, 1 << (low - 20))), -low)
+
+    if kind == "negative":
+        z = mp.make_mpc((part(-1.6, 0)._mpf_, part(-1.2, 1.2)._mpf_))
+    elif kind == "real":
+        z = part(-1.6, 3)
+    elif kind == "fine":
+        z = mp.make_mpc((part(-1.6, 3)._mpf_, part(-1.2, 1.2)._mpf_))
+    else:
+        e = draw(st.integers(24, prec + 40))
+        offset = st.integers(-(1 << 20), 1 << 20)
+        z = mp.make_mpc((from_man_exp((1 << e) + draw(offset), -e),
+                         from_man_exp(draw(offset), -e)))
+    return draw(st.integers(2, 40)), z, prec
+
+
+@given(centres())
+def test_radius_covers_the_exact_radius_at_drawn_centres(case):
+    k, z, prec = case
+    try:
+        _assert_above_exact(k, z, prec)
+    except CertificationFailure:
+        # Sound either way; delta_k' is only near zero close to its roots.
+        X, Y, Q = _scaled(z)
+        assert _norm(_exact_pair(k, X, Y, Q)[1]) < 1 << (2 * k * Q), case
+
+
+@given(centres())
+def test_delta_fixed_error_bounds_hold(case):
+    k, z, prec = case
+    X, Y, Q = _scaled(z)
+    d, s = _exact_pair(k, X, Y, Q)
+    DX, DY, eD, SX, SY, eS = spectra._delta_fixed(k, X, Y, Q)
+    # d 2^-((k+1)Q) against (DX + iDY) 2^-Q, s 2^-(kQ) against (SX + iSY) 2^-Q
+    for exact, shift, fx, fy, e in ((d, k * Q, DX, DY, eD), (s, (k - 1) * Q, SX, SY, eS)):
+        err = (exact[0] - (fx << shift), exact[1] - (fy << shift))
+        assert _norm(err) <= (e << shift) ** 2, (case, e)
+
+
+@given(centres())
+@example((10, mp.make_mpc((from_man_exp(-7, -3), from_man_exp(1, -200))), 128))
+def test_radius_evaluates_at_the_centre_itself(case):
+    # A centre truncated to the polish grid would certify another point.
+    # It moves by less than an ulp, which the error bound mostly
+    # swallows, so the point handed to the evaluator is checked directly.
+    k, z, prec = case
+    fixed = spectra._delta_fixed
+    seen = []
+
+    def recording(kk, X, Y, P):
+        seen.append((X, Y, P))
+        return fixed(kk, X, Y, P)
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(spectra, "_delta_fixed", recording)
+        try:
+            spectra._inclusion_radius(k, z, prec)
+        except CertificationFailure:
+            pass
+    [(X, Y, P)] = seen
+    x, y, Q = _scaled(z)
+    assert P >= max(Q, prec + 16)
+    assert (X, Y) == (x << (P - Q), y << (P - Q))
+
+
+P_SMALL = 24
+small = st.integers(-(1 << (P_SMALL + 6)), 1 << (P_SMALL + 6))
+errors = st.integers(0, 1 << (P_SMALL + 6))
+
+
+@given(small, small, errors, small, small, errors,
+       st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
+       st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+@example(0, 0, 1 << 30, 0, 0, 1 << 30, (1, 0), (1, 0))
+@example(3, 5, 0, 7, 11, 0, (1, 0), (1, 0))
+def test_fmul_error_bound_holds(a, b, ea, c, d, ec, ua, uc):
+    # The exact factors are A + ea ua and C + ec uc, on the edges of
+    # the error disks.
+    x, y, e = spectra._fmul(P_SMALL, a, b, ea, c, d, ec)
+    exact = _gmul((a + ea * ua[0], b + ea * ua[1]), (c + ec * uc[0], d + ec * uc[1]))
+    err = (exact[0] - (x << P_SMALL), exact[1] - (y << P_SMALL))
+    assert _norm(err) <= (e << P_SMALL) ** 2
+
+
+@given(st.integers(-(1 << 80), 1 << 80), st.integers(-(1 << 80), 1 << 80),
+       st.integers(0, 1 << 20), st.integers(-(1 << 90), 1 << 90),
+       st.integers(-(1 << 90), 1 << 90), st.integers(0, 1 << 85),
+       st.integers(2, 500))
+@example(1, 1, 0, 1 << 144, 0, 0, 9)
+def test_radius_bounds_any_evaluator_output(dX, dY, eD, sX, sY, eS, k):
+    out = (dX, dY, eD, sX, sY, eS)
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(spectra, "_delta_fixed", lambda *args: out)
+        try:
+            r = mpf_to_fraction(spectra._inclusion_radius(k, mp.mpf(1), 128))
+        except CertificationFailure:
+            assert math.isqrt(sX * sX + sY * sY) <= eS
+            return
+    assert _covers(r, k, dX * dX + dY * dY, eD, sX * sX + sY * sY, eS), out
+
+
+# delta_k'(x) = x^(k-2) ((k+1) x^2 - 3k x + (k-1)) vanishes at 0 for k >= 3
+# and at the roots of the quadratic, dyadic for k = 3 (2 and 1/4) and k = 21
+# (5/2).
+@pytest.mark.parametrize("k, z", [(k, mp.mpf(0)) for k in (3, 4, 9, 40)]
+                         + [(3, mp.mpf(2)), (3, mp.mpf(0.25)), (21, mp.mpf(2.5))])
+def test_centre_where_the_derivative_vanishes_raises(k, z):
+    with pytest.raises(CertificationFailure, match="delta_k' not certified nonzero"):
+        spectra._inclusion_radius(k, z, 128)
+    centres = spectra._polish(k, spectra._initial_seeds(k), 128)
+    centres[0] = z
+    with pytest.raises(CertificationFailure, match="delta_k' not certified nonzero"):
+        spectra._certify(k, centres, 128)
