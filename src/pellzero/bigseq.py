@@ -18,7 +18,23 @@ seen; backward_terms streams P_0, P_{-1}, ... by the three-term step,
 holding only the last k+1 terms (three_term_orbit), and backward_value
 reads one nonpositive index off that stream.
 
-Everything here is arbitrary-precision integer arithmetic; no rounding.
+Everything above is arbitrary-precision integer arithmetic; no rounding.
+residue_blocks and residue_zeros run the same three-term step on residues
+mod p = 2^31 - 1, packed into one Python int.  They prove terms nonzero,
+never zero: x = r (mod p) with r != 0 forces x != 0, while a residue 0
+only says that p divides x.  Read by depth d, the step x_d = 3 x_{d-k} -
+x_{d-k+1} - x_{d-k-1} reaches back k - 1 terms or more, so k - 1
+consecutive terms depend only on the k + 1 terms before them and one
+block of k - 1 lanes is computed at once:
+
+    new = 3 A + 3p - B - C,   A, B, C = lanes 1.., 2.., 0.. of the window.
+
+A lane is LANE_BITS = 36 bits wide and holds a value in [0, p].  Adding
+3p per lane keeps every lane of 3A - B - C nonnegative (it is at least
+-2p), so no lane borrows from its neighbour, and no lane exceeds
+6p < 2^34.  Since 2^31 = 1 (mod p), the fold (y & M) + ((y >> 31) & 7)
+maps each lane to a congruent value, at most p + 5 after one fold and
+at most p after two.  A lane is then 0 mod p exactly when it is 0 or p.
 """
 
 from __future__ import annotations
@@ -30,6 +46,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 DEFAULT_LIMIT = 10_000_000
+RESIDUE_MODULUS = (1 << 31) - 1
+LANE_BITS = 36
 
 
 class LimitExceeded(RuntimeError):
@@ -147,3 +165,50 @@ def backward_value(k: int, n: int, limit: int = DEFAULT_LIMIT) -> int:
     if -n > limit:
         raise LimitExceeded(n, limit, "the backward_value limit")
     return next(islice(backward_terms(k), -n, None))
+
+
+def residue_blocks(k: int, window: Sequence[int]) -> Iterator[int]:
+    """The continuation of three_term_orbit(k, window) mod RESIDUE_MODULUS,
+    k - 1 terms per packed block, for ever.
+
+    Lane i of a block (bits 36i to 36i + 35) holds a value in [0, p]
+    congruent to the block's i-th term; the first block starts with the
+    term right after window.  Only the last k + 1 residues are kept, in
+    one int of (k + 1) * 36 bits."""
+    if len(window) != k + 1:
+        raise ValueError(f"window needs k+1 = {k + 1} terms, got {len(window)}")
+    p, w, width = RESIDUE_MODULUS, LANE_BITS, k - 1
+    ones = sum(1 << (w * i) for i in range(width))
+    low, carry, bias = p * ones, 7 * ones, 3 * p * ones
+    block = (1 << (w * width)) - 1
+    state = 0
+    for x in reversed(window):
+        state = (state << w) | (x % p)
+    while True:
+        y = (3 * ((state >> w) & block) + bias
+             - (state >> (2 * w)) - (state & block))
+        y = (y & low) + ((y >> 31) & carry)
+        y = (y & low) + ((y >> 31) & carry)
+        state = (state >> (w * width)) | (y << (2 * w))
+        yield y
+
+
+def residue_zeros(k: int, window: Sequence[int], count: int) -> Iterator[int]:
+    """Offsets i < count, ascending, of the terms after window (offset 0
+    is the first) that are 0 mod RESIDUE_MODULUS.  Every other term of
+    the first `count` is proved nonzero.
+
+    One SWAR test per block flags lanes equal to 0 or p: adding 1 and
+    masking to 31 bits sends them to 1 and 0 and every other lane to
+    [2, p], and a lane w has bit 35 of w + 2^35 - 2 clear iff w < 2.
+    Only a flagged block is read lane by lane."""
+    w, width = LANE_BITS, k - 1
+    ones = sum(1 << (w * i) for i in range(width))
+    low, top = RESIDUE_MODULUS * ones, ones << (w - 1)
+    below_two = top - 2 * ones
+    for start, y in zip(range(0, count, width), residue_blocks(k, window)):
+        hit = ~(((y + ones) & low) + below_two) & top
+        if hit:
+            for i in range(min(width, count - start)):
+                if hit >> (w * i + w - 1) & 1:
+                    yield start + i

@@ -118,6 +118,7 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
     predicted_blocks = ([list(b) for b in zerostruct.predicted_intervals(k).blocks]
                         if k >= 4 else [])
     cmp = zerostruct.compare_zeros(k, -floor_depth)
+    checks["scan"] = cmp.scan
     chi_formula = zerostruct.chi(k)
     chi_observed = len(cmp.observed)
     deepest = cmp.observed[0]

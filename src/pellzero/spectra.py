@@ -390,15 +390,20 @@ def _polish(k: int, seeds, prec: int):
 
 def _certify(k: int, centers, prec: int) -> RootSystem:
     # Newton inclusion radii (k+1) |delta_k / delta_k'|, bounded above in
-    # fixed point, once per conjugate class: the bound at z holds at conj(z).
-    radii = {}
+    # fixed point, and the modulus balls, once per conjugate class: the
+    # bound at z holds at conj(z), and a lower disk is the exact mirror of
+    # its upper one, so their modulus balls are equal bit for bit.
+    classes = {}
     root_balls = []
+    moduli = []
     for c in centers:
         key = _upper(c)
-        rad = radii.get(key)
-        if rad is None:
-            rad = radii[key] = _inclusion_radius(k, key, prec)
+        if key not in classes:
+            upper = Ball(key, _inclusion_radius(k, key, prec), prec)
+            classes[key] = upper.rad, upper.magnitude()
+        rad, modulus = classes[key]
         root_balls.append(Ball(c, rad, prec))
+        moduli.append(modulus)
 
     # Pairwise disjointness, including the exact node at 1 (radius 0);
     # pairs with apart real projections are disjoint already.
@@ -434,8 +439,6 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
     for i, j in pairs.items():
         if pairs.get(j) != i or i == j:
             raise CertificationFailure(f"asymmetric pairing {i}<->{j}")
-
-    moduli = [b.magnitude() for b in root_balls]
 
     # Sort by descending modulus midpoint; conjugate partners stay adjacent
     # (equal true moduli), everything else must separate strictly.

@@ -14,11 +14,35 @@ match the zero pattern of a variant mirror orbit whose doubled
 coefficient sits on the shallowest lag rather than the deepest
 (variant_mirror below); compare_zeros records whether a mismatch is
 exactly that.
+
+Both orbits are scanned by one scanner (_scan_depths) in two methods.
+The exact terms are streamed to depth k^2 + 4k (-default_floor(k)); past
+it the scan runs on packed residues mod p = 2^31 - 1
+(bigseq.residue_zeros), whose cost per index does not grow with the
+terms:
+
+- A nonzero residue proves a nonzero term: p divides every zero.
+- Every zero lies inside the exact head.  The deepest zero of the
+  sequence sits at depth (k-2)(k+1)/2 for even k and (k-3)(k+1)/2 + 1
+  for odd k (observed_blocks), that of the variant orbit near k^2/2
+  (predicted_intervals), all shallower than k^2 + 4k.  Past the head
+  the residue scan only has to prove terms nonzero, and no hit there is
+  expected to be confirmed.
+- A residue hit (a term that p divides) is never taken as a zero.  The
+  exact stream that produced the head is walked on to the hit's depth
+  (what backward_value does for the sequence, in O(k) memory), and only
+  an exact 0 there joins the zero set; a rejected hit is only counted.
+
+Each scan reports its coverage as a dict, which the verify record
+carries as checks.scan: exact_through and residue_through are the depths
+each method reached (residue_through is None when the scan ended inside
+the head), residue_modulus is p, and residue_hits counts the hits
+confirmed as zeros and rejected as nonzero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from . import bigseq
@@ -59,6 +83,7 @@ class ZeroSet:
     k: int
     indices: tuple
     search_floor: int
+    scan: dict = field(hash=False)  # coverage, see the module docstring
 
     def __contains__(self, n):
         return n in self.indices
@@ -81,19 +106,49 @@ class IntervalStructure:
         return out
 
 
-def enumerate_zeros(k: int, floor: int) -> ZeroSet:
-    """Exact backward scan: all n in [floor, 0] with term value 0.
+def _scan_depths(k: int, terms, depth: int) -> tuple[list, dict]:
+    """Depths d <= depth, ascending, at which the orbit whose exact terms
+    `terms` yields from depth 0 on is zero, with the scan's coverage.
 
-    Streams the terms (bigseq.backward_terms), so memory stays O(k)
-    whatever the depth."""
+    The head, through -default_floor(k), is read exactly, and only its
+    last k + 1 terms are kept; the rest runs on residues from those, and
+    each residue hit is checked by walking `terms` on to its depth.  The
+    orbit must follow the three-term step past the head."""
+    exact_through = min(depth, -default_floor(k))
+    body = max(exact_through - k, 0)
+    zeros = [d for d, value in enumerate(islice(terms, body)) if value == 0]
+    tail = list(islice(terms, exact_through + 1 - body))
+    zeros += [d for d, value in enumerate(tail, body) if value == 0]
+    hits = {"confirmed": 0, "rejected": 0}
+    at = exact_through
+    for i in bigseq.residue_zeros(k, tail, depth - exact_through):
+        d = exact_through + 1 + i
+        value = next(islice(terms, d - at - 1, None))
+        at = d
+        if value == 0:
+            zeros.append(d)
+            hits["confirmed"] += 1
+        else:
+            hits["rejected"] += 1
+    return zeros, {
+        "exact_through": exact_through,
+        "residue_through": depth if depth > exact_through else None,
+        "residue_modulus": bigseq.RESIDUE_MODULUS,
+        "residue_hits": hits}
+
+
+def enumerate_zeros(k: int, floor: int) -> ZeroSet:
+    """All n in [floor, 0] with P_n = 0, proved: exact terms
+    (bigseq.backward_terms) through -default_floor(k), residues beyond
+    (see the module docstring).  Memory stays O(k) whatever the depth."""
     if floor >= 0:
         raise ValueError(f"floor must be negative, got {floor}")
     if -floor > bigseq.DEFAULT_LIMIT:
         raise bigseq.LimitExceeded(floor, bigseq.DEFAULT_LIMIT,
                                    "bigseq.DEFAULT_LIMIT")
-    terms = islice(bigseq.backward_terms(k), 1 - floor)
-    zeros = [-d for d, value in enumerate(terms) if value == 0]
-    return ZeroSet(k=k, indices=tuple(reversed(zeros)), search_floor=floor)
+    depths, scan = _scan_depths(k, bigseq.backward_terms(k), -floor)
+    return ZeroSet(k=k, indices=tuple(-d for d in reversed(depths)),
+                   search_floor=floor, scan=scan)
 
 
 def predicted_intervals(k: int) -> IntervalStructure:
@@ -210,13 +265,14 @@ def variant_zero_set(k: int, floor: int) -> tuple:
 
     Same orbit as variant_mirror, streamed: subtracting its rule at n-1
     from the one at n leaves G_n = 3 G_{n-k} - G_{n-k+1} - G_{n-k-1} for
-    n >= k+1, so only the last k+1 terms are kept."""
+    n >= k+1, so only the last k+1 terms are kept, and the scan goes
+    past -default_floor(k) on residues as enumerate_zeros does."""
     if floor >= 0:
         raise ValueError(f"floor must be negative, got {floor}")
     head = variant_mirror(k, k)
     orbit = chain(head, bigseq.three_term_orbit(k, head))
-    return tuple(-m for m, value in enumerate(islice(orbit, 1 - floor))
-                 if value == 0)
+    depths, _ = _scan_depths(k, orbit, -floor)
+    return tuple(-m for m in depths)
 
 
 def default_floor(k: int) -> int:
@@ -237,12 +293,14 @@ def predicted_set(k: int) -> frozenset:
 class ZeroComparison:
     """The scanned zero set against the predicted one, as sorted index
     tuples.  variant_match is set only on a mismatch, when the predicted
-    set is exactly the zero set of the variant mirror orbit."""
+    set is exactly the zero set of the variant mirror orbit.  scan is
+    the coverage of the sequence scan behind observed."""
     observed: tuple
     predicted: tuple
     missing: tuple
     extra: tuple
     variant_match: bool
+    scan: dict = field(hash=False)
 
     @property
     def equal(self) -> bool:
@@ -252,7 +310,8 @@ class ZeroComparison:
 def compare_zeros(k: int, floor: int) -> ZeroComparison:
     """Scan [floor, 0] once and compare it with predicted_set(k); the
     variant orbit is scanned to the same floor only on a mismatch."""
-    observed = set(enumerate_zeros(k, floor).indices)
+    zset = enumerate_zeros(k, floor)
+    observed = set(zset.indices)
     predicted = predicted_set(k)
     variant_match = (observed != predicted
                      and set(variant_zero_set(k, floor)) == predicted)
@@ -261,7 +320,8 @@ def compare_zeros(k: int, floor: int) -> ZeroComparison:
         predicted=tuple(sorted(predicted)),
         missing=tuple(sorted(predicted - observed)),
         extra=tuple(sorted(observed - predicted)),
-        variant_match=variant_match)
+        variant_match=variant_match,
+        scan=zset.scan)
 
 
 def _scan_floor(bound: int) -> int:

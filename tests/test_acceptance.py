@@ -15,7 +15,6 @@ import random
 import time
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
 from pellzero.ball import Ball
@@ -292,20 +291,44 @@ def _quad_factory(a, b, c, d):
     return make
 
 
-def _max_planted_exponent(tau_f, mu_f, a_f, b_f, m_cap):
-    best = None
-    log_a, log_b = mp.log(a_f), mp.log(b_f)
+def _max_planted_exponent(a, b, c, d, mu, a_param, b_param, m_cap):
+    """Exactly the largest w with A B^-w > ||u tau + mu|| for some
+    1 <= u <= m_cap, where tau = (a + b sqrt(d))/c.
+
+    With mu = m/q and D = c q 2^S, u tau + mu = X_u / D, and X_u lies in
+    (N_u, N_u + u) for N_u = (u a q + m c) 2^S + u T, T = floor(b q
+    sqrt(d) 2^S) by math.isqrt; X_u is never an integer since sqrt(d) is
+    irrational.  So D ||u tau + mu|| is within u of E_u, the distance of
+    N_u to the nearest multiple of D, and the least distance lies in
+    [min(E_u - u), min(E_u + u)] / D.  w is decreasing in the distance,
+    so both ends must give the same w."""
+    shift = 128
+    q, m = mu.denominator, mu.numerator
+    den = (c * q) << shift
+    t = math.isqrt(b * b * q * q * d << (2 * shift))
+    step = ((a * q) << shift) + t
+    n = (m * c) << shift
+    lo = hi = None
     for u in range(1, m_cap + 1):
-        y = u * tau_f + mu_f
-        dist = abs(y - mp.nint(y))
-        if dist == 0:
-            continue
-        w = int(mp.floor((log_a - mp.log(dist)) / log_b))
-        while a_f * b_f ** (-w) <= dist:
+        n += step
+        r = n % den
+        e = min(r, den - r)
+        lo = e - u if lo is None else min(lo, e - u)
+        hi = e + u if hi is None else min(hi, e + u)
+
+    def exponent(dist):
+        # largest w with A B^-w > dist, from a float guess
+        w = math.floor(math.log(a_param / dist) / math.log(b_param))
+        while a_param * Fraction(b_param) ** -(w + 1) > dist:
+            w += 1
+        while not a_param * Fraction(b_param) ** -w > dist:
             w -= 1
-        if best is None or w > best:
-            best = w
-    return best
+        return w
+
+    assert lo > 0
+    w_max = exponent(Fraction(lo, den))
+    assert w_max == exponent(Fraction(hi, den))
+    return w_max
 
 
 def test_criterion_8_planted_reduction_soundness():
@@ -334,16 +357,10 @@ def test_criterion_8_planted_reduction_soundness():
         out = dp_reduce(inst, refine=make)
         assert out.q_used > 6 * m_cap
         assert out.epsilon.fr_lo() > 0
-        with mp.workprec(200):
-            tau_f = (a + b * mp.sqrt(d)) / c
-            mu_f = mp.mpf(mu.numerator) / mu.denominator
-            b_f = mp.mpf(b_param.numerator) / b_param.denominator \
-                if isinstance(b_param, Fraction) else mp.mpf(b_param)
-            w_max = _max_planted_exponent(tau_f, mu_f, mp.mpf(a_param),
-                                          b_f, m_cap)
-        if w_max is not None:
-            assert w_max <= out.R, \
-                f"tau=({a}+{b}*sqrt({d}))/{c} mu={mu} M={m_cap}"
+        w_max = _max_planted_exponent(a, b, c, d, mu, a_param, b_param,
+                                      m_cap)
+        assert w_max <= out.R, \
+            f"tau=({a}+{b}*sqrt({d}))/{c} mu={mu} M={m_cap}"
         ran += 1
     assert ran == 100
     assert time.perf_counter() - start < 120.0

@@ -486,3 +486,14 @@ def test_eval_limit_error_names_the_option(capsys):
         assert out == ""
         assert f"index {n} exceeds --limit = 100" in err
         assert "KContext" not in err
+
+
+def test_verify_records_scan_coverage(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "--k", "40", "--even-only",
+                         "--full")
+    rec = json.loads(out)
+    scan = rec["checks"]["scan"]
+    assert scan["exact_through"] == 1760
+    assert scan["residue_through"] == 82155 == -rec["scan_floor"]
+    assert scan["residue_modulus"] == 2 ** 31 - 1
+    assert scan["residue_hits"] == {"confirmed": 0, "rejected": 0}
