@@ -308,13 +308,13 @@ def _max_planted_exponent(a, b, c, d, mu, a_param, b_param, m_cap):
     t = math.isqrt(b * b * q * q * d << (2 * shift))
     step = ((a * q) << shift) + t
     n = (m * c) << shift
-    lo = hi = None
+    lo = hi = den
     for u in range(1, m_cap + 1):
         n += step
         r = n % den
         e = min(r, den - r)
-        lo = e - u if lo is None else min(lo, e - u)
-        hi = e + u if hi is None else min(hi, e + u)
+        lo = min(lo, e - u)
+        hi = min(hi, e + u)
 
     def exponent(dist):
         # largest w with A B^-w > dist, from a float guess
