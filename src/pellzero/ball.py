@@ -68,9 +68,7 @@ it.  arg uses |arg z - arg m| <= arcsin(ra/|m|) <= (pi/2) ra/|m|.
 Endpoints mid -/+ rad of real balls are dyadic and are formed exactly
 (mpf_add and mpf_sub without a precision), so gt, lt and contains
 compare them exactly with mpf_cmp, cross-multiplying by the denominator
-of a Fraction operand.  No comparison rounds.  disjoint compares the real
-projections of two discs the same way before it falls back to the
-rounded-down distance of the midpoints.
+of a Fraction operand.  No comparison rounds.
 """
 
 from __future__ import annotations
@@ -108,7 +106,6 @@ from mpmath.libmp import (
     mpf_sqrt,
     mpf_sub,
     round_ceiling,
-    round_down,
     round_floor,
     round_nearest,
     round_up,
@@ -602,20 +599,6 @@ class Ball:
         lb = self._lb()
         return not lb[0] and bool(lb[1])
 
-    def disjoint(self, other: "Ball") -> bool:
-        """Certified: no value lies in both enclosures, i.e. the real
-        projections are apart (compared exactly), or a lower bound on the
-        distance of the midpoints exceeds the rounded-up sum of the radii.
-        The exact first test makes every pair that overlapping_pairs
-        leaves out disjoint here too."""
-        (ax, ay), (bx, by) = _raw_c(self.mid), _raw_c(other.mid)
-        ra, rb = self.rad._mpf_, other.rad._mpf_
-        if mpf_cmp(mpf_abs(mpf_sub(ax, bx)), mpf_add(ra, rb)) > 0:
-            return True
-        dist_lo = _hypot(mpf_sub(ax, bx, _RADIUS_BITS, round_down),
-                         mpf_sub(ay, by, _RADIUS_BITS, round_down), 0)
-        return mpf_cmp(dist_lo, _add_up(ra, rb)) > 0
-
     def unique_floor(self) -> int:
         """floor(value) when it is the same for the whole enclosure."""
         lo = math.floor(self.fr_lo())
@@ -637,29 +620,6 @@ def pow_by_squaring(base, n: int):
         if n:
             base = base * base
     return 1 if result is None else result
-
-
-def overlapping_pairs(balls):
-    """Index pairs (i, j), i != j, of the balls whose real projections
-    [re mid - rad, re mid + rad] meet, compared exactly.
-
-    Two discs that share a point share its real part, so every pair left
-    out is disjoint.  The balls are swept in order of their exact left
-    endpoint, keeping those whose projection still reaches the current
-    one; the cost is O(n log n) plus the number of pairs returned.
-    """
-    spans = []
-    for i, b in enumerate(balls):
-        re, r = _raw_c(b.mid)[0], b.rad._mpf_
-        spans.append((mpf_sub(re, r), mpf_add(re, r), i))
-    spans.sort(key=lambda s: _mpf(s[0]))  # mpf order is exact
-    pairs = []
-    active = []
-    for lo, hi, i in spans:
-        active = [(h, j) for h, j in active if mpf_cmp(h, lo) >= 0]
-        pairs.extend((j, i) for _, j in active)
-        active.append((hi, i))
-    return pairs
 
 
 def ball_sum(balls, prec=None):

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -26,24 +25,6 @@ from .ball import (DomainError, IndeterminateComparison, PREC_START,
 
 SCHEMA = "pellzero-report/1"
 K_GUARD = 500
-
-
-@dataclass
-class ZeroReport:
-    k: int
-    parity: str
-    zeros: list
-    predicted_blocks: list
-    chi_formula: int
-    chi_observed: int
-    bound_used: dict
-    checks: dict
-    status: str
-    detail: str
-    timestamp: str
-    precision_used: int
-    scan_floor: int
-    schema: str = SCHEMA
 
 
 def _now() -> str:
@@ -146,14 +127,13 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
                         f"R = {bound_used['R']} ({reason})")
 
     status = "PASS" if not failures else "FAIL"
-    report = ZeroReport(
-        k=k, parity=parity, zeros=list(cmp.observed),
-        predicted_blocks=predicted_blocks,
-        chi_formula=chi_formula, chi_observed=chi_observed,
-        bound_used=bound_used, checks=checks, status=status,
-        detail="; ".join(failures), timestamp=_now(),
-        precision_used=max(precs), scan_floor=-floor_depth)
-    return asdict(report)
+    return {"k": k, "parity": parity, "zeros": list(cmp.observed),
+            "predicted_blocks": predicted_blocks,
+            "chi_formula": chi_formula, "chi_observed": chi_observed,
+            "bound_used": bound_used, "checks": checks, "status": status,
+            "detail": "; ".join(failures), "timestamp": _now(),
+            "precision_used": max(precs), "scan_floor": -floor_depth,
+            "schema": SCHEMA}
 
 
 def _verify_worker(args):

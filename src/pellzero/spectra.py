@@ -81,16 +81,43 @@ machine).  The fixed-point bound came out 2.5e3 to 4.7e5 times tighter
 than the Ball one on every system of k = 2..500 at 128 bits and odd
 k = 3..99 at 390 bits.
 
-Disjointness is tested by a sweep (ball.overlapping_pairs): two disks
-that meet share a point and so its real part, so only pairs whose exact
-real projections overlap go to Ball.disjoint.  Realness and conjugate
-pairing follow from conjugation symmetry.  The mirror of a disk holds
-the conjugate of its root, which is a root of Psi_k and so lies in some
-disk; the mirror has the disk's own real projection, so that disk is the
+Every test after the radii runs on the same integers, at one P for all
+centres (prec + 16, or more when some centre has finer bits, so every
+centre converts exactly), and rounds only in its safe direction:
+
+    quantity              integer (units of 2^-P)
+    radius                R = ceil(rad 2^P), so the disk (X, Y, R) holds
+                            the disk of the root ball
+    two disks disjoint    (Xi - Xj)^2 + (Yi - Yj)^2 > (Ri + Rj)^2, exact;
+                            disks that touch meet
+    |root|                in [isqrt(N) - R, isqrt(N) + [isqrt(N)^2 < N]
+                            + R], N = X^2 + Y^2
+    sum of roots          within sum R of sum X + i sum Y, both parts
+    |product of roots|    product of the |root| intervals, each partial
+                            product floored below and ceiled above
+
+Disjointness is tested by a sweep (_overlapping_pairs) over the disks
+and the exact node (2^P, 0, 0) at 1: two disks that meet share a point
+and so its real part, so only pairs whose integer spans [X - R, X + R]
+meet go to the pair test (_disjoint).  Realness and conjugate pairing
+follow from conjugation symmetry.  The mirror (X, -Y, R) of a disk
+holds the conjugate of its root, which is a root of Psi_k and so lies
+in some disk; the mirror has the disk's own span, so that disk is the
 disk itself or one of its sweep neighbours, and only those are tested.
 A mirror that meets only its own disk means the root is real (the disk
 holds one root), so the centre is made real and the system re-polished;
-a disk with a real centre is its own mirror and holds a real root.
+a disk with a real centre is its own mirror and holds a real root.  The
+roots are sorted by exact N, descending, conjugate partners upper
+first; partners aside, adjacent |root| intervals must separate
+strictly, the first must lie above 1, every other below 1, and the
+first disk must be real with X > 0.  No Ball is compared: the root
+balls Ball(centre, rad) and the moduli from Ball.magnitude() are built
+only for the RootSystem.  Against the same tests on Balls (a sweep on
+mpf spans, a rounded Ball distance test, Ball comparisons of the moduli,
+a Ball root sum and product), this cut _certify, best of four runs on a
+2-vCPU machine, from 5.1 to 1.5 s summed over k = 2..300 at 128 bits
+and from 0.23 to 0.10 s over odd k = 3..99 at 390 bits, with the same
+RootSystems bit for bit.
 
 Newton steps and radii are computed once per conjugate class: a real
 centre, or the upper member of a conjugate pair.  delta_k has real
@@ -99,11 +126,13 @@ the Newton iterates from conj z are the mirrors of those from z, and
 |delta_k / delta_k'| takes the same value at z and at conj z, so a bound
 on it at z bounds it at conj z.  _polish gives the lower member of a
 pair the exact mirror of the polished upper one, and _certify gives it
-the upper one's radius.  Nothing else takes the symmetry on trust: every
-disk, mirrors included, still goes through the sweep, the disjointness
-and the pairing tests.  The mirror must be exact (ball.conj_exact):
-mpmath's mpc.conjugate() rounds to the ambient 53-bit context, which
-would leave the lower centres, and so their radii, near 1e-16.
+the upper one's radius; both key their classes on the fixed-point
+(X, |Y|), since hashing an mpc costs about 6 us.  Nothing else takes
+the symmetry on trust: every disk, mirrors included, still goes through
+the sweep, the disjointness and the pairing tests.  The mirror must be
+exact (ball.conj_exact): mpmath's mpc.conjugate() rounds to the ambient
+53-bit context, which would leave the lower centres, and so their
+radii, near 1e-16.
 """
 
 from __future__ import annotations
@@ -131,7 +160,6 @@ from .ball import (
     ball_sum,
     conj_exact,
     escalate,
-    overlapping_pairs,
     pow_by_squaring,
 )
 
@@ -252,6 +280,13 @@ def _from_fixed(X: int, Y: int, P: int):
     return _mpf(re) if not Y else _mpc((re, from_man_exp(Y, -P)))
 
 
+def _exact_P(prec: int, parts) -> int:
+    """prec + 16, or more when a raw mpf in parts has bits below
+    2^-(prec+16): the fraction bits at which every part converts
+    exactly."""
+    return max([prec + 16] + [-t[2] for t in parts if t[1]])
+
+
 def _mag(X: int, Y: int) -> int:
     """mp.mag of (X + iY) 2^-P, plus P: |X + iY| < 2^_mag(X, Y)."""
     return max(X.bit_length(), Y.bit_length()) + bool(X and Y)
@@ -308,7 +343,7 @@ def _inclusion_radius(k: int, z, prec: int):
     Raises CertificationFailure when floor|S| <= eS, i.e. delta_k'(z) is
     not certified nonzero."""
     re, im = _raw_c(z)
-    P = max([prec + 16] + [-t[2] for t in (re, im) if t[1]])
+    P = _exact_P(prec, (re, im))
     dX, dY, eD, sX, sY, eS = _delta_fixed(k, _fix(re, P), _fix(im, P), P)
     d2 = dX * dX + dY * dY
     num = math.isqrt(d2)
@@ -361,71 +396,111 @@ def _initial_seeds(k: int):
     return seeds
 
 
-def _upper(z):
-    """The class representative of z: z itself, or its exact mirror when
-    z lies below the real axis."""
-    return conj_exact(z) if isinstance(z, mp.mpc) and z.imag < 0 else z
-
-
 def _polish(k: int, seeds, prec: int):
     """Newton on delta_k at prec + 16 fraction bits once per conjugate
-    class of seeds; the lower member of a pair gets the exact mirror of
-    the polished upper one.  A centre with |Im| < |z| 2^(-prec/2) (tested
-    on bit lengths, as in _newton) is made real and polished in real
-    arithmetic."""
+    class of seeds, keyed on the fixed-point (X, |Y|); the lower member
+    of a pair gets the exact mirror of the polished upper one.  A centre
+    with |Im| < |z| 2^(-prec/2) (tested on bit lengths, as in _newton) is
+    made real and polished in real arithmetic."""
     P = prec + 16
     polished = {}
     out = []
     for seed in seeds:
-        key = _upper(seed)
+        X, Y = _to_fixed(seed, P)
+        key = X, abs(Y)
         z = polished.get(key)
         if z is None:
-            X, Y = _newton(k, *_to_fixed(key, P), P, prec)
-            if Y and Y.bit_length() < _mag(X, Y) - 1 - prec // 2:
-                X, Y = _newton(k, X, 0, P, prec)
-            z = polished[key] = _from_fixed(X, Y, P)
-        out.append(z if key is seed else conj_exact(z))
+            PX, PY = _newton(k, *key, P, prec)
+            if PY and PY.bit_length() < _mag(PX, PY) - 1 - prec // 2:
+                PX, PY = _newton(k, PX, 0, P, prec)
+            z = polished[key] = _from_fixed(PX, PY, P)
+        out.append(conj_exact(z) if Y < 0 else z)
     return out
 
 
+def _fix_up(t, P: int) -> int:
+    """A nonnegative raw mpf t as a fixed-point int: ceil(t 2^P)."""
+    _, man, exp, _ = t
+    shift = exp + P
+    return man << shift if shift >= 0 else -(-man >> -shift)
+
+
+def _disjoint(a, b) -> bool:
+    """Whether the closed disks a = (X, Y, R) and b, all in units of one
+    2^-P, are disjoint: their centres are more than Ra + Rb apart,
+    compared exactly, so disks that touch meet."""
+    dx, dy, r = a[0] - b[0], a[1] - b[1], a[2] + b[2]
+    return dx * dx + dy * dy > r * r
+
+
+def _overlapping_pairs(disks):
+    """Index pairs (i, j), i != j, of the disks (X, Y, R) whose real
+    spans [X - R, X + R] meet.
+
+    Two disks that share a point share its real part, so every pair left
+    out is disjoint.  The disks are swept in order of their left
+    endpoint, keeping those whose span still reaches the current one;
+    the cost is O(n log n) plus the number of pairs returned."""
+    pairs = []
+    active = []
+    for i in sorted(range(len(disks)), key=lambda i: disks[i][0] - disks[i][2]):
+        X, _, R = disks[i]
+        active = [(h, j) for h, j in active if h >= X - R]
+        pairs.extend((j, i) for _, j in active)
+        active.append((X + R, i))
+    return pairs
+
+
 def _certify(k: int, centers, prec: int) -> RootSystem:
-    # Newton inclusion radii (k+1) |delta_k / delta_k'|, bounded above in
-    # fixed point, and the modulus balls, once per conjugate class: the
-    # bound at z holds at conj(z), and a lower disk is the exact mirror of
-    # its upper one, so their modulus balls are equal bit for bit.
+    # Every centre as an exact fixed-point (X, Y) at one P.  The Newton
+    # inclusion radius (k+1) |delta_k / delta_k'|, bounded above in fixed
+    # point, its integer R = ceil(rad 2^P) and the modulus ball come once
+    # per conjugate class, keyed on (X, |Y|): the bound at z holds at
+    # conj(z), and a lower disk is the exact mirror of its upper one, so
+    # their modulus balls are equal bit for bit.
+    raw = [_raw_c(c) for c in centers]
+    P = _exact_P(prec, [t for z in raw for t in z])
     classes = {}
+    disks = []
     root_balls = []
     moduli = []
-    for c in centers:
-        key = _upper(c)
-        if key not in classes:
-            upper = Ball(key, _inclusion_radius(k, key, prec), prec)
-            classes[key] = upper.rad, upper.magnitude()
-        rad, modulus = classes[key]
+    for c, (re, im) in zip(centers, raw):
+        X, Y = _fix(re, P), _fix(im, P)
+        key = X, abs(Y)
+        cls = classes.get(key)
+        if cls is None:
+            upper = conj_exact(c) if Y < 0 else c
+            rad = _inclusion_radius(k, upper, prec)
+            cls = classes[key] = (rad, _fix_up(rad._mpf_, P),
+                                  Ball(upper, rad, prec).magnitude())
+        rad, R, modulus = cls
+        disks.append((X, Y, R))
         root_balls.append(Ball(c, rad, prec))
         moduli.append(modulus)
 
     # Pairwise disjointness, including the exact node at 1 (radius 0);
-    # pairs with apart real projections are disjoint already.
-    disks = root_balls + [Ball.exact(1, prec)]
-    near = [[] for _ in disks]
-    for i, j in overlapping_pairs(disks):
-        if not disks[i].disjoint(disks[j]):
+    # pairs with apart real spans are disjoint already.
+    one = 1 << P
+    swept = disks + [(one, 0, 0)]
+    near = [[] for _ in swept]
+    for i, j in _overlapping_pairs(swept):
+        if not _disjoint(swept[i], swept[j]):
             raise CertificationFailure(
                 f"disks {min(i, j)},{max(i, j)} not certifiedly disjoint at {prec} bits")
         near[i].append(j)
         near[j].append(i)
 
     # Conjugate pairing: a mirror can only meet its own disk or a sweep
-    # neighbour, since it has the same real projection.
+    # neighbour, since it has the same real span.
     pairs = {}
     realify = []
-    for i, bi in enumerate(root_balls):
-        if not bi.is_complex:
+    for i, c in enumerate(centers):
+        if not isinstance(c, mp.mpc):
             continue
-        mirror = bi.conjugate()
+        X, Y, R = disks[i]
+        mirror = X, -Y, R
         hits = [j for j in [i] + near[i]
-                if j < k and not mirror.disjoint(root_balls[j])]
+                if j < k and not _disjoint(mirror, disks[j])]
         if hits == [i]:
             realify.append(i)
         elif len(hits) != 1:
@@ -440,43 +515,54 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
         if pairs.get(j) != i or i == j:
             raise CertificationFailure(f"asymmetric pairing {i}<->{j}")
 
-    # Sort by descending modulus midpoint; conjugate partners stay adjacent
-    # (equal true moduli), everything else must separate strictly.
-    order = sorted(range(k), key=lambda i: (-moduli[i].mid,
-                                            -(centers[i].imag if isinstance(centers[i], mp.mpc) else 0)))
+    # Sort by descending exact |centre|^2; conjugate partners (equal
+    # norms) stay adjacent, upper first.  Each true modulus lies in
+    # [isqrt(N) - R, ceil(sqrt(N)) + R] in units of 2^-P; partners aside,
+    # these intervals must separate strictly.
+    norms = [X * X + Y * Y for X, Y, _ in disks]
+    order = sorted(range(k), key=lambda i: (-norms[i], -disks[i][1]))
     inv = {old: new for new, old in enumerate(order)}
     root_balls = [root_balls[i] for i in order]
     moduli = [moduli[i] for i in order]
     conj_pairs = sorted(tuple(sorted((inv[a], inv[b]))) for a, b in pairs.items() if a < b)
     real_roots = sorted(inv[i] for i, c in enumerate(centers) if isinstance(c, mp.mpf))
     paired = {a: b for a, b in conj_pairs} | {b: a for a, b in conj_pairs}
+    lo, hi = [], []
+    for i in order:
+        n, R = norms[i], disks[i][2]
+        s = math.isqrt(n)
+        lo.append(s - R)
+        hi.append(s + (s * s < n) + R)
 
     for i in range(k - 1):
         if paired.get(i) == i + 1:
             continue
-        if not moduli[i].gt(moduli[i + 1]):
+        if not lo[i] > hi[i + 1]:
             raise CertificationFailure(
                 f"modulus order inversion at sorted index {i}")
 
     # Unique dominance: first modulus above 1, all others below.
-    if not moduli[0].gt(1):
+    if not lo[0] > one:
         raise CertificationFailure("dominant modulus not certified > 1")
     for i in range(1, k):
-        if not moduli[i].lt(1):
+        if not hi[i] < one:
             raise CertificationFailure(f"modulus {i} not certified < 1")
-    dom = root_balls[0]
-    if dom.is_complex or dom.mid <= 0:
+    X, Y, _ = disks[order[0]]
+    if Y or X <= 0:
         raise CertificationFailure("dominant root is not real positive")
 
     # Coefficient sanity: sum of roots is 2, |product| is 1, taken as the
-    # product of the certified moduli (|prod r_i| = prod |r_i|).
-    s = ball_sum(root_balls)
-    if not (s.real().contains(2) and s.imag().contains(0)):
+    # product of the modulus intervals (|prod r_i| = prod |r_i|), floored
+    # below and ceiled above.
+    sum_r = sum(R for _, _, R in disks)
+    if (abs(sum(X for X, _, _ in disks) - 2 * one) > sum_r
+            or abs(sum(Y for _, Y, _ in disks)) > sum_r):
         raise CertificationFailure("root sum does not enclose 2")
-    prod = moduli[0]
-    for m in moduli[1:]:
-        prod = prod * m
-    if not prod.contains(1):
+    prod_lo = prod_hi = one
+    for a, b in zip(lo, hi):
+        prod_lo = prod_lo * max(a, 0) >> P
+        prod_hi = -(-prod_hi * b >> P)
+    if not prod_lo <= one <= prod_hi:
         raise CertificationFailure("|root product| does not enclose 1")
 
     return RootSystem(k=k, roots=root_balls, moduli=moduli, dominant=0,
@@ -491,11 +577,13 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     tracked integer error bound, each disk holding a root of delta_k;
     together with the exact node at 1, k + 1 pairwise disjoint disks
     hold one root each (see the module docstring), and the k disks other
-    than the node are the roots of Psi_k.  Disjointness is tested only
-    between disks whose real projections overlap, and each mirror disk
-    only against its own disk and those neighbours, which is where the
-    conjugate root must lie.  Certification then orders the moduli
-    strictly (conjugate partners aside), certifies a unique real positive
+    than the node are the roots of Psi_k.  Every test after the radii
+    is exact integer arithmetic on the centres at one fixed point and
+    the radii rounded up to it.  Disjointness is tested only between
+    disks whose real spans meet, and each mirror disk only against its
+    own disk and those neighbours, which is where the conjugate root
+    must lie.  Certification then orders the modulus intervals strictly
+    (conjugate partners aside), certifies a unique real positive
     dominant root above 1, and checks that the roots sum to 2 and that
     the product of their moduli is 1.  Newton and the radius run once
     per conjugate class (a real root or a pair): delta_k has real
@@ -527,9 +615,6 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
                 seeds = [c.real if i in fail.realify else c
                          for i, c in enumerate(centers)]
                 continue
-            seeds = centers
-            prec = escalate(prec)
-        except IndeterminateComparison:
             seeds = centers
             prec = escalate(prec)
     with _cache_lock:

@@ -10,7 +10,10 @@ membership in a disc is decided on squared distances, and sqrt by
 squaring the output endpoints, so no step of these oracles rounds.
 log and exp have no rational oracle: they are checked against mpmath
 evaluated 200 bits past the ball's precision, compared as Fractions
-with 2^10 of its ulps to spare.
+with 2^10 of its ulps to spare.  Disjointness of two enclosures is
+decided by the root sweep's integer pair test (spectra._disjoint) on
+the enclosures converted exactly to fixed point, and must match the
+exact distance of the midpoints.
 """
 
 from fractions import Fraction
@@ -21,11 +24,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpc_abs, mpf_add, round_ceiling
 
+from pellzero import spectra
 from pellzero.ball import (
     Ball,
     DomainError,
     IndeterminateComparison,
     ZeroDivisionEnclosure,
+    _raw_c,
     mpf_to_fraction,
 )
 
@@ -276,15 +281,19 @@ def test_exp(a, oa):
 
 @given(balls, balls, st.booleans())
 def test_disjoint_matches_exact_distance(a, b, near):
+    """The root sweep's pair test (spectra._disjoint) on two enclosures,
+    converted exactly to (X, Y, R) at one fixed point, against the
+    exact distance of the midpoints."""
     if near:
         # Centers exactly ra + rb apart: the discs touch.
         re, im = a.mid._mpc_ if a.is_complex else (a.mid._mpf_, fzero)
         re = mpf_add(re, mpf_add(a.rad._mpf_, b.rad._mpf_))
         b = Ball(mp.make_mpc((re, im)) if a.is_complex else mp.make_mpf(re),
                  b.rad, b.prec)
+    raws = [(*_raw_c(x.mid), x.rad._mpf_) for x in (a, b)]
+    P = max([0] + [-t[2] for r in raws for t in r if t[1]])
+    fa, fb = [(spectra._fix(re, P), spectra._fix(im, P), spectra._fix(rad, P))
+              for re, im, rad in raws]
     dist2 = norm2(c_sub(frac_mid(a), frac_mid(b)))
     reach = mpf_to_fraction(a.rad) + mpf_to_fraction(b.rad)
-    if a.disjoint(b):
-        assert dist2 > reach * reach
-    elif dist2 > (reach * (1 + Fraction(1, 1 << 20))) ** 2:
-        pytest.fail("disjoint enclosures not certified")
+    assert spectra._disjoint(fa, fb) == (dist2 > reach * reach)

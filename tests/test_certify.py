@@ -3,12 +3,16 @@
 The enclosure test checks that every 128-bit root ball holds the disk of
 the matching certified 512-bit root, in mpmath at 600 bits.  The failure-path
 tests feed _certify centres that must not certify: a duplicated centre,
-and a centre moved so far towards a neighbour that the disks meet.  The
-sweep tests check ball.overlapping_pairs against an all-pairs oracle
-on random disks, and pin the number of Ball.disjoint calls one
-certification makes.  The seed tests check that _initial_seeds gives one
-seed per root, real roots as mpfs and pairs as exact mirrors, and that
-gamma's seed stays finite where gamma^k leaves the double range.
+a centre moved so far towards a neighbour that the disks meet, and, with
+the inclusion radii pinned, centres or radii that break one of the later
+checks each (modulus order, dominance, root sum, root product).  The
+sweep tests check the fixed-point sweep (spectra._overlapping_pairs) and
+pair test (spectra._disjoint) against an all-pairs exact oracle on
+random disks, the radius conversion against exact rounding up, and pin
+the number of pair tests one certification makes.  The seed tests check
+that _initial_seeds gives one seed per root, real roots as mpfs and
+pairs as exact mirrors, and that gamma's seed stays finite where gamma^k
+leaves the double range.
 """
 
 import mpmath as mp
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
 from pellzero import spectra
-from pellzero.ball import Ball, conj_exact, mpf_to_fraction, overlapping_pairs
+from pellzero.ball import Ball, _raw_c, conj_exact, mpf_to_fraction
 from pellzero.spectra import CertificationFailure
 
 
@@ -89,6 +93,131 @@ def test_centre_moved_onto_a_neighbour_raises():
     with pytest.raises(CertificationFailure, match="not certifiedly disjoint") as exc:
         spectra._certify(k, moved, 128)
     assert exc.value.realify == ()
+
+
+# -- the checks after the sweep, with pinned radii -----------------------
+
+P128 = 128 + 16
+PINNED = _dyadic(1, -100)
+
+
+def _pin_radii(monkeypatch, wide=None):
+    """Every inclusion radius pinned to 2^-100, far above the 128-bit
+    centres' error, except 0.01 at the centre `wide`, so that a moved
+    centre keeps a small disk."""
+    def pinned(kk, z, prec):
+        return mp.mpf(0.01) if wide is not None and z == wide else PINNED
+    monkeypatch.setattr(spectra, "_inclusion_radius", pinned)
+
+
+def _real_centres(centres):
+    """Indices of gamma and, for even k, of the negative real root."""
+    reals = sorted((c, i) for i, c in enumerate(centres) if isinstance(c, mp.mpf))
+    return reals[-1][1], reals[0][1]
+
+
+def _moved(c, units):
+    """A real centre moved by `units` of 2^-(128+16), exactly."""
+    return _dyadic(spectra._fix(c._mpf_, P128) + units, -P128)
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_pinned_radii_certify_the_polished_centres(k, monkeypatch):
+    # The control for the tests below: with every radius at 2^-100, the
+    # true centres pass every check.
+    _pin_radii(monkeypatch)
+    rs = spectra._certify(k, _centres(k), 128)
+    assert rs.roots[0].rad == PINNED
+
+
+def test_modulus_order_inversion_raises(monkeypatch):
+    # k = 10: the negative real root (modulus 0.8509) and the smallest
+    # pair (0.8578) are about 0.6 apart, so a radius of 0.01 keeps the
+    # disks apart but lets the modulus intervals meet.
+    k = 10
+    centres = _centres(k)
+    _, neg = _real_centres(centres)
+    _pin_radii(monkeypatch, wide=centres[neg])
+    with pytest.raises(CertificationFailure, match="modulus order inversion at sorted index 8"):
+        spectra._certify(k, centres, 128)
+
+
+def test_dominant_modulus_below_one_raises(monkeypatch):
+    # gamma replaced by 0.999: still the largest modulus (the next is
+    # 0.959), clear of the node at 1, but not above 1.
+    k = 9
+    centres = _centres(k)
+    gamma, _ = _real_centres(centres)
+    centres[gamma] = _dyadic(999, 0) / 1000
+    _pin_radii(monkeypatch)
+    with pytest.raises(CertificationFailure, match="dominant modulus not certified > 1"):
+        spectra._certify(k, centres, 128)
+
+
+def test_second_modulus_above_one_raises(monkeypatch):
+    # The negative real root of k = 10 moved out to -1.001: second in
+    # modulus order, and outside the unit circle.
+    k = 10
+    centres = _centres(k)
+    _, neg = _real_centres(centres)
+    centres[neg] = -_dyadic(1001, 0) / 1000
+    _pin_radii(monkeypatch)
+    with pytest.raises(CertificationFailure, match="modulus 1 not certified < 1"):
+        spectra._certify(k, centres, 128)
+
+
+def test_negative_dominant_root_raises(monkeypatch):
+    k = 9
+    centres = _centres(k)
+    gamma, _ = _real_centres(centres)
+    centres[gamma] = _dyadic(-spectra._fix(centres[gamma]._mpf_, P128), -P128)
+    _pin_radii(monkeypatch)
+    with pytest.raises(CertificationFailure, match="dominant root is not real positive"):
+        spectra._certify(k, centres, 128)
+
+
+def test_root_sum_off_two_raises(monkeypatch):
+    # gamma moved by 2^-60: its pinned disk no longer holds it, and the
+    # centres sum to 2 + 2^-60, far outside 9 radii of 2^-100.
+    k = 9
+    centres = _centres(k)
+    gamma, _ = _real_centres(centres)
+    centres[gamma] = _moved(centres[gamma], 1 << (P128 - 60))
+    _pin_radii(monkeypatch)
+    with pytest.raises(CertificationFailure, match="root sum does not enclose 2"):
+        spectra._certify(k, centres, 128)
+
+
+def test_root_product_off_one_raises(monkeypatch):
+    # gamma moved up and the negative root moved left by the same 2^-60:
+    # the sum is unchanged, but the product of the moduli grows by about
+    # 2^-60 (1/gamma + 1/0.85) relative.
+    k = 10
+    centres = _centres(k)
+    gamma, neg = _real_centres(centres)
+    centres[gamma] = _moved(centres[gamma], 1 << (P128 - 60))
+    centres[neg] = _moved(centres[neg], -(1 << (P128 - 60)))
+    _pin_radii(monkeypatch)
+    with pytest.raises(CertificationFailure, match=r"\|root product\| does not enclose 1"):
+        spectra._certify(k, centres, 128)
+
+
+def test_radius_with_bits_below_the_fixed_point_rounds_up(monkeypatch):
+    # gamma and a real centre 11 units of 2^-(128+16) below it, each with
+    # a radius of 5.75 units: the disks overlap by half a unit.  Rounded
+    # down to 5 units, the radii would leave the disks a unit apart.
+    k = 10
+    centres = _centres(k)
+    gamma, neg = _real_centres(centres)
+    centres[neg] = _moved(centres[gamma], -11)
+
+    def radius(kk, z, prec):
+        return _dyadic(23, -P128 - 2) if isinstance(z, mp.mpf) else PINNED
+
+    monkeypatch.setattr(spectra, "_inclusion_radius", radius)
+    i, j = sorted((gamma, neg))
+    with pytest.raises(CertificationFailure, match=f"disks {i},{j} not certifiedly disjoint"):
+        spectra._certify(k, centres, 128)
 
 
 def test_near_real_centre_is_made_real(monkeypatch):
@@ -228,9 +357,27 @@ def _projection(b):
     return re - r, re + r
 
 
+def _fixed_disks(disks):
+    """The disks as (X, Y, R) at the one P that holds every bit of every
+    centre and radius, so the conversion is exact."""
+    raws = [(*_raw_c(b.mid), b.rad._mpf_) for b in disks]
+    P = max([0] + [-t[2] for r in raws for t in r if t[1]])
+    return [(spectra._fix(re, P), spectra._fix(im, P), spectra._fix_up(rad, P))
+            for re, im, rad in raws]
+
+
+def _apart(a, b):
+    """Exact oracle: the centres are more than ra + rb apart."""
+    dx = mpf_to_fraction(a.mid.real) - mpf_to_fraction(b.mid.real)
+    dy = mpf_to_fraction(mp.im(a.mid)) - mpf_to_fraction(mp.im(b.mid))
+    reach = mpf_to_fraction(a.rad) + mpf_to_fraction(b.rad)
+    return dx * dx + dy * dy > reach * reach
+
+
 @given(disk_lists())
 def test_sweep_holds_every_pair_disjoint_rejects(disks):
-    pairs = overlapping_pairs(disks)
+    fixed = _fixed_disks(disks)
+    pairs = spectra._overlapping_pairs(fixed)
     found = {frozenset(p) for p in pairs}
     assert len(found) == len(pairs)
     assert all(len(p) == 2 for p in found)
@@ -239,33 +386,44 @@ def test_sweep_holds_every_pair_disjoint_rejects(disks):
         for j in range(i + 1, len(disks)):
             meet = spans[i][0] <= spans[j][1] and spans[j][0] <= spans[i][1]
             assert (frozenset((i, j)) in found) == meet, (i, j)
-            if not disks[i].disjoint(disks[j]):
+            apart = _apart(disks[i], disks[j])
+            assert spectra._disjoint(fixed[i], fixed[j]) == apart, (i, j)
+            if not apart:
                 assert frozenset((i, j)) in found, (i, j)
 
 
 def test_disjoint_decides_apart_real_projections_exactly():
-    # Centres 2r + 2^-120 apart with radius r: the 30-bit distance bound
-    # alone rounds the gap away.
+    # Centres 2r + 2^-120 apart with radius r: a 30-bit distance bound
+    # would round the gap away.
     r = _dyadic((1 << 30) - 1, -30)
     with mp.workprec(200):
         far = 2 * r + _dyadic(1, -120)
-    a, b = Ball(mp.mpf(0), r, 128), Ball(far, r, 128)
-    assert a.disjoint(b) and b.disjoint(a)
-    assert not a.disjoint(Ball(2 * r, r, 128))
+    a, b, touching = _fixed_disks([Ball(mp.mpf(0), r, 128), Ball(far, r, 128),
+                                   Ball(2 * r, r, 128)])
+    assert spectra._disjoint(a, b) and spectra._disjoint(b, a)
+    assert not spectra._disjoint(a, touching)
+
+
+@given(st.integers(1, (1 << 30) - 1), st.integers(-200, 40), st.integers(0, 200))
+def test_radius_converts_rounding_up(man, exp, P):
+    rad = from_man_exp(man, exp)
+    R = spectra._fix_up(rad, P)
+    exact = mpf_to_fraction(mp.make_mpf(rad)) * (1 << P)
+    assert R - 1 < exact <= R
 
 
 def test_certify_calls_disjoint_linearly(monkeypatch):
     k = 200
     centres = _centres(k)
     calls = 0
-    disjoint = Ball.disjoint
+    disjoint = spectra._disjoint
 
-    def counting(self, other):
+    def counting(a, b):
         nonlocal calls
         calls += 1
-        return disjoint(self, other)
+        return disjoint(a, b)
 
-    monkeypatch.setattr(Ball, "disjoint", counting)
+    monkeypatch.setattr(spectra, "_disjoint", counting)
     rs = spectra._certify(k, centres, 128)
     assert len(rs.conj_pairs) == (k - 2) // 2
-    assert calls < 4 * (k + 1)
+    assert 0 < calls < 4 * (k + 1)
