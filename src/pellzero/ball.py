@@ -440,7 +440,15 @@ class Ball:
         if n == 0:
             return Ball.exact(1, self.prec)
         base = self if n > 0 else Ball.exact(1, self.prec) / self
-        return pow_by_squaring(base, abs(n))
+        n = abs(n)
+        result = None
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
 
     # -- structure -----------------------------------------------------
 
@@ -609,24 +617,11 @@ class Ball:
         return lo
 
 
-def pow_by_squaring(base, n: int):
-    """base**n for a Ball base and an integer n >= 0 by repeated
-    squaring, in Ball arithmetic.  n = 0 gives the int 1."""
-    result = None
-    while n:
-        if n & 1:
-            result = base if result is None else result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return 1 if result is None else result
-
-
-def ball_sum(balls, prec=None):
+def ball_sum(balls):
     """Sum of an iterable of Balls (exact 0 ball for empty input)."""
     balls = list(balls)
     if not balls:
-        return Ball.exact(0, prec or PREC_START)
+        return Ball.exact(0, PREC_START)
     acc = balls[0]
     for b in balls[1:]:
         acc = acc + b

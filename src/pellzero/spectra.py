@@ -8,9 +8,10 @@ the sparse form
                 = x^{k-2} x (x^2 - 3x + 1) + 1,
     delta_k'(x) = x^{k-2} ((k+1) x^2 - 3k x + (k-1)),
 
-so both come from one power x^{k-2}, in O(log k) multiplications
-(_delta_fixed in fixed point, _delta_pair on Balls), at the price of a
-spurious simple root at x = 1 (delta_k'(1) = -k != 0).
+so both come from one power x^{k-2}, in O(log k) fixed-point
+multiplications (_delta_fixed, which Newton, the inclusion radii and
+check_dominant_bounds share), at the price of a spurious simple root at
+x = 1 (delta_k'(1) = -k != 0).
 
 solve_roots seeds each root from its closed-form position (below),
 polishes each with Newton's method on delta_k (fixed point, below),
@@ -150,7 +151,6 @@ from mpmath.libmp import from_man_exp, from_rational, round_ceiling
 
 from .ball import (
     Ball,
-    IndeterminateComparison,
     PREC_START,
     PrecisionExhausted,
     _RADIUS_BITS,
@@ -160,7 +160,6 @@ from .ball import (
     ball_sum,
     conj_exact,
     escalate,
-    pow_by_squaring,
 )
 
 
@@ -234,28 +233,11 @@ def psi_coeffs(k: int) -> list[int]:
 
 
 def psi_eval(k: int, x: Ball) -> Ball:
-    """Psi_k at a Ball; uses the sparse (x-1)-multiplied form away from 1.
-
-    Near x = 1 the division would blow up the enclosure, so a direct
-    Horner evaluation takes over there.
-    """
-    shift = x - 1
-    if shift.lb_abs() > mp.mpf(0.25):
-        return _delta_pair(k, x)[0] / shift
+    """Psi_k at a Ball, by Horner's rule on its coefficients."""
     acc = Ball.exact(1, x.prec)
     for c in psi_coeffs(k)[1:]:
         acc = acc * x + c
     return acc
-
-
-def _delta_pair(k: int, z: Ball):
-    """(delta_k(z), delta_k'(z)) for a Ball, from the one power z^(k-2).
-    psi_eval and check_dominant_bounds use it; the inclusion radii use
-    the fixed-point _delta_fixed."""
-    w = pow_by_squaring(z, k - 2)
-    zz = z * z
-    return (w * (z * (zz - 3 * z + 1)) + 1,
-            w * ((k + 1) * zz - 3 * k * z + (k - 1)))
 
 
 def _fix(t, P: int) -> int:
@@ -304,9 +286,8 @@ def _delta_fixed(k: int, X: int, Y: int, P: int):
     """(delta_k(z), delta_k'(z)) at z = (X + iY) 2^-P in fixed point, as
     (DX, DY, eD, SX, SY, eS): each exact value lies within e 2^-P of
     (X + iY) 2^-P for its own (X, Y, e).  Both come from the one power
-    z^(k-2), as in _delta_pair; products go through _fmul, and an
-    integer combination adds sum |c_i| e_i.  Real coefficients keep
-    Y = 0 exactly 0."""
+    z^(k-2); products go through _fmul, and an integer combination adds
+    sum |c_i| e_i.  Real coefficients keep Y = 0 exactly 0."""
     one = 1 << P
     w = None  # z^(k-2); None stands for 1
     b = (X, Y, 0)
@@ -667,36 +648,56 @@ def suggested_prec(k: int, n_hi: int) -> int:
 
 # -- certified bound checks ------------------------------------------------
 
-def _phi(prec: int) -> Ball:
-    return (Ball.exact(5, prec).sqrt() + 1) / 2
+def _envelope_points(k: int, P: int):
+    """(q_lo, q_hi) in units of 2^-P with q_lo >= phi^2 (1 - phi^-k) and
+    q_hi <= phi^2.  s5 = floor(sqrt(5) 2^P) > sqrt(5) 2^P - 1, so
+    phi^2 = (3 + sqrt 5) / 2 lies in [floor((3 2^P + s5) / 2),
+    ceil((3 2^P + s5 + 1) / 2)] and 1/phi = (sqrt 5 - 1) / 2 is at least
+    inv = floor((s5 - 2^P) / 2).  t, 2^P times k - 2 factors inv with
+    each product floored, is at most phi^(2-k) 2^P, and q_lo is the
+    upper end of phi^2 less t: phi^2 (1 - phi^-k) = phi^2 - phi^(2-k)."""
+    one = 1 << P
+    s5 = math.isqrt(5 << 2 * P)
+    inv = (s5 - one) >> 1
+    t = one
+    for _ in range(k - 2):
+        t = t * inv >> P
+    return ((3 * one + s5 + 2) >> 1) - t, (3 * one + s5) >> 1
+
+
+def _delta_sign(k: int, q: int, P: int) -> int:
+    """The sign of delta_k(q 2^-P) when _delta_fixed certifies it, i.e.
+    |D| > eD, and 0 when it does not."""
+    D, _, eD, *_ = _delta_fixed(k, q, 0, P)
+    return (D > eD) - (D < -eD)
 
 
 def check_dominant_bounds(rs: RootSystem) -> bool:
-    """Certifies phi^2 (1 - phi^-k) < gamma < phi^2 by a sign test.
+    """Certifies phi^2 (1 - phi^-k) < gamma < phi^2 by two sign tests.
 
     rs certifies gamma as the only root of Psi_k of modulus above 1, and
     a simple one, so on (1, oo) delta_k = (x - 1) Psi_k vanishes only at
     gamma: it is negative below gamma and positive above, since it tends
-    to +oo.  The envelope therefore holds iff lower > 1,
-    delta_k(lower) < 0 and delta_k(phi^2) > 0.  delta_k(phi^2) is exactly
-    1 (phi^2 is a root of x^2 - 3x + 1), but its enclosure loses about
-    1.39k bits, so the two evaluations escalate from rs.prec until both
-    signs settle; record_precisions sees the precision they settle at.
+    to +oo.  The tests run on the fixed-point _delta_fixed at the exact
+    dyadic points q_lo >= phi^2 (1 - phi^-k) and q_hi <= phi^2 of
+    _envelope_points, where q_hi > phi^2 - 2^(1-P) > 1.  If q_lo > 1 and
+    delta_k(q_lo) < 0, then gamma > q_lo >= phi^2 (1 - phi^-k); if
+    delta_k(q_hi) > 0, then gamma < q_hi <= phi^2.  So the check holds
+    iff q_lo > 1, delta_k(q_lo) < 0 and delta_k(q_hi) > 0.  A sign
+    counts only when _delta_fixed certifies it; near phi^2 the
+    evaluation loses about 1.39k bits, so both tests escalate from
+    rs.prec until both signs settle, and record_precisions sees the
+    precision they settle at.
     """
     k = rs.k
-    prec = rs.prec
+    P = rs.prec
     while True:
-        phi = _phi(prec)
-        phi2 = phi * phi
-        lower = phi2 * (Ball.exact(1, prec) - phi.pow_int(-k))
-        try:
-            holds = (lower.gt(1) and _delta_pair(k, lower)[0].lt(0)
-                     and _delta_pair(k, phi2)[0].gt(0))
-        except IndeterminateComparison:
-            prec = escalate(prec)
-            continue
-        _record(prec)
-        return holds
+        q_lo, q_hi = _envelope_points(k, P)
+        lo, hi = _delta_sign(k, q_lo, P), _delta_sign(k, q_hi, P)
+        if lo and hi:
+            _record(P)
+            return q_lo > 1 << P and lo < 0 < hi
+        P = escalate(P)
 
 
 def _distinct_modulus_pairs(rs: RootSystem):

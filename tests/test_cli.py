@@ -394,12 +394,12 @@ def test_verify_precision_used_covers_the_odd_reduction(capsys):
 
 
 def test_verify_precision_used_covers_the_dominant_resolve(capsys):
-    # k = 86 is the smallest order whose dominant-root envelope check
+    # k = 92 is the smallest order whose dominant-root envelope check
     # cannot settle at 128 bits and escalates its sign test to 256.
     from pellzero import spectra
     spectra.clear_cache()
-    assert spectra.solve_roots(86, 128).prec == 128
-    rc, out, _ = run_cli(capsys, "verify", "--k", "86")
+    assert spectra.solve_roots(92, 128).prec == 128
+    rc, out, _ = run_cli(capsys, "verify", "--k", "92")
     rec = json.loads(out)
     assert rec["checks"]["dominant_in_envelope"]["holds"] is True
     assert rec["precision_used"] >= 256

@@ -48,7 +48,7 @@ def _no_solve(*args, **kwargs):
 
 def test_dominant_bounds_escalate_without_resolving(monkeypatch):
     spectra.clear_cache()
-    rs = spectra.solve_roots(86, 128)
+    rs = spectra.solve_roots(92, 128)
     assert rs.prec == 128
     with monkeypatch.context() as m:
         m.setattr(spectra, "solve_roots", _no_solve)
@@ -56,7 +56,7 @@ def test_dominant_bounds_escalate_without_resolving(monkeypatch):
             assert spectra.check_dominant_bounds(rs) is True
     assert max(precs) >= 256
     # The cached system is still the 128-bit one.
-    assert spectra.solve_roots(86, 128) is rs
+    assert spectra.solve_roots(92, 128) is rs
 
 
 def test_verify_precision_used_without_resolving(monkeypatch, capsys):
@@ -70,7 +70,7 @@ def test_verify_precision_used_without_resolving(monkeypatch, capsys):
     monkeypatch.setattr(spectra, "check_dominant_bounds",
                         check_without_solving)
     spectra.clear_cache()
-    main(["verify", "--k", "86"])  # FAIL without --full: the scan is short
+    main(["verify", "--k", "92"])  # FAIL without --full: the scan is short
     rec = json.loads(capsys.readouterr().out)
     assert rec["checks"]["dominant_in_envelope"]["holds"] is True
     assert rec["precision_used"] >= 256

@@ -29,10 +29,15 @@ from pellzero.spectra import (
 )
 
 
-def psi_sign(k, x: Fraction) -> int:
+def psi_value(k, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in psi_coeffs(k):
         acc = acc * x + c
+    return acc
+
+
+def psi_sign(k, x: Fraction) -> int:
+    acc = psi_value(k, x)
     return (acc > 0) - (acc < 0)
 
 
@@ -68,9 +73,19 @@ def test_psi_eval_exact_integer_point():
 
 
 def test_psi_eval_near_one_branch():
-    # |x - 1| small forces the direct Horner path; Psi_k(1) = -k exactly.
+    # At the exact point 1 the Horner sum is exact: Psi_k(1) = -k.
     for k in (2, 6, 19):
         assert psi_eval(k, Ball.exact(1)).contains(-k)
+
+
+@pytest.mark.parametrize("k", range(2, 41))
+def test_psi_eval_contains_the_exact_horner_value(k):
+    near_one = [1 + Fraction(1, 2 ** 40), 1 - Fraction(1, 3 ** 20),
+                Fraction(7, 8), Fraction(9, 8)]
+    away = [Fraction(0), Fraction(1, 3), Fraction(-7, 10), Fraction(-5, 4),
+            Fraction(21, 8), Fraction(13, 5)]
+    for x in near_one + away:
+        assert psi_eval(k, Ball.exact(x)).contains(psi_value(k, x)), (k, x)
 
 
 def test_dominant_root_matches_bisection_oracle():
