@@ -20,7 +20,7 @@ from functools import total_ordering
 import mpmath as mp
 
 from .ball import Ball, IndeterminateComparison
-from .spectra import RootSystem, eval_gk, mahler_measure
+from .spectra import RootSystem, mahler_measure
 
 _WORK = 96
 
@@ -237,12 +237,11 @@ def weight_height_check(rs: RootSystem) -> dict:
     k = rs.k
     with mp.workprec(max(rs.prec, _WORK)):
         h_est = mp.mpf(0)
-        for root in rs.roots:
+        for root, g in zip(rs.roots, rs.weights):
             z = root.mid
             den_val = k * (z * z - 3 * z + 1) + (z * z - 1)
             h_est += mp.log(max(mp.mpf(1), abs(den_val)))
-            g = eval_gk(k, root).mid
-            h_est += mp.log(max(mp.mpf(1), abs(g)))
+            h_est += mp.log(max(mp.mpf(1), abs(g.mid)))
         h_est /= k
         bound = 5 * mp.log(k)
         return {

@@ -278,7 +278,7 @@ def odd_k_instance(rs: RootSystem, M: int) -> ReductionInstance:
         tau_conj = gamma_s.conjugate().arg() * (-2) / pi_ball
         if tau_conj.gt(tau_lo) and tau_conj.lt(tau_hi):
             tau = tau_conj
-            mu = eval_gk(k, gamma_s.conjugate()).arg() * 2 / pi_ball
+            mu = gval.conjugate().arg() * 2 / pi_ball
             in_range = True
             switched = True
     certs["tau_in_range"] = bool(in_range)

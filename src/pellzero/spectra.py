@@ -67,6 +67,15 @@ each floored part of a product is off by less than one unit, so:
     z^(k-2)               A B at each squaring      as A B
     R                     (k+1) (ceil|D| + eD) / (floor|S| - eS), rounded
                           up to a 30-bit radius mpf (ball._RADIUS_BITS)
+    g_k: N = z - 1        exact at the centre       R = ceil(rad 2^P) of the
+                                                      input ball
+    g_k: D = (k+1) z^2    z^2 as A B, with error    (k+1) e_zz + 3k R
+      - 3k z + (k-1)        R on both factors
+    g_k = N / D           N conj(D) / |D|^2, both   2 + ceil((R ceil|D|
+                          parts floored               + ceil|N| eD) 2^P /
+                                                      (floor|D| (floor|D|
+                                                      - eD))), rounded up
+                                                      to a 30-bit radius mpf
 
 |A| is bounded above by |X| + |Y|.  D and S are delta_k(z) and
 delta_k'(z) in units of 2^-P; ceil|D| and floor|S| come from math.isqrt,
@@ -82,6 +91,13 @@ machine).  The fixed-point bound came out 2.5e3 to 4.7e5 times tighter
 than the Ball one on every system of k = 2..500 at 128 bits and odd
 k = 3..99 at 390 bits.
 
+The g_k rows are eval_gk, whose input is a Ball x, not an exact centre:
+the midpoint of x converts exactly to (X, Y), every point of x lies
+within R of it, and |N/D - N0/D0| <= (R |D0| + |N0| eD) / (|D0| (|D0| -
+eD)) for the centre values N0, D0, since |D| >= |D0| - eD; the 2 covers
+the two floor divisions.  When floor|D| <= eD the denominator is not
+certified nonzero and eval_gk raises ZeroDivisionEnclosure.
+
 Every test after the radii runs on the same integers, at one P for all
 centres (prec + 16, or more when some centre has finer bits, so every
 centre converts exactly), and rounds only in its safe direction:
@@ -96,6 +112,11 @@ centre converts exactly), and rounds only in its safe direction:
     sum of roots          within sum R of sum X + i sum Y, both parts
     |product of roots|    product of the |root| intervals, each partial
                             product floored below and ceiled above
+
+RootSystem keeps P and the |root| intervals (mod_lo, mod_hi), and the
+modulus-ratio floors of check_root_bounds and check_even_modulus_gap are
+decided on them: |r_i| / |r_j| > 1 + f 2^-P iff mod_lo[i] 2^P > mod_hi[j]
+(2^P + f), with f an integer upper bound on the floor times 2^P.
 
 Disjointness is tested by a sweep (_overlapping_pairs) over the disks
 and the exact node (2^P, 0, 0) at 1: two disks that meet share a point
@@ -153,6 +174,7 @@ from .ball import (
     Ball,
     PREC_START,
     PrecisionExhausted,
+    ZeroDivisionEnclosure,
     _RADIUS_BITS,
     _mpc,
     _mpf,
@@ -175,7 +197,9 @@ class CertificationFailure(Exception):
 class RootSystem:
     """All k roots as Balls, sorted by descending modulus, with the
     structural facts certified: modulus ordering (outside conjugate
-    pairs), conjugate pairing, realness, and unique dominance."""
+    pairs), conjugate pairing, realness, and unique dominance.  mod_lo
+    and mod_hi are the integer modulus intervals certification decided
+    on: |roots[i]| lies in [mod_lo[i], mod_hi[i]] 2^-P."""
 
     k: int
     roots: list
@@ -184,6 +208,9 @@ class RootSystem:
     conj_pairs: list
     real_roots: list
     prec: int
+    P: int
+    mod_lo: list
+    mod_hi: list
 
     @property
     def gamma(self) -> Ball:
@@ -414,6 +441,15 @@ def _disjoint(a, b) -> bool:
     return dx * dx + dy * dy > r * r
 
 
+def _modulus_bounds(X: int, Y: int, R: int):
+    """(lo, hi) with every point of the disk (X, Y, R) of modulus in
+    [lo, hi], all in units of one 2^-P: isqrt(N) - R and ceil(sqrt(N))
+    + R, N = X^2 + Y^2."""
+    n = X * X + Y * Y
+    s = math.isqrt(n)
+    return s - R, s + (s * s < n) + R
+
+
 def _overlapping_pairs(disks):
     """Index pairs (i, j), i != j, of the disks (X, Y, R) whose real
     spans [X - R, X + R] meet.
@@ -508,12 +544,7 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
     conj_pairs = sorted(tuple(sorted((inv[a], inv[b]))) for a, b in pairs.items() if a < b)
     real_roots = sorted(inv[i] for i, c in enumerate(centers) if isinstance(c, mp.mpf))
     paired = {a: b for a, b in conj_pairs} | {b: a for a, b in conj_pairs}
-    lo, hi = [], []
-    for i in order:
-        n, R = norms[i], disks[i][2]
-        s = math.isqrt(n)
-        lo.append(s - R)
-        hi.append(s + (s * s < n) + R)
+    lo, hi = map(list, zip(*(_modulus_bounds(*disks[i]) for i in order)))
 
     for i in range(k - 1):
         if paired.get(i) == i + 1:
@@ -547,7 +578,8 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
         raise CertificationFailure("|root product| does not enclose 1")
 
     return RootSystem(k=k, roots=root_balls, moduli=moduli, dominant=0,
-                      conj_pairs=conj_pairs, real_roots=real_roots, prec=prec)
+                      conj_pairs=conj_pairs, real_roots=real_roots, prec=prec,
+                      P=P, mod_lo=lo, mod_hi=hi)
 
 
 def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
@@ -607,15 +639,39 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
 
 
 def eval_gk(k: int, x: Ball) -> Ball:
-    """The Binet weight g_k(x) = (x-1) / (k (x^2 - 3x + 1) + x^2 - 1).
+    """The Binet weight g_k(x) = (x - 1) / D(x), D(x) = (k+1) x^2 - 3k x
+    + (k-1), enclosed over the Ball x in fixed point.
 
-    The denominator is kept in this factored form; its expanded constant
-    term is k - 1.  Division raises ZeroDivisionEnclosure when the
-    denominator enclosure reaches zero (escalate and retry).
-    """
-    sq = x * x
-    den = (sq - 3 * x + 1) * k + (sq - 1)
-    return (x - 1) / den
+    x converts exactly to (X + iY) 2^-P (P from _exact_P) with R =
+    ceil(rad 2^P).  The numerator z - 1 is off by at most R; z^2 comes
+    from _fmul with error e_zz, so D is off by at most eD = (k+1) e_zz +
+    3k R.  With N0, D0 the values at the centre, |N/D - N0/D0| <= (R |D0|
+    + |N0| eD) / (|D0| (|D0| - eD)); each modulus is rounded in its safe
+    direction, and 2 units cover the two floor divisions of the quotient
+    N0 conj(D0) / |D0|^2.  The sum is rounded up to a 30-bit radius.  The
+    evaluation runs at (X, |Y|) and a lower point gets the exact mirror,
+    so conjugate points get conjugate weights bit for bit.  Raises
+    ZeroDivisionEnclosure when floor|D0| <= eD: D is not certified
+    nonzero on x (escalate and retry)."""
+    re, im = _raw_c(x.mid)
+    P = _exact_P(x.prec, (re, im))
+    X, Y, R = _fix(re, P), _fix(im, P), _fix_up(x.rad._mpf_, P)
+    lower, Y = Y < 0, abs(Y)
+    one = 1 << P
+    zzX, zzY, ezz = _fmul(P, X, Y, R, X, Y, R)
+    nX = X - one
+    dX = (k + 1) * zzX - 3 * k * X + (k - 1) * one
+    dY = (k + 1) * zzY - 3 * k * Y
+    eD = (k + 1) * ezz + 3 * k * R
+    d2 = dX * dX + dY * dY
+    d_lo, d_hi = _modulus_bounds(dX, dY, 0)
+    if d_lo <= eD:
+        raise ZeroDivisionEnclosure(f"g_k denominator not certified nonzero on {x!r}")
+    n_hi = _modulus_bounds(nX, Y, 0)[1]
+    e = 2 - (-((R * d_hi + n_hi * eD) << P) // (d_lo * (d_lo - eD)))
+    mid = _from_fixed(((nX * dX + Y * dY) << P) // d2, ((Y * dX - nX * dY) << P) // d2, P)
+    g = Ball(mid, _mpf(from_man_exp(e, -P, _RADIUS_BITS, round_ceiling)), x.prec)
+    return g.conjugate() if lower else g
 
 
 def binet_reconstruct(k: int, n: int, rs: RootSystem) -> Ball:
@@ -714,6 +770,12 @@ def _distinct_modulus_pairs(rs: RootSystem):
             yield i, j
 
 
+def _ratio_above(rs: RootSystem, i: int, j: int, f: int) -> bool:
+    """Certified |root_i| / |root_j| > 1 + f 2^-P, from the modulus
+    intervals: mod_lo[i] 2^P > mod_hi[j] (2^P + f), exactly."""
+    return rs.mod_lo[i] << rs.P > rs.mod_hi[j] * ((1 << rs.P) + f)
+
+
 def check_root_bounds(rs: RootSystem) -> dict:
     """Per-item report of the structural root inequalities:
 
@@ -723,56 +785,60 @@ def check_root_bounds(rs: RootSystem) -> dict:
     iv  the smallest modulus stays below 1 - log(gamma)/(2k) and its
         weight above log(gamma)/(2k(5k+2))
     v   equal-modulus roots are exactly the conjugate pairs
+
+    Items i and iii are decided on integers in units of 2^-P.  Item i
+    compares adjacent distinct moduli by _ratio_above, with f >=
+    1.59^(-k^3) 2^P: f = 1 once k^3 >= 2P, since 1.59^2 > 2, and
+    ceil(100^(k^3) 2^P / 159^(k^3)) below that.  Item iii bounds each
+    conjugate class's |g_k| above by ceil(sqrt(N)) + R from its weight
+    ball, converted exactly at P.  The reported min_margin and
+    max_weight are Ball values at the one pair and the one class that
+    these integers pick out: the least lower bound on a ratio and the
+    greatest upper bound on a weight.  Items ii and iv compare Balls.
     """
-    k, p = rs.k, rs.prec
+    k, p, P = rs.k, rs.prec, rs.P
+    lo, hi = rs.mod_lo, rs.mod_hi
     report = {}
 
-    floor_ratio = Ball.exact(1, p) + Ball.exact(Fraction(159, 100), p).pow_int(-k ** 3)
     # A non-adjacent ratio is a product of adjacent ones, so adjacent distinct
     # moduli decide; a conjugate pair's first member stands for its modulus.
     partners = {b for _, b in rs.conj_pairs}
     distinct = [i for i in range(k) if i not in partners]
-    holds = True
-    min_margin = None
-    for i, j in zip(distinct, distinct[1:]):
-        ratio = rs.moduli[i] / rs.moduli[j]
-        if not ratio.gt(floor_ratio):
-            holds = False
-        with mp.workprec(64):
-            margin = ratio.lb_abs() - floor_ratio.ub_abs()
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
+    adjacent = list(zip(distinct, distinct[1:]))
+    n = k ** 3
+    f = 1 if n >= 2 * P else -(-(100 ** n << P) // 159 ** n)
+    i, j = min(adjacent, key=lambda ij: Fraction(lo[ij[0]], hi[ij[1]]))
+    floor_ratio = Ball.exact(1, p) + Ball.exact(Fraction(159, 100), p).pow_int(-n)
+    with mp.workprec(64):
+        min_margin = (rs.moduli[i] / rs.moduli[j]).lb_abs() - floor_ratio.ub_abs()
     report["modulus_ratio_floor"] = {
-        "holds": holds, "min_margin": float(min_margin if min_margin is not None else 0)}
+        "holds": all(_ratio_above(rs, i, j, f) for i, j in adjacent),
+        "min_margin": float(min_margin)}
 
-    g_dom = rs.weights[rs.dominant]
-    lo, hi = Fraction(276, 1000), Fraction(1, 2)
+    w = rs.weights
+    g_dom = w[rs.dominant]
     report["dominant_weight_range"] = {
-        "holds": bool(g_dom.gt(lo) and g_dom.lt(hi)),
+        "holds": bool(g_dom.gt(Fraction(276, 1000)) and g_dom.lt(Fraction(1, 2))),
         "value": mp.nstr(g_dom.mid, 12),
         "certified_for_k": "k >= 2",
     }
 
+    # eval_gk puts the weight of a root on the 2^-P' grid of the root's
+    # centre, with P' <= P, so each midpoint converts exactly.
     bound = Fraction(1) if k <= 4 else Fraction(2, k - 2)
-    holds3 = True
-    worst = None
-    for i in range(rs.k):
-        if i == rs.dominant:
-            continue
-        gv = rs.weights[i].magnitude()
-        if not gv.lt(bound):
-            holds3 = False
-        with mp.workprec(64):
-            m = gv.ub_abs()
-        if worst is None or m > worst:
-            worst = m
+    ub = {i: _modulus_bounds(*_to_fixed(w[i].mid, P), _fix_up(w[i].rad._mpf_, P))[1]
+          for i in distinct if i != rs.dominant}
+    worst = max(ub, key=ub.get)
+    with mp.workprec(64):
+        max_weight = w[worst].magnitude().ub_abs()
     report["offdominant_weight_bound"] = {
-        "holds": holds3, "bound": str(bound), "max_weight": float(worst or 0)}
+        "holds": ub[worst] * bound.denominator < bound.numerator << P,
+        "bound": str(bound), "max_weight": float(max_weight)}
 
     log_gamma = rs.gamma.magnitude().log()
     smallest = rs.moduli[-1]
     cap = Ball.exact(1, p) - log_gamma / (2 * k)
-    g_small = rs.weights[-1].magnitude()
+    g_small = w[-1].magnitude()
     floor_w = log_gamma / (2 * k * (5 * k + 2))
     report["smallest_root_caps"] = {
         "modulus_below_cap": bool(cap.gt(smallest)),
@@ -788,12 +854,15 @@ def check_root_bounds(rs: RootSystem) -> dict:
 
 
 def check_even_modulus_gap(rs: RootSystem) -> bool:
-    """For even k: the gap |root_{k-1}| / |root_k| > 1 + k^(-k^2)."""
-    if rs.k % 2 == 1:
-        raise ValueError(f"even-order check called with odd k={rs.k}")
-    ratio = rs.moduli[-2] / rs.moduli[-1]
-    floor_ratio = Ball.exact(1, rs.prec) + Ball.exact(rs.k, rs.prec).pow_int(-rs.k ** 2)
-    return ratio.gt(floor_ratio)
+    """For even k: the gap |root_{k-1}| / |root_k| > 1 + k^(-k^2), by
+    _ratio_above with f >= k^(-k^2) 2^P: f = 1 once k^2 floor(log2 k) >=
+    P, and ceil(2^P / k^(k^2)) below that."""
+    k, P = rs.k, rs.P
+    if k % 2 == 1:
+        raise ValueError(f"even-order check called with odd k={k}")
+    n = k * k
+    f = 1 if n * (k.bit_length() - 1) >= P else -(-(1 << P) // k ** n)
+    return _ratio_above(rs, k - 2, k - 1, f)
 
 
 def mahler_measure(rs: RootSystem) -> Ball:

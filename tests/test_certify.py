@@ -1,7 +1,8 @@
 """Root certification by Newton inclusion disks and a sorted disk sweep.
 
 The enclosure test checks that every 128-bit root ball holds the disk of
-the matching certified 512-bit root, in mpmath at 600 bits.  The failure-path
+the matching certified 512-bit root, in mpmath at 600 bits, and that the
+kept integer modulus intervals hold its modulus.  The failure-path
 tests feed _certify centres that must not certify: a duplicated centre,
 a centre moved so far towards a neighbour that the disks meet, and, with
 the inclusion radii pinned, centres or radii that break one of the later
@@ -55,6 +56,10 @@ def test_root_balls_contain_the_512_bit_centres(k):
     with mp.workprec(600):
         for lo_ball, hi_ball in zip(low.roots, high.roots):
             assert abs(hi_ball.mid - lo_ball.mid) + hi_ball.rad <= lo_ball.rad, (k, lo_ball)
+        # The kept modulus intervals hold the 512-bit moduli too.
+        for a, b, hi_ball in zip(low.mod_lo, low.mod_hi, high.roots):
+            m = abs(hi_ball.mid) * 2 ** low.P
+            assert a <= m - hi_ball.rad * 2 ** low.P and m + hi_ball.rad * 2 ** low.P <= b, k
 
 
 def test_duplicated_centre_raises():

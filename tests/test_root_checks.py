@@ -1,7 +1,13 @@
-"""Root checks read the certified root system: the dominant-root envelope
-is a sign test that escalates only its own two evaluations, and the
-modulus-ratio floor compares adjacent distinct moduli."""
+"""Root checks read the certified root system.  The dominant-root
+envelope is a sign test that escalates only its own two evaluations.
+The modulus-ratio floor compares adjacent distinct moduli, and the
+off-dominant weight bound one weight per conjugate class; each report
+matches an oracle over every pair or root on Balls.  The ratio floors of
+item i and of the even modulus gap, and the weight bound, are decided on
+integers exactly at their boundaries, and the root checks make a number
+of Ball divisions that does not grow with k."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -42,6 +48,30 @@ def test_modulus_ratio_floor_matches_all_pairs(k):
     assert report == _all_pairs_ratio_floor(rs)
 
 
+def _all_roots_weight_bound(rs):
+    """The off-dominant weight bound over every root, on Balls."""
+    bound = Fraction(1) if rs.k <= 4 else Fraction(2, rs.k - 2)
+    holds = True
+    worst = None
+    for i, g in enumerate(rs.weights):
+        if i == rs.dominant:
+            continue
+        gv = g.magnitude()
+        holds = holds and gv.lt(bound)
+        with mp.workprec(64):
+            m = gv.ub_abs()
+        if worst is None or m > worst:
+            worst = m
+    return {"holds": holds, "bound": str(bound), "max_weight": float(worst)}
+
+
+@pytest.mark.parametrize("k", list(range(2, 13)) + [40, 86])
+def test_offdominant_weight_bound_matches_all_roots(k):
+    rs = spectra.solve_roots(k)
+    report = spectra.check_root_bounds(rs)["offdominant_weight_bound"]
+    assert report == _all_roots_weight_bound(rs)
+
+
 def _no_solve(*args, **kwargs):
     raise AssertionError("solve_roots called from a root check")
 
@@ -75,3 +105,104 @@ def test_verify_precision_used_without_resolving(monkeypatch, capsys):
     assert rec["checks"]["dominant_in_envelope"]["holds"] is True
     assert rec["precision_used"] >= 256
 
+
+@pytest.mark.parametrize("k", [20, 200])
+def test_root_checks_divide_a_constant_number_of_balls(k, monkeypatch):
+    # A cold system, so that the check computes the weights too.
+    spectra.clear_cache()
+    rs = spectra.solve_roots(k)
+    calls = []
+    div = Ball.__truediv__
+
+    def counting(a, b):
+        calls.append(1)
+        return div(a, b)
+
+    monkeypatch.setattr(Ball, "__truediv__", counting)
+    report = spectra.check_root_bounds(rs)
+    assert all(item["holds"] for item in report.values())
+    assert len(calls) <= 4
+    del calls[:]
+    assert spectra.check_even_modulus_gap(rs) is True
+    assert calls == []
+
+
+def _system(k, prec):
+    """A certified system at prec, kept out of the solve_roots cache."""
+    return spectra._certify(k, spectra._polish(k, spectra._initial_seeds(k), prec), prec)
+
+
+def _floor_units(P, floor):
+    """(below, above): numerators over 2^P whose ratios lie at or under
+    1 + floor and two units of 2^-P over it."""
+    t = (1 << P) * (1 + floor)
+    below = t.numerator // t.denominator
+    return below, below + 2
+
+
+# (k, prec): the floor 1.59^(-k^3) 2^P is exact below k^3 = 2P and 1
+# from there (k = 7 at P = 144, k = 10 at P = 406); k = 8 at P = 406 has
+# P < k^3 < 2P, where the floor is still far above one unit.
+@pytest.mark.parametrize("k, prec", [(2, 128), (3, 128), (5, 128), (6, 128), (7, 128),
+                                     (8, 390), (10, 390)])
+def test_modulus_ratio_floor_decides_at_the_boundary(k, prec):
+    # The dominant and the next distinct modulus sit at the floor; each
+    # later distinct modulus halves.
+    rs = _system(k, prec)
+    P = rs.P
+    partners = dict((b, a) for a, b in rs.conj_pairs)
+    distinct = [i for i in range(k) if i not in partners]
+    hi = [0] * k
+    for m, i in enumerate(distinct[1:]):
+        hi[i] = 1 << (P - m)
+    for b, a in partners.items():
+        hi[b] = hi[a]
+    for top, holds in zip(_floor_units(P, Fraction(100, 159) ** k ** 3), (False, True)):
+        moduli = [top] + hi[1:]
+        report = spectra.check_root_bounds(dataclasses.replace(rs, mod_lo=moduli, mod_hi=moduli))
+        assert report["modulus_ratio_floor"]["holds"] is holds, (k, top)
+
+
+# (k, prec): the floor k^(-k^2) 2^P is exact up to k = 6 at P = 144 and 1
+# from k = 8; at P = 368, k = 10 has k^2 log2 k < P <= k^2 bit_length(k).
+@pytest.mark.parametrize("k, prec", [(2, 128), (4, 128), (6, 128), (8, 128), (10, 352)])
+def test_even_modulus_gap_decides_at_the_boundary(k, prec):
+    rs = _system(k, prec)
+    lo, hi = list(rs.mod_lo), list(rs.mod_hi)
+    hi[k - 1] = 1 << rs.P
+    for second, holds in zip(_floor_units(rs.P, Fraction(1, k ** (k * k))), (False, True)):
+        lo[k - 2] = second
+        rs_at = dataclasses.replace(rs, mod_lo=lo, mod_hi=hi)
+        assert spectra.check_even_modulus_gap(rs_at) is holds, k
+
+
+def _with_weight(rs, i, ball):
+    """rs with the weight of class i replaced."""
+    out = dataclasses.replace(rs)
+    weights = list(rs.weights)
+    weights[i] = ball
+    out.__dict__["weights"] = weights
+    return out
+
+
+def _dyadic(q):
+    return Ball.exact(q, 400).mid
+
+
+@pytest.mark.parametrize("k, re, im, rad", [
+    (6, Fraction(-1, 2), None, Fraction(0)),                 # |g| = 1/2
+    (4, Fraction(3, 8), Fraction(1, 2), Fraction(3, 8)),     # |mid| + rad = 1
+])
+def test_offdominant_weight_bound_decides_at_the_boundary(k, re, im, rad):
+    # Class 1 gets a weight whose upper bound sits at the bound, then
+    # 2^-100 below it.
+    rs = _system(k, 128)
+    tiny = Fraction(1, 1 << 100)
+    for shift, holds in ((0, False), (tiny, True)):
+        if im is None:
+            ball = Ball(_dyadic(re + shift), _dyadic(rad), 128)
+        else:
+            mid = mp.make_mpc((_dyadic(re)._mpf_, _dyadic(im)._mpf_))
+            ball = Ball(mid, _dyadic(rad - shift), 128)
+        report = spectra.check_root_bounds(_with_weight(rs, 1, ball))
+        assert report["offdominant_weight_bound"]["holds"] is holds, (k, shift)
