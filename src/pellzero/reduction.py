@@ -14,6 +14,12 @@ the nearest integer).  When eps > 0, any solution of
 0 < |u tau - v + mu| < A B^(-w) with 0 < u <= M forces
 w < log(A q / eps) / log B.  R is that bound floored after outward
 rounding, so the exclusion survives every enclosure outcome.
+
+The odd-order pipeline reads two roots, one of the smallest pair (tau,
+mu, A) and root k-3 (B).  odd_k_reduce takes the root system certified
+at the default precision, usually cached, and refines only those two to
+reduction-grade precision (spectra.refine_root), not every root class;
+a partner is the exact mirror of its refined root.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .ball import (
     PrecisionExhausted,
     escalate,
 )
-from .spectra import RootSystem, eval_gk, solve_roots
+from .spectra import RootSystem, eval_gk, refine_root, solve_roots
 
 DEFAULT_M = 3 * 10 ** 47
 MAX_ATTEMPTS = 40
@@ -226,9 +232,9 @@ def dp_reduce(inst: ReductionInstance, refine=None,
 
 # -- odd-order pipeline -----------------------------------------------------
 
-def _small_pair_branch(rs: RootSystem) -> Ball:
-    """Member of the smallest-modulus conjugate pair with certified
-    negative imaginary part."""
+def _small_pair_branch(rs: RootSystem) -> int:
+    """Index of the member of the smallest-modulus conjugate pair with
+    certified negative imaginary part."""
     k = rs.k
     for i in (k - 1, k - 2):
         root = rs.roots[i]
@@ -236,17 +242,21 @@ def _small_pair_branch(rs: RootSystem) -> Ball:
             continue
         im = root.imag()
         if im.fr_hi() < 0:
-            return root
+            return i
     raise IndeterminateComparison(
         "no smallest-pair member with certified negative imaginary part")
 
 
-def odd_k_instance(rs: RootSystem, M: int) -> ReductionInstance:
+def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> ReductionInstance:
     """Reduction data for odd k: with gamma_s the negative-imaginary
     member of the smallest-modulus pair and g its Binet weight,
 
         tau = -2 arg(gamma_s) / pi        mu = 2 arg(g) / pi
-        A   = 1 / |g|                     B = |third smallest| / |gamma_s|
+        A   = 1 / |g|                     B = |root k-3| / |gamma_s|
+
+    gamma_s and root k-3 are rs's roots, refined to prec bits by
+    refine_root when rs is coarser; the instance is at gamma_s's
+    precision.
 
     The published ranges tau in [1.59, 1.99] and mu in [0.700657, 1.9927]
     are checked and recorded (not gated: k = 5 lands just below the tau
@@ -260,15 +270,17 @@ def odd_k_instance(rs: RootSystem, M: int) -> ReductionInstance:
         raise ValueError(f"odd-order instance needs odd k, got {k}")
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    p = rs.prec
-    gamma_s = _small_pair_branch(rs)
+    prec = rs.prec if prec is None else prec
+    gamma_s = refine_root(rs, _small_pair_branch(rs), prec)
+    third = refine_root(rs, k - 3, prec)
+    p = gamma_s.prec
     pi_ball = Ball.pi(p)
     tau = gamma_s.arg() * (-2) / pi_ball
     gval = eval_gk(k, gamma_s)
     mu = gval.arg() * 2 / pi_ball
     g_mag = gval.magnitude()
     a_ball = Ball.exact(1, p) / g_mag
-    b_ball = rs.moduli[-3] / rs.moduli[-1]
+    b_ball = third.magnitude() / gamma_s.magnitude()
 
     certs = {}
     tau_lo, tau_hi = Fraction(159, 100), Fraction(199, 100)
@@ -307,16 +319,19 @@ def odd_k_reduce(k: int, M: int = DEFAULT_M) -> ReductionOutcome:
     """Compose odd_k_instance and dp_reduce at reduction-grade precision;
     the returned outcome carries k, the recorded range/side-condition
     certifications, and the nonvanishing flag (eps > 0 certifies
-    u tau - v + mu != 0 for every 0 < u <= M)."""
+    u tau - v + mu != 0 for every 0 < u <= M).  The roots come from one
+    solve_roots(k) at the default precision, usually a cache hit, and
+    the instance and each tau that dp_reduce refines read two of them
+    refined (odd_k_instance)."""
     if k % 2 == 0:
         raise ValueError(f"odd-order reduction needs odd k, got {k}")
     if k < 5:
         raise ValueError(f"odd-order reduction needs k >= 5, got {k}")
-    prec0 = working_prec_for(M)
-    inst = odd_k_instance(solve_roots(k, prec0), M)
+    rs = solve_roots(k)
+    inst = odd_k_instance(rs, M, working_prec_for(M))
 
     def refine(prec):
-        return odd_k_instance(solve_roots(k, prec), M).tau
+        return odd_k_instance(rs, M, prec).tau
 
     outcome = dp_reduce(inst, refine=refine)
     outcome.k = k

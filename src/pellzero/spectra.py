@@ -44,13 +44,11 @@ ints (X, Y) with z = (X + iY) 2^-P, products are floored to P fraction
 bits, and the step delta_k conj(delta_k') / |delta_k'|^2 is a floor
 division.  The polish runs at P = prec + 16.  Fixed point cannot
 overflow, so gamma^k needs no care at large k.  The representation, not
-the precision, is what makes this fast: on mpmath's pure-Python backend
-one Newton step at k = 53 costs about 150 us at 64, 128 and 406 bits
-alike (measured on a 2-vCPU machine), almost all of it interpreter
-overhead in libmp, against 15 us at 144 bits and 37 us at 406 bits on
-ints, so starting mpmath Newton at low precision and doubling it would
-save little.  Newton's output is not trusted: the inclusion disks below
-certify the centres it gives, whatever their error.
+the precision, is what makes this fast: at k = 53 one Newton step on
+ints costs 15 us at 144 bits and 37 us at 406, against about 150 us at
+any precision in mpmath's pure-Python backend (2-vCPU machine).
+Newton's output is not trusted: the inclusion disks below certify the
+centres it gives, whatever their error.
 
 Radius soundness.  The radius comes from the same fixed-point
 evaluation (_delta_fixed), with an integer E carried beside each value
@@ -81,15 +79,10 @@ each floored part of a product is off by less than one unit, so:
 delta_k'(z) in units of 2^-P; ceil|D| and floor|S| come from math.isqrt,
 corrected in the required direction, as in ball._hypot.  When floor|S|
 <= eS, delta_k'(z) is not certified nonzero and certification fails.
-Neither alternative is as cheap.  Exact Gaussian-integer evaluation at
-the dyadic centre (the test oracle) grows to k P bits, and Ball
-arithmetic pays libmp's overhead and the radius bookkeeping on every
-operation.  Summed over the classes of odd k = 5..53 at 390 bits, the
-radii took 26 ms in fixed point, 154 ms as Balls and 0.50 s exactly; for
-k = 100, 200 and 500 at 128 bits, 26 ms, 0.31 s and 8.4 s (2-vCPU
-machine).  The fixed-point bound came out 2.5e3 to 4.7e5 times tighter
-than the Ball one on every system of k = 2..500 at 128 bits and odd
-k = 3..99 at 390 bits.
+Exact Gaussian-integer evaluation at the dyadic centre (the test oracle)
+grows to k P bits, and Ball arithmetic pays libmp's overhead on every
+operation; the fixed-point radii are also 2.5e3 to 4.7e5 times tighter
+than the Ball ones.
 
 The g_k rows are eval_gk, whose input is a Ball x, not an exact centre:
 the midpoint of x converts exactly to (X, Y), every point of x lies
@@ -134,12 +127,7 @@ first; partners aside, adjacent |root| intervals must separate
 strictly, the first must lie above 1, every other below 1, and the
 first disk must be real with X > 0.  No Ball is compared: the root
 balls Ball(centre, rad) and the moduli from Ball.magnitude() are built
-only for the RootSystem.  Against the same tests on Balls (a sweep on
-mpf spans, a rounded Ball distance test, Ball comparisons of the moduli,
-a Ball root sum and product), this cut _certify, best of four runs on a
-2-vCPU machine, from 5.1 to 1.5 s summed over k = 2..300 at 128 bits
-and from 0.23 to 0.10 s over odd k = 3..99 at 390 bits, with the same
-RootSystems bit for bit.
+only for the RootSystem.
 
 Newton steps and radii are computed once per conjugate class: a real
 centre, or the upper member of a conjugate pair.  delta_k has real
@@ -155,6 +143,22 @@ the sweep, the disjointness and the pairing tests.  The mirror must be
 exact (ball.conj_exact): mpmath's mpc.conjugate() rounds to the ambient
 53-bit context, which would leave the lower centres, and so their
 radii, near 1e-16.
+
+Refinement.  A caller that needs a few roots more precisely than a
+certified system gives them (the odd reduction reads two, at 390 bits)
+refines just those with refine_root, by nested inclusion disks (Rump,
+JCAM 156, 2003), instead of solving every class again.  Newton runs at
+P = prec + 16 (or rs.P, if finer) from the root's exact centre z0, and
+the new centre z1 gets its inclusion radius R1, so D(z1, R1) holds at
+least one root of delta_k.  The old disk D(z0, R0), R0 = ceil(rad 2^P)
+2^-P, holds the root ball and lies in the integer disk that
+certification found disjoint from the k others at rs.P <= P, so it
+holds exactly one root, the certified one.  If R0 >= R1 and |z1 - z0|
+<= R0 - R1, decided exactly at P, the new disk lies in the old one and
+holds that same root; otherwise, or when delta_k'(z1) is not certified
+nonzero, the precision doubles (ball.escalate) and Newton runs again
+from z0.  A lower member of a pair gets the exact mirror of its upper
+one's refinement.
 """
 
 from __future__ import annotations
@@ -638,6 +642,35 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     return rs
 
 
+def refine_root(rs: RootSystem, i: int, prec: int) -> Ball:
+    """rs.roots[i] as a Ball at prec bits or more, refined by nested
+    Newton inclusion disks (Refinement, in the module docstring), or the
+    root itself when rs is that precise already; record_precisions sees
+    the precision returned."""
+    k, old = rs.k, rs.roots[i]
+    if prec <= old.prec:
+        return old
+    re, im = _raw_c(old.mid)
+    while True:
+        P = max(rs.P, _exact_P(prec, (re, im)))
+        X0, Y0, R0 = _fix(re, P), _fix(im, P), _fix_up(old.rad._mpf_, P)
+        lower, Y0 = Y0 < 0, abs(Y0)
+        X, Y = _newton(k, X0, Y0, P, prec)
+        z = _from_fixed(X, Y, P)
+        try:
+            rad = _inclusion_radius(k, z, prec)
+        except CertificationFailure:
+            pass
+        else:
+            r = R0 - _fix_up(rad._mpf_, P)
+            if r >= 0 and (X - X0) ** 2 + (Y - Y0) ** 2 <= r * r:
+                break
+        prec = escalate(prec)
+    _record(prec)
+    ball = Ball(z, rad, prec)
+    return ball.conjugate() if lower else ball
+
+
 def eval_gk(k: int, x: Ball) -> Ball:
     """The Binet weight g_k(x) = (x - 1) / D(x), D(x) = (k+1) x^2 - 3k x
     + (k-1), enclosed over the Ball x in fixed point.
@@ -793,8 +826,9 @@ def check_root_bounds(rs: RootSystem) -> dict:
     conjugate class's |g_k| above by ceil(sqrt(N)) + R from its weight
     ball, converted exactly at P.  The reported min_margin and
     max_weight are Ball values at the one pair and the one class that
-    these integers pick out: the least lower bound on a ratio and the
-    greatest upper bound on a weight.  Items ii and iv compare Balls.
+    these integers pick out: the least lower bound on a ratio, less the
+    floor's upper bound 1 + f 2^-P, and the greatest upper bound on a
+    weight.  Items ii and iv compare Balls.
     """
     k, p, P = rs.k, rs.prec, rs.P
     lo, hi = rs.mod_lo, rs.mod_hi
@@ -808,7 +842,7 @@ def check_root_bounds(rs: RootSystem) -> dict:
     n = k ** 3
     f = 1 if n >= 2 * P else -(-(100 ** n << P) // 159 ** n)
     i, j = min(adjacent, key=lambda ij: Fraction(lo[ij[0]], hi[ij[1]]))
-    floor_ratio = Ball.exact(1, p) + Ball.exact(Fraction(159, 100), p).pow_int(-n)
+    floor_ratio = Ball.exact(1 + Fraction(f, 1 << P), p)
     with mp.workprec(64):
         min_margin = (rs.moduli[i] / rs.moduli[j]).lb_abs() - floor_ratio.ub_abs()
     report["modulus_ratio_floor"] = {

@@ -1,0 +1,154 @@
+"""Refining single roots by nested Newton inclusion disks.
+
+odd_k_reduce certifies the root system once at 128 bits and refines only
+the two roots the reduction reads (spectra.refine_root).  The tests check
+that each refined ball lies inside its 128-bit ball and holds the matching
+root of a 512-bit system, that a refinement which polishes towards a
+neighbouring root is never returned, and that the reduction pays for one
+certification and still gives the outcome of a full reduction-grade
+solve.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from pellzero import ball, cli, spectra
+from pellzero.ball import PrecisionExhausted, mpf_to_fraction
+from pellzero.reduction import (
+    DEFAULT_M,
+    _small_pair_branch,
+    dp_reduce,
+    odd_k_instance,
+    odd_k_reduce,
+    working_prec_for,
+)
+from pellzero.spectra import CertificationFailure, refine_root, solve_roots
+
+ODD = list(range(5, 54, 2))
+PREC = working_prec_for(DEFAULT_M)
+
+
+@pytest.fixture(autouse=True)
+def cold_cache():
+    spectra.clear_cache()
+    yield
+    spectra.clear_cache()
+
+
+def _parts(b):
+    z = b.mid
+    if b.is_complex:
+        return mpf_to_fraction(z.real), mpf_to_fraction(z.imag)
+    return mpf_to_fraction(z), Fraction(0)
+
+
+def _inside(inner, outer) -> bool:
+    """Whether the disk of the ball inner lies in the disk of outer,
+    decided on exact rationals."""
+    (x1, y1), (x0, y0) = _parts(inner), _parts(outer)
+    r = mpf_to_fraction(outer.rad) - mpf_to_fraction(inner.rad)
+    return r >= 0 and (x1 - x0) ** 2 + (y1 - y0) ** 2 <= r * r
+
+
+def _read_roots(rs):
+    """The indices of the roots the odd reduction reads."""
+    return _small_pair_branch(rs), rs.k - 3
+
+
+@pytest.mark.parametrize("k", ODD + [99])
+def test_refined_ball_lies_inside_the_128_bit_ball(k):
+    rs = solve_roots(k)
+    assert rs.prec == 128
+    for i in _read_roots(rs):
+        refined = refine_root(rs, i, PREC)
+        assert refined.prec >= PREC
+        assert _inside(refined, rs.roots[i])
+        assert refined.rad < rs.roots[i].rad
+
+
+@pytest.mark.parametrize("k", [5, 7, 21, 53, 99])
+def test_refined_ball_holds_the_512_bit_root(k):
+    rs = solve_roots(k)
+    refined = {i: refine_root(rs, i, PREC) for i in _read_roots(rs)}
+    fine = solve_roots(k, 512)
+    for i, b in refined.items():
+        assert _inside(fine.roots[i], b)
+
+
+def test_refining_at_or_below_the_system_precision_returns_the_root():
+    rs = solve_roots(21)
+    for i in _read_roots(rs):
+        assert refine_root(rs, i, 128) is rs.roots[i]
+        assert refine_root(rs, i, 64) is rs.roots[i]
+
+
+def test_partner_of_a_refined_root_is_its_exact_mirror():
+    rs = solve_roots(21)
+    i = _small_pair_branch(rs)
+    partner = i - 1 if (i - 1, i) in rs.conj_pairs else i + 1
+    a, b = refine_root(rs, i, PREC), refine_root(rs, partner, PREC)
+    assert a.mid == b.conjugate().mid
+    assert a.rad == b.rad
+
+
+@pytest.mark.parametrize("k", [5, 21, 53])
+def test_refinement_towards_a_neighbouring_root_is_never_returned(k, monkeypatch):
+    # The planted Newton starts every refinement from the centre of the
+    # pair above the smallest one, so it converges to a neighbouring root;
+    # its inclusion disk is certified but lies outside the old disk.  The
+    # precision ceiling is lowered only so that the escalations stop after
+    # a few doublings instead of running Newton on million-bit integers.
+    rs = solve_roots(k)
+    i = _small_pair_branch(rs)
+    neighbour = rs.roots[k - 4].mid
+    newton = spectra._newton
+
+    def towards_neighbour(k_, X, Y, P, prec):
+        NX, NY = spectra._to_fixed(neighbour, P)
+        return newton(k_, NX, abs(NY), P, prec)
+
+    monkeypatch.setattr(spectra, "_newton", towards_neighbour)
+    monkeypatch.setattr(ball, "PREC_CEILING", 4 * PREC)
+    with pytest.raises((CertificationFailure, PrecisionExhausted)):
+        refine_root(rs, i, PREC)
+
+
+@pytest.mark.parametrize("k", [21, 53])
+def test_odd_reduce_certifies_once_at_128_bits(k, monkeypatch):
+    certify = spectra._certify
+    precs = []
+
+    def counting(k_, centers, prec):
+        precs.append(prec)
+        return certify(k_, centers, prec)
+
+    monkeypatch.setattr(spectra, "_certify", counting)
+    out = odd_k_reduce(k)
+    assert precs == [128]
+    assert out.nonvanishing_certified is True
+
+
+def test_odd_reduce_matches_the_full_reduction_grade_solve():
+    for k in ODD:
+        spectra.clear_cache()
+        out = odd_k_reduce(k)
+        # The oracle: every root class solved and certified at the
+        # reduction's working precision, re-solved on each refinement.
+        full = solve_roots(k, PREC)
+        assert full.prec == PREC
+        inst = odd_k_instance(full, DEFAULT_M)
+        ref = dp_reduce(inst, refine=lambda p, k=k: odd_k_instance(
+            solve_roots(k, p), DEFAULT_M).tau)
+        assert (out.R, out.q_used, out.m_index, out.attempts) == (
+            ref.R, ref.q_used, ref.m_index, ref.attempts), k
+        assert out.certifications == inst.certifications, k
+
+
+def test_verify_full_odd_still_reports_the_reduction_precision(capsys):
+    rc = cli.main(["verify", "--k", "7", "--full"])
+    rec = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert rec["bound_used"]["kind"] == "reduced_odd"
+    assert rec["precision_used"] == 390
