@@ -11,13 +11,12 @@ from .ball import (
     PrecisionExhausted,
     ZeroDivisionEnclosure,
 )
-from .bigseq import DEFAULT_LIMIT, ExactTerm, KContext, LimitExceeded, eval_range, eval_term
+from .bigseq import DEFAULT_LIMIT, KContext, LimitExceeded
 from .effbounds import (
     HypothesisViolation,
     LogMagnitude,
     MatveevInstance,
     global_zero_index_bound,
-    height_rational,
     implicit_log_bound,
     matveev_lower_bound,
     refined_even_bound,
@@ -42,7 +41,6 @@ from .spectra import (
     check_root_separation,
     eval_gk,
     mahler_measure,
-    psi_eval,
     solve_roots,
 )
 from .zerostruct import (

@@ -50,17 +50,17 @@ below 2^-7 ulp per part, so division is charged 2 ulp(mid).
     |a|         mpf_abs (exact) / mpc_abs        ra (+ ulp when complex: the
                                                    truncated sum costs < ulp/8)
     f(a), f in  f(lo), f(hi) at p+16 bits;       (f(hi) - f(lo))/2 + ulp + cover
-    sqrt, log,  mid = (f(lo) + f(hi))/2          cover = (|f(lo)| + |f(hi)|
-    exp                                            + |mid|) 2^(4-p)
+    sqrt, log   mid = (f(lo) + f(hi))/2          cover = (|f(lo)| + |f(hi)|
+                                                   + |mid|) 2^(4-p)
     arg a       mpf_atan2                        2 ra / (|a|_lo - ra) + |mid| 2^(3-p)
     pi          mpf_pi                           |mid| 2^(3-p)
 
 |a| and |b| above are upper bounds on the midpoint moduli, |b|_lo a lower
 one.  The division term bounds |a/b - ma/mb| = |(a - ma) mb - ma (b - mb)|
-/ |b mb| with |b| >= |mb| - rb > 0.  For f = sqrt, log, exp the input
+/ |b mb| with |b| >= |mb| - rb > 0.  For f = sqrt and log the input
 interval's endpoints lo, hi are rounded outward at p+16 bits and f is
 increasing, so f([lo, hi]) = [f(lo), f(hi)].  libmp does not promise
-correct rounding for log, exp, atan2 or pi (sqrt is correctly rounded);
+correct rounding for log, atan2 or pi (sqrt is correctly rounded);
 their error is a few ulps in practice, and the covers, at least 2^19
 ulps of the p+16-bit evaluation for f and 4 ulps for arg and pi, absorb
 it.  arg uses |arg z - arg m| <= arcsin(ra/|m|) <= (pi/2) ra/|m|.
@@ -97,7 +97,6 @@ from mpmath.libmp import (
     mpf_atan2,
     mpf_cmp,
     mpf_div,
-    mpf_exp,
     mpf_log,
     mpf_mul,
     mpf_neg,
@@ -244,13 +243,6 @@ def mpf_to_fraction(x) -> Fraction:
     else:
         val /= 1 << (-exp)
     return -val if sign else val
-
-
-def fraction_to_mpf_ub(fr: Fraction):
-    """An mpf upper bound for a nonnegative Fraction."""
-    if fr < 0:
-        raise ValueError("expected nonnegative")
-    return _mpf(_ub(fr))
 
 
 def neg_exact(x):
@@ -514,10 +506,6 @@ class Ball:
             raise DomainError(f"log of enclosure touching zero: {self!r}")
         return self._monotone(mpf_log, lo, hi)
 
-    def exp(self):
-        lo, hi = self._endpoints()
-        return self._monotone(mpf_exp, lo, hi)
-
     def arg(self) -> "Ball":
         """Principal argument in (-pi, pi] of a complex enclosure.
 
@@ -606,15 +594,6 @@ class Ball:
     def is_nonzero(self) -> bool:
         lb = self._lb()
         return not lb[0] and bool(lb[1])
-
-    def unique_floor(self) -> int:
-        """floor(value) when it is the same for the whole enclosure."""
-        lo = math.floor(self.fr_lo())
-        hi = math.floor(self.fr_hi())
-        if lo != hi:
-            raise IndeterminateComparison(
-                f"floor straddles an integer: {self!r}")
-        return lo
 
 
 def ball_sum(balls):

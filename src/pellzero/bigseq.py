@@ -42,7 +42,6 @@ from __future__ import annotations
 import threading
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import islice
 
 DEFAULT_LIMIT = 10_000_000
@@ -61,17 +60,11 @@ class LimitExceeded(RuntimeError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class ExactTerm:
-    n: int
-    value: int
-
-
 class KContext:
     """Evaluation context for one order k: cache plus resource limit.
 
-    The cache holds a contiguous index range so range requests are a
-    single linear sweep.  Safe for concurrent readers; extensions are
+    The cache holds a contiguous index range, extended by one linear
+    sweep per request.  Safe for concurrent readers; extensions are
     serialized by an internal lock.
     """
 
@@ -101,32 +94,16 @@ class KContext:
                        - sum(vals[m + j] for j in range(1, k - 1)))
         self._lo = min(self._lo, to_m)
 
-    def _ensure(self, n_lo: int, n_hi: int):
-        if abs(n_lo) > self.limit or abs(n_hi) > self.limit:
-            worst = n_lo if abs(n_lo) > abs(n_hi) else n_hi
-            raise LimitExceeded(worst, self.limit, "the KContext limit")
-        with self._lock:
-            if n_hi > self._hi:
-                self._extend_up(n_hi)
-            if n_lo < self._lo:
-                self._extend_down(n_lo)
-            return self._vals
-
     def value(self, n: int) -> int:
-        return self._ensure(n, n)[n]
-
-
-def eval_term(ctx: KContext, n: int) -> ExactTerm:
-    """The exact sequence value at any integer index."""
-    return ExactTerm(n, ctx.value(n))
-
-
-def eval_range(ctx: KContext, n_lo: int, n_hi: int) -> list[ExactTerm]:
-    """Terms for every index in [n_lo, n_hi], one linear sweep."""
-    if n_lo > n_hi:
-        raise ValueError(f"empty range [{n_lo}, {n_hi}]")
-    vals = ctx._ensure(n_lo, n_hi)
-    return [ExactTerm(n, vals[n]) for n in range(n_lo, n_hi + 1)]
+        """The exact sequence value at any integer index."""
+        if abs(n) > self.limit:
+            raise LimitExceeded(n, self.limit, "the KContext limit")
+        with self._lock:
+            if n > self._hi:
+                self._extend_up(n)
+            if n < self._lo:
+                self._extend_down(n)
+            return self._vals[n]
 
 
 def three_term_orbit(k: int, window: Sequence[int]) -> Iterator[int]:

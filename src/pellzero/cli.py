@@ -15,6 +15,8 @@ import json
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal
+from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
 
@@ -31,21 +33,12 @@ def _now() -> str:
 
 
 def _parse_m(text: str) -> int:
-    """Accept plain integers and scientific forms like 3e47 exactly."""
-    text = text.strip().lower()
-    if "e" in text:
-        mant, expo = text.split("e", 1)
-        expo = int(expo)
-        if "." in mant:
-            whole, frac = mant.split(".", 1)
-            mant_i = int(whole + frac)
-            expo -= len(frac)
-        else:
-            mant_i = int(mant)
-        if expo < 0:
-            raise ValueError(f"M must be an integer, got {text}")
-        return mant_i * 10 ** expo
-    return int(text)
+    """Accept any exact integer value, in plain, decimal or scientific
+    form (1000, 12.0, 3e47, 2.50e1)."""
+    value = Fraction(text)
+    if value.denominator != 1:
+        raise ValueError(f"M must be an integer, got {text}")
+    return value.numerator
 
 
 def _spectra_checks(rs) -> dict:
@@ -305,7 +298,10 @@ def cmd_verify(args) -> int:
     return _emit(map(_verify_worker, work), args.format, sys.stdout)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args
+    leaves it unchanged, so every main call can share it."""
     top = argparse.ArgumentParser(
         prog="pellzero",
         description="Exact negative-index terms, zero patterns, certified "
@@ -337,13 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=PREC_START)
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("bound", help="effective bounds (log-space)")
+    p = sub.add_parser("bound", help="effective bounds (log-space); the "
+                       "parity-dispatched global bound by default")
     p.add_argument("--k", type=int, default=4)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--refined", action="store_true",
                        help="sharpened even-order bound L_k from roots")
-    group.add_argument("--global", dest="global_", action="store_true",
-                       help="parity-dispatched global bound (default)")
     group.add_argument("--matveev", action="store_true",
                        help="linear-form floor magnitude; needs --t --d --B --A")
     p.add_argument("--t", type=int, default=2)

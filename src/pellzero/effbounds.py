@@ -1,6 +1,6 @@
-"""Effective bounds in log space: heights, the Matveev linear-form
-floor, the global per-parity index bounds, the implicit-log inversion,
-and the sharpened even-order bound L_k from certified root data.
+"""Effective bounds in log space: the Matveev linear-form floor, the
+global per-parity index bounds, the implicit-log inversion, and the
+sharpened even-order bound L_k from certified root data.
 
 Everything that can reach magnitudes like k^(k^2) lives as a
 LogMagnitude (base-10 log of a positive quantity); nothing here ever
@@ -14,7 +14,6 @@ the margins involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
 
 import mpmath as mp
@@ -35,20 +34,19 @@ class LogMagnitude:
     """Base-10 logarithm of a positive quantity."""
 
     log10_value: object
-    exact_flag: bool = False
 
     @classmethod
-    def from_ln(cls, ln_value, exact=False) -> "LogMagnitude":
+    def from_ln(cls, ln_value) -> "LogMagnitude":
         with mp.workprec(_WORK):
-            return cls(mp.mpf(ln_value) / mp.log(10), exact)
+            return cls(mp.mpf(ln_value) / mp.log(10))
 
     @classmethod
-    def from_value(cls, value, exact=False) -> "LogMagnitude":
+    def from_value(cls, value) -> "LogMagnitude":
         with mp.workprec(_WORK):
             v = mp.mpf(value)
             if v <= 0:
                 raise ValueError("LogMagnitude needs a positive value")
-            return cls(mp.log10(v), exact)
+            return cls(mp.log10(v))
 
     @property
     def ln_value(self):
@@ -99,13 +97,6 @@ class MatveevInstance:
                 raise ValueError(f"height parameter {a} below the 0.16 floor")
 
 
-def height_rational(p: int, q: int):
-    """log max(|p'|, q') after reducing p/q to lowest terms, q' > 0."""
-    fr = Fraction(p, q)
-    with mp.workprec(_WORK):
-        return mp.log(max(abs(fr.numerator), fr.denominator))
-
-
 def matveev_lower_bound(m: MatveevInstance) -> LogMagnitude:
     """Magnitude C of the linear-form floor ln|L| > -C with
 
@@ -121,25 +112,6 @@ def matveev_lower_bound(m: MatveevInstance) -> LogMagnitude:
                 + mp.log(1 + mp.log(m.t * mp.mpf(m.B))))
         for a in m.A:
             ln_c += mp.log(a)
-    return LogMagnitude.from_ln(ln_c)
-
-
-def two_log_instance(k: int, n: int) -> MatveevInstance:
-    """The instantiation used for the order-k pair of logarithms:
-    t = 2, d = k^2, B = n + 1, A = (10 k^2 ln k, 1.8 k)."""
-    if k < 2 or n < 1:
-        raise ValueError("need k >= 2 and n >= 1")
-    with mp.workprec(_WORK):
-        a1 = 10 * k * k * mp.log(k)
-        a2 = mp.mpf("1.8") * k
-    return MatveevInstance(t=2, d=k * k, B=n + 1, A=(a1, a2))
-
-
-def simplified_two_log_magnitude(k: int, n: int) -> LogMagnitude:
-    """The flattened floor magnitude 2.1e14 * k^7 * ln(n+1) * (ln k)^2."""
-    with mp.workprec(_WORK):
-        ln_c = (mp.log(mp.mpf("2.1e14")) + 7 * mp.log(k)
-                + mp.log(mp.log(n + 1)) + 2 * mp.log(mp.log(k)))
     return LogMagnitude.from_ln(ln_c)
 
 
@@ -217,36 +189,3 @@ def even_case_chain_check(rs: RootSystem, n: int) -> bool:
     raise IndeterminateComparison(
         f"power vs cap indeterminate at prec {rs.prec}; escalate")
 
-
-def dominant_height(rs: RootSystem) -> Ball:
-    """Height of the dominant root: ln(Mahler measure) / k, as a Ball."""
-    return mahler_measure(rs).log() / rs.k
-
-
-def weight_height_check(rs: RootSystem) -> dict:
-    """Numeric check that the height of the dominant Binet weight stays
-    below 5 ln k.  The weight g_k(gamma) generates a field of degree at
-    most k; an upper estimate for its height is
-
-        (1/k) * ( ln prod_i max(1, |D(root_i)|) + sum_i ln^+ |g_k(root_i)| )
-
-    with D the weight's denominator polynomial, since prod D(root_i) is
-    (up to sign) the leading coefficient of the weight's characteristic
-    polynomial over Q.  Sampled, not proven; report with margin.
-    """
-    k = rs.k
-    with mp.workprec(max(rs.prec, _WORK)):
-        h_est = mp.mpf(0)
-        for root, g in zip(rs.roots, rs.weights):
-            z = root.mid
-            den_val = k * (z * z - 3 * z + 1) + (z * z - 1)
-            h_est += mp.log(max(mp.mpf(1), abs(den_val)))
-            h_est += mp.log(max(mp.mpf(1), abs(g.mid)))
-        h_est /= k
-        bound = 5 * mp.log(k)
-        return {
-            "k": k,
-            "height_estimate": float(h_est),
-            "bound": float(bound),
-            "holds": bool(h_est < bound),
-        }

@@ -259,18 +259,6 @@ def _record(prec: int) -> None:
         seen.append(prec)
 
 
-def psi_coeffs(k: int) -> list[int]:
-    return [1, -2] + [-1] * (k - 1)
-
-
-def psi_eval(k: int, x: Ball) -> Ball:
-    """Psi_k at a Ball, by Horner's rule on its coefficients."""
-    acc = Ball.exact(1, x.prec)
-    for c in psi_coeffs(k)[1:]:
-        acc = acc * x + c
-    return acc
-
-
 def _fix(t, P: int) -> int:
     """A raw mpf t as a fixed-point int: t 2^P, truncated towards zero."""
     sign, man, exp, _ = t

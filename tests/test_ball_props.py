@@ -8,7 +8,7 @@ pushed through Fraction arithmetic, and the exact result must lie in
 the output ball.  Complex values are (re, im) pairs of Fractions;
 membership in a disc is decided on squared distances, and sqrt by
 squaring the output endpoints, so no step of these oracles rounds.
-log and exp have no rational oracle: they are checked against mpmath
+log has no rational oracle: it is checked against mpmath
 evaluated 200 bits past the ball's precision, compared as Fractions
 with 2^10 of its ulps to spare.  Disjointness of two enclosures is
 decided by the root sweep's integer pair test (spectra._disjoint) on
@@ -271,12 +271,6 @@ def test_log(a, oa):
         return
     assume(x > 0)
     _check_against_mpmath(out, mp.log, x, a.prec)
-
-
-@given(reals(-8, 8), offsets)
-def test_exp(a, oa):
-    x = point(a, oa)[0]
-    _check_against_mpmath(a.exp(), mp.exp, x, a.prec)
 
 
 @given(balls, balls, st.booleans())

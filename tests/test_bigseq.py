@@ -6,20 +6,20 @@ strict xfails next to the values the recurrence does give).
 
 import pytest
 
-from pellzero.bigseq import DEFAULT_LIMIT, ExactTerm, KContext, LimitExceeded, eval_range, eval_term
+from pellzero.bigseq import DEFAULT_LIMIT, KContext, LimitExceeded
 
 
 def seq_values(k, lo, hi):
     ctx = KContext(k)
-    return [t.value for t in eval_range(ctx, lo, hi)]
+    return [ctx.value(n) for n in range(lo, hi + 1)]
 
 
 def test_classical_pell_forward():
-    assert eval_term(KContext(2), 3).value == 5
+    assert KContext(2).value(3) == 5
 
 
 def test_classical_pell_first_backward_step():
-    assert eval_term(KContext(2), -2).value == -2
+    assert KContext(2).value(-2) == -2
 
 
 def test_range_small_window():
@@ -50,31 +50,16 @@ def test_backward_values_satisfy_forward_recurrence():
     for k in (2, 3, 5, 11, 30):
         ctx = KContext(k)
         lo = -5 * k * k
-        vals = {n: t.value for t in eval_range(ctx, lo, 1) for n in [t.n]}
+        vals = {n: ctx.value(n) for n in range(lo, 2)}
         for n in range(lo + k, 2):
             total = 2 * vals[n - 1] + sum(vals[n - j] for j in range(2, k + 1))
             assert vals[n] == total, (k, n)
-
-
-def test_eval_range_matches_eval_term():
-    ctx = KContext(6)
-    terms = eval_range(ctx, -30, 10)
-    assert [t.n for t in terms] == list(range(-30, 11))
-    for t in terms:
-        assert eval_term(KContext(6), t.n).value == t.value
 
 
 def test_cache_transparency():
     with_cache = KContext(9)
     for n in (-40, -7, 0, 13, 55):
         assert with_cache.value(n) == KContext(9).value(n)
-
-
-def test_exact_term_fields():
-    t = eval_term(KContext(3), -4)
-    assert isinstance(t, ExactTerm)
-    assert t.n == -4
-    assert isinstance(t.value, int)
 
 
 def test_order_guard():
@@ -106,11 +91,6 @@ def test_limit_exceeded_names_the_limit():
     assert "KContext" not in str(exc.value)
 
 
-def test_range_order_guard():
-    with pytest.raises(ValueError):
-        eval_range(KContext(2), 5, -5)
-
-
 # -- claimed zero positions vs. the recurrence's actual values ----------
 #
 # The deep-zero table these four cases come from matches a different
@@ -122,22 +102,22 @@ def test_range_order_guard():
 @pytest.mark.xfail(strict=True,
                    reason="claimed zero at (k=3, n=-3); extension gives -1")
 def test_claimed_zero_k3():
-    assert eval_term(KContext(3), -3).value == 0
+    assert KContext(3).value(-3) == 0
 
 
 def test_actual_value_k3_depth3():
-    assert eval_term(KContext(3), -3).value == -1
+    assert KContext(3).value(-3) == -1
     assert seq_values(3, -1, 0) == [0, 0]
 
 
 @pytest.mark.xfail(strict=True,
                    reason="claimed zero at (k=5, n=-9); extension gives 4")
 def test_claimed_zero_k5():
-    assert eval_term(KContext(5), -9).value == 0
+    assert KContext(5).value(-9) == 0
 
 
 def test_actual_value_k5_depth9():
-    assert eval_term(KContext(5), -9).value == 4
+    assert KContext(5).value(-9) == 4
     zeros = [n for n in range(-9, 1) if KContext(5).value(n) == 0]
     assert zeros == [-7, -6, -3, -2, -1, 0]
 

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from pellzero import cli
 from pellzero.cli import _parse_m, main
 from pellzero.zerostruct import observed_blocks, observed_chi
 
@@ -171,8 +172,11 @@ def test_m_parser():
     assert _parse_m("3e47") == 3 * 10 ** 47
     assert _parse_m("1.5e2") == 150
     assert _parse_m("1000") == 1000
-    with pytest.raises(ValueError):
-        _parse_m("2.5e0")
+    assert _parse_m("2.50e1") == 25
+    assert _parse_m("12.0") == 12
+    for text in ("2.5e0", "1e-1"):
+        with pytest.raises(ValueError):
+            _parse_m(text)
 
 
 def test_reduce_scientific_m_equals_plain(capsys):
@@ -315,6 +319,28 @@ def test_verify_selector_is_required():
     with pytest.raises(SystemExit) as info:
         main(["verify"])
     assert info.value.code == 2
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # One process, one parser: no option of an earlier call may leak into
+    # a later one.
+    assert cli.build_parser() is cli.build_parser()
+    calls = [["eval", "--k", "5", "--n", "-9", "--limit", "8"],
+             ["eval", "--k", "5", "--n", "-9"],
+             ["bound", "--k", "4", "--refined"],
+             ["bound", "--k", "5"],
+             ["verify", "--k", "5"]]
+    for argv in calls:
+        rc, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "pellzero", *argv],
+                               capture_output=True, text=True)
+        if argv[0] == "verify":
+            out, want = json.loads(out), json.loads(fresh.stdout)
+            out.pop("timestamp")
+            want.pop("timestamp")
+        else:
+            want = fresh.stdout
+        assert (rc, out, err) == (fresh.returncode, want, fresh.stderr), argv
 
 
 def test_module_entry_point():

@@ -13,28 +13,14 @@ from pellzero.effbounds import (
     HypothesisViolation,
     LogMagnitude,
     MatveevInstance,
-    dominant_height,
     even_case_chain_check,
     global_zero_index_bound,
-    height_rational,
     implicit_log_bound,
     matveev_lower_bound,
     refined_even_bound,
-    simplified_two_log_magnitude,
-    two_log_instance,
-    weight_height_check,
 )
 from pellzero.spectra import solve_roots
 from pellzero.zerostruct import default_floor, enumerate_zeros
-
-
-def test_height_rational():
-    assert height_rational(1, 1) == 0
-    with mp.workprec(96):
-        assert abs(height_rational(3, 2) - mp.log(3)) < 1e-25
-        assert abs(height_rational(-10, 4) - mp.log(5)) < 1e-25
-    with pytest.raises(ZeroDivisionError):
-        height_rational(1, 0)
 
 
 def test_log_magnitude_ordering_and_json():
@@ -76,24 +62,6 @@ def test_matveev_instance_guards():
         MatveevInstance(t=1, d=4, B=0, A=(1.0,))
     with pytest.raises(ValueError):
         MatveevInstance(t=1, d=4, B=10, A=(0.1,))
-
-
-def test_two_log_instance_shape():
-    inst = two_log_instance(5, 1000)
-    assert inst.t == 2 and inst.d == 25 and inst.B == 1001
-    assert abs(inst.A[0] - 10 * 25 * mp.log(5)) < 1e-10
-    assert abs(inst.A[1] - mp.mpf("1.8") * 5) < 1e-10
-    with pytest.raises(ValueError):
-        two_log_instance(5, 0)
-
-
-def test_simplified_floor_dominates_exact():
-    # the flattened constant must absorb the exact expression
-    for k in (5, 17, 49):
-        for n in (100, 10 ** 6, 10 ** 12):
-            exact = matveev_lower_bound(two_log_instance(k, n))
-            flat = simplified_two_log_magnitude(k, n)
-            assert exact < flat, (k, n)
 
 
 def test_global_bound_values():
@@ -190,17 +158,3 @@ def test_chain_check_guards():
     with pytest.raises(ValueError):
         even_case_chain_check(solve_roots(4), -1)
 
-
-def test_dominant_height_is_log_gamma_over_k():
-    for k in (2, 9):
-        rs = solve_roots(k)
-        dh = dominant_height(rs)
-        direct = rs.gamma.log() / k
-        assert dh.fr_lo() <= direct.fr_hi() and direct.fr_lo() <= dh.fr_hi()
-
-
-def test_weight_height_stays_under_five_log_k():
-    for k in (5, 12, 30):
-        rep = weight_height_check(solve_roots(k))
-        assert rep["holds"], k
-        assert rep["height_estimate"] < rep["bound"]

@@ -1,0 +1,79 @@
+"""Guard against dead public surface: every module-level public function
+or class in src/pellzero must be referenced by some module of the
+package, or be on the keep-list below with the reason it stays.
+
+A reference is a name, an attribute or an imported name anywhere in
+src/pellzero outside the definition's own body.  The re-exports in
+__init__.py do not count: a name that only the package root re-exports
+has no caller in the package.
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "pellzero"
+
+# Names that only code outside src reads, each with the reason it stays.
+KEEP = {
+    "even_case_chain_check": "the perfbench gate checks each even L_k with it",
+    "implicit_log_bound": "acceptance criterion 9 inverts L < H (ln L)^r with it",
+    "binet_reconstruct": "acceptance criterion 6 rebuilds exact terms with it",
+    "check_root_separation": "acceptance criterion 7 reads its modulus gaps",
+    "clear_cache": "the perfbench gate runs each order cold with it",
+    "suggested_prec": "acceptance criterion 6 sizes its precision with it",
+    "mirror_sequence": "the strict-xfail twin on the shifted-index identity reads it",
+    "verify_structure": "the strict-xfail twins on the published blocks read it",
+    "observed_report": "kept until the corrected count is certified for "
+                       "k = 4..500 (ROADMAP item 4)",
+}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _public_definitions(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _names(node):
+    """Every name, attribute and imported name in the subtree of node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def unreferenced_public_names():
+    modules = _modules()
+    uses = Counter()
+    for mod, tree in modules.items():
+        if mod != "__init__":
+            uses.update(_names(tree))
+    dead = []
+    for mod, tree in modules.items():
+        for node in _public_definitions(tree):
+            own = sum(name == node.name for name in _names(node))
+            if uses[node.name] == own:
+                dead.append(f"{mod}.{node.name}")
+    return dead
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    dead = [name for name in unreferenced_public_names()
+            if name.split(".", 1)[1] not in KEEP]
+    assert dead == [], f"public names that no src module references: {dead}"
+
+
+def test_keep_list_names_exist_and_have_no_caller():
+    # A kept name that gains a caller in src no longer needs the entry.
+    unreferenced = {name.split(".", 1)[1] for name in unreferenced_public_names()}
+    assert set(KEEP) <= unreferenced, set(KEEP) - unreferenced

@@ -22,8 +22,6 @@ from pellzero.spectra import (
     clear_cache,
     eval_gk,
     mahler_measure,
-    psi_coeffs,
-    psi_eval,
     solve_roots,
     suggested_prec,
 )
@@ -31,7 +29,7 @@ from pellzero.spectra import (
 
 def psi_value(k, x: Fraction) -> Fraction:
     acc = Fraction(0)
-    for c in psi_coeffs(k):
+    for c in [1, -2] + [-1] * (k - 1):
         acc = acc * x + c
     return acc
 
@@ -51,41 +49,6 @@ def bisect_dominant(k, steps=140) -> tuple[Fraction, Fraction]:
         else:
             hi = mid
     return lo, hi
-
-
-def test_psi_coeffs_shape():
-    assert psi_coeffs(2) == [1, -2, -1]
-    assert psi_coeffs(5) == [1, -2, -1, -1, -1, -1]
-
-
-def test_psi_eval_at_quadratic_root():
-    x = Ball.exact(2).sqrt() + 1
-    assert psi_eval(2, x).contains(0)
-
-
-def test_psi_eval_constant_term():
-    assert psi_eval(3, Ball.exact(0)).contains(-1)
-
-
-def test_psi_eval_exact_integer_point():
-    # 32 - 32 - 8 - 4 - 2 - 1 = -15
-    assert psi_eval(5, Ball.exact(2)).contains(-15)
-
-
-def test_psi_eval_near_one_branch():
-    # At the exact point 1 the Horner sum is exact: Psi_k(1) = -k.
-    for k in (2, 6, 19):
-        assert psi_eval(k, Ball.exact(1)).contains(-k)
-
-
-@pytest.mark.parametrize("k", range(2, 41))
-def test_psi_eval_contains_the_exact_horner_value(k):
-    near_one = [1 + Fraction(1, 2 ** 40), 1 - Fraction(1, 3 ** 20),
-                Fraction(7, 8), Fraction(9, 8)]
-    away = [Fraction(0), Fraction(1, 3), Fraction(-7, 10), Fraction(-5, 4),
-            Fraction(21, 8), Fraction(13, 5)]
-    for x in near_one + away:
-        assert psi_eval(k, Ball.exact(x)).contains(psi_value(k, x)), (k, x)
 
 
 def test_dominant_root_matches_bisection_oracle():
