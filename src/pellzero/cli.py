@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--limit", type=int, default=bigseq.DEFAULT_LIMIT)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("zeros", help="scan for zeros at nonpositive indices")
     p.add_argument("--k", type=int, required=True)
@@ -321,17 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most negative index to scan (default k^2+4k deep)")
     p.add_argument("--depths", action="store_true",
                    help="print positive depths instead of indices")
-    p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("chi", help="predicted zero count")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("roots", help="certified root system")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--precision", type=int, default=PREC_START)
-    p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("bound", help="effective bounds (log-space); the "
                        "parity-dispatched global bound by default")
@@ -347,12 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", type=str, default=None,
                    help="comma-separated height parameters")
     p.add_argument("--precision", type=int, default=PREC_START)
-    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("reduce", help="odd-order reduction to R_k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--M", type=_parse_m, default=reduction.DEFAULT_M)
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify", help="per-k verification reports")
     sel = p.add_mutually_exclusive_group(required=True)
@@ -367,15 +361,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--allow-large", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Built at each call, so a cmd_* rebound after the parser was built
+    # (a tracer's wrapper, say) is the one that runs.
+    commands = {"eval": cmd_eval, "zeros": cmd_zeros, "chi": cmd_chi,
+                "roots": cmd_roots, "bound": cmd_bound, "reduce": cmd_reduce,
+                "verify": cmd_verify}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (bigseq.LimitExceeded, PrecisionExhausted) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2

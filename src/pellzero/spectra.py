@@ -35,17 +35,34 @@ than gamma sit near t_j = 2 pi j / k, r_j = (3 - 2 cos t_j)^(-1/k) for
 j = 1..k-1 (j = 0 is the node at 1), and for even k, j = k/2 is the
 negative real root near -5^(-1/k).  gamma, the one root outside the
 unit circle, lies below phi^2 (check_dominant_bounds) and is seeded
-there.  Every seed is then refined by Newton at 64 fraction bits to
-about 50 bits.  Real roots get mpf seeds, so they are polished in real
-arithmetic; each j < k/2 gives an upper seed and its exact mirror.
+there.  Every seed is then refined by Newton in Python floats
+(_float_newton) and by fixed-point Newton at 64 fraction bits to about
+50 bits.  The float step is taken in the scaled form
+
+    delta_k(z) / delta_k'(z) = (z (z^2 - 3z + 1) + z^-(k-2))
+                               / ((k+1) z^2 - 3k z + (k-1)),
+
+both divided by z^(k-2), so gamma^k, which leaves the double range past
+k = 737, never appears; a float result that is not finite is replaced
+by the closed-form point.  The float stage leaves the fixed-point one a
+single step per conjugate class.  That stage stays: a float seed
+carries only about 53 bits, and handed straight to the polish it costs
+a third step at prec + 16 bits, which is dearer than the 64-bit step.
+Real roots are seeded in real float arithmetic and get mpf seeds, so
+they are polished in real arithmetic; each j < k/2 gives an upper seed
+and its exact mirror.
 
 Newton runs on fixed-point Gaussian integers: z is the pair of Python
 ints (X, Y) with z = (X + iY) 2^-P, products are floored to P fraction
 bits, and the step delta_k conj(delta_k') / |delta_k'|^2 is a floor
 division.  The polish runs at P = prec + 16.  Fixed point cannot
-overflow, so gamma^k needs no care at large k.  The representation, not
-the precision, is what makes this fast: at k = 53 one Newton step on
-ints costs 15 us at 144 bits and 37 us at 406, against about 150 us at
+overflow, so gamma^k needs no care at large k.  The values come from
+_delta_fixed with its products taken by _fmul_values, which floors
+them exactly as _fmul does and skips the error bounds, so they equal
+the value parts of the radius evaluation below bit for bit.  The
+representation, not the precision, is what makes this fast: at k = 53
+one Newton step on ints costs about 11 us at 144 bits and 21 us at 406
+(15 and 25 us with the error bounds tracked), against about 150 us at
 any precision in mpmath's pure-Python backend (2-vCPU machine).
 Newton's output is not trusted: the inclusion disks below certify the
 centres it gives, whatever their error.
@@ -163,6 +180,7 @@ one's refinement.
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from contextlib import contextmanager
@@ -301,36 +319,43 @@ def _fmul(P: int, a: int, b: int, ea: int, c: int, d: int, ec: int):
     return (a * c - b * d) >> P, (a * d + b * c) >> P, e
 
 
-def _delta_fixed(k: int, X: int, Y: int, P: int):
+def _fmul_values(P: int, a: int, b: int, ea: int, c: int, d: int, ec: int):
+    """The values of _fmul alone, bit for bit, with the error bound 0."""
+    return (a * c - b * d) >> P, (a * d + b * c) >> P, 0
+
+
+def _delta_fixed(k: int, X: int, Y: int, P: int, mul=_fmul):
     """(delta_k(z), delta_k'(z)) at z = (X + iY) 2^-P in fixed point, as
     (DX, DY, eD, SX, SY, eS): each exact value lies within e 2^-P of
     (X + iY) 2^-P for its own (X, Y, e).  Both come from the one power
-    z^(k-2); products go through _fmul, and an integer combination adds
-    sum |c_i| e_i.  Real coefficients keep Y = 0 exactly 0."""
+    z^(k-2); products go through mul, _fmul by default, and an integer
+    combination adds sum |c_i| e_i.  With mul = _fmul_values the values
+    are the same bit for bit and eD = eS = 0: Newton needs no bounds.
+    Real coefficients keep Y = 0 exactly 0."""
     one = 1 << P
     w = None  # z^(k-2); None stands for 1
     b = (X, Y, 0)
     n = k - 2
     while n:
         if n & 1:
-            w = b if w is None else _fmul(P, *w, *b)
+            w = b if w is None else mul(P, *w, *b)
         n >>= 1
         if n:
-            b = _fmul(P, *b, *b)
-    zzX, zzY, ezz = _fmul(P, X, Y, 0, X, Y, 0)
-    d = _fmul(P, X, Y, 0, zzX - 3 * X + one, zzY - 3 * Y, ezz)
+            b = mul(P, *b, *b)
+    zzX, zzY, ezz = mul(P, X, Y, 0, X, Y, 0)
+    d = mul(P, X, Y, 0, zzX - 3 * X + one, zzY - 3 * Y, ezz)
     s = ((k + 1) * zzX - 3 * k * X + (k - 1) * one, (k + 1) * zzY - 3 * k * Y,
          (k + 1) * ezz)
     if w is not None:
-        d, s = _fmul(P, *w, *d), _fmul(P, *w, *s)
+        d, s = mul(P, *w, *d), mul(P, *w, *s)
     return d[0] + one, d[1], d[2], *s
 
 
 def _newton_step(k: int, X: int, Y: int, P: int):
     """delta_k(z) / delta_k'(z) at z = (X + iY) 2^-P, as a fixed-point
-    pair: delta_k conj(delta_k') / |delta_k'|^2 from _delta_fixed, whose
-    error bounds Newton does not need, as a floor division."""
-    dX, dY, _, sX, sY, _ = _delta_fixed(k, X, Y, P)
+    pair: delta_k conj(delta_k') / |delta_k'|^2 from the values-only
+    _delta_fixed (Newton needs no error bounds), as a floor division."""
+    dX, dY, _, sX, sY, _ = _delta_fixed(k, X, Y, P, _fmul_values)
     norm = sX * sX + sY * sY
     return ((dX * sX + dY * sY) << P) // norm, ((dY * sX - dX * sY) << P) // norm
 
@@ -374,24 +399,48 @@ _SEED_P = 64
 _SEED_PREC = 50
 
 
-def _seed(k: int, x: float, y: float):
-    X, Y = _newton(k, int(math.ldexp(x, _SEED_P)), int(math.ldexp(y, _SEED_P)),
+def _float_newton(k: int, z):
+    """Newton on delta_k in Python floats from z, a float for a real root
+    and a complex otherwise, by the scaled step of the module docstring,
+    until a step is below |z| 2^-32 (64 steps at most).  Returns nan when
+    a float operation overflows or divides by zero."""
+    n = k - 2
+    try:
+        for _ in range(64):
+            zz = z * z
+            dz = (z * (zz - 3 * z + 1) + z ** -n) / ((k + 1) * zz - 3 * k * z + (k - 1))
+            z -= dz
+            if abs(dz) < abs(z) * 2.0 ** -32:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+    return z
+
+
+def _seed(k: int, z):
+    """The closed-form point z, refined by _float_newton (or z itself when
+    that is not finite) and then by fixed-point Newton at 64 fraction bits
+    to about 50 bits; an mpf when z is a float."""
+    w = _float_newton(k, z)
+    if not cmath.isfinite(w):
+        w = z
+    X, Y = _newton(k, int(math.ldexp(w.real, _SEED_P)), int(math.ldexp(w.imag, _SEED_P)),
                    _SEED_P, _SEED_PREC)
     return _from_fixed(X, Y, _SEED_P)
 
 
 def _initial_seeds(k: int):
     """One seed per root of Psi_k at its closed-form position (module
-    docstring), refined by fixed-point Newton at 64 fraction bits: an
-    mpf for gamma, an mpf for the negative real root of even k, and an
-    upper mpc and its exact mirror per pair."""
-    seeds = [_seed(k, (3 + math.sqrt(5)) / 2, 0.0)]
+    docstring), refined by _seed: an mpf for gamma, an mpf for the
+    negative real root of even k, and an upper mpc and its exact mirror
+    per pair."""
+    seeds = [_seed(k, (3 + math.sqrt(5)) / 2)]
     if k % 2 == 0:
-        seeds.append(_seed(k, -(5 ** (-1 / k)), 0.0))
+        seeds.append(_seed(k, -(5 ** (-1 / k))))
     for j in range(1, (k + 1) // 2):
         t = 2 * math.pi * j / k
         r = (3 - 2 * math.cos(t)) ** (-1 / k)
-        z = _seed(k, r * math.cos(t), r * math.sin(t))
+        z = _seed(k, complex(r * math.cos(t), r * math.sin(t)))
         seeds += [z, conj_exact(z)]
     return seeds
 

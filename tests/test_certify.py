@@ -312,7 +312,7 @@ def test_seeds_are_one_per_root_by_conjugate_class(k):
 
 def test_gamma_seed_stays_finite_past_the_double_range():
     # gamma^800 is far above the largest double, so a double-precision
-    # Newton pass on gamma's seed would give inf or nan here.
+    # Newton pass on delta_k unscaled would give inf or nan here.
     assert all(mp.isfinite(z) for z in spectra._initial_seeds(800))
     rs = spectra.solve_roots(800, 128)
     assert rs.prec == 128

@@ -343,6 +343,24 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         assert (rc, out, err) == (fresh.returncode, want, fresh.stderr), argv
 
 
+def test_main_dispatches_to_a_command_rebound_after_the_first_parse(capsys, monkeypatch):
+    # The parser is built once per process; a cmd_* wrapped after that
+    # (as a tracer does) must still be the one main calls.
+    rc = main(["verify", "--k", "5", "--jobs", "1"])
+    verify = cli.cmd_verify
+    calls = 0
+
+    def counting(args):
+        nonlocal calls
+        calls += 1
+        return verify(args)
+
+    monkeypatch.setattr(cli, "cmd_verify", counting)
+    assert main(["verify", "--k", "5", "--jobs", "1"]) == rc
+    assert calls == 1
+    capsys.readouterr()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pellzero", "eval", "--k", "2", "--n", "4"],

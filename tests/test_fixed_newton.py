@@ -7,13 +7,21 @@ truncated towards zero.  The polish tests check each polished centre,
 and each seed, against the matching root of a certified 512-bit system,
 that real seeds stay real with Y exactly 0, and that seeds with a
 negative real part polish to their own root and not to the node at 1.
+Newton evaluates delta_k without error bounds: those values must equal
+the value parts of the error-tracking _delta_fixed bit for bit.  The
+seed tests check the float Newton stage at orders whose gamma^k leaves
+the double range, its fallback to the closed-form point, and the number
+of fixed-point Newton steps a cold solve takes.
 """
 
+import cmath
+import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
@@ -119,3 +127,81 @@ def test_negative_real_part_seeds_polish_to_their_own_root(k):
             assert abs(centres[i] - seeds[i]) < mp.mpf(2) ** -40, (k, i)
     rs = spectra._certify(k, centres, 128)
     assert rs.prec == 128
+
+
+@given(st.integers(2, 600), st.sampled_from([64, 144, 406]),
+       st.integers(-(1 << 410), 1 << 410) | st.just(0),
+       st.integers(-(1 << 410), 1 << 410) | st.just(0))
+@example(2, 64, 3 << 63, 0)
+@example(3, 144, -(5 << 140), 7 << 139)
+@example(3, 406, 0, 0)
+def test_values_only_evaluation_matches_the_tracked_values(k, p, x, y):
+    # X and Y reach |z| up to 2^(410 - p), on either side of the unit
+    # circle; k = 2 and 3 have no power loop.
+    X, Y = x >> (406 - p), y >> (406 - p)
+    DX, DY, eD, SX, SY, eS = spectra._delta_fixed(k, X, Y, p, spectra._fmul_values)
+    full = spectra._delta_fixed(k, X, Y, p)
+    assert (DX, DY, SX, SY) == (full[0], full[1], full[3], full[4])
+    assert eD == eS == 0
+    norm = SX * SX + SY * SY
+    if norm:
+        want = (((DX * SX + DY * SY) << p) // norm, ((DY * SX - DX * SY) << p) // norm)
+        assert spectra._newton_step(k, X, Y, p) == want
+
+
+def test_cold_solves_keep_their_newton_step_counts(monkeypatch):
+    # Fixed-point Newton steps by fraction bits over cold solves of odd
+    # k = 5..53: the float stage leaves one 64-bit step per conjugate
+    # class (375 classes) and the 144-bit polish two, plus one.
+    step = spectra._newton_step
+    steps = Counter()
+
+    def counting(k, X, Y, p):
+        steps[p] += 1
+        return step(k, X, Y, p)
+
+    monkeypatch.setattr(spectra, "_newton_step", counting)
+    for k in range(5, 54, 2):
+        spectra.clear_cache()
+        assert spectra.solve_roots(k).prec == 128
+    assert set(steps) == {spectra._SEED_P, P}
+    assert steps[spectra._SEED_P] <= 375
+    assert steps[P] <= 751
+
+
+PHI2 = (3 + math.sqrt(5)) / 2
+
+
+def _fixed_only_seed(k, z):
+    X, Y = spectra._newton(k, int(math.ldexp(z.real, spectra._SEED_P)),
+                           int(math.ldexp(z.imag, spectra._SEED_P)),
+                           spectra._SEED_P, spectra._SEED_PREC)
+    return spectra._from_fixed(X, Y, spectra._SEED_P)
+
+
+@pytest.mark.parametrize("k", [738, 1000, 2000])
+def test_gamma_float_seed_is_finite_past_the_double_range(k):
+    # gamma^k overflows a double past k = 737; the scaled step does not.
+    w = spectra._float_newton(k, PHI2)
+    assert isinstance(w, float) and math.isfinite(w)
+    seed, fixed = spectra._seed(k, PHI2), _fixed_only_seed(k, PHI2)
+    assert isinstance(seed, mp.mpf)
+    with mp.workprec(128):
+        assert abs(seed - fixed) <= abs(fixed) * mp.ldexp(1, -40)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 1.0)])
+def test_non_finite_float_seed_falls_back_to_the_closed_form_point(bad, monkeypatch):
+    z = complex(0.3, 0.8)
+    want = _fixed_only_seed(5, z)
+    monkeypatch.setattr(spectra, "_float_newton", lambda k, z: bad)
+    assert spectra._seed(5, z)._mpc_ == want._mpc_
+    assert spectra._seed(5, PHI2)._mpf_ == _fixed_only_seed(5, PHI2)._mpf_
+    rs = spectra.solve_roots(5)
+    assert rs.prec == 128 and len(rs.roots) == 5
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5, complex(0.0, 0.0), complex(0.01, 0.01)])
+def test_float_newton_overflow_gives_nan(z):
+    # z^-(k-2) overflows (or divides by zero) far inside the unit circle.
+    assert not cmath.isfinite(spectra._float_newton(2000, z))
