@@ -16,7 +16,8 @@ three, P_n - P_{n-1} = 2 P_{n-1} - P_{n-2} - P_{n-k-1}, so
 KContext evaluates by the k-term rules above and keeps every term it has
 seen; backward_terms streams P_0, P_{-1}, ... by the three-term step,
 holding only the last k+1 terms (three_term_orbit), and backward_value
-reads one nonpositive index off that stream.
+reads one nonpositive index off that stream.  forward_value is its
+mirror for positive indices, on the forward three-term step.
 
 Everything above is arbitrary-precision integer arithmetic; no rounding.
 residue_blocks and residue_zeros run the same three-term step on residues
@@ -142,6 +143,24 @@ def backward_value(k: int, n: int, limit: int = DEFAULT_LIMIT) -> int:
     if -n > limit:
         raise LimitExceeded(n, limit, "the backward_value limit")
     return next(islice(backward_terms(k), -n, None))
+
+
+def forward_value(k: int, n: int, limit: int = DEFAULT_LIMIT) -> int:
+    """P_n for n >= 1 by the forward step P_n = 3 P_{n-1} - P_{n-2} -
+    P_{n-k-1} from (P_{1-k}, ..., P_0, P_1) = (1, 0, ..., 0, 1): O(k)
+    terms held, no cache.
+
+    Raises LimitExceeded when n exceeds `limit`, as KContext does."""
+    if k < 2:
+        raise ValueError(f"order k must be >= 2, got {k}")
+    if n < 1:
+        raise ValueError(f"forward_value needs n >= 1, got {n}")
+    if n > limit:
+        raise LimitExceeded(n, limit, "the forward_value limit")
+    ring = deque([1] + [0] * (k - 1) + [1], maxlen=k + 1)
+    for _ in range(n - 1):
+        ring.append(3 * ring[-1] - ring[-2] - ring[0])
+    return ring[-1]
 
 
 def residue_blocks(k: int, window: Sequence[int]) -> Iterator[int]:

@@ -33,11 +33,11 @@ def _now() -> str:
 
 
 def _parse_m(text: str) -> int:
-    """Accept any exact integer value, in plain, decimal or scientific
-    form (1000, 12.0, 3e47, 2.50e1)."""
+    """Accept any exact integer value of at least 1, in plain, decimal or
+    scientific form (1000, 12.0, 3e47, 2.50e1)."""
     value = Fraction(text)
-    if value.denominator != 1:
-        raise ValueError(f"M must be an integer, got {text}")
+    if value.denominator != 1 or value < 1:
+        raise ValueError(f"M must be an integer >= 1, got {text}")
     return value.numerator
 
 
@@ -60,7 +60,6 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
         rs = spectra.solve_roots(k, PREC_START)
         checks = _spectra_checks(rs)
 
-        bound_used: dict = {"kind": None, "value_log10": None, "R": None}
         floor_depth = -zerostruct.default_floor(k)
         reduce_certs = None
         if k % 2 == 0:
@@ -183,7 +182,7 @@ def cmd_eval(args) -> int:
     if args.n <= 0:
         value = bigseq.backward_value(args.k, args.n, args.limit)
     else:
-        value = bigseq.KContext(args.k, limit=args.limit).value(args.n)
+        value = bigseq.forward_value(args.k, args.n, args.limit)
     # str(int) refuses values past 4300 digits (Python 3.11+); the
     # Decimal conversion has no such cap.
     text = str(Decimal(value))

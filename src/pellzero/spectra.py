@@ -143,8 +143,8 @@ roots are sorted by exact N, descending, conjugate partners upper
 first; partners aside, adjacent |root| intervals must separate
 strictly, the first must lie above 1, every other below 1, and the
 first disk must be real with X > 0.  No Ball is compared: the root
-balls Ball(centre, rad) and the moduli from Ball.magnitude() are built
-only for the RootSystem.
+balls Ball(centre, rad) are built only for the RootSystem, whose
+modulus balls are read off the integer intervals (RootSystem.moduli).
 
 Newton steps and radii are computed once per conjugate class: a real
 centre, or the upper member of a conjugate pair.  delta_k has real
@@ -188,6 +188,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import ClassVar
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, from_rational, round_ceiling
@@ -219,14 +220,16 @@ class CertificationFailure(Exception):
 class RootSystem:
     """All k roots as Balls, sorted by descending modulus, with the
     structural facts certified: modulus ordering (outside conjugate
-    pairs), conjugate pairing, realness, and unique dominance.  mod_lo
-    and mod_hi are the integer modulus intervals certification decided
-    on: |roots[i]| lies in [mod_lo[i], mod_hi[i]] 2^-P."""
+    pairs), conjugate pairing, realness, and unique dominance, so the
+    dominant root is always roots[0].  mod_lo and mod_hi are the integer
+    modulus intervals certification decided on: |roots[i]| lies in
+    [mod_lo[i], mod_hi[i]] 2^-P, and moduli holds the same intervals as
+    real Balls."""
+
+    dominant: ClassVar[int] = 0
 
     k: int
     roots: list
-    moduli: list
-    dominant: int
     conj_pairs: list
     real_roots: list
     prec: int
@@ -237,6 +240,16 @@ class RootSystem:
     @property
     def gamma(self) -> Ball:
         return self.roots[self.dominant]
+
+    @cached_property
+    def moduli(self) -> list:
+        """|roots[i]| as a real Ball per root, exactly the interval
+        [mod_lo[i], mod_hi[i]] 2^-P: midpoint (lo + hi) 2^-(P+1), radius
+        (hi - lo) 2^-(P+1) rounded up to a radius mpf."""
+        return [Ball(_mpf(from_man_exp(lo + hi, -self.P - 1)),
+                     _mpf(from_man_exp(hi - lo, -self.P - 1, _RADIUS_BITS, round_ceiling)),
+                     self.prec)
+                for lo, hi in zip(self.mod_lo, self.mod_hi)]
 
     @cached_property
     def weights(self) -> list:
@@ -512,29 +525,23 @@ def _overlapping_pairs(disks):
 def _certify(k: int, centers, prec: int) -> RootSystem:
     # Every centre as an exact fixed-point (X, Y) at one P.  The Newton
     # inclusion radius (k+1) |delta_k / delta_k'|, bounded above in fixed
-    # point, its integer R = ceil(rad 2^P) and the modulus ball come once
-    # per conjugate class, keyed on (X, |Y|): the bound at z holds at
-    # conj(z), and a lower disk is the exact mirror of its upper one, so
-    # their modulus balls are equal bit for bit.
+    # point, and its integer R = ceil(rad 2^P) come once per conjugate
+    # class, keyed on (X, |Y|): the bound at z holds at conj(z).
     raw = [_raw_c(c) for c in centers]
     P = _exact_P(prec, [t for z in raw for t in z])
     classes = {}
     disks = []
     root_balls = []
-    moduli = []
     for c, (re, im) in zip(centers, raw):
         X, Y = _fix(re, P), _fix(im, P)
         key = X, abs(Y)
         cls = classes.get(key)
         if cls is None:
-            upper = conj_exact(c) if Y < 0 else c
-            rad = _inclusion_radius(k, upper, prec)
-            cls = classes[key] = (rad, _fix_up(rad._mpf_, P),
-                                  Ball(upper, rad, prec).magnitude())
-        rad, R, modulus = cls
+            rad = _inclusion_radius(k, conj_exact(c) if Y < 0 else c, prec)
+            cls = classes[key] = rad, _fix_up(rad._mpf_, P)
+        rad, R = cls
         disks.append((X, Y, R))
         root_balls.append(Ball(c, rad, prec))
-        moduli.append(modulus)
 
     # Pairwise disjointness, including the exact node at 1 (radius 0);
     # pairs with apart real spans are disjoint already.
@@ -581,7 +588,6 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
     order = sorted(range(k), key=lambda i: (-norms[i], -disks[i][1]))
     inv = {old: new for new, old in enumerate(order)}
     root_balls = [root_balls[i] for i in order]
-    moduli = [moduli[i] for i in order]
     conj_pairs = sorted(tuple(sorted((inv[a], inv[b]))) for a, b in pairs.items() if a < b)
     real_roots = sorted(inv[i] for i, c in enumerate(centers) if isinstance(c, mp.mpf))
     paired = {a: b for a, b in conj_pairs} | {b: a for a, b in conj_pairs}
@@ -618,9 +624,8 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
     if not prod_lo <= one <= prod_hi:
         raise CertificationFailure("|root product| does not enclose 1")
 
-    return RootSystem(k=k, roots=root_balls, moduli=moduli, dominant=0,
-                      conj_pairs=conj_pairs, real_roots=real_roots, prec=prec,
-                      P=P, mod_lo=lo, mod_hi=hi)
+    return RootSystem(k=k, roots=root_balls, conj_pairs=conj_pairs,
+                      real_roots=real_roots, prec=prec, P=P, mod_lo=lo, mod_hi=hi)
 
 
 def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
@@ -906,7 +911,7 @@ def check_root_bounds(rs: RootSystem) -> dict:
         "holds": ub[worst] * bound.denominator < bound.numerator << P,
         "bound": str(bound), "max_weight": float(max_weight)}
 
-    log_gamma = rs.gamma.magnitude().log()
+    log_gamma = rs.moduli[0].log()
     smallest = rs.moduli[-1]
     cap = Ball.exact(1, p) - log_gamma / (2 * k)
     g_small = w[-1].magnitude()

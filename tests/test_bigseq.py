@@ -6,7 +6,7 @@ strict xfails next to the values the recurrence does give).
 
 import pytest
 
-from pellzero.bigseq import DEFAULT_LIMIT, KContext, LimitExceeded
+from pellzero.bigseq import DEFAULT_LIMIT, KContext, LimitExceeded, forward_value
 
 
 def seq_values(k, lo, hi):
@@ -75,6 +75,22 @@ def test_resource_limit():
         ctx.value(-101)
     assert KContext(2, limit=200).value(101) != 0
     assert DEFAULT_LIMIT == 10 ** 7
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_forward_value_matches_kcontext(k):
+    ctx = KContext(k)
+    for n in range(1, 301):
+        assert forward_value(k, n) == ctx.value(n), (k, n)
+
+
+def test_forward_value_limit_and_domain():
+    assert forward_value(2, 100, limit=100) == KContext(2).value(100)
+    with pytest.raises(LimitExceeded, match="the forward_value limit = 100"):
+        forward_value(2, 101, limit=100)
+    for k, n in ((2, 0), (2, -1), (1, 5)):
+        with pytest.raises(ValueError):
+            forward_value(k, n)
 
 
 def test_limit_exceeded_names_the_limit():

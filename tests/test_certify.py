@@ -10,11 +10,16 @@ checks each (modulus order, dominance, root sum, root product).  The
 sweep tests check the fixed-point sweep (spectra._overlapping_pairs) and
 pair test (spectra._disjoint) against an all-pairs exact oracle on
 random disks, the radius conversion against exact rounding up, and pin
-the number of pair tests one certification makes.  The seed tests check
-that _initial_seeds gives one seed per root, real roots as mpfs and
-pairs as exact mirrors, and that gamma's seed stays finite where gamma^k
-leaves the double range.
+the number of pair tests one certification makes.  The modulus tests
+check that RootSystem.moduli is read off the integer intervals, with no
+Ball.magnitude call in a cold solve, and follows intervals replaced
+after the fact.  The seed tests check that _initial_seeds gives one
+seed per root, real roots as mpfs and pairs as exact mirrors, and that
+gamma's seed stays finite where gamma^k leaves the double range.
 """
+
+import dataclasses
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -292,6 +297,37 @@ def test_top_of_the_paper_range_certifies(k):
     assert rs.prec == 128
     assert len(rs.conj_pairs) == ((k - 1) // 2 if k % 2 else (k - 2) // 2)
     assert rs.real_roots == ([0] if k % 2 else [0, k - 1])
+
+
+# -- the moduli ---------------------------------------------------------
+
+def _assert_moduli_hold_the_intervals(rs):
+    for m, lo, hi in zip(rs.moduli, rs.mod_lo, rs.mod_hi):
+        assert not m.is_complex
+        assert m.fr_mid() == Fraction(lo + hi, 2 ** (rs.P + 1))
+        assert m.fr_lo() <= Fraction(lo, 2 ** rs.P) and m.fr_hi() >= Fraction(hi, 2 ** rs.P)
+
+
+@pytest.mark.parametrize("k", [2, 5, 40, 86])
+def test_cold_solve_reads_the_moduli_off_the_intervals(k, monkeypatch):
+    def refuse(self):
+        raise AssertionError("Ball.magnitude called")
+
+    monkeypatch.setattr(Ball, "magnitude", refuse)
+    rs = spectra.solve_roots(k)
+    assert rs.dominant == 0 and rs.gamma is rs.roots[0]
+    _assert_moduli_hold_the_intervals(rs)
+
+
+def test_moduli_follow_replaced_intervals():
+    rs = spectra.solve_roots(9)
+    before = rs.moduli
+    lo = [a - (i + 1) * 5 for i, a in enumerate(rs.mod_lo)]
+    hi = [b + (i + 1) * 7 for i, b in enumerate(rs.mod_hi)]
+    moved = dataclasses.replace(rs, mod_lo=lo, mod_hi=hi)
+    _assert_moduli_hold_the_intervals(moved)
+    assert [m.fr_mid() for m in moved.moduli] != [m.fr_mid() for m in before]
+    assert rs.moduli is before
 
 
 # -- the seeds ----------------------------------------------------------

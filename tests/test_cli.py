@@ -174,9 +174,19 @@ def test_m_parser():
     assert _parse_m("1000") == 1000
     assert _parse_m("2.50e1") == 25
     assert _parse_m("12.0") == 12
-    for text in ("2.5e0", "1e-1"):
+    assert _parse_m("1") == 1
+    for text in ("2.5e0", "1e-1", "0", "-3"):
         with pytest.raises(ValueError):
             _parse_m(text)
+
+
+def test_verify_m_below_one_is_rejected_before_any_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--k-range", "2:7", "--full", "--M", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--M" in captured.err
 
 
 def test_reduce_scientific_m_equals_plain(capsys):
@@ -462,6 +472,21 @@ def test_eval_negative_index_streams_in_bounded_memory(capsys):
     assert peak < 1 << 20
     rc, out, _ = run_cli(capsys, "eval", "--k", "7", "--n", "-3000")
     assert int(out) == KContext(7).value(-3000)
+
+
+def test_eval_positive_index_streams_in_bounded_memory(capsys):
+    import tracemalloc
+    from pellzero.bigseq import KContext
+    tracemalloc.start()
+    try:
+        rc, out, _ = run_cli(capsys, "eval", "--k", "2", "--n", "20000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 1 << 20
+    rc, out, _ = run_cli(capsys, "eval", "--k", "7", "--n", "3000")
+    assert int(out) == KContext(7).value(3000)
 
 
 def test_eval_prints_terms_past_the_int_str_digit_cap(capsys):
