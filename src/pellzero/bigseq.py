@@ -20,22 +20,25 @@ reads one nonpositive index off that stream.  forward_value is its
 mirror for positive indices, on the forward three-term step.
 
 Everything above is arbitrary-precision integer arithmetic; no rounding.
-residue_blocks and residue_zeros run the same three-term step on residues
-mod p = 2^31 - 1, packed into one Python int.  They prove terms nonzero,
-never zero: x = r (mod p) with r != 0 forces x != 0, while a residue 0
-only says that p divides x.  Read by depth d, the step x_d = 3 x_{d-k} -
+residue_blocks, residue_zeros and residues_at run the same three-term
+step on residues mod a Mersenne prime p = 2^e - 1, packed into one
+Python int: e = 31 (RESIDUE_MODULUS) for the scan, e = 61
+(SECOND_MODULUS) to check its hits.  They prove terms nonzero, never
+zero: x = r (mod p) with r != 0 forces x != 0, while a residue 0 only
+says that p divides x.  Read by depth d, the step x_d = 3 x_{d-k} -
 x_{d-k+1} - x_{d-k-1} reaches back k - 1 terms or more, so k - 1
 consecutive terms depend only on the k + 1 terms before them and one
 block of k - 1 lanes is computed at once:
 
     new = 3 A + 3p - B - C,   A, B, C = lanes 1.., 2.., 0.. of the window.
 
-A lane is LANE_BITS = 36 bits wide and holds a value in [0, p].  Adding
-3p per lane keeps every lane of 3A - B - C nonnegative (it is at least
--2p), so no lane borrows from its neighbour, and no lane exceeds
-6p < 2^34.  Since 2^31 = 1 (mod p), the fold (y & M) + ((y >> 31) & 7)
-maps each lane to a congruent value, at most p + 5 after one fold and
-at most p after two.  A lane is then 0 mod p exactly when it is 0 or p.
+A lane is e + 5 bits wide (LANE_BITS = 36 for e = 31; 66 for e = 61) and
+holds a value in [0, p].  Adding 3p per lane keeps every lane of
+3A - B - C nonnegative (it is at least -2p), so no lane borrows from its
+neighbour, and no lane exceeds 6p < 2^(e+3).  Since 2^e = 1 (mod p), the
+fold (y & M) + ((y >> e) & 7) maps each lane to a congruent value, at
+most p + 5 after one fold and at most p after two.  A lane is then 0 mod
+p exactly when it is 0 or p.
 """
 
 from __future__ import annotations
@@ -46,8 +49,11 @@ from collections.abc import Iterator, Sequence
 from itertools import islice
 
 DEFAULT_LIMIT = 10_000_000
-RESIDUE_MODULUS = (1 << 31) - 1
-LANE_BITS = 36
+RESIDUE_EXPONENT = 31
+RESIDUE_MODULUS = (1 << RESIDUE_EXPONENT) - 1
+LANE_BITS = RESIDUE_EXPONENT + 5
+SECOND_EXPONENT = 61
+SECOND_MODULUS = (1 << SECOND_EXPONENT) - 1
 
 
 class LimitExceeded(RuntimeError):
@@ -163,17 +169,19 @@ def forward_value(k: int, n: int, limit: int = DEFAULT_LIMIT) -> int:
     return ring[-1]
 
 
-def residue_blocks(k: int, window: Sequence[int]) -> Iterator[int]:
-    """The continuation of three_term_orbit(k, window) mod RESIDUE_MODULUS,
-    k - 1 terms per packed block, for ever.
+def residue_blocks(k: int, window: Sequence[int],
+                   exponent: int = RESIDUE_EXPONENT) -> Iterator[int]:
+    """The continuation of three_term_orbit(k, window) mod
+    p = 2^exponent - 1, k - 1 terms per packed block, for ever.
 
-    Lane i of a block (bits 36i to 36i + 35) holds a value in [0, p]
-    congruent to the block's i-th term; the first block starts with the
-    term right after window.  Only the last k + 1 residues are kept, in
-    one int of (k + 1) * 36 bits."""
+    Lane i of a block (bits wi to wi + w - 1, w = exponent + 5) holds a
+    value in [0, p] congruent to the block's i-th term; the first block
+    starts with the term right after window.  Only the last k + 1
+    residues are kept, in one int of (k + 1) w bits."""
     if len(window) != k + 1:
         raise ValueError(f"window needs k+1 = {k + 1} terms, got {len(window)}")
-    p, w, width = RESIDUE_MODULUS, LANE_BITS, k - 1
+    e, width = exponent, k - 1
+    p, w = (1 << e) - 1, e + 5
     ones = sum(1 << (w * i) for i in range(width))
     low, carry, bias = p * ones, 7 * ones, 3 * p * ones
     block = (1 << (w * width)) - 1
@@ -183,26 +191,47 @@ def residue_blocks(k: int, window: Sequence[int]) -> Iterator[int]:
     while True:
         y = (3 * ((state >> w) & block) + bias
              - (state >> (2 * w)) - (state & block))
-        y = (y & low) + ((y >> 31) & carry)
-        y = (y & low) + ((y >> 31) & carry)
+        y = (y & low) + ((y >> e) & carry)
+        y = (y & low) + ((y >> e) & carry)
         state = (state >> (w * width)) | (y << (2 * w))
         yield y
 
 
-def residue_zeros(k: int, window: Sequence[int], count: int) -> Iterator[int]:
+def residues_at(k: int, window: Sequence[int], offsets: Sequence[int],
+                exponent: int = RESIDUE_EXPONENT) -> list[int]:
+    """Values in [0, p], p = 2^exponent - 1, congruent to the terms after
+    window at the ascending `offsets` (offset 0 is the first), read off
+    the lanes of residue_blocks(k, window, exponent).  The blocks run
+    only to the last offset."""
+    w = exponent + 5
+    blocks = residue_blocks(k, window, exponent)
+    out, at = [], -1
+    for i in offsets:
+        b, lane = divmod(i, k - 1)
+        if b > at:
+            block = next(islice(blocks, b - at - 1, None))
+            at = b
+        out.append(block >> (w * lane) & ((1 << w) - 1))
+    return out
+
+
+def residue_zeros(k: int, window: Sequence[int], count: int,
+                  exponent: int = RESIDUE_EXPONENT) -> Iterator[int]:
     """Offsets i < count, ascending, of the terms after window (offset 0
-    is the first) that are 0 mod RESIDUE_MODULUS.  Every other term of
+    is the first) that are 0 mod 2^exponent - 1.  Every other term of
     the first `count` is proved nonzero.
 
     One SWAR test per block flags lanes equal to 0 or p: adding 1 and
-    masking to 31 bits sends them to 1 and 0 and every other lane to
-    [2, p], and a lane w has bit 35 of w + 2^35 - 2 clear iff w < 2.
-    Only a flagged block is read lane by lane."""
-    w, width = LANE_BITS, k - 1
+    masking to `exponent` bits sends them to 1 and 0 and every other
+    lane to [2, p], and a lane v has its top bit (w - 1) of
+    v + 2^(w-1) - 2 clear iff v < 2.  Only a flagged block is read lane
+    by lane."""
+    w, width = exponent + 5, k - 1
     ones = sum(1 << (w * i) for i in range(width))
-    low, top = RESIDUE_MODULUS * ones, ones << (w - 1)
+    low, top = ((1 << exponent) - 1) * ones, ones << (w - 1)
     below_two = top - 2 * ones
-    for start, y in zip(range(0, count, width), residue_blocks(k, window)):
+    for start, y in zip(range(0, count, width),
+                        residue_blocks(k, window, exponent)):
         hit = ~(((y + ones) & low) + below_two) & top
         if hit:
             for i in range(min(width, count - start)):

@@ -41,6 +41,26 @@ def _parse_m(text: str) -> int:
     return value.numerator
 
 
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return jobs
+
+
+def _parse_k_range(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi with integers lo and hi, got {text!r}") from None
+
+
 def _spectra_checks(rs) -> dict:
     checks = {}
     checks["dominant_in_envelope"] = {"holds": bool(spectra.check_dominant_bounds(rs))}
@@ -85,8 +105,6 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
     if reduce_certs is not None:
         checks["reduction"] = reduce_certs
 
-    wanted_depth = floor_depth
-    floor_depth = min(floor_depth, bigseq.DEFAULT_LIMIT)
     predicted_blocks = ([list(b) for b in zerostruct.predicted_intervals(k).blocks]
                         if k >= 4 else [])
     cmp = zerostruct.compare_zeros(k, -floor_depth)
@@ -111,11 +129,9 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
     if bound_used["R"] is not None and -deepest > bound_used["R"]:
         failures.append(f"bound {bound_used['R']} below deepest zero {deepest}")
     if bound_used["R"] is not None and floor_depth < bound_used["R"]:
-        reason = (f"depth capped at bigseq.DEFAULT_LIMIT = {bigseq.DEFAULT_LIMIT}"
-                  if floor_depth < wanted_depth else "rerun with --full")
         failures.append(f"scan stopped at index {-floor_depth}, "
                         f"{bound_used['R'] - floor_depth} short of bound "
-                        f"R = {bound_used['R']} ({reason})")
+                        f"R = {bound_used['R']} (rerun with --full)")
 
     status = "PASS" if not failures else "FAIL"
     return {"k": k, "parity": parity, "zeros": list(cmp.observed),
@@ -177,12 +193,13 @@ def _emit(records, fmt, out) -> int:
 
 
 def cmd_eval(args) -> int:
-    if abs(args.n) > args.limit:
-        raise bigseq.LimitExceeded(args.n, args.limit, "--limit")
+    limit = bigseq.DEFAULT_LIMIT if args.limit is None else args.limit
+    if abs(args.n) > limit:
+        raise bigseq.LimitExceeded(args.n, limit, "--limit")
     if args.n <= 0:
-        value = bigseq.backward_value(args.k, args.n, args.limit)
+        value = bigseq.backward_value(args.k, args.n, limit)
     else:
-        value = bigseq.forward_value(args.k, args.n, args.limit)
+        value = bigseq.forward_value(args.k, args.n, limit)
     # str(int) refuses values past 4300 digits (Python 3.11+); the
     # Decimal conversion has no such cap.
     text = str(Decimal(value))
@@ -205,7 +222,7 @@ def cmd_zeros(args) -> int:
     else:
         shown = indices
     print(json.dumps({"k": args.k, "floor": floor, "zeros": shown,
-                      "count": len(indices),
+                      "count": len(indices), "scan": zset.scan,
                       "convention": "depths" if args.depths else "indices"},
                      sort_keys=True))
     return 0
@@ -269,8 +286,8 @@ def cmd_verify(args) -> int:
     if args.k is not None:
         ks = [args.k]
     else:
-        lo, _, hi = args.k_range.partition(":")
-        ks = list(range(int(lo), int(hi) + 1))
+        lo, hi = args.k_range
+        ks = list(range(lo, hi + 1))
     if args.odd_only:
         ks = [k for k in ks if k % 2 == 1]
     if args.even_only:
@@ -287,12 +304,15 @@ def cmd_verify(args) -> int:
         return 2
 
     work = [(k, args.full, args.M) for k in ks]
-    if args.jobs > 1:
+    # The pool starts every worker at its first submit, so it gets no
+    # more workers than orders.
+    workers = min(args.jobs, len(work))
+    if workers > 1:
         # Imported only here: multiprocessing adds about 1 MB to the peak
         # RSS of every single-process run that imports this module.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return _emit(pool.map(_verify_worker, work), args.format, sys.stdout)
     return _emit(map(_verify_worker, work), args.format, sys.stdout)
 
@@ -310,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="exact term value at any index")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=bigseq.DEFAULT_LIMIT)
+    p.add_argument("--limit", type=int, default=None,
+                   help="largest |n| (default bigseq.DEFAULT_LIMIT)")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("zeros", help="scan for zeros at nonpositive indices")
@@ -350,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="per-k verification reports")
     sel = p.add_mutually_exclusive_group(required=True)
     sel.add_argument("--k", type=int, default=None)
-    sel.add_argument("--k-range", type=str, default=None,
-                     help="inclusive range lo:hi")
+    sel.add_argument("--k-range", type=_parse_k_range, default=None,
+                     metavar="LO:HI", help="inclusive range lo:hi")
     p.add_argument("--odd-only", action="store_true")
     p.add_argument("--even-only", action="store_true")
     p.add_argument("--full", action="store_true",
                    help="enumerate down to the refined/reduced bound")
     p.add_argument("--M", type=_parse_m, default=reduction.DEFAULT_M)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_parse_jobs, default=1)
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--allow-large", action="store_true")
 

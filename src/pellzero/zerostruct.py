@@ -19,7 +19,7 @@ Both orbits are scanned by one scanner (_scan_depths) in two methods.
 The exact terms are streamed to depth k^2 + 4k (-default_floor(k)); past
 it the scan runs on packed residues mod p = 2^31 - 1
 (bigseq.residue_zeros), whose cost per index does not grow with the
-terms:
+terms, to any depth:
 
 - A nonzero residue proves a nonzero term: p divides every zero.
 - Every zero lies inside the exact head.  The deepest zero of the
@@ -28,16 +28,24 @@ terms:
   (predicted_intervals), all shallower than k^2 + 4k.  Past the head
   the residue scan only has to prove terms nonzero, and no hit there is
   expected to be confirmed.
-- A residue hit (a term that p divides) is never taken as a zero.  The
-  exact stream that produced the head is walked on to the hit's depth
-  (what backward_value does for the sequence, in O(k) memory), and only
-  an exact 0 there joins the zero set; a rejected hit is only counted.
+- A residue hit (a term that p divides) is never taken as a zero.  It
+  is first checked mod a second prime, 2^61 - 1: one stream of those
+  residues runs from the head window on to each hit, and a nonzero
+  residue there rejects the hit.  Only a hit that both primes divide
+  walks the exact stream that produced the head on to its depth (what
+  backward_value does for the sequence, in O(k) memory, and within
+  bigseq.DEFAULT_LIMIT, past which the walk raises LimitExceeded), and
+  only an exact 0 there joins the zero set.  A rejected hit is only
+  counted.
 
 Each scan reports its coverage as a dict, which the verify record
 carries as checks.scan: exact_through and residue_through are the depths
 each method reached (residue_through is None when the scan ended inside
-the head), residue_modulus is p, and residue_hits counts the hits
-confirmed as zeros and rejected as nonzero.
+the head), residue_modulus is p, residue_hits counts the hits confirmed
+as zeros and rejected as nonzero, and rejected_by_second_modulus counts
+the rejected hits that the second prime settled without the exact walk.
+compare_zeros adds variant_through, the depth the variant orbit was
+scanned to (None when it was not scanned).
 """
 
 from __future__ import annotations
@@ -112,17 +120,26 @@ def _scan_depths(k: int, terms, depth: int) -> tuple[list, dict]:
 
     The head, through -default_floor(k), is read exactly, and only its
     last k + 1 terms are kept; the rest runs on residues from those, and
-    each residue hit is checked by walking `terms` on to its depth.  The
-    orbit must follow the three-term step past the head."""
+    each residue hit is checked mod the second prime and then, if that
+    divides it too, by walking `terms` on to its depth.  The orbit must
+    follow the three-term step past the head."""
     exact_through = min(depth, -default_floor(k))
     body = max(exact_through - k, 0)
     zeros = [d for d, value in enumerate(islice(terms, body)) if value == 0]
     tail = list(islice(terms, exact_through + 1 - body))
     zeros += [d for d, value in enumerate(tail, body) if value == 0]
-    hits = {"confirmed": 0, "rejected": 0}
+    offsets = list(bigseq.residue_zeros(k, tail, depth - exact_through))
+    second = bigseq.residues_at(k, tail, offsets, bigseq.SECOND_EXPONENT)
+    double = [i for i, r in zip(offsets, second)
+              if r % bigseq.SECOND_MODULUS == 0]
+    by_second = len(offsets) - len(double)
+    hits = {"confirmed": 0, "rejected": by_second}
     at = exact_through
-    for i in bigseq.residue_zeros(k, tail, depth - exact_through):
+    for i in double:
         d = exact_through + 1 + i
+        if d > bigseq.DEFAULT_LIMIT:
+            raise bigseq.LimitExceeded(-d, bigseq.DEFAULT_LIMIT,
+                                       "bigseq.DEFAULT_LIMIT")
         value = next(islice(terms, d - at - 1, None))
         at = d
         if value == 0:
@@ -134,18 +151,18 @@ def _scan_depths(k: int, terms, depth: int) -> tuple[list, dict]:
         "exact_through": exact_through,
         "residue_through": depth if depth > exact_through else None,
         "residue_modulus": bigseq.RESIDUE_MODULUS,
-        "residue_hits": hits}
+        "residue_hits": hits,
+        "rejected_by_second_modulus": by_second}
 
 
 def enumerate_zeros(k: int, floor: int) -> ZeroSet:
     """All n in [floor, 0] with P_n = 0, proved: exact terms
     (bigseq.backward_terms) through -default_floor(k), residues beyond
-    (see the module docstring).  Memory stays O(k) whatever the depth."""
+    (see the module docstring).  Memory stays O(k) whatever the depth,
+    and the depth has no cap; only a hit that both primes divide past
+    bigseq.DEFAULT_LIMIT raises LimitExceeded."""
     if floor >= 0:
         raise ValueError(f"floor must be negative, got {floor}")
-    if -floor > bigseq.DEFAULT_LIMIT:
-        raise bigseq.LimitExceeded(floor, bigseq.DEFAULT_LIMIT,
-                                   "bigseq.DEFAULT_LIMIT")
     depths, scan = _scan_depths(k, bigseq.backward_terms(k), -floor)
     return ZeroSet(k=k, indices=tuple(-d for d in reversed(depths)),
                    search_floor=floor, scan=scan)
@@ -294,7 +311,8 @@ class ZeroComparison:
     """The scanned zero set against the predicted one, as sorted index
     tuples.  variant_match is set only on a mismatch, when the predicted
     set is exactly the zero set of the variant mirror orbit.  scan is
-    the coverage of the sequence scan behind observed."""
+    the coverage of the sequence scan behind observed, with the depth
+    of the variant scan as variant_through."""
     observed: tuple
     predicted: tuple
     missing: tuple
@@ -308,20 +326,29 @@ class ZeroComparison:
 
 
 def compare_zeros(k: int, floor: int) -> ZeroComparison:
-    """Scan [floor, 0] once and compare it with predicted_set(k); the
-    variant orbit is scanned to the same floor only on a mismatch."""
+    """Scan [floor, 0] once and compare it with predicted_set(k).
+
+    Only on a mismatch is the variant orbit scanned, and only through
+    the exact head, min(-floor, k^2 + 4k) deep: every predicted index
+    lies inside default_floor(k), and variant_match is a diagnosis, not
+    a proof, so the head is enough to name the variant orbit.  scan
+    carries that depth as variant_through, None when the variant orbit
+    was not scanned."""
     zset = enumerate_zeros(k, floor)
     observed = set(zset.indices)
     predicted = predicted_set(k)
-    variant_match = (observed != predicted
-                     and set(variant_zero_set(k, floor)) == predicted)
+    variant_match, variant_through = False, None
+    if observed != predicted:
+        variant_through = min(-floor, -default_floor(k))
+        variant_match = (set(variant_zero_set(k, -variant_through))
+                         == predicted)
     return ZeroComparison(
         observed=tuple(sorted(observed)),
         predicted=tuple(sorted(predicted)),
         missing=tuple(sorted(predicted - observed)),
         extra=tuple(sorted(observed - predicted)),
         variant_match=variant_match,
-        scan=zset.scan)
+        scan={**zset.scan, "variant_through": variant_through})
 
 
 def _scan_floor(bound: int) -> int:

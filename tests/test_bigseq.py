@@ -93,17 +93,22 @@ def test_forward_value_limit_and_domain():
             forward_value(k, n)
 
 
-def test_limit_exceeded_names_the_limit():
-    from pellzero.bigseq import backward_value
-    from pellzero.zerostruct import enumerate_zeros
+def test_limit_exceeded_names_the_limit(monkeypatch):
+    from pellzero import bigseq
+    from pellzero.bigseq import backward_terms, backward_value
+    from pellzero.zerostruct import _scan_depths, enumerate_zeros
     with pytest.raises(LimitExceeded, match="the KContext limit = 100"):
         KContext(2, limit=100).value(-101)
     with pytest.raises(LimitExceeded, match="the backward_value limit = 100"):
         backward_value(2, -101, limit=100)
+    # The residue scan runs past bigseq.DEFAULT_LIMIT; only the exact walk
+    # to a term that both primes divide stops there.
+    monkeypatch.setattr(bigseq, "DEFAULT_LIMIT", 100)
+    assert enumerate_zeros(2, -101).indices == (0,)
+    both = bigseq.RESIDUE_MODULUS * bigseq.SECOND_MODULUS
     with pytest.raises(LimitExceeded) as exc:
-        enumerate_zeros(2, -(DEFAULT_LIMIT + 1))
-    assert str(exc.value) == (f"index {-(DEFAULT_LIMIT + 1)} exceeds "
-                              f"bigseq.DEFAULT_LIMIT = {DEFAULT_LIMIT}")
+        _scan_depths(2, (both * x for x in backward_terms(2)), 101)
+    assert str(exc.value) == "index -101 exceeds bigseq.DEFAULT_LIMIT = 100"
     assert "KContext" not in str(exc.value)
 
 

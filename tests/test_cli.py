@@ -92,6 +92,16 @@ def test_zeros_default_floor_and_depths(capsys):
     assert blob["convention"] == "depths"
 
 
+def test_zeros_prints_the_scan_coverage(capsys):
+    rc, out, _ = run_cli(capsys, "zeros", "--k", "4", "--floor", "-100")
+    blob = json.loads(out)
+    assert blob["zeros"] == [-5, -2, -1, 0]
+    assert blob["scan"] == {"exact_through": 32, "residue_through": 100,
+                            "residue_modulus": 2 ** 31 - 1,
+                            "residue_hits": {"confirmed": 0, "rejected": 0},
+                            "rejected_by_second_modulus": 0}
+
+
 def test_zeros_floor_sign_is_forgiving(capsys):
     rc, out, _ = run_cli(capsys, "zeros", "--k", "4", "--floor", "30")
     blob = json.loads(out)
@@ -305,6 +315,49 @@ def test_verify_jobs_preserve_order(capsys):
     assert [rec["k"] for rec in records] == [2, 3, 4, 5]
 
 
+def test_verify_jobs_start_no_more_workers_than_orders(capsys, monkeypatch):
+    import concurrent.futures
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    rc, out, _ = run_cli(capsys, "verify", "--k-range", "2:4", "--jobs", "8")
+    assert [json.loads(line)["k"] for line in out.splitlines()] == [2, 3, 4]
+    rc, out, _ = run_cli(capsys, "verify", "--k", "5", "--jobs", "8")
+    assert json.loads(out)["k"] == 5
+    assert pools == [3]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--k", "5", "--jobs", jobs])
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5", "a:b", "5:", ":7"])
+def test_verify_k_range_names_the_expected_form(capsys, text):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--k-range", text])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --k-range: expected lo:hi with integers lo and hi, got {text!r}" in err
+    assert "invalid literal" not in err
+
+
 def test_verify_deterministic_apart_from_timestamp(capsys):
     _, out_a, _ = run_cli(capsys, "verify", "--k", "5")
     _, out_b, _ = run_cli(capsys, "verify", "--k", "5")
@@ -410,16 +463,35 @@ def test_verify_without_full_names_the_shortfall(capsys):
 
 
 def test_verify_truncated_scan_is_not_pass(capsys, monkeypatch):
+    # bigseq.DEFAULT_LIMIT caps the exact walk to a residue hit, not the
+    # scan, so a --full scan is no longer truncated there.
     from pellzero import bigseq
     monkeypatch.setattr(bigseq, "DEFAULT_LIMIT", 1)
     rc, out, _ = run_cli(capsys, "verify", "--k", "2", "--full")
     rec = json.loads(out)
     assert rec["bound_used"]["R"] == 2
-    assert rec["scan_floor"] == -1
-    assert rec["status"] == "FAIL"
-    assert rc == 1
-    assert "1 short of bound R = 2" in rec["detail"]
-    assert "DEFAULT_LIMIT" in rec["detail"]
+    assert rec["scan_floor"] == -12
+    assert rec["status"] == "PASS"
+    assert rc == 0
+    assert "short of bound" not in rec["detail"]
+    assert "DEFAULT_LIMIT" not in rec["detail"]
+
+
+def test_verify_full_scan_passes_the_default_limit(capsys, monkeypatch):
+    # The residue scan reaches L_20 = 8828 past a limit of 1000, which
+    # still bounds eval.
+    from pellzero import bigseq
+    monkeypatch.setattr(bigseq, "DEFAULT_LIMIT", 1000)
+    rc, out, _ = run_cli(capsys, "verify", "--k", "20", "--even-only", "--full")
+    rec = json.loads(out)
+    assert rec["scan_floor"] == -8828 == -rec["bound_used"]["R"]
+    assert rec["checks"]["scan"]["residue_through"] == 8828
+    assert "depth capped" not in rec["detail"]
+    assert "short of bound" not in rec["detail"]
+    rc, out, err = run_cli(capsys, "eval", "--k", "20", "--n", "-1001")
+    assert rc == 2
+    assert out == ""
+    assert "index -1001 exceeds --limit = 1000" in err
 
 
 def test_verify_one_bad_order_keeps_the_sweep(capsys, monkeypatch):

@@ -2,27 +2,33 @@
 
 enumerate_zeros and variant_zero_set read exact terms to depth
 -default_floor(k) and residues mod 2^31 - 1 beyond.  Their zero sets must
-equal those of the exact streams, each lane must hold its term's residue,
-and a residue hit must go through the exact confirmation, not into the set.
+equal those of the exact streams, each lane must hold its term's residue
+(mod 2^31 - 1 and mod the second prime 2^61 - 1), and a residue hit must
+be checked mod the second prime and then exactly, not go into the set.
 """
 
 import json
 import pathlib
+import time
 import tracemalloc
 from itertools import chain, islice
 
 import pytest
 
-from pellzero.bigseq import (LANE_BITS, RESIDUE_MODULUS, backward_terms,
-                             residue_blocks, three_term_orbit)
-from pellzero.zerostruct import (_scan_depths, default_floor, enumerate_zeros,
-                                 observed_blocks, variant_mirror,
+from pellzero import bigseq
+from pellzero.bigseq import (LANE_BITS, RESIDUE_MODULUS, SECOND_EXPONENT,
+                             SECOND_MODULUS, backward_terms, residue_blocks,
+                             residues_at, three_term_orbit)
+from pellzero.zerostruct import (_scan_depths, compare_zeros, default_floor,
+                                 enumerate_zeros, observed_blocks,
+                                 predicted_set, variant_mirror,
                                  variant_zero_set)
 
 P = RESIDUE_MODULUS
-L_K = {int(k): v for k, v in json.loads(
-    (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-     / "reference.json").read_text())["L"].items()}
+REFERENCE = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                        / "perfbench" / "reference.json").read_text())
+L_K = {int(k): v for k, v in REFERENCE["L"].items()}
+R_K = {int(k): v for k, v in REFERENCE["R"].items()}
 
 
 def variant_terms(k):
@@ -71,6 +77,52 @@ def test_lanes_hold_the_residues(k):
         [value % P for value in terms[head + 1:]]
 
 
+@pytest.mark.parametrize("k", range(2, 41))
+def test_second_modulus_lanes_hold_the_residues(k):
+    p2 = SECOND_MODULUS
+    assert p2 == 2 ** 61 - 1
+    head = -default_floor(k)
+    count = 3000
+    terms = list(islice(backward_terms(k), head + 1 + count))
+    lanes = residues_at(k, terms[head - k:head + 1], range(count),
+                        SECOND_EXPONENT)
+    assert all(lane <= p2 for lane in lanes)
+    assert [lane % p2 for lane in lanes] == [value % p2 for value in terms[head + 1:]]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7])
+def test_hits_both_primes_divide_are_confirmed_exactly(k):
+    depth = -3 * default_floor(k)
+    head = -default_floor(k)
+    both = P * SECOND_MODULUS
+    depths, scan = _scan_depths(k, (both * x for x in backward_terms(k)),
+                                depth)
+    assert depths == exact_depths(backward_terms(k), depth)
+    assert scan["residue_hits"] == {"confirmed": 0, "rejected": depth - head}
+    assert scan["rejected_by_second_modulus"] == 0
+
+
+def test_planted_hit_deep_at_k500_is_rejected_by_the_second_modulus(monkeypatch):
+    # One false hit mod 2^31 - 1, planted 5e6 deep.  On 2 vCPUs at
+    # 2.1 GHz the scan with the second modulus takes about 0.4 s, and with
+    # the exact walk to the hit in its place about 7.8 s.
+    k, depth = 500, 5_000_000
+    head = -default_floor(k)
+    real = bigseq.residue_zeros
+
+    def planted(k, window, count):
+        yield from sorted({*real(k, window, count), depth - head - 1})
+
+    monkeypatch.setattr(bigseq, "residue_zeros", planted)
+    t0 = time.perf_counter()
+    zset = enumerate_zeros(k, -depth)
+    elapsed = time.perf_counter() - t0
+    assert set(zset.indices) == observed_blocks(k).index_set()
+    assert zset.scan["residue_hits"] == {"confirmed": 0, "rejected": 1}
+    assert zset.scan["rejected_by_second_modulus"] == 1
+    assert elapsed < 3.0
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 7])
 def test_planted_hits_are_confirmed_exactly(k):
     # Every term of p * P_n is 0 mod p, so every index past the head is a
@@ -117,3 +169,18 @@ def test_packed_scan_memory_is_that_of_the_head():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 2 * peaks[0]
+
+
+@pytest.mark.parametrize("k, depth", [*((k, L_K[k]) for k in range(4, 41, 2)),
+                                      *((k, R_K[k]) for k in range(5, 22, 2))])
+def test_variant_diagnosis_through_the_head_matches_the_full_depth(k, depth):
+    cmp = compare_zeros(k, -depth)
+    assert cmp.variant_match == (set(variant_zero_set(k, -depth))
+                                 == predicted_set(k))
+    assert cmp.scan["variant_through"] == min(depth, k * k + 4 * k)
+
+
+def test_variant_through_is_the_scan_depth_inside_the_head():
+    assert compare_zeros(8, -40).scan["variant_through"] == 40
+    for k in (2, 3):
+        assert compare_zeros(k, default_floor(k)).scan["variant_through"] is None
