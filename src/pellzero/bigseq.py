@@ -20,7 +20,7 @@ reads one nonpositive index off that stream.  forward_value is its
 mirror for positive indices, on the forward three-term step.
 
 Everything above is arbitrary-precision integer arithmetic; no rounding.
-residue_blocks, residue_zeros and residues_at run the same three-term
+residue_blocks and residue_zeros run the same three-term
 step on residues mod a Mersenne prime p = 2^e - 1, packed into one
 Python int: e = 31 (RESIDUE_MODULUS) for the scan, e = 61
 (SECOND_MODULUS) to check its hits.  They prove terms nonzero, never
@@ -195,24 +195,6 @@ def residue_blocks(k: int, window: Sequence[int],
         y = (y & low) + ((y >> e) & carry)
         state = (state >> (w * width)) | (y << (2 * w))
         yield y
-
-
-def residues_at(k: int, window: Sequence[int], offsets: Sequence[int],
-                exponent: int = RESIDUE_EXPONENT) -> list[int]:
-    """Values in [0, p], p = 2^exponent - 1, congruent to the terms after
-    window at the ascending `offsets` (offset 0 is the first), read off
-    the lanes of residue_blocks(k, window, exponent).  The blocks run
-    only to the last offset."""
-    w = exponent + 5
-    blocks = residue_blocks(k, window, exponent)
-    out, at = [], -1
-    for i in offsets:
-        b, lane = divmod(i, k - 1)
-        if b > at:
-            block = next(islice(blocks, b - at - 1, None))
-            at = b
-        out.append(block >> (w * lane) & ((1 << w) - 1))
-    return out
 
 
 def residue_zeros(k: int, window: Sequence[int], count: int,

@@ -30,7 +30,7 @@ terms, to any depth:
   expected to be confirmed.
 - A residue hit (a term that p divides) is never taken as a zero.  It
   is first checked mod a second prime, 2^61 - 1: one stream of those
-  residues runs from the head window on to each hit, and a nonzero
+  residues runs from the head window to the last hit, and a nonzero
   residue there rejects the hit.  Only a hit that both primes divide
   walks the exact stream that produced the head on to its depth (what
   backward_value does for the sequence, in O(k) memory, and within
@@ -129,9 +129,9 @@ def _scan_depths(k: int, terms, depth: int) -> tuple[list, dict]:
     tail = list(islice(terms, exact_through + 1 - body))
     zeros += [d for d, value in enumerate(tail, body) if value == 0]
     offsets = list(bigseq.residue_zeros(k, tail, depth - exact_through))
-    second = bigseq.residues_at(k, tail, offsets, bigseq.SECOND_EXPONENT)
-    double = [i for i, r in zip(offsets, second)
-              if r % bigseq.SECOND_MODULUS == 0]
+    both = set(bigseq.residue_zeros(k, tail, offsets[-1] + 1,
+                                    bigseq.SECOND_EXPONENT)) if offsets else set()
+    double = [i for i in offsets if i in both]
     by_second = len(offsets) - len(double)
     hits = {"confirmed": 0, "rejected": by_second}
     at = exact_through

@@ -16,9 +16,9 @@ from itertools import chain, islice
 import pytest
 
 from pellzero import bigseq
-from pellzero.bigseq import (LANE_BITS, RESIDUE_MODULUS, SECOND_EXPONENT,
-                             SECOND_MODULUS, backward_terms, residue_blocks,
-                             residues_at, three_term_orbit)
+from pellzero.bigseq import (LANE_BITS, RESIDUE_EXPONENT, RESIDUE_MODULUS,
+                             SECOND_EXPONENT, SECOND_MODULUS, backward_terms,
+                             residue_blocks, three_term_orbit)
 from pellzero.zerostruct import (_scan_depths, compare_zeros, default_floor,
                                  enumerate_zeros, observed_blocks,
                                  predicted_set, variant_mirror,
@@ -84,10 +84,16 @@ def test_second_modulus_lanes_hold_the_residues(k):
     head = -default_floor(k)
     count = 3000
     terms = list(islice(backward_terms(k), head + 1 + count))
-    lanes = residues_at(k, terms[head - k:head + 1], range(count),
-                        SECOND_EXPONENT)
+    w = SECOND_EXPONENT + 5
+    lanes = []
+    mask = (1 << w) - 1
+    for block in islice(residue_blocks(k, terms[head - k:head + 1],
+                                       SECOND_EXPONENT),
+                        -(-count // (k - 1))):
+        lanes.extend(block >> (w * i) & mask for i in range(k - 1))
     assert all(lane <= p2 for lane in lanes)
-    assert [lane % p2 for lane in lanes] == [value % p2 for value in terms[head + 1:]]
+    assert [lane % p2 for lane in lanes[:count]] == \
+        [value % p2 for value in terms[head + 1:]]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 7])
@@ -110,8 +116,11 @@ def test_planted_hit_deep_at_k500_is_rejected_by_the_second_modulus(monkeypatch)
     head = -default_floor(k)
     real = bigseq.residue_zeros
 
-    def planted(k, window, count):
-        yield from sorted({*real(k, window, count), depth - head - 1})
+    def planted(k, window, count, exponent=RESIDUE_EXPONENT):
+        hits = set(real(k, window, count, exponent))
+        if exponent == RESIDUE_EXPONENT:
+            hits.add(depth - head - 1)
+        yield from sorted(hits)
 
     monkeypatch.setattr(bigseq, "residue_zeros", planted)
     t0 = time.perf_counter()
