@@ -75,11 +75,11 @@ class KContext:
     serialized by an internal lock.
     """
 
-    def __init__(self, k: int, limit: int = DEFAULT_LIMIT):
+    def __init__(self, k: int, limit: int | None = None):
         if k < 2:
             raise ValueError(f"order k must be >= 2, got {k}")
         self.k = k
-        self.limit = limit
+        self.limit = DEFAULT_LIMIT if limit is None else limit
         self._lock = threading.Lock()
         self._vals = {n: 0 for n in range(-(k - 2), 1)}
         self._vals[1] = 1
@@ -140,29 +140,22 @@ def backward_terms(k: int) -> Iterator[int]:
     yield from three_term_orbit(k, [2, 1] + [0] * (k - 1))
 
 
-def backward_value(k: int, n: int, limit: int = DEFAULT_LIMIT) -> int:
-    """P_n for n <= 0 by walking backward_terms: O(k) memory, no cache.
-
-    Raises LimitExceeded when |n| exceeds `limit`, as KContext does."""
+def backward_value(k: int, n: int) -> int:
+    """P_n for n <= 0 by walking backward_terms: O(k) memory, no cache,
+    no index limit (callers such as `pellzero eval` check their own)."""
     if n > 0:
         raise ValueError(f"backward_value needs n <= 0, got {n}")
-    if -n > limit:
-        raise LimitExceeded(n, limit, "the backward_value limit")
     return next(islice(backward_terms(k), -n, None))
 
 
-def forward_value(k: int, n: int, limit: int = DEFAULT_LIMIT) -> int:
+def forward_value(k: int, n: int) -> int:
     """P_n for n >= 1 by the forward step P_n = 3 P_{n-1} - P_{n-2} -
     P_{n-k-1} from (P_{1-k}, ..., P_0, P_1) = (1, 0, ..., 0, 1): O(k)
-    terms held, no cache.
-
-    Raises LimitExceeded when n exceeds `limit`, as KContext does."""
+    terms held, no cache, no index limit."""
     if k < 2:
         raise ValueError(f"order k must be >= 2, got {k}")
     if n < 1:
         raise ValueError(f"forward_value needs n >= 1, got {n}")
-    if n > limit:
-        raise LimitExceeded(n, limit, "the forward_value limit")
     ring = deque([1] + [0] * (k - 1) + [1], maxlen=k + 1)
     for _ in range(n - 1):
         ring.append(3 * ring[-1] - ring[-2] - ring[0])

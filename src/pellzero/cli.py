@@ -193,13 +193,14 @@ def _emit(records, fmt, out) -> int:
 
 
 def cmd_eval(args) -> int:
+    # Resolved here, not as the --limit default: build_parser is cached.
     limit = bigseq.DEFAULT_LIMIT if args.limit is None else args.limit
     if abs(args.n) > limit:
         raise bigseq.LimitExceeded(args.n, limit, "--limit")
     if args.n <= 0:
-        value = bigseq.backward_value(args.k, args.n, limit)
+        value = bigseq.backward_value(args.k, args.n)
     else:
-        value = bigseq.forward_value(args.k, args.n, limit)
+        value = bigseq.forward_value(args.k, args.n)
     # str(int) refuses values past 4300 digits (Python 3.11+); the
     # Decimal conversion has no such cap.
     text = str(Decimal(value))

@@ -15,11 +15,15 @@ the nearest integer).  When eps > 0, any solution of
 w < log(A q / eps) / log B.  R is that bound floored after outward
 rounding, so the exclusion survives every enclosure outcome.
 
-The odd-order pipeline reads two roots, one of the smallest pair (tau,
-mu, A) and root k-3 (B).  odd_k_reduce takes the root system certified
-at the default precision, usually cached, and refines only those two to
-reduction-grade precision (spectra.refine_root), not every root class;
-a partner is the exact mirror of its refined root.
+The odd-order pipeline refines one root, gamma_s of the smallest pair,
+which gives tau, mu and A.  odd_k_reduce takes the root system
+certified at the default precision, usually cached, and refines only
+gamma_s to reduction-grade precision (spectra.refine_root), not every
+root class.  B = |r_{k-3}| / |gamma_s| is read off the certified
+modulus intervals (RootSystem.moduli): it enters R only through the
+lower bound of log B, and at 128 bits the relative width of that bound
+stays far below the 2^-40 margin _outward_R adds (ln B is 1.3e-7 at
+k = 499).
 """
 
 from __future__ import annotations
@@ -186,11 +190,10 @@ def _outward_R(A: Ball, q: int, e_lo: Fraction, B: Ball) -> int:
         return int(mp.floor(ratio))
 
 
-def dp_reduce(inst: ReductionInstance, refine=None,
-              max_attempts: int = MAX_ATTEMPTS) -> ReductionOutcome:
+def dp_reduce(inst: ReductionInstance, refine=None) -> ReductionOutcome:
     """First convergent past 6M with certified eps > 0; advances through
     later convergents on eps <= 0, raising ReductionExhausted after
-    max_attempts of them."""
+    MAX_ATTEMPTS of them."""
     threshold = 6 * inst.M
     exp = cf_expand(inst.tau, threshold, refine)
     convs = list(exp.convergents)
@@ -221,7 +224,7 @@ def dp_reduce(inst: ReductionInstance, refine=None,
                 r_bound = _outward_R(inst.A, q, e_lo, inst.B)
                 return ReductionOutcome(q_used=q, m_index=idx, epsilon=eps,
                                         R=r_bound, attempts=attempts)
-            if attempts >= max_attempts:
+            if attempts >= MAX_ATTEMPTS:
                 raise ReductionExhausted(
                     f"{attempts} convergents past 6M={threshold} all failed "
                     f"eps > 0; perturb M")
@@ -254,16 +257,19 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
         tau = -2 arg(gamma_s) / pi        mu = 2 arg(g) / pi
         A   = 1 / |g|                     B = |root k-3| / |gamma_s|
 
-    gamma_s and root k-3 are rs's roots, refined to prec bits by
-    refine_root when rs is coarser; the instance is at gamma_s's
-    precision.
+    gamma_s is rs's root refined to prec bits by refine_root when rs is
+    coarser, and tau, mu and A are at its precision; B is the quotient of
+    rs.moduli, the certified modulus intervals.
 
     The published ranges tau in [1.59, 1.99] and mu in [0.700657, 1.9927]
     are checked and recorded (not gated: k = 5 lands just below the tau
-    floor; the conjugate branch misses the range entirely, so the branch
-    stays put and the miss is recorded).  Two side conditions are also
-    certified: the linear form stays below 1/2 for n > k^3, and the
-    positive-shift variant is excluded there.
+    floor).  The branch never switches: Im gamma_s < 0 certifies tau in
+    (0, 2), and the conjugate's tau lies in (-2, 0), outside the range;
+    branch_switched stays in the record as false.  Two side conditions
+    are also certified at n = k^3 + 2: the linear form stays below 1/2,
+    and the positive-shift variant is excluded, tau n > mu + A B^(-n).
+    Certification orders |r_{k-3}| > |gamma_s|, so B > 1 and the shift
+    term A B^(-n) is below A; tau n > mu + A is the test decided.
     """
     k = rs.k
     if k % 2 == 0:
@@ -271,39 +277,28 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     prec = rs.prec if prec is None else prec
-    gamma_s = refine_root(rs, _small_pair_branch(rs), prec)
-    third = refine_root(rs, k - 3, prec)
+    branch = _small_pair_branch(rs)
+    gamma_s = refine_root(rs, branch, prec)
     p = gamma_s.prec
     pi_ball = Ball.pi(p)
     tau = gamma_s.arg() * (-2) / pi_ball
     gval = eval_gk(k, gamma_s)
     mu = gval.arg() * 2 / pi_ball
-    g_mag = gval.magnitude()
-    a_ball = Ball.exact(1, p) / g_mag
-    b_ball = third.magnitude() / gamma_s.magnitude()
+    a_ball = Ball.exact(1, p) / gval.magnitude()
+    b_ball = rs.moduli[k - 3] / rs.moduli[branch]
 
     certs = {}
-    tau_lo, tau_hi = Fraction(159, 100), Fraction(199, 100)
-    in_range = tau.gt(tau_lo) and tau.lt(tau_hi)
-    switched = False
-    if not in_range:
-        tau_conj = gamma_s.conjugate().arg() * (-2) / pi_ball
-        if tau_conj.gt(tau_lo) and tau_conj.lt(tau_hi):
-            tau = tau_conj
-            mu = gval.conjugate().arg() * 2 / pi_ball
-            in_range = True
-            switched = True
-    certs["tau_in_range"] = bool(in_range)
-    certs["branch_switched"] = switched
+    certs["tau_in_range"] = bool(
+        tau.gt(Fraction(159, 100)) and tau.lt(Fraction(199, 100)))
+    # Im gamma_s < 0 puts tau in (0, 2) and the conjugate's in (-2, 0).
+    certs["branch_switched"] = False
     certs["mu_in_range"] = bool(
         mu.gt(Fraction(700657, 1000000)) and mu.lt(Fraction(19927, 10000)))
 
-    k3 = k ** 3
-    form_cap = (a_ball * pi_ball * 2).log()
-    certs["small_linear_form"] = bool((b_ball.log() * (k3 + 2)).gt(form_cap))
-    lhs = tau * (k3 + 2)
-    rhs = mu + a_ball * b_ball.pow_int(-(k3 + 2))
-    certs["positive_shift_excluded"] = bool(lhs.gt(rhs))
+    n = k ** 3 + 2
+    certs["small_linear_form"] = bool(
+        (b_ball.log() * n).gt((a_ball * pi_ball * 2).log()))
+    certs["positive_shift_excluded"] = bool((tau * n).gt(mu + a_ball))
 
     return ReductionInstance(tau=tau, mu=mu, A=a_ball, B=b_ball, M=M,
                              certifications=certs)
@@ -321,7 +316,7 @@ def odd_k_reduce(k: int, M: int = DEFAULT_M) -> ReductionOutcome:
     certifications, and the nonvanishing flag (eps > 0 certifies
     u tau - v + mu != 0 for every 0 < u <= M).  The roots come from one
     solve_roots(k) at the default precision, usually a cache hit, and
-    the instance and each tau that dp_reduce refines read two of them
+    the instance and each tau that dp_reduce refines read one of them
     refined (odd_k_instance)."""
     if k % 2 == 0:
         raise ValueError(f"odd-order reduction needs odd k, got {k}")

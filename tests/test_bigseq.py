@@ -85,9 +85,6 @@ def test_forward_value_matches_kcontext(k):
 
 
 def test_forward_value_limit_and_domain():
-    assert forward_value(2, 100, limit=100) == KContext(2).value(100)
-    with pytest.raises(LimitExceeded, match="the forward_value limit = 100"):
-        forward_value(2, 101, limit=100)
     for k, n in ((2, 0), (2, -1), (1, 5)):
         with pytest.raises(ValueError):
             forward_value(k, n)
@@ -95,15 +92,16 @@ def test_forward_value_limit_and_domain():
 
 def test_limit_exceeded_names_the_limit(monkeypatch):
     from pellzero import bigseq
-    from pellzero.bigseq import backward_terms, backward_value
+    from pellzero.bigseq import backward_terms
     from pellzero.zerostruct import _scan_depths, enumerate_zeros
     with pytest.raises(LimitExceeded, match="the KContext limit = 100"):
         KContext(2, limit=100).value(-101)
-    with pytest.raises(LimitExceeded, match="the backward_value limit = 100"):
-        backward_value(2, -101, limit=100)
     # The residue scan runs past bigseq.DEFAULT_LIMIT; only the exact walk
-    # to a term that both primes divide stops there.
+    # to a term that both primes divide stops there.  KContext reads the
+    # default when it is constructed.
     monkeypatch.setattr(bigseq, "DEFAULT_LIMIT", 100)
+    with pytest.raises(LimitExceeded, match="the KContext limit = 100"):
+        KContext(2).value(-101)
     assert enumerate_zeros(2, -101).indices == (0,)
     both = bigseq.RESIDUE_MODULUS * bigseq.SECOND_MODULUS
     with pytest.raises(LimitExceeded) as exc:

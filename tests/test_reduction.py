@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from pellzero import reduction, spectra
 from pellzero.ball import Ball, PrecisionExhausted
 from pellzero.reduction import (
     DEFAULT_M,
@@ -20,7 +21,7 @@ from pellzero.reduction import (
     odd_k_reduce,
     working_prec_for,
 )
-from pellzero.spectra import solve_roots
+from pellzero.spectra import refine_root, solve_roots
 from pellzero.zerostruct import enumerate_zeros
 
 
@@ -160,14 +161,15 @@ def test_dp_reduce_degenerate_shift_exhausts():
         dp_reduce(inst, refine=_golden)
 
 
-def test_dp_reduce_attempt_cap_is_honored():
+def test_dp_reduce_attempt_cap_is_honored(monkeypatch):
+    monkeypatch.setattr(reduction, "MAX_ATTEMPTS", 3)
     inst = ReductionInstance(tau=_golden(160),
                              mu=Ball.exact(0, 160),
                              A=Ball.exact(10, 160),
                              B=Ball.exact(2, 160),
                              M=100)
     with pytest.raises(ReductionExhausted) as info:
-        dp_reduce(inst, refine=_golden, max_attempts=3)
+        dp_reduce(inst, refine=_golden)
     assert "3 convergents" in str(info.value)
 
 
@@ -349,3 +351,65 @@ def test_epsilon_positive_across_odd_orders():
         assert out.epsilon.fr_lo() > 0
         assert out.epsilon.fr_hi() < 1
         assert out.attempts <= MAX_ATTEMPTS
+
+
+ODD_TO_53 = range(5, 54, 2)
+
+
+@pytest.mark.parametrize("k", range(5, 100, 2))
+def test_odd_instance_tau_lies_in_zero_two(k):
+    # gamma_s has certified negative imaginary part, so its argument lies
+    # in (-pi, 0) and the conjugate branch could never meet [1.59, 1.99].
+    inst = odd_k_instance(solve_roots(k), DEFAULT_M)
+    assert inst.tau.gt(0) and inst.tau.lt(2)
+
+
+@pytest.mark.parametrize("k", ODD_TO_53)
+def test_positive_shift_test_agrees_with_the_shift_term(k):
+    inst = odd_k_instance(solve_roots(k), DEFAULT_M, working_prec_for(DEFAULT_M))
+    n = k ** 3 + 2
+    with_term = (inst.tau * n).gt(inst.mu + inst.A * inst.B.pow_int(-n))
+    assert inst.certifications["positive_shift_excluded"] is with_term
+
+
+@pytest.mark.parametrize("k", ODD_TO_53)
+def test_odd_instance_B_encloses_the_512_bit_modulus_ratio(k, monkeypatch):
+    inst = odd_k_instance(solve_roots(k), DEFAULT_M, working_prec_for(DEFAULT_M))
+    # A fresh cache keeps the 512-bit system out of later tests.
+    monkeypatch.setattr(spectra, "_root_cache", {})
+    fine = solve_roots(k, 512)
+    ratio = fine.roots[k - 3].magnitude() / fine.roots[k - 1].magnitude()
+    assert inst.B.fr_lo() <= ratio.fr_lo() and ratio.fr_hi() <= inst.B.fr_hi()
+
+
+def test_odd_reduce_refines_one_root_per_order(monkeypatch):
+    calls = []
+
+    def counted(rs, i, prec):
+        calls.append((rs.k, i))
+        return refine_root(rs, i, prec)
+
+    monkeypatch.setattr(reduction, "refine_root", counted)
+    for k in ODD_TO_53:
+        del calls[:]
+        odd_k_reduce(k)
+        assert len(calls) == 1, (k, calls)
+        assert calls[0][1] in (k - 2, k - 1)
+
+
+@pytest.mark.parametrize("k, R, tau_in_range, mu_in_range", [
+    (101, 7_865_671, True, True),
+    (151, 26_316_972, True, False),
+    (199, 61_637_820, True, False),
+    (251, 119_347_141, False, False),
+    (499, 960_984_392, False, False),
+])
+def test_odd_reduce_large_orders_pinned(k, R, tau_in_range, mu_in_range):
+    # ln B falls to 1.3e-7 at k = 499 and is read off 128-bit moduli; the
+    # pins hold R where a coarse B would move it first.
+    out = odd_k_reduce(k)
+    assert out.R == R
+    assert out.certifications == {
+        "tau_in_range": tau_in_range, "branch_switched": False,
+        "mu_in_range": mu_in_range, "small_linear_form": True,
+        "positive_shift_excluded": True}

@@ -1,12 +1,12 @@
 """Refining single roots by nested Newton inclusion disks.
 
 odd_k_reduce certifies the root system once at 128 bits and refines only
-the two roots the reduction reads (spectra.refine_root).  The tests check
-that each refined ball lies inside its 128-bit ball and holds the matching
-root of a 512-bit system, that a refinement which polishes towards a
-neighbouring root is never returned, and that the reduction pays for one
-certification and still gives the outcome of a full reduction-grade
-solve.
+gamma_s of the smallest pair (spectra.refine_root).  The tests check, for
+gamma_s and root k - 3, that each refined ball lies inside its 128-bit
+ball and holds the matching root of a 512-bit system, that a refinement
+which polishes towards a neighbouring root is never returned, and that
+the reduction pays for one certification and still gives the outcome of
+a full reduction-grade solve.
 """
 
 import json
@@ -53,7 +53,9 @@ def _inside(inner, outer) -> bool:
 
 
 def _read_roots(rs):
-    """The indices of the roots the odd reduction reads."""
+    """gamma_s, the one root the odd reduction refines, and root k - 3,
+    the next modulus down the order (the reduction reads only its
+    modulus), as a second refinement case."""
     return _small_pair_branch(rs), rs.k - 3
 
 
