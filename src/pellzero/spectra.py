@@ -36,18 +36,15 @@ j = 1..k-1 (j = 0 is the node at 1), and for even k, j = k/2 is the
 negative real root near -5^(-1/k).  gamma, the one root outside the
 unit circle, lies below phi^2 (check_dominant_bounds) and is seeded
 there.  Every seed is then refined by Newton in Python floats
-(_float_newton) and by fixed-point Newton at 64 fraction bits to about
-50 bits.  The float step is taken in the scaled form
+(_float_newton), in the scaled form
 
     delta_k(z) / delta_k'(z) = (z (z^2 - 3z + 1) + z^-(k-2))
                                / ((k+1) z^2 - 3k z + (k-1)),
 
 both divided by z^(k-2), so gamma^k, which leaves the double range past
 k = 737, never appears; a float result that is not finite is replaced
-by the closed-form point.  The float stage leaves the fixed-point one a
-single step per conjugate class.  That stage stays: a float seed
-carries only about 53 bits, and handed straight to the polish it costs
-a third step at prec + 16 bits, which is dearer than the 64-bit step.
+by the closed-form point.  The float seed, which carries about 53 bits,
+goes straight to the polish, which reaches its stop in two steps.
 Real roots are seeded in real float arithmetic and get mpf seeds, so
 they are polished in real arithmetic; each j < k/2 gives an upper seed
 and its exact mirror.
@@ -57,15 +54,25 @@ ints (X, Y) with z = (X + iY) 2^-P, products are floored to P fraction
 bits, and the step delta_k conj(delta_k') / |delta_k'|^2 is a floor
 division.  The polish runs at P = prec + 16.  Fixed point cannot
 overflow, so gamma^k needs no care at large k.  The values come from
-_delta_fixed with its products taken by _fmul_values, which floors
-them exactly as _fmul does and skips the error bounds, so they equal
-the value parts of the radius evaluation below bit for bit.  The
-representation, not the precision, is what makes this fast: at k = 53
-one Newton step on ints costs about 11 us at 144 bits and 21 us at 406
-(15 and 25 us with the error bounds tracked), against about 150 us at
-any precision in mpmath's pure-Python backend (2-vCPU machine).
-Newton's output is not trusted: the inclusion disks below certify the
-centres it gives, whatever their error.
+_delta_fixed, the evaluation the radii use, error bounds and all; its
+products are written out inline, since a function call per product
+would cost about a third of an evaluation.  The representation, not
+the precision, is what makes this fast: at k = 53 one evaluation costs
+about 10 us at 144 bits and 20 us at 406, against about 150 us for a
+step at any precision in mpmath's pure-Python backend (2-vCPU machine).
+
+Newton stops by quadratic convergence: after the first step dz with
+mag(dz) < mag(z) - (prec + 16 + 2 bitlen(k)) / 2 it keeps that step's
+iterate.  The error left is about the next step, |delta_k'' / 2
+delta_k'| |dz|^2, and |delta_k'' / delta_k'| is of order k / |z| near a
+root of delta_k (the roots are simple and of order 1/k apart), so
+the iterate is off by about k |z| 2^-(prec + 16 + 2 bitlen(k)), below
+|z| 2^-(prec+16) / k.  A confirming step below that size would cost one
+more evaluation per class and change nothing that is certified:
+Newton's output is not trusted, since the inclusion disks below certify
+the centres it gives, whatever their error.  From a float seed each
+conjugate class costs three evaluations: two steps at prec + 16 and the
+radius.
 
 Radius soundness.  The radius comes from the same fixed-point
 evaluation (_delta_fixed), with an integer E carried beside each value
@@ -165,8 +172,9 @@ Refinement.  A caller that needs a few roots more precisely than a
 certified system gives them (the odd reduction reads two, at 390 bits)
 refines just those with refine_root, by nested inclusion disks (Rump,
 JCAM 156, 2003), instead of solving every class again.  Newton runs at
-P = prec + 16 (or rs.P, if finer) from the root's exact centre z0, and
-the new centre z1 gets its inclusion radius R1, so D(z1, R1) holds at
+P = prec + 16 (or rs.P, if finer) from the root's exact centre z0 (from
+a 128-bit system to 390 bits, two steps at 406 bits), and the new
+centre z1 gets its inclusion radius R1, so D(z1, R1) holds at
 least one root of delta_k.  The old disk D(z0, R0), R0 = ceil(rad 2^P)
 2^-P, holds the root ball and lies in the integer disk that
 certification found disjoint from the k others at rs.P <= P, so it
@@ -191,7 +199,7 @@ from functools import cached_property
 from typing import ClassVar
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, from_rational, round_ceiling
+from mpmath.libmp import from_float, from_man_exp, from_rational, round_ceiling
 
 from .ball import (
     Ball,
@@ -332,43 +340,57 @@ def _fmul(P: int, a: int, b: int, ea: int, c: int, d: int, ec: int):
     return (a * c - b * d) >> P, (a * d + b * c) >> P, e
 
 
-def _fmul_values(P: int, a: int, b: int, ea: int, c: int, d: int, ec: int):
-    """The values of _fmul alone, bit for bit, with the error bound 0."""
-    return (a * c - b * d) >> P, (a * d + b * c) >> P, 0
-
-
-def _delta_fixed(k: int, X: int, Y: int, P: int, mul=_fmul):
+def _delta_fixed(k: int, X: int, Y: int, P: int):
     """(delta_k(z), delta_k'(z)) at z = (X + iY) 2^-P in fixed point, as
     (DX, DY, eD, SX, SY, eS): each exact value lies within e 2^-P of
     (X + iY) 2^-P for its own (X, Y, e).  Both come from the one power
-    z^(k-2); products go through mul, _fmul by default, and an integer
-    combination adds sum |c_i| e_i.  With mul = _fmul_values the values
-    are the same bit for bit and eD = eS = 0: Newton needs no bounds.
-    Real coefficients keep Y = 0 exactly 0."""
+    z^(k-2), whose first square is z^2 itself.  Every product is taken
+    inline with the floors and the error bound of _fmul, bit for bit,
+    and an integer combination adds sum |c_i| e_i.  Real coefficients
+    keep Y = 0 exactly 0."""
     one = 1 << P
-    w = None  # z^(k-2); None stands for 1
-    b = (X, Y, 0)
+    zzX, zzY, ezz = (X * X - Y * Y) >> P, (X * Y << 1) >> P, 2
+    # w = z^(k-2) by binary powering, b running through z^(2^i); wX is
+    # None until the first set bit.
     n = k - 2
+    if n & 1:
+        wX, wY, ew = X, Y, 0
+    else:
+        wX = None
+    bX, bY, eb = zzX, zzY, ezz
+    n >>= 1
     while n:
+        ab = abs(bX) + abs(bY)
         if n & 1:
-            w = b if w is None else mul(P, *w, *b)
+            if wX is None:
+                wX, wY, ew = bX, bY, eb
+            else:
+                ew = 2 - (-((abs(wX) + abs(wY)) * eb + ab * ew + ew * eb) >> P)
+                wX, wY = (wX * bX - wY * bY) >> P, (wX * bY + wY * bX) >> P
         n >>= 1
         if n:
-            b = mul(P, *b, *b)
-    zzX, zzY, ezz = mul(P, X, Y, 0, X, Y, 0)
-    d = mul(P, X, Y, 0, zzX - 3 * X + one, zzY - 3 * Y, ezz)
-    s = ((k + 1) * zzX - 3 * k * X + (k - 1) * one, (k + 1) * zzY - 3 * k * Y,
-         (k + 1) * ezz)
-    if w is not None:
-        d, s = mul(P, *w, *d), mul(P, *w, *s)
-    return d[0] + one, d[1], d[2], *s
+            eb = 2 - (-((ab * eb << 1) + eb * eb) >> P)
+            bX, bY = (bX * bX - bY * bY) >> P, (bX * bY << 1) >> P
+    # d = z (z^2 - 3z + 1), its second factor off by ezz; s = delta_k' / z^(k-2).
+    cX, cY = zzX - 3 * X + one, zzY - 3 * Y
+    dX, dY = (X * cX - Y * cY) >> P, (X * cY + Y * cX) >> P
+    ed = 2 - (-((abs(X) + abs(Y)) * ezz) >> P)
+    sX, sY = (k + 1) * zzX - 3 * k * X + (k - 1) * one, (k + 1) * zzY - 3 * k * Y
+    es = (k + 1) * ezz
+    if wX is not None:
+        aw = abs(wX) + abs(wY)
+        dX, dY, ed = ((wX * dX - wY * dY) >> P, (wX * dY + wY * dX) >> P,
+                      2 - (-(aw * ed + (abs(dX) + abs(dY)) * ew + ew * ed) >> P))
+        sX, sY, es = ((wX * sX - wY * sY) >> P, (wX * sY + wY * sX) >> P,
+                      2 - (-(aw * es + (abs(sX) + abs(sY)) * ew + ew * es) >> P))
+    return dX + one, dY, ed, sX, sY, es
 
 
 def _newton_step(k: int, X: int, Y: int, P: int):
     """delta_k(z) / delta_k'(z) at z = (X + iY) 2^-P, as a fixed-point
-    pair: delta_k conj(delta_k') / |delta_k'|^2 from the values-only
+    pair: delta_k conj(delta_k') / |delta_k'|^2 from the values of
     _delta_fixed (Newton needs no error bounds), as a floor division."""
-    dX, dY, _, sX, sY, _ = _delta_fixed(k, X, Y, P, _fmul_values)
+    dX, dY, _, sX, sY, _ = _delta_fixed(k, X, Y, P)
     norm = sX * sX + sY * sY
     return ((dX * sX + dY * sY) << P) // norm, ((dY * sX - dX * sY) << P) // norm
 
@@ -394,22 +416,18 @@ def _inclusion_radius(k: int, z, prec: int):
 
 
 def _newton(k: int, X: int, Y: int, P: int, prec: int):
-    """Newton on delta_k from z = (X + iY) 2^-P until a step is below
-    |z| 2^(8-prec).
-
-    The test compares exponents: |dz| < 2^mag(dz) and |z| >= 2^(mag(z)-2),
-    so mag(dz) < mag(z) + 7 - prec gives |dz| < |z| 2^(8-prec)."""
+    """Newton on delta_k from z = (X + iY) 2^-P, stopped by quadratic
+    convergence (module docstring): after the first step with mag(dz) <
+    mag(z) - (prec + 16 + 2 bitlen(k)) / 2, whose iterate is kept, so it
+    is off by about k |z| 2^-(prec + 16 + 2 bitlen(k)) < |z| 2^-(prec+16)
+    / k.  mag is _mag, compared on bit lengths."""
+    stop = (prec + 16 + 2 * k.bit_length()) // 2
     for _ in range(64):
         dX, dY = _newton_step(k, X, Y, P)
         X, Y = X - dX, Y - dY
-        if _mag(dX, dY) < _mag(X, Y) + 7 - prec:
+        if _mag(dX, dY) < _mag(X, Y) - stop:
             break
     return X, Y
-
-
-# Fraction bits of the seed refinement, and the precision it stops at.
-_SEED_P = 64
-_SEED_PREC = 50
 
 
 def _float_newton(k: int, z):
@@ -431,15 +449,14 @@ def _float_newton(k: int, z):
 
 
 def _seed(k: int, z):
-    """The closed-form point z, refined by _float_newton (or z itself when
-    that is not finite) and then by fixed-point Newton at 64 fraction bits
-    to about 50 bits; an mpf when z is a float."""
+    """The closed-form point z refined by _float_newton, or z itself when
+    that is not finite, as an exact mpf (z a float) or mpc."""
     w = _float_newton(k, z)
     if not cmath.isfinite(w):
         w = z
-    X, Y = _newton(k, int(math.ldexp(w.real, _SEED_P)), int(math.ldexp(w.imag, _SEED_P)),
-                   _SEED_P, _SEED_PREC)
-    return _from_fixed(X, Y, _SEED_P)
+    if isinstance(w, float):
+        return _mpf(from_float(w))
+    return _mpc((from_float(w.real), from_float(w.imag)))
 
 
 def _initial_seeds(k: int):
@@ -916,10 +933,11 @@ def check_root_bounds(rs: RootSystem) -> dict:
     cap = Ball.exact(1, p) - log_gamma / (2 * k)
     g_small = w[-1].magnitude()
     floor_w = log_gamma / (2 * k * (5 * k + 2))
+    below_cap, above_floor = bool(cap.gt(smallest)), bool(g_small.gt(floor_w))
     report["smallest_root_caps"] = {
-        "modulus_below_cap": bool(cap.gt(smallest)),
-        "weight_above_floor": bool(g_small.gt(floor_w)),
-        "holds": bool(cap.gt(smallest) and g_small.gt(floor_w)),
+        "modulus_below_cap": below_cap,
+        "weight_above_floor": above_floor,
+        "holds": below_cap and above_floor,
     }
 
     # (v) is structural: certification already forced every non-conjugate

@@ -4,14 +4,14 @@ spectra runs Newton on delta_k with z = (X + iY) 2^-P for Python ints X
 and Y.  The conversion tests check that mpf and mpc values go to and
 from that form exactly (signs included) and that bits below 2^-P are
 truncated towards zero.  The polish tests check each polished centre,
-and each seed, against the matching root of a certified 512-bit system,
-that real seeds stay real with Y exactly 0, and that seeds with a
-negative real part polish to their own root and not to the node at 1.
-Newton evaluates delta_k without error bounds: those values must equal
-the value parts of the error-tracking _delta_fixed bit for bit.  The
-seed tests check the float Newton stage at orders whose gamma^k leaves
-the double range, its fallback to the closed-form point, and the number
-of fixed-point Newton steps a cold solve takes.
+and each float seed, against the matching root of a certified 512-bit
+system, that real seeds stay real with Y exactly 0, and that seeds with
+a negative real part polish to their own root and not to the node at 1.
+_delta_fixed takes its products inline: its output must equal, bit for
+bit, the same evaluation composed from _fmul, and Newton reads its
+values.  The seed tests check the float Newton stage at orders whose
+gamma^k leaves the double range, its fallback to the closed-form point,
+and the number of Newton steps and radii a cold odd reduction takes.
 """
 
 import cmath
@@ -27,9 +27,14 @@ from mpmath.libmp import from_man_exp
 
 from pellzero import spectra
 from pellzero.ball import mpf_to_fraction
+from pellzero.reduction import _small_pair_branch, odd_k_reduce
 
 ORDERS = list(range(2, 61)) + [86]
 P = 144  # the polish at 128 bits runs at prec + 16 fraction bits
+# Relative accuracy of the float seeds: each lies within |seed| 2^-50 of
+# its root.  Measured: the worst seed over ORDERS is off by |seed|
+# 2^-52.6 (k = 7), and gamma's by 2^-55.4 at k = 738, 1000 and 2000.
+SEED_BITS = 50
 
 
 @pytest.fixture(autouse=True)
@@ -95,7 +100,7 @@ def test_polished_centres_and_seeds_lie_near_their_roots(k):
     ref = spectra.solve_roots(k, 512)
     assert ref.prec == 512
     seeds = spectra._initial_seeds(k)
-    _within(seeds, ref.roots, spectra._SEED_PREC)
+    _within(seeds, ref.roots, SEED_BITS + 8)
     for prec in (128, 390):
         _within(spectra._polish(k, seeds, prec), ref.roots, prec)
 
@@ -129,20 +134,47 @@ def test_negative_real_part_seeds_polish_to_their_own_root(k):
     assert rs.prec == 128
 
 
+def _fmul_delta(k, X, Y, P):
+    """The evaluation _delta_fixed inlines, composed from spectra._fmul:
+    z^(k-2) by binary powering, z^2, d = z (z^2 - 3z + 1) and s, and
+    d, s times z^(k-2)."""
+    mul = spectra._fmul
+    one = 1 << P
+    w = None
+    b = (X, Y, 0)
+    n = k - 2
+    while n:
+        if n & 1:
+            w = b if w is None else mul(P, *w, *b)
+        n >>= 1
+        if n:
+            b = mul(P, *b, *b)
+    zzX, zzY, ezz = mul(P, X, Y, 0, X, Y, 0)
+    d = mul(P, X, Y, 0, zzX - 3 * X + one, zzY - 3 * Y, ezz)
+    s = ((k + 1) * zzX - 3 * k * X + (k - 1) * one, (k + 1) * zzY - 3 * k * Y,
+         (k + 1) * ezz)
+    if w is not None:
+        d, s = mul(P, *w, *d), mul(P, *w, *s)
+    return d[0] + one, d[1], d[2], *s
+
+
 @given(st.integers(2, 600), st.sampled_from([64, 144, 406]),
        st.integers(-(1 << 410), 1 << 410) | st.just(0),
        st.integers(-(1 << 410), 1 << 410) | st.just(0))
 @example(2, 64, 3 << 63, 0)
+@example(2, 144, -(5 << 140), 7 << 139)
 @example(3, 144, -(5 << 140), 7 << 139)
 @example(3, 406, 0, 0)
-def test_values_only_evaluation_matches_the_tracked_values(k, p, x, y):
+@example(3, 64, 1 << 409, 0)
+@example(499, 144, (3 << 405) + (math.isqrt(5 << 812) >> 1), 0)  # phi^2, near gamma
+@example(600, 406, -(1 << 409) + 1, 1 << 400)
+def test_inlined_evaluation_matches_the_fmul_reference(k, p, x, y):
     # X and Y reach |z| up to 2^(410 - p), on either side of the unit
     # circle; k = 2 and 3 have no power loop.
     X, Y = x >> (406 - p), y >> (406 - p)
-    DX, DY, eD, SX, SY, eS = spectra._delta_fixed(k, X, Y, p, spectra._fmul_values)
-    full = spectra._delta_fixed(k, X, Y, p)
-    assert (DX, DY, SX, SY) == (full[0], full[1], full[3], full[4])
-    assert eD == eS == 0
+    out = spectra._delta_fixed(k, X, Y, p)
+    assert out == _fmul_delta(k, X, Y, p)
+    DX, DY, _, SX, SY, _ = out
     norm = SX * SX + SY * SY
     if norm:
         want = (((DX * SX + DY * SY) << p) // norm, ((DY * SX - DX * SY) << p) // norm)
@@ -150,33 +182,71 @@ def test_values_only_evaluation_matches_the_tracked_values(k, p, x, y):
 
 
 def test_cold_solves_keep_their_newton_step_counts(monkeypatch):
-    # Fixed-point Newton steps by fraction bits over cold solves of odd
-    # k = 5..53: the float stage leaves one 64-bit step per conjugate
-    # class (375 classes) and the 144-bit polish two, plus one.
-    step = spectra._newton_step
-    steps = Counter()
+    # Evaluations of delta_k over cold odd reductions, odd k = 5..53:
+    # each of the 375 conjugate classes of the 128-bit solves takes two
+    # Newton steps at 144 bits and one radius, and each gamma_s refined
+    # to 390 bits takes two steps at 406 bits and one radius.  No step
+    # runs at any other precision: the seeds are floats.
+    step, radius = spectra._newton_step, spectra._inclusion_radius
+    steps, radii = Counter(), Counter()
 
-    def counting(k, X, Y, p):
+    def counting_step(k, X, Y, p):
         steps[p] += 1
         return step(k, X, Y, p)
 
-    monkeypatch.setattr(spectra, "_newton_step", counting)
+    def counting_radius(k, z, prec):
+        radii[prec] += 1
+        return radius(k, z, prec)
+
+    monkeypatch.setattr(spectra, "_newton_step", counting_step)
+    monkeypatch.setattr(spectra, "_inclusion_radius", counting_radius)
     for k in range(5, 54, 2):
         spectra.clear_cache()
-        assert spectra.solve_roots(k).prec == 128
-    assert set(steps) == {spectra._SEED_P, P}
-    assert steps[spectra._SEED_P] <= 375
-    assert steps[P] <= 751
+        odd_k_reduce(k)
+    assert set(steps) == {P, 406}
+    assert steps[P] <= 750
+    assert steps[406] <= 50
+    assert radii == {128: 375, 390: 25}
+
+
+def test_stop_margin_holds_at_the_range_end(monkeypatch):
+    # The quadratic stop keeps the iterate of a step with |dz| about
+    # |z| 2^-(prec/2 + 8 + bitlen(k)).  At the largest orders the paper
+    # treats, cold solves must still certify at 128 bits and gamma_s must
+    # still refine to 390 bits without a precision doubling, and every
+    # radius must stay below |centre| 2^-prec (measured: 2^-130.2 at
+    # k = 499 and 500, 2^-394.3 for the refinement at k = 499).
+    def no_escalation(prec):
+        raise AssertionError(f"escalated from {prec} bits")
+
+    def tight(ball, prec):
+        with mp.workprec(64):
+            return ball.rad < abs(ball.mid) * mp.ldexp(1, -prec)
+
+    monkeypatch.setattr(spectra, "escalate", no_escalation)
+    for k in (97, 250, 499, 500):
+        spectra.clear_cache()
+        rs = spectra.solve_roots(k)
+        assert rs.prec == 128
+        assert all(tight(r, 128) for r in rs.roots), k
+        if k % 2:
+            ball = spectra.refine_root(rs, _small_pair_branch(rs), 390)
+            assert ball.prec == 390 and tight(ball, 390), k
 
 
 PHI2 = (3 + math.sqrt(5)) / 2
 
 
-def _fixed_only_seed(k, z):
-    X, Y = spectra._newton(k, int(math.ldexp(z.real, spectra._SEED_P)),
-                           int(math.ldexp(z.imag, spectra._SEED_P)),
-                           spectra._SEED_P, spectra._SEED_PREC)
-    return spectra._from_fixed(X, Y, spectra._SEED_P)
+def _gamma_512(k):
+    """gamma at 512 bits, from the scaled equation z (z^2 - 3z + 1) +
+    z^-(k-2) = 0, with its sign change 2^-500 either side checked."""
+    with mp.workprec(512):
+        def f(x):
+            return x * (x * x - 3 * x + 1) + x ** -(k - 2)
+        g = mp.findroot(f, mp.mpf(PHI2))
+        eps = mp.ldexp(g, -500)
+        assert f(g - eps) < 0 < f(g + eps)
+        return g
 
 
 @pytest.mark.parametrize("k", [738, 1000, 2000])
@@ -184,21 +254,25 @@ def test_gamma_float_seed_is_finite_past_the_double_range(k):
     # gamma^k overflows a double past k = 737; the scaled step does not.
     w = spectra._float_newton(k, PHI2)
     assert isinstance(w, float) and math.isfinite(w)
-    seed, fixed = spectra._seed(k, PHI2), _fixed_only_seed(k, PHI2)
-    assert isinstance(seed, mp.mpf)
-    with mp.workprec(128):
-        assert abs(seed - fixed) <= abs(fixed) * mp.ldexp(1, -40)
+    seed = spectra._seed(k, PHI2)
+    assert isinstance(seed, mp.mpf) and seed == w
+    gamma = _gamma_512(k)
+    with mp.workprec(600):
+        assert abs(seed - gamma) <= gamma * mp.ldexp(1, -SEED_BITS)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 1.0)])
 def test_non_finite_float_seed_falls_back_to_the_closed_form_point(bad, monkeypatch):
-    z = complex(0.3, 0.8)
-    want = _fixed_only_seed(5, z)
     monkeypatch.setattr(spectra, "_float_newton", lambda k, z: bad)
-    assert spectra._seed(5, z)._mpc_ == want._mpc_
-    assert spectra._seed(5, PHI2)._mpf_ == _fixed_only_seed(5, PHI2)._mpf_
-    rs = spectra.solve_roots(5)
-    assert rs.prec == 128 and len(rs.roots) == 5
+    z = complex(0.3, 0.8)
+    seed = spectra._seed(5, z)
+    assert isinstance(seed, mp.mpc) and seed == z
+    seed = spectra._seed(5, PHI2)
+    assert isinstance(seed, mp.mpf) and seed == PHI2
+    for k in (5, 499):
+        spectra.clear_cache()
+        rs = spectra.solve_roots(k)
+        assert rs.prec == 128 and len(rs.roots) == k
 
 
 @pytest.mark.parametrize("z", [0.0, 0.5, complex(0.0, 0.0), complex(0.01, 0.01)])

@@ -173,7 +173,44 @@ def test_radius_covers_the_exact_radius_at_drawn_centres(case):
         assert _norm(_exact_pair(k, X, Y, Q)[1]) < 1 << (2 * k * Q), case
 
 
+def _case(k, X, Y, Q, prec=128):
+    """A drawn case at z = (X + iY) 2^-Q, with X or Y odd so that Q is
+    the exact denominator."""
+    if not Y:
+        return k, _dyadic(X, -Q), prec
+    return k, mp.make_mpc((from_man_exp(X, -Q), from_man_exp(Y, -Q))), prec
+
+
+# phi^2 rounded up to an odd multiple of 2^-144: gamma for k = 499 agrees
+# with phi^2 far past 144 bits.
+PHI2_144 = ((3 << 144) + math.isqrt(5 << 288) >> 1) | 1
+# The closed-form position of root 1 of Psi_499, near the unit circle.
+T_499 = 2 * math.pi / 499
+UNIT_499 = (int(math.ldexp(3 ** (-1 / 499) * math.cos(T_499), 144)) | 1,
+            int(math.ldexp(3 ** (-1 / 499) * math.sin(T_499), 144)))
+
+
+# Dropping any one term of the bounds (a +2 for the floors, a cross term
+# e e' of the power loop, a |factor| e term, (k+1) e_zz) fails one of
+# these examples.  They lie near gamma and near the unit circle at
+# k = 499 and P = 144, or were found by search: at small P with |z| near
+# 1 the bounds of the power loop are nearly attained.  The cross terms
+# of the last two products, ew ed and ew es, are the exception: the
+# floors' slack covers them (a search found errors at most 0.55 of the
+# bound without them), so only the bit-for-bit comparison with the
+# _fmul composition in test_fixed_newton pins them.
 @given(centres())
+@example(_case(499, PHI2_144, 0, 144))
+@example(_case(499, *UNIT_499, 144))
+@example(_case(16, 81473993756257465, 81473993756249886, 64))
+@example(_case(238, 528547228048216521788284438585947109,
+               528547228048216519754979083857802000, 118))
+@example(_case(576, 4, -1, 2))
+@example(_case(547, 3, 0, 1))
+@example(_case(3, -55393462611953945333690394091253,
+               41975507259333241476054290289943956, 144))
+@example(_case(2, 138522, 138523, 23))
+@example(_case(10, -21, 0, 5))
 def test_delta_fixed_error_bounds_hold(case):
     k, z, prec = case
     X, Y, Q = _scaled(z)
