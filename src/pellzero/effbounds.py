@@ -4,16 +4,19 @@ sharpened even-order bound L_k from certified root data.
 
 Everything that can reach magnitudes like k^(k^2) lives as a
 LogMagnitude (base-10 log of a positive quantity); nothing here ever
-materializes such a value as an integer.  The two operations whose
-results feed exclusion claims (refined_even_bound, even_case_chain_check)
-run on Ball arithmetic with outward rounding; the report-only bounds use
+materializes such a value as an integer.  The report-only bounds use
 plain high-precision floats, whose rounding error is many orders below
-the margins involved.
+the margins involved.  The bounds that feed exclusion claims, L_k and
+the reduction's R and small-linear-form test, have the shape floor(ln x
+/ ln y) and are decided on integers by log_floor, not by logs;
+even_case_chain_check runs on Ball arithmetic with outward rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import total_ordering
 
 import mpmath as mp
@@ -143,21 +146,49 @@ def implicit_log_bound(r: int, H):
         return mp.mpf(2) ** r * H * mp.log(H) ** r
 
 
+def log_floor(x: Fraction, y: Fraction) -> int:
+    """The largest n with y^n <= x (x >= 1, y > 1), or more where
+    rounding cannot tell: y^(n+1) > x is certified for the n returned.
+    Each test "y^n > x" compares a lower bound on y^n 2^P, floor(y 2^P)
+    to the n-th power by squaring with every product floored, P = 128 +
+    2 bitlen(n), with x 2^P exactly.  A float estimate, ln x / log1p(y -
+    1), moves by doubling steps until two tests bracket n, then bisects."""
+    if x < 1 or y <= 1:
+        raise ValueError(f"log_floor needs x >= 1 and y > 1, got {x}, {y}")
+
+    def above(n: int) -> bool:
+        P = 128 + 2 * n.bit_length()
+        b, p = (y.numerator << P) // y.denominator, 1 << P
+        for bit in bin(n)[2:]:
+            p = p * p >> P
+            if bit == "1":
+                p = p * b >> P
+        return p * x.denominator > x.numerator << P
+
+    lo = int((math.log(x.numerator) - math.log(x.denominator)) / math.log1p(float(y - 1)))
+    hi, step = lo + 1, 1
+    while above(lo):
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    while not above(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return lo
+
+
 def refined_even_bound(rs: RootSystem) -> int:
     """L_k = floor( ln(16 k^2) / ln(|second smallest| / |smallest|) ) for
-    even k, rounded outward (numerator up, denominator down) so the
-    result stays a valid upper bound on the zero index magnitude."""
+    even k, by log_floor at the ratio's lower end mod_lo[-2] / mod_hi[-1],
+    so it bounds the zero index magnitude; IndeterminateComparison when
+    that end is not above 1."""
     k = rs.k
     if k % 2 == 1:
         raise ValueError(f"refined bound applies to even k, got {k}")
-    ratio = rs.moduli[-2] / rs.moduli[-1]
-    log_ratio = ratio.log()
-    num = Ball.exact(16 * k * k, rs.prec).log()
-    den_lo = log_ratio.fr_lo()
-    if den_lo <= 0:
+    if not rs.mod_lo[-2] > rs.mod_hi[-1]:
         raise IndeterminateComparison(
             f"smallest-moduli gap not certified positive at prec {rs.prec}")
-    return int(num.fr_hi() / den_lo)
+    return log_floor(Fraction(16 * k * k), Fraction(rs.mod_lo[-2], rs.mod_hi[-1]))
 
 
 def even_case_chain_check(rs: RootSystem, n: int) -> bool:

@@ -12,26 +12,23 @@ The reduction step: for tau, mu, A > 0, B > 1 and a convergent p/q of
 tau with q > 6M, set eps = ||mu q|| - M ||tau q|| (||.|| = distance to
 the nearest integer).  When eps > 0, any solution of
 0 < |u tau - v + mu| < A B^(-w) with 0 < u <= M forces
-w < log(A q / eps) / log B.  R is that bound floored after outward
-rounding, so the exclusion survives every enclosure outcome.
+w < log(A q / eps) / log B.  R is the largest n with B^n <= A q / eps,
+decided by effbounds.log_floor at the upper bound of A and the lower
+bounds of eps and B, so the exclusion survives every enclosure outcome.
 
 The odd-order pipeline refines one root, gamma_s of the smallest pair,
 which gives tau, mu and A.  odd_k_reduce takes the root system
 certified at the default precision, usually cached, and refines only
 gamma_s to reduction-grade precision (spectra.refine_root), not every
 root class.  B = |r_{k-3}| / |gamma_s| is read off the certified
-modulus intervals (RootSystem.moduli): it enters R only through the
-lower bound of log B, and at 128 bits the relative width of that bound
-stays far below the 2^-40 margin _outward_R adds (ln B is 1.3e-7 at
-k = 499).
+modulus intervals (RootSystem.moduli); R and the small-linear-form
+test read only its lower bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath as mp
 
 from .ball import (
     Ball,
@@ -40,6 +37,7 @@ from .ball import (
     PrecisionExhausted,
     escalate,
 )
+from .effbounds import log_floor
 from .spectra import RootSystem, eval_gk, refine_root, solve_roots
 
 DEFAULT_M = 3 * 10 ** 47
@@ -171,25 +169,6 @@ def _nearest_int_distance(y: Ball):
     return (y - int(round(y.fr_mid()))).magnitude()
 
 
-def _outward_R(A: Ball, q: int, e_lo: Fraction, B: Ball) -> int:
-    """floor(log(A q / eps) / log B) with the quotient rounded up:
-    A and q at upper bounds, eps (given as its certified lower bound)
-    and log B at lower bounds."""
-    a_hi = A.fr_hi()
-    b_lo = B.fr_lo()
-    if e_lo <= 0:
-        raise ValueError("eps lower bound must be positive")
-    if b_lo <= 1:
-        raise IndeterminateComparison("log B lower bound not positive")
-    with mp.workprec(192):
-        num = (mp.log(mp.mpf(a_hi.numerator)) - mp.log(mp.mpf(a_hi.denominator))
-               + mp.log(mp.mpf(q))
-               - mp.log(mp.mpf(e_lo.numerator)) + mp.log(mp.mpf(e_lo.denominator)))
-        den = mp.log(mp.mpf(b_lo.numerator)) - mp.log(mp.mpf(b_lo.denominator))
-        ratio = num / den * (1 + mp.mpf(2) ** -40)
-        return int(mp.floor(ratio))
-
-
 def dp_reduce(inst: ReductionInstance, refine=None) -> ReductionOutcome:
     """First convergent past 6M with certified eps > 0; advances through
     later convergents on eps <= 0, raising ReductionExhausted after
@@ -221,7 +200,7 @@ def dp_reduce(inst: ReductionInstance, refine=None) -> ReductionOutcome:
             if e_lo > 0:
                 eps = Ball.exact(Fraction(e_lo + e_hi, 2),
                                  inst.tau.prec).add_error((e_hi - e_lo) / 2)
-                r_bound = _outward_R(inst.A, q, e_lo, inst.B)
+                r_bound = log_floor(inst.A.fr_hi() * q / e_lo, inst.B.fr_lo())
                 return ReductionOutcome(q_used=q, m_index=idx, epsilon=eps,
                                         R=r_bound, attempts=attempts)
             if attempts >= MAX_ATTEMPTS:
@@ -296,8 +275,8 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
         mu.gt(Fraction(700657, 1000000)) and mu.lt(Fraction(19927, 10000)))
 
     n = k ** 3 + 2
-    certs["small_linear_form"] = bool(
-        (b_ball.log() * n).gt((a_ball * pi_ball * 2).log()))
+    certs["small_linear_form"] = n > log_floor((a_ball * pi_ball * 2).fr_hi(),
+                                               b_ball.fr_lo())
     certs["positive_shift_excluded"] = bool((tau * n).gt(mu + a_ball))
 
     return ReductionInstance(tau=tau, mu=mu, A=a_ball, B=b_ball, M=M,

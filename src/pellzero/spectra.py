@@ -143,15 +143,15 @@ follow from conjugation symmetry.  The mirror (X, -Y, R) of a disk
 holds the conjugate of its root, which is a root of Psi_k and so lies
 in some disk; the mirror has the disk's own span, so that disk is the
 disk itself or one of its sweep neighbours, and only those are tested.
-A mirror that meets only its own disk means the root is real (the disk
-holds one root), so the centre is made real and the system re-polished;
-a disk with a real centre is its own mirror and holds a real root.  The
-roots are sorted by exact N, descending, conjugate partners upper
-first; partners aside, adjacent |root| intervals must separate
-strictly, the first must lie above 1, every other below 1, and the
-first disk must be real with X > 0.  No Ball is compared: the root
-balls Ball(centre, rad) are built only for the RootSystem, whose
-modulus balls are read off the integer intervals (RootSystem.moduli).
+A mirror that meets only its own disk means a real root (the disk holds
+one) at a complex centre, which fails like any other test; a disk with
+a real centre is its own mirror and holds a real root.  The roots are
+sorted by exact N, descending, conjugate partners upper first; partners
+aside, adjacent |root| intervals must separate strictly, the first must
+lie above 1, every other below 1, and the first disk must be real with
+X > 0.  No Ball is compared: the root balls Ball(centre, rad) are built
+only for the RootSystem, whose modulus balls are read off the integer
+intervals (RootSystem.moduli).
 
 Newton steps and radii are computed once per conjugate class: a real
 centre, or the upper member of a conjugate pair.  delta_k has real
@@ -169,7 +169,7 @@ exact (ball.conj_exact): mpmath's mpc.conjugate() rounds to the ambient
 radii, near 1e-16.
 
 Refinement.  A caller that needs a few roots more precisely than a
-certified system gives them (the odd reduction reads two, at 390 bits)
+certified system gives them (the odd reduction reads one, at 390 bits)
 refines just those with refine_root, by nested inclusion disks (Rump,
 JCAM 156, 2003), instead of solving every class again.  Newton runs at
 P = prec + 16 (or rs.P, if finer) from the root's exact centre z0 (from
@@ -181,9 +181,9 @@ certification found disjoint from the k others at rs.P <= P, so it
 holds exactly one root, the certified one.  If R0 >= R1 and |z1 - z0|
 <= R0 - R1, decided exactly at P, the new disk lies in the old one and
 holds that same root; otherwise, or when delta_k'(z1) is not certified
-nonzero, the precision doubles (ball.escalate) and Newton runs again
-from z0.  A lower member of a pair gets the exact mirror of its upper
-one's refinement.
+nonzero, or when R1 exceeds |z1| 2^-prec, the precision doubles
+(ball.escalate) and Newton runs again from z0.  A lower member of a
+pair gets the exact mirror of its upper one's refinement.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,10 +218,6 @@ from .ball import (
 
 class CertificationFailure(Exception):
     """Internal: disks not disjoint / pairing ambiguous; escalate."""
-
-    def __init__(self, message, realify=()):
-        super().__init__(message)
-        self.realify = tuple(realify)
 
 
 @dataclass
@@ -521,6 +517,11 @@ def _modulus_bounds(X: int, Y: int, R: int):
     return s - R, s + (s * s < n) + R
 
 
+def _reaches(X: int, Y: int, R: int, prec: int) -> bool:
+    """Whether R <= |X + iY| 2^-prec exactly: a disk labelled prec."""
+    return (R << prec) ** 2 <= X * X + Y * Y
+
+
 def _overlapping_pairs(disks):
     """Index pairs (i, j), i != j, of the disks (X, Y, R) whose real
     spans [X - R, X + R] meet.
@@ -575,7 +576,6 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
     # Conjugate pairing: a mirror can only meet its own disk or a sweep
     # neighbour, since it has the same real span.
     pairs = {}
-    realify = []
     for i, c in enumerate(centers):
         if not isinstance(c, mp.mpc):
             continue
@@ -583,18 +583,12 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
         mirror = X, -Y, R
         hits = [j for j in [i] + near[i]
                 if j < k and not _disjoint(mirror, disks[j])]
-        if hits == [i]:
-            realify.append(i)
-        elif len(hits) != 1:
+        if len(hits) != 1 or hits == [i]:
             raise CertificationFailure(
                 f"conjugate of root {i} matches disks {hits}")
-        else:
-            pairs[i] = hits[0]
-    if realify:
-        raise CertificationFailure("complex centers behave as real roots",
-                                   realify=realify)
+        pairs[i] = hits[0]
     for i, j in pairs.items():
-        if pairs.get(j) != i or i == j:
+        if pairs.get(j) != i:
             raise CertificationFailure(f"asymmetric pairing {i}<->{j}")
 
     # Sort by descending exact |centre|^2; conjugate partners (equal
@@ -666,10 +660,9 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     coefficients, so the iterates and the radius bound mirror, and the
     lower member of a pair gets the exact mirror (ball.conj_exact) of
     the upper centre and the same radius; every disk, mirrors included,
-    is still tested.  A complex centre whose mirror meets only its own
-    disk is made real and the system re-polished; any other failure
-    doubles the precision.  Results are cached per order for the
-    process."""
+    is still tested.  Any failure doubles the precision, and so does a
+    radius above |centre| 2^-prec, so the label prec is the accuracy the
+    radii reach.  Results are cached per order for the process."""
     if k < 2:
         raise ValueError(f"order k must be >= 2, got {k}")
     if target_prec < 64:
@@ -683,16 +676,13 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     seeds = _initial_seeds(k)
     while True:
         centers = _polish(k, seeds, prec)
-        try:
+        with suppress(CertificationFailure):
             rs = _certify(k, centers, prec)
-            break
-        except CertificationFailure as fail:
-            if fail.realify:
-                seeds = [c.real if i in fail.realify else c
-                         for i, c in enumerate(centers)]
-                continue
-            seeds = centers
-            prec = escalate(prec)
+            if all(_reaches(*_to_fixed(b.mid, rs.P), _fix_up(b.rad._mpf_, rs.P), prec)
+                   for b in rs.roots):
+                break
+        seeds = centers
+        prec = escalate(prec)
     with _cache_lock:
         old = _root_cache.get(k)
         if old is None or old.prec < rs.prec:
@@ -721,8 +711,10 @@ def refine_root(rs: RootSystem, i: int, prec: int) -> Ball:
         except CertificationFailure:
             pass
         else:
-            r = R0 - _fix_up(rad._mpf_, P)
-            if r >= 0 and (X - X0) ** 2 + (Y - Y0) ** 2 <= r * r:
+            R1 = _fix_up(rad._mpf_, P)
+            r = R0 - R1
+            if (r >= 0 and (X - X0) ** 2 + (Y - Y0) ** 2 <= r * r
+                    and _reaches(X, Y, R1, prec)):
                 break
         prec = escalate(prec)
     _record(prec)

@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from . import bigseq
-from .bigseq import KContext
 
 
 class StructureMismatch(Exception):
@@ -229,8 +228,8 @@ def observed_chi(k: int) -> int:
 
 def mirror_sequence(k: int, n_hi: int, check_identity: bool = True) -> list:
     """G_0..G_{n_hi} where G_n = P(-n), the sequence read backward from
-    its zero window.  With check_identity on (the default), each
-    n >= k+1 is tested against the cross-lag identity
+    its zero window (bigseq.backward_terms).  With check_identity on
+    (the default), each n >= k+1 is tested against the cross-lag identity
 
         G_n = 3 G_{n-k} + sum_{i=1}^{k-3} G_{n-(k-i)} - 2 G_{n-k-1} + 3 G_{n-2}
 
@@ -240,8 +239,7 @@ def mirror_sequence(k: int, n_hi: int, check_identity: bool = True) -> list:
     """
     if n_hi < k:
         raise ValueError(f"n_hi must be >= k, got {n_hi} < {k}")
-    ctx = KContext(k)
-    g = [ctx.value(-n) for n in range(n_hi + 1)]
+    g = list(islice(bigseq.backward_terms(k), n_hi + 1))
     if check_identity:
         for n in range(k + 1, n_hi + 1):
             rhs = (3 * g[n - k]

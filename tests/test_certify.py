@@ -6,7 +6,8 @@ kept integer modulus intervals hold its modulus.  The failure-path
 tests feed _certify centres that must not certify: a duplicated centre,
 a centre moved so far towards a neighbour that the disks meet, and, with
 the inclusion radii pinned, centres or radii that break one of the later
-checks each (modulus order, dominance, root sum, root product).  The
+checks each (modulus order, dominance, root sum, root product); a
+solve whose certified radii miss its precision label escalates.  The
 sweep tests check the fixed-point sweep (spectra._overlapping_pairs) and
 pair test (spectra._disjoint) against an all-pairs exact oracle on
 random disks, the radius conversion against exact rounding up, and pin
@@ -100,9 +101,8 @@ def test_centre_moved_onto_a_neighbour_raises():
                    key=lambda p: abs(centres[p[0]] - centres[p[1]]))
         moved = list(centres)
         moved[i] = centres[i] + (centres[j] - centres[i]) * mp.mpf(0.45)
-    with pytest.raises(CertificationFailure, match="not certifiedly disjoint") as exc:
+    with pytest.raises(CertificationFailure, match="not certifiedly disjoint"):
         spectra._certify(k, moved, 128)
-    assert exc.value.realify == ()
 
 
 # -- the checks after the sweep, with pinned radii -----------------------
@@ -231,6 +231,8 @@ def test_radius_with_bits_below_the_fixed_point_rounds_up(monkeypatch):
 
 
 def test_near_real_centre_is_made_real(monkeypatch):
+    # A complex centre whose mirror meets only its own disk fails like
+    # any other certification; the 256-bit polish makes it real.
     k = 10
     polish, certify = spectra._polish, spectra._certify
     failures = []
@@ -256,8 +258,9 @@ def test_near_real_centre_is_made_real(monkeypatch):
     monkeypatch.setattr(spectra, "_polish", polish_then_tilt)
     monkeypatch.setattr(spectra, "_certify", recording_certify)
     rs = spectra.solve_roots(k)
-    assert [f.realify for f in failures] == [tuple(tilted)]
-    assert rs.prec == 128
+    assert len(failures) == 1 and type(failures[0]) is CertificationFailure
+    assert str(failures[0]) == f"conjugate of root {tilted[0]} matches disks {tilted}"
+    assert rs.prec == 256
     assert rs.real_roots == [0, k - 1]
     assert rs.roots[k - 1].fr_mid() < 0
     assert len(rs.conj_pairs) == (k - 2) // 2
@@ -289,6 +292,33 @@ def test_failed_certification_escalates_from_the_old_centres(k, monkeypatch):
             == [mp.nstr(b.mid, 30) for b in direct.roots])
     # Polished at the new precision, not left at the old one.
     assert max(b.rad for b in rs.roots) < mp.mpf(2) ** -200
+
+
+@pytest.mark.parametrize("k", [5, 10])
+def test_radii_short_of_the_label_escalate(k, monkeypatch):
+    # One Newton step from a float seed reaches about 106 bits: the
+    # 128-bit system certifies, but its radii miss 2^-128 |centre|.
+    newton, certify = spectra._newton, spectra._certify
+    certified = []
+
+    def one_step_at_128(kk, X, Y, P, prec):
+        if prec != 128:
+            return newton(kk, X, Y, P, prec)
+        dX, dY = spectra._newton_step(kk, X, Y, P)
+        return X - dX, Y - dY
+
+    def recording_certify(kk, centres, prec):
+        rs = certify(kk, centres, prec)
+        certified.append(rs.prec)
+        return rs
+
+    monkeypatch.setattr(spectra, "_newton", one_step_at_128)
+    monkeypatch.setattr(spectra, "_certify", recording_certify)
+    rs = spectra.solve_roots(k)
+    assert certified == [128, 256]
+    assert rs.prec == 256
+    for b in rs.roots:
+        assert b.rad <= abs(b.mid) * mp.mpf(2) ** -256
 
 
 @pytest.mark.parametrize("k", [499, 500])

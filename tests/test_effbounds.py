@@ -1,12 +1,17 @@
 """Log-space effective bounds: linear-form floors, the parity-dispatched
 global bound, the refined even-order bound, and the inequality chains
-connecting them."""
+connecting them.  log_floor is checked in exact Fraction arithmetic: at
+and just below exact powers, and on random inputs, where y^(r+1) > x
+must hold for every result r."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pellzero.ball import IndeterminateComparison
 from pellzero.effbounds import (
@@ -16,6 +21,7 @@ from pellzero.effbounds import (
     even_case_chain_check,
     global_zero_index_bound,
     implicit_log_bound,
+    log_floor,
     matveev_lower_bound,
     refined_even_bound,
 )
@@ -122,6 +128,8 @@ def test_refined_bound_values():
     assert refined_even_bound(solve_roots(6)) == 163
     assert refined_even_bound(solve_roots(8)) == 433
     assert refined_even_bound(solve_roots(10)) == 913
+    assert refined_even_bound(solve_roots(250)) == 27338900
+    assert refined_even_bound(solve_roots(500)) == 240664142
     with pytest.raises(ValueError):
         refined_even_bound(solve_roots(5))
 
@@ -158,3 +166,55 @@ def test_chain_check_guards():
     with pytest.raises(ValueError):
         even_case_chain_check(solve_roots(4), -1)
 
+
+
+# -- log_floor -------------------------------------------------------------
+
+@st.composite
+def _bases(draw, min_gap_bits):
+    """y = (q + s) / q > 1 with y - 1 > 2^-min_gap_bits."""
+    q = draw(st.integers(1, 2 ** 40))
+    s = draw(st.integers((q >> min_gap_bits) + 1, q << 12))
+    return Fraction(q + s, q)
+
+
+@given(_bases(38), st.integers(1, 3000))
+def test_log_floor_at_and_just_below_exact_powers(y, n):
+    x = y ** n
+    assert log_floor(x, y) == n
+    assert log_floor(x * (1 - Fraction(1, 2 ** 40)), y) == n - 1
+
+
+@given(st.integers(1, 2 ** 160), st.integers(1, 2 ** 100), _bases(8))
+def test_log_floor_brackets_random_quotients(num, den, y):
+    x = max(Fraction(num, den), Fraction(1))
+    r = log_floor(x, y)
+    assert y ** (r + 1) > x
+    assert y ** r <= x
+
+
+def test_log_floor_small_and_invalid_arguments():
+    assert log_floor(Fraction(1), Fraction(3, 2)) == 0
+    assert log_floor(Fraction(3, 2), Fraction(3, 2)) == 1
+    assert log_floor(Fraction(10 ** 30), Fraction(10)) == 30
+    with pytest.raises(ValueError):
+        log_floor(Fraction(1, 2), Fraction(2))
+    with pytest.raises(ValueError):
+        log_floor(Fraction(5), Fraction(1))
+
+
+def test_refined_bound_is_bracketed_exactly():
+    # L_k is the largest n with (mod_lo[-2] / mod_hi[-1])^n <= 16 k^2.
+    for k in (4, 6, 8, 10):
+        rs = solve_roots(k)
+        y = Fraction(rs.mod_lo[-2], rs.mod_hi[-1])
+        L = refined_even_bound(rs)
+        assert y ** L <= 16 * k * k < y ** (L + 1), k
+
+
+def test_refined_bound_without_a_certified_gap_is_indeterminate():
+    rs = solve_roots(6)
+    lo = list(rs.mod_lo)
+    lo[-2] = rs.mod_hi[-1]
+    with pytest.raises(IndeterminateComparison):
+        refined_even_bound(dataclasses.replace(rs, mod_lo=lo))

@@ -23,6 +23,8 @@ KEEP = {
     "clear_cache": "the perfbench gate runs each order cold with it",
     "suggested_prec": "acceptance criterion 6 sizes its precision with it",
     "mirror_sequence": "the strict-xfail twin on the shifted-index identity reads it",
+    "KContext": "the acceptance criteria, the perfbench probes and the scan "
+                "tests use it as the k-term reference",
     "verify_structure": "the strict-xfail twins on the published blocks read it",
     "observed_report": "kept until the corrected count is certified for "
                        "k = 4..500 (ROADMAP item 4)",

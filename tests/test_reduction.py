@@ -286,6 +286,29 @@ def test_odd_reduce_k5_outcome():
     assert set(blob["epsilon"]) == {"mid", "rad"}
 
 
+@pytest.mark.parametrize("k, R", [(5, 847), (7, 2344)])
+def test_odd_reduce_bound_is_bracketed_exactly(k, R, monkeypatch):
+    # R is the largest n with B_lo^n <= A_hi q / e_lo, for the lower
+    # ends of B and eps and the upper end of A; dp_reduce's call to
+    # log_floor is the last one odd_k_reduce makes.
+    log_floor = reduction.log_floor
+    calls = []
+
+    def recording(x, y):
+        calls.append((x, y))
+        return log_floor(x, y)
+
+    monkeypatch.setattr(reduction, "log_floor", recording)
+    out = odd_k_reduce(k)
+    monkeypatch.undo()
+    x, y = calls[-1]
+    inst = odd_k_instance(solve_roots(k), DEFAULT_M, working_prec_for(DEFAULT_M))
+    assert out.R == R
+    assert y == inst.B.fr_lo()
+    assert out.epsilon.fr_lo() <= inst.A.fr_hi() * out.q_used / x <= out.epsilon.fr_hi()
+    assert y ** R <= x < y ** (R + 1)
+
+
 @pytest.mark.xfail(strict=True,
                    reason="published reduced bound range [1568, 130068833] "
                           "misses the certified value 847 at order 5")

@@ -4,7 +4,8 @@ odd_k_reduce certifies the root system once at 128 bits and refines only
 gamma_s of the smallest pair (spectra.refine_root).  The tests check, for
 gamma_s and root k - 3, that each refined ball lies inside its 128-bit
 ball and holds the matching root of a 512-bit system, that a refinement
-which polishes towards a neighbouring root is never returned, and that
+which polishes towards a neighbouring root is never returned, that one
+whose radius misses the requested precision escalates, and that
 the reduction pays for one certification and still gives the outcome of
 a full reduction-grade solve.
 """
@@ -115,6 +116,27 @@ def test_refinement_towards_a_neighbouring_root_is_never_returned(k, monkeypatch
     monkeypatch.setattr(ball, "PREC_CEILING", 4 * PREC)
     with pytest.raises((CertificationFailure, PrecisionExhausted)):
         refine_root(rs, i, PREC)
+
+
+@pytest.mark.parametrize("k", [5, 53])
+def test_refinement_short_of_the_label_escalates(k, monkeypatch):
+    # One Newton step from a 128-bit centre reaches about 256 bits: the
+    # new disk nests in the old one, but its radius misses 2^-PREC |z|.
+    rs = solve_roots(k)
+    i = _small_pair_branch(rs)
+    newton = spectra._newton
+
+    def one_step_at_prec(k_, X, Y, P, prec):
+        if prec != PREC:
+            return newton(k_, X, Y, P, prec)
+        dX, dY = spectra._newton_step(k_, X, Y, P)
+        return X - dX, Y - dY
+
+    monkeypatch.setattr(spectra, "_newton", one_step_at_prec)
+    root = refine_root(rs, i, PREC)
+    assert root.prec == ball.escalate(PREC)
+    norm = root.real().fr_mid() ** 2 + root.imag().fr_mid() ** 2
+    assert mpf_to_fraction(root.rad) ** 2 * 4 ** root.prec <= norm
 
 
 @pytest.mark.parametrize("k", [21, 53])
