@@ -291,15 +291,6 @@ class Ball:
         return cls(_mpf(mid), _mpf(rad), prec)
 
     @classmethod
-    def from_midrad(cls, mid, rad, prec):
-        """Ball from a midpoint and a radius; a radius that is not an mpf
-        is converted rounding up."""
-        rad = _ub(rad)
-        if rad[0] and rad[1]:
-            raise ValueError("negative radius")
-        return cls(mid, _mpf(rad), prec)
-
-    @classmethod
     def pi(cls, prec=PREC_START):
         mid = mpf_pi(prec, round_nearest)
         rad = mpf_shift(mpf_abs(mid, _RADIUS_BITS, round_ceiling), 3 - prec)
@@ -590,10 +581,6 @@ class Ball:
         if _cmp_q(self._lo(), v) >= 0:
             return False
         raise IndeterminateComparison(f"{self!r} vs {v}")
-
-    def is_nonzero(self) -> bool:
-        lb = self._lb()
-        return not lb[0] and bool(lb[1])
 
 
 def ball_sum(balls):

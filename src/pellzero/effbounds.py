@@ -14,7 +14,6 @@ even_case_chain_check runs on Ball arithmetic with outward rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -149,32 +148,26 @@ def implicit_log_bound(r: int, H):
 def log_floor(x: Fraction, y: Fraction) -> int:
     """The largest n with y^n <= x (x >= 1, y > 1), or more where
     rounding cannot tell: y^(n+1) > x is certified for the n returned.
-    Each test "y^n > x" compares a lower bound on y^n 2^P, floor(y 2^P)
-    to the n-th power by squaring with every product floored, P = 128 +
-    2 bitlen(n), with x 2^P exactly.  A float estimate, ln x / log1p(y -
-    1), moves by doubling steps until two tests bracket n, then bisects."""
+    With y - 1 above 2^-(g+1), n has at most B = g + bitlen(bitlen(num
+    x)) + 1 bits, and every value is a lower bound in units of 2^-P, P =
+    128 + 2B + g, each product floored: y^(2^j) by squaring until it
+    exceeds x, then n bit by bit from the top, a bit kept while the
+    product stays at most x.  A bit left out is certified: y^(m + 2^j) >
+    x for the bits m above it, and m + 2^j is n + 1 for the lowest."""
     if x < 1 or y <= 1:
         raise ValueError(f"log_floor needs x >= 1 and y > 1, got {x}, {y}")
-
-    def above(n: int) -> bool:
-        P = 128 + 2 * n.bit_length()
-        b, p = (y.numerator << P) // y.denominator, 1 << P
-        for bit in bin(n)[2:]:
-            p = p * p >> P
-            if bit == "1":
-                p = p * b >> P
-        return p * x.denominator > x.numerator << P
-
-    lo = int((math.log(x.numerator) - math.log(x.denominator)) / math.log1p(float(y - 1)))
-    hi, step = lo + 1, 1
-    while above(lo):
-        lo, hi, step = max(lo - step, 0), lo, 2 * step
-    while not above(hi):
-        lo, hi, step = hi, hi + step, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if above(mid) else (mid, hi)
-    return lo
+    g = max(y.denominator.bit_length() - (y.numerator - y.denominator).bit_length(), 0)
+    P = 128 + 2 * (g + x.numerator.bit_length().bit_length() + 1) + g
+    top = x.numerator << P
+    powers = [(y.numerator << P) // y.denominator]
+    while powers[-1] * x.denominator <= top:
+        powers.append(powers[-1] ** 2 >> P)
+    n, p = 0, 1 << P
+    for j in reversed(range(len(powers))):
+        q = p * powers[j] >> P
+        if q * x.denominator <= top:
+            n, p = n + (1 << j), q
+    return n
 
 
 def refined_even_bound(rs: RootSystem) -> int:

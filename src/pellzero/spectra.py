@@ -44,22 +44,27 @@ there.  Every seed is then refined by Newton in Python floats
 both divided by z^(k-2), so gamma^k, which leaves the double range past
 k = 737, never appears; a float result that is not finite is replaced
 by the closed-form point.  The float seed, which carries about 53 bits,
-goes straight to the polish, which reaches its stop in two steps.
-Real roots are seeded in real float arithmetic and get mpf seeds, so
-they are polished in real arithmetic; each j < k/2 gives an upper seed
-and its exact mirror.
+converts to fixed point (below), each part truncated towards zero, and
+goes straight to the polish, which reaches its stop in two steps.  Real
+roots are seeded in real float arithmetic and get Y = 0, so they are
+polished in real arithmetic; each j < k/2 gives an upper seed (X, Y)
+and its exact mirror (X, -Y).
 
 Newton runs on fixed-point Gaussian integers: z is the pair of Python
 ints (X, Y) with z = (X + iY) 2^-P, products are floored to P fraction
 bits, and the step delta_k conj(delta_k') / |delta_k'|^2 is a floor
 division.  The polish runs at P = prec + 16.  Fixed point cannot
-overflow, so gamma^k needs no care at large k.  The values come from
-_delta_fixed, the evaluation the radii use, error bounds and all; its
-products are written out inline, since a function call per product
-would cost about a third of an evaluation.  The representation, not
-the precision, is what makes this fast: at k = 53 one evaluation costs
-about 10 us at 144 bits and 20 us at 406, against about 150 us for a
-step at any precision in mpmath's pure-Python backend (2-vCPU machine).
+overflow, so gamma^k needs no care at large k.  A root stays in this
+form from its seed to its certified disk: the polish, the radii, the
+certification and refine_root take and return integers, and a
+precision doubling moves the centres to the new P by a shift.  The
+values come from _delta_fixed, the evaluation the radii use, error
+bounds and all; its products are written out inline, since a function
+call per product would cost about a third of an evaluation.  The
+representation, not the precision, is what makes this fast: at k = 53
+one evaluation costs about 10 us at 144 bits and 20 us at 406, against
+about 150 us for a step at any precision in mpmath's pure-Python
+backend (2-vCPU machine).
 
 Newton stops by quadratic convergence: after the first step dz with
 mag(dz) < mag(z) - (prec + 16 + 2 bitlen(k)) / 2 it keeps that step's
@@ -77,10 +82,10 @@ radius.
 Radius soundness.  The radius comes from the same fixed-point
 evaluation (_delta_fixed), with an integer E carried beside each value
 (X, Y): the exact value lies within E 2^-P of (X + iY) 2^-P.  The
-centre converts exactly (E = 0): P is prec + 16, or more when the
-centre has bits below 2^-(prec+16).  For exact values A + a and B + b
-with |a| <= eA and |b| <= eB, (A + a)(B + b) - AB = A b + B a + a b, and
-each floored part of a product is off by less than one unit, so:
+centre is exact (E = 0): it is the integer pair the polish gave, at
+P = prec + 16.  For exact values A + a and B + b with |a| <= eA and
+|b| <= eB, (A + a)(B + b) - AB = A b + B a + a b, and each floored part
+of a product is off by less than one unit, so:
 
     step                  value (units of 2^-P)     error E (units of 2^-P)
     A B                   both parts floored        2 + ceil((|A| eB + |B| eA
@@ -88,16 +93,16 @@ each floored part of a product is off by less than one unit, so:
     sum c_i A_i, c_i int  exact                     sum |c_i| e_i
     z^(k-2)               A B at each squaring      as A B
     R                     (k+1) (ceil|D| + eD) / (floor|S| - eS), rounded
-                          up to a 30-bit radius mpf (ball._RADIUS_BITS)
-    g_k: N = z - 1        exact at the centre       R = ceil(rad 2^P) of the
-                                                      input ball
+                          up to a 30-bit radius m 2^e (_round_up, as
+                          ball rounds radii; ball._RADIUS_BITS)
+    g_k: N = z - 1        exact at the centre       R of the input disk
     g_k: D = (k+1) z^2    z^2 as A B, with error    (k+1) e_zz + 3k R
       - 3k z + (k-1)        R on both factors
     g_k = N / D           N conj(D) / |D|^2, both   2 + ceil((R ceil|D|
                           parts floored               + ceil|N| eD) 2^P /
                                                       (floor|D| (floor|D|
                                                       - eD))), rounded up
-                                                      to a 30-bit radius mpf
+                                                      to 30 significant bits
 
 |A| is bounded above by |X| + |Y|.  D and S are delta_k(z) and
 delta_k'(z) in units of 2^-P; ceil|D| and floor|S| come from math.isqrt,
@@ -108,16 +113,18 @@ grows to k P bits, and Ball arithmetic pays libmp's overhead on every
 operation; the fixed-point radii are also 2.5e3 to 4.7e5 times tighter
 than the Ball ones.
 
-The g_k rows are eval_gk, whose input is a Ball x, not an exact centre:
-the midpoint of x converts exactly to (X, Y), every point of x lies
-within R of it, and |N/D - N0/D0| <= (R |D0| + |N0| eD) / (|D0| (|D0| -
-eD)) for the centre values N0, D0, since |D| >= |D0| - eD; the 2 covers
-the two floor divisions.  When floor|D| <= eD the denominator is not
-certified nonzero and eval_gk raises ZeroDivisionEnclosure.
+The g_k rows are _gk_fixed, whose input is a disk (X, Y, R), not an
+exact centre: every point of it lies within R of (X, Y), and |N/D -
+N0/D0| <= (R |D0| + |N0| eD) / (|D0| (|D0| - eD)) for the centre values
+N0, D0, since |D| >= |D0| - eD; the 2 covers the two floor divisions.
+When floor|D| <= eD the denominator is not certified nonzero and it
+raises ZeroDivisionEnclosure.  RootSystem.weight_disks calls it on the
+certified disks; eval_gk calls it on a Ball x, whose midpoint converts
+exactly to (X, Y) and whose radius rounds up to R, which is the one
+place a Ball becomes integers.
 
-Every test after the radii runs on the same integers, at one P for all
-centres (prec + 16, or more when some centre has finer bits, so every
-centre converts exactly), and rounds only in its safe direction:
+Every test after the radii runs on the same integers, at one P = prec +
+16 for all centres, and rounds only in its safe direction:
 
     quantity              integer (units of 2^-P)
     radius                R = ceil(rad 2^P), so the disk (X, Y, R) holds
@@ -149,9 +156,12 @@ a real centre is its own mirror and holds a real root.  The roots are
 sorted by exact N, descending, conjugate partners upper first; partners
 aside, adjacent |root| intervals must separate strictly, the first must
 lie above 1, every other below 1, and the first disk must be real with
-X > 0.  No Ball is compared: the root balls Ball(centre, rad) are built
-only for the RootSystem, whose modulus balls are read off the integer
-intervals (RootSystem.moduli).
+X > 0.  Last, every radius must reach |centre| 2^-prec (the label).  No
+Ball is compared, and none is converted back to integers: RootSystem
+keeps the certified disks, its root balls, midpoint (X + iY) 2^-P and
+the 30-bit radius, are built once from them, its weight balls from the
+integer weight disks, and its modulus balls from the integer intervals
+(RootSystem.moduli).
 
 Newton steps and radii are computed once per conjugate class: a real
 centre, or the upper member of a conjugate pair.  delta_k has real
@@ -159,30 +169,26 @@ coefficients, so delta_k(conj z) = conj delta_k(z): in exact arithmetic
 the Newton iterates from conj z are the mirrors of those from z, and
 |delta_k / delta_k'| takes the same value at z and at conj z, so a bound
 on it at z bounds it at conj z.  _polish gives the lower member of a
-pair the exact mirror of the polished upper one, and _certify gives it
-the upper one's radius; both key their classes on the fixed-point
-(X, |Y|), since hashing an mpc costs about 6 us.  Nothing else takes
-the symmetry on trust: every disk, mirrors included, still goes through
-the sweep, the disjointness and the pairing tests.  The mirror must be
-exact (ball.conj_exact): mpmath's mpc.conjugate() rounds to the ambient
-53-bit context, which would leave the lower centres, and so their
-radii, near 1e-16.
+pair the exact mirror (X, -Y) of the polished upper one, and _certify
+gives it the upper one's radius; both key their classes on (X, |Y|).
+Nothing else takes the symmetry on trust: every disk, mirrors included,
+still goes through the sweep, the disjointness and the pairing tests.
 
 Refinement.  A caller that needs a few roots more precisely than a
 certified system gives them (the odd reduction reads one, at 390 bits)
 refines just those with refine_root, by nested inclusion disks (Rump,
-JCAM 156, 2003), instead of solving every class again.  Newton runs at
-P = prec + 16 (or rs.P, if finer) from the root's exact centre z0 (from
-a 128-bit system to 390 bits, two steps at 406 bits), and the new
-centre z1 gets its inclusion radius R1, so D(z1, R1) holds at
-least one root of delta_k.  The old disk D(z0, R0), R0 = ceil(rad 2^P)
-2^-P, holds the root ball and lies in the integer disk that
-certification found disjoint from the k others at rs.P <= P, so it
-holds exactly one root, the certified one.  If R0 >= R1 and |z1 - z0|
-<= R0 - R1, decided exactly at P, the new disk lies in the old one and
-holds that same root; otherwise, or when delta_k'(z1) is not certified
-nonzero, or when R1 exceeds |z1| 2^-prec, the precision doubles
-(ball.escalate) and Newton runs again from z0.  A lower member of a
+JCAM 156, 2003), instead of solving every class again.  The root's
+certified disk rs.disks[i], (z0, R0) in units of 2^-rs.P, moves exactly
+to P = prec + 16 by a shift; Newton runs at P from z0 (from a 128-bit
+system to 390 bits, two steps at 406 bits), and the new centre z1 gets
+its inclusion radius R1, so D(z1, R1) holds at least one root of
+delta_k.  The old disk D(z0, R0) is the one certification found
+disjoint from the k others, so it holds exactly one root, the certified
+one.  If R0 >= R1 and |z1 - z0| <= R0 - R1, decided exactly at P, the
+new disk lies in the old one and holds that same root; otherwise, or
+when delta_k'(z1) is not certified nonzero, or when R1 exceeds |z1|
+2^-prec, the precision doubles (ball.escalate) and Newton runs again
+from z0.  A lower member of a
 pair gets the exact mirror of its upper one's refinement.
 """
 
@@ -199,7 +205,7 @@ from functools import cached_property
 from typing import ClassVar
 
 import mpmath as mp
-from mpmath.libmp import from_float, from_man_exp, from_rational, round_ceiling
+from mpmath.libmp import from_man_exp
 
 from .ball import (
     Ball,
@@ -211,7 +217,6 @@ from .ball import (
     _mpf,
     _raw_c,
     ball_sum,
-    conj_exact,
     escalate,
 )
 
@@ -225,15 +230,17 @@ class RootSystem:
     """All k roots as Balls, sorted by descending modulus, with the
     structural facts certified: modulus ordering (outside conjugate
     pairs), conjugate pairing, realness, and unique dominance, so the
-    dominant root is always roots[0].  mod_lo and mod_hi are the integer
-    modulus intervals certification decided on: |roots[i]| lies in
-    [mod_lo[i], mod_hi[i]] 2^-P, and moduli holds the same intervals as
-    real Balls."""
+    dominant root is always roots[0].  disks, mod_lo and mod_hi are the
+    integers certification decided on, in units of 2^-P: roots[i] has
+    midpoint (X + iY) 2^-P and lies within R of it for disks[i] = (X, Y,
+    R), and |roots[i]| lies in [mod_lo[i], mod_hi[i]]; moduli holds the
+    same intervals as real Balls."""
 
     dominant: ClassVar[int] = 0
 
     k: int
     roots: list
+    disks: list
     conj_pairs: list
     real_roots: list
     prec: int
@@ -250,24 +257,31 @@ class RootSystem:
         """|roots[i]| as a real Ball per root, exactly the interval
         [mod_lo[i], mod_hi[i]] 2^-P: midpoint (lo + hi) 2^-(P+1), radius
         (hi - lo) 2^-(P+1) rounded up to a radius mpf."""
-        return [Ball(_mpf(from_man_exp(lo + hi, -self.P - 1)),
-                     _mpf(from_man_exp(hi - lo, -self.P - 1, _RADIUS_BITS, round_ceiling)),
-                     self.prec)
+        return [_ball(lo + hi, 0, self.P + 1, *_round_up(hi - lo, 2 << self.P), self.prec)
                 for lo, hi in zip(self.mod_lo, self.mod_hi)]
 
     @cached_property
-    def weights(self) -> list:
-        """g_k at each root, in root order: eval_gk at a real root and at
-        the first member of each conjugate pair, and the exact mirror for
-        the second (g_k has real coefficients, and the pair is certified
+    def weight_disks(self) -> list:
+        """g_k at each root as an integer disk (X, Y, R) at P, in root
+        order: _gk_fixed on the disk of a real root and of the first
+        member of each conjugate pair, and the exact mirror for the
+        second (g_k has real coefficients, and the pair is certified
         conjugate, so the mirror encloses the partner's weight)."""
-        w = [None] * self.k
+        k, P, disks = self.k, self.P, self.disks
+        w = [None] * k
         for i in self.real_roots:
-            w[i] = eval_gk(self.k, self.roots[i])
+            w[i] = _gk_fixed(k, *disks[i], P)
         for a, b in self.conj_pairs:
-            w[a] = eval_gk(self.k, self.roots[a])
-            w[b] = w[a].conjugate()
+            X, Y, R = w[a] = _gk_fixed(k, *disks[a], P)
+            w[b] = X, -Y, R
         return w
+
+    @cached_property
+    def weights(self) -> list:
+        """weight_disks as Balls, in root order: bit for bit what
+        eval_gk gives at each root."""
+        return [_ball(X, Y, self.P, R, -self.P, self.prec)
+                for X, Y, R in self.weight_disks]
 
 
 _cache_lock = threading.Lock()
@@ -294,33 +308,38 @@ def _record(prec: int) -> None:
         seen.append(prec)
 
 
-def _fix(t, P: int) -> int:
-    """A raw mpf t as a fixed-point int: t 2^P, truncated towards zero."""
-    sign, man, exp, _ = t
-    shift = exp + P
-    man = man << shift if shift >= 0 else man >> -shift
-    return -man if sign else man
+def _fix_float(t: float, P: int) -> int:
+    """A float t as a fixed-point int: t 2^P, truncated towards zero."""
+    n, d = t.as_integer_ratio()
+    q = (abs(n) << P) // d
+    return -q if n < 0 else q
 
 
-def _to_fixed(z, P: int):
-    """(X, Y) for an mpf or mpc z; exact when z has no bit below 2^-P."""
-    re, im = _raw_c(z)
-    return _fix(re, P), _fix(im, P)
+def _units(m: int, e: int, P: int) -> int:
+    """The radius m 2^e (m >= 0) in units of 2^-P, rounded up:
+    ceil(m 2^(e+P))."""
+    shift = e + P
+    return m << shift if shift >= 0 else -(-m >> -shift)
 
 
-def _from_fixed(X: int, Y: int, P: int):
-    """(X + iY) 2^-P exactly, as an mpf when Y = 0 and an mpc otherwise.
-    The values are built raw: mp.mpf((man, exp)) would round them to the
-    ambient 53 bits."""
+def _round_up(num: int, den: int):
+    """(m, e) with m 2^e the least number of _RADIUS_BITS significant
+    bits at or above num / den, for positive ints num and den: the
+    rational rounded up to a radius, as ball rounds radii."""
+    e = num.bit_length() - den.bit_length() - _RADIUS_BITS
+    m = -(-num // (den << e)) if e >= 0 else -(-(num << -e) // den)
+    if m >> _RADIUS_BITS:
+        m, e = -(-m >> 1), e + 1
+    return m, e
+
+
+def _ball(X: int, Y: int, P: int, m: int, e: int, prec: int) -> Ball:
+    """The Ball with midpoint (X + iY) 2^-P, an mpf when Y = 0 and an
+    mpc otherwise, and radius m 2^e, both exact.  The values are built
+    raw: mp.mpf((man, exp)) would round them to the ambient 53 bits."""
     re = from_man_exp(X, -P)
-    return _mpf(re) if not Y else _mpc((re, from_man_exp(Y, -P)))
-
-
-def _exact_P(prec: int, parts) -> int:
-    """prec + 16, or more when a raw mpf in parts has bits below
-    2^-(prec+16): the fraction bits at which every part converts
-    exactly."""
-    return max([prec + 16] + [-t[2] for t in parts if t[1]])
+    mid = _mpf(re) if not Y else _mpc((re, from_man_exp(Y, -P)))
+    return Ball(mid, _mpf(from_man_exp(m, e)), prec)
 
 
 def _mag(X: int, Y: int) -> int:
@@ -391,24 +410,21 @@ def _newton_step(k: int, X: int, Y: int, P: int):
     return ((dX * sX + dY * sY) << P) // norm, ((dY * sX - dX * sY) << P) // norm
 
 
-def _inclusion_radius(k: int, z, prec: int):
-    """The Newton inclusion radius (k+1) |delta_k(z) / delta_k'(z)| at a
-    centre z, bounded above from _delta_fixed: (k+1) (ceil|D| + eD) /
-    (floor|S| - eS), rounded up to a radius mpf.  P is prec + 16, or
-    more when z has bits below 2^-(prec+16), so that z converts exactly.
-    Raises CertificationFailure when floor|S| <= eS, i.e. delta_k'(z) is
-    not certified nonzero."""
-    re, im = _raw_c(z)
-    P = _exact_P(prec, (re, im))
-    dX, dY, eD, sX, sY, eS = _delta_fixed(k, _fix(re, P), _fix(im, P), P)
+def _inclusion_radius(k: int, X: int, Y: int, P: int):
+    """The Newton inclusion radius (k+1) |delta_k(z) / delta_k'(z)| at the
+    centre z = (X + iY) 2^-P, bounded above from _delta_fixed: (k+1)
+    (ceil|D| + eD) / (floor|S| - eS), rounded up to a radius (m, e),
+    m 2^e (_round_up).  Raises CertificationFailure when floor|S| <= eS,
+    i.e. delta_k'(z) is not certified nonzero."""
+    dX, dY, eD, sX, sY, eS = _delta_fixed(k, X, Y, P)
     d2 = dX * dX + dY * dY
     num = math.isqrt(d2)
     if num * num < d2:
         num += 1
     den = math.isqrt(sX * sX + sY * sY) - eS
     if den <= 0:
-        raise CertificationFailure(f"delta_k' not certified nonzero at {mp.nstr(z, 8)}")
-    return _mpf(from_rational((k + 1) * (num + eD), den, _RADIUS_BITS, round_ceiling))
+        raise CertificationFailure(f"delta_k' not certified nonzero at ({X} + {Y}i) 2^-{P}")
+    return _round_up((k + 1) * (num + eD), den)
 
 
 def _newton(k: int, X: int, Y: int, P: int, prec: int):
@@ -444,60 +460,52 @@ def _float_newton(k: int, z):
     return z
 
 
-def _seed(k: int, z):
+def _seed(k: int, z, P: int):
     """The closed-form point z refined by _float_newton, or z itself when
-    that is not finite, as an exact mpf (z a float) or mpc."""
+    that is not finite, as a fixed-point (X, Y) at P, each part truncated
+    towards zero (_fix_float); Y = 0 for a float."""
     w = _float_newton(k, z)
     if not cmath.isfinite(w):
         w = z
-    if isinstance(w, float):
-        return _mpf(from_float(w))
-    return _mpc((from_float(w.real), from_float(w.imag)))
+    return _fix_float(w.real, P), _fix_float(w.imag, P)
 
 
-def _initial_seeds(k: int):
-    """One seed per root of Psi_k at its closed-form position (module
-    docstring), refined by _seed: an mpf for gamma, an mpf for the
-    negative real root of even k, and an upper mpc and its exact mirror
-    per pair."""
-    seeds = [_seed(k, (3 + math.sqrt(5)) / 2)]
+def _initial_seeds(k: int, P: int):
+    """One seed (X, Y) at P per root of Psi_k at its closed-form position
+    (module docstring), refined by _seed: Y = 0 for gamma and for the
+    negative real root of even k, and an upper (X, Y) and its exact
+    mirror (X, -Y) per pair."""
+    seeds = [_seed(k, (3 + math.sqrt(5)) / 2, P)]
     if k % 2 == 0:
-        seeds.append(_seed(k, -(5 ** (-1 / k))))
+        seeds.append(_seed(k, -(5 ** (-1 / k)), P))
     for j in range(1, (k + 1) // 2):
         t = 2 * math.pi * j / k
         r = (3 - 2 * math.cos(t)) ** (-1 / k)
-        z = _seed(k, complex(r * math.cos(t), r * math.sin(t)))
-        seeds += [z, conj_exact(z)]
+        X, Y = _seed(k, complex(r * math.cos(t), r * math.sin(t)), P)
+        seeds += [(X, Y), (X, -Y)]
     return seeds
 
 
 def _polish(k: int, seeds, prec: int):
-    """Newton on delta_k at prec + 16 fraction bits once per conjugate
-    class of seeds, keyed on the fixed-point (X, |Y|); the lower member
-    of a pair gets the exact mirror of the polished upper one.  A centre
-    with |Im| < |z| 2^(-prec/2) (tested on bit lengths, as in _newton) is
-    made real and polished in real arithmetic."""
+    """Newton on delta_k at P = prec + 16 fraction bits, from seeds (X, Y)
+    at that P, once per conjugate class, keyed on (X, |Y|); the lower
+    member of a pair gets the exact mirror of the polished upper one.  A
+    centre with |Im| < |z| 2^(-prec/2) (tested on bit lengths, as in
+    _newton) is made real and polished in real arithmetic.  Returns the
+    centres (X, Y) at P."""
     P = prec + 16
     polished = {}
     out = []
-    for seed in seeds:
-        X, Y = _to_fixed(seed, P)
+    for X, Y in seeds:
         key = X, abs(Y)
         z = polished.get(key)
         if z is None:
             PX, PY = _newton(k, *key, P, prec)
             if PY and PY.bit_length() < _mag(PX, PY) - 1 - prec // 2:
                 PX, PY = _newton(k, PX, 0, P, prec)
-            z = polished[key] = _from_fixed(PX, PY, P)
-        out.append(conj_exact(z) if Y < 0 else z)
+            z = polished[key] = PX, PY
+        out.append((z[0], -z[1]) if Y < 0 else z)
     return out
-
-
-def _fix_up(t, P: int) -> int:
-    """A nonnegative raw mpf t as a fixed-point int: ceil(t 2^P)."""
-    _, man, exp, _ = t
-    shift = exp + P
-    return man << shift if shift >= 0 else -(-man >> -shift)
 
 
 def _disjoint(a, b) -> bool:
@@ -540,26 +548,23 @@ def _overlapping_pairs(disks):
     return pairs
 
 
-def _certify(k: int, centers, prec: int) -> RootSystem:
-    # Every centre as an exact fixed-point (X, Y) at one P.  The Newton
-    # inclusion radius (k+1) |delta_k / delta_k'|, bounded above in fixed
-    # point, and its integer R = ceil(rad 2^P) come once per conjugate
-    # class, keyed on (X, |Y|): the bound at z holds at conj(z).
-    raw = [_raw_c(c) for c in centers]
-    P = _exact_P(prec, [t for z in raw for t in z])
+def _certify(k: int, centres, prec: int) -> RootSystem:
+    """The RootSystem of the centres (X, Y) at P = prec + 16, or
+    CertificationFailure (module docstring, Radius soundness)."""
+    # The Newton inclusion radius (k+1) |delta_k / delta_k'|, bounded
+    # above in fixed point, and its integer R = ceil(rad 2^P) come once
+    # per conjugate class, keyed on (X, |Y|): the bound at z holds at
+    # conj(z).
+    P = prec + 16
     classes = {}
     disks = []
-    root_balls = []
-    for c, (re, im) in zip(centers, raw):
-        X, Y = _fix(re, P), _fix(im, P)
+    for X, Y in centres:
         key = X, abs(Y)
         cls = classes.get(key)
         if cls is None:
-            rad = _inclusion_radius(k, conj_exact(c) if Y < 0 else c, prec)
-            cls = classes[key] = rad, _fix_up(rad._mpf_, P)
-        rad, R = cls
-        disks.append((X, Y, R))
-        root_balls.append(Ball(c, rad, prec))
+            rad = _inclusion_radius(k, *key, P)
+            cls = classes[key] = rad, _units(*rad, P)
+        disks.append((X, Y, cls[1]))
 
     # Pairwise disjointness, including the exact node at 1 (radius 0);
     # pairs with apart real spans are disjoint already.
@@ -576,10 +581,9 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
     # Conjugate pairing: a mirror can only meet its own disk or a sweep
     # neighbour, since it has the same real span.
     pairs = {}
-    for i, c in enumerate(centers):
-        if not isinstance(c, mp.mpc):
+    for i, (X, Y, R) in enumerate(disks):
+        if not Y:
             continue
-        X, Y, R = disks[i]
         mirror = X, -Y, R
         hits = [j for j in [i] + near[i]
                 if j < k and not _disjoint(mirror, disks[j])]
@@ -598,9 +602,8 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
     norms = [X * X + Y * Y for X, Y, _ in disks]
     order = sorted(range(k), key=lambda i: (-norms[i], -disks[i][1]))
     inv = {old: new for new, old in enumerate(order)}
-    root_balls = [root_balls[i] for i in order]
     conj_pairs = sorted(tuple(sorted((inv[a], inv[b]))) for a, b in pairs.items() if a < b)
-    real_roots = sorted(inv[i] for i, c in enumerate(centers) if isinstance(c, mp.mpf))
+    real_roots = sorted(inv[i] for i, (_, Y, _) in enumerate(disks) if not Y)
     paired = {a: b for a, b in conj_pairs} | {b: a for a, b in conj_pairs}
     lo, hi = map(list, zip(*(_modulus_bounds(*disks[i]) for i in order)))
 
@@ -635,32 +638,37 @@ def _certify(k: int, centers, prec: int) -> RootSystem:
     if not prod_lo <= one <= prod_hi:
         raise CertificationFailure("|root product| does not enclose 1")
 
-    return RootSystem(k=k, roots=root_balls, conj_pairs=conj_pairs,
+    if not all(_reaches(*disk, prec) for disk in disks):
+        raise CertificationFailure(f"radii miss the label, |centre| 2^-{prec}")
+
+    disks = [disks[i] for i in order]
+    roots = [_ball(X, Y, P, *classes[X, abs(Y)][0], prec) for X, Y, _ in disks]
+    return RootSystem(k=k, roots=roots, disks=disks, conj_pairs=conj_pairs,
                       real_roots=real_roots, prec=prec, P=P, mod_lo=lo, mod_hi=hi)
 
 
 def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     """Certified root system of Psi_k at target_prec bits or more.
 
-    Newton-polished centres get the inclusion radii (k+1) |delta_k /
-    delta_k'|, bounded above from a fixed-point evaluation with a
-    tracked integer error bound, each disk holding a root of delta_k;
-    together with the exact node at 1, k + 1 pairwise disjoint disks
-    hold one root each (see the module docstring), and the k disks other
-    than the node are the roots of Psi_k.  Every test after the radii
-    is exact integer arithmetic on the centres at one fixed point and
-    the radii rounded up to it.  Disjointness is tested only between
-    disks whose real spans meet, and each mirror disk only against its
-    own disk and those neighbours, which is where the conjugate root
-    must lie.  Certification then orders the modulus intervals strictly
-    (conjugate partners aside), certifies a unique real positive
-    dominant root above 1, and checks that the roots sum to 2 and that
-    the product of their moduli is 1.  Newton and the radius run once
-    per conjugate class (a real root or a pair): delta_k has real
-    coefficients, so the iterates and the radius bound mirror, and the
-    lower member of a pair gets the exact mirror (ball.conj_exact) of
-    the upper centre and the same radius; every disk, mirrors included,
-    is still tested.  Any failure doubles the precision, and so does a
+    Newton-polished integer centres (X, Y) at P = prec + 16 get the
+    inclusion radii (k+1) |delta_k / delta_k'|, bounded above from a
+    fixed-point evaluation with a tracked integer error bound, each disk
+    holding a root of delta_k; together with the exact node at 1, k + 1
+    pairwise disjoint disks hold one root each (see the module
+    docstring), and the k disks other than the node are the roots of
+    Psi_k.  Every test after the radii is exact integer arithmetic on
+    the centres and the radii rounded up to P.  Disjointness is tested
+    only between disks whose real spans meet, and each mirror disk only
+    against its own disk and those neighbours, which is where the
+    conjugate root must lie.  Certification then orders the modulus
+    intervals strictly (conjugate partners aside), certifies a unique
+    real positive dominant root above 1, and checks that the roots sum
+    to 2 and that the product of their moduli is 1.  Newton and the
+    radius run once per conjugate class (a real root or a pair): delta_k
+    has real coefficients, so the iterates and the radius bound mirror,
+    and the lower member of a pair gets the exact mirror (X, -Y) of the
+    upper centre and the same radius; every disk, mirrors included, is
+    still tested.  Any failure doubles the precision, and so does a
     radius above |centre| 2^-prec, so the label prec is the accuracy the
     radii reach.  Results are cached per order for the process."""
     if k < 2:
@@ -673,16 +681,15 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
         _record(hit.prec)
         return hit
     prec = max(target_prec, PREC_START)
-    seeds = _initial_seeds(k)
+    seeds = _initial_seeds(k, prec + 16)
     while True:
-        centers = _polish(k, seeds, prec)
+        centres = _polish(k, seeds, prec)
         with suppress(CertificationFailure):
-            rs = _certify(k, centers, prec)
-            if all(_reaches(*_to_fixed(b.mid, rs.P), _fix_up(b.rad._mpf_, rs.P), prec)
-                   for b in rs.roots):
-                break
-        seeds = centers
-        prec = escalate(prec)
+            rs = _certify(k, centres, prec)
+            break
+        shift = escalate(prec) - prec
+        seeds = [(X << shift, Y << shift) for X, Y in centres]
+        prec += shift
     with _cache_lock:
         old = _root_cache.get(k)
         if old is None or old.prec < rs.prec:
@@ -693,54 +700,40 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
 
 def refine_root(rs: RootSystem, i: int, prec: int) -> Ball:
     """rs.roots[i] as a Ball at prec bits or more, refined by nested
-    Newton inclusion disks (Refinement, in the module docstring), or the
-    root itself when rs is that precise already; record_precisions sees
-    the precision returned."""
-    k, old = rs.k, rs.roots[i]
-    if prec <= old.prec:
-        return old
-    re, im = _raw_c(old.mid)
+    Newton inclusion disks from rs.disks[i] (Refinement, in the module
+    docstring), or the root itself when rs is that precise already;
+    record_precisions sees the precision returned."""
+    k = rs.k
+    if prec <= rs.prec:
+        return rs.roots[i]
+    X0, Y0, R0 = rs.disks[i]
+    lower, Y0 = Y0 < 0, abs(Y0)
     while True:
-        P = max(rs.P, _exact_P(prec, (re, im)))
-        X0, Y0, R0 = _fix(re, P), _fix(im, P), _fix_up(old.rad._mpf_, P)
-        lower, Y0 = Y0 < 0, abs(Y0)
-        X, Y = _newton(k, X0, Y0, P, prec)
-        z = _from_fixed(X, Y, P)
+        P = prec + 16
+        shift = P - rs.P
+        x0, y0, r0 = X0 << shift, Y0 << shift, R0 << shift
+        X, Y = _newton(k, x0, y0, P, prec)
         try:
-            rad = _inclusion_radius(k, z, prec)
+            rad = _inclusion_radius(k, X, Y, P)
         except CertificationFailure:
             pass
         else:
-            R1 = _fix_up(rad._mpf_, P)
-            r = R0 - R1
-            if (r >= 0 and (X - X0) ** 2 + (Y - Y0) ** 2 <= r * r
+            R1 = _units(*rad, P)
+            r = r0 - R1
+            if (r >= 0 and (X - x0) ** 2 + (Y - y0) ** 2 <= r * r
                     and _reaches(X, Y, R1, prec)):
                 break
         prec = escalate(prec)
     _record(prec)
-    ball = Ball(z, rad, prec)
-    return ball.conjugate() if lower else ball
+    return _ball(X, -Y if lower else Y, P, *rad, prec)
 
 
-def eval_gk(k: int, x: Ball) -> Ball:
-    """The Binet weight g_k(x) = (x - 1) / D(x), D(x) = (k+1) x^2 - 3k x
-    + (k-1), enclosed over the Ball x in fixed point.
-
-    x converts exactly to (X + iY) 2^-P (P from _exact_P) with R =
-    ceil(rad 2^P).  The numerator z - 1 is off by at most R; z^2 comes
-    from _fmul with error e_zz, so D is off by at most eD = (k+1) e_zz +
-    3k R.  With N0, D0 the values at the centre, |N/D - N0/D0| <= (R |D0|
-    + |N0| eD) / (|D0| (|D0| - eD)); each modulus is rounded in its safe
-    direction, and 2 units cover the two floor divisions of the quotient
-    N0 conj(D0) / |D0|^2.  The sum is rounded up to a 30-bit radius.  The
-    evaluation runs at (X, |Y|) and a lower point gets the exact mirror,
-    so conjugate points get conjugate weights bit for bit.  Raises
-    ZeroDivisionEnclosure when floor|D0| <= eD: D is not certified
-    nonzero on x (escalate and retry)."""
-    re, im = _raw_c(x.mid)
-    P = _exact_P(x.prec, (re, im))
-    X, Y, R = _fix(re, P), _fix(im, P), _fix_up(x.rad._mpf_, P)
-    lower, Y = Y < 0, abs(Y)
+def _gk_fixed(k: int, X: int, Y: int, R: int, P: int):
+    """g_k over the disk (X, Y, R) at P, Y >= 0, as the integer disk
+    (GX, GY, GR) at P: N0 conj(D0) / |D0|^2 at the centre, both parts
+    floored, and the error bound of the g_k rows of the module docstring
+    rounded up to _RADIUS_BITS significant bits.  Raises
+    ZeroDivisionEnclosure when floor|D0| <= eD."""
     one = 1 << P
     zzX, zzY, ezz = _fmul(P, X, Y, R, X, Y, R)
     nX = X - one
@@ -750,12 +743,29 @@ def eval_gk(k: int, x: Ball) -> Ball:
     d2 = dX * dX + dY * dY
     d_lo, d_hi = _modulus_bounds(dX, dY, 0)
     if d_lo <= eD:
-        raise ZeroDivisionEnclosure(f"g_k denominator not certified nonzero on {x!r}")
+        raise ZeroDivisionEnclosure(
+            f"g_k denominator not certified nonzero on the disk ({X}, {Y}, {R}) 2^-{P}")
     n_hi = _modulus_bounds(nX, Y, 0)[1]
     e = 2 - (-((R * d_hi + n_hi * eD) << P) // (d_lo * (d_lo - eD)))
-    mid = _from_fixed(((nX * dX + Y * dY) << P) // d2, ((Y * dX - nX * dY) << P) // d2, P)
-    g = Ball(mid, _mpf(from_man_exp(e, -P, _RADIUS_BITS, round_ceiling)), x.prec)
-    return g.conjugate() if lower else g
+    return (((nX * dX + Y * dY) << P) // d2, ((Y * dX - nX * dY) << P) // d2,
+            _units(*_round_up(e, 1 << P), P))
+
+
+def eval_gk(k: int, x: Ball) -> Ball:
+    """The Binet weight g_k(x) = (x - 1) / D(x), D(x) = (k+1) x^2 - 3k x
+    + (k-1), enclosed over the Ball x in fixed point: x converts exactly
+    to the disk (X, Y, R) at P = prec + 16, or finer when its midpoint
+    has finer bits, with R = ceil(rad 2^P), and _gk_fixed bounds g_k on
+    it (module docstring, the g_k rows).  The evaluation runs at (X, |Y|)
+    and a lower point gets the exact mirror, so conjugate points get
+    conjugate weights bit for bit.  Raises ZeroDivisionEnclosure when D
+    is not certified nonzero on x (escalate and retry)."""
+    re, im = _raw_c(x.mid)
+    P = max([x.prec + 16] + [-t[2] for t in (re, im) if t[1]])
+    X, Y = ((-t[1] if t[0] else t[1]) << (t[2] + P) for t in (re, im))
+    _, m, e, _ = x.rad._mpf_
+    GX, GY, GR = _gk_fixed(k, X, abs(Y), _units(m, e, P), P)
+    return _ball(GX, -GY if Y < 0 else GY, P, GR, -P, x.prec)
 
 
 def binet_reconstruct(k: int, n: int, rs: RootSystem) -> Ball:
@@ -875,7 +885,7 @@ def check_root_bounds(rs: RootSystem) -> dict:
     1.59^(-k^3) 2^P: f = 1 once k^3 >= 2P, since 1.59^2 > 2, and
     ceil(100^(k^3) 2^P / 159^(k^3)) below that.  Item iii bounds each
     conjugate class's |g_k| above by ceil(sqrt(N)) + R from its weight
-    ball, converted exactly at P.  The reported min_margin and
+    disk (RootSystem.weight_disks).  The reported min_margin and
     max_weight are Ball values at the one pair and the one class that
     these integers pick out: the least lower bound on a ratio, less the
     floor's upper bound 1 + f 2^-P, and the greatest upper bound on a
@@ -908,11 +918,9 @@ def check_root_bounds(rs: RootSystem) -> dict:
         "certified_for_k": "k >= 2",
     }
 
-    # eval_gk puts the weight of a root on the 2^-P' grid of the root's
-    # centre, with P' <= P, so each midpoint converts exactly.
     bound = Fraction(1) if k <= 4 else Fraction(2, k - 2)
-    ub = {i: _modulus_bounds(*_to_fixed(w[i].mid, P), _fix_up(w[i].rad._mpf_, P))[1]
-          for i in distinct if i != rs.dominant}
+    wd = rs.weight_disks
+    ub = {i: _modulus_bounds(*wd[i])[1] for i in distinct if i != rs.dominant}
     worst = max(ub, key=ub.get)
     with mp.workprec(64):
         max_weight = w[worst].magnitude().ub_abs()

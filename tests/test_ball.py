@@ -99,7 +99,7 @@ def test_pow_zero_is_exact_one():
 
 
 def test_division_by_zero_enclosure_raises():
-    wide = Ball.exact(0) + Ball.from_midrad(mp.mpf(0), mp.mpf("0.5"), 64)
+    wide = Ball.exact(0) + Ball(mp.mpf(0), mp.mpf("0.5"), 64)
     with pytest.raises(ZeroDivisionEnclosure):
         Ball.exact(1) / wide
 
@@ -148,14 +148,14 @@ def test_sqrt_enclosure_squares_back():
 
 
 def test_sqrt_of_possibly_negative_enclosure_raises():
-    b = Ball.from_midrad(mp.mpf("0.001"), mp.mpf("0.01"), 64)
+    b = Ball(mp.mpf("0.001"), mp.mpf("0.01"), 64)
     with pytest.raises(DomainError):
         b.sqrt()
 
 
 def test_log_touching_zero_raises():
     with pytest.raises(DomainError):
-        Ball.from_midrad(mp.mpf("1e-5"), mp.mpf("1e-4"), 64).log()
+        Ball(mp.mpf("1e-5"), mp.mpf("1e-4"), 64).log()
 
 
 def test_arg_quarter_turn():
@@ -167,11 +167,11 @@ def test_arg_quarter_turn():
 
 def test_arg_rejects_zero_enclosure():
     with pytest.raises(DomainError):
-        Ball.from_midrad(mp.mpc(0, 0), mp.mpf("0.1"), 64).arg()
+        Ball(mp.mpc(0, 0), mp.mpf("0.1"), 64).arg()
 
 
 def test_arg_rejects_branch_cut_crossing():
-    z = Ball.from_midrad(mp.mpc(-1, 0), mp.mpf("1e-6"), 128)
+    z = Ball(mp.mpc(-1, 0), mp.mpf("1e-6"), 128)
     with pytest.raises(DomainError):
         z.arg()
 
@@ -183,16 +183,11 @@ def test_certified_comparisons():
     assert lo.lt(hi)
     assert hi.gt(Fraction(1, 2))
     assert not hi.gt(1)
-    wide = Ball.from_midrad(mp.mpf("0.5"), mp.mpf("0.4"), 64)
+    wide = Ball(mp.mpf("0.5"), mp.mpf("0.4"), 64)
     with pytest.raises(IndeterminateComparison):
         wide.gt(Fraction(1, 2))
     with pytest.raises(IndeterminateComparison):
         wide.lt(lo)
-
-
-def test_is_nonzero():
-    assert Ball.exact(Fraction(1, 10 ** 9)).is_nonzero()
-    assert not Ball.from_midrad(mp.mpf("1e-10"), mp.mpf("1e-9"), 64).is_nonzero()
 
 
 def test_ball_sum_empty_and_order():
@@ -207,16 +202,6 @@ def test_escalate_doubles_then_exhausts():
     assert escalate(128) == 256
     with pytest.raises(PrecisionExhausted):
         escalate(PREC_CEILING)
-
-
-def test_from_midrad_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        Ball.from_midrad(mp.mpf(1), mp.mpf(-1), 64)
-
-
-def test_from_midrad_float_radius_rounds_outward():
-    b = Ball.from_midrad(mp.mpf(1), 1e-3, 64)
-    assert mpf_to_fraction(b.rad) >= Fraction("0.001")
 
 
 def test_endpoint_order():

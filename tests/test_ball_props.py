@@ -286,8 +286,8 @@ def test_disjoint_matches_exact_distance(a, b, near):
                  b.rad, b.prec)
     raws = [(*_raw_c(x.mid), x.rad._mpf_) for x in (a, b)]
     P = max([0] + [-t[2] for r in raws for t in r if t[1]])
-    fa, fb = [(spectra._fix(re, P), spectra._fix(im, P), spectra._fix(rad, P))
-              for re, im, rad in raws]
+    fa, fb = [tuple(int(mpf_to_fraction(mp.make_mpf(t)) * (1 << P)) for t in r)
+              for r in raws]
     dist2 = norm2(c_sub(frac_mid(a), frac_mid(b)))
     reach = mpf_to_fraction(a.rad) + mpf_to_fraction(b.rad)
     assert spectra._disjoint(fa, fb) == (dist2 > reach * reach)

@@ -7,7 +7,8 @@ tests feed _certify centres that must not certify: a duplicated centre,
 a centre moved so far towards a neighbour that the disks meet, and, with
 the inclusion radii pinned, centres or radii that break one of the later
 checks each (modulus order, dominance, root sum, root product); a
-solve whose certified radii miss its precision label escalates.  The
+certification whose radii miss its precision label fails, and the solve
+escalates.  Centres are fixed-point integers (X, Y) at P = prec + 16.  The
 sweep tests check the fixed-point sweep (spectra._overlapping_pairs) and
 pair test (spectra._disjoint) against an all-pairs exact oracle on
 random disks, the radius conversion against exact rounding up, and pin
@@ -15,8 +16,9 @@ the number of pair tests one certification makes.  The modulus tests
 check that RootSystem.moduli is read off the integer intervals, with no
 Ball.magnitude call in a cold solve, and follows intervals replaced
 after the fact.  The seed tests check that _initial_seeds gives one
-seed per root, real roots as mpfs and pairs as exact mirrors, and that
-gamma's seed stays finite where gamma^k leaves the double range.
+seed per root, real roots with Y = 0 and pairs as exact mirrors (X, -Y),
+and that gamma's seed stays finite where gamma^k leaves the double
+range.
 """
 
 import dataclasses
@@ -26,10 +28,10 @@ import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, round_ceiling
 
 from pellzero import spectra
-from pellzero.ball import Ball, _raw_c, conj_exact, mpf_to_fraction
+from pellzero.ball import Ball, _raw_c, mpf_to_fraction
 from pellzero.spectra import CertificationFailure
 
 
@@ -47,18 +49,19 @@ def _dyadic(man, exp):
 
 
 def _centres(k, prec=128):
-    return spectra._polish(k, spectra._initial_seeds(k), prec)
+    return spectra._polish(k, spectra._initial_seeds(k, prec + 16), prec)
 
 
 @pytest.mark.parametrize("k", list(range(2, 61)) + [86])
 def test_root_balls_contain_the_512_bit_centres(k):
     low = spectra.solve_roots(k, 128)
     assert low.prec == 128
-    # The 512-bit system is polished from the 128-bit centres and
-    # certified on its own.  Both list the roots by descending modulus,
-    # conjugate partners by descending imaginary part, so the certified
-    # order matches them up.
-    high = spectra._certify(k, spectra._polish(k, [b.mid for b in low.roots], 512), 512)
+    # The 512-bit system is polished from the 128-bit centres, moved to
+    # its fixed point, and certified on its own.  Both list the roots by
+    # descending modulus, conjugate partners by descending imaginary
+    # part, so the certified order matches them up.
+    seeds = [(X << 384, Y << 384) for X, Y, _ in low.disks]
+    high = spectra._certify(k, spectra._polish(k, seeds, 512), 512)
     with mp.workprec(600):
         for lo_ball, hi_ball in zip(low.roots, high.roots):
             assert abs(hi_ball.mid - lo_ball.mid) + hi_ball.rad <= lo_ball.rad, (k, lo_ball)
@@ -72,8 +75,8 @@ def test_duplicated_centre_raises():
     k = 9
     centres = _centres(k)
     spectra._certify(k, centres, 128)
-    real = centres.index(max(c for c in centres if isinstance(c, mp.mpf)))
-    cplx = next(i for i, c in enumerate(centres) if isinstance(c, mp.mpc))
+    real = centres.index(max(c for c in centres if not c[1]))
+    cplx = next(i for i, c in enumerate(centres) if c[1])
     for src, dst in ((real, cplx), (cplx, real), (cplx, (cplx + 1) % k)):
         dup = list(centres)
         dup[dst] = dup[src]
@@ -86,7 +89,7 @@ def test_centre_at_the_spurious_root_raises():
     # root of delta_k, and only the exact node at 1 exposes it.
     k = 9
     centres = _centres(k)
-    centres[1] = _dyadic((1 << 100) + 1, -100)
+    centres[1] = (1 << P128) + (1 << (P128 - 100)), 0
     with pytest.raises(CertificationFailure, match=f"disks 1,{k} not certifiedly disjoint"):
         spectra._certify(k, centres, 128)
 
@@ -94,13 +97,16 @@ def test_centre_at_the_spurious_root_raises():
 def test_centre_moved_onto_a_neighbour_raises():
     k = 9
     centres = _centres(k)
-    upper = [i for i, c in enumerate(centres)
-             if isinstance(c, mp.mpc) and c.imag > 0]
-    with mp.workprec(200):
-        i, j = min(((a, b) for a in upper for b in upper if a < b),
-                   key=lambda p: abs(centres[p[0]] - centres[p[1]]))
-        moved = list(centres)
-        moved[i] = centres[i] + (centres[j] - centres[i]) * mp.mpf(0.45)
+    upper = [i for i, (_, Y) in enumerate(centres) if Y > 0]
+
+    def dist2(ij):
+        (X, Y), (U, V) = centres[ij[0]], centres[ij[1]]
+        return (X - U) ** 2 + (Y - V) ** 2
+
+    i, j = min(((a, b) for a in upper for b in upper if a < b), key=dist2)
+    (X, Y), (U, V) = centres[i], centres[j]
+    moved = list(centres)
+    moved[i] = X + (U - X) * 45 // 100, Y + (V - Y) * 45 // 100
     with pytest.raises(CertificationFailure, match="not certifiedly disjoint"):
         spectra._certify(k, moved, 128)
 
@@ -108,36 +114,39 @@ def test_centre_moved_onto_a_neighbour_raises():
 # -- the checks after the sweep, with pinned radii -----------------------
 
 P128 = 128 + 16
-PINNED = _dyadic(1, -100)
+# Radii as (m, e), m 2^e: 2^-130 is far above the 128-bit centres' error
+# and below |root| 2^-128 for every root of k = 9 and 10, so it meets the
+# precision label; 41 2^-12 is about 0.01.
+PINNED = 1, -130
+WIDE = 41, -12
 
 
 def _pin_radii(monkeypatch, wide=None):
-    """Every inclusion radius pinned to 2^-100, far above the 128-bit
-    centres' error, except 0.01 at the centre `wide`, so that a moved
-    centre keeps a small disk."""
-    def pinned(kk, z, prec):
-        return mp.mpf(0.01) if wide is not None and z == wide else PINNED
+    """Every inclusion radius pinned to 2^-130, except about 0.01 at the
+    centre `wide`, so that a moved centre keeps a small disk."""
+    def pinned(kk, X, Y, P):
+        return WIDE if wide is not None and (X, Y) == wide else PINNED
     monkeypatch.setattr(spectra, "_inclusion_radius", pinned)
 
 
 def _real_centres(centres):
     """Indices of gamma and, for even k, of the negative real root."""
-    reals = sorted((c, i) for i, c in enumerate(centres) if isinstance(c, mp.mpf))
+    reals = sorted((c, i) for i, c in enumerate(centres) if not c[1])
     return reals[-1][1], reals[0][1]
 
 
 def _moved(c, units):
-    """A real centre moved by `units` of 2^-(128+16), exactly."""
-    return _dyadic(spectra._fix(c._mpf_, P128) + units, -P128)
+    """A real centre moved by `units` of 2^-(128+16)."""
+    return c[0] + units, 0
 
 
 @pytest.mark.parametrize("k", [9, 10])
 def test_pinned_radii_certify_the_polished_centres(k, monkeypatch):
-    # The control for the tests below: with every radius at 2^-100, the
+    # The control for the tests below: with every radius at 2^-130, the
     # true centres pass every check.
     _pin_radii(monkeypatch)
     rs = spectra._certify(k, _centres(k), 128)
-    assert rs.roots[0].rad == PINNED
+    assert rs.roots[0].rad == mp.ldexp(1, -130)
 
 
 def test_modulus_order_inversion_raises(monkeypatch):
@@ -158,7 +167,7 @@ def test_dominant_modulus_below_one_raises(monkeypatch):
     k = 9
     centres = _centres(k)
     gamma, _ = _real_centres(centres)
-    centres[gamma] = _dyadic(999, 0) / 1000
+    centres[gamma] = (999 << P128) // 1000, 0
     _pin_radii(monkeypatch)
     with pytest.raises(CertificationFailure, match="dominant modulus not certified > 1"):
         spectra._certify(k, centres, 128)
@@ -170,7 +179,7 @@ def test_second_modulus_above_one_raises(monkeypatch):
     k = 10
     centres = _centres(k)
     _, neg = _real_centres(centres)
-    centres[neg] = -_dyadic(1001, 0) / 1000
+    centres[neg] = -((1001 << P128) // 1000), 0
     _pin_radii(monkeypatch)
     with pytest.raises(CertificationFailure, match="modulus 1 not certified < 1"):
         spectra._certify(k, centres, 128)
@@ -180,7 +189,7 @@ def test_negative_dominant_root_raises(monkeypatch):
     k = 9
     centres = _centres(k)
     gamma, _ = _real_centres(centres)
-    centres[gamma] = _dyadic(-spectra._fix(centres[gamma]._mpf_, P128), -P128)
+    centres[gamma] = -centres[gamma][0], 0
     _pin_radii(monkeypatch)
     with pytest.raises(CertificationFailure, match="dominant root is not real positive"):
         spectra._certify(k, centres, 128)
@@ -188,7 +197,7 @@ def test_negative_dominant_root_raises(monkeypatch):
 
 def test_root_sum_off_two_raises(monkeypatch):
     # gamma moved by 2^-60: its pinned disk no longer holds it, and the
-    # centres sum to 2 + 2^-60, far outside 9 radii of 2^-100.
+    # centres sum to 2 + 2^-60, far outside 9 radii of 2^-130.
     k = 9
     centres = _centres(k)
     gamma, _ = _real_centres(centres)
@@ -221,8 +230,8 @@ def test_radius_with_bits_below_the_fixed_point_rounds_up(monkeypatch):
     gamma, neg = _real_centres(centres)
     centres[neg] = _moved(centres[gamma], -11)
 
-    def radius(kk, z, prec):
-        return _dyadic(23, -P128 - 2) if isinstance(z, mp.mpf) else PINNED
+    def radius(kk, X, Y, P):
+        return PINNED if Y else (23, -P128 - 2)
 
     monkeypatch.setattr(spectra, "_inclusion_radius", radius)
     i, j = sorted((gamma, neg))
@@ -241,10 +250,10 @@ def test_near_real_centre_is_made_real(monkeypatch):
     def polish_then_tilt(kk, seeds, prec):
         centres = polish(kk, seeds, prec)
         if not tilted:
-            # The negative real root, 2^-200 off the axis: far inside
-            # its disk, so the mirror disk meets only its own disk.
-            i = centres.index(min(c for c in centres if isinstance(c, mp.mpf)))
-            centres[i] = mp.make_mpc((centres[i]._mpf_, from_man_exp(1, -200)))
+            # The negative real root, one unit of 2^-P off the axis:
+            # inside its disk, so the mirror disk meets only its own disk.
+            i = centres.index(min(c for c in centres if not c[1]))
+            centres[i] = centres[i][0], 1
             tilted.append(i)
         return centres
 
@@ -297,9 +306,10 @@ def test_failed_certification_escalates_from_the_old_centres(k, monkeypatch):
 @pytest.mark.parametrize("k", [5, 10])
 def test_radii_short_of_the_label_escalate(k, monkeypatch):
     # One Newton step from a float seed reaches about 106 bits: the
-    # 128-bit system certifies, but its radii miss 2^-128 |centre|.
+    # 128-bit disks pass every structural check, but their radii miss
+    # 2^-128 |centre|, so the certification fails last, on the label.
     newton, certify = spectra._newton, spectra._certify
-    certified = []
+    failures = []
 
     def one_step_at_128(kk, X, Y, P, prec):
         if prec != 128:
@@ -308,14 +318,17 @@ def test_radii_short_of_the_label_escalate(k, monkeypatch):
         return X - dX, Y - dY
 
     def recording_certify(kk, centres, prec):
-        rs = certify(kk, centres, prec)
-        certified.append(rs.prec)
-        return rs
+        try:
+            return certify(kk, centres, prec)
+        except CertificationFailure as fail:
+            failures.append((prec, str(fail)))
+            raise
 
     monkeypatch.setattr(spectra, "_newton", one_step_at_128)
     monkeypatch.setattr(spectra, "_certify", recording_certify)
     rs = spectra.solve_roots(k)
-    assert certified == [128, 256]
+    assert [prec for prec, _ in failures] == [128]
+    assert failures[0][1] == "radii miss the label, |centre| 2^-128"
     assert rs.prec == 256
     for b in rs.roots:
         assert b.rad <= abs(b.mid) * mp.mpf(2) ** -256
@@ -364,22 +377,22 @@ def test_moduli_follow_replaced_intervals():
 
 @pytest.mark.parametrize("k", list(range(2, 61)) + [499, 500])
 def test_seeds_are_one_per_root_by_conjugate_class(k):
-    seeds = spectra._initial_seeds(k)
+    seeds = spectra._initial_seeds(k, P128)
     assert len(seeds) == k
-    reals = sorted(z for z in seeds if isinstance(z, mp.mpf))
+    reals = sorted(X for X, Y in seeds if not Y)
     assert len(reals) == (2 if k % 2 == 0 else 1)
-    assert reals[-1] > 0 and all(z < 0 for z in reals[:-1])
-    pairs = [z for z in seeds if isinstance(z, mp.mpc)]
+    assert reals[-1] > 0 and all(X < 0 for X in reals[:-1])
+    pairs = [z for z in seeds if z[1]]
     assert len(pairs) == k - len(reals)
-    assert all(z.imag != 0 for z in pairs)
-    members = {z._mpc_ for z in pairs}
-    assert all(conj_exact(z)._mpc_ in members for z in pairs)
+    assert set(pairs) == {(X, -Y) for X, Y in pairs}
 
 
 def test_gamma_seed_stays_finite_past_the_double_range():
     # gamma^800 is far above the largest double, so a double-precision
-    # Newton pass on delta_k unscaled would give inf or nan here.
-    assert all(mp.isfinite(z) for z in spectra._initial_seeds(800))
+    # Newton pass on delta_k unscaled would give inf or nan here, which
+    # has no fixed-point value; gamma lies just below phi^2.
+    gamma, _ = spectra._initial_seeds(800, P128)[0]
+    assert 2 << P128 < gamma < 3 << P128
     rs = spectra.solve_roots(800, 128)
     assert rs.prec == 128
     assert len(rs.roots) == 800
@@ -433,7 +446,9 @@ def _fixed_disks(disks):
     centre and radius, so the conversion is exact."""
     raws = [(*_raw_c(b.mid), b.rad._mpf_) for b in disks]
     P = max([0] + [-t[2] for r in raws for t in r if t[1]])
-    return [(spectra._fix(re, P), spectra._fix(im, P), spectra._fix_up(rad, P))
+    return [(int(mpf_to_fraction(mp.make_mpf(re)) * (1 << P)),
+             int(mpf_to_fraction(mp.make_mpf(im)) * (1 << P)),
+             spectra._units(rad[1], rad[2], P))
             for re, im, rad in raws]
 
 
@@ -477,10 +492,17 @@ def test_disjoint_decides_apart_real_projections_exactly():
 
 @given(st.integers(1, (1 << 30) - 1), st.integers(-200, 40), st.integers(0, 200))
 def test_radius_converts_rounding_up(man, exp, P):
-    rad = from_man_exp(man, exp)
-    R = spectra._fix_up(rad, P)
-    exact = mpf_to_fraction(mp.make_mpf(rad)) * (1 << P)
+    R = spectra._units(man, exp, P)
+    exact = man * Fraction(2) ** (exp + P)
     assert R - 1 < exact <= R
+
+
+@given(st.integers(1, 1 << 400), st.integers(1, 1 << 400))
+def test_radius_rounding_is_the_ball_rounding(num, den):
+    # The inclusion radius num / den rounds up to 30 bits in integers,
+    # bit for bit as libmp rounds radii.
+    m, e = spectra._round_up(num, den)
+    assert from_man_exp(m, e) == from_rational(num, den, 30, round_ceiling)
 
 
 def test_certify_calls_disjoint_linearly(monkeypatch):

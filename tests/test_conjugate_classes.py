@@ -3,18 +3,24 @@
 delta_k and g_k have real coefficients, so spectra computes a Newton run,
 an inclusion radius and a weight once per class (a real root, or the
 upper member of a pair) and gives the partner the exact mirror.  The
-mirror tests check that partners are conj_exact of each other bit for
-bit, radii and weights included, and that the mirrored weight is what
-eval_gk gives at the partner itself.  The cost tests pin one Newton run
+mirror tests check that polished partners are mirrors (X, Y), (X, -Y)
+and that partner balls are exact conjugates bit for bit, radii and
+weights included, and that the mirrored weight is what
+eval_gk gives at the partner itself.  The disk tests check that each
+root Ball converts exactly to its certified disk and that
+RootSystem.weights, computed on the disks, is what eval_gk gives at the
+root Balls, bit for bit.  The cost tests pin one Newton run
 and one radius per class, and check the per-class Binet sum against an
 all-roots sum written here.
 """
+
+import math
 
 import mpmath as mp
 import pytest
 
 from pellzero import spectra
-from pellzero.ball import Ball, ball_sum, conj_exact
+from pellzero.ball import Ball, ball_sum, mpf_to_fraction
 from pellzero.bigseq import KContext
 
 ORDERS = list(range(2, 61)) + [86]
@@ -38,13 +44,12 @@ def _same(a: Ball, b: Ball):
 @pytest.mark.parametrize("prec", [128, 390])
 @pytest.mark.parametrize("k", ORDERS)
 def test_partners_and_weights_are_exact_mirrors(k, prec):
-    centres = spectra._polish(k, spectra._initial_seeds(k), prec)
-    raw = [_raw(c) for c in centres]
-    lower = [c for c in centres if isinstance(c, mp.mpc) and c.imag < 0]
-    upper = [c for c in centres if isinstance(c, mp.mpc) and c.imag > 0]
+    centres = spectra._polish(k, spectra._initial_seeds(k, prec + 16), prec)
+    lower = [c for c in centres if c[1] < 0]
+    upper = [c for c in centres if c[1] > 0]
     assert len(lower) == len(upper)
-    for c in lower:
-        assert raw.count(_raw(conj_exact(c))) == 1, (k, c)
+    for X, Y in lower:
+        assert centres.count((X, -Y)) == 1, (k, X, Y)
 
     rs = spectra.solve_roots(k, prec)
     assert rs.prec == prec
@@ -58,9 +63,21 @@ def test_partners_and_weights_are_exact_mirrors(k, prec):
         assert _same(w[i], spectra.eval_gk(k, root)), (k, i)
 
 
+@pytest.mark.parametrize("k", ORDERS + [250, 499])
+def test_roots_and_weights_are_read_off_the_disks(k):
+    rs = spectra.solve_roots(k)
+    scale = 1 << rs.P
+    w = rs.weights
+    for i, (root, (X, Y, R)) in enumerate(zip(rs.roots, rs.disks)):
+        assert root.real().fr_mid() * scale == X, (k, i)
+        assert root.imag().fr_mid() * scale == Y, (k, i)
+        assert math.ceil(mpf_to_fraction(root.rad) * scale) == R, (k, i)
+        assert _same(w[i], spectra.eval_gk(k, root)), (k, i)
+
+
 def test_polish_runs_newton_once_per_class(monkeypatch):
     k = 53
-    seeds = spectra._initial_seeds(k)
+    seeds = spectra._initial_seeds(k, 406)
     step = spectra._newton_step
     calls = 0
 
@@ -77,14 +94,14 @@ def test_polish_runs_newton_once_per_class(monkeypatch):
 
 @pytest.mark.parametrize("k", [9, 10, 200])
 def test_certify_computes_one_radius_per_class(k, monkeypatch):
-    centres = spectra._polish(k, spectra._initial_seeds(k), 128)
+    centres = spectra._polish(k, spectra._initial_seeds(k, 144), 128)
     radius = spectra._inclusion_radius
     calls = 0
 
-    def counting(kk, z, prec):
+    def counting(kk, X, Y, P):
         nonlocal calls
         calls += 1
-        return radius(kk, z, prec)
+        return radius(kk, X, Y, P)
 
     monkeypatch.setattr(spectra, "_inclusion_radius", counting)
     rs = spectra._certify(k, centres, 128)

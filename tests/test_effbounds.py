@@ -1,8 +1,9 @@
 """Log-space effective bounds: linear-form floors, the parity-dispatched
 global bound, the refined even-order bound, and the inequality chains
 connecting them.  log_floor is checked in exact Fraction arithmetic: at
-and just below exact powers, and on random inputs, where y^(r+1) > x
-must hold for every result r."""
+and just below exact powers, on random inputs, where y^(r+1) > x must
+hold for every result r, and with y - 1 below 2^-200 and below the
+smallest double."""
 
 import dataclasses
 import math
@@ -201,6 +202,19 @@ def test_log_floor_small_and_invalid_arguments():
         log_floor(Fraction(1, 2), Fraction(2))
     with pytest.raises(ValueError):
         log_floor(Fraction(5), Fraction(1))
+
+
+def test_log_floor_with_y_minus_one_below_the_old_precision():
+    # y - 1 of 2^-200 is below 2^-(128 + 2 bitlen(n)) for small n, and
+    # 2^-1100 is below the smallest double: the precision grows with the
+    # bits of y - 1, and no float estimate is taken.
+    y = 1 + Fraction(1, 2 ** 200)
+    assert log_floor(Fraction(1), y) == 0
+    assert log_floor(y ** 3, y) == 3
+    assert log_floor(y ** 3 * (1 - Fraction(1, 2 ** 250)), y) == 2
+    n = log_floor(Fraction(2), 1 + Fraction(1, 2 ** 1100))
+    with mp.workprec(4000):
+        assert n == int(mp.floor(mp.log(2) / mp.log(1 + mp.ldexp(1, -1100))))
 
 
 def test_refined_bound_is_bracketed_exactly():

@@ -1,9 +1,9 @@
 """Newton on fixed-point Gaussian integers.
 
 spectra runs Newton on delta_k with z = (X + iY) 2^-P for Python ints X
-and Y.  The conversion tests check that mpf and mpc values go to and
-from that form exactly (signs included) and that bits below 2^-P are
-truncated towards zero.  The polish tests check each polished centre,
+and Y.  The conversion tests check that the Ball midpoints built from
+that form (spectra._ball) are exact, signs included, and that bits of a
+float seed below 2^-P are truncated towards zero.  The polish tests check each polished centre,
 and each float seed, against the matching root of a certified 512-bit
 system, that real seeds stay real with Y exactly 0, and that seeds with
 a negative real part polish to their own root and not to the node at 1.
@@ -55,29 +55,26 @@ fitting = st.integers(-P, 60)
 @given(mantissas, fitting)
 def test_real_round_trip_is_exact(man, exp):
     x = _dyadic(man, exp)
-    X, Y = spectra._to_fixed(x, P)
-    assert Y == 0
-    assert Fraction(X, 1 << P) == mpf_to_fraction(x)
-    back = spectra._from_fixed(X, Y, P)
+    X = man << (exp + P)
+    back = spectra._ball(X, 0, P, 0, 0, 128).mid
     assert isinstance(back, mp.mpf) and back._mpf_ == x._mpf_
+    assert mpf_to_fraction(back) * (1 << P) == X
 
 
 @given(mantissas, fitting, mantissas | st.just(0), fitting)
 def test_complex_round_trip_is_exact(im_man, im_exp, re_man, re_exp):
     z = mp.make_mpc((from_man_exp(re_man, re_exp), from_man_exp(im_man, im_exp)))
-    X, Y = spectra._to_fixed(z, P)
-    assert Fraction(X, 1 << P) == mpf_to_fraction(z.real)
-    assert Fraction(Y, 1 << P) == mpf_to_fraction(z.imag)
-    back = spectra._from_fixed(X, Y, P)
+    X, Y = re_man << (re_exp + P), im_man << (im_exp + P)
+    back = spectra._ball(X, Y, P, 0, 0, 128).mid
     assert isinstance(back, mp.mpc) and back._mpc_ == z._mpc_
+    assert mpf_to_fraction(back.imag) * (1 << P) == Y
 
 
 @given(mantissas, st.integers(-P - 80, -P - 1))
 def test_bits_below_the_fixed_point_are_truncated(man, exp):
-    x = _dyadic(man, exp)
-    exact = mpf_to_fraction(x) * (1 << P)
-    X, _ = spectra._to_fixed(x, P)
-    assert X == int(exact)  # int() truncates towards zero
+    t = float(_dyadic(man, exp))
+    # int() truncates towards zero
+    assert spectra._fix_float(t, P) == int(Fraction(t) * (1 << P))
 
 
 def _match(centres, roots):
@@ -89,9 +86,12 @@ def _match(centres, roots):
     return matched
 
 
-def _within(centres, roots, prec):
+def _within(centres, Q, roots, prec):
+    """Each centre (X, Y) at Q lies within |centre| 2^(8 - prec) of its
+    root, radius included."""
     with mp.workprec(600):
-        for c, b in zip(centres, _match(centres, roots)):
+        zs = [mp.mpc(mp.ldexp(X, -Q), mp.ldexp(Y, -Q)) for X, Y in centres]
+        for c, b in zip(zs, _match(zs, roots)):
             assert abs(c - b.mid) + b.rad <= abs(c) * mp.ldexp(1, 8 - prec), (c, b)
 
 
@@ -99,37 +99,36 @@ def _within(centres, roots, prec):
 def test_polished_centres_and_seeds_lie_near_their_roots(k):
     ref = spectra.solve_roots(k, 512)
     assert ref.prec == 512
-    seeds = spectra._initial_seeds(k)
-    _within(seeds, ref.roots, SEED_BITS + 8)
+    _within(spectra._initial_seeds(k, P), P, ref.roots, SEED_BITS + 8)
     for prec in (128, 390):
-        _within(spectra._polish(k, seeds, prec), ref.roots, prec)
+        seeds = spectra._initial_seeds(k, prec + 16)
+        _within(spectra._polish(k, seeds, prec), prec + 16, ref.roots, prec)
 
 
 @pytest.mark.parametrize("k", ORDERS)
 def test_real_seeds_stay_real(k):
-    seeds = spectra._initial_seeds(k)
+    seeds = spectra._initial_seeds(k, P)
     centres = spectra._polish(k, seeds, P - 16)
     for seed, c in zip(seeds, centres):
-        if not isinstance(seed, mp.mpf):
+        if seed[1]:
             continue
-        assert isinstance(c, mp.mpf)
-        X, Y = spectra._newton(k, *spectra._to_fixed(seed, P), P, P - 16)
-        assert Y == 0
-        assert spectra._from_fixed(X, Y, P)._mpf_ == c._mpf_
+        assert c[1] == 0
+        assert spectra._newton(k, *seed, P, P - 16) == c
 
 
 @pytest.mark.parametrize("k", [4, 5, 6, 9, 10, 30, 86])
 def test_negative_real_part_seeds_polish_to_their_own_root(k):
-    seeds = spectra._initial_seeds(k)
-    negative = [i for i, z in enumerate(seeds) if mp.re(z) < 0]
+    seeds = spectra._initial_seeds(k, P)
+    negative = [i for i, (X, _) in enumerate(seeds) if X < 0]
     assert negative
+    coarse = spectra._initial_seeds(k, 64)
     for i in negative:
-        assert spectra._to_fixed(seeds[i], 64)[0] < 0
+        assert coarse[i][0] < 0
     centres = spectra._polish(k, seeds, 128)
-    with mp.workprec(200):
-        for i in negative:
-            assert mp.re(centres[i]) < 0, (k, i, centres[i])
-            assert abs(centres[i] - seeds[i]) < mp.mpf(2) ** -40, (k, i)
+    for i in negative:
+        (X, Y), (U, V) = centres[i], seeds[i]
+        assert X < 0, (k, i, centres[i])
+        assert (X - U) ** 2 + (Y - V) ** 2 < 1 << 2 * (P - 40), (k, i)
     rs = spectra._certify(k, centres, 128)
     assert rs.prec == 128
 
@@ -194,9 +193,9 @@ def test_cold_solves_keep_their_newton_step_counts(monkeypatch):
         steps[p] += 1
         return step(k, X, Y, p)
 
-    def counting_radius(k, z, prec):
-        radii[prec] += 1
-        return radius(k, z, prec)
+    def counting_radius(k, X, Y, p):
+        radii[p] += 1
+        return radius(k, X, Y, p)
 
     monkeypatch.setattr(spectra, "_newton_step", counting_step)
     monkeypatch.setattr(spectra, "_inclusion_radius", counting_radius)
@@ -206,7 +205,7 @@ def test_cold_solves_keep_their_newton_step_counts(monkeypatch):
     assert set(steps) == {P, 406}
     assert steps[P] <= 750
     assert steps[406] <= 50
-    assert radii == {128: 375, 390: 25}
+    assert radii == {P: 375, 406: 25}
 
 
 def test_stop_margin_holds_at_the_range_end(monkeypatch):
@@ -254,21 +253,20 @@ def test_gamma_float_seed_is_finite_past_the_double_range(k):
     # gamma^k overflows a double past k = 737; the scaled step does not.
     w = spectra._float_newton(k, PHI2)
     assert isinstance(w, float) and math.isfinite(w)
-    seed = spectra._seed(k, PHI2)
-    assert isinstance(seed, mp.mpf) and seed == w
+    seed = spectra._seed(k, PHI2, P)
+    assert seed == (int(Fraction(w) * (1 << P)), 0)
     gamma = _gamma_512(k)
     with mp.workprec(600):
-        assert abs(seed - gamma) <= gamma * mp.ldexp(1, -SEED_BITS)
+        assert abs(mp.ldexp(seed[0], -P) - gamma) <= gamma * mp.ldexp(1, -SEED_BITS)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 1.0)])
 def test_non_finite_float_seed_falls_back_to_the_closed_form_point(bad, monkeypatch):
     monkeypatch.setattr(spectra, "_float_newton", lambda k, z: bad)
     z = complex(0.3, 0.8)
-    seed = spectra._seed(5, z)
-    assert isinstance(seed, mp.mpc) and seed == z
-    seed = spectra._seed(5, PHI2)
-    assert isinstance(seed, mp.mpf) and seed == PHI2
+    assert spectra._seed(5, z, P) == (int(Fraction(0.3) * (1 << P)),
+                                      int(Fraction(0.8) * (1 << P)))
+    assert spectra._seed(5, PHI2, P) == (int(Fraction(PHI2) * (1 << P)), 0)
     for k in (5, 499):
         spectra.clear_cache()
         rs = spectra.solve_roots(k)

@@ -1,27 +1,28 @@
 """Newton inclusion radii from the fixed-point evaluation of delta_k.
 
-spectra._inclusion_radius bounds (k+1) |delta_k(z) / delta_k'(z)| from
-_delta_fixed, which evaluates delta_k and delta_k' on Gaussian integers
-(X + iY) 2^-P with an integer error bound per value.  The oracle here is
+spectra._inclusion_radius bounds (k+1) |delta_k(z) / delta_k'(z)| at a
+centre z = (X + iY) 2^-P given as integers, from _delta_fixed, which
+evaluates delta_k and delta_k' with an integer error bound per value.  The oracle here is
 exact: delta_k and delta_k' at the same dyadic centre in Gaussian-integer
 arithmetic, with no rounding at all.  The tests check that each radius
 is at least the exact one, at the polished centres for k = 2..40 at 128
 and 390 bits and at Hypothesis-drawn centres away from the roots; that
 each error bound of _delta_fixed and of the floored product _fmul
 holds; that the radius bounds (k+1)(|D| + eD)/(|S| - eS) for any
-evaluator output, evaluated at the centre itself and not at the centre
-truncated to the polish grid; that on polished centres the radius is no looser than
+evaluator output, evaluated at the centre it is given; that on polished
+centres the radius is no looser than
 the Ball-arithmetic bound it replaced; and that a centre where delta_k'
 vanishes raises CertificationFailure.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpf_add, mpf_neg
+from mpmath.libmp import from_man_exp
 
 from pellzero import spectra
 from pellzero.ball import Ball, mpf_to_fraction
@@ -81,20 +82,34 @@ def _covers(r, k, D2, eD, S2, eS):
     return t >= 0 and t * t >= 4 * c * c * V
 
 
-def _assert_above_exact(k, z, prec):
-    """The radius at z is at least the exact (k+1)|delta_k/delta_k'|."""
+def _at(z, prec):
+    """(X, Y, P) with z = (X + iY) 2^-P exactly, at P = prec + 16 or
+    finer when z has bits below 2^-(prec+16)."""
     X, Y, Q = _scaled(z)
-    d, s = _exact_pair(k, X, Y, Q)
-    r = mpf_to_fraction(spectra._inclusion_radius(k, z, prec))
-    # delta_k / delta_k' = (d / s) 2^-Q
-    assert _covers(r * (1 << Q), k, _norm(d), 0, _norm(s), 0), (k, z, prec)
+    P = max(Q, prec + 16)
+    return X << (P - Q), Y << (P - Q), P
+
+
+def _radius(k, X, Y, P):
+    """The inclusion radius (m, e) as the Fraction m 2^e."""
+    m, e = spectra._inclusion_radius(k, X, Y, P)
+    return m * Fraction(2) ** e
+
+
+def _assert_above_exact(k, X, Y, P):
+    """The radius at z = (X + iY) 2^-P is at least the exact
+    (k+1)|delta_k/delta_k'|."""
+    d, s = _exact_pair(k, X, Y, P)
+    r = _radius(k, X, Y, P)
+    # delta_k / delta_k' = (d / s) 2^-P
+    assert _covers(r * (1 << P), k, _norm(d), 0, _norm(s), 0), (k, X, Y, P)
 
 
 def _classes(k, prec):
-    """The polished class representatives: real centres and upper
-    members of pairs."""
-    centres = spectra._polish(k, spectra._initial_seeds(k), prec)
-    return [c for c in centres if not (isinstance(c, mp.mpc) and c.imag < 0)]
+    """The polished class representatives at P = prec + 16: real
+    centres and upper members of pairs."""
+    centres = spectra._polish(k, spectra._initial_seeds(k, prec + 16), prec)
+    return [c for c in centres if c[1] >= 0]
 
 
 @pytest.mark.parametrize("prec", [128, 390])
@@ -102,17 +117,13 @@ def _classes(k, prec):
 def test_radius_covers_the_exact_radius_at_polished_centres(k, prec):
     # Each centre also moved by 3/4 of an ulp of the polish grid, into
     # bits below 2^-(prec+16), where the radius is as tight as it gets.
-    tail = from_man_exp(3, -(prec + 18))
-    for c in _classes(k, prec):
-        _assert_above_exact(k, c, prec)
-        for t in (tail, mpf_neg(tail)):
-            if isinstance(c, mp.mpc):
-                moved = [mp.make_mpc((mpf_add(c._mpc_[0], t), c._mpc_[1])),
-                         mp.make_mpc((c._mpc_[0], mpf_add(c._mpc_[1], t)))]
-            else:
-                moved = [mp.make_mpf(mpf_add(c._mpf_, t))]
-            for z in moved:
-                _assert_above_exact(k, z, prec)
+    P = prec + 16
+    for X, Y in _classes(k, prec):
+        _assert_above_exact(k, X, Y, P)
+        for t in (3, -3):
+            moved = [((X << 2) + t, Y << 2)] + ([(X << 2, (Y << 2) + t)] if Y else [])
+            for x, y in moved:
+                _assert_above_exact(k, x, y, P + 2)
 
 
 def _ball_delta_pair(k, z):
@@ -127,10 +138,13 @@ def _ball_delta_pair(k, z):
 @pytest.mark.parametrize("prec", [128, 390])
 @pytest.mark.parametrize("k", range(2, 41))
 def test_radius_is_no_looser_than_the_ball_radius(k, prec):
-    for c in _classes(k, prec):
+    P = prec + 16
+    for X, Y in _classes(k, prec):
+        re = from_man_exp(X, -P)
+        c = mp.make_mpc((re, from_man_exp(Y, -P))) if Y else mp.make_mpf(re)
         delta, slope = _ball_delta_pair(k, Ball.exact(c, prec))
         ball = (delta / slope * (k + 1)).ub_abs()
-        assert spectra._inclusion_radius(k, c, prec) <= ball, (k, c, prec)
+        assert _radius(k, X, Y, P) <= mpf_to_fraction(ball), (k, c, prec)
 
 
 @st.composite
@@ -166,7 +180,7 @@ def centres(draw):
 def test_radius_covers_the_exact_radius_at_drawn_centres(case):
     k, z, prec = case
     try:
-        _assert_above_exact(k, z, prec)
+        _assert_above_exact(k, *_at(z, prec))
     except CertificationFailure:
         # Sound either way; delta_k' is only near zero close to its roots.
         X, Y, Q = _scaled(z)
@@ -225,10 +239,11 @@ def test_delta_fixed_error_bounds_hold(case):
 @given(centres())
 @example((10, mp.make_mpc((from_man_exp(-7, -3), from_man_exp(1, -200))), 128))
 def test_radius_evaluates_at_the_centre_itself(case):
-    # A centre truncated to the polish grid would certify another point.
-    # It moves by less than an ulp, which the error bound mostly
+    # A centre moved to a coarser grid would certify another point.  It
+    # would move by less than an ulp, which the error bound mostly
     # swallows, so the point handed to the evaluator is checked directly.
     k, z, prec = case
+    centre = _at(z, prec)
     fixed = spectra._delta_fixed
     seen = []
 
@@ -239,13 +254,10 @@ def test_radius_evaluates_at_the_centre_itself(case):
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(spectra, "_delta_fixed", recording)
         try:
-            spectra._inclusion_radius(k, z, prec)
+            spectra._inclusion_radius(k, *centre)
         except CertificationFailure:
             pass
-    [(X, Y, P)] = seen
-    x, y, Q = _scaled(z)
-    assert P >= max(Q, prec + 16)
-    assert (X, Y) == (x << (P - Q), y << (P - Q))
+    assert seen == [centre]
 
 
 P_SMALL = 24
@@ -277,7 +289,7 @@ def test_radius_bounds_any_evaluator_output(dX, dY, eD, sX, sY, eS, k):
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(spectra, "_delta_fixed", lambda *args: out)
         try:
-            r = mpf_to_fraction(spectra._inclusion_radius(k, mp.mpf(1), 128))
+            r = _radius(k, 1 << 144, 0, 144)
         except CertificationFailure:
             assert math.isqrt(sX * sX + sY * sY) <= eS
             return
@@ -287,12 +299,13 @@ def test_radius_bounds_any_evaluator_output(dX, dY, eD, sX, sY, eS, k):
 # delta_k'(x) = x^(k-2) ((k+1) x^2 - 3k x + (k-1)) vanishes at 0 for k >= 3
 # and at the roots of the quadratic, dyadic for k = 3 (2 and 1/4) and k = 21
 # (5/2).
-@pytest.mark.parametrize("k, z", [(k, mp.mpf(0)) for k in (3, 4, 9, 40)]
-                         + [(3, mp.mpf(2)), (3, mp.mpf(0.25)), (21, mp.mpf(2.5))])
+@pytest.mark.parametrize("k, z", [(k, Fraction(0)) for k in (3, 4, 9, 40)]
+                         + [(3, Fraction(2)), (3, Fraction(1, 4)), (21, Fraction(5, 2))])
 def test_centre_where_the_derivative_vanishes_raises(k, z):
+    X = int(z * (1 << 144))
     with pytest.raises(CertificationFailure, match="delta_k' not certified nonzero"):
-        spectra._inclusion_radius(k, z, 128)
-    centres = spectra._polish(k, spectra._initial_seeds(k), 128)
-    centres[0] = z
+        spectra._inclusion_radius(k, X, 0, 144)
+    centres = spectra._polish(k, spectra._initial_seeds(k, 144), 128)
+    centres[0] = X, 0
     with pytest.raises(CertificationFailure, match="delta_k' not certified nonzero"):
         spectra._certify(k, centres, 128)

@@ -125,9 +125,12 @@ def _assert_covers(k, x):
     w = _eval_or_none(k, x)
     if w is None:
         return
-    re, im = spectra._raw_c(x.mid)
-    P = spectra._exact_P(x.prec, (re, im))
-    X, Y, R = spectra._fix(re, P), spectra._fix(im, P), spectra._fix_up(x.rad._mpf_, P)
+    # The exact conversion: P = prec + 16, or finer when the midpoint
+    # has finer bits, and R = ceil(rad 2^P).
+    cr, ci = _parts(x.mid)
+    P = max([x.prec + 16] + [v.denominator.bit_length() - 1 for v in (cr, ci)])
+    X, Y = int(cr * (1 << P)), int(ci * (1 << P))
+    R = math.ceil(mpf_to_fraction(x.rad) * (1 << P))
     if Y < 0:
         Y, w = -Y, w.conjugate()
     one = 1 << P

@@ -1,6 +1,10 @@
-"""Guard against dead public surface: every module-level public function
-or class in src/pellzero must be referenced by some module of the
-package, or be on the keep-list below with the reason it stays.
+"""Guard against dead code in src/pellzero.  Three kinds of definition
+must be referenced by some module of the package, or be on the
+keep-list below with the reason they stay:
+
+- module-level public functions and classes;
+- module-level private (_name) functions;
+- public methods of classes, listed as Class.method.
 
 A reference is a name, an attribute or an imported name anywhere in
 src/pellzero outside the definition's own body.  The re-exports in
@@ -28,6 +32,12 @@ KEEP = {
     "verify_structure": "the strict-xfail twins on the published blocks read it",
     "observed_report": "kept until the corrected count is certified for "
                        "k = 4..500 (ROADMAP item 4)",
+    "Ball.contains": "the enclosure oracle of the Ball property tests and "
+                     "the acceptance criteria",
+    "Ball.conjugate": "the mirror tests' oracle for exactly conjugated "
+                      "roots and weights",
+    "RootSystem.gamma": "the tests and acceptance criteria name the dominant "
+                        "root by it",
 }
 
 
@@ -36,11 +46,18 @@ def _modules():
             for path in sorted(SRC.glob("*.py"))}
 
 
-def _public_definitions(tree):
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")]
+def _definitions(tree):
+    """(qualified name, node) of each definition the guard covers."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            if not node.name.startswith("_"):
+                yield node.name, node
+            yield from ((f"{node.name}.{sub.name}", sub) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("__"):
+                yield node.name, node
 
 
 def _names(node):
@@ -54,7 +71,7 @@ def _names(node):
             yield sub.name
 
 
-def unreferenced_public_names():
+def unreferenced_names():
     modules = _modules()
     uses = Counter()
     for mod, tree in modules.items():
@@ -62,20 +79,36 @@ def unreferenced_public_names():
             uses.update(_names(tree))
     dead = []
     for mod, tree in modules.items():
-        for node in _public_definitions(tree):
+        for qualified, node in _definitions(tree):
             own = sum(name == node.name for name in _names(node))
             if uses[node.name] == own:
-                dead.append(f"{mod}.{node.name}")
+                dead.append(f"{mod}.{qualified}")
     return dead
 
 
+def _dead(public: bool):
+    """Unreferenced definitions off the keep-list: the module-level
+    public ones, or the private functions and the methods."""
+    out = []
+    for name in unreferenced_names():
+        qualified = name.split(".", 1)[1]
+        if qualified not in KEEP and public == ("." not in qualified
+                                                and not qualified.startswith("_")):
+            out.append(name)
+    return out
+
+
 def test_every_public_name_has_a_caller_or_a_reason():
-    dead = [name for name in unreferenced_public_names()
-            if name.split(".", 1)[1] not in KEEP]
+    dead = _dead(public=True)
     assert dead == [], f"public names that no src module references: {dead}"
+
+
+def test_every_private_function_and_method_has_a_caller_or_a_reason():
+    dead = _dead(public=False)
+    assert dead == [], f"private functions and methods that no src module references: {dead}"
 
 
 def test_keep_list_names_exist_and_have_no_caller():
     # A kept name that gains a caller in src no longer needs the entry.
-    unreferenced = {name.split(".", 1)[1] for name in unreferenced_public_names()}
+    unreferenced = {name.split(".", 1)[1] for name in unreferenced_names()}
     assert set(KEEP) <= unreferenced, set(KEEP) - unreferenced

@@ -88,12 +88,16 @@ def test_refining_at_or_below_the_system_precision_returns_the_root():
 
 
 def test_partner_of_a_refined_root_is_its_exact_mirror():
-    rs = solve_roots(21)
-    i = _small_pair_branch(rs)
-    partner = i - 1 if (i - 1, i) in rs.conj_pairs else i + 1
-    a, b = refine_root(rs, i, PREC), refine_root(rs, partner, PREC)
-    assert a.mid == b.conjugate().mid
-    assert a.rad == b.rad
+    # The lower member of a pair is refined at its upper partner's disk
+    # and mirrored, so the two refined balls are conjugate bit for bit.
+    for k in (5, 21, 53):
+        rs = solve_roots(k)
+        i = _small_pair_branch(rs)
+        partner = i - 1 if (i - 1, i) in rs.conj_pairs else i + 1
+        a, b = refine_root(rs, i, PREC), refine_root(rs, partner, PREC)
+        assert a.prec == b.prec, k
+        assert a.mid._mpc_ == b.conjugate().mid._mpc_, k
+        assert a.rad._mpf_ == b.rad._mpf_, k
 
 
 @pytest.mark.parametrize("k", [5, 21, 53])
@@ -105,12 +109,12 @@ def test_refinement_towards_a_neighbouring_root_is_never_returned(k, monkeypatch
     # a few doublings instead of running Newton on million-bit integers.
     rs = solve_roots(k)
     i = _small_pair_branch(rs)
-    neighbour = rs.roots[k - 4].mid
+    NX, NY, _ = rs.disks[k - 4]
     newton = spectra._newton
 
     def towards_neighbour(k_, X, Y, P, prec):
-        NX, NY = spectra._to_fixed(neighbour, P)
-        return newton(k_, NX, abs(NY), P, prec)
+        shift = P - rs.P
+        return newton(k_, NX << shift, abs(NY) << shift, P, prec)
 
     monkeypatch.setattr(spectra, "_newton", towards_neighbour)
     monkeypatch.setattr(ball, "PREC_CEILING", 4 * PREC)

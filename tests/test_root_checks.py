@@ -15,7 +15,7 @@ import mpmath as mp
 import pytest
 
 from pellzero import spectra
-from pellzero.ball import Ball
+from pellzero.ball import Ball, mpf_to_fraction
 from pellzero.cli import main
 
 
@@ -129,7 +129,8 @@ def test_root_checks_divide_a_constant_number_of_balls(k, monkeypatch):
 
 def _system(k, prec):
     """A certified system at prec, kept out of the solve_roots cache."""
-    return spectra._certify(k, spectra._polish(k, spectra._initial_seeds(k), prec), prec)
+    seeds = spectra._initial_seeds(k, prec + 16)
+    return spectra._certify(k, spectra._polish(k, seeds, prec), prec)
 
 
 def _floor_units(P, floor):
@@ -177,11 +178,18 @@ def test_even_modulus_gap_decides_at_the_boundary(k, prec):
 
 
 def _with_weight(rs, i, ball):
-    """rs with the weight of class i replaced."""
+    """rs with the weight of class i replaced, as a Ball and as the
+    integer disk at rs.P it converts to exactly."""
     out = dataclasses.replace(rs)
-    weights = list(rs.weights)
+    weights, disks = list(rs.weights), list(rs.weight_disks)
     weights[i] = ball
+    scale = 1 << rs.P
+    parts = [v * scale for v in (ball.real().fr_mid(), ball.imag().fr_mid(),
+                                 mpf_to_fraction(ball.rad))]
+    assert all(v.denominator == 1 for v in parts)
+    disks[i] = tuple(int(v) for v in parts)
     out.__dict__["weights"] = weights
+    out.__dict__["weight_disks"] = disks
     return out
 
 
