@@ -2,27 +2,31 @@
 reduction, plus the odd-order pipeline from certified roots to the
 reduced index bound R_k.
 
-The continued fraction of an enclosed real is certified from the exact
-Fraction endpoints of its Ball: the set of reals sharing a partial
-quotient prefix is an interval, so quotients common to both endpoint
-expansions hold for every value inside (one defensive quotient is
-dropped to sidestep the rational endpoints' double representation).
+The continued fraction of an enclosed real is certified on integers:
+the exact endpoints of its Ball are read once at one scale 2^-S
+(_endpoints) and expanded by one simultaneous Euclid.  The reals sharing
+a partial quotient prefix form an interval, so quotients common to both
+expansions hold for every value inside; the Euclid stops at the first
+quotient where they disagree and drops the last common one, which the
+double representation of a rational can change.
 
 The reduction step: for tau, mu, A > 0, B > 1 and a convergent p/q of
 tau with q > 6M, set eps = ||mu q|| - M ||tau q|| (||.|| = distance to
 the nearest integer).  When eps > 0, any solution of
 0 < |u tau - v + mu| < A B^(-w) with 0 < u <= M forces
-w < log(A q / eps) / log B.  R is the largest n with B^n <= A q / eps,
-decided by effbounds.log_floor at the upper bound of A and the lower
-bounds of eps and B, so the exclusion survives every enclosure outcome.
+w < log(A q / eps) / log B.  eps is bounded exactly on the endpoint
+integers of tau and mu; only the outcome's eps is a Ball.  R is the
+largest n with B^n <= A q / eps, decided by effbounds.log_floor at the
+upper bound of A and the lower bounds of eps and B, so the exclusion
+survives every enclosure outcome.
 
 The odd-order pipeline refines one root, gamma_s of the smallest pair,
-which gives tau, mu and A.  odd_k_reduce takes the root system
-certified at the default precision, usually cached, and refines only
-gamma_s to reduction-grade precision (spectra.refine_root), not every
-root class.  B = |r_{k-3}| / |gamma_s| is read off the certified
-modulus intervals (RootSystem.moduli); R and the small-linear-form
-test read only its lower bound.
+and its weight, which give tau, mu and A.  odd_k_reduce takes the root
+system certified at the default precision, usually cached, and refines
+only gamma_s to reduction-grade precision (spectra.refine_root), not
+every root class.  B = |r_{k-3}| / |gamma_s| is read off the certified
+modulus intervals (RootSystem.moduli); R and the small-linear-form test
+read only its lower bound.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .ball import (
     escalate,
 )
 from .effbounds import log_floor
-from .spectra import RootSystem, eval_gk, refine_root, solve_roots
+from .spectra import RootSystem, refine_root, solve_roots
 
 DEFAULT_M = 3 * 10 ** 47
 MAX_ATTEMPTS = 40
@@ -101,51 +105,59 @@ class ReductionOutcome:
         return out
 
 
-def _rational_cf(fr: Fraction) -> list:
-    """Canonical continued fraction of a rational (last quotient > 1
-    unless the expansion is a single term)."""
+def _endpoints(*balls):
+    """(S, [(lo, hi), ...]): the exact endpoints of each real Ball in
+    units of 2^-S, the least S >= 1 that makes them all integers."""
+    raw = [(b.mid._mpf_, b.rad._mpf_) for b in balls]
+    S = max([1] + [-t[2] for pair in raw for t in pair if t[1]])
     out = []
-    p, q = fr.numerator, fr.denominator
-    while q:
-        a = p // q
-        out.append(a)
-        p, q = q, p - a * q
-    return out
+    for (sign, man, exp, _), (_, m, e, _) in raw:
+        mid, r = int(man) << (exp + S), int(m) << (e + S)
+        out.append((-mid - r, r - mid) if sign else (mid - r, mid + r))
+    return S, out
+
+
+def _abs_range(lo: int, hi: int):
+    """(min, max) of |t| over lo <= t <= hi."""
+    return lo if lo > 0 else (-hi if hi < 0 else 0), max(-lo, hi)
+
+
+def _common_quotients(lo: int, hi: int, den: int) -> list:
+    """The partial quotients certified for every value in [lo, hi] / den,
+    by the simultaneous Euclid of the module docstring, which also stops
+    where either expansion ends; all of them when lo == hi."""
+    out = []
+    a, b, c, d = lo, den, hi, den
+    while b and d:
+        q = a // b
+        if q != c // d:
+            break
+        out.append(q)
+        a, b, c, d = b, a - q * b, d, c - q * d
+    return out if lo == hi else out[:-1]
 
 
 def _convergents(quotients):
-    convs = []
-    p_prev, p_prev2 = 1, 0
-    q_prev, q_prev2 = 0, 1
+    convs, p0, p1, q0, q1 = [], 0, 1, 1, 0
     for a in quotients:
-        p = a * p_prev + p_prev2
-        q = a * q_prev + q_prev2
-        convs.append((p, q))
-        p_prev2, p_prev = p_prev, p
-        q_prev2, q_prev = q_prev, q
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+        convs.append((p1, q1))
     return convs
 
 
 def cf_expand(x: Ball, q_target: int, refine=None) -> CFExpansion:
     """Expand until a certified convergent denominator exceeds q_target.
 
-    refine(prec) -> Ball supplies a tighter enclosure when the certified
-    prefix runs out; without it, exhaustion raises PrecisionExhausted.
+    The endpoints of x, read as integers, are expanded together
+    (_common_quotients).  refine(prec) -> Ball supplies a tighter
+    enclosure when the certified prefix runs out; without it, exhaustion
+    raises PrecisionExhausted.
     """
     if q_target < 1:
         raise ValueError(f"q_target must be >= 1, got {q_target}")
     while True:
-        lo, hi = x.fr_lo(), x.fr_hi()
-        if lo == hi:
-            quots = _rational_cf(lo)
-        else:
-            a, b = _rational_cf(lo), _rational_cf(hi)
-            n = 0
-            while n < len(a) and n < len(b) and a[n] == b[n]:
-                n += 1
-            quots = a[:n]
-            if quots:
-                quots = quots[:-1]
+        S, [(lo, hi)] = _endpoints(x)
+        quots = _common_quotients(lo, hi, 1 << S)
         convs = _convergents(quots)
         if convs and convs[-1][1] > q_target:
             return CFExpansion(partial_quotients=tuple(quots),
@@ -159,71 +171,52 @@ def cf_expand(x: Ball, q_target: int, refine=None) -> CFExpansion:
         x = refine(escalate(x.prec))
 
 
-def _nearest_int_distance(y: Ball):
-    """Ball for |y - n0| with n0 the integer nearest the midpoint.
-
-    The rounding goes through the exact Fraction view of the midpoint;
-    floating the midpoint first would misround once |y| outgrows the
-    radius working precision (q here reaches ~1e48).
-    """
-    return (y - int(round(y.fr_mid()))).magnitude()
-
-
 def dp_reduce(inst: ReductionInstance, refine=None) -> ReductionOutcome:
     """First convergent past 6M with certified eps > 0; advances through
     later convergents on eps <= 0, raising ReductionExhausted after
     MAX_ATTEMPTS of them."""
     threshold = 6 * inst.M
-    exp = cf_expand(inst.tau, threshold, refine)
-    convs = list(exp.convergents)
-    attempts = 0
-    idx = 0
+    S, [(t_lo, t_hi), (m_lo, m_hi)] = _endpoints(inst.tau, inst.mu)
+    one = 1 << S
+    convs = cf_expand(inst.tau, threshold, refine).convergents
+    attempts, idx = 0, -1
     while True:
-        while idx < len(convs):
-            p, q = convs[idx]
-            if q <= threshold:
-                idx += 1
-                continue
-            attempts += 1
-            dist_tau = (inst.tau * q - p).magnitude()
-            dist_mu = _nearest_int_distance(inst.mu * q)
-            # ||.|| folds at half-integers: when the enclosure of
-            # |mu q - n0| crosses 1/2, the distance to the next integer
-            # over takes the minimum, so the norm interval is toggled
-            # rather than taken from the raw magnitude (mu = 1/2 with
-            # odd q lands exactly on the fold).
-            d_lo, d_hi = dist_mu.fr_lo(), dist_mu.fr_hi()
-            norm_lo = min(d_lo, 1 - d_hi)
-            norm_hi = min(d_hi, Fraction(1, 2))
-            e_lo = norm_lo - inst.M * dist_tau.fr_hi()
-            e_hi = norm_hi - inst.M * dist_tau.fr_lo()
-            if e_lo > 0:
-                eps = Ball.exact(Fraction(e_lo + e_hi, 2),
-                                 inst.tau.prec).add_error((e_hi - e_lo) / 2)
-                r_bound = log_floor(inst.A.fr_hi() * q / e_lo, inst.B.fr_lo())
-                return ReductionOutcome(q_used=q, m_index=idx, epsilon=eps,
-                                        R=r_bound, attempts=attempts)
-            if attempts >= MAX_ATTEMPTS:
-                raise ReductionExhausted(
-                    f"{attempts} convergents past 6M={threshold} all failed "
-                    f"eps > 0; perturb M")
-            idx += 1
-        exp = cf_expand(inst.tau, convs[-1][1] * 16, refine)
-        convs = list(exp.convergents)
+        idx += 1
+        while idx >= len(convs):
+            convs = cf_expand(inst.tau, convs[-1][1] * 16, refine).convergents
+        p, q = convs[idx]
+        if q <= threshold:
+            continue
+        attempts += 1
+        dt_lo, dt_hi = _abs_range(t_lo * q - (p << S), t_hi * q - (p << S))
+        # ||mu q|| lies in [d_lo, min(d_hi, 1/2)] for |mu q - n0| in
+        # [d_lo, d_hi], n0 the integer nearest the midpoint: the next
+        # integer over is at least 1 - d_hi >= d_lo away.
+        a, b = m_lo * q, m_hi * q
+        n0 = (a + b + one) >> (S + 1) << S
+        d_lo, d_hi = _abs_range(a - n0, b - n0)
+        e_lo = d_lo - inst.M * dt_hi
+        e_hi = min(d_hi, one >> 1) - inst.M * dt_lo
+        if e_lo > 0:
+            eps = Ball.exact(Fraction(e_lo + e_hi, 2 * one),
+                             inst.tau.prec).add_error(Fraction(e_hi - e_lo, 2 * one))
+            r_bound = log_floor(inst.A.fr_hi() * Fraction(q << S, e_lo), inst.B.fr_lo())
+            return ReductionOutcome(q_used=q, m_index=idx, epsilon=eps,
+                                    R=r_bound, attempts=attempts)
+        if attempts >= MAX_ATTEMPTS:
+            raise ReductionExhausted(
+                f"{attempts} convergents past 6M={threshold} all failed "
+                f"eps > 0; perturb M")
 
 
 # -- odd-order pipeline -----------------------------------------------------
 
 def _small_pair_branch(rs: RootSystem) -> int:
     """Index of the member of the smallest-modulus conjugate pair with
-    certified negative imaginary part."""
-    k = rs.k
-    for i in (k - 1, k - 2):
-        root = rs.roots[i]
-        if not root.is_complex:
-            continue
-        im = root.imag()
-        if im.fr_hi() < 0:
+    certified negative imaginary part: the sign of Y in its certified
+    disk (X, Y, R), which is disjoint from its mirror, so |Y| > R."""
+    for i in (rs.k - 1, rs.k - 2):
+        if rs.disks[i][1] < 0:
             return i
     raise IndeterminateComparison(
         "no smallest-pair member with certified negative imaginary part")
@@ -237,8 +230,9 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
         A   = 1 / |g|                     B = |root k-3| / |gamma_s|
 
     gamma_s is rs's root refined to prec bits by refine_root when rs is
-    coarser, and tau, mu and A are at its precision; B is the quotient of
-    rs.moduli, the certified modulus intervals.
+    coarser, g is g_k over the disk it is built from, and tau, mu and A
+    are at its precision; B is the quotient of rs.moduli, the certified
+    modulus intervals.
 
     The published ranges tau in [1.59, 1.99] and mu in [0.700657, 1.9927]
     are checked and recorded (not gated: k = 5 lands just below the tau
@@ -257,11 +251,10 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
         raise ValueError(f"M must be >= 1, got {M}")
     prec = rs.prec if prec is None else prec
     branch = _small_pair_branch(rs)
-    gamma_s = refine_root(rs, branch, prec)
+    gamma_s, gval = refine_root(rs, branch, prec)
     p = gamma_s.prec
     pi_ball = Ball.pi(p)
     tau = gamma_s.arg() * (-2) / pi_ball
-    gval = eval_gk(k, gamma_s)
     mu = gval.arg() * 2 / pi_ball
     a_ball = Ball.exact(1, p) / gval.magnitude()
     b_ball = rs.moduli[k - 3] / rs.moduli[branch]

@@ -118,10 +118,9 @@ exact centre: every point of it lies within R of (X, Y), and |N/D -
 N0/D0| <= (R |D0| + |N0| eD) / (|D0| (|D0| - eD)) for the centre values
 N0, D0, since |D| >= |D0| - eD; the 2 covers the two floor divisions.
 When floor|D| <= eD the denominator is not certified nonzero and it
-raises ZeroDivisionEnclosure.  RootSystem.weight_disks calls it on the
-certified disks; eval_gk calls it on a Ball x, whose midpoint converts
-exactly to (X, Y) and whose radius rounds up to R, which is the one
-place a Ball becomes integers.
+raises ZeroDivisionEnclosure.  RootSystem.weight_disks and refine_root
+call it on certified disks, eval_gk (no caller in the package) on a Ball
+x converted to a disk: its midpoint exactly to (X, Y), its radius up.
 
 Every test after the radii runs on the same integers, at one P = prec +
 16 for all centres, and rounds only in its safe direction:
@@ -136,11 +135,6 @@ Every test after the radii runs on the same integers, at one P = prec +
     sum of roots          within sum R of sum X + i sum Y, both parts
     |product of roots|    product of the |root| intervals, each partial
                             product floored below and ceiled above
-
-RootSystem keeps P and the |root| intervals (mod_lo, mod_hi), and the
-modulus-ratio floors of check_root_bounds and check_even_modulus_gap are
-decided on them: |r_i| / |r_j| > 1 + f 2^-P iff mod_lo[i] 2^P > mod_hi[j]
-(2^P + f), with f an integer upper bound on the floor times 2^P.
 
 Disjointness is tested by a sweep (_overlapping_pairs) over the disks
 and the exact node (2^P, 0, 0) at 1: two disks that meet share a point
@@ -157,11 +151,8 @@ sorted by exact N, descending, conjugate partners upper first; partners
 aside, adjacent |root| intervals must separate strictly, the first must
 lie above 1, every other below 1, and the first disk must be real with
 X > 0.  Last, every radius must reach |centre| 2^-prec (the label).  No
-Ball is compared, and none is converted back to integers: RootSystem
-keeps the certified disks, its root balls, midpoint (X + iY) 2^-P and
-the 30-bit radius, are built once from them, its weight balls from the
-integer weight disks, and its modulus balls from the integer intervals
-(RootSystem.moduli).
+Ball is compared or built: RootSystem keeps these integers, and builds
+each root, weight and modulus Ball from them on first read.
 
 Newton steps and radii are computed once per conjugate class: a real
 centre, or the upper member of a conjugate pair.  delta_k has real
@@ -188,8 +179,8 @@ one.  If R0 >= R1 and |z1 - z0| <= R0 - R1, decided exactly at P, the
 new disk lies in the old one and holds that same root; otherwise, or
 when delta_k'(z1) is not certified nonzero, or when R1 exceeds |z1|
 2^-prec, the precision doubles (ball.escalate) and Newton runs again
-from z0.  A lower member of a
-pair gets the exact mirror of its upper one's refinement.
+from z0.  A lower member of a pair gets the exact mirror of its upper
+one's refinement, and the root's weight is g_k over the new disk.
 """
 
 from __future__ import annotations
@@ -225,22 +216,43 @@ class CertificationFailure(Exception):
     """Internal: disks not disjoint / pairing ambiguous; escalate."""
 
 
+class _LazyBalls:
+    """A read-only list of n Balls, pickled as a list: build(i) makes the
+    Ball at index i on its first read, and later reads return that one."""
+
+    def __init__(self, n: int, build):
+        self._build, self._items = build, [None] * n
+
+    def __len__(self):
+        return len(self._items)
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if self._items[i] is None:
+            self._items[i] = self._build(i % len(self))
+        return self._items[i]
+
+
 @dataclass
 class RootSystem:
-    """All k roots as Balls, sorted by descending modulus, with the
-    structural facts certified: modulus ordering (outside conjugate
-    pairs), conjugate pairing, realness, and unique dominance, so the
-    dominant root is always roots[0].  disks, mod_lo and mod_hi are the
-    integers certification decided on, in units of 2^-P: roots[i] has
-    midpoint (X + iY) 2^-P and lies within R of it for disks[i] = (X, Y,
-    R), and |roots[i]| lies in [mod_lo[i], mod_hi[i]]; moduli holds the
-    same intervals as real Balls."""
+    """All k roots, sorted by descending modulus, with the structural
+    facts certified: modulus ordering (outside conjugate pairs),
+    conjugate pairing, realness, and unique dominance, so the dominant
+    root is always roots[0].  It keeps the integers certification decided
+    on, in units of 2^-P: root i lies within R of (X + iY) 2^-P for
+    disks[i] = (X, Y, R), R rounds up its radius m 2^e, radii[i] = (m, e),
+    and |root i| lies in [mod_lo[i], mod_hi[i]].  roots, moduli and
+    weights build each Ball from these on first read."""
 
     dominant: ClassVar[int] = 0
 
     k: int
-    roots: list
     disks: list
+    radii: list
     conj_pairs: list
     real_roots: list
     prec: int
@@ -253,12 +265,18 @@ class RootSystem:
         return self.roots[self.dominant]
 
     @cached_property
-    def moduli(self) -> list:
+    def roots(self) -> _LazyBalls:
+        disks, radii, P, prec = self.disks, self.radii, self.P, self.prec
+        return _LazyBalls(self.k, lambda i: _ball(*disks[i][:2], P, *radii[i], prec))
+
+    @cached_property
+    def moduli(self) -> _LazyBalls:
         """|roots[i]| as a real Ball per root, exactly the interval
         [mod_lo[i], mod_hi[i]] 2^-P: midpoint (lo + hi) 2^-(P+1), radius
         (hi - lo) 2^-(P+1) rounded up to a radius mpf."""
-        return [_ball(lo + hi, 0, self.P + 1, *_round_up(hi - lo, 2 << self.P), self.prec)
-                for lo, hi in zip(self.mod_lo, self.mod_hi)]
+        lo, hi, P, prec = self.mod_lo, self.mod_hi, self.P, self.prec
+        return _LazyBalls(self.k, lambda i: _ball(
+            lo[i] + hi[i], 0, P + 1, *_round_up(hi[i] - lo[i], 2 << P), prec))
 
     @cached_property
     def weight_disks(self) -> list:
@@ -277,11 +295,11 @@ class RootSystem:
         return w
 
     @cached_property
-    def weights(self) -> list:
+    def weights(self) -> _LazyBalls:
         """weight_disks as Balls, in root order: bit for bit what
         eval_gk gives at each root."""
-        return [_ball(X, Y, self.P, R, -self.P, self.prec)
-                for X, Y, R in self.weight_disks]
+        wd, P, prec = self.weight_disks, self.P, self.prec
+        return _LazyBalls(self.k, lambda i: _ball(*wd[i][:2], P, wd[i][2], -P, prec))
 
 
 _cache_lock = threading.Lock()
@@ -642,45 +660,33 @@ def _certify(k: int, centres, prec: int) -> RootSystem:
         raise CertificationFailure(f"radii miss the label, |centre| 2^-{prec}")
 
     disks = [disks[i] for i in order]
-    roots = [_ball(X, Y, P, *classes[X, abs(Y)][0], prec) for X, Y, _ in disks]
-    return RootSystem(k=k, roots=roots, disks=disks, conj_pairs=conj_pairs,
+    radii = [classes[X, abs(Y)][0] for X, Y, _ in disks]
+    return RootSystem(k=k, disks=disks, radii=radii, conj_pairs=conj_pairs,
                       real_roots=real_roots, prec=prec, P=P, mod_lo=lo, mod_hi=hi)
 
 
 def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     """Certified root system of Psi_k at target_prec bits or more.
 
-    Newton-polished integer centres (X, Y) at P = prec + 16 get the
-    inclusion radii (k+1) |delta_k / delta_k'|, bounded above from a
-    fixed-point evaluation with a tracked integer error bound, each disk
-    holding a root of delta_k; together with the exact node at 1, k + 1
-    pairwise disjoint disks hold one root each (see the module
-    docstring), and the k disks other than the node are the roots of
-    Psi_k.  Every test after the radii is exact integer arithmetic on
-    the centres and the radii rounded up to P.  Disjointness is tested
-    only between disks whose real spans meet, and each mirror disk only
-    against its own disk and those neighbours, which is where the
-    conjugate root must lie.  Certification then orders the modulus
-    intervals strictly (conjugate partners aside), certifies a unique
-    real positive dominant root above 1, and checks that the roots sum
-    to 2 and that the product of their moduli is 1.  Newton and the
-    radius run once per conjugate class (a real root or a pair): delta_k
-    has real coefficients, so the iterates and the radius bound mirror,
-    and the lower member of a pair gets the exact mirror (X, -Y) of the
-    upper centre and the same radius; every disk, mirrors included, is
-    still tested.  Any failure doubles the precision, and so does a
-    radius above |centre| 2^-prec, so the label prec is the accuracy the
-    radii reach.  Results are cached per order for the process."""
+    Float seeds are polished by Newton on fixed-point integers and
+    certified by Newton inclusion disks, Newton and the radius once per
+    conjugate class and every disk tested (module docstring).  Any
+    failure doubles the precision, and so does a radius above |centre|
+    2^-prec, so the label prec is the accuracy the radii reach.  Results
+    are cached for the process per order and starting precision
+    max(target_prec, PREC_START): a request is answered only by the
+    system solved for it, never by a finer one solved before."""
     if k < 2:
         raise ValueError(f"order k must be >= 2, got {k}")
     if target_prec < 64:
         raise ValueError("target_prec below 64 bits is not supported")
+    key = k, max(target_prec, PREC_START)
     with _cache_lock:
-        hit = _root_cache.get(k)
-    if hit is not None and hit.prec >= target_prec:
+        hit = _root_cache.get(key)
+    if hit is not None:
         _record(hit.prec)
         return hit
-    prec = max(target_prec, PREC_START)
+    prec = key[1]
     seeds = _initial_seeds(k, prec + 16)
     while True:
         centres = _polish(k, seeds, prec)
@@ -691,21 +697,20 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
         seeds = [(X << shift, Y << shift) for X, Y in centres]
         prec += shift
     with _cache_lock:
-        old = _root_cache.get(k)
-        if old is None or old.prec < rs.prec:
-            _root_cache[k] = rs
+        rs = _root_cache.setdefault(key, rs)
     _record(rs.prec)
     return rs
 
 
-def refine_root(rs: RootSystem, i: int, prec: int) -> Ball:
-    """rs.roots[i] as a Ball at prec bits or more, refined by nested
-    Newton inclusion disks from rs.disks[i] (Refinement, in the module
-    docstring), or the root itself when rs is that precise already;
-    record_precisions sees the precision returned."""
+def refine_root(rs: RootSystem, i: int, prec: int):
+    """(root, weight): rs.roots[i] as a Ball at prec bits or more, refined
+    by nested inclusion disks (Refinement, in the module docstring), or
+    rs.roots[i] itself when rs is that precise, and g_k over the root's
+    integer disk, bit for bit eval_gk at the root.  record_precisions
+    sees the precision of a refinement."""
     k = rs.k
     if prec <= rs.prec:
-        return rs.roots[i]
+        return rs.roots[i], rs.weights[i]
     X0, Y0, R0 = rs.disks[i]
     lower, Y0 = Y0 < 0, abs(Y0)
     while True:
@@ -725,7 +730,9 @@ def refine_root(rs: RootSystem, i: int, prec: int) -> Ball:
                 break
         prec = escalate(prec)
     _record(prec)
-    return _ball(X, -Y if lower else Y, P, *rad, prec)
+    GX, GY, GR = _gk_fixed(k, X, Y, R1, P)
+    sign = -1 if lower else 1
+    return _ball(X, sign * Y, P, *rad, prec), _ball(GX, sign * GY, P, GR, -P, prec)
 
 
 def _gk_fixed(k: int, X: int, Y: int, R: int, P: int):

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from pellzero import cli
+from pellzero import cli, spectra
 from pellzero.cli import _parse_m, main
 from pellzero.zerostruct import observed_blocks, observed_chi
 
@@ -404,6 +404,20 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         else:
             want = fresh.stdout
         assert (rc, out, err) == (fresh.returncode, want, fresh.stderr), argv
+
+
+def test_verify_after_a_finer_solve_matches_a_fresh_process(capsys):
+    # A 390-bit system of the same order, solved first in this process,
+    # must not answer verify's request for the default precision.
+    assert spectra.solve_roots(5, 390).prec == 390
+    rc, out, _ = run_cli(capsys, "verify", "--k", "5")
+    fresh = subprocess.run([sys.executable, "-m", "pellzero", "verify", "--k", "5"],
+                           capture_output=True, text=True)
+    out, want = json.loads(out), json.loads(fresh.stdout)
+    out.pop("timestamp")
+    want.pop("timestamp")
+    assert (rc, out) == (fresh.returncode, want)
+    assert out["precision_used"] == 128
 
 
 def test_main_dispatches_to_a_command_rebound_after_the_first_parse(capsys, monkeypatch):

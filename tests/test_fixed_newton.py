@@ -229,7 +229,7 @@ def test_stop_margin_holds_at_the_range_end(monkeypatch):
         assert rs.prec == 128
         assert all(tight(r, 128) for r in rs.roots), k
         if k % 2:
-            ball = spectra.refine_root(rs, _small_pair_branch(rs), 390)
+            ball, _ = spectra.refine_root(rs, _small_pair_branch(rs), 390)
             assert ball.prec == 390 and tight(ball, 390), k
 
 

@@ -38,6 +38,9 @@ KEEP = {
                       "roots and weights",
     "RootSystem.gamma": "the tests and acceptance criteria name the dominant "
                         "root by it",
+    "eval_gk": "acceptance criterion 6 and the weight tests evaluate g_k at "
+               "a Ball with it",
+    "Ball.fr_mid": "the enclosure and disk tests read exact midpoints with it",
 }
 
 

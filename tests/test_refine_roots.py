@@ -3,7 +3,9 @@
 odd_k_reduce certifies the root system once at 128 bits and refines only
 gamma_s of the smallest pair (spectra.refine_root).  The tests check, for
 gamma_s and root k - 3, that each refined ball lies inside its 128-bit
-ball and holds the matching root of a 512-bit system, that a refinement
+ball and holds the matching root of a 512-bit system, that the weight
+refine_root returns with it is eval_gk at the refined root bit for bit
+(and rs.weights[i] when nothing is refined), that a refinement
 which polishes towards a neighbouring root is never returned, that one
 whose radius misses the requested precision escalates, and that
 the reduction pays for one certification and still gives the outcome of
@@ -53,6 +55,12 @@ def _inside(inner, outer) -> bool:
     return r >= 0 and (x1 - x0) ** 2 + (y1 - y0) ** 2 <= r * r
 
 
+def _same(a, b) -> bool:
+    """Bit for bit: raw midpoints, radii and labels."""
+    return ((ball._raw_c(a.mid), a.rad._mpf_, a.prec)
+            == (ball._raw_c(b.mid), b.rad._mpf_, b.prec))
+
+
 def _read_roots(rs):
     """gamma_s, the one root the odd reduction refines, and root k - 3,
     the next modulus down the order (the reduction reads only its
@@ -65,7 +73,8 @@ def test_refined_ball_lies_inside_the_128_bit_ball(k):
     rs = solve_roots(k)
     assert rs.prec == 128
     for i in _read_roots(rs):
-        refined = refine_root(rs, i, PREC)
+        refined, weight = refine_root(rs, i, PREC)
+        assert _same(weight, spectra.eval_gk(k, refined))
         assert refined.prec >= PREC
         assert _inside(refined, rs.roots[i])
         assert refined.rad < rs.roots[i].rad
@@ -74,7 +83,7 @@ def test_refined_ball_lies_inside_the_128_bit_ball(k):
 @pytest.mark.parametrize("k", [5, 7, 21, 53, 99])
 def test_refined_ball_holds_the_512_bit_root(k):
     rs = solve_roots(k)
-    refined = {i: refine_root(rs, i, PREC) for i in _read_roots(rs)}
+    refined = {i: refine_root(rs, i, PREC)[0] for i in _read_roots(rs)}
     fine = solve_roots(k, 512)
     for i, b in refined.items():
         assert _inside(fine.roots[i], b)
@@ -83,8 +92,9 @@ def test_refined_ball_holds_the_512_bit_root(k):
 def test_refining_at_or_below_the_system_precision_returns_the_root():
     rs = solve_roots(21)
     for i in _read_roots(rs):
-        assert refine_root(rs, i, 128) is rs.roots[i]
-        assert refine_root(rs, i, 64) is rs.roots[i]
+        assert refine_root(rs, i, 128)[0] is rs.roots[i]
+        assert refine_root(rs, i, 64)[0] is rs.roots[i]
+        assert _same(refine_root(rs, i, 128)[1], rs.weights[i])
 
 
 def test_partner_of_a_refined_root_is_its_exact_mirror():
@@ -94,7 +104,7 @@ def test_partner_of_a_refined_root_is_its_exact_mirror():
         rs = solve_roots(k)
         i = _small_pair_branch(rs)
         partner = i - 1 if (i - 1, i) in rs.conj_pairs else i + 1
-        a, b = refine_root(rs, i, PREC), refine_root(rs, partner, PREC)
+        (a, _), (b, _) = refine_root(rs, i, PREC), refine_root(rs, partner, PREC)
         assert a.prec == b.prec, k
         assert a.mid._mpc_ == b.conjugate().mid._mpc_, k
         assert a.rad._mpf_ == b.rad._mpf_, k
@@ -137,7 +147,7 @@ def test_refinement_short_of_the_label_escalates(k, monkeypatch):
         return X - dX, Y - dY
 
     monkeypatch.setattr(spectra, "_newton", one_step_at_prec)
-    root = refine_root(rs, i, PREC)
+    root, _ = refine_root(rs, i, PREC)
     assert root.prec == ball.escalate(PREC)
     norm = root.real().fr_mid() ** 2 + root.imag().fr_mid() ** 2
     assert mpf_to_fraction(root.rad) ** 2 * 4 ** root.prec <= norm
