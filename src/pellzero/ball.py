@@ -21,7 +21,7 @@ sum of two bounds:
 Radius arithmetic runs on raw mpfs with 30-bit mantissas (_RADIUS_BITS)
 and round_ceiling, on nonnegative values only, so each computed radius
 is at least the exact value of its formula.  The quantities a radius
-formula divides by or subtracts (|b| in a divisor, lb_abs) are rounded
+formula divides by or subtracts (|b| in a divisor, _lb) are rounded
 with round_floor.  Moduli |x + iy| come from x^2 + y^2 on 32-bit scaled
 integers, rounded in the required direction, and an integer square root
 corrected in the same direction (_hypot).  mpf_hypot and mpc_abs are not
@@ -442,10 +442,6 @@ class Ball:
         mid = self.mid.real if self.is_complex else self.mid
         return Ball(mid, self.rad, self.prec)
 
-    def imag(self):
-        mid = self.mid.imag if self.is_complex else _ZERO
-        return Ball(mid, self.rad, self.prec)
-
     def magnitude(self) -> "Ball":
         """Real ball enclosing |self|."""
         if not self.is_complex:
@@ -543,14 +539,6 @@ class Ball:
 
     def fr_hi(self) -> Fraction:
         return mpf_to_fraction(_mpf(self._hi()))
-
-    def lb_abs(self):
-        """mpf lower bound on |value| (0 when the enclosure reaches 0)."""
-        lb = self._lb()
-        return _ZERO if lb[0] or not lb[1] else _mpf(lb)
-
-    def ub_abs(self):
-        return _mpf(_add_up(self._mag(1), self.rad._mpf_))
 
     def contains(self, value) -> bool:
         """Exact containment of an int or Fraction in a real ball."""

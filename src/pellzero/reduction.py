@@ -56,7 +56,7 @@ class ReductionExhausted(RuntimeError):
 class CFExpansion:
     partial_quotients: tuple
     convergents: tuple  # ((p, q), ...) coprime, q nondecreasing (strict from index 1)
-    source_prec: int
+    source: Ball  # the enclosure expanded: the input, or its last refinement
     certified_len: int
 
 
@@ -162,7 +162,7 @@ def cf_expand(x: Ball, q_target: int, refine=None) -> CFExpansion:
         if convs and convs[-1][1] > q_target:
             return CFExpansion(partial_quotients=tuple(quots),
                                convergents=tuple(convs),
-                               source_prec=x.prec,
+                               source=x,
                                certified_len=len(quots))
         if refine is None:
             raise PrecisionExhausted(
@@ -174,39 +174,41 @@ def cf_expand(x: Ball, q_target: int, refine=None) -> CFExpansion:
 def dp_reduce(inst: ReductionInstance, refine=None) -> ReductionOutcome:
     """First convergent past 6M with certified eps > 0; advances through
     later convergents on eps <= 0, raising ReductionExhausted after
-    MAX_ATTEMPTS of them."""
+    MAX_ATTEMPTS of them.  |tau q - p| is bounded on the tau that the
+    convergents were expanded from (CFExpansion.source, refined or not),
+    and a longer expansion starts from that tau."""
     threshold = 6 * inst.M
-    S, [(t_lo, t_hi), (m_lo, m_hi)] = _endpoints(inst.tau, inst.mu)
-    one = 1 << S
-    convs = cf_expand(inst.tau, threshold, refine).convergents
-    attempts, idx = 0, -1
+    tau, target, tried, attempts = inst.tau, threshold, 0, 0
     while True:
-        idx += 1
-        while idx >= len(convs):
-            convs = cf_expand(inst.tau, convs[-1][1] * 16, refine).convergents
-        p, q = convs[idx]
-        if q <= threshold:
-            continue
-        attempts += 1
-        dt_lo, dt_hi = _abs_range(t_lo * q - (p << S), t_hi * q - (p << S))
-        # ||mu q|| lies in [d_lo, min(d_hi, 1/2)] for |mu q - n0| in
-        # [d_lo, d_hi], n0 the integer nearest the midpoint: the next
-        # integer over is at least 1 - d_hi >= d_lo away.
-        a, b = m_lo * q, m_hi * q
-        n0 = (a + b + one) >> (S + 1) << S
-        d_lo, d_hi = _abs_range(a - n0, b - n0)
-        e_lo = d_lo - inst.M * dt_hi
-        e_hi = min(d_hi, one >> 1) - inst.M * dt_lo
-        if e_lo > 0:
-            eps = Ball.exact(Fraction(e_lo + e_hi, 2 * one),
-                             inst.tau.prec).add_error(Fraction(e_hi - e_lo, 2 * one))
-            r_bound = log_floor(inst.A.fr_hi() * Fraction(q << S, e_lo), inst.B.fr_lo())
-            return ReductionOutcome(q_used=q, m_index=idx, epsilon=eps,
-                                    R=r_bound, attempts=attempts)
-        if attempts >= MAX_ATTEMPTS:
-            raise ReductionExhausted(
-                f"{attempts} convergents past 6M={threshold} all failed "
-                f"eps > 0; perturb M")
+        cf = cf_expand(tau, target, refine)
+        tau, convs = cf.source, cf.convergents
+        S, [(t_lo, t_hi), (m_lo, m_hi)] = _endpoints(tau, inst.mu)
+        one = 1 << S
+        for idx in range(tried, len(convs)):
+            p, q = convs[idx]
+            if q <= threshold:
+                continue
+            attempts += 1
+            dt_lo, dt_hi = _abs_range(t_lo * q - (p << S), t_hi * q - (p << S))
+            # ||mu q|| lies in [d_lo, min(d_hi, 1/2)] for |mu q - n0| in
+            # [d_lo, d_hi], n0 the integer nearest the midpoint: the next
+            # integer over is at least 1 - d_hi >= d_lo away.
+            a, b = m_lo * q, m_hi * q
+            n0 = (a + b + one) >> (S + 1) << S
+            d_lo, d_hi = _abs_range(a - n0, b - n0)
+            e_lo = d_lo - inst.M * dt_hi
+            e_hi = min(d_hi, one >> 1) - inst.M * dt_lo
+            if e_lo > 0:
+                eps = Ball.exact(Fraction(e_lo + e_hi, 2 * one),
+                                 tau.prec).add_error(Fraction(e_hi - e_lo, 2 * one))
+                r_bound = log_floor(inst.A.fr_hi() * Fraction(q << S, e_lo), inst.B.fr_lo())
+                return ReductionOutcome(q_used=q, m_index=idx, epsilon=eps,
+                                        R=r_bound, attempts=attempts)
+            if attempts >= MAX_ATTEMPTS:
+                raise ReductionExhausted(
+                    f"{attempts} convergents past 6M={threshold} all failed "
+                    f"eps > 0; perturb M")
+        tried, target = len(convs), convs[-1][1] * 16
 
 
 # -- odd-order pipeline -----------------------------------------------------

@@ -92,17 +92,14 @@ of a product is off by less than one unit, so:
                                                       + eA eB) 2^-P)
     sum c_i A_i, c_i int  exact                     sum |c_i| e_i
     z^(k-2)               A B at each squaring      as A B
-    R                     (k+1) (ceil|D| + eD) / (floor|S| - eS), rounded
-                          up to a 30-bit radius m 2^e (_round_up, as
-                          ball rounds radii; ball._RADIUS_BITS)
+    R                     ceil((k+1) (ceil|D| + eD) 2^P / (floor|S| - eS))
     g_k: N = z - 1        exact at the centre       R of the input disk
     g_k: D = (k+1) z^2    z^2 as A B, with error    (k+1) e_zz + 3k R
       - 3k z + (k-1)        R on both factors
     g_k = N / D           N conj(D) / |D|^2, both   2 + ceil((R ceil|D|
                           parts floored               + ceil|N| eD) 2^P /
                                                       (floor|D| (floor|D|
-                                                      - eD))), rounded up
-                                                      to 30 significant bits
+                                                      - eD)))
 
 |A| is bounded above by |X| + |Y|.  D and S are delta_k(z) and
 delta_k'(z) in units of 2^-P; ceil|D| and floor|S| come from math.isqrt,
@@ -126,8 +123,8 @@ Every test after the radii runs on the same integers, at one P = prec +
 16 for all centres, and rounds only in its safe direction:
 
     quantity              integer (units of 2^-P)
-    radius                R = ceil(rad 2^P), so the disk (X, Y, R) holds
-                            the disk of the root ball
+    radius                R of the row above; the root Ball is the disk
+                            (X, Y, R) 2^-P itself
     two disks disjoint    (Xi - Xj)^2 + (Yi - Yj)^2 > (Ri + Rj)^2, exact;
                             disks that touch meet
     |root|                in [isqrt(N) - R, isqrt(N) + [isqrt(N)^2 < N]
@@ -203,7 +200,6 @@ from .ball import (
     PREC_START,
     PrecisionExhausted,
     ZeroDivisionEnclosure,
-    _RADIUS_BITS,
     _mpc,
     _mpf,
     _raw_c,
@@ -244,15 +240,13 @@ class RootSystem:
     conjugate pairing, realness, and unique dominance, so the dominant
     root is always roots[0].  It keeps the integers certification decided
     on, in units of 2^-P: root i lies within R of (X + iY) 2^-P for
-    disks[i] = (X, Y, R), R rounds up its radius m 2^e, radii[i] = (m, e),
-    and |root i| lies in [mod_lo[i], mod_hi[i]].  roots, moduli and
-    weights build each Ball from these on first read."""
+    disks[i] = (X, Y, R), and |root i| lies in [mod_lo[i], mod_hi[i]].
+    roots, moduli and weights build each Ball from these on first read."""
 
     dominant: ClassVar[int] = 0
 
     k: int
     disks: list
-    radii: list
     conj_pairs: list
     real_roots: list
     prec: int
@@ -266,17 +260,16 @@ class RootSystem:
 
     @cached_property
     def roots(self) -> _LazyBalls:
-        disks, radii, P, prec = self.disks, self.radii, self.P, self.prec
-        return _LazyBalls(self.k, lambda i: _ball(*disks[i][:2], P, *radii[i], prec))
+        disks, P, prec = self.disks, self.P, self.prec
+        return _LazyBalls(self.k, lambda i: _ball(*disks[i], P, prec))
 
     @cached_property
     def moduli(self) -> _LazyBalls:
         """|roots[i]| as a real Ball per root, exactly the interval
         [mod_lo[i], mod_hi[i]] 2^-P: midpoint (lo + hi) 2^-(P+1), radius
-        (hi - lo) 2^-(P+1) rounded up to a radius mpf."""
+        (hi - lo) 2^-(P+1)."""
         lo, hi, P, prec = self.mod_lo, self.mod_hi, self.P, self.prec
-        return _LazyBalls(self.k, lambda i: _ball(
-            lo[i] + hi[i], 0, P + 1, *_round_up(hi[i] - lo[i], 2 << P), prec))
+        return _LazyBalls(self.k, lambda i: _ball(lo[i] + hi[i], 0, hi[i] - lo[i], P + 1, prec))
 
     @cached_property
     def weight_disks(self) -> list:
@@ -299,7 +292,7 @@ class RootSystem:
         """weight_disks as Balls, in root order: bit for bit what
         eval_gk gives at each root."""
         wd, P, prec = self.weight_disks, self.P, self.prec
-        return _LazyBalls(self.k, lambda i: _ball(*wd[i][:2], P, wd[i][2], -P, prec))
+        return _LazyBalls(self.k, lambda i: _ball(*wd[i], P, prec))
 
 
 _cache_lock = threading.Lock()
@@ -340,24 +333,14 @@ def _units(m: int, e: int, P: int) -> int:
     return m << shift if shift >= 0 else -(-m >> -shift)
 
 
-def _round_up(num: int, den: int):
-    """(m, e) with m 2^e the least number of _RADIUS_BITS significant
-    bits at or above num / den, for positive ints num and den: the
-    rational rounded up to a radius, as ball rounds radii."""
-    e = num.bit_length() - den.bit_length() - _RADIUS_BITS
-    m = -(-num // (den << e)) if e >= 0 else -(-(num << -e) // den)
-    if m >> _RADIUS_BITS:
-        m, e = -(-m >> 1), e + 1
-    return m, e
-
-
-def _ball(X: int, Y: int, P: int, m: int, e: int, prec: int) -> Ball:
-    """The Ball with midpoint (X + iY) 2^-P, an mpf when Y = 0 and an
-    mpc otherwise, and radius m 2^e, both exact.  The values are built
-    raw: mp.mpf((man, exp)) would round them to the ambient 53 bits."""
+def _ball(X: int, Y: int, R: int, P: int, prec: int) -> Ball:
+    """The Ball of the disk (X, Y, R) 2^-P: midpoint (X + iY) 2^-P, an
+    mpf when Y = 0 and an mpc otherwise, and radius R 2^-P, both exact.
+    The values are built raw: mp.mpf((man, exp)) would round them to the
+    ambient 53 bits."""
     re = from_man_exp(X, -P)
     mid = _mpf(re) if not Y else _mpc((re, from_man_exp(Y, -P)))
-    return Ball(mid, _mpf(from_man_exp(m, e)), prec)
+    return Ball(mid, _mpf(from_man_exp(R, -P)), prec)
 
 
 def _mag(X: int, Y: int) -> int:
@@ -428,12 +411,12 @@ def _newton_step(k: int, X: int, Y: int, P: int):
     return ((dX * sX + dY * sY) << P) // norm, ((dY * sX - dX * sY) << P) // norm
 
 
-def _inclusion_radius(k: int, X: int, Y: int, P: int):
+def _inclusion_radius(k: int, X: int, Y: int, P: int) -> int:
     """The Newton inclusion radius (k+1) |delta_k(z) / delta_k'(z)| at the
-    centre z = (X + iY) 2^-P, bounded above from _delta_fixed: (k+1)
-    (ceil|D| + eD) / (floor|S| - eS), rounded up to a radius (m, e),
-    m 2^e (_round_up).  Raises CertificationFailure when floor|S| <= eS,
-    i.e. delta_k'(z) is not certified nonzero."""
+    centre z = (X + iY) 2^-P, bounded above from _delta_fixed, in units of
+    2^-P: R = ceil((k+1) (ceil|D| + eD) 2^P / (floor|S| - eS)).  Raises
+    CertificationFailure when floor|S| <= eS, i.e. delta_k'(z) is not
+    certified nonzero."""
     dX, dY, eD, sX, sY, eS = _delta_fixed(k, X, Y, P)
     d2 = dX * dX + dY * dY
     num = math.isqrt(d2)
@@ -442,7 +425,7 @@ def _inclusion_radius(k: int, X: int, Y: int, P: int):
     den = math.isqrt(sX * sX + sY * sY) - eS
     if den <= 0:
         raise CertificationFailure(f"delta_k' not certified nonzero at ({X} + {Y}i) 2^-{P}")
-    return _round_up((k + 1) * (num + eD), den)
+    return -(-((k + 1) * (num + eD) << P) // den)
 
 
 def _newton(k: int, X: int, Y: int, P: int, prec: int):
@@ -570,19 +553,17 @@ def _certify(k: int, centres, prec: int) -> RootSystem:
     """The RootSystem of the centres (X, Y) at P = prec + 16, or
     CertificationFailure (module docstring, Radius soundness)."""
     # The Newton inclusion radius (k+1) |delta_k / delta_k'|, bounded
-    # above in fixed point, and its integer R = ceil(rad 2^P) come once
-    # per conjugate class, keyed on (X, |Y|): the bound at z holds at
-    # conj(z).
+    # above in fixed point, comes once per conjugate class, keyed on
+    # (X, |Y|): the bound at z holds at conj(z).
     P = prec + 16
-    classes = {}
+    radii = {}
     disks = []
     for X, Y in centres:
         key = X, abs(Y)
-        cls = classes.get(key)
-        if cls is None:
-            rad = _inclusion_radius(k, *key, P)
-            cls = classes[key] = rad, _units(*rad, P)
-        disks.append((X, Y, cls[1]))
+        R = radii.get(key)
+        if R is None:
+            R = radii[key] = _inclusion_radius(k, *key, P)
+        disks.append((X, Y, R))
 
     # Pairwise disjointness, including the exact node at 1 (radius 0);
     # pairs with apart real spans are disjoint already.
@@ -659,9 +640,7 @@ def _certify(k: int, centres, prec: int) -> RootSystem:
     if not all(_reaches(*disk, prec) for disk in disks):
         raise CertificationFailure(f"radii miss the label, |centre| 2^-{prec}")
 
-    disks = [disks[i] for i in order]
-    radii = [classes[X, abs(Y)][0] for X, Y, _ in disks]
-    return RootSystem(k=k, disks=disks, radii=radii, conj_pairs=conj_pairs,
+    return RootSystem(k=k, disks=[disks[i] for i in order], conj_pairs=conj_pairs,
                       real_roots=real_roots, prec=prec, P=P, mod_lo=lo, mod_hi=hi)
 
 
@@ -719,11 +698,10 @@ def refine_root(rs: RootSystem, i: int, prec: int):
         x0, y0, r0 = X0 << shift, Y0 << shift, R0 << shift
         X, Y = _newton(k, x0, y0, P, prec)
         try:
-            rad = _inclusion_radius(k, X, Y, P)
+            R1 = _inclusion_radius(k, X, Y, P)
         except CertificationFailure:
             pass
         else:
-            R1 = _units(*rad, P)
             r = r0 - R1
             if (r >= 0 and (X - x0) ** 2 + (Y - y0) ** 2 <= r * r
                     and _reaches(X, Y, R1, prec)):
@@ -732,15 +710,14 @@ def refine_root(rs: RootSystem, i: int, prec: int):
     _record(prec)
     GX, GY, GR = _gk_fixed(k, X, Y, R1, P)
     sign = -1 if lower else 1
-    return _ball(X, sign * Y, P, *rad, prec), _ball(GX, sign * GY, P, GR, -P, prec)
+    return _ball(X, sign * Y, R1, P, prec), _ball(GX, sign * GY, GR, P, prec)
 
 
 def _gk_fixed(k: int, X: int, Y: int, R: int, P: int):
     """g_k over the disk (X, Y, R) at P, Y >= 0, as the integer disk
     (GX, GY, GR) at P: N0 conj(D0) / |D0|^2 at the centre, both parts
-    floored, and the error bound of the g_k rows of the module docstring
-    rounded up to _RADIUS_BITS significant bits.  Raises
-    ZeroDivisionEnclosure when floor|D0| <= eD."""
+    floored, and the error bound of the g_k rows of the module docstring.
+    Raises ZeroDivisionEnclosure when floor|D0| <= eD."""
     one = 1 << P
     zzX, zzY, ezz = _fmul(P, X, Y, R, X, Y, R)
     nX = X - one
@@ -753,9 +730,8 @@ def _gk_fixed(k: int, X: int, Y: int, R: int, P: int):
         raise ZeroDivisionEnclosure(
             f"g_k denominator not certified nonzero on the disk ({X}, {Y}, {R}) 2^-{P}")
     n_hi = _modulus_bounds(nX, Y, 0)[1]
-    e = 2 - (-((R * d_hi + n_hi * eD) << P) // (d_lo * (d_lo - eD)))
     return (((nX * dX + Y * dY) << P) // d2, ((Y * dX - nX * dY) << P) // d2,
-            _units(*_round_up(e, 1 << P), P))
+            2 - (-((R * d_hi + n_hi * eD) << P) // (d_lo * (d_lo - eD))))
 
 
 def eval_gk(k: int, x: Ball) -> Ball:
@@ -772,7 +748,7 @@ def eval_gk(k: int, x: Ball) -> Ball:
     X, Y = ((-t[1] if t[0] else t[1]) << (t[2] + P) for t in (re, im))
     _, m, e, _ = x.rad._mpf_
     GX, GY, GR = _gk_fixed(k, X, abs(Y), _units(m, e, P), P)
-    return _ball(GX, -GY if Y < 0 else GY, P, GR, -P, x.prec)
+    return _ball(GX, -GY if Y < 0 else GY, GR, P, x.prec)
 
 
 def binet_reconstruct(k: int, n: int, rs: RootSystem) -> Ball:
@@ -887,19 +863,26 @@ def check_root_bounds(rs: RootSystem) -> dict:
         weight above log(gamma)/(2k(5k+2))
     v   equal-modulus roots are exactly the conjugate pairs
 
-    Items i and iii are decided on integers in units of 2^-P.  Item i
-    compares adjacent distinct moduli by _ratio_above, with f >=
-    1.59^(-k^3) 2^P: f = 1 once k^3 >= 2P, since 1.59^2 > 2, and
-    ceil(100^(k^3) 2^P / 159^(k^3)) below that.  Item iii bounds each
-    conjugate class's |g_k| above by ceil(sqrt(N)) + R from its weight
-    disk (RootSystem.weight_disks).  The reported min_margin and
-    max_weight are Ball values at the one pair and the one class that
-    these integers pick out: the least lower bound on a ratio, less the
-    floor's upper bound 1 + f 2^-P, and the greatest upper bound on a
-    weight.  Items ii and iv compare Balls.
+    Every item is decided, and every reported number computed, exactly on
+    the integers of rs in units of 2^-P: the modulus intervals [mod_lo,
+    mod_hi] and the weight disks (RootSystem.weight_disks).  No Ball is
+    built.  Item i compares adjacent distinct moduli by _ratio_above,
+    with f >= 1.59^(-k^3) 2^P: f = 1 once k^3 >= 2P, since 1.59^2 > 2,
+    and ceil(100^(k^3) 2^P / 159^(k^3)) below that; min_margin is the
+    least mod_lo[i] / mod_hi[j] less 1 + f 2^-P.  Item ii bounds the
+    dominant weight disk (GX, 0, GR), which is real, by GX - GR and GX +
+    GR; value is its midpoint GX 2^-P.  Item iii bounds each conjugate
+    class's |g_k| above by ceil(sqrt(N)) + R from its weight disk, and
+    max_weight is the greatest such bound.  Item iv decides a sufficient
+    condition, which can fail where the item holds: ln gamma < gamma - 1
+    <= c 2^-P for c = mod_hi[0] - 2^P, so c < 2k (2^P - mod_hi[-1])
+    proves the cap, and c < 2k(5k+2) g_lo, g_lo = isqrt(N) - R from the
+    last weight disk, proves the floor.
     """
-    k, p, P = rs.k, rs.prec, rs.P
+    k, P = rs.k, rs.P
+    one = 1 << P
     lo, hi = rs.mod_lo, rs.mod_hi
+    wd = rs.weight_disks
     report = {}
 
     # A non-adjacent ratio is a product of adjacent ones, so adjacent distinct
@@ -910,37 +893,26 @@ def check_root_bounds(rs: RootSystem) -> dict:
     n = k ** 3
     f = 1 if n >= 2 * P else -(-(100 ** n << P) // 159 ** n)
     i, j = min(adjacent, key=lambda ij: Fraction(lo[ij[0]], hi[ij[1]]))
-    floor_ratio = Ball.exact(1 + Fraction(f, 1 << P), p)
-    with mp.workprec(64):
-        min_margin = (rs.moduli[i] / rs.moduli[j]).lb_abs() - floor_ratio.ub_abs()
     report["modulus_ratio_floor"] = {
         "holds": all(_ratio_above(rs, i, j, f) for i, j in adjacent),
-        "min_margin": float(min_margin)}
+        "min_margin": float(Fraction(lo[i], hi[j]) - 1 - Fraction(f, one))}
 
-    w = rs.weights
-    g_dom = w[rs.dominant]
+    GX, _, GR = wd[rs.dominant]
     report["dominant_weight_range"] = {
-        "holds": bool(g_dom.gt(Fraction(276, 1000)) and g_dom.lt(Fraction(1, 2))),
-        "value": mp.nstr(g_dom.mid, 12),
+        "holds": 1000 * (GX - GR) > 276 * one and 2 * (GX + GR) < one,
+        "value": mp.nstr(_mpf(from_man_exp(GX, -P)), 12),
         "certified_for_k": "k >= 2",
     }
 
     bound = Fraction(1) if k <= 4 else Fraction(2, k - 2)
-    wd = rs.weight_disks
-    ub = {i: _modulus_bounds(*wd[i])[1] for i in distinct if i != rs.dominant}
-    worst = max(ub, key=ub.get)
-    with mp.workprec(64):
-        max_weight = w[worst].magnitude().ub_abs()
+    worst = max(_modulus_bounds(*wd[i])[1] for i in distinct if i != rs.dominant)
     report["offdominant_weight_bound"] = {
-        "holds": ub[worst] * bound.denominator < bound.numerator << P,
-        "bound": str(bound), "max_weight": float(max_weight)}
+        "holds": worst * bound.denominator < bound.numerator << P,
+        "bound": str(bound), "max_weight": float(Fraction(worst, one))}
 
-    log_gamma = rs.moduli[0].log()
-    smallest = rs.moduli[-1]
-    cap = Ball.exact(1, p) - log_gamma / (2 * k)
-    g_small = w[-1].magnitude()
-    floor_w = log_gamma / (2 * k * (5 * k + 2))
-    below_cap, above_floor = bool(cap.gt(smallest)), bool(g_small.gt(floor_w))
+    c = hi[0] - one
+    below_cap = c < 2 * k * (one - hi[-1])
+    above_floor = c < 2 * k * (5 * k + 2) * _modulus_bounds(*wd[-1])[0]
     report["smallest_root_caps"] = {
         "modulus_below_cap": below_cap,
         "weight_above_floor": above_floor,

@@ -15,6 +15,26 @@ coefficient sits on the shallowest lag rather than the deepest
 (variant_mirror below); compare_zeros records whether a mismatch is
 exactly that.
 
+The blocks are zeros for every k >= 2, by the generating function.  With
+a_d = P_{-d}, the backward step a_d = 3a_{d-k} - a_{d-k+1} - a_{d-k-1}
+holds for d >= k - 1, where it reads a_{-1} = P_1 = 1 and a_{-2} = P_2 =
+2, and a_d = 0 for d = 0..k-2 (the seed window).  So
+
+    sum_{d>=0} a_d x^d = (x^(k-1) - x^k) / D(x),
+    D(x) = 1 + x^(k-1) - 3x^k + x^(k+1),
+
+the numerator being the terms the series leaves out: 3a_{-1} - a_{-2} =
+1 at depth k - 1 and -a_{-1} = -1 at depth k.  1/D is the sum over m of
+(3x^k - x^(k-1) - x^(k+1))^m, whose m-th power has monomials only at the
+depths mk + s, |s| <= m; times the numerator, the depths reached are
+[jk - j, jk + j - 1] for j >= 1.  A depth that no monomial reaches has
+coefficient 0, and the gaps before and between these intervals, [0, k -
+2] and [j(k+1), j(k+1) + k - 2 - 2j] while k - 2 - 2j >= 0, are exactly
+the blocks of observed_blocks.  So every block index is a zero, and
+there are observed_chi(k) of them.  The converse, that no other index is
+a zero, can fail by cancellation inside a reached interval; the scan
+proves it for each k it runs.
+
 Both orbits are scanned by one scanner (_scan_depths) in two methods.
 The exact terms are streamed to depth k^2 + 4k (-default_floor(k)); past
 it the scan runs on packed residues mod p = 2^31 - 1

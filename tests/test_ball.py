@@ -121,7 +121,7 @@ def test_conjugate_preserves_high_precision_mid():
     assert mpf_to_fraction(c.real) == mpf_to_fraction(z.real)
     assert mpf_to_fraction(c.imag) == -mpf_to_fraction(z.imag)
     ball = Ball.exact(z, 256).conjugate()
-    assert ball.imag().fr_mid() < 0
+    assert mpf_to_fraction(ball.mid.imag) < 0
 
 
 def test_complex_magnitude_encloses_modulus():

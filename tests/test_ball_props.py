@@ -82,6 +82,10 @@ offsets = st.one_of(st.sampled_from([(Fraction(-1), Fraction(0)),
                                      (Fraction(0), Fraction(0))]), offsets)
 
 
+def raw_fraction(t):
+    return mpf_to_fraction(mp.make_mpf(t))
+
+
 def frac_mid(b):
     if b.is_complex:
         return mpf_to_fraction(b.mid.real), mpf_to_fraction(b.mid.imag)
@@ -148,7 +152,7 @@ def test_div(a, b, oa, ob):
     try:
         q = a / b
     except ZeroDivisionEnclosure:
-        assert b.lb_abs() == 0
+        assert raw_fraction(b._lb()) <= 0
         return
     assert_in(q, c_div(point(a, oa), point(b, ob)))
 
@@ -180,12 +184,14 @@ def test_pow_int(a, n, oa):
 
 @given(balls, offsets)
 def test_magnitude_and_abs_bounds(a, oa):
+    # magnitude() and the raw bounds that divisions and arg read: _lb()
+    # below |value|, and the midpoint bound _mag(1) plus the radius above.
     sq = norm2(point(a, oa))
     m = a.magnitude()
     assert not m.is_complex
     assert_abs_in(m.fr_lo(), m.fr_hi(), sq)
-    assert_abs_in(mpf_to_fraction(a.lb_abs()), mpf_to_fraction(a.ub_abs()), sq)
-    assert a.lb_abs() >= 0
+    assert_abs_in(raw_fraction(a._lb()),
+                  raw_fraction(a._mag(1)) + mpf_to_fraction(a.rad), sq)
 
 
 def test_abs_upper_bound_where_truncated_square_sum_undershoots():
@@ -196,7 +202,7 @@ def test_abs_upper_bound_where_truncated_square_sum_undershoots():
     sq = Fraction(1) + Fraction(1, 1 << 80)
     assert mpf_to_fraction(mp.make_mpf(mpc_abs(z._mpc_, 64, round_ceiling))) ** 2 < sq
     b = Ball.exact(z, 64)
-    assert mpf_to_fraction(b.ub_abs()) ** 2 >= sq
+    assert raw_fraction(b._mag(1)) ** 2 >= sq
     m = b.magnitude()
     assert_abs_in(m.fr_lo(), m.fr_hi(), sq)
 

@@ -28,7 +28,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, from_rational, round_ceiling
+from mpmath.libmp import from_man_exp
 
 from pellzero import spectra
 from pellzero.ball import Ball, _raw_c, mpf_to_fraction
@@ -114,11 +114,11 @@ def test_centre_moved_onto_a_neighbour_raises():
 # -- the checks after the sweep, with pinned radii -----------------------
 
 P128 = 128 + 16
-# Radii as (m, e), m 2^e: 2^-130 is far above the 128-bit centres' error
-# and below |root| 2^-128 for every root of k = 9 and 10, so it meets the
-# precision label; 41 2^-12 is about 0.01.
-PINNED = 1, -130
-WIDE = 41, -12
+# Radii in units of 2^-P128: 2^-130 is far above the 128-bit centres'
+# error and below |root| 2^-128 for every root of k = 9 and 10, so it
+# meets the precision label; 41 2^-12 is about 0.01.
+PINNED = 1 << (P128 - 130)
+WIDE = 41 << (P128 - 12)
 
 
 def _pin_radii(monkeypatch, wide=None):
@@ -223,17 +223,20 @@ def test_root_product_off_one_raises(monkeypatch):
 
 def test_radius_with_bits_below_the_fixed_point_rounds_up(monkeypatch):
     # gamma and a real centre 11 units of 2^-(128+16) below it, each with
-    # a radius of 5.75 units: the disks overlap by half a unit.  Rounded
-    # down to 5 units, the radii would leave the disks a unit apart.
+    # an inclusion radius (k+1) |D| / |S| of 5.75 units, which
+    # _inclusion_radius rounds up to 6: the disks meet.  Rounded down to
+    # 5 units, the radii would leave the disks a unit apart.
     k = 10
     centres = _centres(k)
     gamma, neg = _real_centres(centres)
     centres[neg] = _moved(centres[gamma], -11)
 
-    def radius(kk, X, Y, P):
-        return PINNED if Y else (23, -P128 - 2)
+    def delta(kk, X, Y, P):
+        if Y:
+            return PINNED, 0, 0, (k + 1) << P, 0, 0
+        return 23, 0, 0, 4 * (k + 1) << P, 0, 0
 
-    monkeypatch.setattr(spectra, "_inclusion_radius", radius)
+    monkeypatch.setattr(spectra, "_delta_fixed", delta)
     i, j = sorted((gamma, neg))
     with pytest.raises(CertificationFailure, match=f"disks {i},{j} not certifiedly disjoint"):
         spectra._certify(k, centres, 128)
@@ -495,14 +498,6 @@ def test_radius_converts_rounding_up(man, exp, P):
     R = spectra._units(man, exp, P)
     exact = man * Fraction(2) ** (exp + P)
     assert R - 1 < exact <= R
-
-
-@given(st.integers(1, 1 << 400), st.integers(1, 1 << 400))
-def test_radius_rounding_is_the_ball_rounding(num, den):
-    # The inclusion radius num / den rounds up to 30 bits in integers,
-    # bit for bit as libmp rounds radii.
-    m, e = spectra._round_up(num, den)
-    assert from_man_exp(m, e) == from_rational(num, den, 30, round_ceiling)
 
 
 def test_certify_calls_disjoint_linearly(monkeypatch):

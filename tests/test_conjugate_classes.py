@@ -14,8 +14,6 @@ and one radius per class, and check the per-class Binet sum against an
 all-roots sum written here.
 """
 
-import math
-
 import mpmath as mp
 import pytest
 
@@ -69,9 +67,9 @@ def test_roots_and_weights_are_read_off_the_disks(k):
     scale = 1 << rs.P
     w = rs.weights
     for i, (root, (X, Y, R)) in enumerate(zip(rs.roots, rs.disks)):
-        assert root.real().fr_mid() * scale == X, (k, i)
-        assert root.imag().fr_mid() * scale == Y, (k, i)
-        assert math.ceil(mpf_to_fraction(root.rad) * scale) == R, (k, i)
+        assert mpf_to_fraction(root.mid.real) * scale == X, (k, i)
+        assert mpf_to_fraction(root.mid.imag) * scale == Y, (k, i)
+        assert mpf_to_fraction(root.rad) * scale == R, (k, i)
         assert _same(w[i], spectra.eval_gk(k, root)), (k, i)
 
 

@@ -91,9 +91,8 @@ def _at(z, prec):
 
 
 def _radius(k, X, Y, P):
-    """The inclusion radius (m, e) as the Fraction m 2^e."""
-    m, e = spectra._inclusion_radius(k, X, Y, P)
-    return m * Fraction(2) ** e
+    """The inclusion radius R, in units of 2^-P, as the Fraction R 2^-P."""
+    return Fraction(spectra._inclusion_radius(k, X, Y, P), 1 << P)
 
 
 def _assert_above_exact(k, X, Y, P):
@@ -143,8 +142,8 @@ def test_radius_is_no_looser_than_the_ball_radius(k, prec):
         re = from_man_exp(X, -P)
         c = mp.make_mpc((re, from_man_exp(Y, -P))) if Y else mp.make_mpf(re)
         delta, slope = _ball_delta_pair(k, Ball.exact(c, prec))
-        ball = (delta / slope * (k + 1)).ub_abs()
-        assert _radius(k, X, Y, P) <= mpf_to_fraction(ball), (k, c, prec)
+        ball = (delta / slope * (k + 1)).magnitude()
+        assert _radius(k, X, Y, P) <= ball.fr_hi(), (k, c, prec)
 
 
 @st.composite

@@ -1,12 +1,13 @@
 """RootSystem.roots, .moduli and .weights build each Ball on first read.
 
 The count tests wrap spectra._ball, which builds every Ball of a root
-system, and pin how many a cold `verify --k 53` and a cold odd_k_reduce(53)
-build: only the Balls they read.  The view tests check, for k = 2..60,
-that every element of each view, read by index, negative index, slice or
-iteration, is the Ball built eagerly from the same certified integers,
-bit for bit on the raw midpoint and radius, that a second read gives
-the same object, and that a root system pickles with its Balls.
+system, and pin how many a cold `verify` and a cold odd_k_reduce(53)
+build: only the Balls they read, which is none for `verify` without
+--full, whose root checks read the integers.  The view tests check, for
+k = 2..60, that every element of each view, read by index, negative
+index, slice or iteration, is the Ball of its certified disk or modulus
+interval, exactly, that a second read gives the same object, and that a
+root system pickles with its Balls.
 """
 
 import pickle
@@ -15,6 +16,7 @@ import mpmath as mp
 import pytest
 
 from pellzero import cli, reduction, spectra
+from pellzero.ball import Ball
 
 
 @pytest.fixture
@@ -33,9 +35,10 @@ def counted_balls(monkeypatch):
 
 
 def test_verify_builds_only_the_balls_it_reads(counted_balls, capsys):
-    assert cli.main(["verify", "--k", "53", "--jobs", "1"]) in (0, 1)
+    for k in (40, 53, 86):
+        assert cli.main(["verify", "--k", str(k), "--jobs", "1"]) in (0, 1)
     capsys.readouterr()
-    assert 0 < len(counted_balls) <= 8
+    assert counted_balls == []
 
 
 def test_odd_reduction_builds_only_the_balls_it_reads(counted_balls):
@@ -51,14 +54,23 @@ def _bits(balls):
     return [(_raw(b.mid), b.rad._mpf_, b.prec) for b in balls]
 
 
+def _disk_ball(X, Y, R, P, prec):
+    """The Ball of the disk (X, Y, R) 2^-P, built through mpmath's public
+    constructors at a precision that keeps every bit."""
+    with mp.workprec(max(X.bit_length(), Y.bit_length(), R.bit_length(), 1)):
+        mid = mp.mpc(mp.ldexp(X, -P), mp.ldexp(Y, -P)) if Y else mp.ldexp(X, -P)
+        return Ball(mid, mp.ldexp(R, -P), prec)
+
+
 def _eager(rs):
-    """The three Ball lists built at once from the integers, as the root
-    system held them before the views."""
-    P, prec, ball = rs.P, rs.prec, spectra._ball
-    roots = [ball(X, Y, P, *rad, prec) for (X, Y, _), rad in zip(rs.disks, rs.radii)]
-    moduli = [ball(lo + hi, 0, P + 1, *spectra._round_up(hi - lo, 2 << P), prec)
+    """The three Ball lists built at once from the integers: each root's
+    disk, each modulus interval [lo, hi] 2^-P as its midpoint and half
+    width, and each weight disk."""
+    P, prec = rs.P, rs.prec
+    roots = [_disk_ball(*disk, P, prec) for disk in rs.disks]
+    moduli = [_disk_ball(lo + hi, 0, hi - lo, P + 1, prec)
               for lo, hi in zip(rs.mod_lo, rs.mod_hi)]
-    weights = [ball(X, Y, P, R, -P, prec) for X, Y, R in rs.weight_disks]
+    weights = [_disk_ball(*disk, P, prec) for disk in rs.weight_disks]
     return {"roots": roots, "moduli": moduli, "weights": weights}
 
 

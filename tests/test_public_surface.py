@@ -6,7 +6,11 @@ keep-list below with the reason they stay:
 - module-level private (_name) functions;
 - public methods of classes, listed as Class.method.
 
-A reference is a name, an attribute or an imported name anywhere in
+A reference to a module-level definition is a name, an attribute or an
+imported name.  A method is referenced only through an attribute: a
+property (or cached_property) by an attribute reference, a plain method
+by a call of an attribute, so a local variable or an mpc attribute of
+the same name does not count.  References are counted anywhere in
 src/pellzero outside the definition's own body.  The re-exports in
 __init__.py do not count: a name that only the package root re-exports
 has no caller in the package.
@@ -41,6 +45,10 @@ KEEP = {
     "eval_gk": "acceptance criterion 6 and the weight tests evaluate g_k at "
                "a Ball with it",
     "Ball.fr_mid": "the enclosure and disk tests read exact midpoints with it",
+    "KContext.value": "the acceptance criteria, the perfbench probes and the "
+                      "sequence tests read single terms with it",
+    "LogMagnitude.ln_value": "acceptance criterion 9 and the bound tests read "
+                             "a magnitude's natural log with it",
 }
 
 
@@ -49,42 +57,58 @@ def _modules():
             for path in sorted(SRC.glob("*.py"))}
 
 
+def _is_property(node):
+    return any(isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+               for d in node.decorator_list)
+
+
 def _definitions(tree):
-    """(qualified name, node) of each definition the guard covers."""
+    """(qualified name, node, kind) of each definition the guard covers;
+    kind names the references that count for it (_references)."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             if not node.name.startswith("_"):
-                yield node.name, node
-            yield from ((f"{node.name}.{sub.name}", sub) for sub in node.body
+                yield node.name, node, "name"
+            yield from ((f"{node.name}.{sub.name}", sub,
+                         "attribute" if _is_property(sub) else "call")
+                        for sub in node.body
                         if isinstance(sub, ast.FunctionDef)
                         and not sub.name.startswith("_"))
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not node.name.startswith("__"):
-                yield node.name, node
+                yield node.name, node, "name"
 
 
-def _names(node):
-    """Every name, attribute and imported name in the subtree of node."""
+def _references(node):
+    """Counters of the references in the subtree of node, by kind: every
+    name, attribute and imported name; attribute references; calls of
+    an attribute."""
+    refs = {"name": Counter(), "attribute": Counter(), "call": Counter()}
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            yield sub.id
+            refs["name"][sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            refs["name"][sub.attr] += 1
+            refs["attribute"][sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            yield sub.name
+            refs["name"][sub.name] += 1
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+            refs["call"][sub.func.attr] += 1
+    return refs
 
 
 def unreferenced_names():
     modules = _modules()
-    uses = Counter()
+    uses = {kind: Counter() for kind in ("name", "attribute", "call")}
     for mod, tree in modules.items():
         if mod != "__init__":
-            uses.update(_names(tree))
+            for kind, counts in _references(tree).items():
+                uses[kind].update(counts)
     dead = []
     for mod, tree in modules.items():
-        for qualified, node in _definitions(tree):
-            own = sum(name == node.name for name in _names(node))
-            if uses[node.name] == own:
+        for qualified, node, kind in _definitions(tree):
+            own = _references(node)[kind][node.name]
+            if uses[kind][node.name] == own:
                 dead.append(f"{mod}.{qualified}")
     return dead
 

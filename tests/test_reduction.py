@@ -1,6 +1,7 @@
 """Certified continued fractions, the two-term inhomogeneous reduction,
 and the odd-order pipeline down to the reduced index bound."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -148,6 +149,35 @@ def test_dp_reduce_planted_golden_instance():
     assert w_max <= out.R
     # and the bound is not absurdly loose for this small instance
     assert out.R < 40
+
+
+def _golden_third(prec):
+    return ReductionInstance(tau=_golden(prec), mu=Ball.exact(Fraction(1, 3), prec),
+                             A=Ball.exact(10, prec), B=Ball.exact(2, prec), M=10 ** 15)
+
+
+def test_dp_reduce_bounds_on_the_refined_tau():
+    # Golden tau at 64 bits is too coarse for M = 10^15: cf_expand refines
+    # it once to reach q > 6M, and |tau q - p| must be bounded on the
+    # refined tau, which gives the outcome of the instance built at 256
+    # bits.  With mu = 0 no convergent certifies eps > 0, and each longer
+    # expansion goes on from the last refinement instead of inst.tau.
+    calls = []
+
+    def refine(prec):
+        calls.append(prec)
+        return _golden(prec)
+
+    fine = dp_reduce(_golden_third(256))
+    out = dp_reduce(_golden_third(64), refine=refine)
+    assert calls == [128]
+    assert out.R == fine.R == 58
+    assert (out.q_used, out.m_index, out.attempts) == (fine.q_used, fine.m_index, 1)
+    del calls[:]
+    inst = dataclasses.replace(_golden_third(64), mu=Ball.exact(0, 64))
+    with pytest.raises(ReductionExhausted):
+        dp_reduce(inst, refine=refine)
+    assert calls == [128, 256]
 
 
 def test_dp_reduce_degenerate_shift_exhausts():

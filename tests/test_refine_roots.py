@@ -149,7 +149,7 @@ def test_refinement_short_of_the_label_escalates(k, monkeypatch):
     monkeypatch.setattr(spectra, "_newton", one_step_at_prec)
     root, _ = refine_root(rs, i, PREC)
     assert root.prec == ball.escalate(PREC)
-    norm = root.real().fr_mid() ** 2 + root.imag().fr_mid() ** 2
+    norm = mpf_to_fraction(root.mid.real) ** 2 + mpf_to_fraction(root.mid.imag) ** 2
     assert mpf_to_fraction(root.rad) ** 2 * 4 ** root.prec <= norm
 
 

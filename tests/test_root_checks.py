@@ -2,13 +2,16 @@
 envelope is a sign test that escalates only its own two evaluations.
 The modulus-ratio floor compares adjacent distinct moduli, and the
 off-dominant weight bound one weight per conjugate class; each report
-matches an oracle over every pair or root on Balls.  The ratio floors of
-item i and of the even modulus gap, and the weight bound, are decided on
-integers exactly at their boundaries, and the root checks make a number
-of Ball divisions that does not grow with k."""
+matches an oracle over every pair or root, whose holds comes from Balls
+and whose margin or largest weight is an exact Fraction.  The ratio
+floors of item i and of the even modulus gap, the dominant weight range,
+the weight bound and the smallest-root caps are decided on integers
+exactly at their boundaries, every item holds up to k = 500, and the
+root checks divide no Ball."""
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -20,10 +23,13 @@ from pellzero.cli import main
 
 
 def _all_pairs_ratio_floor(rs):
-    """The modulus-ratio floor over every pair of distinct moduli."""
-    p = rs.prec
+    """The modulus-ratio floor over every pair of distinct moduli: holds
+    on Balls, and the least exact ratio lower bound less 1 + f 2^-P, f
+    the floor 1.59^(-k^3) 2^P rounded up, or 1 once k^3 >= 2P."""
+    p, n = rs.prec, rs.k ** 3
     floor_ratio = (Ball.exact(1, p)
-                   + Ball.exact(Fraction(159, 100), p).pow_int(-rs.k ** 3))
+                   + Ball.exact(Fraction(159, 100), p).pow_int(-n))
+    f = 1 if n >= 2 * rs.P else math.ceil(Fraction(100, 159) ** n * (1 << rs.P))
     partner = dict(rs.conj_pairs)
     holds = True
     min_margin = None
@@ -31,11 +37,10 @@ def _all_pairs_ratio_floor(rs):
         for j in range(i + 1, rs.k):
             if partner.get(i) == j:
                 continue
-            ratio = rs.moduli[i] / rs.moduli[j]
-            if not ratio.gt(floor_ratio):
+            a, b = rs.moduli[i], rs.moduli[j]
+            if not (a / b).gt(floor_ratio):
                 holds = False
-            with mp.workprec(64):
-                margin = ratio.lb_abs() - floor_ratio.ub_abs()
+            margin = a.fr_lo() / b.fr_hi() - 1 - Fraction(f, 1 << rs.P)
             if min_margin is None or margin < min_margin:
                 min_margin = margin
     return {"holds": holds, "min_margin": float(min_margin)}
@@ -48,18 +53,27 @@ def test_modulus_ratio_floor_matches_all_pairs(k):
     assert report == _all_pairs_ratio_floor(rs)
 
 
+def _upper_modulus(ball, P):
+    """An exact upper bound on |value| over the Ball: ceil(|mid| 2^P)
+    2^-P plus the radius, read exactly at 2^-P."""
+    X, Y, R = (int(v * (1 << P)) for v in (mpf_to_fraction(ball.mid.real),
+                                          mpf_to_fraction(ball.mid.imag),
+                                          mpf_to_fraction(ball.rad)))
+    n = X * X + Y * Y
+    return Fraction(math.isqrt(n - 1) + 1 + R if n else R, 1 << P)
+
+
 def _all_roots_weight_bound(rs):
-    """The off-dominant weight bound over every root, on Balls."""
+    """The off-dominant weight bound over every root: holds on Balls, and
+    the largest exact upper bound on a weight."""
     bound = Fraction(1) if rs.k <= 4 else Fraction(2, rs.k - 2)
     holds = True
     worst = None
     for i, g in enumerate(rs.weights):
         if i == rs.dominant:
             continue
-        gv = g.magnitude()
-        holds = holds and gv.lt(bound)
-        with mp.workprec(64):
-            m = gv.ub_abs()
+        holds = holds and g.magnitude().lt(bound)
+        m = _upper_modulus(g, rs.P)
         if worst is None or m > worst:
             worst = m
     return {"holds": holds, "bound": str(bound), "max_weight": float(worst)}
@@ -121,10 +135,14 @@ def test_root_checks_divide_a_constant_number_of_balls(k, monkeypatch):
     monkeypatch.setattr(Ball, "__truediv__", counting)
     report = spectra.check_root_bounds(rs)
     assert all(item["holds"] for item in report.values())
-    assert len(calls) <= 4
-    del calls[:]
     assert spectra.check_even_modulus_gap(rs) is True
     assert calls == []
+
+
+@pytest.mark.parametrize("k", [150, 250, 499, 500])
+def test_root_checks_hold_to_the_top_of_the_paper_range(k):
+    report = spectra.check_root_bounds(spectra.solve_roots(k))
+    assert all(item["holds"] for item in report.values()), report
 
 
 def _system(k, prec):
@@ -177,20 +195,22 @@ def test_even_modulus_gap_decides_at_the_boundary(k, prec):
         assert spectra.check_even_modulus_gap(rs_at) is holds, k
 
 
-def _with_weight(rs, i, ball):
-    """rs with the weight of class i replaced, as a Ball and as the
-    integer disk at rs.P it converts to exactly."""
+def _with_weight_disk(rs, i, disk):
+    """rs with the weight disk of root i replaced."""
     out = dataclasses.replace(rs)
-    weights, disks = list(rs.weights), list(rs.weight_disks)
-    weights[i] = ball
-    scale = 1 << rs.P
-    parts = [v * scale for v in (ball.real().fr_mid(), ball.imag().fr_mid(),
-                                 mpf_to_fraction(ball.rad))]
-    assert all(v.denominator == 1 for v in parts)
-    disks[i] = tuple(int(v) for v in parts)
-    out.__dict__["weights"] = weights
+    disks = list(rs.weight_disks)
+    disks[i] = disk
     out.__dict__["weight_disks"] = disks
     return out
+
+
+def _with_weight(rs, i, ball):
+    """rs with the weight disk of root i replaced by the integer disk at
+    rs.P that the Ball converts to exactly."""
+    scale = 1 << rs.P
+    parts = [mpf_to_fraction(v) * scale for v in (ball.mid.real, ball.mid.imag, ball.rad)]
+    assert all(v.denominator == 1 for v in parts)
+    return _with_weight_disk(rs, i, tuple(int(v) for v in parts))
 
 
 def _dyadic(q):
@@ -214,3 +234,35 @@ def test_offdominant_weight_bound_decides_at_the_boundary(k, re, im, rad):
             ball = Ball(mid, _dyadic(rad - shift), 128)
         report = spectra.check_root_bounds(_with_weight(rs, 1, ball))
         assert report["offdominant_weight_bound"]["holds"] is holds, (k, shift)
+
+
+@pytest.mark.parametrize("k", [2, 5, 6])
+def test_dominant_weight_range_decides_at_the_boundary(k):
+    # The dominant weight disk (GX, 0, GR) has its lower end at or just
+    # above 0.276, then its upper end at or just below 1/2; 0.276 2^P
+    # is not an integer, so t = floor(0.276 2^P) is below it.
+    rs = _system(k, 128)
+    one = 1 << rs.P
+    t = 276 * one // 1000
+    for disk, holds in (((t + 5, 0, 5), False), ((t + 5, 0, 4), True),
+                        ((one // 2 - 5, 0, 5), False), ((one // 2 - 5, 0, 4), True)):
+        report = spectra.check_root_bounds(_with_weight_disk(rs, rs.dominant, disk))
+        assert report["dominant_weight_range"]["holds"] is holds, (k, disk)
+
+
+@pytest.mark.parametrize("k", [2, 5, 6, 40])
+def test_smallest_root_caps_decide_at_the_boundary(k):
+    # c = mod_hi[0] - 2^P bounds ln(gamma) 2^P above.  The cap holds iff
+    # c < 2k (2^P - mod_hi[-1]), the floor iff c < 2k(5k+2) g_lo.
+    rs = _system(k, 128)
+    one = 1 << rs.P
+    edge = one + 2 * k * (one - rs.mod_hi[-1])
+    for top, holds in ((edge, False), (edge - 1, True)):
+        hi = [top] + rs.mod_hi[1:]
+        report = spectra.check_root_bounds(dataclasses.replace(rs, mod_hi=hi))
+        assert report["smallest_root_caps"]["modulus_below_cap"] is holds, (k, top)
+    g = (rs.mod_hi[0] - one) // (2 * k * (5 * k + 2))
+    for g_lo, holds in ((g, False), (g + 1, True)):
+        disk = (g_lo + 3, 0, 3) if k % 2 else (-g_lo - 3, 0, 3)
+        report = spectra.check_root_bounds(_with_weight_disk(rs, rs.k - 1, disk))
+        assert report["smallest_root_caps"]["weight_above_floor"] is holds, (k, g_lo)

@@ -235,7 +235,7 @@ def test_no_root_ratio_is_root_of_unity():
                 ratio = rs.roots[i] / rs.roots[j]
                 for m in range(1, 2 * k + 1):
                     diff = ratio.pow_int(m) - 1
-                    assert diff.magnitude().lb_abs() > 0, (k, i, j, m)
+                    assert diff.magnitude().fr_lo() > 0, (k, i, j, m)
 
 
 def test_order_and_precision_guards():

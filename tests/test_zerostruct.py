@@ -9,9 +9,11 @@ claimed layout to the enumerated sequence are strict xfails, each next
 to the test of what the enumeration really produces.
 """
 
+from itertools import islice
+
 import pytest
 
-from pellzero.bigseq import KContext
+from pellzero.bigseq import KContext, backward_terms
 from pellzero.zerostruct import (
     IdentityViolation,
     IntervalStructure,
@@ -304,3 +306,36 @@ def test_observed_report_does_not_scan_the_variant_orbit(monkeypatch):
     assert rep["deepest_zero"] == -27
     assert rep["closed_form_equal"] is True
     assert rep["count"] == observed_chi(8)
+
+
+def _unreached_depths(k):
+    """The depths before and between the intervals [jk - j, jk + j - 1],
+    j >= 1, that the generating function reaches (module docstring),
+    from the interval endpoints alone; a gap that closes stays closed."""
+    gaps, lo, j = set(), 0, 1
+    while lo <= j * k - j - 1:
+        gaps.update(range(lo, j * k - j))
+        lo, j = j * k + j, j + 1
+    return gaps
+
+
+def test_unreached_depths_are_the_observed_blocks():
+    for k in range(2, 501):
+        assert {-d for d in _unreached_depths(k)} == observed_blocks(k).index_set(), k
+
+
+@pytest.mark.parametrize("k", range(2, 61))
+def test_backward_terms_have_the_generating_function(k):
+    # (sum a_d x^d) D(x) = x^(k-1) - x^k through depth k^2 + 4k, with
+    # a_d = P_{-d} and D(x) = 1 + x^(k-1) - 3x^k + x^(k+1).
+    depth = k * k + 4 * k
+    a = list(islice(backward_terms(k), depth + 1))
+
+    def at(d):
+        return a[d] if d >= 0 else 0
+
+    product = [at(d) + at(d - k + 1) - 3 * at(d - k) + at(d - k - 1)
+               for d in range(depth + 1)]
+    numerator = [0] * (depth + 1)
+    numerator[k - 1], numerator[k] = 1, -1
+    assert product == numerator
