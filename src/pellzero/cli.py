@@ -87,8 +87,6 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
             bound_used = {"kind": "refined_even",
                           "value_log10": effbounds.LogMagnitude.from_value(max(l_k, 1)).to_json()["log10"],
                           "R": l_k}
-            if full:
-                floor_depth = max(floor_depth, l_k)
         elif k >= 5 and full:
             outcome = reduction.odd_k_reduce(k, m_value)
             reduce_certs = outcome.to_json()
@@ -108,7 +106,10 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
     predicted_blocks = ([list(b) for b in zerostruct.predicted_intervals(k).blocks]
                         if k >= 4 else [])
     cmp = zerostruct.compare_zeros(k, -floor_depth)
-    checks["scan"] = cmp.scan
+    if cmp.scan is None:  # even k: the sign theorem, at every depth
+        checks["zero_set"] = {"proof": "sign", "through": None}
+    else:
+        checks["scan"] = cmp.scan
     chi_formula = zerostruct.chi(k)
     chi_observed = len(cmp.observed)
     deepest = cmp.observed[0]
@@ -128,10 +129,6 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
             failures.append(f"root bound {name} failed")
     if bound_used["R"] is not None and -deepest > bound_used["R"]:
         failures.append(f"bound {bound_used['R']} below deepest zero {deepest}")
-    if bound_used["R"] is not None and floor_depth < bound_used["R"]:
-        failures.append(f"scan stopped at index {-floor_depth}, "
-                        f"{bound_used['R'] - floor_depth} short of bound "
-                        f"R = {bound_used['R']} (rerun with --full)")
 
     status = "PASS" if not failures else "FAIL"
     return {"k": k, "parity": parity, "zeros": list(cmp.observed),
@@ -139,8 +136,8 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
             "chi_formula": chi_formula, "chi_observed": chi_observed,
             "bound_used": bound_used, "checks": checks, "status": status,
             "detail": "; ".join(failures), "timestamp": _now(),
-            "precision_used": max(precs), "scan_floor": -floor_depth,
-            "schema": SCHEMA}
+            "precision_used": max(precs), "schema": SCHEMA,
+            "scan_floor": None if cmp.scan is None else -floor_depth}
 
 
 def _verify_worker(args):
@@ -377,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--odd-only", action="store_true")
     p.add_argument("--even-only", action="store_true")
     p.add_argument("--full", action="store_true",
-                   help="enumerate down to the refined/reduced bound")
+                   help="odd k >= 5: scan down to the reduced bound R")
     p.add_argument("--M", type=_parse_m, default=reduction.DEFAULT_M)
     p.add_argument("--jobs", type=_parse_jobs, default=1)
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")

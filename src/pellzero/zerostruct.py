@@ -1,11 +1,11 @@
 """Zero patterns of the order-k sequence at nonpositive indices.
 
-Scanning the exact sequence backward gives the observed zero set; the
-predicted interval structure is a closed-form family of blocks with a
-count formula chi.  compare_zeros sets the two side by side once, with
-the exact symmetric difference; verify_structure and the CLI's verify
-records are read off that comparison, while observed_report needs only
-the scan.
+The observed zero set is proved for even k (the sign theorem below) and
+scanned from the exact sequence for odd k; the predicted interval
+structure is a closed-form family of blocks with a count formula chi.
+compare_zeros sets the two side by side once, with the exact symmetric
+difference; verify_structure and the CLI's verify records are read off
+that comparison, while observed_report needs only the scan.
 
 The observed sets have their own closed form (observed_blocks): block j
 sits at depths [j(k+1), j(k+1) + k - 2 - 2j] for j = 0, 1, ... while the
@@ -31,9 +31,37 @@ depths mk + s, |s| <= m; times the numerator, the depths reached are
 coefficient 0, and the gaps before and between these intervals, [0, k -
 2] and [j(k+1), j(k+1) + k - 2 - 2j] while k - 2 - 2j >= 0, are exactly
 the blocks of observed_blocks.  So every block index is a zero, and
-there are observed_chi(k) of them.  The converse, that no other index is
-a zero, can fail by cancellation inside a reached interval; the scan
-proves it for each k it runs.
+there are observed_chi(k) of them.
+
+The converse, that no other index is a zero, is a sign argument.  As
+D = 1 + x^(k-1)(x^2 - 3x + 1),
+
+    sum_d a_d x^d = sum_{m>=0} (-1)^m x^((m+1)(k-1)) Q_m(x),
+    Q_m = (1 - x)(x^2 - 3x + 1)^m.
+
+Q_m(-x) = (1 + x)(x^2 + 3x + 1)^m has only positive coefficients, so
+coefficient i of Q_m, 0 <= i <= 2m + 1, is nonzero with sign (-1)^i.
+Block m reaches [(m+1)(k-1), (m+1)(k+1) - 1], and its term at depth d
+has sign (-1)^d (-1)^m (-1)^((m+1)(k-1)).  For even k that is -(-1)^d
+for every m: the terms at a depth never cancel, and the zeros are
+exactly observed_blocks(k) at every depth, with no scan.  For odd k the
+sign alternates with m, but below the first overlap of two blocks, at
+depth (k+3)(k-1)/2, each depth gets one term, so the zeros there are
+the blocks too; deeper, odd k is decided by the scan.
+
+The predicted intervals are the zeros of the variant orbit
+(variant_mirror) by the same argument.  Its numerator is x - 2x^2 +
+x^k, and regrouped,
+
+    sum_d g_d x^d = x - 2x^2 + sum_{m>=0} (-1)^m x^((m+1)(k-1)+2)
+                    (1 - x)(5 - 2x)(x^2 - 3x + 1)^m,
+
+where block m, at -x (1 + x)(5 + 2x)(x^2 + 3x + 1)^m, has 2m + 3
+coefficients of alternating sign and reaches [(m+1)(k-1) + 2,
+(m+1)(k+1) + 2].  Depth 0 and the gaps [i(k+1) + 3, (i+1)(k-1) + 1]
+before the blocks are predicted_set(k): at every depth for even k, and
+for odd k below the first overlap at depth (k^2 + 3)/2, which lies past
+every predicted block.
 
 Both orbits are scanned by one scanner (_scan_depths) in two methods.
 The exact terms are streamed to depth k^2 + 4k (-default_floor(k)); past
@@ -58,14 +86,14 @@ terms, to any depth:
   only an exact 0 there joins the zero set.  A rejected hit is only
   counted.
 
-Each scan reports its coverage as a dict, which the verify record
+Each scan reports its coverage as a dict, which an odd verify record
 carries as checks.scan: exact_through and residue_through are the depths
 each method reached (residue_through is None when the scan ended inside
 the head), residue_modulus is p, residue_hits counts the hits confirmed
 as zeros and rejected as nonzero, and rejected_by_second_modulus counts
 the rejected hits that the second prime settled without the exact walk.
-compare_zeros adds variant_through, the depth the variant orbit was
-scanned to (None when it was not scanned).
+compare_zeros adds variant_through, the deepest depth the variant proof
+covers, (k^2 + 1)/2 (None without a variant match).
 """
 
 from __future__ import annotations
@@ -254,8 +282,9 @@ def mirror_sequence(k: int, n_hi: int, check_identity: bool = True) -> list:
         G_n = 3 G_{n-k} + sum_{i=1}^{k-3} G_{n-(k-i)} - 2 G_{n-k-1} + 3 G_{n-2}
 
     and the first failure raises IdentityViolation.  The identity does
-    not hold on the reflected orbit (see decision notes); callers that
-    want the orbit anyway pass check_identity=False.
+    not hold on the reflected orbit (the strict xfail
+    test_claimed_identity_holds_k6 pins that); callers that want the
+    orbit anyway pass check_identity=False.
     """
     if n_hi < k:
         raise ValueError(f"n_hi must be >= k, got {n_hi} < {k}")
@@ -326,17 +355,18 @@ def predicted_set(k: int) -> frozenset:
 
 @dataclass(frozen=True)
 class ZeroComparison:
-    """The scanned zero set against the predicted one, as sorted index
-    tuples.  variant_match is set only on a mismatch, when the predicted
-    set is exactly the zero set of the variant mirror orbit.  scan is
-    the coverage of the sequence scan behind observed, with the depth
-    of the variant scan as variant_through."""
+    """The zero set against the predicted one, as sorted index tuples.
+    variant_match is set only on a mismatch, when the predicted set is
+    exactly the zero set of the variant mirror orbit.  scan is the
+    coverage of the sequence scan behind observed, with the depth the
+    variant proof covers as variant_through, or None when nothing was
+    scanned (even k)."""
     observed: tuple
     predicted: tuple
     missing: tuple
     extra: tuple
     variant_match: bool
-    scan: dict = field(hash=False)
+    scan: dict | None = field(hash=False)
 
     @property
     def equal(self) -> bool:
@@ -344,29 +374,31 @@ class ZeroComparison:
 
 
 def compare_zeros(k: int, floor: int) -> ZeroComparison:
-    """Scan [floor, 0] once and compare it with predicted_set(k).
+    """Compare the zeros in [floor, 0] with predicted_set(k).
 
-    Only on a mismatch is the variant orbit scanned, and only through
-    the exact head, min(-floor, k^2 + 4k) deep: every predicted index
-    lies inside default_floor(k), and variant_match is a diagnosis, not
-    a proof, so the head is enough to name the variant orbit.  scan
-    carries that depth as variant_through, None when the variant orbit
-    was not scanned."""
-    zset = enumerate_zeros(k, floor)
-    observed = set(zset.indices)
+    For even k they are observed_blocks(k) cut at floor, by the sign
+    theorem (module docstring), and nothing is scanned; odd k is scanned
+    (enumerate_zeros).  Every k >= 4 mismatches (-1 is a zero, not a
+    predicted index), and the variant theorem makes variant_match true
+    there, for odd k through depth (k^2 + 1)/2."""
+    if floor >= 0:
+        raise ValueError(f"floor must be negative, got {floor}")
+    scan = None
+    if k % 2 == 0:
+        observed = {n for n in observed_blocks(k).index_set() if n >= floor}
+    else:
+        zset = enumerate_zeros(k, floor)
+        observed = set(zset.indices)
+        scan = {**zset.scan,
+                "variant_through": (k * k + 1) // 2 if k >= 4 else None}
     predicted = predicted_set(k)
-    variant_match, variant_through = False, None
-    if observed != predicted:
-        variant_through = min(-floor, -default_floor(k))
-        variant_match = (set(variant_zero_set(k, -variant_through))
-                         == predicted)
     return ZeroComparison(
         observed=tuple(sorted(observed)),
         predicted=tuple(sorted(predicted)),
         missing=tuple(sorted(predicted - observed)),
         extra=tuple(sorted(observed - predicted)),
-        variant_match=variant_match,
-        scan={**zset.scan, "variant_through": variant_through})
+        variant_match=k >= 4,
+        scan=scan)
 
 
 def _scan_floor(bound: int) -> int:

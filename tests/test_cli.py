@@ -462,29 +462,45 @@ def test_mpmath_is_the_only_runtime_dependency():
     assert [re.split(r"[<>=!~ \[;]", d)[0] for d in deps] == ["mpmath"]
 
 
+SIGN_PROOF = {"proof": "sign", "through": None}
+
+
 def test_verify_records_scan_floor(capsys):
+    # An even record scans nothing: its zero set is the sign theorem's.
     rc, out, _ = run_cli(capsys, "verify", "--k", "4", "--full")
     rec = json.loads(out)
-    assert rec["scan_floor"] == -39 == -rec["bound_used"]["R"]
+    assert rec["scan_floor"] is None
+    assert rec["bound_used"] == {"kind": "refined_even",
+                                 "value_log10": rec["bound_used"]["value_log10"],
+                                 "R": 39}
+    assert rec["checks"]["zero_set"] == SIGN_PROOF
+    assert "scan" not in rec["checks"]
     assert "short of bound" not in rec["detail"]
 
 
-def test_verify_without_full_names_the_shortfall(capsys):
+def test_verify_even_record_is_the_same_without_full(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--k", "4")
     rec = json.loads(out)
-    assert rec["scan_floor"] == -32
-    assert "7 short of bound R = 39" in rec["detail"]
+    rc, out, _ = run_cli(capsys, "verify", "--k", "4", "--full")
+    full = json.loads(out)
+    assert rec["scan_floor"] is None
+    assert rec["checks"]["zero_set"] == SIGN_PROOF
+    assert "short of bound" not in rec["detail"]
+    del rec["timestamp"], full["timestamp"]
+    assert rec == full
 
 
 def test_verify_truncated_scan_is_not_pass(capsys, monkeypatch):
     # bigseq.DEFAULT_LIMIT caps the exact walk to a residue hit, not the
-    # scan, so a --full scan is no longer truncated there.
+    # scan, so a scan is not truncated there.
     from pellzero import bigseq
     monkeypatch.setattr(bigseq, "DEFAULT_LIMIT", 1)
-    rc, out, _ = run_cli(capsys, "verify", "--k", "2", "--full")
+    rc, out, _ = run_cli(capsys, "verify", "--k", "3", "--full")
     rec = json.loads(out)
-    assert rec["bound_used"]["R"] == 2
-    assert rec["scan_floor"] == -12
+    assert rec["bound_used"] == {"kind": "scan", "value_log10": None,
+                                 "R": None}
+    assert rec["scan_floor"] == -21
+    assert rec["checks"]["scan"]["exact_through"] == 21
     assert rec["status"] == "PASS"
     assert rc == 0
     assert "short of bound" not in rec["detail"]
@@ -492,14 +508,23 @@ def test_verify_truncated_scan_is_not_pass(capsys, monkeypatch):
 
 
 def test_verify_full_scan_passes_the_default_limit(capsys, monkeypatch):
-    # The residue scan reaches L_20 = 8828 past a limit of 1000, which
-    # still bounds eval.
+    # The odd residue scan reaches R_9 = 5201 past a limit of 1000, which
+    # still bounds eval; the even record to L_20 = 8828 scans nothing and
+    # has the zeros a scan to L_20 finds.
     from pellzero import bigseq
+    from pellzero.zerostruct import enumerate_zeros
     monkeypatch.setattr(bigseq, "DEFAULT_LIMIT", 1000)
+    rc, out, _ = run_cli(capsys, "verify", "--k", "9", "--full")
+    rec = json.loads(out)
+    assert rec["scan_floor"] == -5201 == -rec["bound_used"]["R"]
+    assert rec["checks"]["scan"]["residue_through"] == 5201
+    assert "depth capped" not in rec["detail"]
     rc, out, _ = run_cli(capsys, "verify", "--k", "20", "--even-only", "--full")
     rec = json.loads(out)
-    assert rec["scan_floor"] == -8828 == -rec["bound_used"]["R"]
-    assert rec["checks"]["scan"]["residue_through"] == 8828
+    assert rec["bound_used"]["R"] == 8828
+    assert rec["scan_floor"] is None
+    assert rec["checks"]["zero_set"] == SIGN_PROOF
+    assert rec["zeros"] == list(enumerate_zeros(20, -8828).indices)
     assert "depth capped" not in rec["detail"]
     assert "short of bound" not in rec["detail"]
     rc, out, err = run_cli(capsys, "eval", "--k", "20", "--n", "-1001")
@@ -522,7 +547,9 @@ def test_verify_one_bad_order_keeps_the_sweep(capsys, monkeypatch):
     assert records[5]["status"] == "ERROR"
     assert "ReductionExhausted" in records[5]["detail"]
     assert records[4]["status"] == records[6]["status"] == "FAIL"
-    assert records[6]["scan_floor"] == -records[6]["bound_used"]["R"]
+    assert records[6]["bound_used"]["kind"] == "refined_even"
+    assert records[6]["scan_floor"] is None
+    assert records[6]["checks"]["zero_set"] == SIGN_PROOF
 
 
 def test_verify_precision_used_covers_the_odd_reduction(capsys):
@@ -647,8 +674,59 @@ def test_verify_records_scan_coverage(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--k", "40", "--even-only",
                          "--full")
     rec = json.loads(out)
+    assert rec["bound_used"]["R"] == 82155
+    assert rec["checks"]["zero_set"] == SIGN_PROOF
+    assert "scan" not in rec["checks"]
+    assert rec["scan_floor"] is None
+    rc, out, _ = run_cli(capsys, "verify", "--k", "41")
+    rec = json.loads(out)
     scan = rec["checks"]["scan"]
-    assert scan["exact_through"] == 1760
-    assert scan["residue_through"] == 82155 == -rec["scan_floor"]
+    assert scan["exact_through"] == 1845 == -rec["scan_floor"]
+    assert scan["residue_through"] is None
     assert scan["residue_modulus"] == 2 ** 31 - 1
     assert scan["residue_hits"] == {"confirmed": 0, "rejected": 0}
+    assert scan["variant_through"] == 841
+
+
+@pytest.mark.parametrize("k", range(5, 22, 2))
+def test_verify_odd_full_scans_to_the_reduced_bound(capsys, k):
+    rc, out, _ = run_cli(capsys, "verify", "--k", str(k), "--full")
+    rec = json.loads(out)
+    bound = rec["bound_used"]["R"]
+    assert rec["bound_used"]["kind"] == "reduced_odd"
+    assert rec["scan_floor"] == -max(k * k + 4 * k, bound)
+    assert rec["checks"]["scan"]["residue_through"] == max(k * k + 4 * k, bound)
+    assert "short of bound" not in rec["detail"]
+
+
+def test_verify_even_orders_scan_nothing(capsys, monkeypatch):
+    from pellzero import zerostruct
+
+    def no_scan(*args):
+        raise AssertionError("an even record scanned")
+
+    monkeypatch.setattr(zerostruct, "_scan_depths", no_scan)
+    rc, out, _ = run_cli(capsys, "verify", "--k", "40", "--full")
+    rec = json.loads(out)
+    assert rc == 1
+    assert rec["status"] == "FAIL"
+    assert rec["zeros"] == sorted(observed_blocks(40).index_set())
+    assert "variant mirror orbit instead" in rec["detail"]
+
+
+def test_verify_never_scans_the_variant_orbit(capsys, monkeypatch):
+    from pellzero import zerostruct
+
+    def no_variant_scan(k, floor):
+        raise AssertionError("verify scanned the variant orbit")
+
+    monkeypatch.setattr(zerostruct, "variant_zero_set", no_variant_scan)
+    rc, out, _ = run_cli(capsys, "verify", "--k-range", "4:9")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert rc == 1
+    assert [r["k"] for r in records] == list(range(4, 10))
+    for rec in records:
+        assert rec["status"] == "FAIL"
+        assert "variant mirror orbit instead" in rec["detail"]
+        if rec["k"] % 2:
+            assert rec["checks"]["scan"]["variant_through"] == (rec["k"] ** 2 + 1) // 2

@@ -186,10 +186,14 @@ def test_variant_diagnosis_through_the_head_matches_the_full_depth(k, depth):
     cmp = compare_zeros(k, -depth)
     assert cmp.variant_match == (set(variant_zero_set(k, -depth))
                                  == predicted_set(k))
-    assert cmp.scan["variant_through"] == min(depth, k * k + 4 * k)
+    if k % 2 == 0:
+        assert cmp.scan is None
+    else:
+        assert cmp.scan["variant_through"] == (k * k + 1) // 2
 
 
-def test_variant_through_is_the_scan_depth_inside_the_head():
-    assert compare_zeros(8, -40).scan["variant_through"] == 40
-    for k in (2, 3):
-        assert compare_zeros(k, default_floor(k)).scan["variant_through"] is None
+def test_variant_through_is_the_depth_the_variant_proof_covers():
+    assert compare_zeros(9, -40).scan["variant_through"] == 41
+    assert compare_zeros(8, -40).scan is None
+    assert compare_zeros(2, default_floor(2)).scan is None
+    assert compare_zeros(3, default_floor(3)).scan["variant_through"] is None

@@ -114,7 +114,7 @@ def test_verify_precision_used_without_resolving(monkeypatch, capsys):
     monkeypatch.setattr(spectra, "check_dominant_bounds",
                         check_without_solving)
     spectra.clear_cache()
-    main(["verify", "--k", "92"])  # FAIL without --full: the scan is short
+    main(["verify", "--k", "92"])  # a FAIL, as every k >= 4
     rec = json.loads(capsys.readouterr().out)
     assert rec["checks"]["dominant_in_envelope"]["holds"] is True
     assert rec["precision_used"] >= 256

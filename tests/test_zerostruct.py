@@ -27,6 +27,7 @@ from pellzero.zerostruct import (
     observed_chi,
     observed_report,
     predicted_intervals,
+    predicted_set,
     variant_mirror,
     variant_zero_set,
     verify_structure,
@@ -339,3 +340,90 @@ def test_backward_terms_have_the_generating_function(k):
     numerator = [0] * (depth + 1)
     numerator[k - 1], numerator[k] = 1, -1
     assert product == numerator
+
+
+# -- the sign theorem (module docstring) ----------------------------------
+
+
+def _sign_rule_breaks(k, depth):
+    """First depth <= depth at which a_d is zero off the blocks, nonzero
+    on them, or off the sign (-1)^(d-k+1); None if there is none."""
+    blocks = {-n for n in observed_blocks(k).index_set()}
+    for d, a in enumerate(islice(backward_terms(k), depth + 1)):
+        if d in blocks:
+            if a != 0:
+                return d
+        elif a == 0 or (a > 0) != ((d - k + 1) % 2 == 0):
+            return d
+    return None
+
+
+@pytest.mark.parametrize("k", range(2, 61, 2))
+def test_even_terms_follow_the_sign_rule(k):
+    assert _sign_rule_breaks(k, 2 * k * k) is None
+
+
+def test_odd_terms_break_the_sign_rule_at_the_second_block():
+    assert [_sign_rule_breaks(k, 2 * k * k) for k in (3, 5, 7, 9)] == [
+        4, 8, 12, 16]
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_q_m_coefficients_alternate_in_sign():
+    # Q_m = (1 - x)(x^2 - 3x + 1)^m
+    q = [1, -1]
+    for m in range(201):
+        assert len(q) == 2 * m + 2
+        assert all(c != 0 and (c > 0) == (i % 2 == 0)
+                   for i, c in enumerate(q)), m
+        q = _times(q, [1, -3, 1])
+
+
+def _variant_series(k, depth):
+    """g_0..g_depth from the regrouped variant generating function,
+    x - 2x^2 + sum_m (-1)^m x^((m+1)(k-1)+2) (1-x)(5-2x)(x^2-3x+1)^m."""
+    g = [0] * (depth + 1)
+    g[1], g[2] = 1, -2
+    block, m = [5, -7, 2], 0
+    while (m + 1) * (k - 1) + 2 <= depth:
+        start = (m + 1) * (k - 1) + 2
+        for i, c in enumerate(block[:depth + 1 - start]):
+            g[start + i] += (-1) ** m * c
+        block, m = _times(block, [1, -3, 1]), m + 1
+    return g
+
+
+@pytest.mark.parametrize("k", range(4, 41))
+def test_variant_decomposition_is_the_variant_orbit(k):
+    depth = 4 * k * k
+    g = _variant_series(k, depth)
+    assert g == variant_mirror(k, depth)
+    zeros = {d for d, v in enumerate(g) if v == 0}
+    predicted = {-n for n in predicted_set(k)}
+    if k % 2 == 0:
+        assert zeros == predicted
+    else:
+        assert {d for d in zeros if d < (k * k + 3) // 2} == predicted
+
+
+def _variant_gaps(k):
+    """The depths [i(k+1) + 3, (i+1)(k-1) + 1] that no block of the
+    regrouped variant reaches, as negative-index blocks shallowest
+    first."""
+    gaps, i = [], 0
+    while i * (k + 1) + 3 <= (i + 1) * (k - 1) + 1:
+        gaps.append((-((i + 1) * (k - 1) + 1), -(i * (k + 1) + 3)))
+        i += 1
+    return tuple(gaps)
+
+
+def test_variant_gaps_are_the_predicted_intervals():
+    for k in range(4, 501):
+        assert _variant_gaps(k) == predicted_intervals(k).blocks, k
