@@ -20,15 +20,15 @@ reads one nonpositive index off that stream.  forward_value is its
 mirror for positive indices, on the forward three-term step.
 
 Everything above is arbitrary-precision integer arithmetic; no rounding.
-residue_blocks and residue_zeros run the same three-term
-step on residues mod a Mersenne prime p = 2^e - 1, packed into one
-Python int: e = 31 (RESIDUE_MODULUS) for the scan, e = 61
-(SECOND_MODULUS) to check its hits.  They prove terms nonzero, never
-zero: x = r (mod p) with r != 0 forces x != 0, while a residue 0 only
-says that p divides x.  Read by depth d, the step x_d = 3 x_{d-k} -
-x_{d-k+1} - x_{d-k-1} reaches back k - 1 terms or more, so k - 1
-consecutive terms depend only on the k + 1 terms before them and one
-block of k - 1 lanes is computed at once:
+residue_blocks runs the same three-term step on residues mod a Mersenne
+prime p = 2^e - 1, packed into one Python int: e = 31 (RESIDUE_MODULUS)
+for the zero scan, e = 61 (SECOND_MODULUS) to check its hits
+(zerostruct reads the hits off the blocks).  Residues prove terms
+nonzero, never zero: x = r (mod p) with r != 0 forces x != 0, while a
+residue 0 only says that p divides x.  Read by depth d, the step x_d =
+3 x_{d-k} - x_{d-k+1} - x_{d-k-1} reaches back k - 1 terms or more, so
+k - 1 consecutive terms depend only on the k + 1 terms before them and
+one block of k - 1 lanes is computed at once:
 
     new = 3 A + 3p - B - C,   A, B, C = lanes 1.., 2.., 0.. of the window.
 
@@ -189,26 +189,3 @@ def residue_blocks(k: int, window: Sequence[int],
         state = (state >> (w * width)) | (y << (2 * w))
         yield y
 
-
-def residue_zeros(k: int, window: Sequence[int], count: int,
-                  exponent: int = RESIDUE_EXPONENT) -> Iterator[int]:
-    """Offsets i < count, ascending, of the terms after window (offset 0
-    is the first) that are 0 mod 2^exponent - 1.  Every other term of
-    the first `count` is proved nonzero.
-
-    One SWAR test per block flags lanes equal to 0 or p: adding 1 and
-    masking to `exponent` bits sends them to 1 and 0 and every other
-    lane to [2, p], and a lane v has its top bit (w - 1) of
-    v + 2^(w-1) - 2 clear iff v < 2.  Only a flagged block is read lane
-    by lane."""
-    w, width = exponent + 5, k - 1
-    ones = sum(1 << (w * i) for i in range(width))
-    low, top = ((1 << exponent) - 1) * ones, ones << (w - 1)
-    below_two = top - 2 * ones
-    for start, y in zip(range(0, count, width),
-                        residue_blocks(k, window, exponent)):
-        hit = ~(((y + ones) & low) + below_two) & top
-        if hit:
-            for i in range(min(width, count - start)):
-                if hit >> (w * i + w - 1) & 1:
-                    yield start + i

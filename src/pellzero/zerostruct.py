@@ -1,7 +1,7 @@
 """Zero patterns of the order-k sequence at nonpositive indices.
 
 The observed zero set is proved for even k (the sign theorem below) and
-scanned from the exact sequence for odd k; the predicted interval
+scanned on residues for odd k; the predicted interval
 structure is a closed-form family of blocks with a count formula chi.
 compare_zeros sets the two side by side once, with the exact symmetric
 difference; verify_structure and the CLI's verify records are read off
@@ -63,37 +63,37 @@ before the blocks are predicted_set(k): at every depth for even k, and
 for odd k below the first overlap at depth (k^2 + 3)/2, which lies past
 every predicted block.
 
-Both orbits are scanned by one scanner (_scan_depths) in two methods.
-The exact terms are streamed to depth k^2 + 4k (-default_floor(k)); past
-it the scan runs on packed residues mod p = 2^31 - 1
-(bigseq.residue_zeros), whose cost per index does not grow with the
-terms, to any depth:
+The sequence is scanned (_scan_depths) in one pass on packed residues
+mod p = 2^31 - 1 (bigseq.residue_blocks), run from the seed window, so
+the first lane is depth k - 1 and depths 0..k-2 (block 0) are not read.
+Its cost per index does not grow with the terms, to any depth:
 
 - A nonzero residue proves a nonzero term: p divides every zero.
-- Every zero lies inside the exact head.  The deepest zero of the
-  sequence sits at depth (k-2)(k+1)/2 for even k and (k-3)(k+1)/2 + 1
-  for odd k (observed_blocks), that of the variant orbit near k^2/2
-  (predicted_intervals), all shallower than k^2 + 4k.  Past the head
-  the residue scan only has to prove terms nonzero, and no hit there is
-  expected to be confirmed.
-- A residue hit (a term that p divides) is never taken as a zero.  It
-  is first checked mod a second prime, 2^61 - 1: one stream of those
-  residues runs from the head window to the last hit, and a nonzero
-  residue there rejects the hit.  Only a hit that both primes divide
-  walks the exact stream that produced the head on to its depth (what
-  backward_value does for the sequence, in O(k) memory, and within
-  bigseq.DEFAULT_LIMIT, past which the walk raises LimitExceeded), and
-  only an exact 0 there joins the zero set.  A rejected hit is only
-  counted.
+- The blocks are zeros by the theorem above, so the hits (lanes that
+  p divides) of each packed word of k - 1 lanes are compared with the
+  block lanes in it, one integer compare per word (_hits).  A block lane
+  that is no hit contradicts the theorem, a fault in the program, and
+  raises RuntimeError.  Only a hit off the blocks is read lane by lane.
+- Such a hit is never taken as a zero.  The same reader checks it mod a
+  second prime, 2^61 - 1, from the seed to the last hit, and a nonzero
+  residue rejects it.  Only a hit that both primes divide walks the
+  exact terms (bigseq.backward_terms) on to its depth, in O(k) memory
+  and within bigseq.DEFAULT_LIMIT, past which the walk raises
+  LimitExceeded; only an exact 0 there joins the zero set.  A rejected
+  hit is only counted.  With no hit off the blocks, no exact term is
+  read.
 
 Each scan reports its coverage as a dict, which an odd verify record
-carries as checks.scan: exact_through and residue_through are the depths
-each method reached (residue_through is None when the scan ended inside
-the head), residue_modulus is p, residue_hits counts the hits confirmed
-as zeros and rejected as nonzero, and rejected_by_second_modulus counts
-the rejected hits that the second prime settled without the exact walk.
+carries as checks.scan: exact_through is the depth through which the
+closed form proves the zero set (the scan depth for even k, at most
+(k+3)(k-1)/2 - 1 for odd k), residue_through is the scan depth,
+residue_modulus is p, residue_hits counts the hits confirmed as zeros
+and rejected as nonzero, and rejected_by_second_modulus counts the
+rejected hits that the second prime settled without the exact walk.
 compare_zeros adds variant_through, the deepest depth the variant proof
-covers, (k^2 + 1)/2 (None without a variant match).
+covers, (k^2 + 1)/2 (None without a variant match).  The variant orbit
+is not scanned: variant_zero_set, the variant theorem's oracle, reads
+its exact terms.
 """
 
 from __future__ import annotations
@@ -161,56 +161,75 @@ class IntervalStructure:
         return out
 
 
-def _scan_depths(k: int, terms, depth: int) -> tuple[list, dict]:
-    """Depths d <= depth, ascending, at which the orbit whose exact terms
-    `terms` yields from depth 0 on is zero, with the scan's coverage.
+def _hits(k: int, exponent: int, depth: int):
+    """Depths d in [k - 1, depth], ascending, off observed_blocks(k), at
+    which P_{-d} is 0 mod 2^exponent - 1; every other depth there off
+    the blocks is proved nonzero.
 
-    The head, through -default_floor(k), is read exactly, and only its
-    last k + 1 terms are kept; the rest runs on residues from those, and
-    each residue hit is checked mod the second prime and then, if that
-    divides it too, by walking `terms` on to its depth.  The orbit must
-    follow the three-term step past the head."""
-    exact_through = min(depth, -default_floor(k))
-    body = max(exact_through - k, 0)
-    zeros = [d for d, value in enumerate(islice(terms, body)) if value == 0]
-    tail = list(islice(terms, exact_through + 1 - body))
-    zeros += [d for d, value in enumerate(tail, body) if value == 0]
-    offsets = list(bigseq.residue_zeros(k, tail, depth - exact_through))
-    both = set(bigseq.residue_zeros(k, tail, offsets[-1] + 1,
-                                    bigseq.SECOND_EXPONENT)) if offsets else set()
-    double = [i for i in offsets if i in both]
-    by_second = len(offsets) - len(double)
-    hits = {"confirmed": 0, "rejected": by_second}
-    at = exact_through
-    for i in double:
-        d = exact_through + 1 + i
-        if d > bigseq.DEFAULT_LIMIT:
-            raise bigseq.LimitExceeded(-d, bigseq.DEFAULT_LIMIT,
-                                       "bigseq.DEFAULT_LIMIT")
-        value = next(islice(terms, d - at - 1, None))
-        at = d
-        if value == 0:
-            zeros.append(d)
-            hits["confirmed"] += 1
-        else:
-            hits["rejected"] += 1
-    return zeros, {
-        "exact_through": exact_through,
-        "residue_through": depth if depth > exact_through else None,
-        "residue_modulus": bigseq.RESIDUE_MODULUS,
-        "residue_hits": hits,
-        "rejected_by_second_modulus": by_second}
+    Word i of the residues from the seed window holds depths (i+1)(k-1)
+    .. (i+2)(k-1) - 1, so block j >= 1, at depths j(k-1) + 2j .. j(k-1)
+    + k - 2, is lanes 2j .. k-2 of word j - 1.  A lane v is flagged if
+    it is 0 or p: adding 1 and masking to `exponent` bits sends those to
+    1 and 0, and the top bit (w - 1) of v + 2^(w-1) - 2 is clear iff
+    v < 2.  The block mask is looked up only on a word with a flag or a
+    block, and a block lane left unflagged raises."""
+    w, width = exponent + 5, k - 1
+    ones = sum(1 << (w * i) for i in range(width))
+    low, top = ((1 << exponent) - 1) * ones, ones << (w - 1)
+    below_two = top - 2 * ones
+    masks = [top >> (w * (width - hi + lo - 1)) << (w * (-hi % width))
+             for lo, hi in observed_blocks(k).blocks[1:]]
+    edge = len(masks) * width
+    stream = bigseq.residue_blocks(k, [2, 1] + [0] * (k - 1), exponent)
+    for start, y in zip(range(width, depth + 1, width), stream):
+        hit = ~(((y + ones) & low) + below_two) & top
+        if hit or start <= edge:
+            want = masks[start // width - 1] if start <= edge else 0
+            if want & ~hit:
+                raise RuntimeError(f"k={k}: a block lane at depths {start}.."
+                                   f"{start + width - 1} is not 0 mod "
+                                   f"2^{exponent} - 1")
+            if hit != want:
+                yield from (start + lane for lane in range(width)
+                            if (hit ^ want) >> (w * lane + w - 1) & 1
+                            and start + lane <= depth)
+
+
+def _scan_depths(k: int, depth: int) -> tuple[list, dict]:
+    """Depths d <= depth, ascending, at which P_{-d} = 0, with the scan's
+    coverage: the blocks of observed_blocks(k), and each hit outside them
+    that both primes divide and the exact walk finds 0."""
+    first = list(_hits(k, bigseq.RESIDUE_EXPONENT, depth))
+    both = set(_hits(k, bigseq.SECOND_EXPONENT, first[-1])) if first else set()
+    double = [d for d in first if d in both]
+    past = [d for d in double if d > bigseq.DEFAULT_LIMIT]
+    if past:
+        raise bigseq.LimitExceeded(-past[0], bigseq.DEFAULT_LIMIT,
+                                   "bigseq.DEFAULT_LIMIT")
+    terms = enumerate(bigseq.backward_terms(k))
+    confirmed = [d for d in double
+                 if next(value for at, value in terms if at == d) == 0]
+    zeros = [d for lo, hi in observed_blocks(k).blocks
+             for d in range(-hi, min(-lo, depth) + 1)]
+    return sorted(zeros + confirmed), {
+        "exact_through": min(depth, (k + 3) * (k - 1) // 2 - 1)
+        if k % 2 else depth,
+        "residue_through": depth,
+        "residue_modulus": (1 << bigseq.RESIDUE_EXPONENT) - 1,
+        "residue_hits": {"confirmed": len(confirmed),
+                         "rejected": len(first) - len(confirmed)},
+        "rejected_by_second_modulus": len(first) - len(double)}
 
 
 def enumerate_zeros(k: int, floor: int) -> ZeroSet:
-    """All n in [floor, 0] with P_n = 0, proved: exact terms
-    (bigseq.backward_terms) through -default_floor(k), residues beyond
-    (see the module docstring).  Memory stays O(k) whatever the depth,
+    """All n in [floor, 0] with P_n = 0, proved: one residue pass from
+    the seed, checked against observed_blocks(k) word by word (see the
+    module docstring).  Memory stays O(k) whatever the depth,
     and the depth has no cap; only a hit that both primes divide past
     bigseq.DEFAULT_LIMIT raises LimitExceeded."""
     if floor >= 0:
         raise ValueError(f"floor must be negative, got {floor}")
-    depths, scan = _scan_depths(k, bigseq.backward_terms(k), -floor)
+    depths, scan = _scan_depths(k, -floor)
     return ZeroSet(k=k, indices=tuple(-d for d in reversed(depths)),
                    search_floor=floor, scan=scan)
 
@@ -245,7 +264,7 @@ def chi(k: int) -> int:
 
 
 def observed_blocks(k: int) -> IntervalStructure:
-    """Closed form of the zero set the exact scan actually finds:
+    """Closed form of the zero set the scan actually finds:
     block j = depths [j(k+1), j(k+1) + (k-2-2j)] for j >= 0 while the
     width term k-2-2j stays nonnegative.  Block 0 is the seed window."""
     if k < 2:
@@ -325,18 +344,18 @@ def variant_mirror(k: int, n_hi: int) -> list:
 
 def variant_zero_set(k: int, floor: int) -> tuple:
     """Nonpositive indices -m for the zeros of the variant orbit with
-    depth m <= |floor|.
+    depth m <= |floor|, read off its exact terms: the oracle of the
+    variant theorem, so it takes no zero from it.
 
     Same orbit as variant_mirror, streamed: subtracting its rule at n-1
     from the one at n leaves G_n = 3 G_{n-k} - G_{n-k+1} - G_{n-k-1} for
-    n >= k+1, so only the last k+1 terms are kept, and the scan goes
-    past -default_floor(k) on residues as enumerate_zeros does."""
+    n >= k+1, so only the last k+1 terms are kept."""
     if floor >= 0:
         raise ValueError(f"floor must be negative, got {floor}")
     head = variant_mirror(k, k)
     orbit = chain(head, bigseq.three_term_orbit(k, head))
-    depths, _ = _scan_depths(k, orbit, -floor)
-    return tuple(-m for m in depths)
+    return tuple(-m for m, value in enumerate(islice(orbit, 1 - floor))
+                 if value == 0)
 
 
 def default_floor(k: int) -> int:

@@ -92,7 +92,6 @@ def test_forward_value_limit_and_domain():
 
 def test_limit_exceeded_names_the_limit(monkeypatch):
     from pellzero import bigseq
-    from pellzero.bigseq import backward_terms
     from pellzero.zerostruct import _scan_depths, enumerate_zeros
     with pytest.raises(LimitExceeded, match="the KContext limit = 100"):
         KContext(2, limit=100).value(-101)
@@ -103,9 +102,14 @@ def test_limit_exceeded_names_the_limit(monkeypatch):
     with pytest.raises(LimitExceeded, match="the KContext limit = 100"):
         KContext(2).value(-101)
     assert enumerate_zeros(2, -101).indices == (0,)
-    both = bigseq.RESIDUE_MODULUS * bigseq.SECOND_MODULUS
+    # With both primes 2^5 - 1, the one hit of k = 10 off its blocks to
+    # depth 101 is a double hit at depth 101.
+    monkeypatch.setattr(bigseq, "RESIDUE_EXPONENT", 5)
+    monkeypatch.setattr(bigseq, "SECOND_EXPONENT", 5)
+    assert _scan_depths(10, 100)[1]["residue_hits"] == {"confirmed": 0,
+                                                        "rejected": 0}
     with pytest.raises(LimitExceeded) as exc:
-        _scan_depths(2, (both * x for x in backward_terms(2)), 101)
+        _scan_depths(10, 101)
     assert str(exc.value) == "index -101 exceeds bigseq.DEFAULT_LIMIT = 100"
     assert "KContext" not in str(exc.value)
 

@@ -96,7 +96,7 @@ def test_zeros_prints_the_scan_coverage(capsys):
     rc, out, _ = run_cli(capsys, "zeros", "--k", "4", "--floor", "-100")
     blob = json.loads(out)
     assert blob["zeros"] == [-5, -2, -1, 0]
-    assert blob["scan"] == {"exact_through": 32, "residue_through": 100,
+    assert blob["scan"] == {"exact_through": 100, "residue_through": 100,
                             "residue_modulus": 2 ** 31 - 1,
                             "residue_hits": {"confirmed": 0, "rejected": 0},
                             "rejected_by_second_modulus": 0}
@@ -500,7 +500,8 @@ def test_verify_truncated_scan_is_not_pass(capsys, monkeypatch):
     assert rec["bound_used"] == {"kind": "scan", "value_log10": None,
                                  "R": None}
     assert rec["scan_floor"] == -21
-    assert rec["checks"]["scan"]["exact_through"] == 21
+    assert rec["checks"]["scan"]["exact_through"] == 5
+    assert rec["checks"]["scan"]["residue_through"] == 21
     assert rec["status"] == "PASS"
     assert rc == 0
     assert "short of bound" not in rec["detail"]
@@ -681,8 +682,8 @@ def test_verify_records_scan_coverage(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--k", "41")
     rec = json.loads(out)
     scan = rec["checks"]["scan"]
-    assert scan["exact_through"] == 1845 == -rec["scan_floor"]
-    assert scan["residue_through"] is None
+    assert scan["exact_through"] == 879
+    assert scan["residue_through"] == 1845 == -rec["scan_floor"]
     assert scan["residue_modulus"] == 2 ** 31 - 1
     assert scan["residue_hits"] == {"confirmed": 0, "rejected": 0}
     assert scan["variant_through"] == 841

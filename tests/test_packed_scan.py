@@ -1,10 +1,14 @@
-"""The packed residue scan past the exact head.
+"""The one residue pass of the zero scan.
 
-enumerate_zeros and variant_zero_set read exact terms to depth
--default_floor(k) and residues mod 2^31 - 1 beyond.  Their zero sets must
-equal those of the exact streams, each lane must hold its term's residue
-(mod 2^31 - 1 and mod the second prime 2^61 - 1), and a residue hit must
-be checked mod the second prime and then exactly, not go into the set.
+enumerate_zeros scans the sequence on residues mod 2^31 - 1 from the
+seed window, word by word against the lanes of observed_blocks(k).  Its
+zero sets must equal those of the exact stream, each lane must hold its
+term's residue (mod 2^31 - 1 and mod the second prime 2^61 - 1), a hit
+outside the blocks must be checked mod the second prime and then
+exactly, not go into the set, and a block lane that is no hit must
+raise.  Hits are planted by a small Mersenne prime: residue_blocks is
+exact mod 2^e - 1 for e = 3, 5, 7 and 13 too.  variant_zero_set reads
+the variant orbit's exact terms, as the oracle of the variant theorem.
 """
 
 import json
@@ -40,15 +44,32 @@ def exact_depths(terms, depth):
     return [d for d, value in enumerate(islice(terms, depth + 1)) if value == 0]
 
 
+def proved_through(k, depth):
+    return depth if k % 2 == 0 else min(depth, (k + 3) * (k - 1) // 2 - 1)
+
+
+def unexpected_hits(k, depth, exponent):
+    """Depths d in [k - 1, depth] off the blocks whose exact term
+    2^exponent - 1 divides."""
+    p = (1 << exponent) - 1
+    blocks = {-n for n in observed_blocks(k).index_set()}
+    return [d for d, value in enumerate(islice(backward_terms(k), depth + 1))
+            if d >= k - 1 and d not in blocks and value % p == 0]
+
+
+def planted_exponents(monkeypatch, first, second):
+    monkeypatch.setattr(bigseq, "RESIDUE_EXPONENT", first)
+    monkeypatch.setattr(bigseq, "SECOND_EXPONENT", second)
+
+
 def check_both_orbits(k, depth):
     zset = enumerate_zeros(k, -depth)
     assert zset.indices == tuple(
         -d for d in reversed(exact_depths(backward_terms(k), depth)))
     assert variant_zero_set(k, -depth) == tuple(
         -d for d in exact_depths(variant_terms(k), depth))
-    head = -default_floor(k)
-    assert zset.scan["exact_through"] == min(depth, head)
-    assert zset.scan["residue_through"] == (depth if depth > head else None)
+    assert zset.scan["exact_through"] == proved_through(k, depth)
+    assert zset.scan["residue_through"] == depth
     assert zset.scan["residue_hits"] == {"confirmed": 0, "rejected": 0}
 
 
@@ -96,69 +117,154 @@ def test_second_modulus_lanes_hold_the_residues(k):
         [value % p2 for value in terms[head + 1:]]
 
 
+@pytest.mark.parametrize("exponent", [3, 5, 7, 13])
+@pytest.mark.parametrize("k", [2, 3, 9, 10, 41])
+def test_small_prime_lanes_hold_the_residues(k, exponent):
+    # The planted-hit tests below rely on these moduli being exact.
+    p, w = (1 << exponent) - 1, exponent + 5
+    count = 3 * (k * k + 4 * k)
+    terms = list(islice(backward_terms(k), k - 1 + count))[k - 1:]
+    lanes = []
+    for block in islice(residue_blocks(k, [2, 1] + [0] * (k - 1), exponent),
+                        -(-count // (k - 1))):
+        lanes.extend(block >> (w * i) & ((1 << w) - 1) for i in range(k - 1))
+    assert all(lane <= p for lane in lanes)
+    assert [lane % p for lane in lanes[:count]] == [x % p for x in terms]
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 7])
-def test_hits_both_primes_divide_are_confirmed_exactly(k):
+def test_hits_both_primes_divide_are_confirmed_exactly(k, monkeypatch):
+    # With both primes 7, every hit off the blocks is a double hit, and
+    # only the exact walk may decide it.
     depth = -3 * default_floor(k)
-    head = -default_floor(k)
-    both = P * SECOND_MODULUS
-    depths, scan = _scan_depths(k, (both * x for x in backward_terms(k)),
-                                depth)
+    planted_exponents(monkeypatch, 3, 3)
+    depths, scan = _scan_depths(k, depth)
     assert depths == exact_depths(backward_terms(k), depth)
-    assert scan["residue_hits"] == {"confirmed": 0, "rejected": depth - head}
+    hits = len(unexpected_hits(k, depth, 3))
+    assert hits > 0
+    assert scan["residue_hits"] == {"confirmed": 0, "rejected": hits}
     assert scan["rejected_by_second_modulus"] == 0
+    assert scan["residue_modulus"] == 7
 
 
 def test_planted_hit_deep_at_k500_is_rejected_by_the_second_modulus(monkeypatch):
-    # One false hit mod 2^31 - 1, planted 5e6 deep.  On 2 vCPUs at
-    # 2.1 GHz the scan with the second modulus takes about 0.4 s, and with
-    # the exact walk to the hit in its place about 7.8 s.
+    # Hits mod 2^13 - 1 down to 5e6 deep, the last near the bottom, so
+    # the second modulus runs nearly that deep.  On 2 vCPUs at 2.1 GHz
+    # the scan takes about 0.4 s, and the exact walk to the last hit in
+    # its place about 7.8 s.
+    from pellzero import zerostruct
     k, depth = 500, 5_000_000
-    head = -default_floor(k)
-    real = bigseq.residue_zeros
+    real, reads = zerostruct._hits, []
 
-    def planted(k, window, count, exponent=RESIDUE_EXPONENT):
-        hits = set(real(k, window, count, exponent))
-        if exponent == RESIDUE_EXPONENT:
-            hits.add(depth - head - 1)
-        yield from sorted(hits)
+    def counted(k, exponent, depth):
+        reads.append((exponent, depth))
+        return real(k, exponent, depth)
 
-    monkeypatch.setattr(bigseq, "residue_zeros", planted)
+    monkeypatch.setattr(zerostruct, "_hits", counted)
+    planted_exponents(monkeypatch, 13, SECOND_EXPONENT)
     t0 = time.perf_counter()
     zset = enumerate_zeros(k, -depth)
     elapsed = time.perf_counter() - t0
     assert set(zset.indices) == observed_blocks(k).index_set()
-    assert zset.scan["residue_hits"] == {"confirmed": 0, "rejected": 1}
-    assert zset.scan["rejected_by_second_modulus"] == 1
+    rejected = zset.scan["residue_hits"]["rejected"]
+    assert rejected > 0
+    assert zset.scan["residue_hits"] == {"confirmed": 0, "rejected": rejected}
+    assert zset.scan["rejected_by_second_modulus"] == rejected
+    assert reads[0] == (13, depth)
+    assert reads[1][0] == SECOND_EXPONENT and reads[1][1] > 4_900_000
     assert elapsed < 3.0
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 7])
-def test_planted_hits_are_confirmed_exactly(k):
-    # Every term of p * P_n is 0 mod p, so every index past the head is a
-    # residue hit; only the exact walk may decide which are zeros.
+def test_planted_hits_are_confirmed_exactly(k, monkeypatch):
+    # Mod 7 alone, every term 7 divides is a hit off the blocks; the
+    # second prime rejects each, and no exact term is read.
     depth = -3 * default_floor(k)
-    head = -default_floor(k)
-    depths, scan = _scan_depths(k, (P * x for x in backward_terms(k)), depth)
+    planted_exponents(monkeypatch, 3, SECOND_EXPONENT)
+    monkeypatch.setattr(bigseq, "backward_terms", no_exact_walk)
+    depths, scan = _scan_depths(k, depth)
     assert depths == exact_depths(backward_terms(k), depth)
-    assert scan["residue_hits"] == {"confirmed": 0, "rejected": depth - head}
+    hits = len(unexpected_hits(k, depth, 3))
+    assert hits > 0
+    assert scan["residue_hits"] == {"confirmed": 0, "rejected": hits}
+    assert scan["rejected_by_second_modulus"] == hits
 
 
 @pytest.mark.parametrize("k", [2, 3, 7])
-def test_planted_zero_past_the_head_is_kept(k):
-    # Fix the terms at depths D-k..D with x_D = 0, run the step backward
-    # to depth 0, and scan the orbit forward from there.
+def test_planted_zero_past_the_head_is_kept(k, monkeypatch):
+    # An exact 0 planted past depth k^2 + 4k, at a term 7 divides: with
+    # both primes 7 the walk reaches it, and it joins the zero set.
     depth = -3 * default_floor(k)
-    zero_at = depth - 5
-    xs = [0] * (zero_at + 1)
-    xs[zero_at - k:zero_at] = range(1, k + 1)
-    for d in range(zero_at, k, -1):
-        xs[d - k - 1] = 3 * xs[d - k] - xs[d - k + 1] - xs[d]
-    orbit = chain(xs[:k + 1], three_term_orbit(k, xs[:k + 1]))
-    depths, scan = _scan_depths(k, orbit, depth)
+    hits = unexpected_hits(k, depth, 3)
+    zero_at = hits[-1]
+    assert zero_at > -default_floor(k)
+    real = bigseq.backward_terms
+
+    def planted(k):
+        for d, value in enumerate(real(k)):
+            yield 0 if d == zero_at else value
+
+    planted_exponents(monkeypatch, 3, 3)
+    monkeypatch.setattr(bigseq, "backward_terms", planted)
+    depths, scan = _scan_depths(k, depth)
     assert zero_at in depths
-    assert depths == [d for d, x in enumerate(xs) if x == 0]
-    assert scan["residue_hits"]["confirmed"] == sum(
-        d > -default_floor(k) for d in depths)
+    assert depths == exact_depths(planted(k), depth)
+    assert scan["residue_hits"] == {"confirmed": 1, "rejected": len(hits) - 1}
+
+
+def no_exact_walk(k):
+    # A stream that raises when read, not when the scan creates it.
+    raise AssertionError("the scan read an exact term")
+    yield
+
+
+@pytest.mark.parametrize("k", [*range(3, 62, 2), 151, 499])
+def test_odd_scan_reads_neither_the_second_prime_nor_exact_terms(k, monkeypatch):
+    from pellzero import zerostruct
+    real = zerostruct._hits
+
+    def first_only(k, exponent, depth):
+        assert exponent == RESIDUE_EXPONENT, "the second prime was read"
+        return real(k, exponent, depth)
+
+    monkeypatch.setattr(zerostruct, "_hits", first_only)
+    monkeypatch.setattr(bigseq, "backward_terms", no_exact_walk)
+    zset = enumerate_zeros(k, default_floor(k))
+    assert set(zset.indices) == observed_blocks(k).index_set()
+    assert zset.scan["residue_hits"] == {"confirmed": 0, "rejected": 0}
+
+
+@pytest.mark.parametrize("k", [4, 9, 12, 31])
+def test_a_block_lane_that_is_no_hit_raises(k, monkeypatch):
+    # Clear one block lane (set it to 1) in the residue stream: the scan
+    # must raise, whichever lane it is, even alone in its word.
+    real = bigseq.residue_blocks
+    w, width = LANE_BITS, k - 1
+    lanes = sorted(-n for n in observed_blocks(k).index_set() if -n >= width)
+    for d in lanes:
+        word, lane = divmod(d, width)
+
+        def cleared(k, window, exponent=RESIDUE_EXPONENT):
+            for i, y in enumerate(real(k, window, exponent)):
+                if i == word - 1:
+                    y = y & ~(((1 << w) - 1) << (w * lane)) | 1 << (w * lane)
+                yield y
+
+        monkeypatch.setattr(bigseq, "residue_blocks", cleared)
+        start = word * width
+        message = f"depths {start}..{start + width - 1} is not 0 mod"
+        with pytest.raises(RuntimeError, match=message):
+            _scan_depths(k, d)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_depths_inside_the_seed_window(k):
+    for depth in range(k - 1):
+        depths, scan = _scan_depths(k, depth)
+        assert depths == exact_depths(backward_terms(k), depth)
+        assert scan["residue_through"] == depth
+        if depth:
+            assert enumerate_zeros(k, -depth).indices == tuple(range(-depth, 1))
 
 
 @pytest.mark.parametrize("k", [150, 250, 499])
