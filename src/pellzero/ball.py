@@ -8,6 +8,13 @@ that radius around the midpoint.  Every operation returns a ball holding
 the result of the operation at every point of its input balls, so a
 Ball that starts as a true enclosure stays one.
 
+This is the one module that holds mpmath values.  The verify path
+decides on integers and loads it only where a Ball is read: the odd
+reduction (pellzero.reduction), the RootSystem views and the other
+Ball APIs of spectra and effbounds.  The precision policy and the
+errors raised here live in pellzero.precision, which has no mpmath;
+this module re-exports them.
+
 Soundness argument
 ------------------
 An operation computes its midpoint from the input midpoints at
@@ -110,8 +117,15 @@ from mpmath.libmp import (
     round_up,
 )
 
-PREC_START = 128
-PREC_CEILING = 1 << 20
+from .precision import (  # noqa: F401  (re-exported: the Ball API raises these)
+    PREC_CEILING,
+    PREC_START,
+    DomainError,
+    IndeterminateComparison,
+    PrecisionExhausted,
+    ZeroDivisionEnclosure,
+    escalate,
+)
 
 # Mantissa bits of radii and of the modulus bounds that feed them.
 _RADIUS_BITS = 30
@@ -121,25 +135,6 @@ _MPC = mp.mpc
 _ZERO = mp.mpf(0)
 _new = object.__new__
 
-
-class IndeterminateComparison(ArithmeticError):
-    """Two enclosures overlap, so the comparison cannot be certified."""
-
-
-class ZeroDivisionEnclosure(ZeroDivisionError):
-    """Divisor enclosure contains zero; caller should escalate precision."""
-
-
-class DomainError(ValueError):
-    """Enclosure leaves the domain of the requested function (e.g. log of
-    an interval touching zero, or arg of a disc crossing the branch cut)."""
-
-
-class PrecisionExhausted(RuntimeError):
-    """Certification failed at the configured precision ceiling."""
-
-
-# -- raw mpf helpers ------------------------------------------------------
 
 def _mpf(t):
     x = _new(_MPF)
@@ -581,9 +576,3 @@ def ball_sum(balls):
         acc = acc + b
     return acc
 
-
-def escalate(prec: int) -> int:
-    nxt = prec * 2
-    if nxt > PREC_CEILING:
-        raise PrecisionExhausted(f"precision ceiling {PREC_CEILING} reached")
-    return nxt

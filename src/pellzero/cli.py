@@ -18,11 +18,10 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
-import mpmath as mp
-
-from . import bigseq, effbounds, reduction, spectra, zerostruct
-from .ball import (DomainError, IndeterminateComparison, PREC_START,
-                   PrecisionExhausted, ZeroDivisionEnclosure)
+from . import bigseq, effbounds, spectra, zerostruct
+from .precision import (PREC_START, DomainError, IndeterminateComparison,
+                        PrecisionExhausted, ReductionExhausted,
+                        ZeroDivisionEnclosure, sig_str)
 
 SCHEMA = "pellzero-report/1"
 K_GUARD = 500
@@ -71,7 +70,7 @@ def _spectra_checks(rs) -> dict:
     return checks
 
 
-def _verify_one(k: int, full: bool, m_value: int) -> dict:
+def _verify_one(k: int, full: bool, m_value: int | None) -> dict:
     parity = "even" if k % 2 == 0 else "odd"
     # Every stage that needs roots gets them from solve_roots, and the
     # dominant-root check records where its own evaluations settle, so the
@@ -85,18 +84,20 @@ def _verify_one(k: int, full: bool, m_value: int) -> dict:
         if k % 2 == 0:
             l_k = effbounds.refined_even_bound(rs)
             bound_used = {"kind": "refined_even",
-                          "value_log10": effbounds.LogMagnitude.from_value(max(l_k, 1)).to_json()["log10"],
+                          "value_log10": str(effbounds.LogMagnitude.from_value(max(l_k, 1))),
                           "R": l_k}
         elif k >= 5 and full:
-            outcome = reduction.odd_k_reduce(k, m_value)
+            from . import reduction
+            outcome = reduction.odd_k_reduce(
+                k, reduction.DEFAULT_M if m_value is None else m_value)
             reduce_certs = outcome.to_json()
             bound_used = {"kind": "reduced_odd",
-                          "value_log10": effbounds.LogMagnitude.from_value(outcome.R).to_json()["log10"],
+                          "value_log10": str(effbounds.LogMagnitude.from_value(outcome.R)),
                           "R": outcome.R}
             floor_depth = max(floor_depth, outcome.R)
         elif k >= 4:
-            lm = effbounds.global_zero_index_bound(k)
-            bound_used = {"kind": "global", "value_log10": lm.to_json()["log10"],
+            bound_used = {"kind": "global",
+                          "value_log10": str(effbounds.global_zero_index_bound(k)),
                           "R": None}
         else:
             bound_used = {"kind": "scan", "value_log10": None, "R": None}
@@ -145,7 +146,7 @@ def _verify_worker(args):
     try:
         return _verify_one(k, full, m_value)
     except (PrecisionExhausted, bigseq.LimitExceeded, IndeterminateComparison,
-            reduction.ReductionExhausted, ZeroDivisionEnclosure, DomainError,
+            ReductionExhausted, ZeroDivisionEnclosure, DomainError,
             spectra.CertificationFailure, MemoryError) as exc:
         return {"schema": SCHEMA, "k": k, "status": "ERROR",
                 "detail": f"{type(exc).__name__}: {exc}",
@@ -238,14 +239,11 @@ def cmd_chi(args) -> int:
 def cmd_roots(args) -> int:
     rs = spectra.solve_roots(args.k, args.precision)
     digits = max(6, int(rs.prec * 0.30103) - 2)
-    roots = []
-    for b in rs.roots:
-        mid = b.mid
-        roots.append({
-            "re": mp.nstr(mid.real if b.is_complex else mid, digits),
-            "im": mp.nstr(mid.imag, digits) if b.is_complex else "0",
-            "rad": mp.nstr(b.rad, 4),
-        })
+    one = 1 << rs.P
+    roots = [{"re": sig_str(Fraction(X, one), digits),
+              "im": sig_str(Fraction(Y, one), digits) if Y else "0",
+              "rad": sig_str(Fraction(R, one), 4)}
+             for X, Y, R in rs.disks]
     print(json.dumps({
         "k": rs.k, "precision": rs.prec, "roots": roots,
         "conj_pairs": [list(p) for p in rs.conj_pairs],
@@ -275,7 +273,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    outcome = reduction.odd_k_reduce(args.k, args.M)
+    from . import reduction
+    # Resolved here, not as the --M default: build_parser is cached.
+    m_value = reduction.DEFAULT_M if args.M is None else args.M
+    outcome = reduction.odd_k_reduce(args.k, m_value)
     print(json.dumps(outcome.to_json(), sort_keys=True))
     return 0
 
@@ -364,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="odd-order reduction to R_k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--M", type=_parse_m, default=reduction.DEFAULT_M)
+    p.add_argument("--M", type=_parse_m, default=None,
+                   help="largest u of the reduction (default reduction.DEFAULT_M)")
 
     p = sub.add_parser("verify", help="per-k verification reports")
     sel = p.add_mutually_exclusive_group(required=True)
@@ -375,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--even-only", action="store_true")
     p.add_argument("--full", action="store_true",
                    help="odd k >= 5: scan down to the reduced bound R")
-    p.add_argument("--M", type=_parse_m, default=reduction.DEFAULT_M)
+    p.add_argument("--M", type=_parse_m, default=None,
+                   help="largest u of the reduction (default reduction.DEFAULT_M)")
     p.add_argument("--jobs", type=_parse_jobs, default=1)
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--allow-large", action="store_true")
@@ -395,7 +398,7 @@ def main(argv=None) -> int:
     except (bigseq.LimitExceeded, PrecisionExhausted) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, reduction.ReductionExhausted) as exc:
+    except (ValueError, ReductionExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

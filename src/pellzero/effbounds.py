@@ -4,26 +4,31 @@ sharpened even-order bound L_k from certified root data.
 
 Everything that can reach magnitudes like k^(k^2) lives as a
 LogMagnitude (base-10 log of a positive quantity); nothing here ever
-materializes such a value as an integer.  The report-only bounds use
-plain high-precision floats, whose rounding error is many orders below
-the margins involved.  The bounds that feed exclusion claims, L_k and
-the reduction's R and small-linear-form test, have the shape floor(ln x
-/ ln y) and are decided on integers by log_floor, not by logs;
-even_case_chain_check runs on Ball arithmetic with outward rounding.
+materializes such a value as an integer.  The report-only bounds are
+computed on Decimals in a private 30-digit context (_CTX), whose ln,
+log10 and exp are correctly rounded; a bound loses a few units in the
+30th digit, far below the 20 digits a LogMagnitude reports
+(precision.sig_str) and the margins involved.  The bounds that feed
+exclusion claims, L_k and the reduction's R and small-linear-form test,
+have the shape floor(ln x / ln y) and are decided on integers by
+log_floor, not by logs; even_case_chain_check runs on Ball arithmetic
+with outward rounding, and is the one function here that loads mpmath.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import total_ordering
 
-import mpmath as mp
-
-from .ball import Ball, IndeterminateComparison
+from .precision import IndeterminateComparison, sig_str
 from .spectra import RootSystem, mahler_measure
 
-_WORK = 96
+_CTX = Context(prec=30)
+_LN2, _LN10, _LN30, _LN159, _LN75E14 = (
+    _CTX.ln(Decimal(v)) for v in ("2", "10", "30", "1.59", "7.5e14"))
 
 
 class HypothesisViolation(ValueError):
@@ -33,45 +38,42 @@ class HypothesisViolation(ValueError):
 @total_ordering
 @dataclass(frozen=True)
 class LogMagnitude:
-    """Base-10 logarithm of a positive quantity."""
+    """Base-10 logarithm of a positive quantity, as a Decimal."""
 
-    log10_value: object
+    log10_value: Decimal
 
     @classmethod
     def from_ln(cls, ln_value) -> "LogMagnitude":
-        with mp.workprec(_WORK):
-            return cls(mp.mpf(ln_value) / mp.log(10))
+        return cls(_CTX.divide(Decimal(ln_value), _LN10))
 
     @classmethod
     def from_value(cls, value) -> "LogMagnitude":
-        with mp.workprec(_WORK):
-            v = mp.mpf(value)
-            if v <= 0:
-                raise ValueError("LogMagnitude needs a positive value")
-            return cls(mp.log10(v))
+        v = Decimal(value)
+        if v <= 0:
+            raise ValueError("LogMagnitude needs a positive value")
+        return cls(_CTX.log10(v))
 
     @property
-    def ln_value(self):
-        with mp.workprec(_WORK):
-            return self.log10_value * mp.log(10)
+    def ln_value(self) -> Decimal:
+        return _CTX.multiply(self.log10_value, _LN10)
 
     def __eq__(self, other):
-        return isinstance(other, LogMagnitude) and \
-            mp.mpf(self.log10_value) == mp.mpf(other.log10_value)
+        return isinstance(other, LogMagnitude) and self.log10_value == other.log10_value
 
     def __lt__(self, other):
-        return mp.mpf(self.log10_value) < mp.mpf(other.log10_value)
+        return self.log10_value < other.log10_value
 
     def display(self) -> str:
-        with mp.workprec(_WORK):
-            expo = int(mp.floor(self.log10_value))
-            mant = mp.power(10, self.log10_value - expo)
-            return f"{mp.nstr(mant, 6)}e+{expo}" if expo >= 0 \
-                else f"{mp.nstr(mant, 6)}e{expo}"
+        expo = math.floor(self.log10_value)
+        mant = _CTX.power(10, _CTX.subtract(self.log10_value, expo))
+        return f"{sig_str(mant, 6)}e{expo:+d}"
+
+    def __str__(self):
+        """log10_value to 20 significant digits, the form records carry."""
+        return sig_str(self.log10_value, 20)
 
     def to_json(self) -> dict:
-        return {"log10": mp.nstr(mp.mpf(self.log10_value), 20),
-                "display": self.display()}
+        return {"log10": str(self), "display": self.display()}
 
 
 @dataclass(frozen=True)
@@ -88,15 +90,14 @@ class MatveevInstance:
     def __post_init__(self):
         if self.t < 1 or self.d < 1:
             raise ValueError("t and d must be >= 1")
-        with mp.workprec(_WORK):
-            if mp.mpf(self.B) < 1:
-                raise ValueError("B must be >= 1")
-            object.__setattr__(self, "A", tuple(mp.mpf(a) for a in self.A))
+        if Decimal(self.B) < 1:
+            raise ValueError("B must be >= 1")
+        object.__setattr__(self, "A", tuple(Decimal(a) for a in self.A))
         if len(self.A) != self.t:
             raise ValueError(f"need exactly t={self.t} height parameters")
         for a in self.A:
-            if a < mp.mpf("0.16"):
-                raise ValueError(f"height parameter {a} below the 0.16 floor")
+            if a < Decimal("0.16"):
+                raise ValueError(f"height parameter {sig_str(a, 15)} below the 0.16 floor")
 
 
 def matveev_lower_bound(m: MatveevInstance) -> LogMagnitude:
@@ -107,13 +108,14 @@ def matveev_lower_bound(m: MatveevInstance) -> LogMagnitude:
     The returned LogMagnitude is C itself (its log10); callers wanting
     the signed natural-log floor negate ln_value.
     """
-    with mp.workprec(_WORK):
-        ln_c = (mp.log(3) + (m.t + 4) * mp.log(30)
-                + mp.mpf("5.5") * mp.log(m.t + 1)
-                + 2 * mp.log(m.d) + mp.log(1 + mp.log(m.d))
-                + mp.log(1 + mp.log(m.t * mp.mpf(m.B))))
+    with localcontext(_CTX):
+        ln_d = Decimal(m.d).ln()
+        ln_c = (Decimal(3).ln() + (m.t + 4) * _LN30
+                + Decimal("5.5") * Decimal(m.t + 1).ln()
+                + 2 * ln_d + (1 + ln_d).ln()
+                + (1 + (m.t * Decimal(m.B)).ln()).ln())
         for a in m.A:
-            ln_c += mp.log(a)
+            ln_c += a.ln()
     return LogMagnitude.from_ln(ln_c)
 
 
@@ -123,26 +125,26 @@ def global_zero_index_bound(k: int) -> LogMagnitude:
     for odd k."""
     if k < 4:
         raise ValueError(f"global bound needs k >= 4, got {k}")
-    with mp.workprec(_WORK):
+    with localcontext(_CTX):
+        ln_k = Decimal(k).ln()
         if k % 2 == 0:
-            ln_b = mp.log(2) + k * k * mp.log(k) + mp.log(mp.log(16 * k * k))
+            ln_b = _LN2 + k * k * ln_k + (4 * _LN2 + 2 * ln_k).ln()
         else:
-            ln_b = (mp.log(mp.mpf("7.5e14")) + k ** 3 * mp.log(mp.mpf("1.59"))
-                    + 10 * mp.log(k) + 2 * mp.log(mp.log(k)))
+            ln_b = _LN75E14 + k ** 3 * _LN159 + 10 * ln_k + 2 * ln_k.ln()
     return LogMagnitude.from_ln(ln_b)
 
 
-def implicit_log_bound(r: int, H):
+def implicit_log_bound(r: int, H) -> Decimal:
     """Inversion of L < H (ln L)^r: under the hypothesis H > (4 r^2)^r
     the solution satisfies L < 2^r H (ln H)^r; returns that value."""
     if r < 1:
         raise ValueError(f"exponent r must be >= 1, got {r}")
-    with mp.workprec(_WORK):
-        H = mp.mpf(H)
-        if not H > mp.mpf(4 * r * r) ** r:
-            raise HypothesisViolation(
-                f"H={mp.nstr(H, 8)} does not exceed (4r^2)^r={(4 * r * r) ** r}")
-        return mp.mpf(2) ** r * H * mp.log(H) ** r
+    H = Decimal(H)
+    if not H > (4 * r * r) ** r:
+        raise HypothesisViolation(
+            f"H={sig_str(H, 8)} does not exceed (4r^2)^r={(4 * r * r) ** r}")
+    with localcontext(_CTX):
+        return 2 ** r * H * H.ln() ** r
 
 
 def log_floor(x: Fraction, y: Fraction) -> int:
@@ -195,6 +197,7 @@ def even_case_chain_check(rs: RootSystem, n: int) -> bool:
         raise ValueError(f"even-order chain check called with odd k={k}")
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
+    from .ball import Ball
     cap = Ball.exact(16 * k * k, rs.prec)
     log_gamma = mahler_measure(rs).log()
     weight_cap = Ball.exact(2 * k * (5 * k + 2), rs.prec) / log_gamma

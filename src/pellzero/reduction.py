@@ -34,22 +34,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ball import (
-    Ball,
-    IndeterminateComparison,
+from .ball import Ball
+from .effbounds import log_floor
+from .precision import (
     PREC_START,
+    IndeterminateComparison,
     PrecisionExhausted,
+    ReductionExhausted,
     escalate,
 )
-from .effbounds import log_floor
 from .spectra import RootSystem, refine_root, solve_roots
 
 DEFAULT_M = 3 * 10 ** 47
 MAX_ATTEMPTS = 40
-
-
-class ReductionExhausted(RuntimeError):
-    """No convergent past 6M certified eps > 0 within the attempt cap."""
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,12 @@ aside, adjacent |root| intervals must separate strictly, the first must
 lie above 1, every other below 1, and the first disk must be real with
 X > 0.  Last, every radius must reach |centre| 2^-prec (the label).  No
 Ball is compared or built: RootSystem keeps these integers, and builds
-each root, weight and modulus Ball from them on first read.
+each root, weight and modulus Ball from them on first read.  The module
+imports ball, and with it mpmath, only inside the functions that build
+or read a Ball (_ball, eval_gk, binet_reconstruct,
+check_root_separation), so solving and checking a system loads
+neither; check_root_bounds prints its one decimal value with
+precision.sig_str.
 
 Newton steps and radii are computed once per conjugate class: a real
 centre, or the upper member of a conjugate pair.  delta_k has real
@@ -175,7 +180,7 @@ disjoint from the k others, so it holds exactly one root, the certified
 one.  If R0 >= R1 and |z1 - z0| <= R0 - R1, decided exactly at P, the
 new disk lies in the old one and holds that same root; otherwise, or
 when delta_k'(z1) is not certified nonzero, or when R1 exceeds |z1|
-2^-prec, the precision doubles (ball.escalate) and Newton runs again
+2^-prec, the precision doubles (precision.escalate) and Newton runs again
 from z0.  A lower member of a pair gets the exact mirror of its upper
 one's refinement, and the root's weight is g_k over the new disk.
 """
@@ -190,22 +195,18 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
-import mpmath as mp
-from mpmath.libmp import from_man_exp
-
-from .ball import (
-    Ball,
+from .precision import (
     PREC_START,
     PrecisionExhausted,
     ZeroDivisionEnclosure,
-    _mpc,
-    _mpf,
-    _raw_c,
-    ball_sum,
     escalate,
+    sig_str,
 )
+
+if TYPE_CHECKING:
+    from .ball import Ball
 
 
 class CertificationFailure(Exception):
@@ -338,6 +339,7 @@ def _ball(X: int, Y: int, R: int, P: int, prec: int) -> Ball:
     mpf when Y = 0 and an mpc otherwise, and radius R 2^-P, both exact.
     The values are built raw: mp.mpf((man, exp)) would round them to the
     ambient 53 bits."""
+    from .ball import Ball, _mpc, _mpf, from_man_exp
     re = from_man_exp(X, -P)
     mid = _mpf(re) if not Y else _mpc((re, from_man_exp(Y, -P)))
     return Ball(mid, _mpf(from_man_exp(R, -P)), prec)
@@ -743,6 +745,7 @@ def eval_gk(k: int, x: Ball) -> Ball:
     and a lower point gets the exact mirror, so conjugate points get
     conjugate weights bit for bit.  Raises ZeroDivisionEnclosure when D
     is not certified nonzero on x (escalate and retry)."""
+    from .ball import _raw_c
     re, im = _raw_c(x.mid)
     P = max([x.prec + 16] + [-t[2] for t in (re, im) if t[1]])
     X, Y = ((-t[1] if t[0] else t[1]) << (t[2] + P) for t in (re, im))
@@ -762,14 +765,15 @@ def binet_reconstruct(k: int, n: int, rs: RootSystem) -> Ball:
     (radius >= 0.4), and ValueError when k is not the order of rs."""
     if k != rs.k:
         raise ValueError(f"order k = {k} does not match the root system's k = {rs.k}")
+    from .ball import ball_sum, mpf_to_fraction
     w = rs.weights
     terms = [w[i] * rs.roots[i].pow_int(n) for i in rs.real_roots]
     terms += [(w[a] * rs.roots[a].pow_int(n)).real() * 2
               for a, _ in rs.conj_pairs]
     ball = ball_sum(terms)
-    if not ball.rad < mp.mpf("0.4"):
+    if not ball.rad < 0.4:
         raise PrecisionExhausted(
-            f"reconstruction radius {mp.nstr(ball.rad, 6)} cannot pin an "
+            f"reconstruction radius {sig_str(mpf_to_fraction(ball.rad), 6)} cannot pin an "
             f"integer at prec {rs.prec}; re-solve roots at higher precision")
     return ball
 
@@ -900,7 +904,7 @@ def check_root_bounds(rs: RootSystem) -> dict:
     GX, _, GR = wd[rs.dominant]
     report["dominant_weight_range"] = {
         "holds": 1000 * (GX - GR) > 276 * one and 2 * (GX + GR) < one,
-        "value": mp.nstr(_mpf(from_man_exp(GX, -P)), 12),
+        "value": sig_str(Fraction(GX, one), 12),
         "certified_for_k": "k >= 2",
     }
 
@@ -952,6 +956,8 @@ def check_root_separation(rs: RootSystem) -> list[dict]:
     real; each has its own explicit lower bound in the degree d = k and
     the Mahler measure M = gamma.
     """
+    import mpmath as mp
+    from .ball import Ball
     k = rs.k
     p = rs.prec
     d = Fraction(k)

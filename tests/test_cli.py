@@ -131,6 +131,21 @@ def test_roots_report_shape(capsys):
         assert float(r["rad"]) < 1e-30
 
 
+@pytest.mark.parametrize("prec", [128, 256])
+def test_roots_print_the_certified_disks_as_mpmath_did(capsys, prec):
+    # The root report formats the integer disks (X, Y, R) 2^-P; the
+    # oracle is mpmath's nstr on the Balls built from the same disks.
+    import mpmath as mp
+    for k in range(2, 61):
+        rc, out, _ = run_cli(capsys, "roots", "--k", str(k), "--precision", str(prec))
+        rs = spectra.solve_roots(k, prec)
+        digits = max(6, int(rs.prec * 0.30103) - 2)
+        want = [{"re": mp.nstr(b.mid.real if b.is_complex else b.mid, digits),
+                 "im": mp.nstr(b.mid.imag, digits) if b.is_complex else "0",
+                 "rad": mp.nstr(b.rad, 4)} for b in rs.roots]
+        assert json.loads(out)["roots"] == want, k
+
+
 def test_bound_refined_even(capsys):
     rc, out, _ = run_cli(capsys, "bound", "--k", "4", "--refined")
     assert rc == 0

@@ -7,6 +7,7 @@ smallest double."""
 
 import dataclasses
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -41,9 +42,17 @@ def test_log_magnitude_ordering_and_json():
         LogMagnitude.from_value(0)
 
 
+def _mpf(x):
+    """A Decimal result as an mpf, at 40 digits."""
+    with mp.workdps(40):
+        return mp.mpf(str(x))
+
+
 def test_log_magnitude_roundtrip():
-    m = LogMagnitude.from_ln(mp.log(12345))
-    assert abs(m.ln_value - mp.log(12345)) < 1e-20
+    with mp.workdps(40):
+        ln = mp.log(12345)
+        m = LogMagnitude.from_ln(Decimal(str(ln)))
+        assert abs(_mpf(m.ln_value) - ln) < 1e-20
 
 
 def test_matveev_example_against_direct_arithmetic():
@@ -52,12 +61,12 @@ def test_matveev_example_against_direct_arithmetic():
         c = (3 * mp.mpf(30) ** 6 * mp.mpf(3) ** mp.mpf("5.5") * 16
              * (1 + mp.log(4)) * (1 + mp.log(20)))
         want = mp.log10(c)
-    assert abs(got.log10_value - want) < 1e-15
+    assert abs(_mpf(got.log10_value) - want) < 1e-15
 
 
 def test_matveev_minimal_instance():
     got = matveev_lower_bound(MatveevInstance(t=1, d=1, B=1, A=(0.16,)))
-    assert mp.mpf(got.log10_value) > 0
+    assert got.log10_value > 0
 
 
 def test_matveev_instance_guards():
@@ -73,12 +82,12 @@ def test_matveev_instance_guards():
 
 def test_global_bound_values():
     even4 = global_zero_index_bound(4)
-    assert abs(even4.log10_value - mp.log10(2 * mp.mpf(4) ** 16 * mp.log(256))) < 1e-15
+    assert abs(_mpf(even4.log10_value) - mp.log10(2 * mp.mpf(4) ** 16 * mp.log(256))) < 1e-15
     odd5 = global_zero_index_bound(5)
     with mp.workprec(120):
         want = (mp.log(mp.mpf("7.5e14")) + 125 * mp.log(mp.mpf("1.59"))
                 + 10 * mp.log(5) + 2 * mp.log(mp.log(5))) / mp.log(10)
-    assert abs(odd5.log10_value - want) < 1e-15
+    assert abs(_mpf(odd5.log10_value) - want) < 1e-15
     with pytest.raises(ValueError):
         global_zero_index_bound(3)
 
@@ -97,9 +106,9 @@ def test_global_bound_monotone_within_parity():
 
 def test_implicit_bound_values():
     got = implicit_log_bound(1, 17)
-    assert abs(got - 2 * 17 * mp.log(17)) < 1e-10
+    assert abs(_mpf(got) - 2 * 17 * mp.log(17)) < 1e-10
     got2 = implicit_log_bound(2, 300)
-    assert abs(got2 - 4 * 300 * mp.log(300) ** 2) < 1e-8
+    assert abs(_mpf(got2) - 4 * 300 * mp.log(300) ** 2) < 1e-8
     with pytest.raises(HypothesisViolation):
         implicit_log_bound(2, 60)
     with pytest.raises(ValueError):
@@ -113,7 +122,7 @@ def test_implicit_bound_consistent_with_odd_global():
     with mp.workprec(200):
         H = (mp.mpf("3.1e14") * mp.mpf("1.59") ** (k ** 3) * k ** 7
              * mp.log(k) ** 2)
-        L = implicit_log_bound(1, H)
+        L = implicit_log_bound(1, Decimal(str(H)))
         assert LogMagnitude.from_value(L) < global_zero_index_bound(k)
 
 
@@ -232,3 +241,39 @@ def test_refined_bound_without_a_certified_gap_is_indeterminate():
     lo[-2] = rs.mod_hi[-1]
     with pytest.raises(IndeterminateComparison):
         refined_even_bound(dataclasses.replace(rs, mod_lo=lo))
+
+
+def _printed(log10_value):
+    """A 200-bit log10 as a record prints it: 20 significant digits, and
+    the 6-digit display of the magnitude."""
+    from mpmath.libmp import to_str
+    with mp.workprec(200):
+        expo = int(mp.floor(log10_value))
+        mant = mp.power(10, log10_value - expo)
+        return (to_str(log10_value._mpf_, 20),
+                f"{to_str(mant._mpf_, 6)}e{expo:+d}")
+
+
+@pytest.mark.parametrize("k", list(range(4, 61)) + [499])
+def test_global_bound_prints_the_correctly_rounded_value(k):
+    # The record's 20 digits are the value's, not those of its nearest
+    # double (k = 47 printed 20942.420632923418452 for ...418081).
+    with mp.workprec(200):
+        if k % 2 == 0:
+            ln_b = mp.log(2) + k * k * mp.log(k) + mp.log(mp.log(16 * k * k))
+        else:
+            ln_b = (mp.log(mp.mpf(75) * 10 ** 13) + k ** 3 * mp.log(mp.mpf(159) / 100)
+                    + 10 * mp.log(k) + 2 * mp.log(mp.log(k)))
+        want = _printed(ln_b / mp.log(10))
+    got = global_zero_index_bound(k).to_json()
+    assert (got["log10"], got["display"]) == want
+
+
+def test_refined_bound_magnitudes_print_the_correctly_rounded_value():
+    for k in range(4, 41, 2):
+        L = refined_even_bound(solve_roots(k))
+        with mp.workprec(200):
+            want = _printed(mp.log10(L))
+        got = LogMagnitude.from_value(L).to_json()
+        assert (got["log10"], got["display"]) == want, k
+    assert str(LogMagnitude.from_value(82155)) == "4.9146339999844664473"

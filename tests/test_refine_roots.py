@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from pellzero import ball, cli, spectra
+from pellzero import ball, cli, precision, spectra
 from pellzero.ball import PrecisionExhausted, mpf_to_fraction
 from pellzero.reduction import (
     DEFAULT_M,
@@ -127,7 +127,7 @@ def test_refinement_towards_a_neighbouring_root_is_never_returned(k, monkeypatch
         return newton(k_, NX << shift, abs(NY) << shift, P, prec)
 
     monkeypatch.setattr(spectra, "_newton", towards_neighbour)
-    monkeypatch.setattr(ball, "PREC_CEILING", 4 * PREC)
+    monkeypatch.setattr(precision, "PREC_CEILING", 4 * PREC)
     with pytest.raises((CertificationFailure, PrecisionExhausted)):
         refine_root(rs, i, PREC)
 

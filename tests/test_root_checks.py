@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp, to_str
 
 from pellzero import spectra
 from pellzero.ball import Ball, mpf_to_fraction
@@ -266,3 +267,13 @@ def test_smallest_root_caps_decide_at_the_boundary(k):
         disk = (g_lo + 3, 0, 3) if k % 2 else (-g_lo - 3, 0, 3)
         report = spectra.check_root_bounds(_with_weight_disk(rs, rs.k - 1, disk))
         assert report["smallest_root_caps"]["weight_above_floor"] is holds, (k, g_lo)
+
+
+@pytest.mark.parametrize("k", list(range(2, 41)) + [150, 250, 499, 500])
+def test_dominant_weight_value_prints_as_mpmath_did(k):
+    # The reported midpoint GX 2^-P, formatted without mpmath, is the
+    # string mpmath's to_str gives for the same exact dyadic value.
+    rs = spectra.solve_roots(k)
+    GX = rs.weight_disks[rs.dominant][0]
+    value = spectra.check_root_bounds(rs)["dominant_weight_range"]["value"]
+    assert value == to_str(from_man_exp(GX, -rs.P), 12)
