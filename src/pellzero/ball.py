@@ -300,10 +300,6 @@ class Ball:
     def __repr__(self):
         return f"Ball({mp.nstr(self.mid, 12)} +/- {mp.nstr(self.rad, 4)} @{self.prec}b)"
 
-    def to_decimal(self, digits=None):
-        digits = digits or max(6, int(self.prec * 0.30103) + 2)
-        return {"mid": mp.nstr(self.mid, digits), "rad": mp.nstr(self.rad, 6)}
-
     def _mag(self, up):
         """Raw bound on |mid|: upper for up=1, lower for up=0."""
         m = self.mid

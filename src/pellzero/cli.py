@@ -147,7 +147,8 @@ def _verify_worker(args):
         return _verify_one(k, full, m_value)
     except (PrecisionExhausted, bigseq.LimitExceeded, IndeterminateComparison,
             ReductionExhausted, ZeroDivisionEnclosure, DomainError,
-            spectra.CertificationFailure, MemoryError) as exc:
+            spectra.CertificationFailure, zerostruct.ScanContradiction,
+            MemoryError) as exc:
         return {"schema": SCHEMA, "k": k, "status": "ERROR",
                 "detail": f"{type(exc).__name__}: {exc}",
                 "scan_floor": None, "timestamp": _now()}

@@ -24,9 +24,9 @@ The odd-order pipeline refines one root, gamma_s of the smallest pair,
 and its weight, which give tau, mu and A.  odd_k_reduce takes the root
 system certified at the default precision, usually cached, and refines
 only gamma_s to reduction-grade precision (spectra.refine_root), not
-every root class.  B = |r_{k-3}| / |gamma_s| is read off the certified
-modulus intervals (RootSystem.moduli); R and the small-linear-form test
-read only its lower bound.
+every root class.  B = |r_{k-3}| / |gamma_s| is the Ball of the exact
+quotient of the certified modulus intervals (RootSystem.mod_lo and
+mod_hi); R and the small-linear-form test read only its lower bound.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ball import Ball
+from .ball import Ball, mpf_to_fraction
 from .effbounds import log_floor
 from .precision import (
     PREC_START,
@@ -42,6 +42,7 @@ from .precision import (
     PrecisionExhausted,
     ReductionExhausted,
     escalate,
+    sig_str,
 )
 from .spectra import RootSystem, refine_root, solve_roots
 
@@ -87,10 +88,16 @@ class ReductionOutcome:
     certifications: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
+        """The outcome as a JSON-ready dict; epsilon is its midpoint to
+        max(6, floor(0.30103 prec) + 2) significant digits and its radius
+        to 6 (precision.sig_str)."""
+        eps = self.epsilon
+        digits = max(6, int(eps.prec * 0.30103) + 2)
         out = {
             "q_used": str(self.q_used),
             "m_index": self.m_index,
-            "epsilon": self.epsilon.to_decimal(),
+            "epsilon": {"mid": sig_str(mpf_to_fraction(eps.mid), digits),
+                        "rad": sig_str(mpf_to_fraction(eps.rad), 6)},
             "R": self.R,
             "attempts": self.attempts,
         }
@@ -230,8 +237,9 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
 
     gamma_s is rs's root refined to prec bits by refine_root when rs is
     coarser, g is g_k over the disk it is built from, and tau, mu and A
-    are at its precision; B is the quotient of rs.moduli, the certified
-    modulus intervals.
+    are at its precision; B is the Ball of the exact interval
+    [mod_lo[k-3] / mod_hi[b], mod_hi[k-3] / mod_lo[b]], b the branch, from
+    the certified modulus intervals of rs.
 
     The published ranges tau in [1.59, 1.99] and mu in [0.700657, 1.9927]
     are checked and recorded (not gated: k = 5 lands just below the tau
@@ -256,7 +264,9 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
     tau = gamma_s.arg() * (-2) / pi_ball
     mu = gval.arg() * 2 / pi_ball
     a_ball = Ball.exact(1, p) / gval.magnitude()
-    b_ball = rs.moduli[k - 3] / rs.moduli[branch]
+    b_lo = Fraction(rs.mod_lo[k - 3], rs.mod_hi[branch])
+    b_hi = Fraction(rs.mod_hi[k - 3], rs.mod_lo[branch])
+    b_ball = Ball.exact((b_lo + b_hi) / 2, rs.prec).add_error((b_hi - b_lo) / 2)
 
     certs = {}
     certs["tau_in_range"] = bool(

@@ -47,8 +47,9 @@ by the closed-form point.  The float seed, which carries about 53 bits,
 converts to fixed point (below), each part truncated towards zero, and
 goes straight to the polish, which reaches its stop in two steps.  Real
 roots are seeded in real float arithmetic and get Y = 0, so they are
-polished in real arithmetic; each j < k/2 gives an upper seed (X, Y)
-and its exact mirror (X, -Y).
+polished in real arithmetic; each j < k/2 gives the seed (X, Y) of the
+upper member of a pair, and the lower member gets no seed of its own
+(Conjugate classes, below).
 
 Newton runs on fixed-point Gaussian integers: z is the pair of Python
 ints (X, Y) with z = (X + iY) 2^-P, products are floored to P fraction
@@ -129,43 +130,51 @@ Every test after the radii runs on the same integers, at one P = prec +
                             disks that touch meet
     |root|                in [isqrt(N) - R, isqrt(N) + [isqrt(N)^2 < N]
                             + R], N = X^2 + Y^2
-    sum of roots          within sum R of sum X + i sum Y, both parts
+    sum of roots          within sum R of sum X (sum Y is 0: the
+                            disks come in mirror pairs)
     |product of roots|    product of the |root| intervals, each partial
                             product floored below and ceiled above
 
-Disjointness is tested by a sweep (_overlapping_pairs) over the disks
+Disjointness is tested by a sweep (_overlapping_pairs) over the k disks
 and the exact node (2^P, 0, 0) at 1: two disks that meet share a point
 and so its real part, so only pairs whose integer spans [X - R, X + R]
-meet go to the pair test (_disjoint).  Realness and conjugate pairing
-follow from conjugation symmetry.  The mirror (X, -Y, R) of a disk
-holds the conjugate of its root, which is a root of Psi_k and so lies
-in some disk; the mirror has the disk's own span, so that disk is the
-disk itself or one of its sweep neighbours, and only those are tested.
-A mirror that meets only its own disk means a real root (the disk holds
-one) at a complex centre, which fails like any other test; a disk with
-a real centre is its own mirror and holds a real root.  The roots are
-sorted by exact N, descending, conjugate partners upper first; partners
-aside, adjacent |root| intervals must separate strictly, the first must
-lie above 1, every other below 1, and the first disk must be real with
-X > 0.  Last, every radius must reach |centre| 2^-prec (the label).  No
+meet go to the pair test (_disjoint).  The roots are sorted by exact N,
+descending, conjugate partners upper first; adjacent conjugate classes
+must have strictly separated |root| intervals, the first must lie above
+1, every other below 1, and the first disk must be real with X > 0.
+The real part of the root sum must enclose 2 (its imaginary part is 0
+by construction) and the product of the |root| intervals must enclose
+1.  Last, every radius must reach |centre| 2^-prec (the label).  No
 Ball is compared or built: RootSystem keeps these integers, and builds
-each root, weight and modulus Ball from them on first read.  The module
+its root, weight and modulus Balls from them, each list on its first
+read.  The module
 imports ball, and with it mpmath, only inside the functions that build
 or read a Ball (_ball, eval_gk, binet_reconstruct,
 check_root_separation), so solving and checking a system loads
 neither; check_root_bounds prints its one decimal value with
 precision.sig_str.
 
-Newton steps and radii are computed once per conjugate class: a real
-centre, or the upper member of a conjugate pair.  delta_k has real
-coefficients, so delta_k(conj z) = conj delta_k(z): in exact arithmetic
-the Newton iterates from conj z are the mirrors of those from z, and
-|delta_k / delta_k'| takes the same value at z and at conj z, so a bound
-on it at z bounds it at conj z.  _polish gives the lower member of a
-pair the exact mirror (X, -Y) of the polished upper one, and _certify
-gives it the upper one's radius; both key their classes on (X, |Y|).
-Nothing else takes the symmetry on trust: every disk, mirrors included,
-still goes through the sweep, the disjointness and the pairing tests.
+Conjugate classes.  A root system is carried as one centre per
+conjugate class, a real root or a pair of complex-conjugate roots, from
+seed to certificate: the real classes first (gamma, then the negative
+real root when k is even), then the upper member of each pair.  _polish
+runs Newton once per class from (X, |Y|), and _certify computes one
+inclusion radius per class there.  delta_k has real coefficients, so
+delta_k(conj z) = conj delta_k(z), and |delta_k / delta_k'| takes the
+same value at z and at conj z: a bound on it at z bounds it at conj z,
+so the mirror (X, -Y, R) of a class disk (X, Y, R) holds at least one
+root too.  _certify emits a pair class as (X, |Y|, R) and its mirror
+(X, -|Y|, R), and a real class as (X, 0, R); a real class with Y != 0
+fails.  Pairing and realness then follow from the disjointness test,
+which every disk, mirrors included, goes through (Rump, JCAM 156, 2003):
+
+- the k + 1 disks, the node included, are pairwise disjoint, so each
+  holds exactly one root of delta_k;
+- the mirror of a disk holds the conjugate of that disk's root, so the
+  two disks of a pair hold conjugate roots, and those roots are not
+  real: a real one would lie in both disks, which are disjoint;
+- a real class with Y = 0 is its own mirror, so its root equals its
+  conjugate and is real.
 
 Refinement.  A caller that needs a few roots more precisely than a
 certified system gives them (the odd reduction reads one, at 390 bits)
@@ -213,27 +222,6 @@ class CertificationFailure(Exception):
     """Internal: disks not disjoint / pairing ambiguous; escalate."""
 
 
-class _LazyBalls:
-    """A read-only list of n Balls, pickled as a list: build(i) makes the
-    Ball at index i on its first read, and later reads return that one."""
-
-    def __init__(self, n: int, build):
-        self._build, self._items = build, [None] * n
-
-    def __len__(self):
-        return len(self._items)
-
-    def __reduce__(self):
-        return list, (list(self),)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        if self._items[i] is None:
-            self._items[i] = self._build(i % len(self))
-        return self._items[i]
-
-
 @dataclass
 class RootSystem:
     """All k roots, sorted by descending modulus, with the structural
@@ -242,7 +230,8 @@ class RootSystem:
     root is always roots[0].  It keeps the integers certification decided
     on, in units of 2^-P: root i lies within R of (X + iY) 2^-P for
     disks[i] = (X, Y, R), and |root i| lies in [mod_lo[i], mod_hi[i]].
-    roots, moduli and weights build each Ball from these on first read."""
+    roots, moduli and weights are lists of the Balls of these integers,
+    each built on its first read."""
 
     dominant: ClassVar[int] = 0
 
@@ -260,17 +249,16 @@ class RootSystem:
         return self.roots[self.dominant]
 
     @cached_property
-    def roots(self) -> _LazyBalls:
-        disks, P, prec = self.disks, self.P, self.prec
-        return _LazyBalls(self.k, lambda i: _ball(*disks[i], P, prec))
+    def roots(self) -> list:
+        return [_ball(*disk, self.P, self.prec) for disk in self.disks]
 
     @cached_property
-    def moduli(self) -> _LazyBalls:
+    def moduli(self) -> list:
         """|roots[i]| as a real Ball per root, exactly the interval
         [mod_lo[i], mod_hi[i]] 2^-P: midpoint (lo + hi) 2^-(P+1), radius
         (hi - lo) 2^-(P+1)."""
-        lo, hi, P, prec = self.mod_lo, self.mod_hi, self.P, self.prec
-        return _LazyBalls(self.k, lambda i: _ball(lo[i] + hi[i], 0, hi[i] - lo[i], P + 1, prec))
+        return [_ball(lo + hi, 0, hi - lo, self.P + 1, self.prec)
+                for lo, hi in zip(self.mod_lo, self.mod_hi)]
 
     @cached_property
     def weight_disks(self) -> list:
@@ -289,11 +277,10 @@ class RootSystem:
         return w
 
     @cached_property
-    def weights(self) -> _LazyBalls:
+    def weights(self) -> list:
         """weight_disks as Balls, in root order: bit for bit what
         eval_gk gives at each root."""
-        wd, P, prec = self.weight_disks, self.P, self.prec
-        return _LazyBalls(self.k, lambda i: _ball(*wd[i], P, prec))
+        return [_ball(*disk, self.P, self.prec) for disk in self.weight_disks]
 
 
 _cache_lock = threading.Lock()
@@ -474,40 +461,33 @@ def _seed(k: int, z, P: int):
 
 
 def _initial_seeds(k: int, P: int):
-    """One seed (X, Y) at P per root of Psi_k at its closed-form position
-    (module docstring), refined by _seed: Y = 0 for gamma and for the
-    negative real root of even k, and an upper (X, Y) and its exact
-    mirror (X, -Y) per pair."""
+    """One seed (X, Y) at P per conjugate class at its closed-form
+    position (module docstring), refined by _seed: the real roots first,
+    gamma and, for even k, the negative real root, with Y = 0, then the
+    upper member of each pair."""
     seeds = [_seed(k, (3 + math.sqrt(5)) / 2, P)]
     if k % 2 == 0:
         seeds.append(_seed(k, -(5 ** (-1 / k)), P))
     for j in range(1, (k + 1) // 2):
         t = 2 * math.pi * j / k
         r = (3 - 2 * math.cos(t)) ** (-1 / k)
-        X, Y = _seed(k, complex(r * math.cos(t), r * math.sin(t)), P)
-        seeds += [(X, Y), (X, -Y)]
+        seeds.append(_seed(k, complex(r * math.cos(t), r * math.sin(t)), P))
     return seeds
 
 
 def _polish(k: int, seeds, prec: int):
-    """Newton on delta_k at P = prec + 16 fraction bits, from seeds (X, Y)
-    at that P, once per conjugate class, keyed on (X, |Y|); the lower
-    member of a pair gets the exact mirror of the polished upper one.  A
-    centre with |Im| < |z| 2^(-prec/2) (tested on bit lengths, as in
-    _newton) is made real and polished in real arithmetic.  Returns the
-    centres (X, Y) at P."""
+    """Newton on delta_k at P = prec + 16 fraction bits, once per
+    conjugate class, from its seed (X, |Y|) at that P.  A centre with
+    |Im| < |z| 2^(-prec/2) (tested on bit lengths, as in _newton) is made
+    real and polished in real arithmetic.  Returns the class centres
+    (X, Y) at P, in seed order."""
     P = prec + 16
-    polished = {}
     out = []
     for X, Y in seeds:
-        key = X, abs(Y)
-        z = polished.get(key)
-        if z is None:
-            PX, PY = _newton(k, *key, P, prec)
-            if PY and PY.bit_length() < _mag(PX, PY) - 1 - prec // 2:
-                PX, PY = _newton(k, PX, 0, P, prec)
-            z = polished[key] = PX, PY
-        out.append((z[0], -z[1]) if Y < 0 else z)
+        X, Y = _newton(k, X, abs(Y), P, prec)
+        if Y and Y.bit_length() < _mag(X, Y) - 1 - prec // 2:
+            X, Y = _newton(k, X, 0, P, prec)
+        out.append((X, Y))
     return out
 
 
@@ -552,68 +532,45 @@ def _overlapping_pairs(disks):
 
 
 def _certify(k: int, centres, prec: int) -> RootSystem:
-    """The RootSystem of the centres (X, Y) at P = prec + 16, or
-    CertificationFailure (module docstring, Radius soundness)."""
-    # The Newton inclusion radius (k+1) |delta_k / delta_k'|, bounded
-    # above in fixed point, comes once per conjugate class, keyed on
-    # (X, |Y|): the bound at z holds at conj(z).
+    """The RootSystem of the class centres (X, Y) at P = prec + 16, real
+    classes first as in _initial_seeds, or CertificationFailure (module
+    docstring, Radius soundness and Conjugate classes)."""
     P = prec + 16
-    radii = {}
-    disks = []
-    for X, Y in centres:
-        key = X, abs(Y)
-        R = radii.get(key)
-        if R is None:
-            R = radii[key] = _inclusion_radius(k, *key, P)
-        disks.append((X, Y, R))
+    one = 1 << P
+    n_real = 2 - k % 2
+    for X, Y in centres[:n_real]:
+        if Y:
+            raise CertificationFailure(f"real class ({X} + {Y}i) 2^-{P} is off the axis")
+
+    # Classes by descending exact |centre|^2, each with one inclusion
+    # radius, taken at (X, |Y|); a pair is that disk and its mirror.
+    classes = [(X, abs(Y), c < n_real) for c, (X, Y) in enumerate(centres)]
+    classes.sort(key=lambda c: -(c[0] * c[0] + c[1] * c[1]))
+    disks, conj_pairs, real_roots = [], [], []
+    for X, Y, real in classes:
+        R = _inclusion_radius(k, X, Y, P)
+        if real:
+            real_roots.append(len(disks))
+            disks.append((X, 0, R))
+        else:
+            conj_pairs.append((len(disks), len(disks) + 1))
+            disks += [(X, Y, R), (X, -Y, R)]
 
     # Pairwise disjointness, including the exact node at 1 (radius 0);
     # pairs with apart real spans are disjoint already.
-    one = 1 << P
     swept = disks + [(one, 0, 0)]
-    near = [[] for _ in swept]
     for i, j in _overlapping_pairs(swept):
         if not _disjoint(swept[i], swept[j]):
             raise CertificationFailure(
                 f"disks {min(i, j)},{max(i, j)} not certifiedly disjoint at {prec} bits")
-        near[i].append(j)
-        near[j].append(i)
 
-    # Conjugate pairing: a mirror can only meet its own disk or a sweep
-    # neighbour, since it has the same real span.
-    pairs = {}
-    for i, (X, Y, R) in enumerate(disks):
-        if not Y:
-            continue
-        mirror = X, -Y, R
-        hits = [j for j in [i] + near[i]
-                if j < k and not _disjoint(mirror, disks[j])]
-        if len(hits) != 1 or hits == [i]:
-            raise CertificationFailure(
-                f"conjugate of root {i} matches disks {hits}")
-        pairs[i] = hits[0]
-    for i, j in pairs.items():
-        if pairs.get(j) != i:
-            raise CertificationFailure(f"asymmetric pairing {i}<->{j}")
-
-    # Sort by descending exact |centre|^2; conjugate partners (equal
-    # norms) stay adjacent, upper first.  Each true modulus lies in
-    # [isqrt(N) - R, ceil(sqrt(N)) + R] in units of 2^-P; partners aside,
-    # these intervals must separate strictly.
-    norms = [X * X + Y * Y for X, Y, _ in disks]
-    order = sorted(range(k), key=lambda i: (-norms[i], -disks[i][1]))
-    inv = {old: new for new, old in enumerate(order)}
-    conj_pairs = sorted(tuple(sorted((inv[a], inv[b]))) for a, b in pairs.items() if a < b)
-    real_roots = sorted(inv[i] for i, (_, Y, _) in enumerate(disks) if not Y)
-    paired = {a: b for a, b in conj_pairs} | {b: a for a, b in conj_pairs}
-    lo, hi = map(list, zip(*(_modulus_bounds(*disks[i]) for i in order)))
-
+    # Each true modulus lies in [isqrt(N) - R, ceil(sqrt(N)) + R] in units
+    # of 2^-P; the intervals of adjacent classes must separate strictly.
+    lo, hi = map(list, zip(*(_modulus_bounds(*disk) for disk in disks)))
+    firsts = {a for a, _ in conj_pairs}
     for i in range(k - 1):
-        if paired.get(i) == i + 1:
-            continue
-        if not lo[i] > hi[i + 1]:
-            raise CertificationFailure(
-                f"modulus order inversion at sorted index {i}")
+        if i not in firsts and not lo[i] > hi[i + 1]:
+            raise CertificationFailure(f"modulus order inversion at sorted index {i}")
 
     # Unique dominance: first modulus above 1, all others below.
     if not lo[0] > one:
@@ -621,16 +578,14 @@ def _certify(k: int, centres, prec: int) -> RootSystem:
     for i in range(1, k):
         if not hi[i] < one:
             raise CertificationFailure(f"modulus {i} not certified < 1")
-    X, Y, _ = disks[order[0]]
+    X, Y, _ = disks[0]
     if Y or X <= 0:
         raise CertificationFailure("dominant root is not real positive")
 
-    # Coefficient sanity: sum of roots is 2, |product| is 1, taken as the
-    # product of the modulus intervals (|prod r_i| = prod |r_i|), floored
-    # below and ceiled above.
-    sum_r = sum(R for _, _, R in disks)
-    if (abs(sum(X for X, _, _ in disks) - 2 * one) > sum_r
-            or abs(sum(Y for _, Y, _ in disks)) > sum_r):
+    # Coefficient sanity: sum of roots is 2 (its imaginary part is 0 by
+    # construction), |product| is 1, taken as the product of the modulus
+    # intervals (|prod r_i| = prod |r_i|), floored below and ceiled above.
+    if abs(sum(X for X, _, _ in disks) - 2 * one) > sum(R for _, _, R in disks):
         raise CertificationFailure("root sum does not enclose 2")
     prod_lo = prod_hi = one
     for a, b in zip(lo, hi):
@@ -642,8 +597,8 @@ def _certify(k: int, centres, prec: int) -> RootSystem:
     if not all(_reaches(*disk, prec) for disk in disks):
         raise CertificationFailure(f"radii miss the label, |centre| 2^-{prec}")
 
-    return RootSystem(k=k, disks=[disks[i] for i in order], conj_pairs=conj_pairs,
-                      real_roots=real_roots, prec=prec, P=P, mod_lo=lo, mod_hi=hi)
+    return RootSystem(k=k, disks=disks, conj_pairs=conj_pairs, real_roots=real_roots,
+                      prec=prec, P=P, mod_lo=lo, mod_hi=hi)
 
 
 def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
@@ -924,7 +879,7 @@ def check_root_bounds(rs: RootSystem) -> dict:
     }
 
     # (v) is structural: certification already forced every non-conjugate
-    # pair apart and every conjugate pair to intersect its mirror disk.
+    # pair apart and made each conjugate pair a disk and its exact mirror.
     report["equal_moduli_are_conjugates"] = {"holds": True,
                                              "pairs": list(rs.conj_pairs)}
     return report

@@ -73,7 +73,8 @@ Its cost per index does not grow with the terms, to any depth:
   p divides) of each packed word of k - 1 lanes are compared with the
   block lanes in it, one integer compare per word (_hits).  A block lane
   that is no hit contradicts the theorem, a fault in the program, and
-  raises RuntimeError.  Only a hit off the blocks is read lane by lane.
+  raises ScanContradiction, which `verify` reports as an ERROR record
+  for that order.  Only a hit off the blocks is read lane by lane.
 - Such a hit is never taken as a zero.  The same reader checks it mod a
   second prime, 2^61 - 1, from the seed to the last hit, and a nonzero
   residue rejects it.  Only a hit that both primes divide walks the
@@ -102,6 +103,11 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from . import bigseq
+
+
+class ScanContradiction(RuntimeError):
+    """A block lane the sign theorem proves zero is nonzero in the
+    residue scan: a fault in the program, not a property of k."""
 
 
 class StructureMismatch(Exception):
@@ -186,9 +192,9 @@ def _hits(k: int, exponent: int, depth: int):
         if hit or start <= edge:
             want = masks[start // width - 1] if start <= edge else 0
             if want & ~hit:
-                raise RuntimeError(f"k={k}: a block lane at depths {start}.."
-                                   f"{start + width - 1} is not 0 mod "
-                                   f"2^{exponent} - 1")
+                raise ScanContradiction(f"k={k}: a block lane at depths {start}.."
+                                        f"{start + width - 1} is not 0 mod "
+                                        f"2^{exponent} - 1")
             if hit != want:
                 yield from (start + lane for lane in range(width)
                             if (hit ^ want) >> (w * lane + w - 1) & 1

@@ -3,8 +3,10 @@
 The enclosure test checks that every 128-bit root ball holds the disk of
 the matching certified 512-bit root, in mpmath at 600 bits, and that the
 kept integer modulus intervals hold its modulus.  The failure-path
-tests feed _certify centres that must not certify: a duplicated centre,
-a centre moved so far towards a neighbour that the disks meet, and, with
+tests feed _certify class centres that must not certify: a duplicated
+centre, a real class near the spurious root at 1, a real class off the
+axis, a pair class on it, a centre moved so far towards a neighbour that
+the disks meet, and, with
 the inclusion radii pinned, centres or radii that break one of the later
 checks each (modulus order, dominance, root sum, root product); a
 certification whose radii miss its precision label fails, and the solve
@@ -16,9 +18,9 @@ the number of pair tests one certification makes.  The modulus tests
 check that RootSystem.moduli is read off the integer intervals, with no
 Ball.magnitude call in a cold solve, and follows intervals replaced
 after the fact.  The seed tests check that _initial_seeds gives one
-seed per root, real roots with Y = 0 and pairs as exact mirrors (X, -Y),
-and that gamma's seed stays finite where gamma^k leaves the double
-range.
+seed per conjugate class, the real roots first with Y = 0 and then the
+upper member of each pair, and that gamma's seed stays finite where
+gamma^k leaves the double range.
 """
 
 import dataclasses
@@ -52,6 +54,12 @@ def _centres(k, prec=128):
     return spectra._polish(k, spectra._initial_seeds(k, prec + 16), prec)
 
 
+def _class_centres(rs):
+    """The class centres of a root system, in _initial_seeds order: the
+    real roots, gamma first, then the upper member of each pair."""
+    return [rs.disks[i][:2] for i in rs.real_roots + [a for a, _ in rs.conj_pairs]]
+
+
 @pytest.mark.parametrize("k", list(range(2, 61)) + [86])
 def test_root_balls_contain_the_512_bit_centres(k):
     low = spectra.solve_roots(k, 128)
@@ -60,7 +68,7 @@ def test_root_balls_contain_the_512_bit_centres(k):
     # its fixed point, and certified on its own.  Both list the roots by
     # descending modulus, conjugate partners by descending imaginary
     # part, so the certified order matches them up.
-    seeds = [(X << 384, Y << 384) for X, Y, _ in low.disks]
+    seeds = [(X << 384, Y << 384) for X, Y in _class_centres(low)]
     high = spectra._certify(k, spectra._polish(k, seeds, 512), 512)
     with mp.workprec(600):
         for lo_ball, hi_ball in zip(low.roots, high.roots):
@@ -72,26 +80,57 @@ def test_root_balls_contain_the_512_bit_centres(k):
 
 
 def test_duplicated_centre_raises():
-    k = 9
-    centres = _centres(k)
-    spectra._certify(k, centres, 128)
-    real = centres.index(max(c for c in centres if not c[1]))
-    cplx = next(i for i, c in enumerate(centres) if c[1])
-    for src, dst in ((real, cplx), (cplx, real), (cplx, (cplx + 1) % k)):
-        dup = list(centres)
-        dup[dst] = dup[src]
-        with pytest.raises(CertificationFailure, match="not certifiedly disjoint"):
-            spectra._certify(k, dup, 128)
+    # Class centres list the real classes (gamma, and the negative root
+    # for even k) first, then one upper member per pair.  A real centre
+    # copied into a pair class puts that pair on the axis as well.
+    for k in (9, 10):
+        centres = _centres(k)
+        spectra._certify(k, centres, 128)
+        first_pair = 2 - k % 2
+        copies = [(0, first_pair), (first_pair, first_pair + 1),
+                  (first_pair + 1, first_pair)] + [(0, 1)] * (k % 2 == 0)
+        for src, dst in copies:
+            dup = list(centres)
+            dup[dst] = dup[src]
+            with pytest.raises(CertificationFailure, match="not certifiedly disjoint"):
+                spectra._certify(k, dup, 128)
 
 
 def test_centre_at_the_spurious_root_raises():
     # delta_k = (x - 1) Psi_k: a centre that homes in on x = 1 finds a
-    # root of delta_k, and only the exact node at 1 exposes it.
-    k = 9
+    # root of delta_k, and only the exact node at 1 exposes it.  The
+    # negative real class of k = 10 is moved there; sorted by modulus it
+    # is root 1.
+    k = 10
     centres = _centres(k)
     centres[1] = (1 << P128) + (1 << (P128 - 100)), 0
     with pytest.raises(CertificationFailure, match=f"disks 1,{k} not certifiedly disjoint"):
         spectra._certify(k, centres, 128)
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_real_class_off_the_axis_raises(k):
+    # A real class is certified real because its disk is its own mirror;
+    # a real class with Y != 0 is no such disk, so it fails at once.
+    for i in range(2 - k % 2):
+        moved = _centres(k)
+        X, _ = moved[i]
+        moved[i] = X, 1
+        with pytest.raises(CertificationFailure,
+                           match=rf"real class \({X} \+ 1i\) 2\^-{P128} is off the axis"):
+            spectra._certify(k, moved, 128)
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_pair_class_on_the_axis_raises(k):
+    # A pair class with Y = 0 is emitted as a disk and its mirror, the
+    # same disk twice, which the disjointness test rejects.
+    centres = _centres(k)
+    for i in range(2 - k % 2, len(centres)):
+        moved = list(centres)
+        moved[i] = centres[i][0], 0
+        with pytest.raises(CertificationFailure, match="not certifiedly disjoint"):
+            spectra._certify(k, moved, 128)
 
 
 def test_centre_moved_onto_a_neighbour_raises():
@@ -243,8 +282,8 @@ def test_radius_with_bits_below_the_fixed_point_rounds_up(monkeypatch):
 
 
 def test_near_real_centre_is_made_real(monkeypatch):
-    # A complex centre whose mirror meets only its own disk fails like
-    # any other certification; the 256-bit polish makes it real.
+    # A real class off the axis fails like any other certification; the
+    # 256-bit polish makes it real.
     k = 10
     polish, certify = spectra._polish, spectra._certify
     failures = []
@@ -253,11 +292,10 @@ def test_near_real_centre_is_made_real(monkeypatch):
     def polish_then_tilt(kk, seeds, prec):
         centres = polish(kk, seeds, prec)
         if not tilted:
-            # The negative real root, one unit of 2^-P off the axis:
-            # inside its disk, so the mirror disk meets only its own disk.
+            # The negative real root, one unit of 2^-P off the axis.
             i = centres.index(min(c for c in centres if not c[1]))
             centres[i] = centres[i][0], 1
-            tilted.append(i)
+            tilted.append(centres[i])
         return centres
 
     def recording_certify(kk, centres, prec):
@@ -271,7 +309,8 @@ def test_near_real_centre_is_made_real(monkeypatch):
     monkeypatch.setattr(spectra, "_certify", recording_certify)
     rs = spectra.solve_roots(k)
     assert len(failures) == 1 and type(failures[0]) is CertificationFailure
-    assert str(failures[0]) == f"conjugate of root {tilted[0]} matches disks {tilted}"
+    X, Y = tilted[0]
+    assert str(failures[0]) == f"real class ({X} + {Y}i) 2^-{P128} is off the axis"
     assert rs.prec == 256
     assert rs.real_roots == [0, k - 1]
     assert rs.roots[k - 1].fr_mid() < 0
@@ -381,13 +420,13 @@ def test_moduli_follow_replaced_intervals():
 @pytest.mark.parametrize("k", list(range(2, 61)) + [499, 500])
 def test_seeds_are_one_per_root_by_conjugate_class(k):
     seeds = spectra._initial_seeds(k, P128)
-    assert len(seeds) == k
-    reals = sorted(X for X, Y in seeds if not Y)
-    assert len(reals) == (2 if k % 2 == 0 else 1)
-    assert reals[-1] > 0 and all(X < 0 for X in reals[:-1])
-    pairs = [z for z in seeds if z[1]]
-    assert len(pairs) == k - len(reals)
-    assert set(pairs) == {(X, -Y) for X, Y in pairs}
+    n_real = 2 - k % 2
+    assert len(seeds) == n_real + (k - n_real) // 2
+    reals, uppers = seeds[:n_real], seeds[n_real:]
+    assert all(Y == 0 for _, Y in reals)
+    assert reals[0][0] > 0 and all(X < 0 for X, _ in reals[1:])
+    assert all(Y > 0 for _, Y in uppers)
+    assert len(set(uppers)) == len(uppers)
 
 
 def test_gamma_seed_stays_finite_past_the_double_range():

@@ -568,6 +568,31 @@ def test_verify_one_bad_order_keeps_the_sweep(capsys, monkeypatch):
     assert records[6]["checks"]["zero_set"] == SIGN_PROOF
 
 
+def test_verify_scan_contradiction_is_an_error_record(capsys, monkeypatch):
+    # A nonzero block lane at k = 9 (lane 2 of the first word, depth 10,
+    # set to 3) contradicts the sign theorem; the sweep reports k = 9 as
+    # an ERROR and goes on to k = 11.
+    from pellzero import bigseq
+    blocks = bigseq.residue_blocks
+
+    def planted(k, window, exponent=bigseq.RESIDUE_EXPONENT):
+        stream = blocks(k, window, exponent)
+        if k == 9:
+            w = exponent + 5
+            y = next(stream)
+            yield y & ~(((1 << w) - 1) << 2 * w) | 3 << 2 * w
+        yield from stream
+
+    monkeypatch.setattr(bigseq, "residue_blocks", planted)
+    rc, out, _ = run_cli(capsys, "verify", "--k-range", "7:11", "--odd-only", "--jobs", "1")
+    assert rc == 2
+    records = {rec["k"]: rec for rec in map(json.loads, out.splitlines())}
+    assert sorted(records) == [7, 9, 11]
+    assert records[9]["status"] == "ERROR"
+    assert records[9]["detail"].startswith("ScanContradiction: k=9: a block lane at depths 8..15")
+    assert records[7]["status"] == records[11]["status"] == "FAIL"
+
+
 def test_verify_precision_used_covers_the_odd_reduction(capsys):
     from pellzero import reduction
     rc, out, _ = run_cli(capsys, "verify", "--k", "5", "--full")

@@ -1,18 +1,25 @@
 """Newton polishing, inclusion radii and weights once per conjugate class.
 
-delta_k and g_k have real coefficients, so spectra computes a Newton run,
-an inclusion radius and a weight once per class (a real root, or the
-upper member of a pair) and gives the partner the exact mirror.  The
-mirror tests check that polished partners are mirrors (X, Y), (X, -Y)
-and that partner balls are exact conjugates bit for bit, radii and
-weights included, and that the mirrored weight is what
-eval_gk gives at the partner itself.  The disk tests check that each
+delta_k and g_k have real coefficients, so spectra carries one centre per
+class (a real root, or the upper member of a pair) from seed to
+certificate, computes a Newton run, an inclusion radius and a weight
+once per class, and gives the partner the exact mirror.  The pairing
+tests pin, for k = 2..60, 86, 150, 499 and 500, that each pair is (i,
+i + 1), that its lower disk is the exact mirror of the upper one, that
+real roots have Y = 0, and that _newton and _inclusion_radius run once
+per class.  The mirror tests check that the polished class centres are
+the real ones, with Y = 0, and then one upper member per pair, that
+partner balls are exact conjugates bit for bit, radii and weights
+included, and that the mirrored weight is what eval_gk gives at the
+partner itself.  The disk tests check that each
 root Ball converts exactly to its certified disk and that
 RootSystem.weights, computed on the disks, is what eval_gk gives at the
 root Balls, bit for bit.  The cost tests pin one Newton run
 and one radius per class, and check the per-class Binet sum against an
 all-roots sum written here.
 """
+
+from collections import Counter
 
 import mpmath as mp
 import pytest
@@ -22,6 +29,7 @@ from pellzero.ball import Ball, ball_sum, mpf_to_fraction
 from pellzero.bigseq import KContext
 
 ORDERS = list(range(2, 61)) + [86]
+PINNED = ORDERS + [150, 499, 500]
 
 
 @pytest.fixture(autouse=True)
@@ -43,11 +51,10 @@ def _same(a: Ball, b: Ball):
 @pytest.mark.parametrize("k", ORDERS)
 def test_partners_and_weights_are_exact_mirrors(k, prec):
     centres = spectra._polish(k, spectra._initial_seeds(k, prec + 16), prec)
-    lower = [c for c in centres if c[1] < 0]
-    upper = [c for c in centres if c[1] > 0]
-    assert len(lower) == len(upper)
-    for X, Y in lower:
-        assert centres.count((X, -Y)) == 1, (k, X, Y)
+    n_real = 2 - k % 2
+    assert len(centres) == n_real + (k - n_real) // 2
+    assert all(Y == 0 for _, Y in centres[:n_real]), k
+    assert all(Y > 0 for _, Y in centres[n_real:]), k
 
     rs = spectra.solve_roots(k, prec)
     assert rs.prec == prec
@@ -59,6 +66,28 @@ def test_partners_and_weights_are_exact_mirrors(k, prec):
         assert _same(w[b], w[a].conjugate()), (k, a, b)
     for i, root in enumerate(rs.roots):
         assert _same(w[i], spectra.eval_gk(k, root)), (k, i)
+
+
+@pytest.mark.parametrize("k", PINNED)
+def test_pairs_are_adjacent_exact_mirrors_one_run_per_class(k, monkeypatch):
+    calls = Counter()
+    for name in ("_newton", "_inclusion_radius"):
+        def counting(*args, name=name, f=getattr(spectra, name)):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(spectra, name, counting)
+    rs = spectra.solve_roots(k)
+    assert rs.prec == 128
+    classes = len(rs.real_roots) + len(rs.conj_pairs)
+    assert calls == {"_newton": classes, "_inclusion_radius": classes}
+    firsts = [a for a, _ in rs.conj_pairs]
+    assert rs.conj_pairs == [(a, a + 1) for a in firsts]
+    assert sorted(rs.real_roots + firsts + [a + 1 for a in firsts]) == list(range(k))
+    for a, b in rs.conj_pairs:
+        X, Y, R = rs.disks[a]
+        assert Y > 0 and rs.disks[b] == (X, -Y, R), (k, a)
+    for i in rs.real_roots:
+        assert rs.disks[i][1] == 0, (k, i)
 
 
 @pytest.mark.parametrize("k", ORDERS + [250, 499])

@@ -4,8 +4,8 @@ spectra runs Newton on delta_k with z = (X + iY) 2^-P for Python ints X
 and Y.  The conversion tests check that the Ball midpoints built from
 that form (spectra._ball) are exact, signs included, and that bits of a
 float seed below 2^-P are truncated towards zero.  The polish tests check each polished centre,
-and each float seed, against the matching root of a certified 512-bit
-system, that real seeds stay real with Y exactly 0, and that seeds with
+and each float seed, with the mirror of each pair's, against the
+matching root of a certified 512-bit system, that real seeds stay real with Y exactly 0, and that seeds with
 a negative real part polish to their own root and not to the node at 1.
 _delta_fixed takes its products inline: its output must equal, bit for
 bit, the same evaluation composed from _fmul, and Newton reads its
@@ -87,8 +87,10 @@ def _match(centres, roots):
 
 
 def _within(centres, Q, roots, prec):
-    """Each centre (X, Y) at Q lies within |centre| 2^(8 - prec) of its
-    root, radius included."""
+    """Each class centre (X, Y) at Q, and the mirror (X, -Y) of each pair
+    centre, lies within |centre| 2^(8 - prec) of its root, radius
+    included."""
+    centres = centres + [(X, -Y) for X, Y in centres if Y]
     with mp.workprec(600):
         zs = [mp.mpc(mp.ldexp(X, -Q), mp.ldexp(Y, -Q)) for X, Y in centres]
         for c, b in zip(zs, _match(zs, roots)):

@@ -1,9 +1,10 @@
-"""RootSystem.roots, .moduli and .weights build each Ball on first read.
+"""RootSystem.roots, .moduli and .weights are lists built on first read.
 
 The count tests wrap spectra._ball, which builds every Ball of a root
 system, and pin how many a cold `verify` and a cold odd_k_reduce(53)
-build: only the Balls they read, which is none for `verify` without
---full, whose root checks read the integers.  The view tests check, for
+build: none for `verify` without --full, whose root checks read the
+integers, and the refined root and its weight for the reduction, which
+reads B off the integer modulus intervals.  The view tests check, for
 k = 2..60, that every element of each view, read by index, negative
 index, slice or iteration, is the Ball of its certified disk or modulus
 interval, exactly, that a second read gives the same object, and that a
@@ -43,7 +44,7 @@ def test_verify_builds_only_the_balls_it_reads(counted_balls, capsys):
 
 def test_odd_reduction_builds_only_the_balls_it_reads(counted_balls):
     reduction.odd_k_reduce(53)
-    assert 0 < len(counted_balls) <= 4
+    assert len(counted_balls) == 2
 
 
 def _raw(x):

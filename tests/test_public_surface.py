@@ -10,7 +10,8 @@ A reference to a module-level definition is a name, an attribute or an
 imported name.  A method is referenced only through an attribute: a
 property (or cached_property) by an attribute reference, a plain method
 by a call of an attribute, so a local variable or an mpc attribute of
-the same name does not count.  References are counted anywhere in
+the same name does not count, nor does a call on an imported module
+(math.sqrt is no call of Ball.sqrt).  References are counted anywhere in
 src/pellzero outside the definition's own body.  The re-exports in
 __init__.py do not count: a name that only the package root re-exports
 has no caller in the package.
@@ -51,6 +52,7 @@ KEEP = {
                       "sequence tests read single terms with it",
     "LogMagnitude.ln_value": "acceptance criterion 9 and the bound tests read "
                              "a magnitude's natural log with it",
+    "Ball.sqrt": "acceptance criterion 8 builds its quadratic irrationals with it",
 }
 
 
@@ -81,10 +83,18 @@ def _definitions(tree):
                 yield node.name, node, "name"
 
 
-def _references(node):
+def _imported_modules(tree):
+    """The names that `import` statements anywhere in tree bind to
+    modules: math, cmath, mp for `import mpmath as mp`."""
+    return {(alias.asname or alias.name).split(".")[0]
+            for sub in ast.walk(tree) if isinstance(sub, ast.Import)
+            for alias in sub.names}
+
+
+def _references(node, modules=frozenset()):
     """Counters of the references in the subtree of node, by kind: every
     name, attribute and imported name; attribute references; calls of
-    an attribute."""
+    an attribute, except on a name in modules."""
     refs = {"name": Counter(), "attribute": Counter(), "call": Counter()}
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -94,7 +104,9 @@ def _references(node):
             refs["attribute"][sub.attr] += 1
         elif isinstance(sub, ast.alias):
             refs["name"][sub.name] += 1
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                and not (isinstance(sub.func.value, ast.Name)
+                         and sub.func.value.id in modules)):
             refs["call"][sub.func.attr] += 1
     return refs
 
@@ -102,14 +114,15 @@ def _references(node):
 def unreferenced_names():
     modules = _modules()
     uses = {kind: Counter() for kind in ("name", "attribute", "call")}
+    imported = {mod: _imported_modules(tree) for mod, tree in modules.items()}
     for mod, tree in modules.items():
         if mod != "__init__":
-            for kind, counts in _references(tree).items():
+            for kind, counts in _references(tree, imported[mod]).items():
                 uses[kind].update(counts)
     dead = []
     for mod, tree in modules.items():
         for qualified, node, kind in _definitions(tree):
-            own = _references(node)[kind][node.name]
+            own = _references(node, imported[mod])[kind][node.name]
             if uses[kind][node.name] == own:
                 dead.append(f"{mod}.{qualified}")
     return dead
