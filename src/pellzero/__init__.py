@@ -25,8 +25,7 @@ _SOURCES = {
                   "odd_k_instance", "odd_k_reduce"),
     "spectra": ("RootSystem", "binet_reconstruct", "check_dominant_bounds",
                 "check_even_modulus_gap", "check_root_bounds",
-                "check_root_separation", "eval_gk", "mahler_measure",
-                "solve_roots"),
+                "check_root_separation", "eval_gk", "solve_roots"),
     "zerostruct": ("IdentityViolation", "IntervalStructure",
                    "StructureMismatch", "ZeroComparison", "ZeroSet", "chi",
                    "compare_zeros", "enumerate_zeros", "mirror_sequence",

@@ -87,7 +87,6 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import (
     MPZ_ONE,
-    from_float,
     from_int,
     from_man_exp,
     from_rational,
@@ -206,12 +205,7 @@ def _raw_c(x):
 
 
 def _ub(value):
-    """Raw mpf upper bound on a real given as mpf, int, float or
-    anything Fraction accepts."""
-    if isinstance(value, _MPF):
-        return value._mpf_
-    if isinstance(value, float):
-        return from_float(value)
+    """Raw mpf upper bound on an int or a Fraction."""
     fr = Fraction(value)
     return from_rational(fr.numerator, fr.denominator, _RADIUS_BITS,
                          round_ceiling)
@@ -442,8 +436,8 @@ class Ball:
         return Ball(_mpf(t), _mpf(rad), self.prec)
 
     def add_error(self, extra) -> "Ball":
-        """The same midpoint with `extra` (mpf, int, float or Fraction,
-        rounded up) added to the radius."""
+        """The same midpoint with `extra` (an int or a Fraction, rounded
+        up) added to the radius."""
         return Ball(self.mid, _mpf(_add_up(self.rad._mpf_, _ub(extra))),
                     self.prec)
 

@@ -48,6 +48,8 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from itertools import islice
 
+from .precision import OrderError
+
 DEFAULT_LIMIT = 10_000_000
 RESIDUE_EXPONENT = 31
 RESIDUE_MODULUS = (1 << RESIDUE_EXPONENT) - 1
@@ -56,7 +58,7 @@ SECOND_EXPONENT = 61
 SECOND_MODULUS = (1 << SECOND_EXPONENT) - 1
 
 
-class LimitExceeded(RuntimeError):
+class LimitExceeded(RuntimeError, OrderError):
     """Requested index magnitude exceeds a resource limit; `name` says
     which one (the KContext limit, bigseq.DEFAULT_LIMIT, --limit, ...)."""
 

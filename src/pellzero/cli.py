@@ -19,9 +19,8 @@ from fractions import Fraction
 from functools import cache
 
 from . import bigseq, effbounds, spectra, zerostruct
-from .precision import (PREC_START, DomainError, IndeterminateComparison,
-                        PrecisionExhausted, ReductionExhausted,
-                        ZeroDivisionEnclosure, sig_str)
+from .precision import (PREC_START, OrderError, PrecisionExhausted,
+                        ReductionExhausted, sig_str)
 
 SCHEMA = "pellzero-report/1"
 K_GUARD = 500
@@ -145,10 +144,7 @@ def _verify_worker(args):
     k, full, m_value = args
     try:
         return _verify_one(k, full, m_value)
-    except (PrecisionExhausted, bigseq.LimitExceeded, IndeterminateComparison,
-            ReductionExhausted, ZeroDivisionEnclosure, DomainError,
-            spectra.CertificationFailure, zerostruct.ScanContradiction,
-            MemoryError) as exc:
+    except (OrderError, MemoryError) as exc:
         return {"schema": SCHEMA, "k": k, "status": "ERROR",
                 "detail": f"{type(exc).__name__}: {exc}",
                 "scan_floor": None, "timestamp": _now()}

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import total_ordering
 
 from .precision import IndeterminateComparison, sig_str
-from .spectra import RootSystem, mahler_measure
+from .spectra import RootSystem
 
 _CTX = Context(prec=30)
 _LN2, _LN10, _LN30, _LN159, _LN75E14 = (
@@ -199,7 +199,7 @@ def even_case_chain_check(rs: RootSystem, n: int) -> bool:
         raise ValueError(f"index n must be >= 0, got {n}")
     from .ball import Ball
     cap = Ball.exact(16 * k * k, rs.prec)
-    log_gamma = mahler_measure(rs).log()
+    log_gamma = rs.moduli[0].log()
     weight_cap = Ball.exact(2 * k * (5 * k + 2), rs.prec) / log_gamma
     if not weight_cap.lt(cap):
         raise ArithmeticError(

@@ -15,24 +15,30 @@ PREC_START = 128
 PREC_CEILING = 1 << 20
 
 
-class IndeterminateComparison(ArithmeticError):
+class OrderError(Exception):
+    """A failure confined to one order k: verify reports it as that
+    order's ERROR record and goes on to the next order.  Each error
+    class it covers keeps its own built-in base as well."""
+
+
+class IndeterminateComparison(ArithmeticError, OrderError):
     """Two enclosures overlap, so the comparison cannot be certified."""
 
 
-class ZeroDivisionEnclosure(ZeroDivisionError):
+class ZeroDivisionEnclosure(ZeroDivisionError, OrderError):
     """Divisor enclosure contains zero; caller should escalate precision."""
 
 
-class DomainError(ValueError):
+class DomainError(ValueError, OrderError):
     """Enclosure leaves the domain of the requested function (e.g. log of
     an interval touching zero, or arg of a disc crossing the branch cut)."""
 
 
-class PrecisionExhausted(RuntimeError):
+class PrecisionExhausted(RuntimeError, OrderError):
     """Certification failed at the configured precision ceiling."""
 
 
-class ReductionExhausted(RuntimeError):
+class ReductionExhausted(RuntimeError, OrderError):
     """No convergent past 6M certified eps > 0 within the attempt cap."""
 
 

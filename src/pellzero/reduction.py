@@ -20,8 +20,9 @@ largest n with B^n <= A q / eps, decided by effbounds.log_floor at the
 upper bound of A and the lower bounds of eps and B, so the exclusion
 survives every enclosure outcome.
 
-The odd-order pipeline refines one root, gamma_s of the smallest pair,
-and its weight, which give tau, mu and A.  odd_k_reduce takes the root
+The odd-order pipeline refines one root, gamma_s, the lower member of
+the smallest pair, which root system order makes root k - 1, and its
+weight, which give tau, mu and A.  odd_k_reduce takes the root
 system certified at the default precision, usually cached, and refines
 only gamma_s to reduction-grade precision (spectra.refine_root), not
 every root class.  B = |r_{k-3}| / |gamma_s| is the Ball of the exact
@@ -38,7 +39,6 @@ from .ball import Ball, mpf_to_fraction
 from .effbounds import log_floor
 from .precision import (
     PREC_START,
-    IndeterminateComparison,
     PrecisionExhausted,
     ReductionExhausted,
     escalate,
@@ -217,20 +217,10 @@ def dp_reduce(inst: ReductionInstance, refine=None) -> ReductionOutcome:
 
 # -- odd-order pipeline -----------------------------------------------------
 
-def _small_pair_branch(rs: RootSystem) -> int:
-    """Index of the member of the smallest-modulus conjugate pair with
-    certified negative imaginary part: the sign of Y in its certified
-    disk (X, Y, R), which is disjoint from its mirror, so |Y| > R."""
-    for i in (rs.k - 1, rs.k - 2):
-        if rs.disks[i][1] < 0:
-            return i
-    raise IndeterminateComparison(
-        "no smallest-pair member with certified negative imaginary part")
-
-
 def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> ReductionInstance:
     """Reduction data for odd k: with gamma_s the negative-imaginary
-    member of the smallest-modulus pair and g its Binet weight,
+    member of the smallest-modulus pair, root k - 1, and g its Binet
+    weight,
 
         tau = -2 arg(gamma_s) / pi        mu = 2 arg(g) / pi
         A   = 1 / |g|                     B = |root k-3| / |gamma_s|
@@ -238,8 +228,11 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
     gamma_s is rs's root refined to prec bits by refine_root when rs is
     coarser, g is g_k over the disk it is built from, and tau, mu and A
     are at its precision; B is the Ball of the exact interval
-    [mod_lo[k-3] / mod_hi[b], mod_hi[k-3] / mod_lo[b]], b the branch, from
-    the certified modulus intervals of rs.
+    [mod_lo[k-3] / mod_hi[k-1], mod_hi[k-3] / mod_lo[k-1]], from the
+    certified modulus intervals of rs.  For odd k every class below gamma
+    is a pair, and spectra._certify emits the smallest last, as its upper
+    disk and then the mirror, so root k - 1 is the lower member: its
+    certified disk (X, -|Y|, R) is disjoint from its mirror, so |Y| > R.
 
     The published ranges tau in [1.59, 1.99] and mu in [0.700657, 1.9927]
     are checked and recorded (not gated: k = 5 lands just below the tau
@@ -257,15 +250,14 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     prec = rs.prec if prec is None else prec
-    branch = _small_pair_branch(rs)
-    gamma_s, gval = refine_root(rs, branch, prec)
+    gamma_s, gval = refine_root(rs, k - 1, prec)
     p = gamma_s.prec
     pi_ball = Ball.pi(p)
     tau = gamma_s.arg() * (-2) / pi_ball
     mu = gval.arg() * 2 / pi_ball
     a_ball = Ball.exact(1, p) / gval.magnitude()
-    b_lo = Fraction(rs.mod_lo[k - 3], rs.mod_hi[branch])
-    b_hi = Fraction(rs.mod_hi[k - 3], rs.mod_lo[branch])
+    b_lo = Fraction(rs.mod_lo[k - 3], rs.mod_hi[k - 1])
+    b_hi = Fraction(rs.mod_hi[k - 3], rs.mod_lo[k - 1])
     b_ball = Ball.exact((b_lo + b_hi) / 2, rs.prec).add_error((b_hi - b_lo) / 2)
 
     certs = {}

@@ -46,15 +46,18 @@ k = 737, never appears; a float result that is not finite is replaced
 by the closed-form point.  The float seed, which carries about 53 bits,
 converts to fixed point (below), each part truncated towards zero, and
 goes straight to the polish, which reaches its stop in two steps.  Real
-roots are seeded in real float arithmetic and get Y = 0, so they are
-polished in real arithmetic; each j < k/2 gives the seed (X, Y) of the
-upper member of a pair, and the lower member gets no seed of its own
-(Conjugate classes, below).
+roots are seeded in real float arithmetic and get Y = 0; each j < k/2
+gives the seed (X, Y) of the upper member of a pair, and the lower
+member gets no seed of its own (Conjugate classes, below).
 
 Newton runs on fixed-point Gaussian integers: z is the pair of Python
 ints (X, Y) with z = (X + iY) 2^-P, products are floored to P fraction
 bits, and the step delta_k conj(delta_k') / |delta_k'|^2 is a floor
-division.  The polish runs at P = prec + 16.  Fixed point cannot
+division.  The polish runs at P = _scale(k, prec): prec + 16 guard
+bits, plus one more for each bit of k past 9.  The radius floor eD of
+_delta_fixed grows about linearly in k, and from about k = 1460 on it
+outgrows 16 guard bits, so that no precision doubling brings a radius
+under the label; every k < 512 keeps P = prec + 16.  Fixed point cannot
 overflow, so gamma^k needs no care at large k.  A root stays in this
 form from its seed to its certified disk: the polish, the radii, the
 certification and refine_root take and return integers, and a
@@ -68,23 +71,23 @@ about 150 us for a step at any precision in mpmath's pure-Python
 backend (2-vCPU machine).
 
 Newton stops by quadratic convergence: after the first step dz with
-mag(dz) < mag(z) - (prec + 16 + 2 bitlen(k)) / 2 it keeps that step's
+mag(dz) < mag(z) - (P + 2 bitlen(k)) / 2 it keeps that step's
 iterate.  The error left is about the next step, |delta_k'' / 2
 delta_k'| |dz|^2, and |delta_k'' / delta_k'| is of order k / |z| near a
 root of delta_k (the roots are simple and of order 1/k apart), so
-the iterate is off by about k |z| 2^-(prec + 16 + 2 bitlen(k)), below
-|z| 2^-(prec+16) / k.  A confirming step below that size would cost one
+the iterate is off by about k |z| 2^-(P + 2 bitlen(k)), below
+|z| 2^-P / k.  A confirming step below that size would cost one
 more evaluation per class and change nothing that is certified:
 Newton's output is not trusted, since the inclusion disks below certify
 the centres it gives, whatever their error.  From a float seed each
-conjugate class costs three evaluations: two steps at prec + 16 and the
+conjugate class costs three evaluations: two steps at P and the
 radius.
 
 Radius soundness.  The radius comes from the same fixed-point
 evaluation (_delta_fixed), with an integer E carried beside each value
 (X, Y): the exact value lies within E 2^-P of (X + iY) 2^-P.  The
 centre is exact (E = 0): it is the integer pair the polish gave, at
-P = prec + 16.  For exact values A + a and B + b with |a| <= eA and
+P = _scale(k, prec).  For exact values A + a and B + b with |a| <= eA and
 |b| <= eB, (A + a)(B + b) - AB = A b + B a + a b, and each floored part
 of a product is off by less than one unit, so:
 
@@ -120,8 +123,8 @@ raises ZeroDivisionEnclosure.  RootSystem.weight_disks and refine_root
 call it on certified disks, eval_gk (no caller in the package) on a Ball
 x converted to a disk: its midpoint exactly to (X, Y), its radius up.
 
-Every test after the radii runs on the same integers, at one P = prec +
-16 for all centres, and rounds only in its safe direction:
+Every test after the radii runs on the same integers, at one P for all
+centres, and rounds only in its safe direction:
 
     quantity              integer (units of 2^-P)
     radius                R of the row above; the root Ball is the disk
@@ -158,8 +161,10 @@ Conjugate classes.  A root system is carried as one centre per
 conjugate class, a real root or a pair of complex-conjugate roots, from
 seed to certificate: the real classes first (gamma, then the negative
 real root when k is even), then the upper member of each pair.  _polish
-runs Newton once per class from (X, |Y|), and _certify computes one
-inclusion radius per class there.  delta_k has real coefficients, so
+runs Newton once per class, in real arithmetic from (X, 0) for the real
+classes, which are known by their index, and from (X, |Y|) for a pair;
+real Newton keeps Y = 0.  _certify computes one inclusion radius per
+class there.  delta_k has real coefficients, so
 delta_k(conj z) = conj delta_k(z), and |delta_k / delta_k'| takes the
 same value at z and at conj z: a bound on it at z bounds it at conj z,
 so the mirror (X, -Y, R) of a class disk (X, Y, R) holds at least one
@@ -181,7 +186,7 @@ certified system gives them (the odd reduction reads one, at 390 bits)
 refines just those with refine_root, by nested inclusion disks (Rump,
 JCAM 156, 2003), instead of solving every class again.  The root's
 certified disk rs.disks[i], (z0, R0) in units of 2^-rs.P, moves exactly
-to P = prec + 16 by a shift; Newton runs at P from z0 (from a 128-bit
+to P = _scale(k, prec) by a shift; Newton runs at P from z0 (from a 128-bit
 system to 390 bits, two steps at 406 bits), and the new centre z1 gets
 its inclusion radius R1, so D(z1, R1) holds at least one root of
 delta_k.  The old disk D(z0, R0) is the one certification found
@@ -208,6 +213,7 @@ from typing import TYPE_CHECKING, ClassVar
 
 from .precision import (
     PREC_START,
+    OrderError,
     PrecisionExhausted,
     ZeroDivisionEnclosure,
     escalate,
@@ -218,7 +224,7 @@ if TYPE_CHECKING:
     from .ball import Ball
 
 
-class CertificationFailure(Exception):
+class CertificationFailure(OrderError):
     """Internal: disks not disjoint / pairing ambiguous; escalate."""
 
 
@@ -305,6 +311,13 @@ def _record(prec: int) -> None:
     seen = _solve_precs.get()
     if seen is not None:
         seen.append(prec)
+
+
+def _scale(k: int, prec: int) -> int:
+    """The fraction bits P of the fixed point that a system labelled prec
+    is solved and certified at (module docstring): prec + 16, plus one
+    for each bit of k past 9."""
+    return prec + 16 + max(0, k.bit_length() - 9)
 
 
 def _fix_float(t: float, P: int) -> int:
@@ -420,10 +433,10 @@ def _inclusion_radius(k: int, X: int, Y: int, P: int) -> int:
 def _newton(k: int, X: int, Y: int, P: int, prec: int):
     """Newton on delta_k from z = (X + iY) 2^-P, stopped by quadratic
     convergence (module docstring): after the first step with mag(dz) <
-    mag(z) - (prec + 16 + 2 bitlen(k)) / 2, whose iterate is kept, so it
-    is off by about k |z| 2^-(prec + 16 + 2 bitlen(k)) < |z| 2^-(prec+16)
-    / k.  mag is _mag, compared on bit lengths."""
-    stop = (prec + 16 + 2 * k.bit_length()) // 2
+    mag(z) - (S + 2 bitlen(k)) / 2, S = _scale(k, prec), whose iterate is
+    kept, so it is off by about k |z| 2^-(S + 2 bitlen(k)) < |z| 2^-S / k.
+    mag is _mag, compared on bit lengths."""
+    stop = (_scale(k, prec) + 2 * k.bit_length()) // 2
     for _ in range(64):
         dX, dY = _newton_step(k, X, Y, P)
         X, Y = X - dX, Y - dY
@@ -476,19 +489,14 @@ def _initial_seeds(k: int, P: int):
 
 
 def _polish(k: int, seeds, prec: int):
-    """Newton on delta_k at P = prec + 16 fraction bits, once per
-    conjugate class, from its seed (X, |Y|) at that P.  A centre with
-    |Im| < |z| 2^(-prec/2) (tested on bit lengths, as in _newton) is made
-    real and polished in real arithmetic.  Returns the class centres
-    (X, Y) at P, in seed order."""
-    P = prec + 16
-    out = []
-    for X, Y in seeds:
-        X, Y = _newton(k, X, abs(Y), P, prec)
-        if Y and Y.bit_length() < _mag(X, Y) - 1 - prec // 2:
-            X, Y = _newton(k, X, 0, P, prec)
-        out.append((X, Y))
-    return out
+    """Newton on delta_k at P = _scale(k, prec) fraction bits, once per
+    conjugate class, from its seed at that P: from (X, 0) for the real
+    classes, the first 2 - k % 2 as in _initial_seeds, and from (X, |Y|)
+    for a pair.  Returns the class centres (X, Y) at P, in seed order."""
+    P = _scale(k, prec)
+    n_real = 2 - k % 2
+    return [_newton(k, X, abs(Y) if c >= n_real else 0, P, prec)
+            for c, (X, Y) in enumerate(seeds)]
 
 
 def _disjoint(a, b) -> bool:
@@ -532,10 +540,10 @@ def _overlapping_pairs(disks):
 
 
 def _certify(k: int, centres, prec: int) -> RootSystem:
-    """The RootSystem of the class centres (X, Y) at P = prec + 16, real
-    classes first as in _initial_seeds, or CertificationFailure (module
-    docstring, Radius soundness and Conjugate classes)."""
-    P = prec + 16
+    """The RootSystem of the class centres (X, Y) at P = _scale(k, prec),
+    real classes first as in _initial_seeds, or CertificationFailure
+    (module docstring, Radius soundness and Conjugate classes)."""
+    P = _scale(k, prec)
     one = 1 << P
     n_real = 2 - k % 2
     for X, Y in centres[:n_real]:
@@ -623,7 +631,7 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
         _record(hit.prec)
         return hit
     prec = key[1]
-    seeds = _initial_seeds(k, prec + 16)
+    seeds = _initial_seeds(k, _scale(k, prec))
     while True:
         centres = _polish(k, seeds, prec)
         with suppress(CertificationFailure):
@@ -650,7 +658,7 @@ def refine_root(rs: RootSystem, i: int, prec: int):
     X0, Y0, R0 = rs.disks[i]
     lower, Y0 = Y0 < 0, abs(Y0)
     while True:
-        P = prec + 16
+        P = _scale(k, prec)
         shift = P - rs.P
         x0, y0, r0 = X0 << shift, Y0 << shift, R0 << shift
         X, Y = _newton(k, x0, y0, P, prec)
@@ -694,15 +702,15 @@ def _gk_fixed(k: int, X: int, Y: int, R: int, P: int):
 def eval_gk(k: int, x: Ball) -> Ball:
     """The Binet weight g_k(x) = (x - 1) / D(x), D(x) = (k+1) x^2 - 3k x
     + (k-1), enclosed over the Ball x in fixed point: x converts exactly
-    to the disk (X, Y, R) at P = prec + 16, or finer when its midpoint
-    has finer bits, with R = ceil(rad 2^P), and _gk_fixed bounds g_k on
+    to the disk (X, Y, R) at P = _scale(k, prec), or finer when its
+    midpoint has finer bits, with R = ceil(rad 2^P), and _gk_fixed bounds g_k on
     it (module docstring, the g_k rows).  The evaluation runs at (X, |Y|)
     and a lower point gets the exact mirror, so conjugate points get
     conjugate weights bit for bit.  Raises ZeroDivisionEnclosure when D
     is not certified nonzero on x (escalate and retry)."""
     from .ball import _raw_c
     re, im = _raw_c(x.mid)
-    P = max([x.prec + 16] + [-t[2] for t in (re, im) if t[1]])
+    P = max([_scale(k, x.prec)] + [-t[2] for t in (re, im) if t[1]])
     X, Y = ((-t[1] if t[0] else t[1]) << (t[2] + P) for t in (re, im))
     _, m, e, _ = x.rad._mpf_
     GX, GY, GR = _gk_fixed(k, X, abs(Y), _units(m, e, P), P)
@@ -897,27 +905,21 @@ def check_even_modulus_gap(rs: RootSystem) -> bool:
     return _ratio_above(rs, k - 2, k - 1, f)
 
 
-def mahler_measure(rs: RootSystem) -> Ball:
-    """Product of root moduli exceeding 1.  rs certifies moduli[0] > 1
-    and every other modulus < 1, so for Psi_k it is gamma's modulus."""
-    return rs.moduli[0]
-
-
 def check_root_separation(rs: RootSystem) -> list[dict]:
     """Modulus-separation inequalities (Dubickas) for every pair of roots
     with certifiedly distinct moduli, evaluated in log space.
 
     Cases by realness of the pair: both nonreal, exactly one real, both
     real; each has its own explicit lower bound in the degree d = k and
-    the Mahler measure M = gamma.
+    the Mahler measure M, which is gamma: rs certifies |gamma| > 1 and
+    every other modulus < 1.
     """
     import mpmath as mp
     from .ball import Ball
     k = rs.k
     p = rs.prec
     d = Fraction(k)
-    measure = mahler_measure(rs)
-    log_m = measure.log()
+    log_m = rs.moduli[0].log()
     log_2 = Ball.exact(2, p).log()
     log_d = Ball.exact(k, p).log()
     real_set = set(rs.real_roots)

@@ -5,7 +5,7 @@ scanned on residues for odd k; the predicted interval
 structure is a closed-form family of blocks with a count formula chi.
 compare_zeros sets the two side by side once, with the exact symmetric
 difference; verify_structure and the CLI's verify records are read off
-that comparison, while observed_report needs only the scan.
+that comparison.
 
 The observed sets have their own closed form (observed_blocks): block j
 sits at depths [j(k+1), j(k+1) + k - 2 - 2j] for j = 0, 1, ... while the
@@ -103,9 +103,10 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from . import bigseq
+from .precision import OrderError
 
 
-class ScanContradiction(RuntimeError):
+class ScanContradiction(RuntimeError, OrderError):
     """A block lane the sign theorem proves zero is nonzero in the
     residue scan: a fault in the program, not a property of k."""
 
@@ -256,14 +257,10 @@ def predicted_intervals(k: int) -> IntervalStructure:
 
 
 def chi(k: int) -> int:
-    """Predicted zero count: 1, 2 for k = 2, 3; then the parity split
-    1 + k(k-2)/4 (even) or 1 + (k-1)^2/4 (odd)."""
+    """Predicted zero count: 1 + k(k-2)/4 for even k and 1 + (k-1)^2/4
+    for odd k, which give 1 and 2 at k = 2 and 3."""
     if k < 2:
         raise ValueError(f"order k must be >= 2, got {k}")
-    if k == 2:
-        return 1
-    if k == 3:
-        return 2
     if k % 2 == 0:
         return 1 + k * (k - 2) // 4
     return 1 + (k - 1) ** 2 // 4
@@ -272,7 +269,8 @@ def chi(k: int) -> int:
 def observed_blocks(k: int) -> IntervalStructure:
     """Closed form of the zero set the scan actually finds:
     block j = depths [j(k+1), j(k+1) + (k-2-2j)] for j >= 0 while the
-    width term k-2-2j stays nonnegative.  Block 0 is the seed window."""
+    width term k-2-2j stays nonnegative.  Block 0 is the seed window,
+    which is the bare index 0 at k = 2."""
     if k < 2:
         raise ValueError(f"order k must be >= 2, got {k}")
     blocks = []
@@ -282,8 +280,6 @@ def observed_blocks(k: int) -> IntervalStructure:
         deep = shallow + (k - 2 - 2 * j)
         blocks.append((-deep, -shallow))
         j += 1
-    if not blocks:  # k = 2: bare {0}
-        blocks = [(0, 0)]
     struct = IntervalStructure(k=k, r=len(blocks) - 1,
                                blocks=tuple(blocks), chi=observed_chi(k))
     return struct
@@ -426,10 +422,6 @@ def compare_zeros(k: int, floor: int) -> ZeroComparison:
         scan=scan)
 
 
-def _scan_floor(bound: int) -> int:
-    return -bound if bound > 0 else -1
-
-
 def verify_structure(k: int, bound: int) -> dict:
     """Scan down to -bound and demand exact equality between the
     observed zeros and {0} plus the predicted blocks.  Returns a report
@@ -442,7 +434,7 @@ def verify_structure(k: int, bound: int) -> dict:
         raise ValueError(
             f"bound {bound} does not cover the deepest predicted index "
             f"{deepest_pred}")
-    floor = _scan_floor(bound)
+    floor = -bound if bound > 0 else -1
     cmp = compare_zeros(k, floor)
     if not cmp.equal:
         diagnosis = ("predicted intervals match the variant mirror "
@@ -461,19 +453,3 @@ def verify_structure(k: int, bound: int) -> dict:
         "margin": cmp.observed[0] - floor,
     }
 
-
-def observed_report(k: int, bound: int) -> dict:
-    """Companion report that compares the scan against observed_blocks
-    (the closed form that does hold)."""
-    floor = _scan_floor(bound)
-    observed = enumerate_zeros(k, floor).indices
-    return {
-        "k": k,
-        "bound": bound,
-        "zeros": list(observed),
-        "count": len(observed),
-        "observed_chi": observed_chi(k),
-        "closed_form_equal": set(observed) == observed_blocks(k).index_set(),
-        "deepest_zero": observed[0],
-        "margin": observed[0] - floor,
-    }

@@ -771,3 +771,63 @@ def test_verify_never_scans_the_variant_orbit(capsys, monkeypatch):
         assert "variant mirror orbit instead" in rec["detail"]
         if rec["k"] % 2:
             assert rec["checks"]["scan"]["variant_through"] == (rec["k"] ** 2 + 1) // 2
+
+
+def _order_errors():
+    """One instance of each error class that verify reports as an ERROR
+    record for its order."""
+    from pellzero import bigseq, precision, zerostruct
+    return [precision.PrecisionExhausted("planted"),
+            bigseq.LimitExceeded(-7, 5, "planted limit"),
+            precision.IndeterminateComparison("planted"),
+            precision.ReductionExhausted("planted"),
+            precision.ZeroDivisionEnclosure("planted"),
+            precision.DomainError("planted"),
+            spectra.CertificationFailure("planted"),
+            zerostruct.ScanContradiction("planted")]
+
+
+@pytest.mark.parametrize("exc", _order_errors(), ids=lambda e: type(e).__name__)
+def test_verify_each_order_error_is_an_error_record(capsys, monkeypatch, exc):
+    from pellzero.precision import OrderError
+    real = cli._verify_one
+
+    def planted(k, full, m_value):
+        if k == 4:
+            raise exc
+        return real(k, full, m_value)
+
+    assert isinstance(exc, OrderError)
+    monkeypatch.setattr(cli, "_verify_one", planted)
+    rc, out, _ = run_cli(capsys, "verify", "--k-range", "4:5")
+    assert rc == 2
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["k"], r["status"]) for r in records] == [(4, "ERROR"), (5, "FAIL")]
+    assert records[0]["detail"] == f"{type(exc).__name__}: {exc}"
+
+
+def test_verify_names_a_root_bound_that_fails(capsys, monkeypatch):
+    real = spectra.check_root_bounds
+
+    def planted(rs):
+        report = real(rs)
+        report["dominant_weight_range"]["holds"] = False
+        return report
+
+    monkeypatch.setattr(spectra, "check_root_bounds", planted)
+    rc, out, _ = run_cli(capsys, "verify", "--k", "3")
+    rec = json.loads(out)
+    assert rc == 1
+    assert rec["status"] == "FAIL"
+    assert rec["detail"] == "root bound dominant_weight_range failed"
+
+
+def test_verify_names_a_bound_below_the_deepest_zero(capsys, monkeypatch):
+    from pellzero import effbounds
+    monkeypatch.setattr(effbounds, "refined_even_bound", lambda rs: 1)
+    rc, out, _ = run_cli(capsys, "verify", "--k", "8")
+    rec = json.loads(out)
+    assert rc == 1
+    assert rec["bound_used"]["R"] == 1
+    assert rec["zeros"][0] == -27
+    assert rec["detail"].endswith("; bound 1 below deepest zero -27")

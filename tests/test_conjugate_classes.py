@@ -90,7 +90,9 @@ def test_pairs_are_adjacent_exact_mirrors_one_run_per_class(k, monkeypatch):
         assert rs.disks[i][1] == 0, (k, i)
 
 
-@pytest.mark.parametrize("k", ORDERS + [250, 499])
+# k = 1000 is solved with one more guard bit than prec + 16, and
+# eval_gk converts its root Balls at that P too.
+@pytest.mark.parametrize("k", ORDERS + [250, 499, 1000])
 def test_roots_and_weights_are_read_off_the_disks(k):
     rs = spectra.solve_roots(k)
     scale = 1 << rs.P

@@ -12,10 +12,14 @@ bit, the same evaluation composed from _fmul, and Newton reads its
 values.  The seed tests check the float Newton stage at orders whose
 gamma^k leaves the double range, its fallback to the closed-form point,
 and the number of Newton steps and radii a cold odd reduction takes.
+The guard-bit tests check that the fixed point keeps P = prec + 16
+below k = 512 and grows past it, so that k = 1460 and 2000 certify at
+128 bits.
 """
 
 import cmath
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -27,7 +31,7 @@ from mpmath.libmp import from_man_exp
 
 from pellzero import spectra
 from pellzero.ball import mpf_to_fraction
-from pellzero.reduction import _small_pair_branch, odd_k_reduce
+from pellzero.reduction import odd_k_reduce
 
 ORDERS = list(range(2, 61)) + [86]
 P = 144  # the polish at 128 bits runs at prec + 16 fraction bits
@@ -231,8 +235,35 @@ def test_stop_margin_holds_at_the_range_end(monkeypatch):
         assert rs.prec == 128
         assert all(tight(r, 128) for r in rs.roots), k
         if k % 2:
-            ball, _ = spectra.refine_root(rs, _small_pair_branch(rs), 390)
+            ball, _ = spectra.refine_root(rs, k - 1, 390)
             assert ball.prec == 390 and tight(ball, 390), k
+
+
+def test_guard_bits_grow_only_past_k_511():
+    # Every k < 512 keeps P = prec + 16, so its systems are bit for bit
+    # the ones of a fixed 16 guard bits; past that, one more bit per bit
+    # of k past 9.
+    assert {spectra._scale(k, 128) for k in range(2, 512)} == {P}
+    assert [spectra._scale(k, 128) for k in (512, 1023, 1024, 2047, 2048)] == [
+        P + 1, P + 1, P + 2, P + 2, P + 3]
+    assert spectra.solve_roots(511).P == P
+
+
+@pytest.mark.parametrize("k", [1460, 2000])
+def test_orders_past_1460_certify_at_128_bits(k, monkeypatch):
+    # With 16 fixed guard bits the radius floor of _delta_fixed misses the
+    # label from about k = 1460 on, and every precision doubling missed it
+    # again; here a doubling fails at once.  Measured: 0.1 s at k = 1460,
+    # 0.15 s at k = 2000 (2-vCPU machine).
+    def no_escalation(prec):
+        raise AssertionError(f"escalated from {prec} bits")
+
+    monkeypatch.setattr(spectra, "escalate", no_escalation)
+    start = time.perf_counter()
+    rs = spectra.solve_roots(k)
+    assert time.perf_counter() - start < 5
+    assert rs.prec == 128 and rs.P == spectra._scale(k, 128) > P
+    assert len(rs.disks) == k and rs.real_roots == [0, k - 1]
 
 
 PHI2 = (3 + math.sqrt(5)) / 2

@@ -31,8 +31,7 @@ PUBLIC = {
                   "dp_reduce", "odd_k_instance", "odd_k_reduce"],
     "spectra": ["RootSystem", "binet_reconstruct", "check_dominant_bounds",
                 "check_even_modulus_gap", "check_root_bounds",
-                "check_root_separation", "eval_gk", "mahler_measure",
-                "solve_roots"],
+                "check_root_separation", "eval_gk", "solve_roots"],
     "zerostruct": ["IdentityViolation", "IntervalStructure",
                    "StructureMismatch", "ZeroComparison", "ZeroSet", "chi",
                    "compare_zeros", "enumerate_zeros", "mirror_sequence",
@@ -95,9 +94,8 @@ def test_odd_full_verify_loads_the_reduction():
 def test_bad_order_is_an_error_record_before_the_reduction_loads():
     # With both residue primes 2^5 - 1, k = 9 has a double hit off its
     # blocks at depth 84, past a DEFAULT_LIMIT of 50: the exact walk
-    # raises LimitExceeded inside the worker, whose except tuple also
-    # names ReductionExhausted, so that name must resolve without
-    # pellzero.reduction.
+    # raises LimitExceeded inside the worker, which catches it as an
+    # OrderError from pellzero.precision, without pellzero.reduction.
     code = ("import contextlib, io, json, sys\n"
             "from pellzero import bigseq, cli\n"
             "bigseq.RESIDUE_EXPONENT = bigseq.SECOND_EXPONENT = 5\n"

@@ -35,8 +35,6 @@ KEEP = {
     "KContext": "the acceptance criteria, the perfbench probes and the scan "
                 "tests use it as the k-term reference",
     "verify_structure": "the strict-xfail twins on the published blocks read it",
-    "observed_report": "kept until the corrected count is certified for "
-                       "k = 4..500 (ROADMAP item 5)",
     "variant_zero_set": "acceptance criterion 2 and the scan tests use it "
                         "as the oracle of the variant orbit's zeros",
     "Ball.contains": "the enclosure oracle of the Ball property tests and "

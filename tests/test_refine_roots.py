@@ -7,9 +7,10 @@ ball and holds the matching root of a 512-bit system, that the weight
 refine_root returns with it is eval_gk at the refined root bit for bit
 (and rs.weights[i] when nothing is refined), that a refinement
 which polishes towards a neighbouring root is never returned, that one
-whose radius misses the requested precision escalates, and that
-the reduction pays for one certification and still gives the outcome of
-a full reduction-grade solve.
+whose radius misses the requested precision or is not certified
+escalates, and that the reduction pays for one certification, still
+gives the outcome of a full reduction-grade solve, and gives the same
+outcome when tau must be refined again.
 """
 
 import json
@@ -17,11 +18,10 @@ from fractions import Fraction
 
 import pytest
 
-from pellzero import ball, cli, precision, spectra
+from pellzero import ball, cli, precision, reduction, spectra
 from pellzero.ball import PrecisionExhausted, mpf_to_fraction
 from pellzero.reduction import (
     DEFAULT_M,
-    _small_pair_branch,
     dp_reduce,
     odd_k_instance,
     odd_k_reduce,
@@ -65,7 +65,7 @@ def _read_roots(rs):
     """gamma_s, the one root the odd reduction refines, and root k - 3,
     the next modulus down the order (the reduction reads only its
     modulus), as a second refinement case."""
-    return _small_pair_branch(rs), rs.k - 3
+    return rs.k - 1, rs.k - 3
 
 
 @pytest.mark.parametrize("k", ODD + [99])
@@ -102,8 +102,8 @@ def test_partner_of_a_refined_root_is_its_exact_mirror():
     # and mirrored, so the two refined balls are conjugate bit for bit.
     for k in (5, 21, 53):
         rs = solve_roots(k)
-        i = _small_pair_branch(rs)
-        partner = i - 1 if (i - 1, i) in rs.conj_pairs else i + 1
+        i, partner = k - 1, k - 2
+        assert (partner, i) in rs.conj_pairs
         (a, _), (b, _) = refine_root(rs, i, PREC), refine_root(rs, partner, PREC)
         assert a.prec == b.prec, k
         assert a.mid._mpc_ == b.conjugate().mid._mpc_, k
@@ -118,7 +118,7 @@ def test_refinement_towards_a_neighbouring_root_is_never_returned(k, monkeypatch
     # precision ceiling is lowered only so that the escalations stop after
     # a few doublings instead of running Newton on million-bit integers.
     rs = solve_roots(k)
-    i = _small_pair_branch(rs)
+    i = rs.k - 1
     NX, NY, _ = rs.disks[k - 4]
     newton = spectra._newton
 
@@ -137,7 +137,7 @@ def test_refinement_short_of_the_label_escalates(k, monkeypatch):
     # One Newton step from a 128-bit centre reaches about 256 bits: the
     # new disk nests in the old one, but its radius misses 2^-PREC |z|.
     rs = solve_roots(k)
-    i = _small_pair_branch(rs)
+    i = rs.k - 1
     newton = spectra._newton
 
     def one_step_at_prec(k_, X, Y, P, prec):
@@ -151,6 +151,44 @@ def test_refinement_short_of_the_label_escalates(k, monkeypatch):
     assert root.prec == ball.escalate(PREC)
     norm = mpf_to_fraction(root.mid.real) ** 2 + mpf_to_fraction(root.mid.imag) ** 2
     assert mpf_to_fraction(root.rad) ** 2 * 4 ** root.prec <= norm
+
+
+@pytest.mark.parametrize("k", [5, 53])
+def test_refinement_with_an_uncertified_radius_escalates(k, monkeypatch):
+    # A planted failure of the first inclusion radius (delta_k' not
+    # certified nonzero) sends refine_root on to twice the precision,
+    # whose disk nests in the 128-bit one.
+    rs = solve_roots(k)
+    radius = spectra._inclusion_radius
+    failed = []
+
+    def fail_once(k_, X, Y, P):
+        if not failed:
+            failed.append(P)
+            raise CertificationFailure("planted")
+        return radius(k_, X, Y, P)
+
+    monkeypatch.setattr(spectra, "_inclusion_radius", fail_once)
+    with spectra.record_precisions() as seen:
+        root, weight = refine_root(rs, k - 1, PREC)
+    assert failed == [spectra._scale(k, PREC)]
+    assert root.prec == ball.escalate(PREC) and seen == [root.prec]
+    assert _inside(root, rs.roots[k - 1])
+    assert _same(weight, spectra.eval_gk(k, root))
+
+
+def test_odd_reduce_refines_tau_through_its_callback(monkeypatch):
+    # At 256 bits the certified quotients of tau run out before a
+    # denominator passes 6M, so dp_reduce asks odd_k_reduce's callback for
+    # tau at 512 bits; the outcome is the one at the default precision.
+    ks = range(5, 40, 2)
+    want = {k: odd_k_reduce(k) for k in ks}
+    monkeypatch.setattr(reduction, "working_prec_for", lambda M: 256)
+    for k in ks:
+        out = odd_k_reduce(k)
+        assert out.epsilon.prec == 512, k
+        assert (out.R, out.q_used, out.m_index, out.attempts) == (
+            want[k].R, want[k].q_used, want[k].m_index, want[k].attempts), k
 
 
 @pytest.mark.parametrize("k", [21, 53])

@@ -21,7 +21,6 @@ from pellzero.spectra import (
     check_root_separation,
     clear_cache,
     eval_gk,
-    mahler_measure,
     solve_roots,
     suggested_prec,
 )
@@ -62,8 +61,10 @@ def test_dominant_root_matches_bisection_oracle():
 
 def test_k2_roots_are_quadratic_surds():
     rs = solve_roots(2)
-    # gamma = 1 + sqrt(2): (gamma - 1)^2 must enclose 2
+    # gamma = 1 + sqrt(2): (gamma - 1)^2 must enclose 2, and so must
+    # (|gamma| - 1)^2 from the certified modulus interval
     assert (rs.gamma - 1).pow_int(2).contains(2)
+    assert (rs.moduli[0] - 1).pow_int(2).contains(2)
     second = rs.roots[1]
     assert (second - 1).pow_int(2).contains(2)
     assert second.fr_mid() < 0
@@ -205,14 +206,6 @@ def test_even_modulus_gap():
     assert check_even_modulus_gap(solve_roots(10))
     with pytest.raises(ValueError):
         check_even_modulus_gap(solve_roots(3))
-
-
-def test_mahler_measure_is_dominant_modulus():
-    rs2 = solve_roots(2)
-    assert (mahler_measure(rs2) - 1).pow_int(2).contains(2)
-    for k in (7, 12):
-        rs = solve_roots(k)
-        assert mahler_measure(rs).fr_mid() == rs.moduli[0].fr_mid()
 
 
 def test_separation_report_covers_cases():

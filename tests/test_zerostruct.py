@@ -25,7 +25,6 @@ from pellzero.zerostruct import (
     mirror_sequence,
     observed_blocks,
     observed_chi,
-    observed_report,
     predicted_intervals,
     predicted_set,
     variant_mirror,
@@ -273,15 +272,6 @@ def test_structure_mismatch_diagnosis():
     assert "variant" in err.diagnosis
 
 
-def test_observed_report_equality():
-    for k, bound in ((5, 40), (8, 100), (12, 200)):
-        rep = observed_report(k, bound)
-        assert rep["closed_form_equal"], k
-        assert rep["count"] == observed_chi(k)
-    assert observed_report(8, 100)["deepest_zero"] == -27
-    assert observed_report(5, 40)["deepest_zero"] == -7
-
-
 def test_verify_structure_bound_guards():
     with pytest.raises(ValueError):
         verify_structure(8, -5)
@@ -294,19 +284,6 @@ def test_default_floor_covers_both_layouts():
         floor = default_floor(k)
         assert floor < min(predicted_intervals(k).index_set())
         assert floor < min(observed_blocks(k).index_set())
-
-
-def test_observed_report_does_not_scan_the_variant_orbit(monkeypatch):
-    import pellzero.zerostruct as zs
-
-    def no_variant_scan(k, floor):
-        raise AssertionError("observed_report scanned the variant orbit")
-
-    monkeypatch.setattr(zs, "variant_zero_set", no_variant_scan)
-    rep = observed_report(8, 100)
-    assert rep["deepest_zero"] == -27
-    assert rep["closed_form_equal"] is True
-    assert rep["count"] == observed_chi(8)
 
 
 def _unreached_depths(k):
