@@ -8,12 +8,18 @@ that radius around the midpoint.  Every operation returns a ball holding
 the result of the operation at every point of its input balls, so a
 Ball that starts as a true enclosure stays one.
 
-This is the one module that holds mpmath values.  The verify path
-decides on integers and loads it only where a Ball is read: the odd
-reduction (pellzero.reduction), the RootSystem views and the other
-Ball APIs of spectra and effbounds.  The precision policy and the
-errors raised here live in pellzero.precision, which has no mpmath;
-this module re-exports them.
+This is the one module that holds mpmath values: no other module of
+the package imports mpmath or reads a raw libmp value, and a Ball
+crosses to integers only here.  Ball.from_disk builds the Ball of an
+integer disk (X, Y, R) 2^-P, exactly, and Ball.to_disk gives back the
+disk at P or finer that holds a Ball, its midpoint exactly and its
+radius rounded up; the other readers are the exact endpoints and
+midpoint fr_lo, fr_hi and fr_mid.  The verify path decides on integers
+and loads this module only where a Ball is read: the odd reduction
+(pellzero.reduction), the RootSystem views and the other Ball APIs of
+spectra and effbounds.  The precision policy and the errors raised
+here live in pellzero.precision, which has no mpmath; this module
+re-exports them.
 
 Soundness argument
 ------------------
@@ -219,19 +225,17 @@ def _cmp_q(t, v: Fraction) -> int:
 
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf (mpf values are dyadic)."""
-    if not mp.isfinite(x):
-        raise ValueError(f"non-finite mpf: {x}")
+    """Exact rational value of a finite mpf (mpf values are dyadic), read
+    off its raw (sign, man, exp, bc) as man 2^exp.  A zero mantissa with
+    a nonzero exponent is libmp's inf or nan."""
     sign, man, exp, _ = x._mpf_
     man, exp = int(man), int(exp)  # gmpy2 backend hands out mpz
-    if man == 0:
+    if not man:
+        if exp:
+            raise ValueError(f"non-finite mpf: {x}")
         return Fraction(0)
-    val = Fraction(man, 1)
-    if exp >= 0:
-        val *= 1 << exp
-    else:
-        val /= 1 << (-exp)
-    return -val if sign else val
+    man = -man if sign else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def neg_exact(x):
@@ -278,6 +282,16 @@ class Ball:
         err = mpf_abs(mpf_sub(num, mpf_mul(mid, den)))
         rad = mpf_div(err, den, _RADIUS_BITS, round_ceiling)
         return cls(_mpf(mid), _mpf(rad), prec)
+
+    @classmethod
+    def from_disk(cls, X, Y, R, P, prec):
+        """The Ball of the disk (X, Y, R) 2^-P, for ints X, Y and R >= 0:
+        midpoint (X + iY) 2^-P, an mpf when Y = 0 and an mpc otherwise,
+        and radius R 2^-P, both exact.  The values are built raw:
+        mp.mpf((man, exp)) would round them to the ambient 53 bits."""
+        re = from_man_exp(X, -P)
+        mid = _mpf(re) if not Y else _mpc((re, from_man_exp(Y, -P)))
+        return cls(mid, _mpf(from_man_exp(R, -P)), prec)
 
     @classmethod
     def pi(cls, prec=PREC_START):
@@ -434,6 +448,17 @@ class Ball:
         t = mpc_abs(self.mid._mpc_, self.prec, round_nearest)
         rad = _add_up(self.rad._mpf_, _ulp(t, self.prec))
         return Ball(_mpf(t), _mpf(rad), self.prec)
+
+    def to_disk(self, P):
+        """(X, Y, R, Q): the disk (X, Y, R) 2^-Q that holds this ball, at
+        Q = max(P, the finest bit of the midpoint), so the midpoint
+        (X + iY) 2^-Q is exact, and R = ceil(rad 2^Q)."""
+        re, im = _raw_c(self.mid)
+        Q = max([P] + [-t[2] for t in (re, im) if t[1]])
+        X, Y = ((-t[1] if t[0] else t[1]) << (t[2] + Q) for t in (re, im))
+        _, m, e, _ = self.rad._mpf_
+        shift = e + Q
+        return X, Y, (m << shift if shift >= 0 else -(-m >> -shift)), Q
 
     def add_error(self, extra) -> "Ball":
         """The same midpoint with `extra` (an int or a Fraction, rounded

@@ -124,9 +124,10 @@ def _verify_one(k: int, full: bool, m_value: int | None) -> dict:
         failures.append(f"count mismatch: observed {chi_observed}, "
                         f"formula {chi_formula} "
                         f"(observed closed form {zerostruct.observed_chi(k)})")
-    for name, payload in checks.get("root_bounds", {}).items():
-        if isinstance(payload, dict) and payload.get("holds") is False:
-            failures.append(f"root bound {name} failed")
+    spectral = [(f"root bound {name}", item) for name, item in checks["root_bounds"].items()]
+    spectral += [(f"spectral check {name}", checks[name])
+                 for name in ("dominant_in_envelope", "small_modulus_gap") if name in checks]
+    failures += [f"{name} failed" for name, item in spectral if not item["holds"]]
     if bound_used["R"] is not None and -deepest > bound_used["R"]:
         failures.append(f"bound {bound_used['R']} below deepest zero {deepest}")
 
@@ -291,12 +292,12 @@ def cmd_verify(args) -> int:
     if not ks:
         print("empty k selection", file=sys.stderr)
         return 2
-    if (min(ks) < 2 or max(ks) > K_GUARD) and not args.allow_large:
-        print(f"k outside [2, {K_GUARD}]; pass --allow-large to proceed",
-              file=sys.stderr)
-        return 2
     if min(ks) < 2:
         print("k must be >= 2", file=sys.stderr)
+        return 2
+    if max(ks) > K_GUARD and not args.allow_large:
+        print(f"k outside [2, {K_GUARD}]; pass --allow-large to proceed",
+              file=sys.stderr)
         return 2
 
     work = [(k, args.full, args.M) for k in ks]

@@ -11,8 +11,9 @@ log10 and exp are correctly rounded; a bound loses a few units in the
 (precision.sig_str) and the margins involved.  The bounds that feed
 exclusion claims, L_k and the reduction's R and small-linear-form test,
 have the shape floor(ln x / ln y) and are decided on integers by
-log_floor, not by logs; even_case_chain_check runs on Ball arithmetic
-with outward rounding, and is the one function here that loads mpmath.
+log_floor, not by logs.  even_case_chain_check decides its weight cap
+on integers too, and raises its ratio to the n-th power by Ball.pow_int
+with outward rounding; it is the one function here that loads mpmath.
 """
 
 from __future__ import annotations
@@ -189,22 +190,27 @@ def refined_even_bound(rs: RootSystem) -> int:
 def even_case_chain_check(rs: RootSystem, n: int) -> bool:
     """Certified test of (|second smallest|/|smallest|)^n < 16 k^2, the
     inequality whose failure caps the zero index at L_k for even k: it
-    holds at n = L_k and fails at L_k + 1.  Also asserts the weight cap
-    2k(5k+2)/ln(gamma) < 16 k^2 that the even-case argument consumes
-    upstream."""
+    holds at n = L_k and fails at L_k + 1.  The ratio is the Ball of the
+    exact quotient interval [mod_lo[-2] / mod_hi[-1], mod_hi[-2] /
+    mod_lo[-1]], raised to n by Ball.pow_int.  Also asserts the weight
+    cap 2k(5k+2)/ln(gamma) < 16 k^2 that the even-case argument consumes
+    upstream, on integers: ln(1 + x) >= 2x / (2 + x) for x = gamma - 1
+    >= (mod_lo[0] - 2^P) 2^-P, and 2x / (2 + x) > (5k + 2) / (8k) iff
+    x (11k - 2) > 10k + 4."""
     k = rs.k
     if k % 2 == 1:
         raise ValueError(f"even-order chain check called with odd k={k}")
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
     from .ball import Ball
-    cap = Ball.exact(16 * k * k, rs.prec)
-    log_gamma = rs.moduli[0].log()
-    weight_cap = Ball.exact(2 * k * (5 * k + 2), rs.prec) / log_gamma
-    if not weight_cap.lt(cap):
+    cap = 16 * k * k
+    one = 1 << rs.P
+    if not (rs.mod_lo[0] - one) * (11 * k - 2) > (10 * k + 4) * one:
         raise ArithmeticError(
             f"weight cap 2k(5k+2)/ln(gamma) not below 16k^2 at k={k}")
-    ratio = rs.moduli[-2] / rs.moduli[-1]
+    r_lo = Fraction(rs.mod_lo[-2], rs.mod_hi[-1])
+    r_hi = Fraction(rs.mod_hi[-2], rs.mod_lo[-1])
+    ratio = Ball.exact((r_lo + r_hi) / 2, rs.prec).add_error((r_hi - r_lo) / 2)
     power = ratio.pow_int(n)
     if power.lt(cap):
         if n > refined_even_bound(rs):

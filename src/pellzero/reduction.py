@@ -3,12 +3,13 @@ reduction, plus the odd-order pipeline from certified roots to the
 reduced index bound R_k.
 
 The continued fraction of an enclosed real is certified on integers:
-the exact endpoints of its Ball are read once at one scale 2^-S
-(_endpoints) and expanded by one simultaneous Euclid.  The reals sharing
-a partial quotient prefix form an interval, so quotients common to both
-expansions hold for every value inside; the Euclid stops at the first
-quotient where they disagree and drops the last common one, which the
-double representation of a rational can change.
+the exact endpoints of its Ball (Ball.fr_lo and fr_hi) are read once
+at one scale 2^-S (_endpoints) and expanded by one simultaneous
+Euclid.  The reals sharing a partial quotient prefix form an interval,
+so quotients common to both expansions hold for every value inside;
+the Euclid stops at the first quotient where they disagree and drops
+the last common one, which the double representation of a rational
+can change.
 
 The reduction step: for tau, mu, A > 0, B > 1 and a convergent p/q of
 tau with q > 6M, set eps = ||mu q|| - M ||tau q|| (||.|| = distance to
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ball import Ball, mpf_to_fraction
+from .ball import Ball
 from .effbounds import log_floor
 from .precision import (
     PREC_START,
@@ -96,8 +97,8 @@ class ReductionOutcome:
         out = {
             "q_used": str(self.q_used),
             "m_index": self.m_index,
-            "epsilon": {"mid": sig_str(mpf_to_fraction(eps.mid), digits),
-                        "rad": sig_str(mpf_to_fraction(eps.rad), 6)},
+            "epsilon": {"mid": sig_str(eps.fr_mid(), digits),
+                        "rad": sig_str((eps.fr_hi() - eps.fr_lo()) / 2, 6)},
             "R": self.R,
             "attempts": self.attempts,
         }
@@ -110,15 +111,12 @@ class ReductionOutcome:
 
 
 def _endpoints(*balls):
-    """(S, [(lo, hi), ...]): the exact endpoints of each real Ball in
-    units of 2^-S, the least S >= 1 that makes them all integers."""
-    raw = [(b.mid._mpf_, b.rad._mpf_) for b in balls]
-    S = max([1] + [-t[2] for pair in raw for t in pair if t[1]])
-    out = []
-    for (sign, man, exp, _), (_, m, e, _) in raw:
-        mid, r = int(man) << (exp + S), int(m) << (e + S)
-        out.append((-mid - r, r - mid) if sign else (mid - r, mid + r))
-    return S, out
+    """(S, [(lo, hi), ...]): the exact endpoints fr_lo and fr_hi of each
+    real Ball in units of 2^-S, the least S >= 1 that makes them all
+    integers: 2^S is the largest of their reduced denominators, or 2."""
+    ends = [(b.fr_lo(), b.fr_hi()) for b in balls]
+    S = max([1] + [t.denominator.bit_length() - 1 for pair in ends for t in pair])
+    return S, [tuple((t.numerator << S) // t.denominator for t in pair) for pair in ends]
 
 
 def _abs_range(lo: int, hi: int):

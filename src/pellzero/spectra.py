@@ -149,13 +149,14 @@ The real part of the root sum must enclose 2 (its imaginary part is 0
 by construction) and the product of the |root| intervals must enclose
 1.  Last, every radius must reach |centre| 2^-prec (the label).  No
 Ball is compared or built: RootSystem keeps these integers, and builds
-its root, weight and modulus Balls from them, each list on its first
-read.  The module
-imports ball, and with it mpmath, only inside the functions that build
-or read a Ball (_ball, eval_gk, binet_reconstruct,
-check_root_separation), so solving and checking a system loads
-neither; check_root_bounds prints its one decimal value with
-precision.sig_str.
+its root and weight Balls from them, each list on its first read; every
+fact about a root modulus is read off the intervals [mod_lo, mod_hi].
+Three functions import ball, and with it mpmath: _ball, which builds
+every Ball of a disk by Ball.from_disk, binet_reconstruct (ball_sum)
+and check_root_separation (Ball.exact).  Every other function reads a
+Ball only through its methods (eval_gk by Ball.to_disk), so solving and
+checking a system loads neither; check_root_bounds prints its one
+decimal value with precision.sig_str.
 
 Conjugate classes.  A root system is carried as one centre per
 conjugate class, a real root or a pair of complex-conjugate roots, from
@@ -236,8 +237,8 @@ class RootSystem:
     root is always roots[0].  It keeps the integers certification decided
     on, in units of 2^-P: root i lies within R of (X + iY) 2^-P for
     disks[i] = (X, Y, R), and |root i| lies in [mod_lo[i], mod_hi[i]].
-    roots, moduli and weights are lists of the Balls of these integers,
-    each built on its first read."""
+    roots and weights are lists of the Balls of the root and weight
+    disks, each built on its first read."""
 
     dominant: ClassVar[int] = 0
 
@@ -257,14 +258,6 @@ class RootSystem:
     @cached_property
     def roots(self) -> list:
         return [_ball(*disk, self.P, self.prec) for disk in self.disks]
-
-    @cached_property
-    def moduli(self) -> list:
-        """|roots[i]| as a real Ball per root, exactly the interval
-        [mod_lo[i], mod_hi[i]] 2^-P: midpoint (lo + hi) 2^-(P+1), radius
-        (hi - lo) 2^-(P+1)."""
-        return [_ball(lo + hi, 0, hi - lo, self.P + 1, self.prec)
-                for lo, hi in zip(self.mod_lo, self.mod_hi)]
 
     @cached_property
     def weight_disks(self) -> list:
@@ -327,22 +320,11 @@ def _fix_float(t: float, P: int) -> int:
     return -q if n < 0 else q
 
 
-def _units(m: int, e: int, P: int) -> int:
-    """The radius m 2^e (m >= 0) in units of 2^-P, rounded up:
-    ceil(m 2^(e+P))."""
-    shift = e + P
-    return m << shift if shift >= 0 else -(-m >> -shift)
-
-
 def _ball(X: int, Y: int, R: int, P: int, prec: int) -> Ball:
-    """The Ball of the disk (X, Y, R) 2^-P: midpoint (X + iY) 2^-P, an
-    mpf when Y = 0 and an mpc otherwise, and radius R 2^-P, both exact.
-    The values are built raw: mp.mpf((man, exp)) would round them to the
-    ambient 53 bits."""
-    from .ball import Ball, _mpc, _mpf, from_man_exp
-    re = from_man_exp(X, -P)
-    mid = _mpf(re) if not Y else _mpc((re, from_man_exp(Y, -P)))
-    return Ball(mid, _mpf(from_man_exp(R, -P)), prec)
+    """Ball.from_disk: the Ball of the disk (X, Y, R) 2^-P, exactly.
+    Every Ball of a disk that this module builds is built here."""
+    from .ball import Ball
+    return Ball.from_disk(X, Y, R, P, prec)
 
 
 def _mag(X: int, Y: int) -> int:
@@ -701,19 +683,15 @@ def _gk_fixed(k: int, X: int, Y: int, R: int, P: int):
 
 def eval_gk(k: int, x: Ball) -> Ball:
     """The Binet weight g_k(x) = (x - 1) / D(x), D(x) = (k+1) x^2 - 3k x
-    + (k-1), enclosed over the Ball x in fixed point: x converts exactly
-    to the disk (X, Y, R) at P = _scale(k, prec), or finer when its
-    midpoint has finer bits, with R = ceil(rad 2^P), and _gk_fixed bounds g_k on
+    + (k-1), enclosed over the Ball x in fixed point: x converts to the
+    disk (X, Y, R) at P = _scale(k, prec), or finer when its midpoint has
+    finer bits, by Ball.to_disk, and _gk_fixed bounds g_k on
     it (module docstring, the g_k rows).  The evaluation runs at (X, |Y|)
     and a lower point gets the exact mirror, so conjugate points get
     conjugate weights bit for bit.  Raises ZeroDivisionEnclosure when D
     is not certified nonzero on x (escalate and retry)."""
-    from .ball import _raw_c
-    re, im = _raw_c(x.mid)
-    P = max([_scale(k, x.prec)] + [-t[2] for t in (re, im) if t[1]])
-    X, Y = ((-t[1] if t[0] else t[1]) << (t[2] + P) for t in (re, im))
-    _, m, e, _ = x.rad._mpf_
-    GX, GY, GR = _gk_fixed(k, X, abs(Y), _units(m, e, P), P)
+    X, Y, R, P = x.to_disk(_scale(k, x.prec))
+    GX, GY, GR = _gk_fixed(k, X, abs(Y), R, P)
     return _ball(GX, -GY if Y < 0 else GY, GR, P, x.prec)
 
 
@@ -728,15 +706,16 @@ def binet_reconstruct(k: int, n: int, rs: RootSystem) -> Ball:
     (radius >= 0.4), and ValueError when k is not the order of rs."""
     if k != rs.k:
         raise ValueError(f"order k = {k} does not match the root system's k = {rs.k}")
-    from .ball import ball_sum, mpf_to_fraction
+    from .ball import ball_sum
     w = rs.weights
     terms = [w[i] * rs.roots[i].pow_int(n) for i in rs.real_roots]
     terms += [(w[a] * rs.roots[a].pow_int(n)).real() * 2
               for a, _ in rs.conj_pairs]
     ball = ball_sum(terms)
-    if not ball.rad < 0.4:
+    rad = (ball.fr_hi() - ball.fr_lo()) / 2
+    if not rad < 0.4:
         raise PrecisionExhausted(
-            f"reconstruction radius {sig_str(mpf_to_fraction(ball.rad), 6)} cannot pin an "
+            f"reconstruction radius {sig_str(rad, 6)} cannot pin an "
             f"integer at prec {rs.prec}; re-solve roots at higher precision")
     return ball
 
@@ -912,20 +891,23 @@ def check_root_separation(rs: RootSystem) -> list[dict]:
     Cases by realness of the pair: both nonreal, exactly one real, both
     real; each has its own explicit lower bound in the degree d = k and
     the Mahler measure M, which is gamma: rs certifies |gamma| > 1 and
-    every other modulus < 1.
+    every other modulus < 1.  The gap |root_i| - |root_j| is the Ball of
+    the exact interval [mod_lo[i] - mod_hi[j], mod_hi[i] - mod_lo[j]]
+    2^-P, log M is the log of the Ball rs.gamma, and log10_margin is the
+    difference of the two log midpoints over ln 10.
     """
-    import mpmath as mp
     from .ball import Ball
-    k = rs.k
+    k, P = rs.k, rs.P
     p = rs.prec
     d = Fraction(k)
-    log_m = rs.moduli[0].log()
+    log_m = rs.gamma.log()
     log_2 = Ball.exact(2, p).log()
     log_d = Ball.exact(k, p).log()
     real_set = set(rs.real_roots)
     out = []
     for i, j in _distinct_modulus_pairs(rs):
-        diff = (rs.moduli[i] - rs.moduli[j]).magnitude()
+        g_lo, g_hi = rs.mod_lo[i] - rs.mod_hi[j], rs.mod_hi[i] - rs.mod_lo[j]
+        gap = _ball(g_lo + g_hi, 0, g_hi - g_lo, P + 1, p)
         n_real = (i in real_set) + (j in real_set)
         if n_real == 0:
             case = "both_nonreal"
@@ -946,10 +928,9 @@ def check_root_separation(rs: RootSystem) -> list[dict]:
             # 1 / (2^(d^2/2 - 1) M^(d - 1))
             log_thr = (-log_2 * Ball.exact(d ** 2 / 2 - 1, p)
                        - log_m * Ball.exact(d - 1, p))
-        log_diff = diff.log()
+        log_diff = gap.log()
         holds = log_diff.gt(log_thr)
-        with mp.workprec(64):
-            margin = float((log_diff.mid - log_thr.mid) / mp.log(10))
+        margin = float(log_diff.fr_mid() - log_thr.fr_mid()) / math.log(10)
         out.append({"pair": (i, j), "case": case, "holds": bool(holds),
                     "log10_margin": margin})
     return out

@@ -54,6 +54,23 @@ def test_exact_mpf_passthrough():
     assert b.fr_mid() == Fraction(1) + Fraction(1, 2 ** 200)
 
 
+def test_from_disk_and_to_disk_round_trip():
+    rng = random.Random(0xD15C)
+    for _ in range(500):
+        P = rng.randrange(0, 300)
+        X, Y = (rng.choice([0, rng.randrange(-(1 << 200), 1 << 200)]) for _ in range(2))
+        R = rng.randrange(0, 1 << 40)
+        b = Ball.from_disk(X, Y, R, P, 128)
+        assert b.is_complex == bool(Y) and b.prec == 128
+        assert b.to_disk(P) == (X, Y, R, P)
+        # Asked for a coarser scale, the midpoint keeps its finest bit
+        # and the radius rounds up.
+        Xq, Yq, Rq, Q = b.to_disk(0)
+        assert (Fraction(Xq, 1 << Q), Fraction(Yq, 1 << Q)) == (Fraction(X, 1 << P),
+                                                              Fraction(Y, 1 << P))
+        assert Rq - 1 < Fraction(R << Q, 1 << P) <= Rq
+
+
 def test_exact_rejects_strings():
     with pytest.raises(TypeError):
         Ball.exact("1.5")

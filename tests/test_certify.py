@@ -13,17 +13,14 @@ certification whose radii miss its precision label fails, and the solve
 escalates.  Centres are fixed-point integers (X, Y) at P = prec + 16.  The
 sweep tests check the fixed-point sweep (spectra._overlapping_pairs) and
 pair test (spectra._disjoint) against an all-pairs exact oracle on
-random disks, the radius conversion against exact rounding up, and pin
-the number of pair tests one certification makes.  The modulus tests
-check that RootSystem.moduli is read off the integer intervals, with no
-Ball.magnitude call in a cold solve, and follows intervals replaced
-after the fact.  The seed tests check that _initial_seeds gives one
+random disks, the radius conversion of Ball.to_disk against exact
+rounding up, and pin the number of pair tests one certification makes.
+The seed tests check that _initial_seeds gives one
 seed per conjugate class, the real roots first with Y = 0 and then the
 upper member of each pair, and that gamma's seed stays finite where
 gamma^k leaves the double range.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import mpmath as mp
@@ -384,37 +381,6 @@ def test_top_of_the_paper_range_certifies(k):
     assert rs.real_roots == ([0] if k % 2 else [0, k - 1])
 
 
-# -- the moduli ---------------------------------------------------------
-
-def _assert_moduli_hold_the_intervals(rs):
-    for m, lo, hi in zip(rs.moduli, rs.mod_lo, rs.mod_hi):
-        assert not m.is_complex
-        assert m.fr_mid() == Fraction(lo + hi, 2 ** (rs.P + 1))
-        assert m.fr_lo() <= Fraction(lo, 2 ** rs.P) and m.fr_hi() >= Fraction(hi, 2 ** rs.P)
-
-
-@pytest.mark.parametrize("k", [2, 5, 40, 86])
-def test_cold_solve_reads_the_moduli_off_the_intervals(k, monkeypatch):
-    def refuse(self):
-        raise AssertionError("Ball.magnitude called")
-
-    monkeypatch.setattr(Ball, "magnitude", refuse)
-    rs = spectra.solve_roots(k)
-    assert rs.dominant == 0 and rs.gamma is rs.roots[0]
-    _assert_moduli_hold_the_intervals(rs)
-
-
-def test_moduli_follow_replaced_intervals():
-    rs = spectra.solve_roots(9)
-    before = rs.moduli
-    lo = [a - (i + 1) * 5 for i, a in enumerate(rs.mod_lo)]
-    hi = [b + (i + 1) * 7 for i, b in enumerate(rs.mod_hi)]
-    moved = dataclasses.replace(rs, mod_lo=lo, mod_hi=hi)
-    _assert_moduli_hold_the_intervals(moved)
-    assert [m.fr_mid() for m in moved.moduli] != [m.fr_mid() for m in before]
-    assert rs.moduli is before
-
-
 # -- the seeds ----------------------------------------------------------
 
 @pytest.mark.parametrize("k", list(range(2, 61)) + [499, 500])
@@ -485,13 +451,10 @@ def _projection(b):
 
 def _fixed_disks(disks):
     """The disks as (X, Y, R) at the one P that holds every bit of every
-    centre and radius, so the conversion is exact."""
+    centre and radius, so the conversion (Ball.to_disk) is exact."""
     raws = [(*_raw_c(b.mid), b.rad._mpf_) for b in disks]
     P = max([0] + [-t[2] for r in raws for t in r if t[1]])
-    return [(int(mpf_to_fraction(mp.make_mpf(re)) * (1 << P)),
-             int(mpf_to_fraction(mp.make_mpf(im)) * (1 << P)),
-             spectra._units(rad[1], rad[2], P))
-            for re, im, rad in raws]
+    return [b.to_disk(P)[:3] for b in disks]
 
 
 def _apart(a, b):
@@ -534,8 +497,9 @@ def test_disjoint_decides_apart_real_projections_exactly():
 
 @given(st.integers(1, (1 << 30) - 1), st.integers(-200, 40), st.integers(0, 200))
 def test_radius_converts_rounding_up(man, exp, P):
-    R = spectra._units(man, exp, P)
+    X, Y, R, Q = Ball(mp.mpf(0), _dyadic(man, exp), 128).to_disk(P)
     exact = man * Fraction(2) ** (exp + P)
+    assert (X, Y, Q) == (0, 0, P)
     assert R - 1 < exact <= R
 
 

@@ -393,6 +393,14 @@ def test_verify_guard_rails(capsys):
     assert "empty" in err
 
 
+def test_verify_below_two_names_the_floor_not_the_flag(capsys):
+    # --allow-large cannot help k < 2, so that message must not offer it.
+    rc, _, err = run_cli(capsys, "verify", "--k", "1")
+    assert (rc, err) == (2, "k must be >= 2\n")
+    rc, _, err = run_cli(capsys, "verify", "--k", "501")
+    assert (rc, err) == (2, "k outside [2, 500]; pass --allow-large to proceed\n")
+
+
 def test_verify_selector_is_required():
     with pytest.raises(SystemExit) as info:
         main(["verify"])
@@ -820,6 +828,20 @@ def test_verify_names_a_root_bound_that_fails(capsys, monkeypatch):
     assert rc == 1
     assert rec["status"] == "FAIL"
     assert rec["detail"] == "root bound dominant_weight_range failed"
+
+
+@pytest.mark.parametrize("k, check, name", [
+    ("3", "check_dominant_bounds", "dominant_in_envelope"),
+    ("2", "check_even_modulus_gap", "small_modulus_gap"),
+])
+def test_verify_fails_a_spectral_check_that_fails(capsys, monkeypatch, k, check, name):
+    monkeypatch.setattr(spectra, check, lambda rs: False)
+    rc, out, _ = run_cli(capsys, "verify", "--k", k)
+    rec = json.loads(out)
+    assert rc == 1
+    assert rec["checks"][name] == {"holds": False}
+    assert rec["status"] == "FAIL"
+    assert rec["detail"] == f"spectral check {name} failed"
 
 
 def test_verify_names_a_bound_below_the_deepest_zero(capsys, monkeypatch):

@@ -3,7 +3,10 @@ global bound, the refined even-order bound, and the inequality chains
 connecting them.  log_floor is checked in exact Fraction arithmetic: at
 and just below exact powers, on random inputs, where y^(r+1) > x must
 hold for every result r, and with y - 1 below 2^-200 and below the
-smallest double."""
+smallest double.  L_k is pinned exactly for even k = 4..16, and the
+chain check holds at L_k and at 0 and fails at L_k + 1 for every even
+k = 2..100; each of its three raises is reached from a planted root
+system, and its integer weight cap is pinned at its boundary."""
 
 import dataclasses
 import math
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pellzero import effbounds
 from pellzero.ball import IndeterminateComparison
 from pellzero.effbounds import (
     HypothesisViolation,
@@ -162,7 +166,7 @@ def test_refined_below_global():
 
 
 def test_chain_check_tightness():
-    for k in (4, 6):
+    for k in range(2, 101, 2):
         rs = solve_roots(k)
         L = refined_even_bound(rs)
         assert even_case_chain_check(rs, L)
@@ -175,6 +179,48 @@ def test_chain_check_guards():
         even_case_chain_check(solve_roots(5), 10)
     with pytest.raises(ValueError):
         even_case_chain_check(solve_roots(4), -1)
+
+
+@pytest.mark.parametrize("k", [2, 4, 10, 100, 500])
+def test_chain_check_weight_cap_is_decided_at_its_integer_boundary(k):
+    # The cap holds iff (mod_lo[0] - 2^P)(11k - 2) > (10k + 4) 2^P: the
+    # least passing mod_lo[0] passes, one unit less and one unit above
+    # 2^P raise, and at the passing point ln(1 + x) is still above
+    # (5k + 2) / (8k), so the claim 2k(5k+2)/ln(gamma) < 16k^2 holds there.
+    rs = solve_roots(k)
+    one = 1 << rs.P
+    least = one + (10 * k + 4) * one // (11 * k - 2) + 1
+    lo = list(rs.mod_lo)
+    lo[0] = least
+    assert even_case_chain_check(dataclasses.replace(rs, mod_lo=lo), 0)
+    for planted in (least - 1, one + 1):
+        lo[0] = planted
+        with pytest.raises(ArithmeticError, match="weight cap"):
+            even_case_chain_check(dataclasses.replace(rs, mod_lo=lo), 0)
+    with mp.workprec(rs.P + 64):
+        x = mp.ldexp(least - one, -rs.P)
+        assert 2 * k * (5 * k + 2) / mp.log(1 + x) < 16 * k * k
+
+
+def test_chain_check_straddling_the_cap_is_indeterminate():
+    # Doubling mod_hi[-2] doubles the ratio's upper end and leaves L_k,
+    # read at the lower end, as it was: at L_k the power straddles 16k^2.
+    rs = solve_roots(6)
+    L = refined_even_bound(rs)
+    hi = list(rs.mod_hi)
+    hi[-2] *= 2
+    wide = dataclasses.replace(rs, mod_hi=hi)
+    assert refined_even_bound(wide) == L
+    with pytest.raises(IndeterminateComparison):
+        even_case_chain_check(wide, L)
+
+
+def test_chain_check_past_the_refined_bound_is_a_rounding_bug(monkeypatch):
+    rs = solve_roots(4)
+    L = refined_even_bound(rs)
+    monkeypatch.setattr(effbounds, "refined_even_bound", lambda rs: L - 1)
+    with pytest.raises(ArithmeticError, match="rounding bug"):
+        even_case_chain_check(rs, L)
 
 
 
@@ -228,7 +274,7 @@ def test_log_floor_with_y_minus_one_below_the_old_precision():
 
 def test_refined_bound_is_bracketed_exactly():
     # L_k is the largest n with (mod_lo[-2] / mod_hi[-1])^n <= 16 k^2.
-    for k in (4, 6, 8, 10):
+    for k in range(4, 17, 2):
         rs = solve_roots(k)
         y = Fraction(rs.mod_lo[-2], rs.mod_hi[-1])
         L = refined_even_bound(rs)

@@ -145,5 +145,7 @@ def test_simultaneous_euclid_matches_the_two_expansions():
               Ball.exact(0, 128), _golden(256), _silver(64)]
     for x in balls:
         S, [(lo, hi)] = reduction._endpoints(x)
+        # dp_reduce needs 1/2 as an integer at the scale: S >= 1.
+        assert S >= 1
         assert (Fraction(lo, 1 << S), Fraction(hi, 1 << S)) == (x.fr_lo(), x.fr_hi())
         assert reduction._common_quotients(lo, hi, 1 << S) == _two_endpoint_quotients(x)

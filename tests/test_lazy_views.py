@@ -1,14 +1,15 @@
-"""RootSystem.roots, .moduli and .weights are lists built on first read.
+"""RootSystem.roots and .weights are lists built on first read.
 
-The count tests wrap spectra._ball, which builds every Ball of a root
-system, and pin how many a cold `verify` and a cold odd_k_reduce(53)
-build: none for `verify` without --full, whose root checks read the
-integers, and the refined root and its weight for the reduction, which
-reads B off the integer modulus intervals.  The view tests check, for
-k = 2..60, that every element of each view, read by index, negative
-index, slice or iteration, is the Ball of its certified disk or modulus
-interval, exactly, that a second read gives the same object, and that a
-root system pickles with its Balls.
+The count tests wrap spectra._ball, the one door from spectra to
+Ball.from_disk, which builds every Ball of a disk, and pin how many a
+cold `verify` and a cold odd_k_reduce(53) build: none for `verify`
+without --full, whose root checks read the integers, and the refined
+root and its weight for the reduction, which reads B off the integer
+modulus intervals.  The view tests check, for k = 2..60, that every
+element of each view, read by index, negative index, slice or
+iteration, is the Ball of its certified root or weight disk, exactly,
+that a second read gives the same object, and that a root system
+pickles with its Balls.
 """
 
 import pickle
@@ -64,15 +65,12 @@ def _disk_ball(X, Y, R, P, prec):
 
 
 def _eager(rs):
-    """The three Ball lists built at once from the integers: each root's
-    disk, each modulus interval [lo, hi] 2^-P as its midpoint and half
-    width, and each weight disk."""
+    """The two Ball lists built at once from the integers: each root's
+    disk and each weight disk."""
     P, prec = rs.P, rs.prec
     roots = [_disk_ball(*disk, P, prec) for disk in rs.disks]
-    moduli = [_disk_ball(lo + hi, 0, hi - lo, P + 1, prec)
-              for lo, hi in zip(rs.mod_lo, rs.mod_hi)]
     weights = [_disk_ball(*disk, P, prec) for disk in rs.weight_disks]
-    return {"roots": roots, "moduli": moduli, "weights": weights}
+    return {"roots": roots, "weights": weights}
 
 
 @pytest.mark.parametrize("k", range(2, 61))

@@ -1,6 +1,8 @@
-"""Guard against dead code in src/pellzero.  Three kinds of definition
-must be referenced by some module of the package, or be on the
-keep-list below with the reason they stay:
+"""Guards on the shape of src/pellzero.
+
+The first guards against dead code.  Three kinds of definition must be
+referenced by some module of the package, or be on the keep-list below
+with the reason they stay:
 
 - module-level public functions and classes;
 - module-level private (_name) functions;
@@ -15,6 +17,11 @@ the same name does not count, nor does a call on an imported module
 src/pellzero outside the definition's own body.  The re-exports in
 __init__.py do not count: a name that only the package root re-exports
 has no caller in the package.
+
+The second keeps mpmath values inside ball.py, so that replacing the
+arithmetic behind Ball changes that one module: no other module imports
+mpmath or mpmath.libmp, reads a raw libmp value (an attribute _mpf_ or
+_mpc_), or imports from ball a private name or one starting mpf_.
 """
 
 import ast
@@ -41,11 +48,8 @@ KEEP = {
                      "the acceptance criteria",
     "Ball.conjugate": "the mirror tests' oracle for exactly conjugated "
                       "roots and weights",
-    "RootSystem.gamma": "the tests and acceptance criteria name the dominant "
-                        "root by it",
     "eval_gk": "acceptance criterion 6 and the weight tests evaluate g_k at "
                "a Ball with it",
-    "Ball.fr_mid": "the enclosure and disk tests read exact midpoints with it",
     "KContext.value": "the acceptance criteria, the perfbench probes and the "
                       "sequence tests read single terms with it",
     "LogMagnitude.ln_value": "acceptance criterion 9 and the bound tests read "
@@ -152,3 +156,47 @@ def test_keep_list_names_exist_and_have_no_caller():
     # A kept name that gains a caller in src no longer needs the entry.
     unreferenced = {name.split(".", 1)[1] for name in unreferenced_names()}
     assert set(KEEP) <= unreferenced, set(KEEP) - unreferenced
+
+
+# -- the mpmath boundary ----------------------------------------------------
+
+def _mpmath_reach(tree):
+    """Each place in tree that handles mpmath values directly: an import
+    of mpmath or of a module under it, an attribute _mpf_ or _mpc_, and a
+    name imported from ball that is private or starts with mpf_."""
+    found = []
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Import):
+            found += [f"line {sub.lineno}: import {alias.name}" for alias in sub.names
+                      if alias.name.split(".")[0] == "mpmath"]
+        elif isinstance(sub, ast.ImportFrom):
+            module = sub.module or ""
+            if module.split(".")[0] == "mpmath":
+                found.append(f"line {sub.lineno}: from {module} import")
+            elif module.split(".")[-1] == "ball":
+                found += [f"line {sub.lineno}: from ball import {alias.name}"
+                          for alias in sub.names if alias.name.startswith(("_", "mpf_"))]
+        elif isinstance(sub, ast.Attribute) and sub.attr in ("_mpf_", "_mpc_"):
+            found.append(f"line {sub.lineno}: .{sub.attr}")
+    return found
+
+
+def test_only_ball_handles_mpmath_values():
+    reach = {mod: found for mod, tree in _modules().items()
+             if mod != "ball" and (found := _mpmath_reach(tree))}
+    assert reach == {}, f"mpmath values handled outside ball.py: {reach}"
+
+
+def test_mpmath_boundary_guard_sees_each_breach():
+    planted = """
+import mpmath as mp
+import mpmath.libmp
+from mpmath.libmp import from_man_exp
+from .ball import Ball, _mpf, mpf_to_fraction
+from pellzero.ball import _raw_c
+def f(x):
+    return x.mid._mpf_, x.mid._mpc_
+"""
+    assert len(_mpmath_reach(ast.parse(planted))) == 8
+    assert _mpmath_reach(ast.parse("from .ball import Ball, ball_sum\nx.mid.real")) == []
+    assert _mpmath_reach(_modules()["ball"]) != []

@@ -25,20 +25,23 @@ from pellzero.cli import main
 
 def _all_pairs_ratio_floor(rs):
     """The modulus-ratio floor over every pair of distinct moduli: holds
-    on Balls, and the least exact ratio lower bound less 1 + f 2^-P, f
-    the floor 1.59^(-k^3) 2^P rounded up, or 1 once k^3 >= 2P."""
+    on the Balls of the modulus intervals [mod_lo, mod_hi] 2^-P, and the
+    least exact ratio lower bound less 1 + f 2^-P, f the floor
+    1.59^(-k^3) 2^P rounded up, or 1 once k^3 >= 2P."""
     p, n = rs.prec, rs.k ** 3
     floor_ratio = (Ball.exact(1, p)
                    + Ball.exact(Fraction(159, 100), p).pow_int(-n))
     f = 1 if n >= 2 * rs.P else math.ceil(Fraction(100, 159) ** n * (1 << rs.P))
     partner = dict(rs.conj_pairs)
+    moduli = [Ball.from_disk(lo + hi, 0, hi - lo, rs.P + 1, p)
+              for lo, hi in zip(rs.mod_lo, rs.mod_hi)]
     holds = True
     min_margin = None
     for i in range(rs.k):
         for j in range(i + 1, rs.k):
             if partner.get(i) == j:
                 continue
-            a, b = rs.moduli[i], rs.moduli[j]
+            a, b = moduli[i], moduli[j]
             if not (a / b).gt(floor_ratio):
                 holds = False
             margin = a.fr_lo() / b.fr_hi() - 1 - Fraction(f, 1 << rs.P)

@@ -62,9 +62,10 @@ def test_dominant_root_matches_bisection_oracle():
 def test_k2_roots_are_quadratic_surds():
     rs = solve_roots(2)
     # gamma = 1 + sqrt(2): (gamma - 1)^2 must enclose 2, and so must
-    # (|gamma| - 1)^2 from the certified modulus interval
+    # (|gamma| - 1)^2 over the certified modulus interval, exactly
     assert (rs.gamma - 1).pow_int(2).contains(2)
-    assert (rs.moduli[0] - 1).pow_int(2).contains(2)
+    lo, hi = (Fraction(m[0], 1 << rs.P) for m in (rs.mod_lo, rs.mod_hi))
+    assert (lo - 1) ** 2 <= 2 <= (hi - 1) ** 2
     second = rs.roots[1]
     assert (second - 1).pow_int(2).contains(2)
     assert second.fr_mid() < 0
@@ -84,7 +85,7 @@ def test_root_system_structure():
         for i in range(k - 1):
             if frozenset((i, i + 1)) in pairset:
                 continue
-            assert rs.moduli[i].gt(rs.moduli[i + 1]), (k, i)
+            assert rs.roots[i].magnitude().gt(rs.roots[i + 1].magnitude()), (k, i)
 
 
 def test_coefficient_symmetry():
@@ -102,9 +103,9 @@ def test_coefficient_symmetry():
 def test_exactly_one_root_outside_unit_circle():
     for k in (2, 7, 16):
         rs = solve_roots(k)
-        assert rs.moduli[0].gt(1)
-        for m in rs.moduli[1:]:
-            assert m.lt(1)
+        assert rs.roots[0].magnitude().gt(1)
+        for r in rs.roots[1:]:
+            assert r.magnitude().lt(1)
 
 
 def test_gk_at_k2_roots_is_quarter_sqrt2():
@@ -218,6 +219,23 @@ def test_separation_report_covers_cases():
             assert kinds == {"both_real"}
         if k == 5:
             assert "both_nonreal" in kinds and "one_real" in kinds
+
+
+def test_separation_margins_read_the_modulus_gaps():
+    # Rows of one case share their threshold, so two margins differ by
+    # log10 of the ratio of their gaps |r_i| - |r_j|, taken here from
+    # the centres of the root disks.
+    for k in (5, 8, 12):
+        rs = solve_roots(k)
+        first = {}
+        with mp.workprec(200):
+            mods = [abs(r.mid) for r in rs.roots]
+            for row in check_root_separation(rs):
+                i, j = row["pair"]
+                gap = mp.log10(mods[i] - mods[j])
+                m0, g0 = first.setdefault(row["case"], (row["log10_margin"], gap))
+                assert abs(row["log10_margin"] - m0 - float(gap - g0)) < 1e-9, (k, i, j)
+        assert len(first) >= 2, k
 
 
 def test_no_root_ratio_is_root_of_unity():
