@@ -4,8 +4,9 @@ zeros that appear at nonpositive indices.
 
 Importing the package loads no submodule: each public name below, and
 each submodule, is imported on its first access (PEP 562), so a command
-loads only the modules it runs.  Only ball and reduction, and the Ball
-paths of spectra and effbounds, load mpmath."""
+loads only the modules it runs.  Only Ball.log, Ball.arg and Ball.pi
+load mpmath: the odd reduction and spectra.check_root_separation call
+them."""
 
 import importlib
 

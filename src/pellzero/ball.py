@@ -1,126 +1,81 @@
-"""Midpoint-radius (ball) arithmetic on raw mpmath.libmp values with
-directed rounding.
+"""Midpoint-radius (ball) arithmetic on integer disks.
 
-A Ball stores an mpf or mpc midpoint, a nonnegative mpf radius, and the
-working precision p (bits) its midpoint is computed at.  It stands for
-every number in the closed disc (for a real midpoint, the interval) of
-that radius around the midpoint.  Every operation returns a ball holding
-the result of the operation at every point of its input balls, so a
-Ball that starts as a true enclosure stays one.
+A Ball is the closed disk (X + iY) 2^-Q +/- R 2^-Q: Python ints X, Y
+and R >= 0 at a scale 2^-Q (Q any int), a real/complex marker, and the
+working precision prec (bits) it is computed at.  A real Ball has Y = 0
+and stands for the interval [X - R, X + R] 2^-Q; a complex Ball stands
+for the disk, also when its imaginary part is 0.  Every operation
+returns a ball holding the result of the operation at every point of
+its input balls, so a Ball that starts as a true enclosure stays one.
 
-This is the one module that holds mpmath values: no other module of
-the package imports mpmath or reads a raw libmp value, and a Ball
-crosses to integers only here.  Ball.from_disk builds the Ball of an
-integer disk (X, Y, R) 2^-P, exactly, and Ball.to_disk gives back the
-disk at P or finer that holds a Ball, its midpoint exactly and its
-radius rounded up; the other readers are the exact endpoints and
-midpoint fr_lo, fr_hi and fr_mid.  The verify path decides on integers
-and loads this module only where a Ball is read: the odd reduction
+These are the integer disks that pellzero.spectra certifies roots on.
+Ball.from_disk builds the Ball of a disk (X, Y, R) 2^-P exactly, and
+Ball.to_disk gives back the disk at P or finer that holds a Ball, its
+midpoint exactly and its radius rounded up; the other readers are the
+exact endpoints and midpoint fr_lo, fr_hi and fr_mid.  The verify path
+loads this module only where a Ball is read: the odd reduction
 (pellzero.reduction), the RootSystem views and the other Ball APIs of
-spectra and effbounds.  The precision policy and the errors raised
-here live in pellzero.precision, which has no mpmath; this module
-re-exports them.
+spectra and effbounds.  The precision policy and the errors raised here
+live in pellzero.precision; this module re-exports them.
 
 Soundness argument
 ------------------
-An operation computes its midpoint from the input midpoints at
-p = min(input precisions), rounding to nearest, and its radius as the
-sum of two bounds:
+Ring operations, comparisons and conversions run on Python ints.  An
+operation forms its result disk on the input integers, with an integer
+radius at least the exact value of its row below, and then rounds once
+(_round): when the largest of |X|, |Y| and R has n > prec bits, X and Y
+are rounded to nearest at 2^n units, and R becomes ceil((R + |eX| +
+|eY|) 2^-n), eX and eY the exact rounding errors of the parts.  So each
+midpoint has at most prec significant bits and each radius is rounded
+up.  Moduli are bounded by math.isqrt: |X + iY| lies in [isqrt(N),
+isqrt(N) + [isqrt(N)^2 < N]], N = X^2 + Y^2 (spectra._modulus_bounds);
+a bound that feeds only a radius is taken on the leading 32 bits
+(_abs_bounds).  Below, |a| is the upper and |b|_lo the lower such bound
+(exact for a real ball), all in the units of its ball, and each row is
+in units of the result scale, before _round:
 
-* the propagated error, a bound on |f(x) - f(mid)| over the inputs,
-  built from the input radii and from bounds on the midpoint moduli;
-* the midpoint error, a bound on |f(mid) - computed midpoint|.
+    op       midpoint                            radius
+    a +- b   the sum, at max(Qa, Qb)             Ra + Rb
+    a * b    the Gaussian product, at Qa + Qb    |a| Rb + |b| Ra + Ra Rb
+    a / b    floor(N 2^s / |b|^2) per part,      ceil((Ra |b| + Rb |a|) 2^s
+             N = a conj(b), at Qa - Qb + s         / (|b|_lo (|b|_lo - Rb)))
+                                                   + 1, + 2 when complex
+    |a|      lo + hi, one bit finer: the isqrt   hi - lo + 2 Ra
+             bounds of |a| at prec + 2 bits
+    sqrt a   s_lo + s_hi, one bit finer: isqrt   s_hi - s_lo
+             bounds of sqrt(Xa - Ra) and
+             sqrt(Xa + Ra) at 2 prec + 4 bits
+    log a    f_lo + f_hi, one bit finer          f_hi - f_lo + (2 |f_lo| + 2 |f_hi|
+                                                   + |f_lo + f_hi|) 2^(4-p)
+    arg a    atan2 of the midpoint, p bits       2 Ra / (|a|_lo - Ra) + |mid| 2^(3-p)
+    pi       pi, p bits                          |mid| 2^(3-p)
 
-Radius arithmetic runs on raw mpfs with 30-bit mantissas (_RADIUS_BITS)
-and round_ceiling, on nonnegative values only, so each computed radius
-is at least the exact value of its formula.  The quantities a radius
-formula divides by or subtracts (|b| in a divisor, _lb) are rounded
-with round_floor.  Moduli |x + iy| come from x^2 + y^2 on 32-bit scaled
-integers, rounded in the required direction, and an integer square root
-corrected in the same direction (_hypot).  mpf_hypot and mpc_abs are not
-used for bounds: they round x^2 + y^2 by truncation at p+4 bits before
-the square root, so even with round_ceiling they can land below |z|.
-No step relies on a multiplicative safety factor, and no operation
-opens an mpmath precision context.
+s makes the quotient about prec bits long.  The division row bounds
+|a/b - ma/mb| = |(a - ma) mb - ma (b - mb)| / |b mb| with |b| >= |mb| -
+rb > 0, and each floored part of the quotient is off by less than one
+unit.  sqrt and log are increasing, so f([lo, hi]) = [f(lo), f(hi)].
+arg uses |arg z - arg m| <= arcsin(ra/|m|) <= (pi/2) ra/|m|.
+Negation, conjugation, the real part and add_error are exact, and
+to_disk rounds only the radius, up.
 
-Midpoint error.  For a nonzero raw mpf c at p bits let ulp(c) = 2^(e-p),
-where 2^(e-1) <= |c| < 2^e; for a complex c take the largest e of its
-nonzero parts.  libmp forms each real part of a sum or product exactly
-and rounds it once, to nearest (mpf_add, mpf_mul, mpc_add, mpc_sub,
-mpc_mul_mpf, and mpc_mul, whose four products are exact).  So each part
-is off by at most ulp/2 of itself, the complex error is below
-sqrt(2) ulp/2 < ulp(mid), and ulp(mid) <= |mid| 2^(1-p).  A part that
-rounds to zero is exact: mpf has no underflow.  mpf_div rounds once;
-mpc_div also truncates its intermediate sums at p+10 bits, which adds
-below 2^-7 ulp per part, so division is charged 2 ulp(mid).
+The one remaining trust assumption is three mpmath.libmp leaves, the
+only place this module imports mpmath: log (f_lo and f_hi are mpf_log
+of the endpoints, rounded outward to p + 16 bits, at p + 16 bits), arg
+(mpf_atan2 of the exact midpoint) and pi (mpf_pi).  They take exact
+dyadic inputs built from the integers and return exact dyadic values.
+libmp does not promise correct rounding for log, atan2 or pi; their
+error is a few ulps in practice, and the covers, at least 2^19 ulps of
+the p + 16-bit evaluation for log and 4 ulps for arg and pi, absorb it.
 
-    op          midpoint, p bits, nearest        radius, each term rounded up
-    a + b       mpf_add / mpc_add                ra + rb + ulp
-    a - b       mpf_add(_sub) / mpc_sub          ra + rb + ulp
-    a * b       mpf_mul / mpc_mul / mpc_mul_mpf  |a| rb + |b| ra + ra rb + ulp
-    a / b       mpf_div / mpc_div / mpc_div_mpf  (ra |b| + rb |a|)
-                                                   / (|b|_lo (|b|_lo - rb)) + 2 ulp
-    |a|         mpf_abs (exact) / mpc_abs        ra (+ ulp when complex: the
-                                                   truncated sum costs < ulp/8)
-    f(a), f in  f(lo), f(hi) at p+16 bits;       (f(hi) - f(lo))/2 + ulp + cover
-    sqrt, log   mid = (f(lo) + f(hi))/2          cover = (|f(lo)| + |f(hi)|
-                                                   + |mid|) 2^(4-p)
-    arg a       mpf_atan2                        2 ra / (|a|_lo - ra) + |mid| 2^(3-p)
-    pi          mpf_pi                           |mid| 2^(3-p)
-
-|a| and |b| above are upper bounds on the midpoint moduli, |b|_lo a lower
-one.  The division term bounds |a/b - ma/mb| = |(a - ma) mb - ma (b - mb)|
-/ |b mb| with |b| >= |mb| - rb > 0.  For f = sqrt and log the input
-interval's endpoints lo, hi are rounded outward at p+16 bits and f is
-increasing, so f([lo, hi]) = [f(lo), f(hi)].  libmp does not promise
-correct rounding for log, atan2 or pi (sqrt is correctly rounded);
-their error is a few ulps in practice, and the covers, at least 2^19
-ulps of the p+16-bit evaluation for f and 4 ulps for arg and pi, absorb
-it.  arg uses |arg z - arg m| <= arcsin(ra/|m|) <= (pi/2) ra/|m|.
-
-Endpoints mid -/+ rad of real balls are dyadic and are formed exactly
-(mpf_add and mpf_sub without a precision), so gt, lt and contains
-compare them exactly with mpf_cmp, cross-multiplying by the denominator
-of a Fraction operand.  No comparison rounds.
+gt, lt and contains compare the exact endpoints X -/+ R of a real ball,
+cross-multiplied by the denominator of a Fraction operand, so no
+comparison rounds.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from fractions import Fraction
-
-import mpmath as mp
-from mpmath.libmp import (
-    MPZ_ONE,
-    from_int,
-    from_man_exp,
-    from_rational,
-    fzero,
-    mpc_abs,
-    mpc_add,
-    mpc_div,
-    mpc_div_mpf,
-    mpc_mul,
-    mpc_mul_mpf,
-    mpc_sub,
-    mpf_abs,
-    mpf_add,
-    mpf_atan2,
-    mpf_cmp,
-    mpf_div,
-    mpf_log,
-    mpf_mul,
-    mpf_neg,
-    mpf_pi,
-    mpf_shift,
-    mpf_sqrt,
-    mpf_sub,
-    round_ceiling,
-    round_floor,
-    round_nearest,
-    round_up,
-)
 
 from .precision import (  # noqa: F401  (re-exported: the Ball API raises these)
     PREC_CEILING,
@@ -130,292 +85,191 @@ from .precision import (  # noqa: F401  (re-exported: the Ball API raises these)
     PrecisionExhausted,
     ZeroDivisionEnclosure,
     escalate,
+    sig_str,
 )
-
-# Mantissa bits of radii and of the modulus bounds that feed them.
-_RADIUS_BITS = 30
-
-_MPF = mp.mpf
-_MPC = mp.mpc
-_ZERO = mp.mpf(0)
-_new = object.__new__
+from .spectra import _modulus_bounds, _sqrt_bounds
 
 
-def _mpf(t):
-    x = _new(_MPF)
-    x._mpf_ = t
-    return x
+def _round(X, Y, R, Q, prec, is_complex):
+    """The Ball of the disk (X, Y, R) 2^-Q with at most prec bits in
+    each of X, Y and R (module docstring)."""
+    n = max(X.bit_length(), Y.bit_length(), R.bit_length()) - prec
+    if n > 0:
+        h = 1 << (n - 1)
+        x, y = (X + h) >> n, (Y + h) >> n
+        R = -(-(R + abs(X - (x << n)) + abs(Y - (y << n))) >> n)
+        X, Y, Q = x, y, Q - n
+    return Ball(X, Y, R, Q, prec, is_complex)
 
 
-def _mpc(z):
-    x = _new(_MPC)
-    x._mpc_ = z
-    return x
+def _abs_bounds(X, Y):
+    """(lo, hi) with lo <= |X + iY| <= hi, from the leading 32 bits of
+    the larger part: the bounds feed radii, which need no more."""
+    X, Y = abs(X), abs(Y)
+    s = max(0, X.bit_length() - 32, Y.bit_length() - 32)
+    up = s > 0
+    lo = _modulus_bounds(X >> s, Y >> s, 0)[0]
+    hi = _modulus_bounds((X >> s) + up, (Y >> s) + up, 0)[1]
+    return lo << s, hi << s
 
 
-def _add_up(a, b):
-    """a + b rounded up, for nonnegative raw mpfs."""
-    if not a[1]:
-        return b
-    if not b[1]:
-        return a
-    return mpf_add(a, b, _RADIUS_BITS, round_ceiling)
+def _floor_div(n, s, d):
+    """floor(n 2^s / d) for d > 0."""
+    return (n << s) // d if s >= 0 else n // (d << -s)
 
 
-def _mul_up(a, b):
-    """a * b rounded up, for nonnegative raw mpfs."""
-    return mpf_mul(a, b, _RADIUS_BITS, round_ceiling)
+def _fraction(n, Q):
+    return Fraction(n, 1 << Q) if Q >= 0 else Fraction(n << -Q)
 
 
-def _ulp(t, p):
-    """ulp of a raw mpf at p bits (0 for zero): the error bound for the
-    round-to-nearest that produced it, with a factor 2 to spare."""
-    return (0, MPZ_ONE, t[2] + t[3] - p, 1) if t[1] else fzero
+def _raw(t):
+    """(M, S): the raw libmp value t = (sign, man, exp, bc) as M 2^-S;
+    an inf or nan (zero mantissa, nonzero exponent) raises ValueError."""
+    sign, man, exp, _ = t
+    if not man and exp:
+        raise ValueError(f"non-finite mpmath value: {t}")
+    return (-int(man) if sign else int(man)), -int(exp)
 
 
-def _ulp_c(z, p):
-    re, im = z
-    if not im[1]:
-        return _ulp(re, p)
-    if not re[1]:
-        return _ulp(im, p)
-    return (0, MPZ_ONE, max(re[2] + re[3], im[2] + im[3]) - p, 1)
-
-
-def _hypot(x, y, up):
-    """sqrt(x^2 + y^2) for raw mpfs, rounded up (up=1) or down (up=0).
-
-    Both parts are scaled to integers below 2^32 against the larger
-    one's top bit, rounding in the requested direction; the sum of
-    squares is then exact and the integer square root is corrected in
-    the same direction."""
-    rnd = round_ceiling if up else round_floor
-    if not y[1]:
-        return mpf_abs(x, _RADIUS_BITS, rnd)
-    if not x[1]:
-        return mpf_abs(y, _RADIUS_BITS, rnd)
-    e = max(x[2] + x[3], y[2] + y[3]) - 32
-    s = 0
-    for _, man, exp, _ in (x, y):
-        shift = exp - e
-        man = man << shift if shift >= 0 else (man >> -shift) + up
-        s += man * man
-    r = math.isqrt(s)
-    if up and r * r < s:
-        r += 1
-    return from_man_exp(r, e, _RADIUS_BITS, rnd)
-
-
-def _raw_c(x):
-    return x._mpc_ if isinstance(x, _MPC) else (x._mpf_, fzero)
-
-
-def _ub(value):
-    """Raw mpf upper bound on an int or a Fraction."""
-    fr = Fraction(value)
-    return from_rational(fr.numerator, fr.denominator, _RADIUS_BITS,
-                         round_ceiling)
-
-
-def _cmp_q(t, v: Fraction) -> int:
-    """Sign of t - v for a raw mpf t, exactly."""
-    if v.denominator != 1:
-        t = mpf_mul(t, from_int(v.denominator))
-    return mpf_cmp(t, from_int(v.numerator))
-
-
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf (mpf values are dyadic), read
-    off its raw (sign, man, exp, bc) as man 2^exp.  A zero mantissa with
-    a nonzero exponent is libmp's inf or nan."""
-    sign, man, exp, _ = x._mpf_
-    man, exp = int(man), int(exp)  # gmpy2 backend hands out mpz
-    if not man:
-        if exp:
-            raise ValueError(f"non-finite mpf: {x}")
-        return Fraction(0)
-    man = -man if sign else man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def neg_exact(x):
-    """Exact negation: mpmath's unary minus rounds to the ambient
-    context precision, which silently truncates high-precision mids."""
-    if isinstance(x, _MPC):
-        return _mpc((mpf_neg(x._mpc_[0]), mpf_neg(x._mpc_[1])))
-    return _mpf(mpf_neg(x._mpf_))
-
-
-def conj_exact(x):
-    """Exact conjugation (same ambient-rounding pitfall as negation)."""
-    if isinstance(x, _MPC):
-        return _mpc((x._mpc_[0], mpf_neg(x._mpc_[1])))
-    return x
+def _sign_vs(a, Q, n, d, Qv):
+    """Sign of a 2^-Q - n / (d 2^Qv), exactly, for d > 0."""
+    M = max(Q, Qv)
+    x, y = (a * d) << (M - Q), n << (M - Qv)
+    return (x > y) - (x < y)
 
 
 class Ball:
-    __slots__ = ("mid", "rad", "prec")
+    __slots__ = ("X", "Y", "R", "Q", "prec", "is_complex")
 
-    def __init__(self, mid, rad, prec):
-        self.mid = mid
-        self.rad = rad
-        self.prec = prec
+    def __init__(self, X, Y, R, Q, prec, is_complex):
+        self.X, self.Y, self.R, self.Q, self.prec, self.is_complex = (
+            X, Y, R, Q, prec, is_complex)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def exact(cls, value, prec=PREC_START):
-        """Ball around an int, Fraction, or mpf/mpc, with exact radius.
+        """Ball around an int, a Fraction, or an mpmath mpf/mpc.
 
-        ints and mpf/mpc values are kept exactly (radius zero); a
-        Fraction is rounded to `prec` bits and the radius is its exact
-        representation error, rounded up.
+        ints, mpf/mpc values and Fractions exact at about `prec` bits
+        are kept exactly (radius zero); any other Fraction becomes the
+        centre of the `prec`-bit dyadic cell that holds it, with radius
+        half the cell.
         """
-        if isinstance(value, (_MPF, _MPC)):
-            return cls(value, _ZERO, prec)
         if isinstance(value, numbers.Integral):
-            return cls(_mpf(from_int(int(value))), _ZERO, prec)
-        if not isinstance(value, Fraction):
-            raise TypeError(f"cannot build an exact Ball from {type(value)}")
-        num, den = from_int(value.numerator), from_int(value.denominator)
-        mid = mpf_div(num, den, prec, round_nearest)
-        err = mpf_abs(mpf_sub(num, mpf_mul(mid, den)))
-        rad = mpf_div(err, den, _RADIUS_BITS, round_ceiling)
-        return cls(_mpf(mid), _mpf(rad), prec)
+            return cls(int(value), 0, 0, 0, prec, False)
+        if isinstance(value, Fraction):
+            n, d = value.numerator, value.denominator
+            if d == 1:
+                return cls(n, 0, 0, 0, prec, False)
+            Q = prec - n.bit_length() + d.bit_length()
+            q, r = divmod(n << Q, d) if Q >= 0 else divmod(n, d << -Q)
+            if not r:
+                return cls(q, 0, 0, Q, prec, False)
+            return cls(2 * q + 1, 0, 1, Q + 1, prec, False)
+        if hasattr(value, "_mpc_"):
+            (X, QX), (Y, QY) = map(_raw, value._mpc_)
+            Q = max(QX, QY)
+            return cls(X << (Q - QX), Y << (Q - QY), 0, Q, prec, True)
+        if hasattr(value, "_mpf_"):
+            X, Q = _raw(value._mpf_)
+            return cls(X, 0, 0, Q, prec, False)
+        raise TypeError(f"cannot build an exact Ball from {type(value)}")
 
     @classmethod
     def from_disk(cls, X, Y, R, P, prec):
-        """The Ball of the disk (X, Y, R) 2^-P, for ints X, Y and R >= 0:
-        midpoint (X + iY) 2^-P, an mpf when Y = 0 and an mpc otherwise,
-        and radius R 2^-P, both exact.  The values are built raw:
-        mp.mpf((man, exp)) would round them to the ambient 53 bits."""
-        re = from_man_exp(X, -P)
-        mid = _mpf(re) if not Y else _mpc((re, from_man_exp(Y, -P)))
-        return cls(mid, _mpf(from_man_exp(R, -P)), prec)
+        """The Ball of the disk (X, Y, R) 2^-P, for ints X, Y and R >= 0,
+        exactly: real when Y = 0, complex otherwise."""
+        return cls(X, Y, R, P, prec, bool(Y))
 
     @classmethod
     def pi(cls, prec=PREC_START):
-        mid = mpf_pi(prec, round_nearest)
-        rad = mpf_shift(mpf_abs(mid, _RADIUS_BITS, round_ceiling), 3 - prec)
-        return cls(_mpf(mid), _mpf(rad), prec)
+        from mpmath.libmp import mpf_pi, round_nearest
+        M, S = _raw(mpf_pi(prec, round_nearest))
+        return cls(M, 0, -(-abs(M) >> (prec - 3)), S, prec, False)
 
     # -- bookkeeping ---------------------------------------------------
 
-    @property
-    def is_complex(self):
-        return isinstance(self.mid, _MPC)
-
     def __repr__(self):
-        return f"Ball({mp.nstr(self.mid, 12)} +/- {mp.nstr(self.rad, 4)} @{self.prec}b)"
+        mid = sig_str(_fraction(self.X, self.Q), 12)
+        if self.is_complex:
+            mid += f" + {sig_str(_fraction(self.Y, self.Q), 12)}i"
+        return f"Ball({mid} +/- {sig_str(_fraction(self.R, self.Q), 4)} @{self.prec}b)"
 
-    def _mag(self, up):
-        """Raw bound on |mid|: upper for up=1, lower for up=0."""
-        m = self.mid
-        if isinstance(m, _MPC):
-            return _hypot(*m._mpc_, up)
-        return mpf_abs(m._mpf_, _RADIUS_BITS,
-                       round_ceiling if up else round_floor)
-
-    def _lb(self):
-        """Raw lower bound on |value| (nonpositive: reaches zero)."""
-        return mpf_sub(self._mag(0), self.rad._mpf_, _RADIUS_BITS, round_floor)
+    def _abs_hi(self):
+        """Upper bound on |midpoint|, in units of 2^-Q."""
+        if self.is_complex:
+            return _abs_bounds(self.X, self.Y)[1]
+        return abs(self.X)
 
     # -- ring operations -----------------------------------------------
 
-    @staticmethod
-    def _coerce(other, prec):
-        if isinstance(other, Ball):
-            return other
-        if type(other) is int:
-            return Ball(_mpf(from_int(other)), _ZERO, prec)
-        return Ball.exact(other, prec)
+    def _coerce(self, other):
+        return other if isinstance(other, Ball) else Ball.exact(other, self.prec)
 
-    def _add(self, other, sub):
-        other = self._coerce(other, self.prec)
-        p = min(self.prec, other.prec)
-        a, b = self.mid, other.mid
-        if isinstance(a, _MPC) or isinstance(b, _MPC):
-            z = (mpc_sub if sub else mpc_add)(_raw_c(a), _raw_c(b), p,
-                                              round_nearest)
-            mid, err = _mpc(z), _ulp_c(z, p)
-        else:
-            t = mpf_add(a._mpf_, b._mpf_, p, round_nearest, sub)
-            mid, err = _mpf(t), _ulp(t, p)
-        rad = _add_up(_add_up(self.rad._mpf_, other.rad._mpf_), err)
-        return Ball(mid, _mpf(rad), p)
+    def _add(self, other, sign):
+        other = self._coerce(other)
+        Xa, Ya, Ra, Qa = self.X, self.Y, self.R, self.Q
+        Xb, Yb, Rb, Q = other.X, other.Y, other.R, other.Q
+        if Qa > Q:
+            s, Q = Qa - Q, Qa
+            Xb, Yb, Rb = Xb << s, Yb << s, Rb << s
+        elif Qa < Q:
+            s = Q - Qa
+            Xa, Ya, Ra = Xa << s, Ya << s, Ra << s
+        return _round(Xa + sign * Xb, Ya + sign * Yb, Ra + Rb, Q,
+                      min(self.prec, other.prec),
+                      self.is_complex or other.is_complex)
 
     def __add__(self, other):
-        return self._add(other, 0)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Ball(neg_exact(self.mid), self.rad, self.prec)
+        return Ball(-self.X, -self.Y, self.R, self.Q, self.prec, self.is_complex)
 
     def __sub__(self, other):
-        return self._add(other, 1)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        return self._coerce(other, self.prec)._add(self, 1)
+        return self._coerce(other)._add(self, -1)
 
     def __mul__(self, other):
-        other = self._coerce(other, self.prec)
-        p = min(self.prec, other.prec)
-        a, b = self.mid, other.mid
-        if isinstance(a, _MPC):
-            if isinstance(b, _MPC):
-                z = mpc_mul(a._mpc_, b._mpc_, p, round_nearest)
-            else:
-                z = mpc_mul_mpf(a._mpc_, b._mpf_, p, round_nearest)
-            mid, rad = _mpc(z), _ulp_c(z, p)
-        elif isinstance(b, _MPC):
-            z = mpc_mul_mpf(b._mpc_, a._mpf_, p, round_nearest)
-            mid, rad = _mpc(z), _ulp_c(z, p)
-        else:
-            t = mpf_mul(a._mpf_, b._mpf_, p, round_nearest)
-            mid, rad = _mpf(t), _ulp(t, p)
-        ra, rb = self.rad._mpf_, other.rad._mpf_
-        if rb[1]:
-            rad = _add_up(rad, _mul_up(self._mag(1), rb))
-        if ra[1]:
-            rad = _add_up(rad, _mul_up(other._mag(1), ra))
-            if rb[1]:
-                rad = _add_up(rad, _mul_up(ra, rb))
-        return Ball(mid, _mpf(rad), p)
+        other = self._coerce(other)
+        a, b, Ra = self.X, self.Y, self.R
+        c, d, Rb = other.X, other.Y, other.R
+        cplx = self.is_complex or other.is_complex
+        R = Ra * Rb
+        if Rb:
+            R += self._abs_hi() * Rb
+        if Ra:
+            R += other._abs_hi() * Ra
+        return _round(a * c - b * d, a * d + b * c, R, self.Q + other.Q,
+                      min(self.prec, other.prec), cplx)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other, self.prec)
+        other = self._coerce(other)
         p = min(self.prec, other.prec)
-        rb = other.rad._mpf_
-        b_lo = other._mag(0)
-        lb_b = mpf_sub(b_lo, rb, _RADIUS_BITS, round_floor)
-        if lb_b[0] or not lb_b[1]:
-            raise ZeroDivisionEnclosure(
-                f"divisor enclosure contains zero: {other!r}")
-        a, b = self.mid, other.mid
-        if isinstance(b, _MPC):
-            z = mpc_div(_raw_c(a), b._mpc_, p, round_nearest)
-            mid, err = _mpc(z), _ulp_c(z, p)
-        elif isinstance(a, _MPC):
-            z = mpc_div_mpf(a._mpc_, b._mpf_, p, round_nearest)
-            mid, err = _mpc(z), _ulp_c(z, p)
-        else:
-            t = mpf_div(a._mpf_, b._mpf_, p, round_nearest)
-            mid, err = _mpf(t), _ulp(t, p)
-        rad = mpf_shift(err, 1)
-        ra = self.rad._mpf_
-        num = _mul_up(ra, other._mag(1)) if ra[1] else fzero
-        if rb[1]:
-            num = _add_up(num, _mul_up(rb, self._mag(1)))
-        if num[1]:
-            den = mpf_mul(b_lo, lb_b, _RADIUS_BITS, round_floor)
-            rad = _add_up(rad, mpf_div(num, den, _RADIUS_BITS, round_ceiling))
-        return Ball(mid, _mpf(rad), p)
+        a, b, Ra = self.X, self.Y, self.R
+        c, d, Rb = other.X, other.Y, other.R
+        cplx = self.is_complex or other.is_complex
+        b_lo, b_hi = _abs_bounds(c, d) if other.is_complex else (abs(c), abs(c))
+        if b_lo <= Rb:
+            raise ZeroDivisionEnclosure(f"divisor enclosure contains zero: {other!r}")
+        s = p + max(c.bit_length(), d.bit_length()) - max(a.bit_length(), b.bit_length())
+        D = c * c + d * d
+        X, Y = _floor_div(a * c + b * d, s, D), _floor_div(b * c - a * d, s, D)
+        R = 1 + cplx
+        if Ra or Rb:
+            num = Ra * b_hi + Rb * self._abs_hi()
+            R -= _floor_div(-num, s, b_lo * (b_lo - Rb))
+        return _round(X, Y, R, self.Q - other.Q + s, p, cplx)
 
     def __rtruediv__(self, other):
-        return self._coerce(other, self.prec) / self
+        return self._coerce(other) / self
 
     def pow_int(self, n: int) -> "Ball":
         """self**n for any integer n, by repeated squaring on balls."""
@@ -435,73 +289,70 @@ class Ball:
     # -- structure -----------------------------------------------------
 
     def conjugate(self):
-        return Ball(conj_exact(self.mid), self.rad, self.prec)
+        return Ball(self.X, -self.Y, self.R, self.Q, self.prec, self.is_complex)
 
     def real(self):
-        mid = self.mid.real if self.is_complex else self.mid
-        return Ball(mid, self.rad, self.prec)
+        return Ball(self.X, 0, self.R, self.Q, self.prec, False)
 
     def magnitude(self) -> "Ball":
         """Real ball enclosing |self|."""
+        X, Y, R, Q, p = self.X, self.Y, self.R, self.Q, self.prec
         if not self.is_complex:
-            return Ball(_mpf(mpf_abs(self.mid._mpf_)), self.rad, self.prec)
-        t = mpc_abs(self.mid._mpc_, self.prec, round_nearest)
-        rad = _add_up(self.rad._mpf_, _ulp(t, self.prec))
-        return Ball(_mpf(t), _mpf(rad), self.prec)
+            return Ball(abs(X), 0, R, Q, p, False)
+        t = max(0, p + 2 - max(X.bit_length(), Y.bit_length()))
+        lo, hi = _modulus_bounds(X << t, Y << t, 0)
+        return _round(lo + hi, 0, hi - lo + (R << (t + 1)), Q + t + 1, p, False)
 
     def to_disk(self, P):
         """(X, Y, R, Q): the disk (X, Y, R) 2^-Q that holds this ball, at
         Q = max(P, the finest bit of the midpoint), so the midpoint
         (X + iY) 2^-Q is exact, and R = ceil(rad 2^Q)."""
-        re, im = _raw_c(self.mid)
-        Q = max([P] + [-t[2] for t in (re, im) if t[1]])
-        X, Y = ((-t[1] if t[0] else t[1]) << (t[2] + Q) for t in (re, im))
-        _, m, e, _ = self.rad._mpf_
-        shift = e + Q
-        return X, Y, (m << shift if shift >= 0 else -(-m >> -shift)), Q
+        X, Y, R, Q = self.X, self.Y, self.R, self.Q
+        if Q <= P:
+            return X << (P - Q), Y << (P - Q), R << (P - Q), P
+        t = min([Q - P] + [(v & -v).bit_length() - 1 for v in (X, Y) if v])
+        return X >> t, Y >> t, -(-R >> t), Q - t
 
     def add_error(self, extra) -> "Ball":
         """The same midpoint with `extra` (an int or a Fraction, rounded
         up) added to the radius."""
-        return Ball(self.mid, _mpf(_add_up(self.rad._mpf_, _ub(extra))),
-                    self.prec)
+        extra = Fraction(extra)
+        up = -_floor_div(-extra.numerator, self.Q, extra.denominator)
+        return Ball(self.X, self.Y, self.R + up, self.Q, self.prec, self.is_complex)
 
-    # -- real elementary functions (monotone, endpoint evaluation) ------
+    # -- real elementary functions --------------------------------------
 
-    def _endpoints(self):
-        """Raw endpoints [lo, hi] rounded outward at prec+16 bits."""
+    def _ends(self):
+        """Exact endpoints (lo, hi) of a real ball, in units of 2^-Q."""
         if self.is_complex:
             raise TypeError("real-only operation on a complex ball")
-        wp = self.prec + 16
-        m, r = self.mid._mpf_, self.rad._mpf_
-        return mpf_sub(m, r, wp, round_floor), mpf_add(m, r, wp, round_ceiling)
-
-    def _monotone(self, fn, lo, hi):
-        """Enclosure of fn over [lo, hi] for an increasing libmp function
-        fn(x, prec, rnd), evaluated at prec+16 bits; the radius covers the
-        half width, the evaluation error and the midpoint rounding."""
-        p = self.prec
-        flo = fn(lo, p + 16, round_nearest)
-        fhi = fn(hi, p + 16, round_nearest)
-        mid = mpf_shift(mpf_add(flo, fhi, p, round_nearest), -1)
-        half = mpf_shift(mpf_abs(mpf_sub(fhi, flo, _RADIUS_BITS, round_up)), -1)
-        cover = _add_up(_add_up(mpf_abs(flo, _RADIUS_BITS, round_ceiling),
-                                mpf_abs(fhi, _RADIUS_BITS, round_ceiling)),
-                        mpf_abs(mid, _RADIUS_BITS, round_ceiling))
-        rad = _add_up(_add_up(half, mpf_shift(cover, 4 - p)), _ulp(mid, p))
-        return Ball(_mpf(mid), _mpf(rad), p)
+        return self.X - self.R, self.X + self.R
 
     def sqrt(self):
-        lo, hi = self._endpoints()
-        if lo[0] and lo[1]:
+        lo, hi = self._ends()
+        if lo < 0:
             raise DomainError(f"sqrt of enclosure reaching below zero: {self!r}")
-        return self._monotone(mpf_sqrt, lo, hi)
+        p, Q = self.prec, self.Q
+        e = max(0, 2 * p + 4 - hi.bit_length())
+        e += (Q + e) & 1
+        s_lo, s_hi = _sqrt_bounds(lo << e)[0], _sqrt_bounds(hi << e)[1]
+        return _round(s_lo + s_hi, 0, s_hi - s_lo, (Q + e) // 2 + 1, p, False)
 
     def log(self):
-        lo, hi = self._endpoints()
-        if lo[0] or not lo[1]:
+        lo, hi = self._ends()
+        if lo <= 0:
             raise DomainError(f"log of enclosure touching zero: {self!r}")
-        return self._monotone(mpf_log, lo, hi)
+        from mpmath.libmp import (from_man_exp, mpf_log, round_ceiling, round_floor,
+                                  round_nearest)
+        p = self.prec
+        wp = p + 16
+        (a, Sa), (b, Sb) = (
+            _raw(mpf_log(from_man_exp(v, -self.Q, wp, rnd), wp, round_nearest))
+            for v, rnd in ((lo, round_floor), (hi, round_ceiling)))
+        S = max(Sa, Sb)
+        a, b = a << (S - Sa), b << (S - Sb)
+        cover = -(-(2 * abs(a) + 2 * abs(b) + abs(a + b)) >> (p - 4))
+        return _round(a + b, 0, b - a + cover, S + 1, p, False)
 
     def arg(self) -> "Ball":
         """Principal argument in (-pi, pi] of a complex enclosure.
@@ -509,85 +360,66 @@ class Ball:
         Raises DomainError when the disc contains zero or crosses the
         negative real axis (where the principal branch jumps).
         """
-        lb = self._lb()
-        if lb[0] or not lb[1]:
+        X, Y, R, p = self.X, self.Y, self.R, self.prec
+        lb = _modulus_bounds(X, Y, R)[0]
+        if lb <= 0:
             raise DomainError("arg of enclosure containing zero")
-        p = self.prec
-        r = self.rad._mpf_
+        from mpmath.libmp import from_man_exp, fzero, mpf_atan2, mpf_pi, round_nearest
         if self.is_complex:
-            re, im = self.mid._mpc_
-            if re[0] and re[1] and mpf_cmp(mpf_abs(im), r) <= 0:
+            if X < 0 and abs(Y) <= R:
                 raise DomainError("arg enclosure crosses the branch cut")
-            mid = mpf_atan2(im, re, p, round_nearest)
+            t = mpf_atan2(from_man_exp(Y, -self.Q), from_man_exp(X, -self.Q), p,
+                          round_nearest)
         else:
-            mid = mpf_pi(p, round_nearest) if self.mid._mpf_[0] else fzero
-        rad = _add_up(
-            mpf_div(mpf_shift(r, 1), lb, _RADIUS_BITS, round_ceiling),
-            mpf_shift(mpf_abs(mid, _RADIUS_BITS, round_ceiling), 3 - p))
-        return Ball(_mpf(mid), _mpf(rad), p)
+            t = mpf_pi(p, round_nearest) if X < 0 else fzero
+        M, S = _raw(t)
+        if S < p + 4:
+            M, S = M << (p + 4 - S), p + 4
+        rad = -_floor_div(-2 * R, S, lb) - (-abs(M) >> (p - 3))
+        return _round(M, 0, rad, S, p, False)
 
     # -- certified predicates (exact endpoints) -------------------------
 
-    def _lo(self):
-        """Exact lower endpoint of a real ball, as a raw mpf."""
-        if self.is_complex:
-            raise TypeError("real-only predicate on a complex ball")
-        return mpf_sub(self.mid._mpf_, self.rad._mpf_)
-
-    def _hi(self):
-        if self.is_complex:
-            raise TypeError("real-only predicate on a complex ball")
-        return mpf_add(self.mid._mpf_, self.rad._mpf_)
-
-    def fr_mid(self):
-        if self.is_complex:
-            raise TypeError("real-only predicate on a complex ball")
-        return mpf_to_fraction(self.mid)
+    def fr_mid(self) -> Fraction:
+        self._ends()
+        return _fraction(self.X, self.Q)
 
     def fr_lo(self) -> Fraction:
-        return mpf_to_fraction(_mpf(self._lo()))
+        return _fraction(self._ends()[0], self.Q)
 
     def fr_hi(self) -> Fraction:
-        return mpf_to_fraction(_mpf(self._hi()))
+        return _fraction(self._ends()[1], self.Q)
 
     def contains(self, value) -> bool:
         """Exact containment of an int or Fraction in a real ball."""
         v = Fraction(value)
-        return _cmp_q(self._lo(), v) <= 0 <= _cmp_q(self._hi(), v)
+        n, d = v.numerator, v.denominator
+        lo, hi = self._ends()
+        return _sign_vs(lo, self.Q, n, d, 0) <= 0 <= _sign_vs(hi, self.Q, n, d, 0)
+
+    def _above(self, lo, hi, other, sign):
+        """Whether sign [lo, hi] 2^-Q > sign other (a Ball, int or
+        Fraction) at every pair of points, or <= at every pair; raises
+        IndeterminateComparison when neither is certain."""
+        if isinstance(other, Ball):
+            (v_lo, v_hi), d, Qv = other._ends(), 1, other.Q
+        else:
+            v = Fraction(other)
+            v_lo = v_hi = v.numerator
+            d, Qv = v.denominator, 0
+        if sign < 0:
+            v_lo, v_hi = -v_hi, -v_lo
+        if _sign_vs(lo, self.Q, v_hi, d, Qv) > 0:
+            return True
+        if _sign_vs(hi, self.Q, v_lo, d, Qv) <= 0:
+            return False
+        raise IndeterminateComparison(f"{self!r} vs {other!r}")
 
     def gt(self, other) -> bool:
         """Certified self > other (other: Ball, int, or Fraction)."""
-        if isinstance(other, Ball):
-            if mpf_cmp(self._lo(), other._hi()) > 0:
-                return True
-            if mpf_cmp(self._hi(), other._lo()) <= 0:
-                return False
-            raise IndeterminateComparison(f"{self!r} vs {other!r}")
-        v = Fraction(other)
-        if _cmp_q(self._lo(), v) > 0:
-            return True
-        if _cmp_q(self._hi(), v) <= 0:
-            return False
-        raise IndeterminateComparison(f"{self!r} vs {v}")
+        lo, hi = self._ends()
+        return self._above(lo, hi, other, 1)
 
     def lt(self, other) -> bool:
-        if isinstance(other, Ball):
-            return other.gt(self)
-        v = Fraction(other)
-        if _cmp_q(self._hi(), v) < 0:
-            return True
-        if _cmp_q(self._lo(), v) >= 0:
-            return False
-        raise IndeterminateComparison(f"{self!r} vs {v}")
-
-
-def ball_sum(balls):
-    """Sum of an iterable of Balls (exact 0 ball for empty input)."""
-    balls = list(balls)
-    if not balls:
-        return Ball.exact(0, PREC_START)
-    acc = balls[0]
-    for b in balls[1:]:
-        acc = acc + b
-    return acc
-
+        lo, hi = self._ends()
+        return self._above(-hi, -lo, other, -1)

@@ -13,7 +13,7 @@ exclusion claims, L_k and the reduction's R and small-linear-form test,
 have the shape floor(ln x / ln y) and are decided on integers by
 log_floor, not by logs.  even_case_chain_check decides its weight cap
 on integers too, and raises its ratio to the n-th power by Ball.pow_int
-with outward rounding; it is the one function here that loads mpmath.
+with outward rounding, on Python ints: nothing here loads mpmath.
 """
 
 from __future__ import annotations

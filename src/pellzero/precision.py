@@ -9,6 +9,7 @@ are these classes."""
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 PREC_START = 128
@@ -71,7 +72,7 @@ def sig_str(x, n: int) -> str:
     m = (2 * num + den) // (2 * den)
     if m == 10 ** n:
         m, e = m // 10, e + 1
-    digits = str(m)
+    digits = str(Decimal(m))  # str(int) refuses past 4300 digits (Python 3.11+)
     if min(-(n // 3), -5) < e < n:
         if e < 0:
             digits, split = "0" * -e + digits, 1

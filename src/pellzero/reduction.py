@@ -3,8 +3,8 @@ reduction, plus the odd-order pipeline from certified roots to the
 reduced index bound R_k.
 
 The continued fraction of an enclosed real is certified on integers:
-the exact endpoints of its Ball (Ball.fr_lo and fr_hi) are read once
-at one scale 2^-S (_endpoints) and expanded by one simultaneous
+the integer endpoints X -/+ R of its Ball are read once at one scale
+2^-S (_endpoints, by Ball.to_disk) and expanded by one simultaneous
 Euclid.  The reals sharing a partial quotient prefix form an interval,
 so quotients common to both expansions hold for every value inside;
 the Euclid stops at the first quotient where they disagree and drops
@@ -16,7 +16,8 @@ tau with q > 6M, set eps = ||mu q|| - M ||tau q|| (||.|| = distance to
 the nearest integer).  When eps > 0, any solution of
 0 < |u tau - v + mu| < A B^(-w) with 0 < u <= M forces
 w < log(A q / eps) / log B.  eps is bounded exactly on the endpoint
-integers of tau and mu; only the outcome's eps is a Ball.  R is the
+integers of tau and mu, and the outcome's eps is the Ball of that
+integer interval.  R is the
 largest n with B^n <= A q / eps, decided by effbounds.log_floor at the
 upper bound of A and the lower bounds of eps and B, so the exclusion
 survives every enclosure outcome.
@@ -34,6 +35,7 @@ mod_hi); R and the small-linear-form test read only its lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .ball import Ball
@@ -56,7 +58,6 @@ class CFExpansion:
     partial_quotients: tuple
     convergents: tuple  # ((p, q), ...) coprime, q nondecreasing (strict from index 1)
     source: Ball  # the enclosure expanded: the input, or its last refinement
-    certified_len: int
 
 
 @dataclass
@@ -95,7 +96,7 @@ class ReductionOutcome:
         eps = self.epsilon
         digits = max(6, int(eps.prec * 0.30103) + 2)
         out = {
-            "q_used": str(self.q_used),
+            "q_used": str(Decimal(self.q_used)),
             "m_index": self.m_index,
             "epsilon": {"mid": sig_str(eps.fr_mid(), digits),
                         "rad": sig_str((eps.fr_hi() - eps.fr_lo()) / 2, 6)},
@@ -111,12 +112,14 @@ class ReductionOutcome:
 
 
 def _endpoints(*balls):
-    """(S, [(lo, hi), ...]): the exact endpoints fr_lo and fr_hi of each
-    real Ball in units of 2^-S, the least S >= 1 that makes them all
-    integers: 2^S is the largest of their reduced denominators, or 2."""
-    ends = [(b.fr_lo(), b.fr_hi()) for b in balls]
-    S = max([1] + [t.denominator.bit_length() - 1 for pair in ends for t in pair])
-    return S, [tuple((t.numerator << S) // t.denominator for t in pair) for pair in ends]
+    """(S, [(lo, hi), ...]): the exact endpoints of each real Ball in
+    units of 2^-S, S >= 1 the finest of their scales, read off the
+    integer disks (Ball.to_disk)."""
+    if any(b.is_complex for b in balls):
+        raise TypeError("real-only operation on a complex ball")
+    S = max([1] + [b.Q for b in balls])
+    disks = [b.to_disk(S) for b in balls]
+    return S, [(X - R, X + R) for X, _, R, _ in disks]
 
 
 def _abs_range(lo: int, hi: int):
@@ -164,8 +167,7 @@ def cf_expand(x: Ball, q_target: int, refine=None) -> CFExpansion:
         if convs and convs[-1][1] > q_target:
             return CFExpansion(partial_quotients=tuple(quots),
                                convergents=tuple(convs),
-                               source=x,
-                               certified_len=len(quots))
+                               source=x)
         if refine is None:
             raise PrecisionExhausted(
                 f"certified quotients exhausted at q={convs[-1][1] if convs else 0} "
@@ -201,8 +203,7 @@ def dp_reduce(inst: ReductionInstance, refine=None) -> ReductionOutcome:
             e_lo = d_lo - inst.M * dt_hi
             e_hi = min(d_hi, one >> 1) - inst.M * dt_lo
             if e_lo > 0:
-                eps = Ball.exact(Fraction(e_lo + e_hi, 2 * one),
-                                 tau.prec).add_error(Fraction(e_hi - e_lo, 2 * one))
+                eps = Ball.from_disk(e_lo + e_hi, 0, e_hi - e_lo, S + 1, tau.prec)
                 r_bound = log_floor(inst.A.fr_hi() * Fraction(q << S, e_lo), inst.B.fr_lo())
                 return ReductionOutcome(q_used=q, m_index=idx, epsilon=eps,
                                         R=r_bound, attempts=attempts)
@@ -276,8 +277,10 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
 
 
 def working_prec_for(M: int) -> int:
-    """Decimal digits of M plus 60, in bits, floored at the default."""
-    digits = len(str(abs(M))) + 60
+    """Decimal digits of M plus 60, in bits, floored at the default.  The
+    digits are counted by Decimal: str(int) refuses values past 4300
+    digits (Python 3.11+)."""
+    digits = Decimal(abs(M)).adjusted() + 61
     return max(PREC_START, int(digits * 3.3220) + 32)
 
 

@@ -107,12 +107,12 @@ of a product is off by less than one unit, so:
 
 |A| is bounded above by |X| + |Y|.  D and S are delta_k(z) and
 delta_k'(z) in units of 2^-P; ceil|D| and floor|S| come from math.isqrt,
-corrected in the required direction, as in ball._hypot.  When floor|S|
-<= eS, delta_k'(z) is not certified nonzero and certification fails.
-Exact Gaussian-integer evaluation at the dyadic centre (the test oracle)
-grows to k P bits, and Ball arithmetic pays libmp's overhead on every
-operation; the fixed-point radii are also 2.5e3 to 4.7e5 times tighter
-than the Ball ones.
+corrected in the required direction (_sqrt_bounds, which Ball's sqrt
+and moduli share).  When floor|S| <= eS, delta_k'(z) is not certified
+nonzero and certification fails.  Exact Gaussian-integer evaluation at
+the dyadic centre (the test oracle) grows to k P bits, and Ball
+arithmetic rounds and bounds every intermediate product on its own;
+the fixed-point radii are also far tighter than the Ball ones.
 
 The g_k rows are _gk_fixed, whose input is a disk (X, Y, R), not an
 exact centre: every point of it lies within R of (X, Y), and |N/D -
@@ -151,12 +151,13 @@ by construction) and the product of the |root| intervals must enclose
 Ball is compared or built: RootSystem keeps these integers, and builds
 its root and weight Balls from them, each list on its first read; every
 fact about a root modulus is read off the intervals [mod_lo, mod_hi].
-Three functions import ball, and with it mpmath: _ball, which builds
-every Ball of a disk by Ball.from_disk, binet_reconstruct (ball_sum)
-and check_root_separation (Ball.exact).  Every other function reads a
-Ball only through its methods (eval_gk by Ball.to_disk), so solving and
-checking a system loads neither; check_root_bounds prints its one
-decimal value with precision.sig_str.
+Two functions import ball: _ball, which builds every Ball of a disk by
+Ball.from_disk, and check_root_separation (Ball.exact), whose Ball.log
+is the one place here that loads mpmath.  Every other function reads a
+Ball only through its methods (eval_gk by Ball.to_disk, binet_reconstruct
+by its ring operations on ints), so solving and checking a system loads
+neither; check_root_bounds prints its one decimal value with
+precision.sig_str.
 
 Conjugate classes.  A root system is carried as one centre per
 conjugate class, a real root or a pair of complex-conjugate roots, from
@@ -489,13 +490,18 @@ def _disjoint(a, b) -> bool:
     return dx * dx + dy * dy > r * r
 
 
+def _sqrt_bounds(n: int):
+    """(floor(sqrt(n)), ceil(sqrt(n))) for an int n >= 0."""
+    s = math.isqrt(n)
+    return s, s + (s * s < n)
+
+
 def _modulus_bounds(X: int, Y: int, R: int):
     """(lo, hi) with every point of the disk (X, Y, R) of modulus in
     [lo, hi], all in units of one 2^-P: isqrt(N) - R and ceil(sqrt(N))
     + R, N = X^2 + Y^2."""
-    n = X * X + Y * Y
-    s = math.isqrt(n)
-    return s - R, s + (s * s < n) + R
+    lo, hi = _sqrt_bounds(X * X + Y * Y)
+    return lo - R, hi + R
 
 
 def _reaches(X: int, Y: int, R: int, prec: int) -> bool:
@@ -706,12 +712,11 @@ def binet_reconstruct(k: int, n: int, rs: RootSystem) -> Ball:
     (radius >= 0.4), and ValueError when k is not the order of rs."""
     if k != rs.k:
         raise ValueError(f"order k = {k} does not match the root system's k = {rs.k}")
-    from .ball import ball_sum
     w = rs.weights
     terms = [w[i] * rs.roots[i].pow_int(n) for i in rs.real_roots]
     terms += [(w[a] * rs.roots[a].pow_int(n)).real() * 2
               for a, _ in rs.conj_pairs]
-    ball = ball_sum(terms)
+    ball = sum(terms[1:], terms[0])
     rad = (ball.fr_hi() - ball.fr_lo()) / 2
     if not rad < 0.4:
         raise PrecisionExhausted(

@@ -6,7 +6,11 @@ dyadic so the reference arithmetic is exact end to end.
 """
 
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -20,11 +24,7 @@ from pellzero.ball import (
     IndeterminateComparison,
     PrecisionExhausted,
     ZeroDivisionEnclosure,
-    ball_sum,
-    conj_exact,
     escalate,
-    mpf_to_fraction,
-    neg_exact,
 )
 
 
@@ -35,23 +35,26 @@ def rand_dyadic(rng, scale=40):
 
 def test_exact_int_has_zero_radius():
     b = Ball.exact(7)
-    assert b.rad == 0
+    assert b.to_disk(0) == (7, 0, 0, 0)
     assert b.contains(7)
     assert b.fr_mid() == 7
 
 
 def test_exact_fraction_nonrepresentable_keeps_enclosure():
     b = Ball.exact(Fraction(1, 3))
-    assert b.rad > 0
+    assert b.fr_lo() < b.fr_hi()
     assert b.contains(Fraction(1, 3))
 
 
 def test_exact_mpf_passthrough():
     with mp.workprec(256):
         x = mp.mpf(2) ** -200 + 1
+        z = Ball.exact(mp.mpc(x, -x), 256)
     b = Ball.exact(x, 256)
-    assert b.rad == 0
-    assert b.fr_mid() == Fraction(1) + Fraction(1, 2 ** 200)
+    assert b.fr_lo() == b.fr_hi() == Fraction(1) + Fraction(1, 2 ** 200)
+    assert not b.is_complex
+    assert z.is_complex and z.to_disk(200) == ((1 << 200) + 1, -(1 << 200) - 1, 0, 200)
+    assert Ball.exact(mp.mpc(3, 0)).is_complex
 
 
 def test_from_disk_and_to_disk_round_trip():
@@ -74,6 +77,14 @@ def test_from_disk_and_to_disk_round_trip():
 def test_exact_rejects_strings():
     with pytest.raises(TypeError):
         Ball.exact("1.5")
+    for value in (mp.inf, mp.nan, mp.mpc(1, mp.inf)):
+        with pytest.raises(ValueError):
+            Ball.exact(value)
+
+
+def test_repr_shows_both_parts_of_a_complex_ball():
+    assert repr(Ball.from_disk(3, -1, 1, 1, 64)) == "Ball(1.5 + -0.5i +/- 0.5 @64b)"
+    assert repr(Ball.from_disk(3, 0, 1, 1, 64)) == "Ball(1.5 +/- 0.5 @64b)"
 
 
 def test_arithmetic_soundness_random():
@@ -112,11 +123,11 @@ def test_pow_int_matches_fraction_powers():
 def test_pow_zero_is_exact_one():
     b = Ball.exact(Fraction(22, 7))
     p = b.pow_int(0)
-    assert p.rad == 0 and p.fr_mid() == 1
+    assert p.fr_lo() == p.fr_hi() == 1
 
 
 def test_division_by_zero_enclosure_raises():
-    wide = Ball.exact(0) + Ball(mp.mpf(0), mp.mpf("0.5"), 64)
+    wide = Ball.exact(0) + Ball.from_disk(0, 0, 1, 1, 64)
     with pytest.raises(ZeroDivisionEnclosure):
         Ball.exact(1) / wide
 
@@ -128,17 +139,15 @@ def test_neg_preserves_high_precision_mid():
         x = mp.mpf(1) + mp.mpf(2) ** -200
     b = -Ball.exact(x, 256)
     assert b.fr_mid() == -(Fraction(1) + Fraction(1, 2 ** 200))
-    assert mpf_to_fraction(neg_exact(x)) == -mpf_to_fraction(x)
 
 
 def test_conjugate_preserves_high_precision_mid():
     with mp.workprec(256):
         z = mp.mpc(mp.mpf(1) + mp.mpf(2) ** -180, mp.mpf(3) + mp.mpf(2) ** -180)
-    c = conj_exact(z)
-    assert mpf_to_fraction(c.real) == mpf_to_fraction(z.real)
-    assert mpf_to_fraction(c.imag) == -mpf_to_fraction(z.imag)
-    ball = Ball.exact(z, 256).conjugate()
-    assert mpf_to_fraction(ball.mid.imag) < 0
+    ball = Ball.exact(z, 256)
+    X, Y, R, Q = ball.to_disk(0)
+    assert (Q, R) == (180, 0) and Y > 0
+    assert ball.conjugate().to_disk(0) == (X, -Y, 0, Q)
 
 
 def test_complex_magnitude_encloses_modulus():
@@ -147,12 +156,9 @@ def test_complex_magnitude_encloses_modulus():
         re, im = rand_dyadic(rng, 12), rand_dyadic(rng, 12)
         if re == 0 and im == 0:
             continue
-        with mp.workprec(PREC_START):
-            z = mp.mpc(mp.mpf(re.numerator) / re.denominator,
-                       mp.mpf(im.numerator) / im.denominator)
-        if mpf_to_fraction(z.real) != re or mpf_to_fraction(z.imag) != im:
-            continue
-        mag_sq = Ball.exact(z).magnitude().pow_int(2)
+        P = max(re.denominator, im.denominator).bit_length() - 1
+        z = Ball(int(re * 2 ** P), int(im * 2 ** P), 0, P, PREC_START, True)
+        mag_sq = z.magnitude().pow_int(2)
         assert mag_sq.contains(re * re + im * im)
 
 
@@ -165,30 +171,30 @@ def test_sqrt_enclosure_squares_back():
 
 
 def test_sqrt_of_possibly_negative_enclosure_raises():
-    b = Ball(mp.mpf("0.001"), mp.mpf("0.01"), 64)
+    b = Ball.from_disk(1, 0, 8, 10, 64)  # 2^-10 +/- 2^-7
     with pytest.raises(DomainError):
         b.sqrt()
 
 
 def test_log_touching_zero_raises():
     with pytest.raises(DomainError):
-        Ball(mp.mpf("1e-5"), mp.mpf("1e-4"), 64).log()
+        Ball.from_disk(1, 0, 10, 17, 64).log()
 
 
 def test_arg_quarter_turn():
     z = Ball.exact(mp.mpc(1, 1), 128)
     a = z.arg()
-    quarter = math.pi / 4
-    assert abs(float(a.mid) - quarter) <= float(a.rad) + 1e-15
+    quarter = Fraction(math.pi / 4)
+    assert a.fr_lo() - Fraction(1, 10 ** 15) <= quarter <= a.fr_hi() + Fraction(1, 10 ** 15)
 
 
 def test_arg_rejects_zero_enclosure():
     with pytest.raises(DomainError):
-        Ball(mp.mpc(0, 0), mp.mpf("0.1"), 64).arg()
+        Ball.exact(mp.mpc(0, 0), 64).add_error(Fraction(1, 10)).arg()
 
 
 def test_arg_rejects_branch_cut_crossing():
-    z = Ball(mp.mpc(-1, 0), mp.mpf("1e-6"), 128)
+    z = Ball.exact(mp.mpc(-1, 0), 128).add_error(Fraction(1, 10 ** 6))
     with pytest.raises(DomainError):
         z.arg()
 
@@ -200,19 +206,11 @@ def test_certified_comparisons():
     assert lo.lt(hi)
     assert hi.gt(Fraction(1, 2))
     assert not hi.gt(1)
-    wide = Ball(mp.mpf("0.5"), mp.mpf("0.4"), 64)
+    wide = Ball.exact(Fraction(1, 2), 64).add_error(Fraction(2, 5))
     with pytest.raises(IndeterminateComparison):
         wide.gt(Fraction(1, 2))
     with pytest.raises(IndeterminateComparison):
         wide.lt(lo)
-
-
-def test_ball_sum_empty_and_order():
-    z = ball_sum([])
-    assert z.rad == 0 and z.fr_mid() == 0
-    parts = [Ball.exact(Fraction(1, 2 ** i)) for i in range(10)]
-    total = ball_sum(parts)
-    assert total.contains(sum(Fraction(1, 2 ** i) for i in range(10)))
 
 
 def test_escalate_doubles_then_exhausts():
@@ -248,3 +246,25 @@ def test_deep_expression_stays_sound():
         den = fs[5] * fs[5] + 1
         expr2 = expr / (bs[5] * bs[5] + 1)
         assert expr2.contains(want / den)
+
+
+def test_integer_paths_load_no_mpmath():
+    # Ring operations, comparisons and conversions run on ints: the even
+    # chain check at L_6 = 163 and a Binet term rebuild load no mpmath in
+    # a fresh interpreter, while Ball.log does.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from pellzero import effbounds, spectra\n"
+            "rs = spectra.solve_roots(6)\n"
+            "assert effbounds.refined_even_bound(rs) == 163\n"
+            "assert effbounds.even_case_chain_check(rs, 163)\n"
+            "assert spectra.binet_reconstruct(5, -20, spectra.solve_roots(5)).contains(-74)\n"
+            "print('mpmath' in sys.modules)\n"
+            "from pellzero.ball import Ball\n"
+            "Ball.exact(2).log()\n"
+            "print('mpmath' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split()
+    assert out == ["False", "True"]
+

@@ -2,18 +2,19 @@
 
 Inputs are random real and complex enclosures at 64, 128 and 390 bits,
 mixed within one operation, with midpoint exponents out to +-2000 and
-radii from zero up to the size of the midpoint.  For each operation,
-exact points inside the inputs (including the real endpoints) are
-pushed through Fraction arithmetic, and the exact result must lie in
-the output ball.  Complex values are (re, im) pairs of Fractions;
-membership in a disc is decided on squared distances, and sqrt by
-squaring the output endpoints, so no step of these oracles rounds.
-log has no rational oracle: it is checked against mpmath
-evaluated 200 bits past the ball's precision, compared as Fractions
-with 2^10 of its ulps to spare.  Disjointness of two enclosures is
-decided by the root sweep's integer pair test (spectra._disjoint) on
-the enclosures converted exactly to fixed point, and must match the
-exact distance of the midpoints.
+radii from zero up to the size of the midpoint; a complex input may
+have imaginary part 0.  For each operation, exact points inside the
+inputs (including the real endpoints) are pushed through Fraction
+arithmetic, and the exact result must lie in the output ball.  Complex
+values are (re, im) pairs of Fractions; membership in a disc is decided
+on squared distances, and sqrt by squaring the output endpoints, so no
+step of these oracles rounds.  log, arg and pi have no rational oracle:
+each is checked against mpmath evaluated at three times the ball's
+precision, compared as Fractions with 2^-(2 prec) of the value to
+spare.  Disjointness of two enclosures is decided by the root sweep's
+integer pair test (spectra._disjoint) on the enclosures as integer
+disks at one scale (Ball.to_disk), and must match the exact distance
+of the midpoints.
 """
 
 from fractions import Fraction
@@ -22,7 +23,7 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, fzero, mpc_abs, mpf_add, round_ceiling
+from mpmath.libmp import from_man_exp, mpc_abs, round_ceiling
 
 from pellzero import spectra
 from pellzero.ball import (
@@ -30,8 +31,6 @@ from pellzero.ball import (
     DomainError,
     IndeterminateComparison,
     ZeroDivisionEnclosure,
-    _raw_c,
-    mpf_to_fraction,
 )
 
 PRECS = (64, 128, 390)
@@ -39,35 +38,61 @@ EXP = 2000
 UNIT = 1 << 16
 
 
-def _mpf(man, exp):
-    return mp.make_mpf(from_man_exp(man, exp))
+def _ball(X, Y, R, p, is_complex):
+    """The Ball of (X + iY +/- R) for dyadic Fractions X, Y, R, exactly."""
+    Q = max(0, *(v.denominator.bit_length() - 1 for v in (X, Y, R)))
+    X, Y, R = (int(v * (1 << Q)) for v in (X, Y, R))
+    return Ball(X, Y, R, Q, p, is_complex)
+
+
+def _dyadic(man, exp):
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def frac(x):
+    """The exact value of an mpf, as a Fraction."""
+    sign, man, exp, _ = x._mpf_
+    return _dyadic(-man if sign else man, exp)
+
+
+def parts(b):
+    """The exact (re, im, rad) of a ball, as Fractions."""
+    X, Y, R, Q = b.to_disk(max(b.Q, 0))
+    return tuple(Fraction(v, 1 << Q) for v in (X, Y, R))
 
 
 @st.composite
-def reals(draw, exp_lo=-EXP, exp_hi=EXP, nonneg=False):
-    """A real Ball: p-bit midpoint, radius zero or a 30-bit mantissa
-    between 2^-(p+40) and 1 times the midpoint's size."""
+def real_parts(draw, exp_lo=-EXP, exp_hi=EXP, nonneg=False):
+    """(p, mid, rad): a p-bit midpoint, radius zero or a 30-bit
+    mantissa between 2^-(p+40) and 1 times the midpoint's size."""
     p = draw(st.sampled_from(PRECS))
     man = draw(st.integers(1, (1 << p) - 1))
     if not nonneg and draw(st.booleans()):
         man = -man
     top = draw(st.integers(exp_lo, exp_hi))
-    mid = _mpf(man, top - man.bit_length())
+    mid = _dyadic(man, top - man.bit_length())
     if draw(st.integers(0, 3)) == 0:
-        rad = mp.mpf(0)
+        rad = Fraction(0)
     else:
         rman = draw(st.integers(1, (1 << 30) - 1))
         rtop = top - draw(st.integers(1, p + 40))
-        rad = _mpf(rman, rtop - rman.bit_length())
-    return Ball(mid, rad, p)
+        rad = _dyadic(rman, rtop - rman.bit_length())
+    return p, mid, rad
+
+
+@st.composite
+def reals(draw, exp_lo=-EXP, exp_hi=EXP, nonneg=False):
+    p, mid, rad = draw(real_parts(exp_lo, exp_hi, nonneg))
+    return _ball(mid, Fraction(0), rad, p, False)
 
 
 @st.composite
 def complexes(draw):
-    re, im = draw(reals()), draw(reals())
-    p = draw(st.sampled_from(PRECS))
-    rad = max(re.rad, im.rad)
-    return Ball(mp.make_mpc((re.mid._mpf_, im.mid._mpf_)), rad, p)
+    _, re, r_re = draw(real_parts())
+    _, im, r_im = draw(real_parts())
+    if draw(st.integers(0, 4)) == 0:
+        im = Fraction(0)
+    return _ball(re, im, max(r_re, r_im), draw(st.sampled_from(PRECS)), True)
 
 
 balls = st.one_of(reals(), complexes())
@@ -82,21 +107,10 @@ offsets = st.one_of(st.sampled_from([(Fraction(-1), Fraction(0)),
                                      (Fraction(0), Fraction(0))]), offsets)
 
 
-def raw_fraction(t):
-    return mpf_to_fraction(mp.make_mpf(t))
-
-
-def frac_mid(b):
-    if b.is_complex:
-        return mpf_to_fraction(b.mid.real), mpf_to_fraction(b.mid.imag)
-    return mpf_to_fraction(b.mid), Fraction(0)
-
-
 def point(b, off):
     """An exact point of b: mid + (u + iv) rad, with v dropped for a real
     ball (its enclosure is an interval)."""
-    re, im = frac_mid(b)
-    r = mpf_to_fraction(b.rad)
+    re, im, r = parts(b)
     u, v = off
     if not b.is_complex:
         return re + u * r, Fraction(0)
@@ -129,14 +143,21 @@ def assert_in(ball, z):
         assert z[1] == 0, "real ball for a nonreal value"
         assert ball.contains(z[0])
     else:
-        r = mpf_to_fraction(ball.rad)
-        assert norm2(c_sub(z, frac_mid(ball))) <= r * r
+        re, im, r = parts(ball)
+        assert norm2(c_sub(z, (re, im))) <= r * r
 
 
 def assert_abs_in(lo, hi, sq):
     """lo <= sqrt(sq) <= hi for exact Fractions, sq >= 0."""
     assert hi >= 0 and hi * hi >= sq
     assert lo <= 0 or lo * lo <= sq
+
+
+def modulus_bounds(b):
+    """spectra._modulus_bounds of b's disk, as Fractions: every point of
+    b has modulus in [lo, hi]."""
+    X, Y, R, Q = b.to_disk(max(b.Q, 0))
+    return tuple(Fraction(v, 1 << Q) for v in spectra._modulus_bounds(X, Y, R))
 
 
 @given(balls, balls, offsets, offsets)
@@ -152,7 +173,7 @@ def test_div(a, b, oa, ob):
     try:
         q = a / b
     except ZeroDivisionEnclosure:
-        assert raw_fraction(b._lb()) <= 0
+        assert modulus_bounds(b)[0] <= 0
         return
     assert_in(q, c_div(point(a, oa), point(b, ob)))
 
@@ -182,29 +203,58 @@ def test_pow_int(a, n, oa):
     assert_in(p, want)
 
 
+@given(balls, offsets, st.integers(-6, 6))
+def test_exact_moves(a, oa, shift):
+    # Negation, conjugation, the real part, add_error and the disk
+    # round trip are exact: each result holds the image of every point.
+    x = point(a, oa)
+    assert_in(-a, (-x[0], -x[1]))
+    assert_in(a.conjugate(), (x[0], -x[1]))
+    assert_in(a.real(), (x[0], Fraction(0)))
+    extra = Fraction(3, 7) * Fraction(2) ** shift
+    u, v = oa if a.is_complex else (oa[0], 0)
+    assert_in(a.add_error(extra), c_add(x, (extra * u, extra * v)))
+    X, Y, R, Q = a.to_disk(0)
+    if Y or not a.is_complex:  # from_disk makes a disk with Y = 0 real
+        assert_in(Ball.from_disk(X, Y, R, Q, a.prec), x)
+
+
 @given(balls, offsets)
 def test_magnitude_and_abs_bounds(a, oa):
-    # magnitude() and the raw bounds that divisions and arg read: _lb()
-    # below |value|, and the midpoint bound _mag(1) plus the radius above.
+    # magnitude() and the integer modulus bounds that divisions and arg
+    # read (spectra._modulus_bounds on the ball's disk).
     sq = norm2(point(a, oa))
     m = a.magnitude()
     assert not m.is_complex
     assert_abs_in(m.fr_lo(), m.fr_hi(), sq)
-    assert_abs_in(raw_fraction(a._lb()),
-                  raw_fraction(a._mag(1)) + mpf_to_fraction(a.rad), sq)
+    assert_abs_in(*modulus_bounds(a), sq)
 
 
 def test_abs_upper_bound_where_truncated_square_sum_undershoots():
     # |1 + 2^-40 i|^2 = 1 + 2^-80 needs 81 bits.  mpc_abs rounds the sum
     # by truncation at p + 4 = 68 bits before its square root, so even
     # with round_ceiling it returns exactly 1, below the true modulus.
-    z = mp.make_mpc((_mpf(1, 0)._mpf_, _mpf(1, -40)._mpf_))
+    z = (from_man_exp(1, 0), from_man_exp(1, -40))
     sq = Fraction(1) + Fraction(1, 1 << 80)
-    assert mpf_to_fraction(mp.make_mpf(mpc_abs(z._mpc_, 64, round_ceiling))) ** 2 < sq
-    b = Ball.exact(z, 64)
-    assert raw_fraction(b._mag(1)) ** 2 >= sq
+    assert frac(mp.mpf(mpc_abs(z, 64, round_ceiling))) ** 2 < sq
+    b = Ball.from_disk(1 << 40, 1, 0, 40, 64)
+    assert modulus_bounds(b)[1] ** 2 >= sq
     m = b.magnitude()
     assert_abs_in(m.fr_lo(), m.fr_hi(), sq)
+
+
+def test_complex_ball_with_zero_imaginary_part_stays_complex():
+    # (2^200 + i)^2 = 2^400 - 1 + 2^201 i: at 64 bits the imaginary part
+    # rounds to 0, and the result is still a complex disk.
+    z = Ball.from_disk(1 << 200, 1, 0, 0, 64)
+    sq = z * z
+    assert sq.is_complex and sq.to_disk(0)[1] == 0
+    assert_in(sq, ((1 << 400) - 1, Fraction(1 << 201)))
+    for real_only in (sq.fr_lo, sq.fr_hi, sq.fr_mid, sq.sqrt, sq.log,
+                      lambda: sq.contains(0), lambda: sq.gt(0), lambda: sq.lt(0)):
+        with pytest.raises(TypeError):
+            real_only()
+    assert not sq.real().is_complex
 
 
 def expected_order(lo_a, hi_a, lo_b, hi_b):
@@ -219,7 +269,7 @@ def expected_order(lo_a, hi_a, lo_b, hi_b):
 def test_gt_lt_balls_match_exact_endpoints(a, b, near):
     if near:
         # Shift b onto a so that overlaps and touching endpoints occur.
-        b = Ball(a.mid, b.rad, b.prec)
+        b = _ball(a.fr_mid(), Fraction(0), parts(b)[2], b.prec, False)
     la, ha, lb, hb = a.fr_lo(), a.fr_hi(), b.fr_lo(), b.fr_hi()
     for got, want in ((lambda: a.gt(b), expected_order(la, ha, lb, hb)),
                       (lambda: a.lt(b), expected_order(lb, hb, la, ha))):
@@ -256,15 +306,18 @@ def test_sqrt(a, oa):
     assert_abs_in(s.fr_lo(), s.fr_hi(), x)
 
 
-def _check_against_mpmath(out, fn, x, prec):
-    """fn(x) computed by mpmath 200 bits past the ball's precision lies
-    in the output with room to spare for that evaluation's error."""
-    with mp.workprec(prec + 200):
-        val = fn(mp.mpf(x.numerator) / x.denominator)
-        slack = abs(val) * mp.mpf(2) ** (-prec - 190)
+def _check_against_mpmath(out, val, prec):
+    """val, computed by mpmath at 3 prec bits, lies in the output with
+    |val| 2^-(2 prec) to spare for that evaluation's error."""
+    with mp.workprec(3 * prec):
+        slack = abs(val) * mp.mpf(2) ** (-2 * prec)
         lo, hi = val - slack, val + slack
-    assert out.fr_lo() <= mpf_to_fraction(lo)
-    assert mpf_to_fraction(hi) <= out.fr_hi()
+    assert out.fr_lo() <= frac(lo)
+    assert frac(hi) <= out.fr_hi()
+
+
+def _mpf(x: Fraction):
+    return mp.mpf(x.numerator) / x.denominator
 
 
 @given(reals(nonneg=True), offsets)
@@ -276,24 +329,46 @@ def test_log(a, oa):
         assert a.fr_lo() <= 0
         return
     assume(x > 0)
-    _check_against_mpmath(out, mp.log, x, a.prec)
+    with mp.workprec(3 * a.prec):
+        val = mp.log(_mpf(x))
+    _check_against_mpmath(out, val, a.prec)
+
+
+@given(balls, offsets)
+def test_arg(a, oa):
+    re, im = point(a, oa)
+    try:
+        out = a.arg()
+    except DomainError:
+        X, Y, R = parts(a)
+        assert modulus_bounds(a)[0] <= 0 or (a.is_complex and X < 0 and abs(Y) <= R)
+        return
+    assert not out.is_complex
+    assume(re or im)
+    with mp.workprec(3 * a.prec):
+        val = mp.atan2(_mpf(im), _mpf(re))
+    _check_against_mpmath(out, val, a.prec)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_pi(prec):
+    with mp.workprec(3 * prec):
+        val = +mp.pi
+    _check_against_mpmath(Ball.pi(prec), val, prec)
 
 
 @given(balls, balls, st.booleans())
 def test_disjoint_matches_exact_distance(a, b, near):
-    """The root sweep's pair test (spectra._disjoint) on two enclosures,
-    converted exactly to (X, Y, R) at one fixed point, against the
-    exact distance of the midpoints."""
+    """The root sweep's pair test (spectra._disjoint) on two enclosures
+    as integer disks at one scale against the exact distance of the
+    midpoints."""
+    (re_a, im_a, r_a), (_, _, r_b) = parts(a), parts(b)
     if near:
-        # Centers exactly ra + rb apart: the discs touch.
-        re, im = a.mid._mpc_ if a.is_complex else (a.mid._mpf_, fzero)
-        re = mpf_add(re, mpf_add(a.rad._mpf_, b.rad._mpf_))
-        b = Ball(mp.make_mpc((re, im)) if a.is_complex else mp.make_mpf(re),
-                 b.rad, b.prec)
-    raws = [(*_raw_c(x.mid), x.rad._mpf_) for x in (a, b)]
-    P = max([0] + [-t[2] for r in raws for t in r if t[1]])
-    fa, fb = [tuple(int(mpf_to_fraction(mp.make_mpf(t)) * (1 << P)) for t in r)
-              for r in raws]
-    dist2 = norm2(c_sub(frac_mid(a), frac_mid(b)))
-    reach = mpf_to_fraction(a.rad) + mpf_to_fraction(b.rad)
+        # Centres exactly ra + rb apart: the discs touch.
+        b = _ball(re_a + r_a + r_b, im_a, r_b, b.prec, a.is_complex)
+    P = max(a.Q, b.Q, 0)
+    fa, fb = a.to_disk(P)[:3], b.to_disk(P)[:3]
+    re_b, im_b, r_b = parts(b)
+    dist2 = norm2((re_a - re_b, im_a - im_b))
+    reach = r_a + r_b
     assert spectra._disjoint(fa, fb) == (dist2 > reach * reach)

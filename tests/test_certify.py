@@ -1,8 +1,9 @@
 """Root certification by Newton inclusion disks and a sorted disk sweep.
 
 The enclosure test checks that every 128-bit root ball holds the disk of
-the matching certified 512-bit root, in mpmath at 600 bits, and that the
-kept integer modulus intervals hold its modulus.  The failure-path
+the matching certified 512-bit root, exactly on the integer disks
+(Ball.to_disk), and that the kept integer modulus intervals hold its
+modulus.  The failure-path
 tests feed _certify class centres that must not certify: a duplicated
 centre, a real class near the spurious root at 1, a real class off the
 axis, a pair class on it, a centre moved so far towards a neighbour that
@@ -23,14 +24,13 @@ gamma^k leaves the double range.
 
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp
 
 from pellzero import spectra
-from pellzero.ball import Ball, _raw_c, mpf_to_fraction
+from pellzero.ball import Ball
+from pellzero.precision import sig_str
 from pellzero.spectra import CertificationFailure
 
 
@@ -44,7 +44,20 @@ def cold_cache():
 
 
 def _dyadic(man, exp):
-    return mp.make_mpf(from_man_exp(man, exp))
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _parts(b):
+    """The exact (re, im, rad) of a Ball, as Fractions: at the Ball's own
+    scale Q, to_disk moves nothing."""
+    X, Y, R, Q = b.to_disk(max(b.Q, 0))
+    return tuple(Fraction(v, 1 << Q) for v in (X, Y, R))
+
+
+def _fball(re, im, rad):
+    """The Ball of the disk (re + i im, rad), dyadic Fractions, exactly."""
+    P = max(v.denominator.bit_length() - 1 for v in (re, im, rad))
+    return Ball.from_disk(*(int(v * 2 ** P) for v in (re, im, rad)), P, 128)
 
 
 def _centres(k, prec=128):
@@ -67,13 +80,14 @@ def test_root_balls_contain_the_512_bit_centres(k):
     # part, so the certified order matches them up.
     seeds = [(X << 384, Y << 384) for X, Y in _class_centres(low)]
     high = spectra._certify(k, spectra._polish(k, seeds, 512), 512)
-    with mp.workprec(600):
-        for lo_ball, hi_ball in zip(low.roots, high.roots):
-            assert abs(hi_ball.mid - lo_ball.mid) + hi_ball.rad <= lo_ball.rad, (k, lo_ball)
-        # The kept modulus intervals hold the 512-bit moduli too.
-        for a, b, hi_ball in zip(low.mod_lo, low.mod_hi, high.roots):
-            m = abs(hi_ball.mid) * 2 ** low.P
-            assert a <= m - hi_ball.rad * 2 ** low.P and m + hi_ball.rad * 2 ** low.P <= b, k
+    P, shift = high.P, high.P - low.P
+    for lo_ball, hi_ball in zip(low.roots, high.roots):
+        (X, Y, R, _), (x, y, r, _) = lo_ball.to_disk(P), hi_ball.to_disk(P)
+        assert r <= R and (X - x) ** 2 + (Y - y) ** 2 <= (R - r) ** 2, (k, lo_ball)
+    # The kept modulus intervals hold the 512-bit moduli too.
+    for a, b, hi_ball in zip(low.mod_lo, low.mod_hi, high.roots):
+        m_lo, m_hi = spectra._modulus_bounds(*hi_ball.to_disk(P)[:3])
+        assert a << shift <= m_lo and m_hi <= b << shift, k
 
 
 def test_duplicated_centre_raises():
@@ -182,7 +196,7 @@ def test_pinned_radii_certify_the_polished_centres(k, monkeypatch):
     # true centres pass every check.
     _pin_radii(monkeypatch)
     rs = spectra._certify(k, _centres(k), 128)
-    assert rs.roots[0].rad == mp.ldexp(1, -130)
+    assert _parts(rs.roots[0])[2] == Fraction(1, 1 << 130)
 
 
 def test_modulus_order_inversion_raises(monkeypatch):
@@ -336,10 +350,10 @@ def test_failed_certification_escalates_from_the_old_centres(k, monkeypatch):
     assert rs.prec == direct.prec == 256
     assert rs.conj_pairs == direct.conj_pairs
     assert rs.real_roots == direct.real_roots
-    assert ([mp.nstr(b.mid, 30) for b in rs.roots]
-            == [mp.nstr(b.mid, 30) for b in direct.roots])
+    assert ([[sig_str(v, 30) for v in _parts(b)[:2]] for b in rs.roots]
+            == [[sig_str(v, 30) for v in _parts(b)[:2]] for b in direct.roots])
     # Polished at the new precision, not left at the old one.
-    assert max(b.rad for b in rs.roots) < mp.mpf(2) ** -200
+    assert max(_parts(b)[2] for b in rs.roots) < Fraction(1, 1 << 200)
 
 
 @pytest.mark.parametrize("k", [5, 10])
@@ -370,7 +384,8 @@ def test_radii_short_of_the_label_escalate(k, monkeypatch):
     assert failures[0][1] == "radii miss the label, |centre| 2^-128"
     assert rs.prec == 256
     for b in rs.roots:
-        assert b.rad <= abs(b.mid) * mp.mpf(2) ** -256
+        re, im, rad = _parts(b)
+        assert (rad * 2 ** 256) ** 2 <= re * re + im * im
 
 
 @pytest.mark.parametrize("k", [499, 500])
@@ -412,56 +427,50 @@ def test_gamma_seed_stays_finite_past_the_double_range():
 def disk_lists(draw):
     """Disks on a coarse dyadic grid, so that overlaps, exact touching
     (along either axis), duplicates and disks just apart by 2^-120 all
-    occur; centres are real mpfs, complex mpcs (some on the real axis)
-    with a 128-bit tail, and radii are zero or 30-bit mantissas."""
+    occur; centres are real, or complex (some on the real axis) with a
+    128-bit tail, and radii are zero or 30-bit mantissas."""
     disks = []
     for _ in range(draw(st.integers(0, 14))):
         how = draw(st.sampled_from(["fresh", "duplicate", "touch_re", "touch_im",
                                     "just_apart"])) if disks else "fresh"
         rad = (_dyadic(draw(st.integers(0, (1 << 30) - 1)), -36)
-               if draw(st.integers(0, 3)) else mp.mpf(0))
+               if draw(st.integers(0, 3)) else Fraction(0))
         if how == "fresh":
             re = _dyadic((draw(st.integers(-40, 40)) << 128)
                          + draw(st.integers(0, (1 << 128) - 1)), -134)
-            if draw(st.booleans()):
-                mid = re
-            else:
-                mid = mp.make_mpc((re._mpf_, _dyadic(draw(st.integers(-40, 40)), -6)._mpf_))
-            disks.append(Ball(mid, rad, 128))
+            im = Fraction(0) if draw(st.booleans()) else _dyadic(draw(st.integers(-40, 40)), -6)
+            disks.append(_fball(re, im, rad))
             continue
         old = disks[draw(st.integers(0, len(disks) - 1))]
+        re, im, old_rad = _parts(old)
         if how == "duplicate":
-            disks.append(Ball(old.mid, old.rad, old.prec))
+            disks.append(_fball(re, im, old_rad))
             continue
-        with mp.workprec(2000):
-            gap = old.rad + rad + (_dyadic(1, -120) if how == "just_apart" else 0)
-            if how == "touch_im":
-                mid = old.mid + mp.mpc(0, gap)
-            else:
-                mid = old.mid + gap
-        disks.append(Ball(mid, rad, 128))
+        gap = old_rad + rad + (_dyadic(1, -120) if how == "just_apart" else 0)
+        if how == "touch_im":
+            im += gap
+        else:
+            re += gap
+        disks.append(_fball(re, im, rad))
     return disks
 
 
 def _projection(b):
-    re = mpf_to_fraction(b.mid.real)
-    r = mpf_to_fraction(b.rad)
+    re, _, r = _parts(b)
     return re - r, re + r
 
 
 def _fixed_disks(disks):
     """The disks as (X, Y, R) at the one P that holds every bit of every
     centre and radius, so the conversion (Ball.to_disk) is exact."""
-    raws = [(*_raw_c(b.mid), b.rad._mpf_) for b in disks]
-    P = max([0] + [-t[2] for r in raws for t in r if t[1]])
+    P = max([0] + [b.Q for b in disks])
     return [b.to_disk(P)[:3] for b in disks]
 
 
 def _apart(a, b):
     """Exact oracle: the centres are more than ra + rb apart."""
-    dx = mpf_to_fraction(a.mid.real) - mpf_to_fraction(b.mid.real)
-    dy = mpf_to_fraction(mp.im(a.mid)) - mpf_to_fraction(mp.im(b.mid))
-    reach = mpf_to_fraction(a.rad) + mpf_to_fraction(b.rad)
+    (xa, ya, ra), (xb, yb, rb) = _parts(a), _parts(b)
+    dx, dy, reach = xa - xb, ya - yb, ra + rb
     return dx * dx + dy * dy > reach * reach
 
 
@@ -487,17 +496,17 @@ def test_disjoint_decides_apart_real_projections_exactly():
     # Centres 2r + 2^-120 apart with radius r: a 30-bit distance bound
     # would round the gap away.
     r = _dyadic((1 << 30) - 1, -30)
-    with mp.workprec(200):
-        far = 2 * r + _dyadic(1, -120)
-    a, b, touching = _fixed_disks([Ball(mp.mpf(0), r, 128), Ball(far, r, 128),
-                                   Ball(2 * r, r, 128)])
+    far = 2 * r + _dyadic(1, -120)
+    zero = Fraction(0)
+    a, b, touching = _fixed_disks([_fball(zero, zero, r), _fball(far, zero, r),
+                                   _fball(2 * r, zero, r)])
     assert spectra._disjoint(a, b) and spectra._disjoint(b, a)
     assert not spectra._disjoint(a, touching)
 
 
 @given(st.integers(1, (1 << 30) - 1), st.integers(-200, 40), st.integers(0, 200))
 def test_radius_converts_rounding_up(man, exp, P):
-    X, Y, R, Q = Ball(mp.mpf(0), _dyadic(man, exp), 128).to_disk(P)
+    X, Y, R, Q = Ball.from_disk(0, 0, man, -exp, 128).to_disk(P)
     exact = man * Fraction(2) ** (exp + P)
     assert (X, Y, Q) == (0, 0, P)
     assert R - 1 < exact <= R

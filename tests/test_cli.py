@@ -134,15 +134,16 @@ def test_roots_report_shape(capsys):
 @pytest.mark.parametrize("prec", [128, 256])
 def test_roots_print_the_certified_disks_as_mpmath_did(capsys, prec):
     # The root report formats the integer disks (X, Y, R) 2^-P; the
-    # oracle is mpmath's nstr on the Balls built from the same disks.
+    # oracle is mpmath's nstr on the exact values of the same disks.
     import mpmath as mp
     for k in range(2, 61):
         rc, out, _ = run_cli(capsys, "roots", "--k", str(k), "--precision", str(prec))
         rs = spectra.solve_roots(k, prec)
         digits = max(6, int(rs.prec * 0.30103) - 2)
-        want = [{"re": mp.nstr(b.mid.real if b.is_complex else b.mid, digits),
-                 "im": mp.nstr(b.mid.imag, digits) if b.is_complex else "0",
-                 "rad": mp.nstr(b.rad, 4)} for b in rs.roots]
+        with mp.workprec(2 * rs.P):
+            want = [{"re": mp.nstr(mp.ldexp(X, -rs.P), digits),
+                     "im": mp.nstr(mp.ldexp(Y, -rs.P), digits) if Y else "0",
+                     "rad": mp.nstr(mp.ldexp(R, -rs.P), 4)} for X, Y, R in rs.disks]
         assert json.loads(out)["roots"] == want, k
 
 

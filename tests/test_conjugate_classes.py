@@ -20,12 +20,12 @@ all-roots sum written here.
 """
 
 from collections import Counter
+from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
 from pellzero import spectra
-from pellzero.ball import Ball, ball_sum, mpf_to_fraction
+from pellzero.ball import Ball
 from pellzero.bigseq import KContext
 
 ORDERS = list(range(2, 61)) + [86]
@@ -39,12 +39,10 @@ def cold_cache():
     spectra.clear_cache()
 
 
-def _raw(x):
-    return x._mpc_ if isinstance(x, mp.mpc) else x._mpf_
-
-
 def _same(a: Ball, b: Ball):
-    return _raw(a.mid) == _raw(b.mid) and a.rad._mpf_ == b.rad._mpf_
+    """Bit for bit: integer disks, scales, labels and markers."""
+    return ((a.to_disk(a.Q), a.prec, a.is_complex)
+            == (b.to_disk(b.Q), b.prec, b.is_complex))
 
 
 @pytest.mark.parametrize("prec", [128, 390])
@@ -95,12 +93,9 @@ def test_pairs_are_adjacent_exact_mirrors_one_run_per_class(k, monkeypatch):
 @pytest.mark.parametrize("k", ORDERS + [250, 499, 1000])
 def test_roots_and_weights_are_read_off_the_disks(k):
     rs = spectra.solve_roots(k)
-    scale = 1 << rs.P
     w = rs.weights
-    for i, (root, (X, Y, R)) in enumerate(zip(rs.roots, rs.disks)):
-        assert mpf_to_fraction(root.mid.real) * scale == X, (k, i)
-        assert mpf_to_fraction(root.mid.imag) * scale == Y, (k, i)
-        assert mpf_to_fraction(root.rad) * scale == R, (k, i)
+    for i, (root, disk) in enumerate(zip(rs.roots, rs.disks)):
+        assert root.to_disk(rs.P) == (*disk, rs.P), (k, i)
         assert _same(w[i], spectra.eval_gk(k, root)), (k, i)
 
 
@@ -142,13 +137,12 @@ def test_certify_computes_one_radius_per_class(k, monkeypatch):
 def test_binet_per_class_matches_all_roots_sum(k):
     rs = spectra.solve_roots(k, spectra.suggested_prec(k, 60))
     ctx = KContext(k)
-    tol = mp.mpf("1e-20")
+    tol = Fraction(1, 10 ** 20)
     for n in range(-60, 61):
         exact = ctx.value(n)
         per_class = spectra.binet_reconstruct(k, n, rs)
-        all_roots = ball_sum(spectra.eval_gk(k, r) * r.pow_int(n)
-                             for r in rs.roots).real()
+        terms = [spectra.eval_gk(k, r) * r.pow_int(n) for r in rs.roots]
+        all_roots = sum(terms[1:], terms[0]).real()
         assert per_class.contains(exact), (k, n)
         assert all_roots.contains(exact), (k, n)
-        with mp.workprec(rs.prec):
-            assert abs(per_class.mid - all_roots.mid) < tol, (k, n)
+        assert abs(per_class.fr_mid() - all_roots.fr_mid()) < tol, (k, n)

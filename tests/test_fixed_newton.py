@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
 from pellzero import spectra
-from pellzero.ball import mpf_to_fraction
 from pellzero.reduction import odd_k_reduce
 
 ORDERS = list(range(2, 61)) + [86]
@@ -58,20 +57,19 @@ fitting = st.integers(-P, 60)
 
 @given(mantissas, fitting)
 def test_real_round_trip_is_exact(man, exp):
-    x = _dyadic(man, exp)
     X = man << (exp + P)
-    back = spectra._ball(X, 0, 0, P, 128).mid
-    assert isinstance(back, mp.mpf) and back._mpf_ == x._mpf_
-    assert mpf_to_fraction(back) * (1 << P) == X
+    back = spectra._ball(X, 0, 0, P, 128)
+    assert not back.is_complex and back.to_disk(P) == (X, 0, 0, P)
+    assert back.fr_lo() == back.fr_hi() == Fraction(man) * Fraction(2) ** exp
 
 
 @given(mantissas, fitting, mantissas | st.just(0), fitting)
 def test_complex_round_trip_is_exact(im_man, im_exp, re_man, re_exp):
-    z = mp.make_mpc((from_man_exp(re_man, re_exp), from_man_exp(im_man, im_exp)))
     X, Y = re_man << (re_exp + P), im_man << (im_exp + P)
-    back = spectra._ball(X, Y, 0, P, 128).mid
-    assert isinstance(back, mp.mpc) and back._mpc_ == z._mpc_
-    assert mpf_to_fraction(back.imag) * (1 << P) == Y
+    back = spectra._ball(X, Y, 0, P, 128)
+    assert back.is_complex and back.to_disk(P) == (X, Y, 0, P)
+    assert back.real().fr_mid() == Fraction(re_man) * Fraction(2) ** re_exp
+    assert back.conjugate().to_disk(P) == (X, -Y, 0, P)
 
 
 @given(mantissas, st.integers(-P - 80, -P - 1))
@@ -81,11 +79,18 @@ def test_bits_below_the_fixed_point_are_truncated(man, exp):
     assert spectra._fix_float(t, P) == int(Fraction(t) * (1 << P))
 
 
+def _mid_rad(b):
+    """The midpoint and radius of a Ball as mpmath values, exactly at 600
+    bits (its integer disk at its own scale)."""
+    X, Y, R, Q = b.to_disk(b.Q)
+    return mp.mpc(mp.ldexp(X, -Q), mp.ldexp(Y, -Q)), mp.ldexp(R, -Q)
+
+
 def _match(centres, roots):
     """For each centre, the certified root Ball nearest to it; every root
     is matched once."""
     with mp.workprec(600):
-        matched = [min(roots, key=lambda b: abs(c - b.mid)) for c in centres]
+        matched = [min(roots, key=lambda b: abs(c - _mid_rad(b)[0])) for c in centres]
     assert len({id(b) for b in matched}) == len(roots)
     return matched
 
@@ -98,7 +103,8 @@ def _within(centres, Q, roots, prec):
     with mp.workprec(600):
         zs = [mp.mpc(mp.ldexp(X, -Q), mp.ldexp(Y, -Q)) for X, Y in centres]
         for c, b in zip(zs, _match(zs, roots)):
-            assert abs(c - b.mid) + b.rad <= abs(c) * mp.ldexp(1, 8 - prec), (c, b)
+            mid, rad = _mid_rad(b)
+            assert abs(c - mid) + rad <= abs(c) * mp.ldexp(1, 8 - prec), (c, b)
 
 
 @pytest.mark.parametrize("k", ORDERS)
@@ -225,8 +231,8 @@ def test_stop_margin_holds_at_the_range_end(monkeypatch):
         raise AssertionError(f"escalated from {prec} bits")
 
     def tight(ball, prec):
-        with mp.workprec(64):
-            return ball.rad < abs(ball.mid) * mp.ldexp(1, -prec)
+        X, Y, R, _ = ball.to_disk(0)
+        return (R << prec) ** 2 < X * X + Y * Y
 
     monkeypatch.setattr(spectra, "escalate", no_escalation)
     for k in (97, 250, 499, 500):

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
 from pellzero import spectra
-from pellzero.ball import Ball, mpf_to_fraction
+from pellzero.ball import Ball
 from pellzero.spectra import CertificationFailure
 
 
@@ -44,10 +44,16 @@ def _gmul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
+def _fraction(t):
+    """The exact value of an mpf, as a Fraction."""
+    sign, man, exp, _ = t._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
 def _scaled(z):
     """(X, Y, Q) with z = (X + iY) 2^-Q exactly, from the exact rational
     parts of z (not from spectra's conversion)."""
-    parts = [mpf_to_fraction(t) for t in ((z.real, z.imag) if isinstance(z, mp.mpc)
+    parts = [_fraction(t) for t in ((z.real, z.imag) if isinstance(z, mp.mpc)
                                           else (z, mp.mpf(0)))]
     Q = max(p.denominator.bit_length() - 1 for p in parts)
     return int(parts[0] * (1 << Q)), int(parts[1] * (1 << Q)), Q
@@ -139,9 +145,8 @@ def _ball_delta_pair(k, z):
 def test_radius_is_no_looser_than_the_ball_radius(k, prec):
     P = prec + 16
     for X, Y in _classes(k, prec):
-        re = from_man_exp(X, -P)
-        c = mp.make_mpc((re, from_man_exp(Y, -P))) if Y else mp.make_mpf(re)
-        delta, slope = _ball_delta_pair(k, Ball.exact(c, prec))
+        c = Ball.from_disk(X, Y, 0, P, prec)
+        delta, slope = _ball_delta_pair(k, c)
         ball = (delta / slope * (k + 1)).magnitude()
         assert _radius(k, X, Y, P) <= ball.fr_hi(), (k, c, prec)
 

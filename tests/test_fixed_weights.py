@@ -16,14 +16,12 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp
 
 from pellzero import spectra
-from pellzero.ball import Ball, ZeroDivisionEnclosure, _raw_c, mpf_to_fraction
+from pellzero.ball import Ball, ZeroDivisionEnclosure
 
 # Edge directions of unit modulus with rational parts.
 _UNIT = [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0)),
@@ -32,10 +30,17 @@ _UNIT = [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0)),
          (Fraction(-5, 13), Fraction(-12, 13)), (Fraction(12, 13), Fraction(-5, 13))]
 
 
-def _parts(z):
-    if isinstance(z, mp.mpc):
-        return mpf_to_fraction(z.real), mpf_to_fraction(z.imag)
-    return mpf_to_fraction(z), Fraction(0)
+def _parts(b):
+    """The exact (re, im, rad) of a Ball, as Fractions: at the Ball's own
+    scale Q, to_disk moves nothing."""
+    X, Y, R, Q = b.to_disk(max(b.Q, 0))
+    return tuple(Fraction(v, 1 << Q) for v in (X, Y, R))
+
+
+def _fball(re, im, rad, prec, is_complex):
+    """The Ball of the disk (re + i im, rad), dyadic Fractions, exactly."""
+    Q = max(v.denominator.bit_length() - 1 for v in (re, im, rad))
+    return Ball(*(int(v * (1 << Q)) for v in (re, im, rad)), Q, prec, is_complex)
 
 
 def _gk(k, zr, zi):
@@ -49,16 +54,14 @@ def _gk(k, zr, zi):
 
 
 def _contains(ball, gr, gi):
-    mr, mi = _parts(ball.mid)
-    rad = mpf_to_fraction(ball.rad)
+    mr, mi, rad = _parts(ball)
     return (mr - gr) ** 2 + (mi - gi) ** 2 <= rad * rad
 
 
 def _assert_encloses(k, x):
     """eval_gk(k, x) holds g_k at the centre of x and at edge points."""
     w = spectra.eval_gk(k, x)
-    cr, ci = _parts(x.mid)
-    rad = mpf_to_fraction(x.rad)
+    cr, ci, rad = _parts(x)
     points = [(cr, ci)] + [(cr + rad * ur, ci + rad * ui) for ur, ui in _UNIT]
     if not x.is_complex:
         points = [(zr, zi) for zr, zi in points if zi == 0]
@@ -74,7 +77,7 @@ def test_weight_contains_gk_at_root_balls(k, prec):
 
 
 def _dyadic(man, exp):
-    return mp.make_mpf(from_man_exp(man, exp))
+    return Fraction(man) * Fraction(2) ** exp
 
 
 @st.composite
@@ -85,13 +88,13 @@ def balls(draw):
     bits = draw(st.integers(prec - 8, prec + 40))
     re = _dyadic(draw(st.integers(-(1 << (bits + 2)), 1 << (bits + 2))), -bits)
     if draw(st.booleans()):
-        mid = re
+        im = Fraction(0)
     else:
-        im = draw(st.integers(1, 1 << (bits + 2))) * draw(st.sampled_from([1, -1]))
-        mid = mp.make_mpc((re._mpf_, from_man_exp(im, -bits)))
+        im = _dyadic(draw(st.integers(1, 1 << (bits + 2))) * draw(st.sampled_from([1, -1])),
+                     -bits)
     rad = _dyadic(draw(st.integers(0, (1 << 30) - 1)),
                   draw(st.integers(-prec - 40, -40)))
-    return Ball(mid, rad, prec)
+    return _fball(re, im, rad, prec, bool(im))
 
 
 def _eval_or_none(k, x):
@@ -127,10 +130,10 @@ def _assert_covers(k, x):
         return
     # The exact conversion: P = prec + 16, or finer when the midpoint
     # has finer bits, and R = ceil(rad 2^P).
-    cr, ci = _parts(x.mid)
+    cr, ci, rad = _parts(x)
     P = max([x.prec + 16] + [v.denominator.bit_length() - 1 for v in (cr, ci)])
     X, Y = int(cr * (1 << P)), int(ci * (1 << P))
-    R = math.ceil(mpf_to_fraction(x.rad) * (1 << P))
+    R = math.ceil(rad * (1 << P))
     if Y < 0:
         Y, w = -Y, w.conjugate()
     one = 1 << P
@@ -140,14 +143,14 @@ def _assert_covers(k, x):
     di = (k + 1) * zzY - 3 * k * Y
     eD = (k + 1) * ezz + 3 * k * R
     d2 = dr * dr + di * di
-    mr, mi = (v * one for v in _parts(w.mid))
+    mr, mi, w_rad = (v * one for v in _parts(w))
     qr, qi = Fraction((nr * dr + ni * di) * one, d2), Fraction((ni * dr - nr * di) * one, d2)
     # The bound, taken from below so that the test never asks for more
     # than its exact value.
     d_lo, d_hi = _sqrt_lo(Fraction(d2)), _sqrt_hi(Fraction(d2))
     err = one * (R * d_lo + _sqrt_lo(Fraction(nr * nr + ni * ni)) * eD) / (d_hi * (d_hi - eD))
     need = _sqrt_lo((mr - qr) ** 2 + (mi - qi) ** 2) + err
-    assert mpf_to_fraction(w.rad) * one >= need, (k, x)
+    assert w_rad >= need, (k, x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,10 +167,10 @@ def test_radius_covers_the_quotient_bound_with_small_radii():
     for _ in range(2000):
         prec = rng.choice([64, 128, 390])
         P = prec + 16
-        re = from_man_exp(rng.randint(-(1 << (P + 2)), 1 << (P + 2)), -P)
-        im = from_man_exp(rng.randint(1, 1 << (P + 2)), -P)
+        re = _dyadic(rng.randint(-(1 << (P + 2)), 1 << (P + 2)), -P)
+        im = _dyadic(rng.randint(1, 1 << (P + 2)), -P)
         rad = _dyadic(rng.randint(0, 1 << 20), -P - rng.randint(0, 30))
-        _assert_covers(rng.randint(2, 60), Ball(mp.make_mpc((re, im)), rad, prec))
+        _assert_covers(rng.randint(2, 60), _fball(re, im, rad, prec, True))
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,8 +181,8 @@ def test_conjugate_balls_give_conjugate_weights(k, x):
         return
     mirror = spectra.eval_gk(k, x.conjugate())
     expected = w.conjugate()
-    assert _raw_c(mirror.mid) == _raw_c(expected.mid)
-    assert mirror.rad._mpf_ == expected.rad._mpf_
+    assert ((mirror.to_disk(mirror.Q), mirror.prec, mirror.is_complex)
+            == (expected.to_disk(expected.Q), expected.prec, expected.is_complex))
 
 
 @pytest.mark.parametrize("k, zero", [(3, Fraction(2)), (3, Fraction(1, 4)),
@@ -191,5 +194,4 @@ def test_denominator_zero_raises(k, zero):
         with pytest.raises(ZeroDivisionEnclosure):
             spectra.eval_gk(k, x)
         with pytest.raises(ZeroDivisionEnclosure):
-            spectra.eval_gk(k, Ball(mp.make_mpc((x.mid._mpf_, from_man_exp(0, 0))),
-                                    x.rad, prec))
+            spectra.eval_gk(k, _fball(zero, Fraction(0), Fraction(0), prec, True))

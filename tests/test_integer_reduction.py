@@ -135,7 +135,8 @@ def _random_ball(rng):
     ball = Ball.exact(mid, prec)
     rad = rng.choice([0, Fraction(1, 2 ** rng.randint(1, prec)),
                       Fraction(rng.randint(1, 99), 10 ** rng.randint(0, 30))])
-    return ball.add_error(rad) if rad else Ball.exact(ball.mid, prec)
+    X, _, _, Q = ball.to_disk(0)
+    return ball.add_error(rad) if rad else Ball.from_disk(X, 0, 0, Q, prec)
 
 
 def test_simultaneous_euclid_matches_the_two_expansions():

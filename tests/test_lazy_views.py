@@ -14,7 +14,6 @@ pickles with its Balls.
 
 import pickle
 
-import mpmath as mp
 import pytest
 
 from pellzero import cli, reduction, spectra
@@ -48,28 +47,17 @@ def test_odd_reduction_builds_only_the_balls_it_reads(counted_balls):
     assert len(counted_balls) == 2
 
 
-def _raw(x):
-    return x._mpc_ if isinstance(x, mp.mpc) else x._mpf_
-
-
 def _bits(balls):
-    return [(_raw(b.mid), b.rad._mpf_, b.prec) for b in balls]
-
-
-def _disk_ball(X, Y, R, P, prec):
-    """The Ball of the disk (X, Y, R) 2^-P, built through mpmath's public
-    constructors at a precision that keeps every bit."""
-    with mp.workprec(max(X.bit_length(), Y.bit_length(), R.bit_length(), 1)):
-        mid = mp.mpc(mp.ldexp(X, -P), mp.ldexp(Y, -P)) if Y else mp.ldexp(X, -P)
-        return Ball(mid, mp.ldexp(R, -P), prec)
+    """Bit for bit: integer disks, scales, labels and markers."""
+    return [(b.to_disk(b.Q), b.prec, b.is_complex) for b in balls]
 
 
 def _eager(rs):
     """The two Ball lists built at once from the integers: each root's
     disk and each weight disk."""
     P, prec = rs.P, rs.prec
-    roots = [_disk_ball(*disk, P, prec) for disk in rs.disks]
-    weights = [_disk_ball(*disk, P, prec) for disk in rs.weight_disks]
+    roots = [Ball.from_disk(*disk, P, prec) for disk in rs.disks]
+    weights = [Ball.from_disk(*disk, P, prec) for disk in rs.weight_disks]
     return {"roots": roots, "weights": weights}
 
 

@@ -39,3 +39,9 @@ def test_random_dyadics_match_to_str():
 ])
 def test_edge_cases(value, n, text):
     assert sig_str(value, n) == text
+
+
+def test_more_digits_than_str_allows():
+    # str(int) refuses more than 4300 digits (Python 3.11+).
+    assert sig_str(10 ** 5000 + 1, 5002) == str(Decimal(10 ** 5000 + 1)) + ".0"
+    assert sig_str(Fraction(1, 3), 5000) == "0." + "3" * 5000

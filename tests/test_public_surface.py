@@ -21,7 +21,10 @@ has no caller in the package.
 The second keeps mpmath values inside ball.py, so that replacing the
 arithmetic behind Ball changes that one module: no other module imports
 mpmath or mpmath.libmp, reads a raw libmp value (an attribute _mpf_ or
-_mpc_), or imports from ball a private name or one starting mpf_.
+_mpc_), or imports from ball a private name or one starting mpf_.  The
+third keeps mpmath inside the three libmp leaves of ball.py: there it
+may be imported only in the bodies of Ball.log, Ball.arg and Ball.pi,
+so that replacing those three replaces the last of mpmath.
 """
 
 import ast
@@ -200,3 +203,57 @@ def f(x):
     assert len(_mpmath_reach(ast.parse(planted))) == 8
     assert _mpmath_reach(ast.parse("from .ball import Ball, ball_sum\nx.mid.real")) == []
     assert _mpmath_reach(_modules()["ball"]) != []
+
+
+# -- the libmp leaves of ball.py ---------------------------------------------
+
+LIBMP_LEAVES = ("log", "arg", "pi")
+
+
+def _mpmath_imports_outside_leaves(tree):
+    """Each import of mpmath, or of a module under it, that is not in the
+    body of a function named in LIBMP_LEAVES."""
+    found = []
+
+    def visit(node, in_leaf):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(sub, in_leaf or sub.name in LIBMP_LEAVES)
+                continue
+            names = ([alias.name for alias in sub.names] if isinstance(sub, ast.Import)
+                     else [sub.module or ""] if isinstance(sub, ast.ImportFrom) else [])
+            if not in_leaf and any(n.split(".")[0] == "mpmath" for n in names):
+                found.append(f"line {sub.lineno}: import {', '.join(names)}")
+            visit(sub, in_leaf)
+
+    visit(tree, False)
+    return found
+
+
+def test_ball_imports_mpmath_only_in_its_libmp_leaves():
+    found = _mpmath_imports_outside_leaves(_modules()["ball"])
+    assert found == [], f"mpmath imported outside Ball.log, arg and pi: {found}"
+
+
+def test_libmp_leaf_guard_sees_each_breach():
+    planted = """
+import mpmath
+from mpmath.libmp import mpf_add
+class Ball:
+    def log(self):
+        from mpmath.libmp import mpf_log
+        def inner():
+            import mpmath.libmp
+    def exp(self):
+        import mpmath as mp
+        if self:
+            from mpmath import libmp
+    @classmethod
+    def pi(cls):
+        from mpmath.libmp import mpf_pi
+def arg_helper():
+    from mpmath.libmp import mpf_atan2
+"""
+    assert [line.split(":")[0] for line in _mpmath_imports_outside_leaves(ast.parse(planted))] \
+        == ["line 2", "line 3", "line 10", "line 12", "line 17"]
+

@@ -4,6 +4,7 @@ and the odd-order pipeline down to the reduced index bound."""
 import dataclasses
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -70,7 +71,7 @@ def test_cf_convergent_laws():
     exp = cf_expand(_golden(192), 10 ** 9, refine=_golden)
     quots = exp.partial_quotients
     convs = exp.convergents
-    assert exp.certified_len == len(quots) == len(convs)
+    assert len(quots) == len(convs)
     lo, hi = None, None
     x = _golden(192)
     lo, hi = x.fr_lo(), x.fr_hi()
@@ -106,7 +107,7 @@ def test_cf_guards():
 def test_cf_quotients_stable_under_refinement():
     coarse = cf_expand(_golden(64), 100, refine=None)
     fine = cf_expand(_golden(256), 100, refine=None)
-    n = min(coarse.certified_len, fine.certified_len)
+    n = min(len(coarse.partial_quotients), len(fine.partial_quotients))
     assert coarse.partial_quotients[:n] == fine.partial_quotients[:n]
 
 
@@ -466,3 +467,24 @@ def test_odd_reduce_large_orders_pinned(k, R, tau_in_range, mu_in_range):
         "tau_in_range": tau_in_range, "branch_switched": False,
         "mu_in_range": mu_in_range, "small_linear_form": True,
         "positive_shift_excluded": True}
+
+
+def test_working_prec_counts_digits_past_the_str_limit():
+    # str(int) refuses more than 4300 digits (Python 3.11+), so the
+    # digits of M are counted by Decimal; below the limit the count is
+    # the decimal length, and M = 10^5000 has 5001 digits.
+    for M in (1, 9, 10, 99, 100, 10 ** 47 - 1, DEFAULT_M, 10 ** 4000):
+        assert working_prec_for(M) == max(128, int((len(str(M)) + 60) * 3.3220) + 32), M
+    assert working_prec_for(DEFAULT_M) == 390
+    assert working_prec_for(10 ** 5000) == int(5061 * 3.3220) + 32
+
+
+def test_reduce_records_an_m_past_the_str_limit():
+    # An M of 5001 digits: q_used passes 6M, so it has 5001 digits or
+    # more, and the record prints it, and eps, in full.
+    M = 10 ** 5000
+    out = odd_k_reduce(5, M).to_json()
+    q = out["q_used"]
+    assert q.isdigit() and len(q) >= 5001 and Decimal(q) > 6 * M
+    assert out["nonvanishing_certified"]
+    assert float(out["epsilon"]["mid"]) > 0

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from pellzero import ball, cli, precision, reduction, spectra
-from pellzero.ball import PrecisionExhausted, mpf_to_fraction
+from pellzero.ball import PrecisionExhausted
 from pellzero.reduction import (
     DEFAULT_M,
     dp_reduce,
@@ -41,24 +41,24 @@ def cold_cache():
 
 
 def _parts(b):
-    z = b.mid
-    if b.is_complex:
-        return mpf_to_fraction(z.real), mpf_to_fraction(z.imag)
-    return mpf_to_fraction(z), Fraction(0)
+    """The exact (re, im, rad) of a Ball, as Fractions: at the Ball's own
+    scale Q, to_disk moves nothing."""
+    X, Y, R, Q = b.to_disk(max(b.Q, 0))
+    return tuple(Fraction(v, 1 << Q) for v in (X, Y, R))
 
 
 def _inside(inner, outer) -> bool:
     """Whether the disk of the ball inner lies in the disk of outer,
     decided on exact rationals."""
-    (x1, y1), (x0, y0) = _parts(inner), _parts(outer)
-    r = mpf_to_fraction(outer.rad) - mpf_to_fraction(inner.rad)
+    (x1, y1, r1), (x0, y0, r0) = _parts(inner), _parts(outer)
+    r = r0 - r1
     return r >= 0 and (x1 - x0) ** 2 + (y1 - y0) ** 2 <= r * r
 
 
 def _same(a, b) -> bool:
-    """Bit for bit: raw midpoints, radii and labels."""
-    return ((ball._raw_c(a.mid), a.rad._mpf_, a.prec)
-            == (ball._raw_c(b.mid), b.rad._mpf_, b.prec))
+    """Bit for bit: integer disks, scales, labels and markers."""
+    return ((a.to_disk(a.Q), a.prec, a.is_complex)
+            == (b.to_disk(b.Q), b.prec, b.is_complex))
 
 
 def _read_roots(rs):
@@ -77,7 +77,7 @@ def test_refined_ball_lies_inside_the_128_bit_ball(k):
         assert _same(weight, spectra.eval_gk(k, refined))
         assert refined.prec >= PREC
         assert _inside(refined, rs.roots[i])
-        assert refined.rad < rs.roots[i].rad
+        assert _parts(refined)[2] < _parts(rs.roots[i])[2]
 
 
 @pytest.mark.parametrize("k", [5, 7, 21, 53, 99])
@@ -106,8 +106,7 @@ def test_partner_of_a_refined_root_is_its_exact_mirror():
         assert (partner, i) in rs.conj_pairs
         (a, _), (b, _) = refine_root(rs, i, PREC), refine_root(rs, partner, PREC)
         assert a.prec == b.prec, k
-        assert a.mid._mpc_ == b.conjugate().mid._mpc_, k
-        assert a.rad._mpf_ == b.rad._mpf_, k
+        assert _same(a, b.conjugate()), k
 
 
 @pytest.mark.parametrize("k", [5, 21, 53])
@@ -149,8 +148,8 @@ def test_refinement_short_of_the_label_escalates(k, monkeypatch):
     monkeypatch.setattr(spectra, "_newton", one_step_at_prec)
     root, _ = refine_root(rs, i, PREC)
     assert root.prec == ball.escalate(PREC)
-    norm = mpf_to_fraction(root.mid.real) ** 2 + mpf_to_fraction(root.mid.imag) ** 2
-    assert mpf_to_fraction(root.rad) ** 2 * 4 ** root.prec <= norm
+    re, im, rad = _parts(root)
+    assert rad ** 2 * 4 ** root.prec <= re ** 2 + im ** 2
 
 
 @pytest.mark.parametrize("k", [5, 53])

@@ -14,12 +14,11 @@ import json
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 from mpmath.libmp import from_man_exp, to_str
 
 from pellzero import spectra
-from pellzero.ball import Ball, mpf_to_fraction
+from pellzero.ball import Ball
 from pellzero.cli import main
 
 
@@ -60,11 +59,9 @@ def test_modulus_ratio_floor_matches_all_pairs(k):
 def _upper_modulus(ball, P):
     """An exact upper bound on |value| over the Ball: ceil(|mid| 2^P)
     2^-P plus the radius, read exactly at 2^-P."""
-    X, Y, R = (int(v * (1 << P)) for v in (mpf_to_fraction(ball.mid.real),
-                                          mpf_to_fraction(ball.mid.imag),
-                                          mpf_to_fraction(ball.rad)))
+    X, Y, R, Q = ball.to_disk(P)
     n = X * X + Y * Y
-    return Fraction(math.isqrt(n - 1) + 1 + R if n else R, 1 << P)
+    return Fraction(math.isqrt(n - 1) + 1 + R if n else R, 1 << Q)
 
 
 def _all_roots_weight_bound(rs):
@@ -211,14 +208,14 @@ def _with_weight_disk(rs, i, disk):
 def _with_weight(rs, i, ball):
     """rs with the weight disk of root i replaced by the integer disk at
     rs.P that the Ball converts to exactly."""
-    scale = 1 << rs.P
-    parts = [mpf_to_fraction(v) * scale for v in (ball.mid.real, ball.mid.imag, ball.rad)]
-    assert all(v.denominator == 1 for v in parts)
-    return _with_weight_disk(rs, i, tuple(int(v) for v in parts))
+    assert ball.Q <= rs.P
+    return _with_weight_disk(rs, i, ball.to_disk(rs.P)[:3])
 
 
-def _dyadic(q):
-    return Ball.exact(q, 400).mid
+def _fball(re, im, rad):
+    """The Ball of the disk (re + i im, rad), dyadic Fractions, exactly."""
+    P = max(v.denominator.bit_length() - 1 for v in (re, im, rad))
+    return Ball.from_disk(*(int(v * 2 ** P) for v in (re, im, rad)), P, 128)
 
 
 @pytest.mark.parametrize("k, re, im, rad", [
@@ -232,10 +229,9 @@ def test_offdominant_weight_bound_decides_at_the_boundary(k, re, im, rad):
     tiny = Fraction(1, 1 << 100)
     for shift, holds in ((0, False), (tiny, True)):
         if im is None:
-            ball = Ball(_dyadic(re + shift), _dyadic(rad), 128)
+            ball = _fball(re + shift, Fraction(0), rad)
         else:
-            mid = mp.make_mpc((_dyadic(re)._mpf_, _dyadic(im)._mpf_))
-            ball = Ball(mid, _dyadic(rad - shift), 128)
+            ball = _fball(re, im, rad - shift)
         report = spectra.check_root_bounds(_with_weight(rs, 1, ball))
         assert report["offdominant_weight_bound"]["holds"] is holds, (k, shift)
 
