@@ -4,9 +4,8 @@ zeros that appear at nonpositive indices.
 
 Importing the package loads no submodule: each public name below, and
 each submodule, is imported on its first access (PEP 562), so a command
-loads only the modules it runs.  Only Ball.log, Ball.arg and Ball.pi
-load mpmath: the odd reduction and spectra.check_root_separation call
-them."""
+loads only the modules it runs.  The package has no runtime dependency:
+every Ball operation, log, arg and pi included, runs on Python ints."""
 
 import importlib
 

@@ -45,10 +45,10 @@ in units of the result scale, before _round:
     sqrt a   s_lo + s_hi, one bit finer: isqrt   s_hi - s_lo
              bounds of sqrt(Xa - Ra) and
              sqrt(Xa + Ra) at 2 prec + 4 bits
-    log a    f_lo + f_hi, one bit finer          f_hi - f_lo + (2 |f_lo| + 2 |f_hi|
-                                                   + |f_lo + f_hi|) 2^(4-p)
-    arg a    atan2 of the midpoint, p bits       2 Ra / (|a|_lo - Ra) + |mid| 2^(3-p)
-    pi       pi, p bits                          |mid| 2^(3-p)
+    log a    L_lo + L_hi + E_hi - E_lo, at       L_hi - L_lo + E_lo + E_hi
+             W + 1: L of each endpoint at W
+    arg a    A, atan2 of the midpoint at W + 1   2 Ra / (|a|_lo - Ra) + E_A
+    pi       P, pi at W                          E_pi
 
 s makes the quotient about prec bits long.  The division row bounds
 |a/b - ma/mb| = |(a - ma) mb - ma (b - mb)| / |b mb| with |b| >= |mb| -
@@ -58,14 +58,47 @@ arg uses |arg z - arg m| <= arcsin(ra/|m|) <= (pi/2) ra/|m|.
 Negation, conjugation, the real part and add_error are exact, and
 to_disk rounds only the radius, up.
 
-The one remaining trust assumption is three mpmath.libmp leaves, the
-only place this module imports mpmath: log (f_lo and f_hi are mpf_log
-of the endpoints, rounded outward to p + 16 bits, at p + 16 bits), arg
-(mpf_atan2 of the exact midpoint) and pi (mpf_pi).  They take exact
-dyadic inputs built from the integers and return exact dyadic values.
-libmp does not promise correct rounding for log, atan2 or pi; their
-error is a few ulps in practice, and the covers, at least 2^19 ulps of
-the p + 16-bit evaluation for log and 4 ulps for arg and pi, absorb it.
+log, arg and pi are fixed-point sums at a scale 2^-W, with guard bits
+past what the result needs (_work), each with an integer error bound:
+L, A or P lies within E units of the exact value times 2^W (2^(W+1)
+for A).  _odd_series sums t u^j / (2j + 1) over j >= 0 for a ratio
+u = a / (b 2^s) with |u| <= 1/4, flooring each power p_j =
+floor(p_(j-1) a / (b 2^s)) and each term p_j / (2j + 1).  A power is
+then off by e_j <= e_(j-1)/4 + 1 < 4/3 units and a term by under
+4/9 + 1; the tail from the first power that floors to 0 is below
+(4/3)(1/3)(4/3) < 1 unit, so j terms are within E1 = 2j units.  With
+t = x 2^W and u = -x^2 (or x^2) the sum is atan(x) 2^W (or atanh(x)
+2^W): Brent and Zimmermann, Modern Computer Arithmetic, ch. 4.  The
+exact ratios 1/25, 1/239^2 and 1/9 keep u exact and floor t, which moves
+the sum by under f(x)/x <= 1.04 units; a ratio floor(t^2 2^-W) 2^-W is
+under 2^-W below x^2, which moves the sum by under 1/4 unit.  So:
+
+    pi     16 atan(1/5) - 4 atan(1/239) (Machin), cached per W:
+           E_pi = 16 (E1 + 1) + 4 (E1' + 1)
+    ln 2   2 atanh(1/3), cached per W: E_ln2 = 2 E1 + 3
+    2^-k   atan(2^-k) at t = 2^(W-k) and u = -4^-k, both exact, cached
+           per k and W: E_k = E1 <= W/k + 1
+    log    of an endpoint v 2^-Q, with v 2^-b in [2/3, 4/3):
+           (b - Q) ln 2 + 2 atanh(x), x = |v - 2^b| / (v + 2^b) <= 1/5
+           floored (atanh' <= 25/24): E = |b - Q| E_ln2 + 2 E1 + 3
+    arg    of the midpoint: x >= y >= 0 the larger and smaller of |X|
+           and |Y|.  For k = 1 .. c, c = isqrt(W)/2, z = x + iy is
+           turned by -atan(2^-k), z <- z (2^k - i), wherever y 2^k >= x;
+           the product is exact, and since atan(2u) < 2 atan(u) the
+           angle left after step k is below atan(2^-k).  So y/x < 2^-c,
+           and the angle is the sum of the atan(2^-k) used and atan(y/x)
+           (floored: one unit, with the ratio 5/4): E_A = 2 (sum E_k +
+           E1 + 2) in units of 2^-(W+1), plus E_pi for each pi/2 that
+           the octant adds or takes from it
+
+The guard bits of W follow the smallest value a result can take:
+|log| >= 0.28 when b != Q and at least |v - 2^b| 2^-(b+2) when b = Q;
+arg >= pi/4 off the first octant and at least 2^(bitlen y - bitlen x)
+in it.  So E stays below 2^-(p+2) of the result, and the radius of
+each leaf exceeds its input term (2 Ra / (|a|_lo - Ra), or
+(ln hi - ln lo) / 2) by at most (|mid| + that term) 2^(4-p).  No
+operation calls a library transcendental, and the package imports no
+mpmath.
 
 gt, lt and contains compare the exact endpoints X -/+ R of a real ball,
 cross-multiplied by the denominator of a Fraction operand, so no
@@ -74,6 +107,8 @@ comparison rounds.
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 from fractions import Fraction
 
@@ -131,6 +166,56 @@ def _raw(t):
     return (-int(man) if sign else int(man)), -int(exp)
 
 
+def _work(bits):
+    """The scale W for a result wanted to `bits` bits: guard bits that
+    cover log2 of each error bound below."""
+    return bits + bits.bit_length() + 10
+
+
+def _odd_series(t, a, s, b):
+    """(S, E): S within E units of the sum over j >= 0 of t u^j / (2j + 1),
+    u = a / (b 2^s) with |u| <= 1/4, each power and term floored (module
+    docstring): atan(t 2^-W) 2^W for u = -(t 2^-W)^2, atanh for +."""
+    S, p, d = t, t, 1
+    while p:
+        p = (p * a >> s) // b
+        d += 2
+        S += p // d
+    return S, d - 1
+
+
+@functools.cache
+def _pi(W):
+    """(P, E): |P - pi 2^W| <= E, by Machin's formula."""
+    (a, ea), (b, eb) = (_odd_series((1 << W) // m, -1, 0, m * m) for m in (5, 239))
+    return 16 * a - 4 * b, 16 * ea + 4 * eb + 20
+
+
+@functools.cache
+def _atan_pow2(k, W):
+    """(A, E): |A - atan(2^-k) 2^W| <= E, for 1 <= k < W."""
+    return _odd_series(1 << (W - k), -1, 2 * k, 1)
+
+
+@functools.cache
+def _ln2(W):
+    """(L, E): |L - ln(2) 2^W| <= E, as 2 atanh(1/3)."""
+    s, e = _odd_series((1 << W) // 3, 1, 0, 9)
+    return 2 * s, 2 * e + 3
+
+
+def _ln(v, Q, p):
+    """(L, E, W): |L - ln(v 2^-Q) 2^W| <= E for an int v > 0, to p bits
+    of the result: the guard bits grow near 1, where b = Q and the value
+    is about (v - 2^b) 2^-b (module docstring)."""
+    b = (3 * v).bit_length() - 2
+    n, d = b - Q, v - (1 << b)
+    W = _work(p + (b + 3 - abs(d).bit_length() if d and not n else abs(n).bit_length()))
+    t = (abs(d) << W) // (v + (1 << b))
+    (s, e), (L2, E2) = _odd_series(t, t * t >> W, W, 1), _ln2(W)
+    return n * L2 + (2 * s if d >= 0 else -2 * s), abs(n) * E2 + 2 * e + 3 * bool(d), W
+
+
 def _sign_vs(a, Q, n, d, Qv):
     """Sign of a 2^-Q - n / (d 2^Qv), exactly, for d > 0."""
     M = max(Q, Qv)
@@ -184,9 +269,8 @@ class Ball:
 
     @classmethod
     def pi(cls, prec=PREC_START):
-        from mpmath.libmp import mpf_pi, round_nearest
-        M, S = _raw(mpf_pi(prec, round_nearest))
-        return cls(M, 0, -(-abs(M) >> (prec - 3)), S, prec, False)
+        P, E = _pi(W := _work(prec))
+        return _round(P, 0, E, W, prec, False)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -342,17 +426,10 @@ class Ball:
         lo, hi = self._ends()
         if lo <= 0:
             raise DomainError(f"log of enclosure touching zero: {self!r}")
-        from mpmath.libmp import (from_man_exp, mpf_log, round_ceiling, round_floor,
-                                  round_nearest)
-        p = self.prec
-        wp = p + 16
-        (a, Sa), (b, Sb) = (
-            _raw(mpf_log(from_man_exp(v, -self.Q, wp, rnd), wp, round_nearest))
-            for v, rnd in ((lo, round_floor), (hi, round_ceiling)))
-        S = max(Sa, Sb)
-        a, b = a << (S - Sa), b << (S - Sb)
-        cover = -(-(2 * abs(a) + 2 * abs(b) + abs(a + b)) >> (p - 4))
-        return _round(a + b, 0, b - a + cover, S + 1, p, False)
+        (a, ea, Wa), (b, eb, Wb) = (_ln(v, self.Q, self.prec) for v in (lo, hi))
+        W = max(Wa, Wb)
+        a, ea, b, eb = a << (W - Wa), ea << (W - Wa), b << (W - Wb), eb << (W - Wb)
+        return _round(a + b + eb - ea, 0, b - a + ea + eb, W + 1, self.prec, False)
 
     def arg(self) -> "Ball":
         """Principal argument in (-pi, pi] of a complex enclosure.
@@ -364,19 +441,25 @@ class Ball:
         lb = _modulus_bounds(X, Y, R)[0]
         if lb <= 0:
             raise DomainError("arg of enclosure containing zero")
-        from mpmath.libmp import from_man_exp, fzero, mpf_atan2, mpf_pi, round_nearest
-        if self.is_complex:
-            if X < 0 and abs(Y) <= R:
-                raise DomainError("arg enclosure crosses the branch cut")
-            t = mpf_atan2(from_man_exp(Y, -self.Q), from_man_exp(X, -self.Q), p,
-                          round_nearest)
-        else:
-            t = mpf_pi(p, round_nearest) if X < 0 else fzero
-        M, S = _raw(t)
-        if S < p + 4:
-            M, S = M << (p + 4 - S), p + 4
-        rad = -_floor_div(-2 * R, S, lb) - (-abs(M) >> (p - 3))
-        return _round(M, 0, rad, S, p, False)
+        if self.is_complex and X < 0 and abs(Y) <= R:
+            raise DomainError("arg enclosure crosses the branch cut")
+        # The octant gives 0 <= y <= x; z = x + iy is then turned by
+        # -atan(2^-k) wherever y 2^k >= x, exactly (module docstring).
+        x, y, A, E = max(abs(X), abs(Y)), min(abs(X), abs(Y)), 0, 0
+        W = _work(p + (x.bit_length() - y.bit_length() if y and X == x else 0))
+        for k in range(1, math.isqrt(W) // 2 + 1):
+            if y << k >= x:
+                x, y = (x << k) + y, (y << k) - x
+                a, e = _atan_pow2(k, W)
+                A, E = A + a, E + e
+        t = (y << W) // x
+        S, e = _odd_series(t, -(t * t >> W), W, 1)
+        A, E = (A + S) << 1, (E + e + 2 * bool(y)) << 1
+        # P is pi/2 in units of 2^-(W+1); q = 1 when |Y| > |X|, + 2 when X < 0.
+        P, EP = _pi(W)
+        q = (abs(Y) > abs(X)) + 2 * (X < 0)
+        A, E = (A, P - A, 2 * P - A, P + A)[q], E + (0, 1, 2, 1)[q] * EP
+        return _round(-A if Y < 0 else A, 0, E - _floor_div(-2 * R, W + 1, lb), W + 1, p, False)
 
     # -- certified predicates (exact endpoints) -------------------------
 

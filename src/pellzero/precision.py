@@ -1,7 +1,7 @@
 """The precision policy, the errors of certified arithmetic, and the
-decimal layout of reported numbers, with no mpmath: the commands that
-build no Ball (verify without --full, zeros, eval, chi, bound, roots)
-load this module and never ball or reduction.
+decimal layout of reported numbers.  The commands that build no Ball
+(verify without --full, zeros, eval, chi, bound, roots) load this
+module and never ball or reduction.
 
 ball and reduction re-export the names they raise, so
 pellzero.ball.PrecisionExhausted and pellzero.reduction.ReductionExhausted

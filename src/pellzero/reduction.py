@@ -90,11 +90,12 @@ class ReductionOutcome:
     certifications: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        """The outcome as a JSON-ready dict; epsilon is its midpoint to
-        max(6, floor(0.30103 prec) + 2) significant digits and its radius
-        to 6 (precision.sig_str)."""
+        """The outcome as a JSON-ready dict; epsilon is its midpoint to the
+        digits its radius leaves, max(6, floor(0.30103 s) + 2) significant
+        digits for an integer midpoint s bits longer than the integer
+        radius, and its radius to 6 (precision.sig_str)."""
         eps = self.epsilon
-        digits = max(6, int(eps.prec * 0.30103) + 2)
+        digits = max(6, int(0.30103 * (eps.X.bit_length() - eps.R.bit_length())) + 2)
         out = {
             "q_used": str(Decimal(self.q_used)),
             "m_index": self.m_index,

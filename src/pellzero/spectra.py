@@ -152,12 +152,11 @@ Ball is compared or built: RootSystem keeps these integers, and builds
 its root and weight Balls from them, each list on its first read; every
 fact about a root modulus is read off the intervals [mod_lo, mod_hi].
 Two functions import ball: _ball, which builds every Ball of a disk by
-Ball.from_disk, and check_root_separation (Ball.exact), whose Ball.log
-is the one place here that loads mpmath.  Every other function reads a
-Ball only through its methods (eval_gk by Ball.to_disk, binet_reconstruct
-by its ring operations on ints), so solving and checking a system loads
-neither; check_root_bounds prints its one decimal value with
-precision.sig_str.
+Ball.from_disk, and check_root_separation (Ball.exact and Ball.log).
+Every other function reads a Ball only through its methods (eval_gk by
+Ball.to_disk, binet_reconstruct by its ring operations on ints), so
+solving and checking a system does not load ball; check_root_bounds
+prints its one decimal value with precision.sig_str.
 
 Conjugate classes.  A root system is carried as one centre per
 conjugate class, a real root or a pair of complex-conjugate roots, from

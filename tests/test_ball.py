@@ -249,9 +249,9 @@ def test_deep_expression_stays_sound():
 
 
 def test_integer_paths_load_no_mpmath():
-    # Ring operations, comparisons and conversions run on ints: the even
-    # chain check at L_6 = 163 and a Binet term rebuild load no mpmath in
-    # a fresh interpreter, while Ball.log does.
+    # Every Ball operation runs on ints: the even chain check at
+    # L_6 = 163, a Binet term rebuild and log, arg and pi load no mpmath
+    # in a fresh interpreter.
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = ("import sys\n"
             "from pellzero import effbounds, spectra\n"
@@ -261,10 +261,10 @@ def test_integer_paths_load_no_mpmath():
             "assert spectra.binet_reconstruct(5, -20, spectra.solve_roots(5)).contains(-74)\n"
             "print('mpmath' in sys.modules)\n"
             "from pellzero.ball import Ball\n"
-            "Ball.exact(2).log()\n"
+            "Ball.exact(2).log(), Ball.from_disk(3, 4, 0, 0, 128).arg(), Ball.pi(128)\n"
             "print('mpmath' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout.split()
-    assert out == ["False", "True"]
+    assert out == ["False", "False"]
 

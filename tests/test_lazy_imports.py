@@ -1,8 +1,10 @@
 """What each entry point loads.  The package root resolves its names on
 first access, and the commands that build no Ball (verify without
 --full, zeros, eval, chi, bound, roots) never load mpmath, pellzero.ball
-or pellzero.reduction.  Each check runs in a fresh interpreter, since
-this test process has loaded every module already."""
+or pellzero.reduction.  No entry point loads mpmath: the odd reduction
+and the separation check, which take log, arg and pi, run them on the
+Ball's integers.  Each check runs in a fresh interpreter, since this
+test process has loaded every module already."""
 
 import json
 import os
@@ -88,7 +90,22 @@ def test_odd_full_verify_loads_the_reduction():
             f"print(json.dumps([rc, {LOADED}]))")
     rc, loaded = run_fresh(code)
     assert rc in (0, 1)
-    assert set(HEAVY) <= set(loaded)
+    assert {"pellzero.ball", "pellzero.reduction"} <= set(loaded)
+
+
+@pytest.mark.parametrize("call", [
+    "cli.main(['verify', '--k', '5', '--full'])",
+    "cli.main(['reduce', '--k', '5'])",
+    "spectra.check_root_separation(spectra.solve_roots(5))",
+])
+def test_log_arg_and_pi_leave_mpmath_unloaded(call):
+    code = ("import sys, json\n"
+            "from pellzero import cli, spectra\n"
+            f"{call}\n"
+            f"print(json.dumps({LOADED}))")
+    loaded = run_fresh(code)
+    assert "pellzero.ball" in loaded
+    assert "mpmath" not in loaded
 
 
 def test_bad_order_is_an_error_record_before_the_reduction_loads():

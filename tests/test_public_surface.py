@@ -18,13 +18,11 @@ src/pellzero outside the definition's own body.  The re-exports in
 __init__.py do not count: a name that only the package root re-exports
 has no caller in the package.
 
-The second keeps mpmath values inside ball.py, so that replacing the
-arithmetic behind Ball changes that one module: no other module imports
-mpmath or mpmath.libmp, reads a raw libmp value (an attribute _mpf_ or
-_mpc_), or imports from ball a private name or one starting mpf_.  The
-third keeps mpmath inside the three libmp leaves of ball.py: there it
-may be imported only in the bodies of Ball.log, Ball.arg and Ball.pi,
-so that replacing those three replaces the last of mpmath.
+The second keeps the package free of mpmath: no module imports mpmath
+or a module under it, and only ball.py reads a raw mpmath value (an
+attribute _mpf_ or _mpc_, which Ball.exact reads off an mpf or mpc
+without importing mpmath); no other module imports from ball a private
+name or one starting mpf_.
 """
 
 import ast
@@ -163,22 +161,27 @@ def test_keep_list_names_exist_and_have_no_caller():
 
 # -- the mpmath boundary ----------------------------------------------------
 
-def _mpmath_reach(tree):
-    """Each place in tree that handles mpmath values directly: an import
-    of mpmath or of a module under it, an attribute _mpf_ or _mpc_, and a
-    name imported from ball that is private or starts with mpf_."""
+def _mpmath_imports(tree):
+    """Each import of mpmath, or of a module under it, in tree."""
     found = []
     for sub in ast.walk(tree):
         if isinstance(sub, ast.Import):
             found += [f"line {sub.lineno}: import {alias.name}" for alias in sub.names
                       if alias.name.split(".")[0] == "mpmath"]
-        elif isinstance(sub, ast.ImportFrom):
-            module = sub.module or ""
-            if module.split(".")[0] == "mpmath":
-                found.append(f"line {sub.lineno}: from {module} import")
-            elif module.split(".")[-1] == "ball":
-                found += [f"line {sub.lineno}: from ball import {alias.name}"
-                          for alias in sub.names if alias.name.startswith(("_", "mpf_"))]
+        elif isinstance(sub, ast.ImportFrom) and (sub.module or "").split(".")[0] == "mpmath":
+            found.append(f"line {sub.lineno}: from {sub.module} import")
+    return found
+
+
+def _mpmath_reach(tree):
+    """Each place in tree that handles mpmath values directly: an import
+    of mpmath or of a module under it, an attribute _mpf_ or _mpc_, and a
+    name imported from ball that is private or starts with mpf_."""
+    found = _mpmath_imports(tree)
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.ImportFrom) and (sub.module or "").split(".")[-1] == "ball":
+            found += [f"line {sub.lineno}: from ball import {alias.name}"
+                      for alias in sub.names if alias.name.startswith(("_", "mpf_"))]
         elif isinstance(sub, ast.Attribute) and sub.attr in ("_mpf_", "_mpc_"):
             found.append(f"line {sub.lineno}: .{sub.attr}")
     return found
@@ -190,6 +193,12 @@ def test_only_ball_handles_mpmath_values():
     assert reach == {}, f"mpmath values handled outside ball.py: {reach}"
 
 
+def test_no_module_imports_mpmath():
+    found = {mod: found for mod, tree in _modules().items()
+             if (found := _mpmath_imports(tree))}
+    assert found == {}, f"mpmath imported in src/pellzero: {found}"
+
+
 def test_mpmath_boundary_guard_sees_each_breach():
     planted = """
 import mpmath as mp
@@ -198,44 +207,19 @@ from mpmath.libmp import from_man_exp
 from .ball import Ball, _mpf, mpf_to_fraction
 from pellzero.ball import _raw_c
 def f(x):
+    from mpmath import libmp
     return x.mid._mpf_, x.mid._mpc_
 """
-    assert len(_mpmath_reach(ast.parse(planted))) == 8
+    assert len(_mpmath_reach(ast.parse(planted))) == 9
+    assert [line.split(":")[0] for line in _mpmath_imports(ast.parse(planted))] \
+        == ["line 2", "line 3", "line 4", "line 8"]
     assert _mpmath_reach(ast.parse("from .ball import Ball, ball_sum\nx.mid.real")) == []
     assert _mpmath_reach(_modules()["ball"]) != []
 
 
-# -- the libmp leaves of ball.py ---------------------------------------------
-
-LIBMP_LEAVES = ("log", "arg", "pi")
-
-
-def _mpmath_imports_outside_leaves(tree):
-    """Each import of mpmath, or of a module under it, that is not in the
-    body of a function named in LIBMP_LEAVES."""
-    found = []
-
-    def visit(node, in_leaf):
-        for sub in ast.iter_child_nodes(node):
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(sub, in_leaf or sub.name in LIBMP_LEAVES)
-                continue
-            names = ([alias.name for alias in sub.names] if isinstance(sub, ast.Import)
-                     else [sub.module or ""] if isinstance(sub, ast.ImportFrom) else [])
-            if not in_leaf and any(n.split(".")[0] == "mpmath" for n in names):
-                found.append(f"line {sub.lineno}: import {', '.join(names)}")
-            visit(sub, in_leaf)
-
-    visit(tree, False)
-    return found
-
-
-def test_ball_imports_mpmath_only_in_its_libmp_leaves():
-    found = _mpmath_imports_outside_leaves(_modules()["ball"])
-    assert found == [], f"mpmath imported outside Ball.log, arg and pi: {found}"
-
-
 def test_libmp_leaf_guard_sees_each_breach():
+    # The bodies of log, arg and pi were once exempt; now an import of
+    # mpmath is reported wherever it stands, in a leaf or nested below one.
     planted = """
 import mpmath
 from mpmath.libmp import mpf_add
@@ -254,6 +238,5 @@ class Ball:
 def arg_helper():
     from mpmath.libmp import mpf_atan2
 """
-    assert [line.split(":")[0] for line in _mpmath_imports_outside_leaves(ast.parse(planted))] \
-        == ["line 2", "line 3", "line 10", "line 12", "line 17"]
-
+    assert sorted(int(line.split(":")[0].split()[1]) for line in _mpmath_imports(ast.parse(planted))) \
+        == [2, 3, 6, 8, 10, 12, 15, 17]

@@ -479,12 +479,29 @@ def test_working_prec_counts_digits_past_the_str_limit():
     assert working_prec_for(10 ** 5000) == int(5061 * 3.3220) + 32
 
 
+def _assert_eps_digits_follow_the_radius(eps):
+    """eps's midpoint prints about one digit past its radius, never
+    fewer digits than the radius supports."""
+    mid, rad = Decimal(eps["mid"]), Decimal(eps["rad"])
+    digits = len(eps["mid"].lstrip("-0.").replace(".", ""))
+    assert mid.adjusted() - rad.adjusted() <= digits <= mid.adjusted() - rad.adjusted() + 3
+
+
 def test_reduce_records_an_m_past_the_str_limit():
     # An M of 5001 digits: q_used passes 6M, so it has 5001 digits or
-    # more, and the record prints it, and eps, in full.
+    # more, and the record prints it in full.  eps prints to the digits
+    # its radius leaves: tau is refined to about 33,700 bits, so its
+    # radius is near 1e-69, and eps takes about 70 digits, not 10,000.
     M = 10 ** 5000
     out = odd_k_reduce(5, M).to_json()
     q = out["q_used"]
     assert q.isdigit() and len(q) >= 5001 and Decimal(q) > 6 * M
     assert out["nonvanishing_certified"]
     assert float(out["epsilon"]["mid"]) > 0
+    _assert_eps_digits_follow_the_radius(out["epsilon"])
+    assert len(out["epsilon"]["mid"]) < 100
+
+
+@pytest.mark.parametrize("k", [5, 7, 21])
+def test_epsilon_prints_the_digits_its_radius_leaves(k):
+    _assert_eps_digits_follow_the_radius(odd_k_reduce(k).to_json()["epsilon"])
