@@ -190,13 +190,16 @@ def refined_even_bound(rs: RootSystem) -> int:
 def even_case_chain_check(rs: RootSystem, n: int) -> bool:
     """Certified test of (|second smallest|/|smallest|)^n < 16 k^2, the
     inequality whose failure caps the zero index at L_k for even k: it
-    holds at n = L_k and fails at L_k + 1.  The ratio is the Ball of the
-    exact quotient interval [mod_lo[-2] / mod_hi[-1], mod_hi[-2] /
-    mod_lo[-1]], raised to n by Ball.pow_int.  Also asserts the weight
-    cap 2k(5k+2)/ln(gamma) < 16 k^2 that the even-case argument consumes
-    upstream, on integers: ln(1 + x) >= 2x / (2 + x) for x = gamma - 1
-    >= (mod_lo[0] - 2^P) 2^-P, and 2x / (2 + x) > (5k + 2) / (8k) iff
-    x (11k - 2) > 10k + 4."""
+    fails at L_k + 1, and holds at n = L_k unless the power there equals
+    16 k^2 exactly.  The ratio is the Ball of the exact quotient interval
+    [mod_lo[-2] / mod_hi[-1], mod_hi[-2] / mod_lo[-1]], raised to n by
+    Ball.pow_int and compared by Ball.lt: True when the power lies below
+    the cap, False when its lower end reaches it, and
+    IndeterminateComparison when it straddles the cap.  Also asserts the
+    weight cap 2k(5k+2)/ln(gamma) < 16 k^2 that the even-case argument
+    consumes upstream, on integers: ln(1 + x) >= 2x / (2 + x) for
+    x = gamma - 1 >= (mod_lo[0] - 2^P) 2^-P, and 2x / (2 + x) >
+    (5k + 2) / (8k) iff x (11k - 2) > 10k + 4."""
     k = rs.k
     if k % 2 == 1:
         raise ValueError(f"even-order chain check called with odd k={k}")
@@ -211,14 +214,9 @@ def even_case_chain_check(rs: RootSystem, n: int) -> bool:
     r_lo = Fraction(rs.mod_lo[-2], rs.mod_hi[-1])
     r_hi = Fraction(rs.mod_hi[-2], rs.mod_lo[-1])
     ratio = Ball.exact((r_lo + r_hi) / 2, rs.prec).add_error((r_hi - r_lo) / 2)
-    power = ratio.pow_int(n)
-    if power.lt(cap):
-        if n > refined_even_bound(rs):
-            raise ArithmeticError(
-                "chain holds past the refined bound; rounding bug")
-        return True
-    if power.gt(cap):
+    if not ratio.pow_int(n).lt(cap):
         return False
-    raise IndeterminateComparison(
-        f"power vs cap indeterminate at prec {rs.prec}; escalate")
+    if n > refined_even_bound(rs):
+        raise ArithmeticError("chain holds past the refined bound; rounding bug")
+    return True
 

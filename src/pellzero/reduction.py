@@ -23,13 +23,15 @@ upper bound of A and the lower bounds of eps and B, so the exclusion
 survives every enclosure outcome.
 
 The odd-order pipeline refines one root, gamma_s, the lower member of
-the smallest pair, which root system order makes root k - 1, and its
-weight, which give tau, mu and A.  odd_k_reduce takes the root
-system certified at the default precision, usually cached, and refines
-only gamma_s to reduction-grade precision (spectra.refine_root), not
-every root class.  B = |r_{k-3}| / |gamma_s| is the Ball of the exact
-quotient of the certified modulus intervals (RootSystem.mod_lo and
-mod_hi); R and the small-linear-form test read only its lower bound.
+the smallest pair, which root system order makes root k - 1: tau is its
+argument, and its Binet weight g (spectra.eval_gk) gives mu and A.
+odd_k_reduce takes the root system certified at the default precision,
+usually cached, and refines only gamma_s to reduction-grade precision
+(spectra.refine_root), not every root class; a precision escalation of
+dp_reduce refines gamma_s again and takes only tau from it.
+B = |r_{k-3}| / |gamma_s| is the Ball of the exact quotient of the
+certified modulus intervals (RootSystem.mod_lo and mod_hi); R and the
+small-linear-form test read only its lower bound.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .precision import (
     escalate,
     sig_str,
 )
-from .spectra import RootSystem, refine_root, solve_roots
+from .spectra import RootSystem, eval_gk, refine_root, solve_roots
 
 DEFAULT_M = 3 * 10 ** 47
 MAX_ATTEMPTS = 40
@@ -217,6 +219,11 @@ def dp_reduce(inst: ReductionInstance, refine=None) -> ReductionOutcome:
 
 # -- odd-order pipeline -----------------------------------------------------
 
+def _tau(gamma_s: Ball) -> Ball:
+    """tau = -2 arg(gamma_s) / pi, at the precision of gamma_s."""
+    return gamma_s.arg() * (-2) / Ball.pi(gamma_s.prec)
+
+
 def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> ReductionInstance:
     """Reduction data for odd k: with gamma_s the negative-imaginary
     member of the smallest-modulus pair, root k - 1, and g its Binet
@@ -226,8 +233,8 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
         A   = 1 / |g|                     B = |root k-3| / |gamma_s|
 
     gamma_s is rs's root refined to prec bits by refine_root when rs is
-    coarser, g is g_k over the disk it is built from, and tau, mu and A
-    are at its precision; B is the Ball of the exact interval
+    coarser, g is eval_gk at it, and tau (_tau), mu and A are at its
+    precision; B is the Ball of the exact interval
     [mod_lo[k-3] / mod_hi[k-1], mod_hi[k-3] / mod_lo[k-1]], from the
     certified modulus intervals of rs.  For odd k every class below gamma
     is a pair, and spectra._certify emits the smallest last, as its upper
@@ -249,13 +256,12 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
         raise ValueError(f"odd-order instance needs odd k, got {k}")
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    prec = rs.prec if prec is None else prec
-    gamma_s, gval = refine_root(rs, k - 1, prec)
-    p = gamma_s.prec
-    pi_ball = Ball.pi(p)
-    tau = gamma_s.arg() * (-2) / pi_ball
+    gamma_s = refine_root(rs, k - 1, rs.prec if prec is None else prec)
+    gval = eval_gk(k, gamma_s)
+    pi_ball = Ball.pi(gamma_s.prec)
+    tau = _tau(gamma_s)
     mu = gval.arg() * 2 / pi_ball
-    a_ball = Ball.exact(1, p) / gval.magnitude()
+    a_ball = Ball.exact(1, gamma_s.prec) / gval.magnitude()
     b_lo = Fraction(rs.mod_lo[k - 3], rs.mod_hi[k - 1])
     b_hi = Fraction(rs.mod_hi[k - 3], rs.mod_lo[k - 1])
     b_ball = Ball.exact((b_lo + b_hi) / 2, rs.prec).add_error((b_hi - b_lo) / 2)
@@ -290,20 +296,17 @@ def odd_k_reduce(k: int, M: int = DEFAULT_M) -> ReductionOutcome:
     the returned outcome carries k, the recorded range/side-condition
     certifications, and the nonvanishing flag (eps > 0 certifies
     u tau - v + mu != 0 for every 0 < u <= M).  The roots come from one
-    solve_roots(k) at the default precision, usually a cache hit, and
-    the instance and each tau that dp_reduce refines read one of them
-    refined (odd_k_instance)."""
+    solve_roots(k) at the default precision, usually a cache hit.  The
+    instance reads gamma_s refined to working_prec_for(M); when dp_reduce
+    asks for a finer tau, its refiner takes gamma_s refined again and
+    its one argument (_tau), and nothing else of the instance."""
     if k % 2 == 0:
         raise ValueError(f"odd-order reduction needs odd k, got {k}")
     if k < 5:
         raise ValueError(f"odd-order reduction needs k >= 5, got {k}")
     rs = solve_roots(k)
     inst = odd_k_instance(rs, M, working_prec_for(M))
-
-    def refine(prec):
-        return odd_k_instance(rs, M, prec).tau
-
-    outcome = dp_reduce(inst, refine=refine)
+    outcome = dp_reduce(inst, refine=lambda prec: _tau(refine_root(rs, k - 1, prec)))
     outcome.k = k
     outcome.certifications = dict(inst.certifications)
     outcome.nonvanishing_certified = outcome.epsilon.fr_lo() > 0

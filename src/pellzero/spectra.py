@@ -119,9 +119,10 @@ exact centre: every point of it lies within R of (X, Y), and |N/D -
 N0/D0| <= (R |D0| + |N0| eD) / (|D0| (|D0| - eD)) for the centre values
 N0, D0, since |D| >= |D0| - eD; the 2 covers the two floor divisions.
 When floor|D| <= eD the denominator is not certified nonzero and it
-raises ZeroDivisionEnclosure.  RootSystem.weight_disks and refine_root
-call it on certified disks, eval_gk (no caller in the package) on a Ball
-x converted to a disk: its midpoint exactly to (X, Y), its radius up.
+raises ZeroDivisionEnclosure.  RootSystem.weight_disks calls it on the
+certified disks, eval_gk on a Ball x converted to a disk: its midpoint
+exactly to (X, Y), its radius up.  A refined root (refine_root) is the
+Ball of its disk at P = _scale(k, prec), so eval_gk weighs that disk.
 
 Every test after the radii runs on the same integers, at one P for all
 centres, and rounds only in its safe direction:
@@ -197,7 +198,8 @@ new disk lies in the old one and holds that same root; otherwise, or
 when delta_k'(z1) is not certified nonzero, or when R1 exceeds |z1|
 2^-prec, the precision doubles (precision.escalate) and Newton runs again
 from z0.  A lower member of a pair gets the exact mirror of its upper
-one's refinement, and the root's weight is g_k over the new disk.
+one's refinement.  refine_root returns the root alone; its weight is
+eval_gk at the refined Ball, which reads the new disk back exactly.
 """
 
 from __future__ import annotations
@@ -402,11 +404,8 @@ def _inclusion_radius(k: int, X: int, Y: int, P: int) -> int:
     CertificationFailure when floor|S| <= eS, i.e. delta_k'(z) is not
     certified nonzero."""
     dX, dY, eD, sX, sY, eS = _delta_fixed(k, X, Y, P)
-    d2 = dX * dX + dY * dY
-    num = math.isqrt(d2)
-    if num * num < d2:
-        num += 1
-    den = math.isqrt(sX * sX + sY * sY) - eS
+    num = _sqrt_bounds(dX * dX + dY * dY)[1]
+    den = _sqrt_bounds(sX * sX + sY * sY)[0] - eS
     if den <= 0:
         raise CertificationFailure(f"delta_k' not certified nonzero at ({X} + {Y}i) 2^-{P}")
     return -(-((k + 1) * (num + eD) << P) // den)
@@ -633,15 +632,15 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     return rs
 
 
-def refine_root(rs: RootSystem, i: int, prec: int):
-    """(root, weight): rs.roots[i] as a Ball at prec bits or more, refined
-    by nested inclusion disks (Refinement, in the module docstring), or
-    rs.roots[i] itself when rs is that precise, and g_k over the root's
-    integer disk, bit for bit eval_gk at the root.  record_precisions
-    sees the precision of a refinement."""
+def refine_root(rs: RootSystem, i: int, prec: int) -> Ball:
+    """rs.roots[i] as a Ball at prec bits or more, refined by nested
+    inclusion disks (Refinement, in the module docstring), or rs.roots[i]
+    itself when rs is that precise.  The Ball is the disk at P =
+    _scale(k, prec) exactly, so eval_gk weighs it on that disk.
+    record_precisions sees the precision of a refinement."""
     k = rs.k
     if prec <= rs.prec:
-        return rs.roots[i], rs.weights[i]
+        return rs.roots[i]
     X0, Y0, R0 = rs.disks[i]
     lower, Y0 = Y0 < 0, abs(Y0)
     while True:
@@ -660,9 +659,7 @@ def refine_root(rs: RootSystem, i: int, prec: int):
                 break
         prec = escalate(prec)
     _record(prec)
-    GX, GY, GR = _gk_fixed(k, X, Y, R1, P)
-    sign = -1 if lower else 1
-    return _ball(X, sign * Y, R1, P, prec), _ball(GX, sign * GY, GR, P, prec)
+    return _ball(X, -Y if lower else Y, R1, P, prec)
 
 
 def _gk_fixed(k: int, X: int, Y: int, R: int, P: int):
@@ -693,8 +690,11 @@ def eval_gk(k: int, x: Ball) -> Ball:
     finer bits, by Ball.to_disk, and _gk_fixed bounds g_k on
     it (module docstring, the g_k rows).  The evaluation runs at (X, |Y|)
     and a lower point gets the exact mirror, so conjugate points get
-    conjugate weights bit for bit.  Raises ZeroDivisionEnclosure when D
-    is not certified nonzero on x (escalate and retry)."""
+    conjugate weights bit for bit.  A root of a system or of refine_root
+    is the Ball of its disk at that P, which to_disk returns unchanged,
+    so its weight is the one of RootSystem.weights.  Raises
+    ZeroDivisionEnclosure when D is not certified nonzero on x (escalate
+    and retry)."""
     X, Y, R, P = x.to_disk(_scale(k, x.prec))
     GX, GY, GR = _gk_fixed(k, X, abs(Y), R, P)
     return _ball(GX, -GY if Y < 0 else GY, GR, P, x.prec)
@@ -904,34 +904,30 @@ def check_root_separation(rs: RootSystem) -> list[dict]:
     k, P = rs.k, rs.P
     p = rs.prec
     d = Fraction(k)
+    c_val = Fraction(k * (k - 1), 2)
     log_m = rs.gamma.log()
     log_2 = Ball.exact(2, p).log()
     log_d = Ball.exact(k, p).log()
+    # The case and its log threshold, by the number of real roots in the pair.
+    thresholds = [
+        # sqrt(3) / (2 C^(C/2+1) M^(d^3/2 - d^2 - d/2 + 1)), C = d(d-1)/2
+        ("both_nonreal", Ball.exact(3, p).log() / 2 - log_2
+         - Ball.exact(c_val, p).log() * Ball.exact(c_val / 2 + 1, p)
+         - log_m * Ball.exact(d ** 3 / 2 - d ** 2 - d / 2 + 1, p)),
+        # 1 / (4 d^(d^2/2 + d + 1) M^(4d(d-1) + 1))
+        ("one_real", -log_2 * 2
+         - log_d * Ball.exact(d ** 2 / 2 + d + 1, p)
+         - log_m * Ball.exact(4 * d * (d - 1) + 1, p)),
+        # 1 / (2^(d^2/2 - 1) M^(d - 1))
+        ("both_real", -log_2 * Ball.exact(d ** 2 / 2 - 1, p)
+         - log_m * Ball.exact(d - 1, p)),
+    ]
     real_set = set(rs.real_roots)
     out = []
     for i, j in _distinct_modulus_pairs(rs):
         g_lo, g_hi = rs.mod_lo[i] - rs.mod_hi[j], rs.mod_hi[i] - rs.mod_lo[j]
         gap = _ball(g_lo + g_hi, 0, g_hi - g_lo, P + 1, p)
-        n_real = (i in real_set) + (j in real_set)
-        if n_real == 0:
-            case = "both_nonreal"
-            # sqrt(3) / (2 C^(C/2+1) M^(d^3/2 - d^2 - d/2 + 1)), C = d(d-1)/2
-            c_val = Fraction(k * (k - 1), 2)
-            log_c = Ball.exact(c_val, p).log()
-            log_thr = (Ball.exact(3, p).log() / 2 - log_2
-                       - log_c * Ball.exact(c_val / 2 + 1, p)
-                       - log_m * Ball.exact(d ** 3 / 2 - d ** 2 - d / 2 + 1, p))
-        elif n_real == 1:
-            case = "one_real"
-            # 1 / (4 d^(d^2/2 + d + 1) M^(4d(d-1) + 1))
-            log_thr = (-log_2 * 2
-                       - log_d * Ball.exact(d ** 2 / 2 + d + 1, p)
-                       - log_m * Ball.exact(4 * d * (d - 1) + 1, p))
-        else:
-            case = "both_real"
-            # 1 / (2^(d^2/2 - 1) M^(d - 1))
-            log_thr = (-log_2 * Ball.exact(d ** 2 / 2 - 1, p)
-                       - log_m * Ball.exact(d - 1, p))
+        case, log_thr = thresholds[(i in real_set) + (j in real_set)]
         log_diff = gap.log()
         holds = log_diff.gt(log_thr)
         margin = float(log_diff.fr_mid() - log_thr.fr_mid()) / math.log(10)

@@ -23,7 +23,7 @@ import pytest
 
 from pellzero.ball import Ball, DomainError
 from pellzero.reduction import DEFAULT_M, odd_k_instance, working_prec_for
-from pellzero.spectra import refine_root, solve_roots
+from pellzero.spectra import eval_gk, refine_root, solve_roots
 
 PRECS = (64, 128, 390, 4096)
 
@@ -177,10 +177,11 @@ def test_leaves_on_random_balls(prec):
 @pytest.mark.parametrize("k", range(5, 100, 2))
 def test_tau_and_mu_against_mpmath_at_3000_bits(k):
     # tau = -2 arg(gamma_s) / pi and mu = 2 arg(g) / pi, from the same
-    # refined root and weight disks that odd_k_instance reads.
+    # refined root and its weight that odd_k_instance reads.
     rs, prec = solve_roots(k), working_prec_for(DEFAULT_M)
     inst = odd_k_instance(rs, DEFAULT_M, prec)
-    gamma_s, g = refine_root(rs, k - 1, prec)
+    gamma_s = refine_root(rs, k - 1, prec)
+    g = eval_gk(k, gamma_s)
     for out, z, scale in ((inst.tau, gamma_s, -2), (inst.mu, g, 2)):
         X, Y = mid_parts(z)
         with mp.workprec(3000):

@@ -215,6 +215,17 @@ def test_chain_check_straddling_the_cap_is_indeterminate():
         even_case_chain_check(wide, L)
 
 
+def test_chain_check_at_a_power_equal_to_the_cap_fails():
+    # Planted k = 4 moduli with the exact ratio 2: L_k = 8, and 2^8 = 16k^2
+    # exactly, so the chain holds at n = 7 and fails at n = 8 and 9.
+    rs = solve_roots(4)
+    one = 1 << rs.P
+    mods = [3 * one, one, one >> 1, one >> 2]
+    planted = dataclasses.replace(rs, mod_lo=mods, mod_hi=list(mods))
+    assert refined_even_bound(planted) == 8
+    assert [even_case_chain_check(planted, n) for n in (7, 8, 9)] == [True, False, False]
+
+
 def test_chain_check_past_the_refined_bound_is_a_rounding_bug(monkeypatch):
     rs = solve_roots(4)
     L = refined_even_bound(rs)

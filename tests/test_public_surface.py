@@ -49,8 +49,6 @@ KEEP = {
                      "the acceptance criteria",
     "Ball.conjugate": "the mirror tests' oracle for exactly conjugated "
                       "roots and weights",
-    "eval_gk": "acceptance criterion 6 and the weight tests evaluate g_k at "
-               "a Ball with it",
     "KContext.value": "the acceptance criteria, the perfbench probes and the "
                       "sequence tests read single terms with it",
     "LogMagnitude.ln_value": "acceptance criterion 9 and the bound tests read "

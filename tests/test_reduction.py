@@ -102,6 +102,9 @@ def test_cf_guards():
     # no refiner: certified quotients from one enclosure run out
     with pytest.raises(PrecisionExhausted):
         cf_expand(_golden(64), 10 ** 30)
+    # a continued fraction needs a real enclosure
+    with pytest.raises(TypeError):
+        cf_expand(solve_roots(5).roots[-1], 100)
 
 
 def test_cf_quotients_stable_under_refinement():
@@ -500,6 +503,23 @@ def test_reduce_records_an_m_past_the_str_limit():
     assert float(out["epsilon"]["mid"]) > 0
     _assert_eps_digits_follow_the_radius(out["epsilon"])
     assert len(out["epsilon"]["mid"]) < 100
+
+
+def test_an_escalation_takes_only_the_argument_of_gamma_s(monkeypatch):
+    # M = 10^5000 sets a working precision near 16,800 bits, and dp_reduce
+    # asks once for tau at twice that: arg(gamma_s) and arg(g) for the
+    # instance, then arg(gamma_s) alone for the refined tau.
+    calls = []
+    arg = Ball.arg
+
+    def counted(self):
+        calls.append(self.prec)
+        return arg(self)
+
+    monkeypatch.setattr(Ball, "arg", counted)
+    odd_k_reduce(5, 10 ** 5000)
+    assert len(calls) == 3
+    assert calls[0] == calls[1] < calls[2]
 
 
 @pytest.mark.parametrize("k", [5, 7, 21])

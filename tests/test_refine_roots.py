@@ -3,9 +3,7 @@
 odd_k_reduce certifies the root system once at 128 bits and refines only
 gamma_s of the smallest pair (spectra.refine_root).  The tests check, for
 gamma_s and root k - 3, that each refined ball lies inside its 128-bit
-ball and holds the matching root of a 512-bit system, that the weight
-refine_root returns with it is eval_gk at the refined root bit for bit
-(and rs.weights[i] when nothing is refined), that a refinement
+ball and holds the matching root of a 512-bit system, that a refinement
 which polishes towards a neighbouring root is never returned, that one
 whose radius misses the requested precision or is not certified
 escalates, and that the reduction pays for one certification, still
@@ -73,8 +71,7 @@ def test_refined_ball_lies_inside_the_128_bit_ball(k):
     rs = solve_roots(k)
     assert rs.prec == 128
     for i in _read_roots(rs):
-        refined, weight = refine_root(rs, i, PREC)
-        assert _same(weight, spectra.eval_gk(k, refined))
+        refined = refine_root(rs, i, PREC)
         assert refined.prec >= PREC
         assert _inside(refined, rs.roots[i])
         assert _parts(refined)[2] < _parts(rs.roots[i])[2]
@@ -83,7 +80,7 @@ def test_refined_ball_lies_inside_the_128_bit_ball(k):
 @pytest.mark.parametrize("k", [5, 7, 21, 53, 99])
 def test_refined_ball_holds_the_512_bit_root(k):
     rs = solve_roots(k)
-    refined = {i: refine_root(rs, i, PREC)[0] for i in _read_roots(rs)}
+    refined = {i: refine_root(rs, i, PREC) for i in _read_roots(rs)}
     fine = solve_roots(k, 512)
     for i, b in refined.items():
         assert _inside(fine.roots[i], b)
@@ -92,9 +89,8 @@ def test_refined_ball_holds_the_512_bit_root(k):
 def test_refining_at_or_below_the_system_precision_returns_the_root():
     rs = solve_roots(21)
     for i in _read_roots(rs):
-        assert refine_root(rs, i, 128)[0] is rs.roots[i]
-        assert refine_root(rs, i, 64)[0] is rs.roots[i]
-        assert _same(refine_root(rs, i, 128)[1], rs.weights[i])
+        assert refine_root(rs, i, 128) is rs.roots[i]
+        assert refine_root(rs, i, 64) is rs.roots[i]
 
 
 def test_partner_of_a_refined_root_is_its_exact_mirror():
@@ -104,7 +100,7 @@ def test_partner_of_a_refined_root_is_its_exact_mirror():
         rs = solve_roots(k)
         i, partner = k - 1, k - 2
         assert (partner, i) in rs.conj_pairs
-        (a, _), (b, _) = refine_root(rs, i, PREC), refine_root(rs, partner, PREC)
+        a, b = refine_root(rs, i, PREC), refine_root(rs, partner, PREC)
         assert a.prec == b.prec, k
         assert _same(a, b.conjugate()), k
 
@@ -146,7 +142,7 @@ def test_refinement_short_of_the_label_escalates(k, monkeypatch):
         return X - dX, Y - dY
 
     monkeypatch.setattr(spectra, "_newton", one_step_at_prec)
-    root, _ = refine_root(rs, i, PREC)
+    root = refine_root(rs, i, PREC)
     assert root.prec == ball.escalate(PREC)
     re, im, rad = _parts(root)
     assert rad ** 2 * 4 ** root.prec <= re ** 2 + im ** 2
@@ -169,11 +165,10 @@ def test_refinement_with_an_uncertified_radius_escalates(k, monkeypatch):
 
     monkeypatch.setattr(spectra, "_inclusion_radius", fail_once)
     with spectra.record_precisions() as seen:
-        root, weight = refine_root(rs, k - 1, PREC)
+        root = refine_root(rs, k - 1, PREC)
     assert failed == [spectra._scale(k, PREC)]
     assert root.prec == ball.escalate(PREC) and seen == [root.prec]
     assert _inside(root, rs.roots[k - 1])
-    assert _same(weight, spectra.eval_gk(k, root))
 
 
 def test_odd_reduce_refines_tau_through_its_callback(monkeypatch):

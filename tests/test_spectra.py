@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from pellzero.ball import Ball, PrecisionExhausted
 from pellzero.bigseq import KContext
 from pellzero.spectra import (
     RootSystem,
@@ -151,6 +152,12 @@ def test_binet_k2_small_points():
     assert binet_reconstruct(2, 4, rs).contains(12)
 
 
+def test_binet_too_wide_to_pin_an_integer_raises():
+    # At 128 bits the radius of the n = 500 sum is about 4e172.
+    with pytest.raises(PrecisionExhausted, match="cannot pin an integer"):
+        binet_reconstruct(10, 500, solve_roots(10))
+
+
 def test_binet_rejects_another_order():
     rs = solve_roots(4)
     with pytest.raises(ValueError):
@@ -217,6 +224,22 @@ def test_separation_report_covers_cases():
             assert kinds == {"both_real"}
         if k == 5:
             assert "both_nonreal" in kinds and "one_real" in kinds
+
+
+def test_separation_takes_each_threshold_log_once(monkeypatch):
+    # One log per row (the gap) and five per call: log M, log 2, log d, and
+    # log 3 and log C of the both_nonreal threshold.
+    rs = solve_roots(12)
+    calls = []
+    log = Ball.log
+
+    def counted(self):
+        calls.append(self)
+        return log(self)
+
+    monkeypatch.setattr(Ball, "log", counted)
+    rows = check_root_separation(rs)
+    assert len(calls) <= len(rows) + 5
 
 
 def test_separation_margins_read_the_modulus_gaps():
