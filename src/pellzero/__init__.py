@@ -30,6 +30,7 @@ _SOURCES = {
                    "StructureMismatch", "ZeroComparison", "ZeroSet", "chi",
                    "compare_zeros", "enumerate_zeros", "mirror_sequence",
                    "predicted_intervals", "verify_structure"),
+    "verify": ("verify_order",),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 _SUBMODULES = frozenset(_SOURCES) | {"cli"}

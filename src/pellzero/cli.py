@@ -1,6 +1,8 @@
-"""Command-line orchestration: per-k or range verification with
-machine-readable reports, plus direct access to the sequence, zero
-scans, certified roots, bounds, and the reduction pipeline.
+"""The command line: it parses arguments, selects orders and prints.
+verify prints one record per selected order, and those records come
+from pellzero.verify; the other subcommands give direct access to the
+sequence, zero scans, certified roots, bounds, and the reduction
+pipeline.
 
 Output conventions: single-k commands print one JSON object; range
 commands print one JSON line per k (or CSV with --format csv).  All
@@ -13,21 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
 from . import bigseq, effbounds, spectra, zerostruct
-from .precision import (PREC_START, OrderError, PrecisionExhausted,
-                        ReductionExhausted, sig_str)
+from .precision import (PREC_START, PrecisionExhausted, ReductionExhausted,
+                        sig_str)
 
-SCHEMA = "pellzero-report/1"
 K_GUARD = 500
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def _parse_m(text: str) -> int:
@@ -57,98 +53,6 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected lo:hi with integers lo and hi, got {text!r}") from None
-
-
-def _spectra_checks(rs) -> dict:
-    checks = {}
-    checks["dominant_in_envelope"] = {"holds": bool(spectra.check_dominant_bounds(rs))}
-    checks["root_bounds"] = spectra.check_root_bounds(rs)
-    if rs.k % 2 == 0:
-        checks["small_modulus_gap"] = {
-            "holds": bool(spectra.check_even_modulus_gap(rs))}
-    return checks
-
-
-def _verify_one(k: int, full: bool, m_value: int | None) -> dict:
-    parity = "even" if k % 2 == 0 else "odd"
-    # Every stage that needs roots gets them from solve_roots, and the
-    # dominant-root check records where its own evaluations settle, so the
-    # highest recorded precision is the highest any stage used.
-    with spectra.record_precisions() as precs:
-        rs = spectra.solve_roots(k, PREC_START)
-        checks = _spectra_checks(rs)
-
-        floor_depth = -zerostruct.default_floor(k)
-        reduce_certs = None
-        if k % 2 == 0:
-            l_k = effbounds.refined_even_bound(rs)
-            bound_used = {"kind": "refined_even",
-                          "value_log10": str(effbounds.LogMagnitude.from_value(max(l_k, 1))),
-                          "R": l_k}
-        elif k >= 5 and full:
-            from . import reduction
-            outcome = reduction.odd_k_reduce(
-                k, reduction.DEFAULT_M if m_value is None else m_value)
-            reduce_certs = outcome.to_json()
-            bound_used = {"kind": "reduced_odd",
-                          "value_log10": str(effbounds.LogMagnitude.from_value(outcome.R)),
-                          "R": outcome.R}
-            floor_depth = max(floor_depth, outcome.R)
-        elif k >= 4:
-            bound_used = {"kind": "global",
-                          "value_log10": str(effbounds.global_zero_index_bound(k)),
-                          "R": None}
-        else:
-            bound_used = {"kind": "scan", "value_log10": None, "R": None}
-    if reduce_certs is not None:
-        checks["reduction"] = reduce_certs
-
-    predicted_blocks = ([list(b) for b in zerostruct.predicted_intervals(k).blocks]
-                        if k >= 4 else [])
-    cmp = zerostruct.compare_zeros(k, -floor_depth)
-    if cmp.scan is None:  # even k: the sign theorem, at every depth
-        checks["zero_set"] = {"proof": "sign", "through": None}
-    else:
-        checks["scan"] = cmp.scan
-    chi_formula = zerostruct.chi(k)
-    chi_observed = len(cmp.observed)
-    deepest = cmp.observed[0]
-
-    failures = []
-    if not cmp.equal:
-        note = ("; predicted intervals match the variant mirror orbit instead"
-                if cmp.variant_match else "")
-        failures.append(f"zero set mismatch: predicted-but-absent "
-                        f"{list(cmp.missing)}, unpredicted {list(cmp.extra)}{note}")
-    if chi_observed != chi_formula:
-        failures.append(f"count mismatch: observed {chi_observed}, "
-                        f"formula {chi_formula} "
-                        f"(observed closed form {zerostruct.observed_chi(k)})")
-    spectral = [(f"root bound {name}", item) for name, item in checks["root_bounds"].items()]
-    spectral += [(f"spectral check {name}", checks[name])
-                 for name in ("dominant_in_envelope", "small_modulus_gap") if name in checks]
-    failures += [f"{name} failed" for name, item in spectral if not item["holds"]]
-    if bound_used["R"] is not None and -deepest > bound_used["R"]:
-        failures.append(f"bound {bound_used['R']} below deepest zero {deepest}")
-
-    status = "PASS" if not failures else "FAIL"
-    return {"k": k, "parity": parity, "zeros": list(cmp.observed),
-            "predicted_blocks": predicted_blocks,
-            "chi_formula": chi_formula, "chi_observed": chi_observed,
-            "bound_used": bound_used, "checks": checks, "status": status,
-            "detail": "; ".join(failures), "timestamp": _now(),
-            "precision_used": max(precs), "schema": SCHEMA,
-            "scan_floor": None if cmp.scan is None else -floor_depth}
-
-
-def _verify_worker(args):
-    k, full, m_value = args
-    try:
-        return _verify_one(k, full, m_value)
-    except (OrderError, MemoryError) as exc:
-        return {"schema": SCHEMA, "k": k, "status": "ERROR",
-                "detail": f"{type(exc).__name__}: {exc}",
-                "scan_floor": None, "timestamp": _now()}
 
 
 _CSV_COLUMNS = ["k", "parity", "status", "chi_formula", "chi_observed",
@@ -280,11 +184,11 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.k is not None:
-        ks = [args.k]
-    else:
-        lo, hi = args.k_range
-        ks = list(range(lo, hi + 1))
+    if args.M is not None and not args.full:
+        print("--M sets the reduction, which only --full runs", file=sys.stderr)
+        return 2
+    lo, hi = args.k_range or (args.k, args.k)
+    ks = list(range(lo, hi + 1))
     if args.odd_only:
         ks = [k for k in ks if k % 2 == 1]
     if args.even_only:
@@ -299,19 +203,10 @@ def cmd_verify(args) -> int:
         print(f"k outside [2, {K_GUARD}]; pass --allow-large to proceed",
               file=sys.stderr)
         return 2
-
-    work = [(k, args.full, args.M) for k in ks]
-    # The pool starts every worker at its first submit, so it gets no
-    # more workers than orders.
-    workers = min(args.jobs, len(work))
-    if workers > 1:
-        # Imported only here: multiprocessing adds about 1 MB to the peak
-        # RSS of every single-process run that imports this module.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _emit(pool.map(_verify_worker, work), args.format, sys.stdout)
-    return _emit(map(_verify_worker, work), args.format, sys.stdout)
+    # Imported here, so the commands that print no record never load it.
+    from . import verify
+    return _emit(verify.verify_orders(ks, args.full, args.M, args.jobs),
+                 args.format, sys.stdout)
 
 
 @cache
@@ -376,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="odd k >= 5: scan down to the reduced bound R")
     p.add_argument("--M", type=_parse_m, default=None,
-                   help="largest u of the reduction (default reduction.DEFAULT_M)")
+                   help="with --full: largest u of the reduction "
+                        "(default reduction.DEFAULT_M)")
     p.add_argument("--jobs", type=_parse_jobs, default=1)
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--allow-large", action="store_true")

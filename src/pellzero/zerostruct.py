@@ -4,8 +4,8 @@ The observed zero set is proved for even k (the sign theorem below) and
 scanned on residues for odd k; the predicted interval
 structure is a closed-form family of blocks with a count formula chi.
 compare_zeros sets the two side by side once, with the exact symmetric
-difference; verify_structure and the CLI's verify records are read off
-that comparison.
+difference; verify_structure and the verify records that
+pellzero.verify builds are read off that comparison.
 
 The observed sets have their own closed form (observed_blocks): block j
 sits at depths [j(k+1), j(k+1) + k - 2 - 2j] for j = 0, 1, ... while the

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from pellzero import cli, spectra
+from pellzero import cli, spectra, verify
 from pellzero.cli import _parse_m, main
 from pellzero.zerostruct import observed_blocks, observed_chi
 
@@ -213,6 +213,13 @@ def test_verify_m_below_one_is_rejected_before_any_order(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--M" in captured.err
+
+
+def test_verify_m_without_full_is_a_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--k", "5", "--M", "100")
+    assert rc == 2
+    assert out == ""
+    assert "--full" in err
 
 
 def test_reduce_scientific_m_equals_plain(capsys):
@@ -670,8 +677,8 @@ def test_eval_prints_terms_past_the_int_str_digit_cap(capsys):
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_verify_streams_records_before_a_later_error(capsys, monkeypatch, fmt):
-    from pellzero import cli
-    real = cli._verify_one
+    from pellzero import verify
+    real = verify.verify_order
     seen_before_error = []
 
     def planted(k, full, m_value):
@@ -680,7 +687,7 @@ def test_verify_streams_records_before_a_later_error(capsys, monkeypatch, fmt):
             raise MemoryError("a planted failure")
         return real(k, full, m_value)
 
-    monkeypatch.setattr(cli, "_verify_one", planted)
+    monkeypatch.setattr(verify, "verify_order", planted)
     rc, rest, _ = run_cli(capsys, "verify", "--k-range", "2:4", "--format", fmt)
     assert rc == 2
     [early] = seen_before_error
@@ -802,7 +809,7 @@ def _order_errors():
 @pytest.mark.parametrize("exc", _order_errors(), ids=lambda e: type(e).__name__)
 def test_verify_each_order_error_is_an_error_record(capsys, monkeypatch, exc):
     from pellzero.precision import OrderError
-    real = cli._verify_one
+    real = verify.verify_order
 
     def planted(k, full, m_value):
         if k == 4:
@@ -810,7 +817,7 @@ def test_verify_each_order_error_is_an_error_record(capsys, monkeypatch, exc):
         return real(k, full, m_value)
 
     assert isinstance(exc, OrderError)
-    monkeypatch.setattr(cli, "_verify_one", planted)
+    monkeypatch.setattr(verify, "verify_order", planted)
     rc, out, _ = run_cli(capsys, "verify", "--k-range", "4:5")
     assert rc == 2
     records = [json.loads(line) for line in out.splitlines()]

@@ -38,6 +38,7 @@ PUBLIC = {
                    "StructureMismatch", "ZeroComparison", "ZeroSet", "chi",
                    "compare_zeros", "enumerate_zeros", "mirror_sequence",
                    "predicted_intervals", "verify_structure"],
+    "verify": ["verify_order"],
 }
 
 
