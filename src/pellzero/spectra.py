@@ -9,9 +9,9 @@ the sparse form
     delta_k'(x) = x^{k-2} ((k+1) x^2 - 3k x + (k-1)),
 
 so both come from one power x^{k-2}, in O(log k) fixed-point
-multiplications (_delta_fixed, which Newton, the inclusion radii and
-check_dominant_bounds share), at the price of a spurious simple root at
-x = 1 (delta_k'(1) = -k != 0).
+multiplications (_delta_fixed, which Newton and the inclusion radii
+share), at the price of a spurious simple root at x = 1 (delta_k'(1) =
+-k != 0).
 
 solve_roots seeds each root from its closed-form position (below),
 polishes each with Newton's method on delta_k (fixed point, below),
@@ -292,8 +292,8 @@ _solve_precs: ContextVar = ContextVar("pellzero_solve_precs", default=None)
 @contextmanager
 def record_precisions():
     """Yield a list that collects the precision of every root system
-    solve_roots returns inside the block, cache hits included, and the
-    precision check_dominant_bounds settles at."""
+    solve_roots returns inside the block, cache hits included, and of
+    every root refine_root refines."""
     seen = []
     token = _solve_precs.set(seen)
     try:
@@ -693,8 +693,8 @@ def eval_gk(k: int, x: Ball) -> Ball:
     conjugate weights bit for bit.  A root of a system or of refine_root
     is the Ball of its disk at that P, which to_disk returns unchanged,
     so its weight is the one of RootSystem.weights.  Raises
-    ZeroDivisionEnclosure when D is not certified nonzero on x (escalate
-    and retry)."""
+    ZeroDivisionEnclosure when D is not certified nonzero on x; no
+    caller retries, so verify reports it as that order's ERROR record."""
     X, Y, R, P = x.to_disk(_scale(k, x.prec))
     GX, GY, GR = _gk_fixed(k, X, abs(Y), R, P)
     return _ball(GX, -GY if Y < 0 else GY, GR, P, x.prec)
@@ -731,56 +731,27 @@ def suggested_prec(k: int, n_hi: int) -> int:
 
 # -- certified bound checks ------------------------------------------------
 
-def _envelope_points(k: int, P: int):
-    """(q_lo, q_hi) in units of 2^-P with q_lo >= phi^2 (1 - phi^-k) and
-    q_hi <= phi^2.  s5 = floor(sqrt(5) 2^P) > sqrt(5) 2^P - 1, so
-    phi^2 = (3 + sqrt 5) / 2 lies in [floor((3 2^P + s5) / 2),
-    ceil((3 2^P + s5 + 1) / 2)] and 1/phi = (sqrt 5 - 1) / 2 is at least
-    inv = floor((s5 - 2^P) / 2).  t, 2^P times k - 2 factors inv with
-    each product floored, is at most phi^(2-k) 2^P, and q_lo is the
-    upper end of phi^2 less t: phi^2 (1 - phi^-k) = phi^2 - phi^(2-k)."""
-    one = 1 << P
-    s5 = math.isqrt(5 << 2 * P)
-    inv = (s5 - one) >> 1
-    t = one
-    for _ in range(k - 2):
-        t = t * inv >> P
-    return ((3 * one + s5 + 2) >> 1) - t, (3 * one + s5) >> 1
-
-
-def _delta_sign(k: int, q: int, P: int) -> int:
-    """The sign of delta_k(q 2^-P) when _delta_fixed certifies it, i.e.
-    |D| > eD, and 0 when it does not."""
-    D, _, eD, *_ = _delta_fixed(k, q, 0, P)
-    return (D > eD) - (D < -eD)
-
-
 def check_dominant_bounds(rs: RootSystem) -> bool:
-    """Certifies phi^2 (1 - phi^-k) < gamma < phi^2 by two sign tests.
+    """phi^2 (1 - phi^-k) < gamma < phi^2 for every k >= 2 (Bravo,
+    Herrera and Luca, Math. Bohem. 146, 2021), so it returns True and
+    evaluates nothing.  The proof, with phi = (1 + sqrt 5) / 2:
 
-    rs certifies gamma as the only root of Psi_k of modulus above 1, and
-    a simple one, so on (1, oo) delta_k = (x - 1) Psi_k vanishes only at
-    gamma: it is negative below gamma and positive above, since it tends
-    to +oo.  The tests run on the fixed-point _delta_fixed at the exact
-    dyadic points q_lo >= phi^2 (1 - phi^-k) and q_hi <= phi^2 of
-    _envelope_points, where q_hi > phi^2 - 2^(1-P) > 1.  If q_lo > 1 and
-    delta_k(q_lo) < 0, then gamma > q_lo >= phi^2 (1 - phi^-k); if
-    delta_k(q_hi) > 0, then gamma < q_hi <= phi^2.  So the check holds
-    iff q_lo > 1, delta_k(q_lo) < 0 and delta_k(q_hi) > 0.  A sign
-    counts only when _delta_fixed certifies it; near phi^2 the
-    evaluation loses about 1.39k bits, so both tests escalate from
-    rs.prec until both signs settle, and record_precisions sees the
-    precision they settle at.
+    - Psi_k has one sign change in its coefficients, so by Descartes
+      gamma, the root rs certifies real with modulus above 1, is its only
+      positive root.  Psi_k(0) = -1, so Psi_k and delta_k = (x - 1) Psi_k
+      are negative on (1, gamma) and positive past gamma.
+    - x^2 - 3x + 1 = (x - phi^2)(x - phi^-2), phi^2 - phi^-2 = sqrt 5,
+      and delta_k(x) = x^(k-1) (x^2 - 3x + 1) + 1, so delta_k(phi^2) = 1
+      > 0 and gamma < phi^2.
+    - q = phi^2 (1 - phi^-k) = phi^2 - phi^(2-k) is at least phi^2 - 1
+      = phi > 1, and delta_k(q) = 1 - phi^k (1 - phi^-k)^(k-1)
+      (sqrt 5 - phi^(2-k)).
+    - By Bernoulli, phi^k (1 - phi^-k)^(k-1) >= phi^k - k + 1, which is
+      phi at k = 2 and grows with k, by phi^(k-1) - 1 >= 0 from k to
+      k + 1; and sqrt 5 - phi^(2-k) >= sqrt 5 - 1 > 0.  So delta_k(q) <=
+      1 - phi (sqrt 5 - 1) = -1 < 0, and q < gamma.
     """
-    k = rs.k
-    P = rs.prec
-    while True:
-        q_lo, q_hi = _envelope_points(k, P)
-        lo, hi = _delta_sign(k, q_lo, P), _delta_sign(k, q_hi, P)
-        if lo and hi:
-            _record(P)
-            return q_lo > 1 << P and lo < 0 < hi
-        P = escalate(P)
+    return True
 
 
 def _distinct_modulus_pairs(rs: RootSystem):
@@ -872,7 +843,7 @@ def check_root_bounds(rs: RootSystem) -> dict:
     # (v) is structural: certification already forced every non-conjugate
     # pair apart and made each conjugate pair a disk and its exact mirror.
     report["equal_moduli_are_conjugates"] = {"holds": True,
-                                             "pairs": list(rs.conj_pairs)}
+                                             "pairs": [list(p) for p in rs.conj_pairs]}
     return report
 
 

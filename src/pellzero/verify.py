@@ -5,9 +5,11 @@ verify_orders runs it over a sweep, in the order given, with an ERROR
 record for an order that raises an OrderError or MemoryError, so one
 bad order never ends a sweep.  Each field is decided by one module:
 
-- spectra: checks.dominant_in_envelope, checks.root_bounds and, for
-  even k, checks.small_modulus_gap, on the roots solve_roots certifies;
-  precision_used, the highest precision any of its solves recorded;
+- spectra: checks.dominant_in_envelope (a lemma, proved for every k),
+  checks.root_bounds and, for even k, checks.small_modulus_gap, on the
+  roots solve_roots certifies; precision_used, the highest precision
+  that solve_roots and refine_root recorded (the odd reduction of full
+  refines one root);
 - effbounds or reduction: bound_used.  It is effbounds' refined L_k
   for even k and its global bound for odd k >= 4; with full, odd k >= 5
   takes the reduced bound R of reduction.odd_k_reduce, whose to_json()
@@ -62,9 +64,9 @@ def verify_order(k: int, full: bool = False, M: int | None = None) -> dict:
     blocks and chi, its bound, and the root checks, with status PASS
     when every comparison and check holds and FAIL otherwise.  full
     reduces odd k >= 5 at M (default reduction.DEFAULT_M)."""
-    # Every stage that needs roots gets them from solve_roots, and the
-    # dominant-root check records where its own evaluations settle, so the
-    # highest recorded precision is the highest any stage used.
+    # Every stage that needs roots gets them from solve_roots, or refines
+    # one by refine_root, and both record, so the highest recorded
+    # precision is the highest any stage used.
     with spectra.record_precisions() as precs:
         rs = spectra.solve_roots(k, PREC_START)
         checks = {"dominant_in_envelope": {"holds": bool(spectra.check_dominant_bounds(rs))},

@@ -1,12 +1,12 @@
-"""The dominant-root envelope check on fixed-point integers.
+"""The dominant-root envelope phi^2 (1 - phi^-k) < gamma < phi^2.
 
-spectra.check_dominant_bounds certifies phi^2 (1 - phi^-k) < gamma <
-phi^2 from the signs of delta_k at the dyadic points of
-spectra._envelope_points.  The oracle for those points is mpmath at 3000
-bits: q_lo must lie at or above the lower envelope and q_hi at or below
-phi^2, each within a few units of 2^-P.  The check must hold across the
-paper's range, and settle at the precisions where its escalations are
-known to happen.
+spectra.check_dominant_bounds evaluates nothing: its docstring proves
+the envelope for every k >= 2.  The oracle re-checks the proof's steps
+in mpmath at 2k + 128 bits, enough for the 1.39k bits that delta_k
+loses to cancellation near phi^2: delta_k(phi^2) = 1, delta_k(q) at
+q = phi^2 (1 - phi^-k) equals the proof's closed form and is at most
+-1 (with equality at k = 2), and Newton from phi^2 on delta_k lands on
+a root strictly between q and phi^2.
 """
 
 import mpmath as mp
@@ -14,32 +14,48 @@ import pytest
 
 from pellzero import spectra
 
-
-@pytest.mark.parametrize("P", [128, 256, 1024])
-def test_envelope_points_bracket_the_envelope(P):
-    with mp.workprec(3000):
-        phi2 = (3 + mp.sqrt(5)) / 2
-        inv_phi = (mp.sqrt(5) - 1) / 2
-        unit = mp.ldexp(1, -P)
-        for k in range(2, 501):
-            q_lo, q_hi = spectra._envelope_points(k, P)
-            lower = phi2 * (1 - inv_phi ** k)
-            lo, hi = mp.ldexp(q_lo, -P), mp.ldexp(q_hi, -P)
-            assert lower <= lo < lower + 8 * unit, (k, P)
-            assert phi2 - 2 * unit < hi <= phi2, (k, P)
+ORDERS = list(range(2, 121)) + [183, 184, 367, 368, 500]
 
 
-@pytest.mark.parametrize("k", list(range(2, 121)) + [183, 184, 367, 368, 500])
+def _delta(k, x):
+    return x ** (k + 1) - 3 * x ** k + x ** (k - 1) + 1
+
+
+def _envelope(k):
+    """phi, phi^2 and q = phi^2 (1 - phi^-k) at the working precision."""
+    phi = (1 + mp.sqrt(5)) / 2
+    return phi, phi ** 2, phi ** 2 * (1 - phi ** -k)
+
+
+def test_envelope_proof_steps_hold():
+    for k in range(2, 501):
+        with mp.workprec(2 * k + 128):
+            tol = mp.ldexp(1, -64)
+            phi, phi2, q = _envelope(k)
+            assert abs(_delta(k, phi2) - 1) < tol, k
+            d = _delta(k, q)
+            closed = 1 - phi ** k * (1 - phi ** -k) ** (k - 1) * (mp.sqrt(5) - phi ** (2 - k))
+            assert abs(d - closed) < tol, k
+            assert d <= -1 + tol, k
+            if k == 2:
+                assert abs(d + 1) < tol
+
+
+@pytest.mark.parametrize("k", ORDERS)
 def test_dominant_bounds_hold(k):
     assert spectra.check_dominant_bounds(spectra.solve_roots(k)) is True
 
 
-@pytest.mark.parametrize("k, settles_at", [(91, 128), (92, 256), (183, 256),
-                                           (184, 512), (367, 512), (368, 1024)])
-def test_dominant_bounds_settle_precision(k, settles_at):
-    spectra.clear_cache()
-    rs = spectra.solve_roots(k, 128)
-    assert rs.prec == 128
-    with spectra.record_precisions() as precs:
-        assert spectra.check_dominant_bounds(rs) is True
-    assert precs == [settles_at]
+def test_root_lies_inside_the_envelope():
+    for k in ORDERS:
+        with mp.workprec(2 * k + 128):
+            _, phi2, q = _envelope(k)
+            x, step = phi2, 1
+            for _ in range(200):
+                step = _delta(k, x) / ((k + 1) * x ** k - 3 * k * x ** (k - 1)
+                                       + (k - 1) * x ** (k - 2))
+                x -= step
+                if abs(step) < mp.ldexp(1, -(2 * k + 96)):
+                    break
+            assert abs(step) < mp.ldexp(1, -(2 * k + 96)), k
+            assert q < x < phi2, k

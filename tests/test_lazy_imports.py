@@ -65,7 +65,6 @@ def test_import_loads_no_submodule():
 @pytest.mark.parametrize("argv", [
     ["verify", "--k", "4"],
     ["verify", "--k", "5"],
-    # check_dominant_bounds escalates its sign test at k = 92.
     ["verify", "--k", "92"],
     ["zeros", "--k", "5"],
     ["eval", "--k", "3", "--n", "-7"],

@@ -1,16 +1,13 @@
-"""Root checks read the certified root system.  The dominant-root
-envelope is a sign test that escalates only its own two evaluations.
-The modulus-ratio floor compares adjacent distinct moduli, and the
-off-dominant weight bound one weight per conjugate class; each report
-matches an oracle over every pair or root, whose holds comes from Balls
-and whose margin or largest weight is an exact Fraction.  The ratio
-floors of item i and of the even modulus gap, the dominant weight range,
-the weight bound and the smallest-root caps are decided on integers
-exactly at their boundaries, every item holds up to k = 500, and the
-root checks divide no Ball."""
+"""Root checks read the certified root system.  The modulus-ratio floor
+compares adjacent distinct moduli, and the off-dominant weight bound one
+weight per conjugate class; each report matches an oracle over every
+pair or root, whose holds comes from Balls and whose margin or largest
+weight is an exact Fraction.  The ratio floors of item i and of the
+even modulus gap, the dominant weight range, the weight bound and the
+smallest-root caps are decided on integers exactly at their boundaries,
+every item holds up to k = 500, and the root checks divide no Ball."""
 
 import dataclasses
-import json
 import math
 from fractions import Fraction
 
@@ -19,7 +16,6 @@ from mpmath.libmp import from_man_exp, to_str
 
 from pellzero import spectra
 from pellzero.ball import Ball
-from pellzero.cli import main
 
 
 def _all_pairs_ratio_floor(rs):
@@ -85,40 +81,6 @@ def test_offdominant_weight_bound_matches_all_roots(k):
     rs = spectra.solve_roots(k)
     report = spectra.check_root_bounds(rs)["offdominant_weight_bound"]
     assert report == _all_roots_weight_bound(rs)
-
-
-def _no_solve(*args, **kwargs):
-    raise AssertionError("solve_roots called from a root check")
-
-
-def test_dominant_bounds_escalate_without_resolving(monkeypatch):
-    spectra.clear_cache()
-    rs = spectra.solve_roots(92, 128)
-    assert rs.prec == 128
-    with monkeypatch.context() as m:
-        m.setattr(spectra, "solve_roots", _no_solve)
-        with spectra.record_precisions() as precs:
-            assert spectra.check_dominant_bounds(rs) is True
-    assert max(precs) >= 256
-    # The cached system is still the 128-bit one.
-    assert spectra.solve_roots(92, 128) is rs
-
-
-def test_verify_precision_used_without_resolving(monkeypatch, capsys):
-    check = spectra.check_dominant_bounds
-
-    def check_without_solving(rs):
-        with monkeypatch.context() as m:
-            m.setattr(spectra, "solve_roots", _no_solve)
-            return check(rs)
-
-    monkeypatch.setattr(spectra, "check_dominant_bounds",
-                        check_without_solving)
-    spectra.clear_cache()
-    main(["verify", "--k", "92"])  # a FAIL, as every k >= 4
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["checks"]["dominant_in_envelope"]["holds"] is True
-    assert rec["precision_used"] >= 256
 
 
 @pytest.mark.parametrize("k", [20, 200])
