@@ -284,11 +284,15 @@ def odd_k_instance(rs: RootSystem, M: int, prec: int | None = None) -> Reduction
 
 
 def working_prec_for(M: int) -> int:
-    """Decimal digits of M plus 60, in bits, floored at the default.  The
-    digits are counted by Decimal: str(int) refuses values past 4300
-    digits (Python 3.11+)."""
+    """The precision gamma_s is refined to for M: the larger of the
+    decimal digits of M plus 60, in bits, and 2 bitlen(M) + 64, floored at
+    the default.  The test M ||tau q|| < ||mu q|| with q > 6M needs tau
+    to about 2 log2 M bits, which sets the precision from M = 10^52 on;
+    at M = 10^93 the digit count alone gave 543 bits, and dp_reduce
+    escalated to 1086.  The digits are counted by
+    Decimal: str(int) refuses values past 4300 digits (Python 3.11+)."""
     digits = Decimal(abs(M)).adjusted() + 61
-    return max(PREC_START, int(digits * 3.3220) + 32)
+    return max(PREC_START, int(digits * 3.3220) + 32, 2 * abs(M).bit_length() + 64)
 
 
 def odd_k_reduce(k: int, M: int = DEFAULT_M) -> ReductionOutcome:

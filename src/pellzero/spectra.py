@@ -9,9 +9,9 @@ the sparse form
     delta_k'(x) = x^{k-2} ((k+1) x^2 - 3k x + (k-1)),
 
 so both come from one power x^{k-2}, in O(log k) fixed-point
-multiplications (_delta_fixed, which Newton and the inclusion radii
-share), at the price of a spurious simple root at x = 1 (delta_k'(1) =
--k != 0).
+multiplications (_delta_fixed, whose last Newton step also gives the
+inclusion radius), at the price of a spurious simple root at x = 1
+(delta_k'(1) = -k != 0).
 
 solve_roots seeds each root from its closed-form position (below),
 polishes each with Newton's method on delta_k (fixed point, below),
@@ -21,12 +21,13 @@ and certifies the result a posteriori with Newton inclusion disks
 with p'(z) != 0, p'(z)/p(z) = sum_i 1/(z - r_i); if every root were
 farther than R = d |p(z)/p'(z)| from z the sum would have modulus below
 d/R = |p'(z)/p(z)|.  So the closed disk D(z, R) holds at least one root.
-Each centre gets an upper bound on R for delta_k (d = k + 1) from a
-fixed-point evaluation of delta_k(z) and delta_k'(z) with a tracked
-integer error bound (below); the exact node x = 1 is a root and gets
-radius 0.  k + 1 pairwise disjoint disks each hold at least one
-of the k + 1 roots of delta_k, so each holds exactly one, and the k
-disks apart from the node isolate the k roots of Psi_k.
+Each centre gets an upper bound on R for delta_k (d = k + 1) from the
+fixed-point evaluation of delta_k and delta_k', with a tracked integer
+error bound, that took the last Newton step to it, and a Taylor bound
+on that step (below); the exact node x = 1 is a root and gets radius 0.
+k + 1 pairwise disjoint disks each hold at least one of the k + 1 roots
+of delta_k, so each holds exactly one, and the k disks apart from the
+node isolate the k roots of Psi_k.
 
 The seeds come from delta_k itself.  Near the unit circle, x = r e^(it)
 gives x^2 - 3x + 1 = x (x + 1/x - 3), close to x (2 cos t - 3), so
@@ -45,7 +46,8 @@ both divided by z^(k-2), so gamma^k, which leaves the double range past
 k = 737, never appears; a float result that is not finite is replaced
 by the closed-form point.  The float seed, which carries about 53 bits,
 converts to fixed point (below), each part truncated towards zero, and
-goes straight to the polish, which reaches its stop in two steps.  Real
+goes straight to the polish, which reaches its stop in two steps at
+prec = 128.  Real
 roots are seeded in real float arithmetic and get Y = 0; each j < k/2
 gives the seed (X, Y) of the upper member of a pair, and the lower
 member gets no seed of its own (Conjugate classes, below).
@@ -62,9 +64,12 @@ overflow, so gamma^k needs no care at large k.  A root stays in this
 form from its seed to its certified disk: the polish, the radii, the
 certification and refine_root take and return integers, and a
 precision doubling moves the centres to the new P by a shift.  The
-values come from _delta_fixed, the evaluation the radii use, error
-bounds and all; its products are written out inline, since a function
-call per product would cost about a third of an evaluation.  The
+values come from _delta_fixed, the evaluation the radii use; its
+products are written out inline, since a function call per product
+would cost about a third of an evaluation.  The first step of a run
+skips the error lines: the same products and floors give the same
+values, bit for bit, and no bound.  Every later step carries the
+bounds, since the step that passes the stop also gives the disk.  The
 representation, not the precision, is what makes this fast: at k = 53
 one evaluation costs about 10 us at 144 bits and 20 us at 406, against
 about 150 us for a step at any precision in mpmath's pure-Python
@@ -79,24 +84,41 @@ the iterate is off by about k |z| 2^-(P + 2 bitlen(k)), below
 |z| 2^-P / k.  A confirming step below that size would cost one
 more evaluation per class and change nothing that is certified:
 Newton's output is not trusted, since the inclusion disks below certify
-the centres it gives, whatever their error.  From a float seed each
-conjugate class costs three evaluations: two steps at P and the
-radius.
+the centres it gives, whatever their error.  The bounded evaluation of
+the step that passes the stop gives the disk of its iterate (Radius
+soundness, the last-step rows), so from a float seed at prec = 128 each
+conjugate class costs two evaluations, the first unbounded; a first
+step that passes the stop is taken again with bounds.
 
 Radius soundness.  The radius comes from the same fixed-point
 evaluation (_delta_fixed), with an integer E carried beside each value
 (X, Y): the exact value lies within E 2^-P of (X + iY) 2^-P.  The
-centre is exact (E = 0): it is the integer pair the polish gave, at
-P = _scale(k, prec).  For exact values A + a and B + b with |a| <= eA and
-|b| <= eB, (A + a)(B + b) - AB = A b + B a + a b, and each floored part
-of a product is off by less than one unit, so:
+point z it is taken at is exact (E = 0): the integer pair of the
+iterate before the last step, at P = _scale(k, prec).  For exact values
+A + a and B + b with |a| <= eA and |b| <= eB, (A + a)(B + b) - AB = A b
++ B a + a b, and each floored part of a product is off by less than one
+unit, so:
 
     step                  value (units of 2^-P)     error E (units of 2^-P)
     A B                   both parts floored        2 + ceil((|A| eB + |B| eA
                                                       + eA eB) 2^-P)
     sum c_i A_i, c_i int  exact                     sum |c_i| e_i
     z^(k-2)               A B at each squaring      as A B
-    R                     ceil((k+1) (ceil|D| + eD) 2^P / (floor|S| - eS))
+    W >= |z|^(k-2) 2^P    |w| + E_w of z^(k-2),     (a bound)
+                            2^P when k = 2
+    H, the step           D conj(S) 2^P / |S|^2,    H = (D / S) 2^P - phi,
+                            both parts floored        phi in [0, 1)^2
+    |S| >=                S_lo = isqrt(|S|^2 2^-2q) 2^q, q = max(0,
+                            bitlen(|S|^2) - 62) // 2
+    sqrt 2 (|S| + eS)     isqrt(ceil(2 |S|^2 2^-2P)) + 2
+      2^-P <=               + floor(3 eS 2^-(P+1))
+    |delta_k(z')| <=      eD + ceil(eS |D| / S_lo) + that + ceil(|H|^2 M
+                            2^-(2P+1))
+    |delta_k'(z')| >=     S_lo - eS - ceil(|H| M 2^-P)
+    M                     ceil(2 W m 2^-P), m = k(k+1) (|z| + |H|)
+                            + 3k(k-1) 2^P + ceil((k-1)(k-2) 2^2P
+                            / (|z| - |H|))
+    R at z' = z - H 2^-P  ceil((k+1) |delta_k(z')| 2^P / |delta_k'(z')|)
     g_k: N = z - 1        exact at the centre       R of the input disk
     g_k: D = (k+1) z^2    z^2 as A B, with error    (k+1) e_zz + 3k R
       - 3k z + (k-1)        R on both factors
@@ -106,13 +128,45 @@ of a product is off by less than one unit, so:
                                                       - eD)))
 
 |A| is bounded above by |X| + |Y|.  D and S are delta_k(z) and
-delta_k'(z) in units of 2^-P; ceil|D| and floor|S| come from math.isqrt,
-corrected in the required direction (_sqrt_bounds, which Ball's sqrt
-and moduli share).  When floor|S| <= eS, delta_k'(z) is not certified
-nonzero and certification fails.  Exact Gaussian-integer evaluation at
-the dyadic centre (the test oracle) grows to k P bits, and Ball
-arithmetic rounds and bounds every intermediate product on its own;
-the fixed-point radii are also far tighter than the Ball ones.
+delta_k'(z) in units of 2^-P.  In the last-step rows (_step_radius) |D|
+is bounded by |DX| + |DY|, |H| by |HX| + |HY| and |z| by [max(|X|, |Y|),
+|X| + |Y|]; S_lo is |S| to about 31 bits, from an isqrt of at most 63
+bits, which math.isqrt takes on its fast path (a wider one costs about
+ten times as much); sqrt 2 |S| 2^-P = sqrt(2 |S|^2 2^-2P), and sqrt 2 <
+3/2.  Every quantity is rounded in its safe direction.  The rows rest
+on four bounds.  Write d = delta_k(z) = (D + a) 2^-P and s =
+delta_k'(z) = (S + b) 2^-P with |a| <= eD and |b| <= eS, h = H 2^-P and
+z' = z - h, which Newton keeps.  Taylor's formula with its integral
+remainder along the segment from z to z' (Kantorovich's argument) gives
+delta_k(z') = d - h s + r1 and delta_k'(z') = s + r2, with |r1| <= |h|^2
+M / 2 and |r2| <= |h| M for M >= |delta_k''| on the segment.  With D,
+S, eD, eS and W in units of 2^-P, and h and M real:
+
+1. |delta_k(z')| 2^P <= N = eD + eS |D| / |S| + sqrt 2 (|S| + eS) 2^-P
+   + |h|^2 M 2^P / 2.  With h = D/S - phi 2^-P, d - h s = (a - (D/S) b
+   + phi S 2^-P + phi b 2^-P) 2^-P, and |phi| < sqrt 2.
+2. |delta_k'(z')| 2^P >= V = |S| - eS - |h| M 2^P, from |s| 2^P >= |S|
+   - eS.
+3. M = 2 W 2^-P (k(k+1) rho + 3k(k-1) + (k-1)(k-2) / (|z| - |h|)), rho =
+   |z| + |h|, bounds |delta_k''(t)| = |t^(k-3) ((k+1)k t^2 - 3k(k-1) t +
+   (k-1)(k-2))| on the segment, where |z| - |h| <= |t| <= rho: there
+   |t|^(k-2) <= |z|^(k-2) (1 + |h|/|z|)^(k-2) <= |z|^(k-2) e^(1/2) < 2
+   |z|^(k-2) once (k-2) |h| <= |z| / 2, which the stop forces by far
+   (_step_radius checks it, and |h| < |z|).  At k = 2, delta_k'' = 6t - 6
+   and the last term is 0.
+4. When V > 0, R' = ceil((k+1) N 2^P / V) bounds the Newton inclusion
+   radius (k+1) |delta_k(z') / delta_k'(z')| at z', in units of 2^-P.
+
+When S_lo <= eS, or the lower bound of 2 is not positive, or the step
+is too long for 3, delta_k' is not certified nonzero or the bound does
+not apply: the class gets no disk (R' = None) and certification fails.
+Exact Gaussian-integer evaluation at the dyadic centre (the test
+oracle) grows to k P bits, and Ball arithmetic rounds and bounds every
+intermediate product on its own; the fixed-point radii are also far
+tighter than the Ball ones.  Against a radius taken by a third
+evaluation at z' itself, the last-step radius is at most 2.4 times as
+wide over k = 2..500, 1001 and 2000 at 128 bits, all of it far below
+the label.
 
 The g_k rows are _gk_fixed, whose input is a disk (X, Y, R), not an
 exact centre: every point of it lies within R of (X, Y), and |N/D -
@@ -165,15 +219,17 @@ seed to certificate: the real classes first (gamma, then the negative
 real root when k is even), then the upper member of each pair.  _polish
 runs Newton once per class, in real arithmetic from (X, 0) for the real
 classes, which are known by their index, and from (X, |Y|) for a pair;
-real Newton keeps Y = 0.  _certify computes one inclusion radius per
+real Newton keeps Y = 0.  Its last step gives one inclusion radius per
 class there.  delta_k has real coefficients, so
 delta_k(conj z) = conj delta_k(z), and |delta_k / delta_k'| takes the
 same value at z and at conj z: a bound on it at z bounds it at conj z,
 so the mirror (X, -Y, R) of a class disk (X, Y, R) holds at least one
 root too.  _certify emits a pair class as (X, |Y|, R) and its mirror
 (X, -|Y|, R), and a real class as (X, 0, R); a real class with Y != 0
-fails.  Pairing and realness then follow from the disjointness test,
-which every disk, mirrors included, goes through (Rump, JCAM 156, 2003):
+fails.  The mirror has the same |centre| and R, so it shares the
+class's modulus interval and label test, each taken once per class.
+Pairing and realness then follow from the disjointness test, which
+every disk, mirrors included, goes through (Rump, JCAM 156, 2003):
 
 - the k + 1 disks, the node included, are pairwise disjoint, so each
   holds exactly one root of delta_k;
@@ -188,18 +244,19 @@ certified system gives them (the odd reduction reads one, at 390 bits)
 refines just those with refine_root, by nested inclusion disks (Rump,
 JCAM 156, 2003), instead of solving every class again.  The root's
 certified disk rs.disks[i], (z0, R0) in units of 2^-rs.P, moves exactly
-to P = _scale(k, prec) by a shift; Newton runs at P from z0 (from a 128-bit
-system to 390 bits, two steps at 406 bits), and the new centre z1 gets
-its inclusion radius R1, so D(z1, R1) holds at least one root of
-delta_k.  The old disk D(z0, R0) is the one certification found
-disjoint from the k others, so it holds exactly one root, the certified
-one.  If R0 >= R1 and |z1 - z0| <= R0 - R1, decided exactly at P, the
-new disk lies in the old one and holds that same root; otherwise, or
-when delta_k'(z1) is not certified nonzero, or when R1 exceeds |z1|
-2^-prec, the precision doubles (precision.escalate) and Newton runs again
-from z0.  A lower member of a pair gets the exact mirror of its upper
-one's refinement.  refine_root returns the root alone; its weight is
-eval_gk at the refined Ball, which reads the new disk back exactly.
+to P = _scale(k, prec) by a shift; Newton runs at P from z0 (from a
+128-bit system to 390 bits, two steps at 406 bits, the first
+unbounded), and its last step gives the new centre z1 with its
+inclusion radius R1, so D(z1, R1) holds at least one root of delta_k.
+The old disk D(z0, R0) is the one certification found disjoint from the
+k others, so it holds exactly one root, the certified one.  If R0 >= R1
+and |z1 - z0| <= R0 - R1, decided exactly at P, the new disk lies in the
+old one and holds that same root; otherwise, or when the last step
+gives no disk, or when R1 exceeds |z1| 2^-prec, the precision doubles
+(precision.escalate) and Newton runs again from z0.  A lower member of
+a pair gets the exact mirror of its upper one's refinement.
+refine_root returns the root alone; its weight is eval_gk at the
+refined Ball, which reads the new disk back exactly.
 """
 
 from __future__ import annotations
@@ -342,14 +399,16 @@ def _fmul(P: int, a: int, b: int, ea: int, c: int, d: int, ec: int):
     return (a * c - b * d) >> P, (a * d + b * c) >> P, e
 
 
-def _delta_fixed(k: int, X: int, Y: int, P: int):
+def _delta_fixed(k: int, X: int, Y: int, P: int, bounded: bool = True):
     """(delta_k(z), delta_k'(z)) at z = (X + iY) 2^-P in fixed point, as
-    (DX, DY, eD, SX, SY, eS): each exact value lies within e 2^-P of
-    (X + iY) 2^-P for its own (X, Y, e).  Both come from the one power
-    z^(k-2), whose first square is z^2 itself.  Every product is taken
-    inline with the floors and the error bound of _fmul, bit for bit,
-    and an integer combination adds sum |c_i| e_i.  Real coefficients
-    keep Y = 0 exactly 0."""
+    (DX, DY, eD, SX, SY, eS, W): each exact value lies within e 2^-P of
+    (X + iY) 2^-P for its own (X, Y, e), and W >= |z|^(k-2) 2^P bounds the
+    power both come from, z^(k-2), whose first square is z^2 itself.
+    Every product is taken inline with the floors and the error bound of
+    _fmul, bit for bit, and an integer combination adds sum |c_i| e_i.
+    With bounded false the error lines are skipped, eD, eS and W are None,
+    and the values are the same products and floors, bit for bit.  Real
+    coefficients keep Y = 0 exactly 0."""
     one = 1 << P
     zzX, zzY, ezz = (X * X - Y * Y) >> P, (X * Y << 1) >> P, 2
     # w = z^(k-2) by binary powering, b running through z^(2^i); wX is
@@ -362,68 +421,103 @@ def _delta_fixed(k: int, X: int, Y: int, P: int):
     bX, bY, eb = zzX, zzY, ezz
     n >>= 1
     while n:
-        ab = abs(bX) + abs(bY)
+        if bounded:
+            ab = abs(bX) + abs(bY)
         if n & 1:
             if wX is None:
                 wX, wY, ew = bX, bY, eb
             else:
-                ew = 2 - (-((abs(wX) + abs(wY)) * eb + ab * ew + ew * eb) >> P)
+                if bounded:
+                    ew = 2 - (-((abs(wX) + abs(wY)) * eb + ab * ew + ew * eb) >> P)
                 wX, wY = (wX * bX - wY * bY) >> P, (wX * bY + wY * bX) >> P
         n >>= 1
         if n:
-            eb = 2 - (-((ab * eb << 1) + eb * eb) >> P)
+            if bounded:
+                eb = 2 - (-((ab * eb << 1) + eb * eb) >> P)
             bX, bY = (bX * bX - bY * bY) >> P, (bX * bY << 1) >> P
     # d = z (z^2 - 3z + 1), its second factor off by ezz; s = delta_k' / z^(k-2).
     cX, cY = zzX - 3 * X + one, zzY - 3 * Y
     dX, dY = (X * cX - Y * cY) >> P, (X * cY + Y * cX) >> P
-    ed = 2 - (-((abs(X) + abs(Y)) * ezz) >> P)
     sX, sY = (k + 1) * zzX - 3 * k * X + (k - 1) * one, (k + 1) * zzY - 3 * k * Y
-    es = (k + 1) * ezz
+    ed = es = W = None
+    if bounded:
+        ed, es, W = 2 - (-((abs(X) + abs(Y)) * ezz) >> P), (k + 1) * ezz, one
     if wX is not None:
-        aw = abs(wX) + abs(wY)
-        dX, dY, ed = ((wX * dX - wY * dY) >> P, (wX * dY + wY * dX) >> P,
-                      2 - (-(aw * ed + (abs(dX) + abs(dY)) * ew + ew * ed) >> P))
-        sX, sY, es = ((wX * sX - wY * sY) >> P, (wX * sY + wY * sX) >> P,
-                      2 - (-(aw * es + (abs(sX) + abs(sY)) * ew + ew * es) >> P))
-    return dX + one, dY, ed, sX, sY, es
+        if bounded:
+            aw = abs(wX) + abs(wY)
+            ed = 2 - (-(aw * ed + (abs(dX) + abs(dY)) * ew + ew * ed) >> P)
+            es = 2 - (-(aw * es + (abs(sX) + abs(sY)) * ew + ew * es) >> P)
+            W = aw + ew
+        dX, dY = (wX * dX - wY * dY) >> P, (wX * dY + wY * dX) >> P
+        sX, sY = (wX * sX - wY * sY) >> P, (wX * sY + wY * sX) >> P
+    return dX + one, dY, ed, sX, sY, es, W
 
 
-def _newton_step(k: int, X: int, Y: int, P: int):
-    """delta_k(z) / delta_k'(z) at z = (X + iY) 2^-P, as a fixed-point
-    pair: delta_k conj(delta_k') / |delta_k'|^2 from the values of
-    _delta_fixed (Newton needs no error bounds), as a floor division."""
-    dX, dY, _, sX, sY, _ = _delta_fixed(k, X, Y, P)
+def _step_radius(k: int, X: int, Y: int, HX: int, HY: int, P: int, ev):
+    """The Newton inclusion radius (k+1) |delta_k(z') / delta_k'(z')| at
+    z' = z - h, bounded above in units of 2^-P, from the bounded
+    evaluation ev = _delta_fixed(k, X, Y, P) at z = (X + iY) 2^-P and the
+    floored step H = (HX, HY) = floor(D conj(S) 2^P / |S|^2) it gave,
+    h = H 2^-P (module docstring, Radius soundness, the last-step rows).
+    None when delta_k'(z) or delta_k'(z') is not certified nonzero, or
+    when (k-2) |h| > |z| / 2."""
+    dX, dY, eD, sX, sY, eS, W = ev
+    # s_lo <= |S| from the top 62 or 63 bits of |S|^2, which math.isqrt
+    # takes on its fast path (S_lo of the module docstring).
     norm = sX * sX + sY * sY
-    return ((dX * sX + dY * sY) << P) // norm, ((dY * sX - dX * sY) << P) // norm
-
-
-def _inclusion_radius(k: int, X: int, Y: int, P: int) -> int:
-    """The Newton inclusion radius (k+1) |delta_k(z) / delta_k'(z)| at the
-    centre z = (X + iY) 2^-P, bounded above from _delta_fixed, in units of
-    2^-P: R = ceil((k+1) (ceil|D| + eD) 2^P / (floor|S| - eS)).  Raises
-    CertificationFailure when floor|S| <= eS, i.e. delta_k'(z) is not
-    certified nonzero."""
-    dX, dY, eD, sX, sY, eS = _delta_fixed(k, X, Y, P)
-    num = _sqrt_bounds(dX * dX + dY * dY)[1]
-    den = _sqrt_bounds(sX * sX + sY * sY)[0] - eS
+    q = max(0, norm.bit_length() - 62) >> 1
+    s_lo = math.isqrt(norm >> 2 * q) << q
+    if s_lo <= eS:
+        return None
+    # |H| <= h; |z| lies in [z_lo, z_hi].
+    aX, aY = abs(X), abs(Y)
+    h, z_lo, z_hi = abs(HX) + abs(HY), max(aX, aY), aX + aY
+    # m 2^-P bounds k(k+1) rho + 3k(k-1) + (k-1)(k-2) / (|z| - |h|), and
+    # M 2^-P >= 2 W m 2^-2P bounds |delta_k''| on the segment from z to z'.
+    m = k * (k + 1) * (z_hi + h) + (3 * k * (k - 1) << P)
+    if k > 2:
+        if 2 * (k - 2) * h > z_lo or h >= z_lo:
+            return None
+        m -= ((k - 1) * (k - 2) << 2 * P) // (h - z_lo)
+    M = -(-2 * W * m >> P)
+    # sqrt 2 (|S| + eS) 2^-P: sqrt 2 |S| 2^-P = sqrt(2 |S|^2 2^-2P), and
+    # sqrt 2 < 3/2.
+    phi = math.isqrt(-(-2 * norm >> 2 * P)) + 2 + (3 * eS >> P + 1)
+    num = eD - (-eS * (abs(dX) + abs(dY)) // s_lo) + phi - (-h * h * M >> 2 * P + 1)
+    den = s_lo - eS + (-h * M >> P)
     if den <= 0:
-        raise CertificationFailure(f"delta_k' not certified nonzero at ({X} + {Y}i) 2^-{P}")
-    return -(-((k + 1) * (num + eD) << P) // den)
+        return None
+    return -(-((k + 1) * num << P) // den)
 
 
-def _newton(k: int, X: int, Y: int, P: int, prec: int):
+def _newton_disk(k: int, X: int, Y: int, P: int, prec: int):
     """Newton on delta_k from z = (X + iY) 2^-P, stopped by quadratic
-    convergence (module docstring): after the first step with mag(dz) <
-    mag(z) - (S + 2 bitlen(k)) / 2, S = _scale(k, prec), whose iterate is
+    convergence (module docstring): after the first step dz with mag(dz)
+    < mag(z) - (S + 2 bitlen(k)) / 2, S = _scale(k, prec), whose iterate is
     kept, so it is off by about k |z| 2^-(S + 2 bitlen(k)) < |z| 2^-S / k.
-    mag is _mag, compared on bit lengths."""
+    mag is _mag, compared on bit lengths.  Returns the kept iterate with
+    its inclusion radius, (X', Y', R') at P, taken by _step_radius from
+    the evaluation of the step that reached it.  The first step evaluates
+    without error bounds and every later one with them; a first step that
+    passes the stop is taken again with bounds.  R' is None when no disk
+    is certified: delta_k' vanishes at an iterate (which is returned), no
+    step passes the stop in 64, or _step_radius gives None."""
     stop = (_scale(k, prec) + 2 * k.bit_length()) // 2
+    bounded = False
     for _ in range(64):
-        dX, dY = _newton_step(k, X, Y, P)
-        X, Y = X - dX, Y - dY
-        if _mag(dX, dY) < _mag(X, Y) - stop:
-            break
-    return X, Y
+        ev = _delta_fixed(k, X, Y, P, bounded)
+        dX, dY, _, sX, sY, _, _ = ev
+        norm = sX * sX + sY * sY
+        if not norm:
+            return X, Y, None
+        HX, HY = ((dX * sX + dY * sY) << P) // norm, ((dY * sX - dX * sY) << P) // norm
+        X1, Y1 = X - HX, Y - HY
+        if _mag(HX, HY) >= _mag(X1, Y1) - stop:
+            X, Y = X1, Y1
+        elif bounded:
+            return X1, Y1, _step_radius(k, X, Y, HX, HY, P, ev)
+        bounded = True
+    return X, Y, None
 
 
 def _float_newton(k: int, z):
@@ -473,10 +567,11 @@ def _polish(k: int, seeds, prec: int):
     """Newton on delta_k at P = _scale(k, prec) fraction bits, once per
     conjugate class, from its seed at that P: from (X, 0) for the real
     classes, the first 2 - k % 2 as in _initial_seeds, and from (X, |Y|)
-    for a pair.  Returns the class centres (X, Y) at P, in seed order."""
+    for a pair.  Returns the class disks (X, Y, R) at P of _newton_disk,
+    in seed order."""
     P = _scale(k, prec)
     n_real = 2 - k % 2
-    return [_newton(k, X, abs(Y) if c >= n_real else 0, P, prec)
+    return [_newton_disk(k, X, abs(Y) if c >= n_real else 0, P, prec)
             for c, (X, Y) in enumerate(seeds)]
 
 
@@ -525,30 +620,36 @@ def _overlapping_pairs(disks):
     return pairs
 
 
-def _certify(k: int, centres, prec: int) -> RootSystem:
-    """The RootSystem of the class centres (X, Y) at P = _scale(k, prec),
+def _certify(k: int, class_disks, prec: int) -> RootSystem:
+    """The RootSystem of the class disks (X, Y, R) at P = _scale(k, prec),
     real classes first as in _initial_seeds, or CertificationFailure
     (module docstring, Radius soundness and Conjugate classes)."""
     P = _scale(k, prec)
     one = 1 << P
     n_real = 2 - k % 2
-    for X, Y in centres[:n_real]:
+    for X, Y, _ in class_disks[:n_real]:
         if Y:
             raise CertificationFailure(f"real class ({X} + {Y}i) 2^-{P} is off the axis")
 
-    # Classes by descending exact |centre|^2, each with one inclusion
-    # radius, taken at (X, |Y|); a pair is that disk and its mirror.
-    classes = [(X, abs(Y), c < n_real) for c, (X, Y) in enumerate(centres)]
+    # Classes by descending exact |centre|^2, each taken at (X, |Y|); a
+    # pair is that disk and its mirror, which shares its modulus interval.
+    classes = [(X, abs(Y), R, c < n_real) for c, (X, Y, R) in enumerate(class_disks)]
     classes.sort(key=lambda c: -(c[0] * c[0] + c[1] * c[1]))
-    disks, conj_pairs, real_roots = [], [], []
-    for X, Y, real in classes:
-        R = _inclusion_radius(k, X, Y, P)
+    disks, conj_pairs, real_roots, lo, hi = [], [], [], [], []
+    for X, Y, R, real in classes:
+        if R is None:
+            raise CertificationFailure(f"no inclusion disk certified at ({X} + {Y}i) 2^-{P}")
+        a, b = _modulus_bounds(X, Y, R)
         if real:
             real_roots.append(len(disks))
             disks.append((X, 0, R))
+            lo.append(a)
+            hi.append(b)
         else:
             conj_pairs.append((len(disks), len(disks) + 1))
             disks += [(X, Y, R), (X, -Y, R)]
+            lo += [a, a]
+            hi += [b, b]
 
     # Pairwise disjointness, including the exact node at 1 (radius 0);
     # pairs with apart real spans are disjoint already.
@@ -560,7 +661,6 @@ def _certify(k: int, centres, prec: int) -> RootSystem:
 
     # Each true modulus lies in [isqrt(N) - R, ceil(sqrt(N)) + R] in units
     # of 2^-P; the intervals of adjacent classes must separate strictly.
-    lo, hi = map(list, zip(*(_modulus_bounds(*disk) for disk in disks)))
     firsts = {a for a, _ in conj_pairs}
     for i in range(k - 1):
         if i not in firsts and not lo[i] > hi[i + 1]:
@@ -588,7 +688,7 @@ def _certify(k: int, centres, prec: int) -> RootSystem:
     if not prod_lo <= one <= prod_hi:
         raise CertificationFailure("|root product| does not enclose 1")
 
-    if not all(_reaches(*disk, prec) for disk in disks):
+    if not all(_reaches(X, Y, R, prec) for X, Y, R, _ in classes):
         raise CertificationFailure(f"radii miss the label, |centre| 2^-{prec}")
 
     return RootSystem(k=k, disks=disks, conj_pairs=conj_pairs, real_roots=real_roots,
@@ -599,8 +699,9 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     """Certified root system of Psi_k at target_prec bits or more.
 
     Float seeds are polished by Newton on fixed-point integers and
-    certified by Newton inclusion disks, Newton and the radius once per
-    conjugate class and every disk tested (module docstring).  Any
+    certified by Newton inclusion disks, one Newton run per conjugate
+    class, whose last step gives the radius, and every disk tested
+    (module docstring).  Any
     failure doubles the precision, and so does a radius above |centre|
     2^-prec, so the label prec is the accuracy the radii reach.  Results
     are cached for the process per order and starting precision
@@ -619,12 +720,12 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     prec = key[1]
     seeds = _initial_seeds(k, _scale(k, prec))
     while True:
-        centres = _polish(k, seeds, prec)
+        disks = _polish(k, seeds, prec)
         with suppress(CertificationFailure):
-            rs = _certify(k, centres, prec)
+            rs = _certify(k, disks, prec)
             break
         shift = escalate(prec) - prec
-        seeds = [(X << shift, Y << shift) for X, Y in centres]
+        seeds = [(X << shift, Y << shift) for X, Y, _ in disks]
         prec += shift
     with _cache_lock:
         rs = _root_cache.setdefault(key, rs)
@@ -647,12 +748,8 @@ def refine_root(rs: RootSystem, i: int, prec: int) -> Ball:
         P = _scale(k, prec)
         shift = P - rs.P
         x0, y0, r0 = X0 << shift, Y0 << shift, R0 << shift
-        X, Y = _newton(k, x0, y0, P, prec)
-        try:
-            R1 = _inclusion_radius(k, X, Y, P)
-        except CertificationFailure:
-            pass
-        else:
+        X, Y, R1 = _newton_disk(k, x0, y0, P, prec)
+        if R1 is not None:
             r = r0 - R1
             if (r >= 0 and (X - x0) ** 2 + (Y - y0) ** 2 <= r * r
                     and _reaches(X, Y, R1, prec)):

@@ -4,14 +4,15 @@ The enclosure test checks that every 128-bit root ball holds the disk of
 the matching certified 512-bit root, exactly on the integer disks
 (Ball.to_disk), and that the kept integer modulus intervals hold its
 modulus.  The failure-path
-tests feed _certify class centres that must not certify: a duplicated
-centre, a real class near the spurious root at 1, a real class off the
-axis, a pair class on it, a centre moved so far towards a neighbour that
-the disks meet, and, with
-the inclusion radii pinned, centres or radii that break one of the later
+tests feed _certify class disks that must not certify: a duplicated
+disk, a real class polished from near the spurious root at 1, a real
+class off the axis, a pair class on it, a disk moved and widened until
+it meets a neighbour, a class with no certified disk, and, with the
+inclusion radii pinned, centres or radii that break one of the later
 checks each (modulus order, dominance, root sum, root product); a
-certification whose radii miss its precision label fails, and the solve
-escalates.  Centres are fixed-point integers (X, Y) at P = prec + 16.  The
+radius bound with bits below the fixed point rounds up; a certification
+whose radii miss its precision label fails, and the solve escalates.
+Class disks are fixed-point integers (X, Y, R) at P = prec + 16.  The
 sweep tests check the fixed-point sweep (spectra._overlapping_pairs) and
 pair test (spectra._disjoint) against an all-pairs exact oracle on
 random disks, the radius conversion of Ball.to_disk against exact
@@ -22,6 +23,7 @@ upper member of each pair, and that gamma's seed stays finite where
 gamma^k leaves the double range.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -61,6 +63,7 @@ def _fball(re, im, rad):
 
 
 def _centres(k, prec=128):
+    """The polished class disks (X, Y, R) at P = prec + 16."""
     return spectra._polish(k, spectra._initial_seeds(k, prec + 16), prec)
 
 
@@ -110,11 +113,11 @@ def test_duplicated_centre_raises():
 def test_centre_at_the_spurious_root_raises():
     # delta_k = (x - 1) Psi_k: a centre that homes in on x = 1 finds a
     # root of delta_k, and only the exact node at 1 exposes it.  The
-    # negative real class of k = 10 is moved there; sorted by modulus it
-    # is root 1.
+    # negative real class of k = 10 is polished from near 1 instead;
+    # sorted by modulus it is root 1.
     k = 10
     centres = _centres(k)
-    centres[1] = (1 << P128) + (1 << (P128 - 100)), 0
+    centres[1] = spectra._newton_disk(k, (1 << P128) + (1 << (P128 - 100)), 0, P128, 128)
     with pytest.raises(CertificationFailure, match=f"disks 1,{k} not certifiedly disjoint"):
         spectra._certify(k, centres, 128)
 
@@ -125,8 +128,8 @@ def test_real_class_off_the_axis_raises(k):
     # a real class with Y != 0 is no such disk, so it fails at once.
     for i in range(2 - k % 2):
         moved = _centres(k)
-        X, _ = moved[i]
-        moved[i] = X, 1
+        X, _, R = moved[i]
+        moved[i] = X, 1, R
         with pytest.raises(CertificationFailure,
                            match=rf"real class \({X} \+ 1i\) 2\^-{P128} is off the axis"):
             spectra._certify(k, moved, 128)
@@ -139,26 +142,42 @@ def test_pair_class_on_the_axis_raises(k):
     centres = _centres(k)
     for i in range(2 - k % 2, len(centres)):
         moved = list(centres)
-        moved[i] = centres[i][0], 0
+        moved[i] = centres[i][0], 0, centres[i][2]
         with pytest.raises(CertificationFailure, match="not certifiedly disjoint"):
             spectra._certify(k, moved, 128)
 
 
 def test_centre_moved_onto_a_neighbour_raises():
+    # A disk moved 45% of the way to its nearest neighbour, with a radius
+    # of 60% of their distance, reaches past the neighbour's centre.
     k = 9
     centres = _centres(k)
-    upper = [i for i, (_, Y) in enumerate(centres) if Y > 0]
+    upper = [i for i, (_, Y, _) in enumerate(centres) if Y > 0]
 
     def dist2(ij):
-        (X, Y), (U, V) = centres[ij[0]], centres[ij[1]]
+        (X, Y, _), (U, V, _) = centres[ij[0]], centres[ij[1]]
         return (X - U) ** 2 + (Y - V) ** 2
 
     i, j = min(((a, b) for a in upper for b in upper if a < b), key=dist2)
-    (X, Y), (U, V) = centres[i], centres[j]
+    (X, Y, _), (U, V, _) = centres[i], centres[j]
     moved = list(centres)
-    moved[i] = X + (U - X) * 45 // 100, Y + (V - Y) * 45 // 100
+    moved[i] = (X + (U - X) * 45 // 100, Y + (V - Y) * 45 // 100,
+                math.isqrt(dist2((i, j))) * 60 // 100)
     with pytest.raises(CertificationFailure, match="not certifiedly disjoint"):
         spectra._certify(k, moved, 128)
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_class_without_a_disk_raises(k):
+    # Newton gives R = None where no disk is certified; such a class
+    # fails before any disk is compared.
+    for i in range(len(_centres(k))):
+        centres = _centres(k)
+        X, Y, _ = centres[i]
+        centres[i] = X, Y, None
+        with pytest.raises(CertificationFailure,
+                           match=rf"no inclusion disk certified at \({X} \+ {Y}i\) 2\^-{P128}"):
+            spectra._certify(k, centres, 128)
 
 
 # -- the checks after the sweep, with pinned radii -----------------------
@@ -171,93 +190,85 @@ PINNED = 1 << (P128 - 130)
 WIDE = 41 << (P128 - 12)
 
 
-def _pin_radii(monkeypatch, wide=None):
-    """Every inclusion radius pinned to 2^-130, except about 0.01 at the
-    centre `wide`, so that a moved centre keeps a small disk."""
-    def pinned(kk, X, Y, P):
-        return WIDE if wide is not None and (X, Y) == wide else PINNED
-    monkeypatch.setattr(spectra, "_inclusion_radius", pinned)
+def _pinned(centres, wide=None):
+    """The class disks with every radius pinned to 2^-130, except about
+    0.01 for class `wide`, so that a moved centre keeps a small disk."""
+    return [(X, Y, WIDE if c == wide else PINNED) for c, (X, Y, _) in enumerate(centres)]
 
 
 def _real_centres(centres):
     """Indices of gamma and, for even k, of the negative real root."""
-    reals = sorted((c, i) for i, c in enumerate(centres) if not c[1])
+    reals = sorted((c[0], i) for i, c in enumerate(centres) if not c[1])
     return reals[-1][1], reals[0][1]
 
 
 def _moved(c, units):
-    """A real centre moved by `units` of 2^-(128+16)."""
-    return c[0] + units, 0
+    """A real class disk moved by `units` of 2^-(128+16)."""
+    return c[0] + units, 0, c[2]
 
 
 @pytest.mark.parametrize("k", [9, 10])
-def test_pinned_radii_certify_the_polished_centres(k, monkeypatch):
+def test_pinned_radii_certify_the_polished_centres(k):
     # The control for the tests below: with every radius at 2^-130, the
     # true centres pass every check.
-    _pin_radii(monkeypatch)
-    rs = spectra._certify(k, _centres(k), 128)
+    rs = spectra._certify(k, _pinned(_centres(k)), 128)
     assert _parts(rs.roots[0])[2] == Fraction(1, 1 << 130)
 
 
-def test_modulus_order_inversion_raises(monkeypatch):
+def test_modulus_order_inversion_raises():
     # k = 10: the negative real root (modulus 0.8509) and the smallest
     # pair (0.8578) are about 0.6 apart, so a radius of 0.01 keeps the
     # disks apart but lets the modulus intervals meet.
     k = 10
     centres = _centres(k)
     _, neg = _real_centres(centres)
-    _pin_radii(monkeypatch, wide=centres[neg])
     with pytest.raises(CertificationFailure, match="modulus order inversion at sorted index 8"):
-        spectra._certify(k, centres, 128)
+        spectra._certify(k, _pinned(centres, wide=neg), 128)
 
 
-def test_dominant_modulus_below_one_raises(monkeypatch):
+def test_dominant_modulus_below_one_raises():
     # gamma replaced by 0.999: still the largest modulus (the next is
     # 0.959), clear of the node at 1, but not above 1.
     k = 9
     centres = _centres(k)
     gamma, _ = _real_centres(centres)
-    centres[gamma] = (999 << P128) // 1000, 0
-    _pin_radii(monkeypatch)
+    centres[gamma] = (999 << P128) // 1000, 0, PINNED
     with pytest.raises(CertificationFailure, match="dominant modulus not certified > 1"):
-        spectra._certify(k, centres, 128)
+        spectra._certify(k, _pinned(centres), 128)
 
 
-def test_second_modulus_above_one_raises(monkeypatch):
+def test_second_modulus_above_one_raises():
     # The negative real root of k = 10 moved out to -1.001: second in
     # modulus order, and outside the unit circle.
     k = 10
     centres = _centres(k)
     _, neg = _real_centres(centres)
-    centres[neg] = -((1001 << P128) // 1000), 0
-    _pin_radii(monkeypatch)
+    centres[neg] = -((1001 << P128) // 1000), 0, PINNED
     with pytest.raises(CertificationFailure, match="modulus 1 not certified < 1"):
-        spectra._certify(k, centres, 128)
+        spectra._certify(k, _pinned(centres), 128)
 
 
-def test_negative_dominant_root_raises(monkeypatch):
+def test_negative_dominant_root_raises():
     k = 9
     centres = _centres(k)
     gamma, _ = _real_centres(centres)
-    centres[gamma] = -centres[gamma][0], 0
-    _pin_radii(monkeypatch)
+    centres[gamma] = -centres[gamma][0], 0, PINNED
     with pytest.raises(CertificationFailure, match="dominant root is not real positive"):
-        spectra._certify(k, centres, 128)
+        spectra._certify(k, _pinned(centres), 128)
 
 
-def test_root_sum_off_two_raises(monkeypatch):
+def test_root_sum_off_two_raises():
     # gamma moved by 2^-60: its pinned disk no longer holds it, and the
     # centres sum to 2 + 2^-60, far outside 9 radii of 2^-130.
     k = 9
     centres = _centres(k)
     gamma, _ = _real_centres(centres)
     centres[gamma] = _moved(centres[gamma], 1 << (P128 - 60))
-    _pin_radii(monkeypatch)
     with pytest.raises(CertificationFailure, match="root sum does not enclose 2"):
-        spectra._certify(k, centres, 128)
+        spectra._certify(k, _pinned(centres), 128)
 
 
-def test_root_product_off_one_raises(monkeypatch):
+def test_root_product_off_one_raises():
     # gamma moved up and the negative root moved left by the same 2^-60:
     # the sum is unchanged, but the product of the moduli grows by about
     # 2^-60 (1/gamma + 1/0.85) relative.
@@ -266,27 +277,27 @@ def test_root_product_off_one_raises(monkeypatch):
     gamma, neg = _real_centres(centres)
     centres[gamma] = _moved(centres[gamma], 1 << (P128 - 60))
     centres[neg] = _moved(centres[neg], -(1 << (P128 - 60)))
-    _pin_radii(monkeypatch)
     with pytest.raises(CertificationFailure, match=r"\|root product\| does not enclose 1"):
-        spectra._certify(k, centres, 128)
+        spectra._certify(k, _pinned(centres), 128)
 
 
-def test_radius_with_bits_below_the_fixed_point_rounds_up(monkeypatch):
-    # gamma and a real centre 11 units of 2^-(128+16) below it, each with
-    # an inclusion radius (k+1) |D| / |S| of 5.75 units, which
-    # _inclusion_radius rounds up to 6: the disks meet.  Rounded down to
-    # 5 units, the radii would leave the disks a unit apart.
+def test_radius_with_bits_below_the_fixed_point_rounds_up():
+    # A planted evaluation at gamma with no step (H = 0), D = 0, eD = 3
+    # and S = 44, eS = 0 in units of 2^-(128+16): the floor term is
+    # isqrt(2 44^2) + 2 = 64 units, so the radius bound is (k+1) (eD +
+    # 64) / 44 = 11 * 67 / 44 = 16.75 units, which _step_radius rounds up
+    # to 17.  gamma and a real centre 33 units below it, each with that
+    # radius, meet; rounded down to 16 units, the radii would leave the
+    # disks a unit apart.
     k = 10
     centres = _centres(k)
     gamma, neg = _real_centres(centres)
-    centres[neg] = _moved(centres[gamma], -11)
-
-    def delta(kk, X, Y, P):
-        if Y:
-            return PINNED, 0, 0, (k + 1) << P, 0, 0
-        return 23, 0, 0, 4 * (k + 1) << P, 0, 0
-
-    monkeypatch.setattr(spectra, "_delta_fixed", delta)
+    X = centres[gamma][0]
+    planted = (0, 0, 3, 44 << P128, 0, 0, 1 << P128)
+    R = spectra._step_radius(k, X, 0, 0, 0, P128, planted)
+    assert R == 17
+    centres[gamma] = X, 0, R
+    centres[neg] = X - 33, 0, R
     i, j = sorted((gamma, neg))
     with pytest.raises(CertificationFailure, match=f"disks {i},{j} not certifiedly disjoint"):
         spectra._certify(k, centres, 128)
@@ -305,7 +316,7 @@ def test_near_real_centre_is_made_real(monkeypatch):
         if not tilted:
             # The negative real root, one unit of 2^-P off the axis.
             i = centres.index(min(c for c in centres if not c[1]))
-            centres[i] = centres[i][0], 1
+            centres[i] = centres[i][0], 1, centres[i][2]
             tilted.append(centres[i])
         return centres
 
@@ -320,7 +331,7 @@ def test_near_real_centre_is_made_real(monkeypatch):
     monkeypatch.setattr(spectra, "_certify", recording_certify)
     rs = spectra.solve_roots(k)
     assert len(failures) == 1 and type(failures[0]) is CertificationFailure
-    X, Y = tilted[0]
+    X, Y, _ = tilted[0]
     assert str(failures[0]) == f"real class ({X} + {Y}i) 2^-{P128} is off the axis"
     assert rs.prec == 256
     assert rs.real_roots == [0, k - 1]
@@ -358,17 +369,22 @@ def test_failed_certification_escalates_from_the_old_centres(k, monkeypatch):
 
 @pytest.mark.parametrize("k", [5, 10])
 def test_radii_short_of_the_label_escalate(k, monkeypatch):
-    # One Newton step from a float seed reaches about 106 bits: the
-    # 128-bit disks pass every structural check, but their radii miss
-    # 2^-128 |centre|, so the certification fails last, on the label.
-    newton, certify = spectra._newton, spectra._certify
+    # One bounded Newton step from a float seed reaches about 106 bits,
+    # and its radius, whose remainder term |h|^2 M / 2 is near 2^-106,
+    # holds the root: the 128-bit disks pass every structural check, but
+    # their radii miss 2^-128 |centre|, so the certification fails last,
+    # on the label.
+    newton_disk, certify = spectra._newton_disk, spectra._certify
     failures = []
 
     def one_step_at_128(kk, X, Y, P, prec):
         if prec != 128:
-            return newton(kk, X, Y, P, prec)
-        dX, dY = spectra._newton_step(kk, X, Y, P)
-        return X - dX, Y - dY
+            return newton_disk(kk, X, Y, P, prec)
+        ev = spectra._delta_fixed(kk, X, Y, P)
+        DX, DY, _, SX, SY, _, _ = ev
+        norm = SX * SX + SY * SY
+        HX, HY = ((DX * SX + DY * SY) << P) // norm, ((DY * SX - DX * SY) << P) // norm
+        return X - HX, Y - HY, spectra._step_radius(kk, X, Y, HX, HY, P, ev)
 
     def recording_certify(kk, centres, prec):
         try:
@@ -377,7 +393,7 @@ def test_radii_short_of_the_label_escalate(k, monkeypatch):
             failures.append((prec, str(fail)))
             raise
 
-    monkeypatch.setattr(spectra, "_newton", one_step_at_128)
+    monkeypatch.setattr(spectra, "_newton_disk", one_step_at_128)
     monkeypatch.setattr(spectra, "_certify", recording_certify)
     rs = spectra.solve_roots(k)
     assert [prec for prec, _ in failures] == [128]

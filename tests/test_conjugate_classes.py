@@ -2,21 +2,22 @@
 
 delta_k and g_k have real coefficients, so spectra carries one centre per
 class (a real root, or the upper member of a pair) from seed to
-certificate, computes a Newton run, an inclusion radius and a weight
-once per class, and gives the partner the exact mirror.  The pairing
-tests pin, for k = 2..60, 86, 150, 499 and 500, that each pair is (i,
-i + 1), that its lower disk is the exact mirror of the upper one, that
-real roots have Y = 0, and that _newton and _inclusion_radius run once
-per class.  The mirror tests check that the polished class centres are
+certificate, computes a Newton run with its inclusion radius and a
+weight once per class, and gives the partner the exact mirror.  The
+pairing tests pin, for k = 2..60, 86, 150, 499 and 500, that each pair
+is (i, i + 1), that its lower disk is the exact mirror of the upper
+one, that real roots have Y = 0, and that _newton_disk and _step_radius
+run once per class.  The mirror tests check that the polished class centres are
 the real ones, with Y = 0, and then one upper member per pair, that
 partner balls are exact conjugates bit for bit, radii and weights
 included, and that the mirrored weight is what eval_gk gives at the
 partner itself.  The disk tests check that each
 root Ball converts exactly to its certified disk and that
 RootSystem.weights, computed on the disks, is what eval_gk gives at the
-root Balls, bit for bit.  The cost tests pin one Newton run
-and one radius per class, and check the per-class Binet sum against an
-all-roots sum written here.
+root Balls, bit for bit.  The cost tests pin the evaluations of
+delta_k a class takes, two in a cold 128-bit solve and one of them
+bounded, and one unbounded per class at 390 bits, and check the per-class Binet
+sum against an all-roots sum written here.
 """
 
 from collections import Counter
@@ -51,8 +52,8 @@ def test_partners_and_weights_are_exact_mirrors(k, prec):
     centres = spectra._polish(k, spectra._initial_seeds(k, prec + 16), prec)
     n_real = 2 - k % 2
     assert len(centres) == n_real + (k - n_real) // 2
-    assert all(Y == 0 for _, Y in centres[:n_real]), k
-    assert all(Y > 0 for _, Y in centres[n_real:]), k
+    assert all(Y == 0 for _, Y, _ in centres[:n_real]), k
+    assert all(Y > 0 for _, Y, _ in centres[n_real:]), k
 
     rs = spectra.solve_roots(k, prec)
     assert rs.prec == prec
@@ -69,7 +70,7 @@ def test_partners_and_weights_are_exact_mirrors(k, prec):
 @pytest.mark.parametrize("k", PINNED)
 def test_pairs_are_adjacent_exact_mirrors_one_run_per_class(k, monkeypatch):
     calls = Counter()
-    for name in ("_newton", "_inclusion_radius"):
+    for name in ("_newton_disk", "_step_radius"):
         def counting(*args, name=name, f=getattr(spectra, name)):
             calls[name] += 1
             return f(*args)
@@ -77,7 +78,7 @@ def test_pairs_are_adjacent_exact_mirrors_one_run_per_class(k, monkeypatch):
     rs = spectra.solve_roots(k)
     assert rs.prec == 128
     classes = len(rs.real_roots) + len(rs.conj_pairs)
-    assert calls == {"_newton": classes, "_inclusion_radius": classes}
+    assert calls == {"_newton_disk": classes, "_step_radius": classes}
     firsts = [a for a, _ in rs.conj_pairs]
     assert rs.conj_pairs == [(a, a + 1) for a in firsts]
     assert sorted(rs.real_roots + firsts + [a + 1 for a in firsts]) == list(range(k))
@@ -99,38 +100,51 @@ def test_roots_and_weights_are_read_off_the_disks(k):
         assert _same(w[i], spectra.eval_gk(k, root)), (k, i)
 
 
+def _count_evaluations(monkeypatch):
+    """A Counter of the _delta_fixed calls, by whether they are bounded."""
+    calls = Counter()
+    fixed = spectra._delta_fixed
+
+    def counting(k, X, Y, P, bounded=True):
+        calls[bounded] += 1
+        return fixed(k, X, Y, P, bounded)
+
+    monkeypatch.setattr(spectra, "_delta_fixed", counting)
+    return calls
+
+
 def test_polish_runs_newton_once_per_class(monkeypatch):
+    # From a float seed, about 53 bits, Newton at 406 bits passes the
+    # stop on its third or fourth step; only the first is unbounded.
     k = 53
     seeds = spectra._initial_seeds(k, 406)
-    step = spectra._newton_step
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return step(*args)
-
-    monkeypatch.setattr(spectra, "_newton_step", counting)
+    runs = []
+    newton_disk = spectra._newton_disk
+    monkeypatch.setattr(spectra, "_newton_disk",
+                        lambda *args: runs.append(args) or newton_disk(*args))
+    calls = _count_evaluations(monkeypatch)
     spectra._polish(k, seeds, 390)
-    assert calls > 0
-    assert calls < 3 * k
+    assert len(runs) == len(seeds)
+    assert calls[False] == len(seeds)
+    assert 2 * len(seeds) <= calls[True] < 3 * len(seeds)
 
 
-@pytest.mark.parametrize("k", [9, 10, 200])
+@pytest.mark.parametrize("k", [9, 10, 53, 200])
 def test_certify_computes_one_radius_per_class(k, monkeypatch):
-    centres = spectra._polish(k, spectra._initial_seeds(k, 144), 128)
-    radius = spectra._inclusion_radius
-    calls = 0
-
-    def counting(kk, X, Y, P):
-        nonlocal calls
-        calls += 1
-        return radius(kk, X, Y, P)
-
-    monkeypatch.setattr(spectra, "_inclusion_radius", counting)
-    rs = spectra._certify(k, centres, 128)
-    assert calls > 0
-    assert calls == len(rs.real_roots) + len(rs.conj_pairs)
+    # A cold 128-bit solve takes two evaluations of delta_k per class:
+    # the first Newton step evaluates without error bounds, and the
+    # second passes the stop, and its bounded evaluation also gives the
+    # class's one radius, so _certify evaluates nothing.
+    radius = spectra._step_radius
+    radii = []
+    monkeypatch.setattr(spectra, "_step_radius",
+                        lambda *args: radii.append(args) or radius(*args))
+    calls = _count_evaluations(monkeypatch)
+    rs = spectra.solve_roots(k)
+    assert rs.prec == 128
+    classes = len(rs.real_roots) + len(rs.conj_pairs)
+    assert len(radii) == classes
+    assert calls == {False: classes, True: classes}
 
 
 @pytest.mark.parametrize("k", range(2, 13))

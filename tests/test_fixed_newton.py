@@ -8,10 +8,11 @@ and each float seed, with the mirror of each pair's, against the
 matching root of a certified 512-bit system, that real seeds stay real with Y exactly 0, and that seeds with
 a negative real part polish to their own root and not to the node at 1.
 _delta_fixed takes its products inline: its output must equal, bit for
-bit, the same evaluation composed from _fmul, and Newton reads its
-values.  The seed tests check the float Newton stage at orders whose
-gamma^k leaves the double range, its fallback to the closed-form point,
-and the number of Newton steps and radii a cold odd reduction takes.
+bit, the same evaluation composed from _fmul, and its unbounded values
+must equal its bounded ones.  The seed tests check the float Newton
+stage at orders whose gamma^k leaves the double range, its fallback to
+the closed-form point, and the number of evaluations, bounded and
+unbounded, that a cold odd reduction takes.
 The guard-bit tests check that the fixed point keeps P = prec + 16
 below k = 512 and grows past it, so that k = 1460 and 2000 certify at
 128 bits.
@@ -114,7 +115,8 @@ def test_polished_centres_and_seeds_lie_near_their_roots(k):
     _within(spectra._initial_seeds(k, P), P, ref.roots, SEED_BITS + 8)
     for prec in (128, 390):
         seeds = spectra._initial_seeds(k, prec + 16)
-        _within(spectra._polish(k, seeds, prec), prec + 16, ref.roots, prec)
+        disks = spectra._polish(k, seeds, prec)
+        _within([(X, Y) for X, Y, _ in disks], prec + 16, ref.roots, prec)
 
 
 @pytest.mark.parametrize("k", ORDERS)
@@ -125,7 +127,7 @@ def test_real_seeds_stay_real(k):
         if seed[1]:
             continue
         assert c[1] == 0
-        assert spectra._newton(k, *seed, P, P - 16) == c
+        assert spectra._newton_disk(k, *seed, P, P - 16) == c
 
 
 @pytest.mark.parametrize("k", [4, 5, 6, 9, 10, 30, 86])
@@ -138,7 +140,7 @@ def test_negative_real_part_seeds_polish_to_their_own_root(k):
         assert coarse[i][0] < 0
     centres = spectra._polish(k, seeds, 128)
     for i in negative:
-        (X, Y), (U, V) = centres[i], seeds[i]
+        (X, Y, _), (U, V) = centres[i], seeds[i]
         assert X < 0, (k, i, centres[i])
         assert (X - U) ** 2 + (Y - V) ** 2 < 1 << 2 * (P - 40), (k, i)
     rs = spectra._certify(k, centres, 128)
@@ -148,7 +150,8 @@ def test_negative_real_part_seeds_polish_to_their_own_root(k):
 def _fmul_delta(k, X, Y, P):
     """The evaluation _delta_fixed inlines, composed from spectra._fmul:
     z^(k-2) by binary powering, z^2, d = z (z^2 - 3z + 1) and s, and
-    d, s times z^(k-2)."""
+    d, s times z^(k-2), and the bound W = |w| + e_w on |z^(k-2)| 2^P, 2^P
+    when k = 2."""
     mul = spectra._fmul
     one = 1 << P
     w = None
@@ -164,9 +167,11 @@ def _fmul_delta(k, X, Y, P):
     d = mul(P, X, Y, 0, zzX - 3 * X + one, zzY - 3 * Y, ezz)
     s = ((k + 1) * zzX - 3 * k * X + (k - 1) * one, (k + 1) * zzY - 3 * k * Y,
          (k + 1) * ezz)
+    W = one
     if w is not None:
         d, s = mul(P, *w, *d), mul(P, *w, *s)
-    return d[0] + one, d[1], d[2], *s
+        W = abs(w[0]) + abs(w[1]) + w[2]
+    return d[0] + one, d[1], d[2], *s, W
 
 
 @given(st.integers(2, 600), st.sampled_from([64, 144, 406]),
@@ -185,39 +190,31 @@ def test_inlined_evaluation_matches_the_fmul_reference(k, p, x, y):
     X, Y = x >> (406 - p), y >> (406 - p)
     out = spectra._delta_fixed(k, X, Y, p)
     assert out == _fmul_delta(k, X, Y, p)
-    DX, DY, _, SX, SY, _ = out
-    norm = SX * SX + SY * SY
-    if norm:
-        want = (((DX * SX + DY * SY) << p) // norm, ((DY * SX - DX * SY) << p) // norm)
-        assert spectra._newton_step(k, X, Y, p) == want
+    # The first Newton step skips the error lines: the same products and
+    # floors give the same values, and no bound.
+    DX, DY, _, SX, SY, _, _ = out
+    assert spectra._delta_fixed(k, X, Y, p, False) == (DX, DY, None, SX, SY, None, None)
 
 
 def test_cold_solves_keep_their_newton_step_counts(monkeypatch):
     # Evaluations of delta_k over cold odd reductions, odd k = 5..53:
     # each of the 375 conjugate classes of the 128-bit solves takes two
-    # Newton steps at 144 bits and one radius, and each gamma_s refined
-    # to 390 bits takes two steps at 406 bits and one radius.  No step
-    # runs at any other precision: the seeds are floats.
-    step, radius = spectra._newton_step, spectra._inclusion_radius
-    steps, radii = Counter(), Counter()
+    # Newton steps at 144 bits, the first unbounded and the second
+    # bounded, whose evaluation also gives the disk; each gamma_s refined
+    # to 390 bits takes the same two at 406 bits.  No evaluation runs at
+    # any other precision: the seeds are floats.
+    fixed = spectra._delta_fixed
+    calls = Counter()
 
-    def counting_step(k, X, Y, p):
-        steps[p] += 1
-        return step(k, X, Y, p)
+    def counting(k, X, Y, p, bounded=True):
+        calls[p, bounded] += 1
+        return fixed(k, X, Y, p, bounded)
 
-    def counting_radius(k, X, Y, p):
-        radii[p] += 1
-        return radius(k, X, Y, p)
-
-    monkeypatch.setattr(spectra, "_newton_step", counting_step)
-    monkeypatch.setattr(spectra, "_inclusion_radius", counting_radius)
+    monkeypatch.setattr(spectra, "_delta_fixed", counting)
     for k in range(5, 54, 2):
         spectra.clear_cache()
         odd_k_reduce(k)
-    assert set(steps) == {P, 406}
-    assert steps[P] <= 750
-    assert steps[406] <= 50
-    assert radii == {P: 375, 406: 25}
+    assert calls == {(P, False): 375, (P, True): 375, (406, False): 25, (406, True): 25}
 
 
 def test_stop_margin_holds_at_the_range_end(monkeypatch):

@@ -2,11 +2,10 @@
 
 Each digest is the SHA-256 of the canonical JSONL of one `verify` sweep:
 every record with its `timestamp` dropped, dumped with sorted keys and no
-spaces, one record per line, each line ending in a newline.  The
-digests were taken before the root solve was certified from the last
-Newton step, so a change of speed that moves a single byte of a record
-(a zero, a bound, a precision, a check) fails here.  A change that means
-to move a record replaces its digest, and says why.
+spaces, one record per line, each line ending in a newline.  A change of
+speed that moves a single byte of a record (a zero, a bound, a
+precision, a check) fails here.  A change that means to move a record
+replaces its digest, and says why.
 """
 
 import hashlib

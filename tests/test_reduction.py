@@ -475,11 +475,16 @@ def test_odd_reduce_large_orders_pinned(k, R, tau_in_range, mu_in_range):
 def test_working_prec_counts_digits_past_the_str_limit():
     # str(int) refuses more than 4300 digits (Python 3.11+), so the
     # digits of M are counted by Decimal; below the limit the count is
-    # the decimal length, and M = 10^5000 has 5001 digits.
-    for M in (1, 9, 10, 99, 100, 10 ** 47 - 1, DEFAULT_M, 10 ** 4000):
-        assert working_prec_for(M) == max(128, int((len(str(M)) + 60) * 3.3220) + 32), M
+    # the decimal length.  From M = 10^52 on, 2 bitlen(M) + 64 is the
+    # larger: M ||tau q|| with q > 6M needs about 2 log2 M bits of tau.
+    for M in (1, 9, 10, 99, 100, 10 ** 47 - 1, DEFAULT_M, 10 ** 50, 10 ** 52,
+              10 ** 93, 10 ** 4000):
+        assert working_prec_for(M) == max(128, int((len(str(M)) + 60) * 3.3220) + 32,
+                                          2 * M.bit_length() + 64), M
     assert working_prec_for(DEFAULT_M) == 390
-    assert working_prec_for(10 ** 5000) == int(5061 * 3.3220) + 32
+    assert working_prec_for(10 ** 50) == int(111 * 3.3220) + 32
+    assert working_prec_for(10 ** 93) == 2 * 309 + 64 == 682
+    assert working_prec_for(10 ** 5000) == 2 * 16610 + 64
 
 
 def _assert_eps_digits_follow_the_radius(eps):
@@ -493,7 +498,7 @@ def _assert_eps_digits_follow_the_radius(eps):
 def test_reduce_records_an_m_past_the_str_limit():
     # An M of 5001 digits: q_used passes 6M, so it has 5001 digits or
     # more, and the record prints it in full.  eps prints to the digits
-    # its radius leaves: tau is refined to about 33,700 bits, so its
+    # its radius leaves: tau is refined to about 33,300 bits, so its
     # radius is near 1e-69, and eps takes about 70 digits, not 10,000.
     M = 10 ** 5000
     out = odd_k_reduce(5, M).to_json()
@@ -506,17 +511,19 @@ def test_reduce_records_an_m_past_the_str_limit():
 
 
 def test_an_escalation_takes_only_the_argument_of_gamma_s(monkeypatch):
-    # M = 10^5000 sets a working precision near 16,800 bits, and dp_reduce
-    # asks once for tau at twice that: arg(gamma_s) and arg(g) for the
-    # instance, then arg(gamma_s) alone for the refined tau.
+    # M = 10^5000 with half its working precision, near 16,600 bits, so
+    # that dp_reduce asks once for tau at twice that: arg(gamma_s) and
+    # arg(g) for the instance, then arg(gamma_s) alone for the refined tau.
     calls = []
     arg = Ball.arg
+    wp = reduction.working_prec_for
 
     def counted(self):
         calls.append(self.prec)
         return arg(self)
 
     monkeypatch.setattr(Ball, "arg", counted)
+    monkeypatch.setattr(reduction, "working_prec_for", lambda M: wp(M) // 2)
     odd_k_reduce(5, 10 ** 5000)
     assert len(calls) == 3
     assert calls[0] == calls[1] < calls[2]

@@ -115,13 +115,13 @@ def test_refinement_towards_a_neighbouring_root_is_never_returned(k, monkeypatch
     rs = solve_roots(k)
     i = rs.k - 1
     NX, NY, _ = rs.disks[k - 4]
-    newton = spectra._newton
+    newton_disk = spectra._newton_disk
 
     def towards_neighbour(k_, X, Y, P, prec):
         shift = P - rs.P
-        return newton(k_, NX << shift, abs(NY) << shift, P, prec)
+        return newton_disk(k_, NX << shift, abs(NY) << shift, P, prec)
 
-    monkeypatch.setattr(spectra, "_newton", towards_neighbour)
+    monkeypatch.setattr(spectra, "_newton_disk", towards_neighbour)
     monkeypatch.setattr(precision, "PREC_CEILING", 4 * PREC)
     with pytest.raises((CertificationFailure, PrecisionExhausted)):
         refine_root(rs, i, PREC)
@@ -129,19 +129,23 @@ def test_refinement_towards_a_neighbouring_root_is_never_returned(k, monkeypatch
 
 @pytest.mark.parametrize("k", [5, 53])
 def test_refinement_short_of_the_label_escalates(k, monkeypatch):
-    # One Newton step from a 128-bit centre reaches about 256 bits: the
-    # new disk nests in the old one, but its radius misses 2^-PREC |z|.
+    # One bounded Newton step from a 128-bit centre reaches about 256
+    # bits: the new disk nests in the old one, but its radius, whose
+    # remainder term |h|^2 M / 2 is near 2^-256, misses 2^-PREC |z|.
     rs = solve_roots(k)
     i = rs.k - 1
-    newton = spectra._newton
+    newton_disk = spectra._newton_disk
 
     def one_step_at_prec(k_, X, Y, P, prec):
         if prec != PREC:
-            return newton(k_, X, Y, P, prec)
-        dX, dY = spectra._newton_step(k_, X, Y, P)
-        return X - dX, Y - dY
+            return newton_disk(k_, X, Y, P, prec)
+        ev = spectra._delta_fixed(k_, X, Y, P)
+        DX, DY, _, SX, SY, _, _ = ev
+        norm = SX * SX + SY * SY
+        HX, HY = ((DX * SX + DY * SY) << P) // norm, ((DY * SX - DX * SY) << P) // norm
+        return X - HX, Y - HY, spectra._step_radius(k_, X, Y, HX, HY, P, ev)
 
-    monkeypatch.setattr(spectra, "_newton", one_step_at_prec)
+    monkeypatch.setattr(spectra, "_newton_disk", one_step_at_prec)
     root = refine_root(rs, i, PREC)
     assert root.prec == ball.escalate(PREC)
     re, im, rad = _parts(root)
@@ -154,16 +158,16 @@ def test_refinement_with_an_uncertified_radius_escalates(k, monkeypatch):
     # certified nonzero) sends refine_root on to twice the precision,
     # whose disk nests in the 128-bit one.
     rs = solve_roots(k)
-    radius = spectra._inclusion_radius
+    radius = spectra._step_radius
     failed = []
 
-    def fail_once(k_, X, Y, P):
+    def fail_once(k_, X, Y, HX, HY, P, ev):
         if not failed:
             failed.append(P)
-            raise CertificationFailure("planted")
-        return radius(k_, X, Y, P)
+            return None
+        return radius(k_, X, Y, HX, HY, P, ev)
 
-    monkeypatch.setattr(spectra, "_inclusion_radius", fail_once)
+    monkeypatch.setattr(spectra, "_step_radius", fail_once)
     with spectra.record_precisions() as seen:
         root = refine_root(rs, k - 1, PREC)
     assert failed == [spectra._scale(k, PREC)]
