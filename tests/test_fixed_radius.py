@@ -192,9 +192,9 @@ def test_step_near_a_root_covers_the_exact_radius(case):
 def test_remainder_term_is_needed_for_a_planted_step():
     # gamma of Psi_9 moved by about 2^-30: the step lands within about
     # 2^-60 of gamma, off by delta_k'' h^2 / 2 delta_k', far above the
-    # evaluation error.  Without |h|^2 M / 2 and |h| M, the bound at z'
-    # (_step_radius with H = 0 at z' itself bounds eD, eS |D| / |S| and
-    # the floor term only) misses the exact radius; with them it holds.
+    # evaluation error.  The same evaluation with H = 0 keeps eD,
+    # eS |D| / |S| and the floor term and drops |h|^2 M / 2 and |h| M;
+    # that bound misses the exact radius at z', and the full one holds.
     k, P = 9, 144
     X, _, _ = _classes(k, 128)[0]
     X += X >> 30
