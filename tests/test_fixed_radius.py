@@ -7,8 +7,8 @@ bound per value and a bound W on |z|^(k-2), and from the floored step H
 that evaluation gave.  The oracle here is exact: delta_k and delta_k' at
 the dyadic z' in Gaussian-integer arithmetic, with no rounding at all.
 The tests check that each radius is at least the exact one: on the
-polished class disks for k = 2..60, 86, 200 and 500 at 128 bits and odd
-k = 5..53 at 390 bits, on the refined gamma_s, after a step from
+polished class disks for k = 2..60, 86, 200 and 500 at 128 bits and k =
+2..40 and odd 41..53 at 390 bits, on the refined gamma_s, after a step from
 centres moved into bits below the fixed point, after a step from centres
 drawn near the roots, where the remainder term |h|^2 M / 2 dominates, and
 from centres drawn away from them.  A planted step shows that the
@@ -18,7 +18,9 @@ included, and of the floored product _fmul holds, and that the radius
 is at least its four bounds, evaluated exactly, for any evaluator output
 and step.  On polished centres the radius is no looser than the
 Ball-arithmetic bound it replaced, and a centre where delta_k' vanishes
-gets no disk.
+gets no disk.  Newton's first evaluation is at the given centre and
+unbounded, a first step that passes the stop is taken again with
+bounds, and the disk is centred on the last step's iterate.
 """
 
 import math
@@ -346,6 +348,25 @@ def test_radius_evaluates_at_the_centre_itself(case):
         assert bounded
         assert (X - X1, Y - Y1) == (((DX * SX + DY * SY) << P) // norm,
                                     ((DY * SX - DX * SY) << P) // norm)
+
+
+def test_a_first_step_that_passes_the_stop_is_taken_again_with_bounds(monkeypatch):
+    # From a polished centre the first step already passes the stop, but
+    # its evaluation carries no bounds, so the same point is evaluated
+    # again with them, and the disk is that of one bounded step.
+    k, prec = 21, 128
+    X, Y, _ = _classes(k, prec)[3]
+    fixed = spectra._delta_fixed
+    seen = []
+
+    def recording(kk, x, y, p, bounded=True):
+        seen.append((x, y, bounded))
+        return fixed(kk, x, y, p, bounded)
+
+    monkeypatch.setattr(spectra, "_delta_fixed", recording)
+    disk = spectra._newton_disk(k, X, Y, prec + 16, prec)
+    assert seen == [(X, Y, False), (X, Y, True)]
+    assert disk == _step(k, X, Y, prec + 16)
 
 
 P_SMALL = 24
