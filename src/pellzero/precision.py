@@ -13,6 +13,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 PREC_START = 128
+# The least label spectra.solve_roots accepts.  verify and the odd
+# reduction ask for it: every check they make is decided exactly on the
+# integer disks, and the solve escalates where it does not certify.
+PREC_FLOOR = 64
 PREC_CEILING = 1 << 20
 
 

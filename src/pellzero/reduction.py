@@ -25,10 +25,11 @@ survives every enclosure outcome.
 The odd-order pipeline refines one root, gamma_s, the lower member of
 the smallest pair, which root system order makes root k - 1: tau is its
 argument, and its Binet weight g (spectra.eval_gk) gives mu and A.
-odd_k_reduce takes the root system certified at the default precision,
-usually cached, and refines only gamma_s to reduction-grade precision
-(spectra.refine_root), not every root class; a precision escalation of
-dp_reduce refines gamma_s again and takes only tau from it.
+odd_k_reduce takes the root system certified at precision.PREC_FLOOR,
+64 bits, the one verify solves, and refines only gamma_s to
+reduction-grade precision (spectra.refine_root), not every root class;
+a precision escalation of dp_reduce refines gamma_s again and takes
+only tau from it.
 B = |r_{k-3}| / |gamma_s| is the Ball of the exact quotient of the
 certified modulus intervals (RootSystem.mod_lo and mod_hi); R and the
 small-linear-form test read only its lower bound.
@@ -43,6 +44,7 @@ from fractions import Fraction
 from .ball import Ball
 from .effbounds import log_floor
 from .precision import (
+    PREC_FLOOR,
     PREC_START,
     PrecisionExhausted,
     ReductionExhausted,
@@ -300,15 +302,18 @@ def odd_k_reduce(k: int, M: int = DEFAULT_M) -> ReductionOutcome:
     the returned outcome carries k, the recorded range/side-condition
     certifications, and the nonvanishing flag (eps > 0 certifies
     u tau - v + mu != 0 for every 0 < u <= M).  The roots come from one
-    solve_roots(k) at the default precision, usually a cache hit.  The
-    instance reads gamma_s refined to working_prec_for(M); when dp_reduce
-    asks for a finer tau, its refiner takes gamma_s refined again and
-    its one argument (_tau), and nothing else of the instance."""
+    solve_roots(k, PREC_FLOOR): B is read off its integer modulus
+    intervals and everything else off gamma_s refined, so the 64-bit
+    system serves, and under verify --full it is the cache hit of the
+    record's own solve.  The instance reads gamma_s refined to
+    working_prec_for(M); when dp_reduce asks for a finer tau, its refiner
+    takes gamma_s refined again and its one argument (_tau), and nothing
+    else of the instance."""
     if k % 2 == 0:
         raise ValueError(f"odd-order reduction needs odd k, got {k}")
     if k < 5:
         raise ValueError(f"odd-order reduction needs k >= 5, got {k}")
-    rs = solve_roots(k)
+    rs = solve_roots(k, PREC_FLOOR)
     inst = odd_k_instance(rs, M, working_prec_for(M))
     outcome = dp_reduce(inst, refine=lambda prec: _tau(refine_root(rs, k - 1, prec)))
     outcome.k = k

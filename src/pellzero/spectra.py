@@ -46,11 +46,11 @@ both divided by z^(k-2), so gamma^k, which leaves the double range past
 k = 737, never appears; a float result that is not finite is replaced
 by the closed-form point.  The float seed, which carries about 53 bits,
 converts to fixed point (below), each part truncated towards zero, and
-goes straight to the polish, which reaches its stop in two steps at
-prec = 128.  Real
-roots are seeded in real float arithmetic and get Y = 0; each j < k/2
-gives the seed (X, Y) of the upper member of a pair, and the lower
-member gets no seed of its own (Conjugate classes, below).
+goes straight to the polish, which reaches its stop in one step at
+prec = 64 and in two at prec = 128.  Real roots are seeded in real
+float arithmetic and get Y = 0; each j < k/2 gives the seed (X, Y) of
+the upper member of a pair, and the lower member gets no seed of its
+own (Conjugate classes, below).
 
 Newton runs on fixed-point Gaussian integers: z is the pair of Python
 ints (X, Y) with z = (X + iY) 2^-P, products are floored to P fraction
@@ -66,14 +66,15 @@ certification and refine_root take and return integers, and a
 precision doubling moves the centres to the new P by a shift.  The
 values come from _delta_fixed, the evaluation the radii use; its
 products are written out inline, since a function call per product
-would cost about a third of an evaluation.  The first step of a run
-skips the error lines: the same products and floors give the same
-values, bit for bit, and no bound.  Every later step carries the
-bounds, since the step that passes the stop also gives the disk.  The
-representation, not the precision, is what makes this fast: at k = 53
-one evaluation costs about 10 us at 144 bits and 20 us at 406, against
-about 150 us for a step at any precision in mpmath's pure-Python
-backend (2-vCPU machine).
+would cost about a third of an evaluation.  Every step carries the
+error lines, since the step that passes the stop also gives the disk,
+except the first of a run whose stop lies past the 53 bits of a float
+seed (_SEED_BITS): that step cannot pass the stop from a float seed, so
+it skips them, and the same products and floors give the same values,
+bit for bit, and no bound.  The representation, not the precision, is
+what makes this fast: at k = 53 one evaluation costs about 10 us at 144
+bits and 20 us at 406, against about 150 us for a step at any
+precision in mpmath's pure-Python backend (2-vCPU machine).
 
 Newton stops by quadratic convergence: after the first step dz with
 mag(dz) < mag(z) - (P + 2 bitlen(k)) / 2 it keeps that step's
@@ -86,9 +87,14 @@ more evaluation per class and change nothing that is certified:
 Newton's output is not trusted, since the inclusion disks below certify
 the centres it gives, whatever their error.  The bounded evaluation of
 the step that passes the stop gives the disk of its iterate (Radius
-soundness, the last-step rows), so from a float seed at prec = 128 each
-conjugate class costs two evaluations, the first unbounded; a first
-step that passes the stop is taken again with bounds.
+soundness, the last-step rows).  The stop is (P + 2 bitlen(k)) / 2 bits:
+at prec = 64 it is at most 53 for every k < 4096, so the float seed's
+first step, about |z| 2^-53, passes it, and each conjugate class costs
+one bounded evaluation (every class of k = 2..500 and 1001; at k =
+2000, 273 of the 1001 classes take a second).  At prec = 128 the stop
+lies past the seed's bits: the first step is unbounded, and each class
+costs two evaluations; a first step that passes a stop past 53 bits (a
+seed finer than a float's) is taken again with bounds.
 
 Radius soundness.  The radius comes from the same fixed-point
 evaluation (_delta_fixed), with an integer E carried beside each value
@@ -109,7 +115,7 @@ unit, so:
     H, the step           D conj(S) 2^P / |S|^2,    H = (D / S) 2^P - phi,
                             both parts floored        phi in [0, 1)^2
     |S| >=                S_lo = isqrt(|S|^2 2^-2q) 2^q, q = max(0,
-                            bitlen(|S|^2) - 62) // 2
+                            bitlen(|S|^2) - 62) // 2 (_top_sqrt_bounds)
     sqrt 2 (|S| + eS)     isqrt(ceil(2 |S|^2 2^-2P)) + 2
       2^-P <=               + floor(3 eS 2^-(P+1))
     |delta_k(z')| <=      eD + ceil(eS |D| / S_lo) + that + ceil(|H|^2 M
@@ -122,10 +128,13 @@ unit, so:
     g_k: N = z - 1        exact at the centre       R of the input disk
     g_k: D = (k+1) z^2    z^2 as A B, with error    (k+1) e_zz + 3k R
       - 3k z + (k-1)        R on both factors
-    g_k = N / D           N conj(D) / |D|^2, both   2 + ceil((R ceil|D|
-                          parts floored               + ceil|N| eD) 2^P /
-                                                      (floor|D| (floor|D|
-                                                      - eD)))
+    D_lo <= |D| <= D_hi   s 2^q and (s + 1) 2^q,    (bounds)
+                            s = isqrt(|D|^2 2^-2q),
+                            q as for S_lo
+    |N| <= N_hi           the same from |N|^2       (a bound)
+    g_k = N / D           N conj(D) / |D|^2, both   2 + ceil((R D_hi
+                          parts floored               + N_hi eD) 2^P /
+                                                      (D_lo (D_lo - eD)))
 
 |A| is bounded above by |X| + |Y|.  D and S are delta_k(z) and
 delta_k'(z) in units of 2^-P.  In the last-step rows (_step_radius) |D|
@@ -172,11 +181,14 @@ The g_k rows are _gk_fixed, whose input is a disk (X, Y, R), not an
 exact centre: every point of it lies within R of (X, Y), and |N/D -
 N0/D0| <= (R |D0| + |N0| eD) / (|D0| (|D0| - eD)) for the centre values
 N0, D0, since |D| >= |D0| - eD; the 2 covers the two floor divisions.
-When floor|D| <= eD the denominator is not certified nonzero and it
-raises ZeroDivisionEnclosure.  RootSystem.weight_disks calls it on the
-certified disks, eval_gk on a Ball x converted to a disk: its midpoint
-exactly to (X, Y), its radius up.  A refined root (refine_root) is the
-Ball of its disk at P = _scale(k, prec), so eval_gk weighs that disk.
+D_lo, D_hi and N_hi only bound GR and the nonzero test, so they come
+from the top 62 or 63 bits of |D0|^2 and |N0|^2, like S_lo, to within a
+factor 1 + 2^-30.  When D_lo <= eD the denominator is not certified
+nonzero and it raises ZeroDivisionEnclosure.  RootSystem.weight_disks
+calls it on the certified disks, eval_gk on a Ball x converted to a
+disk: its midpoint exactly to (X, Y), its radius up.  A refined root
+(refine_root) is the Ball of its disk at P = _scale(k, prec), so
+eval_gk weighs that disk.
 
 Every test after the radii runs on the same integers, at one P for all
 centres, and rounds only in its safe direction:
@@ -186,6 +198,8 @@ centres, and rounds only in its safe direction:
                             (X, Y, R) 2^-P itself
     two disks disjoint    (Xi - Xj)^2 + (Yi - Yj)^2 > (Ri + Rj)^2, exact;
                             disks that touch meet
+    disk and its mirror   Y > R, exact
+      disjoint
     |root|                in [isqrt(N) - R, isqrt(N) + [isqrt(N)^2 < N]
                             + R], N = X^2 + Y^2
     sum of roots          within sum R of sum X (sum Y is 0: the
@@ -193,10 +207,18 @@ centres, and rounds only in its safe direction:
     |product of roots|    product of the |root| intervals, each partial
                             product floored below and ceiled above
 
-Disjointness is tested by a sweep (_overlapping_pairs) over the k disks
-and the exact node (2^P, 0, 0) at 1: two disks that meet share a point
-and so its real part, so only pairs whose integer spans [X - R, X + R]
-meet go to the pair test (_disjoint).  The roots are sorted by exact N,
+Disjointness is tested on the upper half plane.  A pair's disk (X, Y,
+R), Y > 0, and its mirror (X, -Y, R) are disjoint exactly when Y > R,
+tested once per pair; then the upper disk lies in Im > 0 and the lower
+in Im < 0.  So an upper and a lower disk never meet, and a pair of two
+lower disks, or of a lower disk and a real disk or the node, is the
+mirror image of a pair of two upper disks, or of an upper disk and that
+same real disk or node (each its own mirror); reflection keeps
+disjointness.  What is left is swept (_overlapping_pairs): the real
+disks, the upper disks and the exact node (2^P, 0, 0) at 1, index k in
+the messages.  Two disks that meet share a point and so its real part,
+so only pairs whose integer spans [X - R, X + R] meet go to the pair
+test (_disjoint).  The roots are sorted by exact N,
 descending, conjugate partners upper first; adjacent conjugate classes
 must have strictly separated |root| intervals, the first must lie above
 1, every other below 1, and the first disk must be real with X > 0.
@@ -228,8 +250,9 @@ root too.  _certify emits a pair class as (X, |Y|, R) and its mirror
 (X, -|Y|, R), and a real class as (X, 0, R); a real class with Y != 0
 fails.  The mirror has the same |centre| and R, so it shares the
 class's modulus interval and label test, each taken once per class.
-Pairing and realness then follow from the disjointness test, which
-every disk, mirrors included, goes through (Rump, JCAM 156, 2003):
+Pairing and realness then follow from the disjointness of every disk,
+mirrors included, which the upper-half test above decides (Rump, JCAM
+156, 2003):
 
 - the k + 1 disks, the node included, are pairwise disjoint, so each
   holds exactly one root of delta_k;
@@ -244,9 +267,9 @@ certified system gives them (the odd reduction reads one, at 390 bits)
 refines just those with refine_root, by nested inclusion disks (Rump,
 JCAM 156, 2003), instead of solving every class again.  The root's
 certified disk rs.disks[i], (z0, R0) in units of 2^-rs.P, moves exactly
-to P = _scale(k, prec) by a shift; Newton runs at P from z0 (from a
-128-bit system to 390 bits, two steps at 406 bits, the first
-unbounded), and its last step gives the new centre z1 with its
+to P = _scale(k, prec) by a shift; Newton runs at P from z0 (to 390 bits,
+three steps at 406 bits from a 64-bit system and two from a 128-bit
+one, the first unbounded), and its last step gives the new centre z1 with its
 inclusion radius R1, so D(z1, R1) holds at least one root of delta_k.
 The old disk D(z0, R0) is the one certification found disjoint from the
 k others, so it holds exactly one root, the certified one.  If R0 >= R1
@@ -263,6 +286,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import threading
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
@@ -272,6 +296,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar
 
 from .precision import (
+    PREC_FLOOR,
     PREC_START,
     OrderError,
     PrecisionExhausted,
@@ -363,6 +388,11 @@ def _record(prec: int) -> None:
     seen = _solve_precs.get()
     if seen is not None:
         seen.append(prec)
+
+
+# The bits a float seed (_seed) carries: its first Newton step is about
+# |z| 2^-53.
+_SEED_BITS = sys.float_info.mant_dig
 
 
 def _scale(k: int, prec: int) -> int:
@@ -462,11 +492,8 @@ def _step_radius(k: int, X: int, Y: int, HX: int, HY: int, P: int, ev):
     None when delta_k'(z) or delta_k'(z') is not certified nonzero, or
     when (k-2) |h| > |z| / 2."""
     dX, dY, eD, sX, sY, eS, W = ev
-    # s_lo <= |S| from the top 62 or 63 bits of |S|^2, which math.isqrt
-    # takes on its fast path (S_lo of the module docstring).
     norm = sX * sX + sY * sY
-    q = max(0, norm.bit_length() - 62) >> 1
-    s_lo = math.isqrt(norm >> 2 * q) << q
+    s_lo = _top_sqrt_bounds(norm)[0]
     if s_lo <= eS:
         return None
     # |H| <= h; |z| lies in [z_lo, z_hi].
@@ -497,13 +524,17 @@ def _newton_disk(k: int, X: int, Y: int, P: int, prec: int):
     kept, so it is off by about k |z| 2^-(S + 2 bitlen(k)) < |z| 2^-S / k.
     mag is _mag, compared on bit lengths.  Returns the kept iterate with
     its inclusion radius, (X', Y', R') at P, taken by _step_radius from
-    the evaluation of the step that reached it.  The first step evaluates
-    without error bounds and every later one with them; a first step that
-    passes the stop is taken again with bounds.  R' is None when no disk
-    is certified: delta_k' vanishes at an iterate (which is returned), no
-    step passes the stop in 64, or _step_radius gives None."""
+    the evaluation of the step that reached it.  Every step after the
+    first evaluates with error bounds, and so does the first when the
+    stop is within the 53 bits of a float seed (_SEED_BITS); otherwise
+    the first skips them, and a first step that passes the stop is taken
+    again with bounds.  R' is None when no disk is certified: delta_k'
+    vanishes at an iterate (which is returned), no step passes the stop
+    in 64, or _step_radius gives None."""
     stop = (_scale(k, prec) + 2 * k.bit_length()) // 2
-    bounded = False
+    # A float seed's first step is about |z| 2^-53, so it passes a stop of
+    # 53 bits or fewer, and then carries its bounds at once.
+    bounded = stop <= _SEED_BITS
     for _ in range(64):
         ev = _delta_fixed(k, X, Y, P, bounded)
         dX, dY, _, sX, sY, _, _ = ev
@@ -583,6 +614,16 @@ def _disjoint(a, b) -> bool:
     return dx * dx + dy * dy > r * r
 
 
+def _top_sqrt_bounds(n: int):
+    """(lo, hi) with lo <= sqrt(n) <= hi for an int n >= 0, both from an
+    isqrt of the top 62 or 63 bits of n, which math.isqrt takes on its
+    fast path: with n = t 4^q + u, 0 <= u < 4^q, and s = isqrt(t), lo = s
+    2^q and hi = (s + 1) 2^q, and hi / lo <= 1 + 2^-30 when n >= 2^62."""
+    q = max(0, n.bit_length() - 62) >> 1
+    s = math.isqrt(n >> 2 * q)
+    return s << q, s + 1 << q
+
+
 def _sqrt_bounds(n: int):
     """(floor(sqrt(n)), ceil(sqrt(n))) for an int n >= 0."""
     s = math.isqrt(n)
@@ -646,18 +687,26 @@ def _certify(k: int, class_disks, prec: int) -> RootSystem:
             lo.append(a)
             hi.append(b)
         else:
+            # A disk clears its mirror exactly when Y > R.
+            if not Y > R:
+                raise CertificationFailure(f"disks {len(disks)},{len(disks) + 1} "
+                                           f"not certifiedly disjoint at {prec} bits")
             conj_pairs.append((len(disks), len(disks) + 1))
             disks += [(X, Y, R), (X, -Y, R)]
             lo += [a, a]
             hi += [b, b]
 
-    # Pairwise disjointness, including the exact node at 1 (radius 0);
-    # pairs with apart real spans are disjoint already.
-    swept = disks + [(one, 0, 0)]
+    # Pairwise disjointness of the real disks, the upper disks and the
+    # exact node at 1 (radius 0, index k); pairs with apart real spans are
+    # disjoint already, and each pair with a lower disk is the mirror of
+    # one of these (module docstring).
+    index = real_roots + [a for a, _ in conj_pairs]
+    swept = [disks[i] for i in index] + [(one, 0, 0)]
+    index.append(k)
     for i, j in _overlapping_pairs(swept):
         if not _disjoint(swept[i], swept[j]):
-            raise CertificationFailure(
-                f"disks {min(i, j)},{max(i, j)} not certifiedly disjoint at {prec} bits")
+            i, j = sorted((index[i], index[j]))
+            raise CertificationFailure(f"disks {i},{j} not certifiedly disjoint at {prec} bits")
 
     # Each true modulus lies in [isqrt(N) - R, ceil(sqrt(N)) + R] in units
     # of 2^-P; the intervals of adjacent classes must separate strictly.
@@ -704,20 +753,20 @@ def solve_roots(k: int, target_prec: int = PREC_START) -> RootSystem:
     (module docstring).  Any
     failure doubles the precision, and so does a radius above |centre|
     2^-prec, so the label prec is the accuracy the radii reach.  Results
-    are cached for the process per order and starting precision
-    max(target_prec, PREC_START): a request is answered only by the
-    system solved for it, never by a finer one solved before."""
+    are cached for the process per order and target_prec: a request is
+    answered only by the system solved for it, never by a finer one
+    solved before.  target_prec must be at least precision.PREC_FLOOR."""
     if k < 2:
         raise ValueError(f"order k must be >= 2, got {k}")
-    if target_prec < 64:
-        raise ValueError("target_prec below 64 bits is not supported")
-    key = k, max(target_prec, PREC_START)
+    if target_prec < PREC_FLOOR:
+        raise ValueError(f"target_prec below {PREC_FLOOR} bits is not supported")
+    key = k, target_prec
     with _cache_lock:
         hit = _root_cache.get(key)
     if hit is not None:
         _record(hit.prec)
         return hit
-    prec = key[1]
+    prec = target_prec
     seeds = _initial_seeds(k, _scale(k, prec))
     while True:
         disks = _polish(k, seeds, prec)
@@ -762,8 +811,9 @@ def refine_root(rs: RootSystem, i: int, prec: int) -> Ball:
 def _gk_fixed(k: int, X: int, Y: int, R: int, P: int):
     """g_k over the disk (X, Y, R) at P, Y >= 0, as the integer disk
     (GX, GY, GR) at P: N0 conj(D0) / |D0|^2 at the centre, both parts
-    floored, and the error bound of the g_k rows of the module docstring.
-    Raises ZeroDivisionEnclosure when floor|D0| <= eD."""
+    floored, and the error bound of the g_k rows of the module docstring,
+    whose bounds on |D0| and |N0| are _top_sqrt_bounds.  Raises
+    ZeroDivisionEnclosure when the lower bound on |D0| is at most eD."""
     one = 1 << P
     zzX, zzY, ezz = _fmul(P, X, Y, R, X, Y, R)
     nX = X - one
@@ -771,11 +821,11 @@ def _gk_fixed(k: int, X: int, Y: int, R: int, P: int):
     dY = (k + 1) * zzY - 3 * k * Y
     eD = (k + 1) * ezz + 3 * k * R
     d2 = dX * dX + dY * dY
-    d_lo, d_hi = _modulus_bounds(dX, dY, 0)
+    d_lo, d_hi = _top_sqrt_bounds(d2)
     if d_lo <= eD:
         raise ZeroDivisionEnclosure(
             f"g_k denominator not certified nonzero on the disk ({X}, {Y}, {R}) 2^-{P}")
-    n_hi = _modulus_bounds(nX, Y, 0)[1]
+    n_hi = _top_sqrt_bounds(nX * nX + Y * Y)[1]
     return (((nX * dX + Y * dY) << P) // d2, ((Y * dX - nX * dY) << P) // d2,
             2 - (-((R * d_hi + n_hi * eD) << P) // (d_lo * (d_lo - eD))))
 
@@ -910,10 +960,14 @@ def check_root_bounds(rs: RootSystem) -> dict:
     adjacent = list(zip(distinct, distinct[1:]))
     n = k ** 3
     f = 1 if n >= 2 * P else -(-(100 ** n << P) // 159 ** n)
-    i, j = min(adjacent, key=lambda ij: Fraction(lo[ij[0]], hi[ij[1]]))
+    # The first least lo[i] / hi[j], by cross-multiplying (hi > 0).
+    i, j = adjacent[0]
+    for a, b in adjacent[1:]:
+        if lo[a] * hi[j] < lo[i] * hi[b]:
+            i, j = a, b
     report["modulus_ratio_floor"] = {
         "holds": all(_ratio_above(rs, i, j, f) for i, j in adjacent),
-        "min_margin": float(Fraction(lo[i], hi[j]) - 1 - Fraction(f, one))}
+        "min_margin": float(Fraction((lo[i] - hi[j]) * one - hi[j] * f, hi[j] * one))}
 
     GX, _, GR = wd[rs.dominant]
     report["dominant_weight_range"] = {
@@ -923,7 +977,14 @@ def check_root_bounds(rs: RootSystem) -> dict:
     }
 
     bound = Fraction(1) if k <= 4 else Fraction(2, k - 2)
-    worst = max(_modulus_bounds(*wd[i])[1] for i in distinct if i != rs.dominant)
+    # The greatest ceil(sqrt(N)) + R: only a class whose top-bit upper
+    # bound reaches the greatest top-bit lower bound can be it, and only
+    # those take the exact isqrt.
+    others = [wd[i] for i in distinct if i != rs.dominant]
+    spans = [_top_sqrt_bounds(X * X + Y * Y) for X, Y, _ in others]
+    cut = max(a + R for (a, _), (_, _, R) in zip(spans, others))
+    worst = max(_modulus_bounds(*disk)[1] for disk, (_, b) in zip(others, spans)
+                if b + disk[2] >= cut)
     report["offdominant_weight_bound"] = {
         "holds": worst * bound.denominator < bound.numerator << P,
         "bound": str(bound), "max_weight": float(Fraction(worst, one))}

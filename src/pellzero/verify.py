@@ -7,9 +7,11 @@ bad order never ends a sweep.  Each field is decided by one module:
 
 - spectra: checks.dominant_in_envelope (a lemma, proved for every k),
   checks.root_bounds and, for even k, checks.small_modulus_gap, on the
-  roots solve_roots certifies; precision_used, the highest precision
-  that solve_roots and refine_root recorded (the odd reduction of full
-  refines one root);
+  roots solve_roots certifies at precision.PREC_FLOOR, 64 bits: every
+  check is decided exactly on the integer disks, so the least label
+  that certifies serves, and the solve escalates only where it fails;
+  precision_used, the highest precision that solve_roots and
+  refine_root recorded (the odd reduction of full refines one root);
 - effbounds or reduction: bound_used.  It is effbounds' refined L_k
   for even k and its global bound for odd k >= 4; with full, odd k >= 5
   takes the reduced bound R of reduction.odd_k_reduce, whose to_json()
@@ -27,7 +29,7 @@ from __future__ import annotations
 from datetime import datetime, timezone
 
 from . import effbounds, spectra, zerostruct
-from .precision import PREC_START, OrderError
+from .precision import PREC_FLOOR, OrderError
 
 SCHEMA = "pellzero-report/1"
 
@@ -64,11 +66,12 @@ def verify_order(k: int, full: bool = False, M: int | None = None) -> dict:
     blocks and chi, its bound, and the root checks, with status PASS
     when every comparison and check holds and FAIL otherwise.  full
     reduces odd k >= 5 at M (default reduction.DEFAULT_M)."""
-    # Every stage that needs roots gets them from solve_roots, or refines
-    # one by refine_root, and both record, so the highest recorded
-    # precision is the highest any stage used.
+    # Every stage that needs roots gets them from the one 64-bit
+    # solve_roots, which the odd reduction shares, or refines one by
+    # refine_root, and both record, so the highest recorded precision is
+    # the highest any stage used.
     with spectra.record_precisions() as precs:
-        rs = spectra.solve_roots(k, PREC_START)
+        rs = spectra.solve_roots(k, PREC_FLOOR)
         checks = {"dominant_in_envelope": {"holds": bool(spectra.check_dominant_bounds(rs))},
                   "root_bounds": spectra.check_root_bounds(rs)}
         if k % 2 == 0:

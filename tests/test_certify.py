@@ -16,7 +16,8 @@ Class disks are fixed-point integers (X, Y, R) at P = prec + 16.  The
 sweep tests check the fixed-point sweep (spectra._overlapping_pairs) and
 pair test (spectra._disjoint) against an all-pairs exact oracle on
 random disks, the radius conversion of Ball.to_disk against exact
-rounding up, and pin the number of pair tests one certification makes.
+rounding up, and pin the disks one certification sweeps (the real and
+the upper ones and the node, no mirror) and its number of pair tests.
 The seed tests check that _initial_seeds gives one
 seed per conjugate class, the real roots first with Y = 0 and then the
 upper member of each pair, and that gamma's seed stays finite where
@@ -528,18 +529,30 @@ def test_radius_converts_rounding_up(man, exp, P):
     assert R - 1 < exact <= R
 
 
-def test_certify_calls_disjoint_linearly(monkeypatch):
+def test_certify_sweeps_the_upper_half_without_pair_tests(monkeypatch):
+    # Each pair class is tested against its mirror by Y > R alone, so the
+    # sweep gets the real disks, the upper disks and the node at 1, and no
+    # lower disk.  At k = 200 no two of those share a real span, so one
+    # certification makes 99 mirror tests and no pair test (sweeping every
+    # disk made 99 pair tests, one per conjugate pair).
     k = 200
     centres = _centres(k)
-    calls = 0
-    disjoint = spectra._disjoint
+    sweep, disjoint = spectra._overlapping_pairs, spectra._disjoint
+    swept, tests = [], []
+
+    def recording(disks):
+        swept.append(list(disks))
+        return sweep(disks)
 
     def counting(a, b):
-        nonlocal calls
-        calls += 1
+        tests.append((a, b))
         return disjoint(a, b)
 
+    monkeypatch.setattr(spectra, "_overlapping_pairs", recording)
     monkeypatch.setattr(spectra, "_disjoint", counting)
     rs = spectra._certify(k, centres, 128)
-    assert len(rs.conj_pairs) == (k - 2) // 2
-    assert 0 < calls < 4 * (k + 1)
+    upper = [rs.disks[a] for a, _ in rs.conj_pairs]
+    assert len(upper) == (k - 2) // 2 == 99
+    assert all(Y > R for _, Y, R in upper)
+    assert swept == [[rs.disks[i] for i in rs.real_roots] + upper + [(1 << rs.P, 0, 0)]]
+    assert tests == []

@@ -448,7 +448,7 @@ def test_verify_after_a_finer_solve_matches_a_fresh_process(capsys):
     out.pop("timestamp")
     want.pop("timestamp")
     assert (rc, out) == (fresh.returncode, want)
-    assert out["precision_used"] == 128
+    assert out["precision_used"] == 64
 
 
 def test_main_dispatches_to_a_command_rebound_after_the_first_parse(capsys, monkeypatch):
@@ -622,14 +622,14 @@ def test_verify_precision_used_covers_the_odd_reduction(capsys):
 
 def test_verify_precision_used_covers_the_dominant_resolve(capsys):
     # The dominant-root envelope is a lemma that evaluates nothing, so
-    # every stage of a record without --full runs on the 128-bit system,
+    # every stage of a record without --full runs on the 64-bit system,
     # at large k too.
     for k in ("92", "500"):
         spectra.clear_cache()
         rc, out, _ = run_cli(capsys, "verify", "--k", k)
         rec = json.loads(out)
         assert rec["checks"]["dominant_in_envelope"]["holds"] is True
-        assert rec["precision_used"] == 128
+        assert rec["precision_used"] == 64
 
 
 def test_eval_negative_index_streams_in_bounded_memory(capsys):

@@ -15,7 +15,8 @@ the closed-form point, and the number of evaluations, bounded and
 unbounded, that a cold odd reduction takes.
 The guard-bit tests check that the fixed point keeps P = prec + 16
 below k = 512 and grows past it, so that k = 1460 and 2000 certify at
-128 bits.
+128 bits; the 64-bit systems that verify and the odd reduction solve
+certify without a doubling up to k = 2000.
 """
 
 import cmath
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
 from pellzero import spectra
+from pellzero.precision import PREC_FLOOR
 from pellzero.reduction import odd_k_reduce
 
 ORDERS = list(range(2, 61)) + [86]
@@ -198,11 +200,12 @@ def test_inlined_evaluation_matches_the_fmul_reference(k, p, x, y):
 
 def test_cold_solves_keep_their_newton_step_counts(monkeypatch):
     # Evaluations of delta_k over cold odd reductions, odd k = 5..53:
-    # each of the 375 conjugate classes of the 128-bit solves takes two
-    # Newton steps at 144 bits, the first unbounded and the second
-    # bounded, whose evaluation also gives the disk; each gamma_s refined
-    # to 390 bits takes the same two at 406 bits.  No evaluation runs at
-    # any other precision: the seeds are floats.
+    # each of the 375 conjugate classes of the 64-bit solves takes one
+    # bounded Newton step at 80 bits, since the float seed already meets
+    # the stop, and that evaluation also gives the disk.  Each gamma_s,
+    # refined from its 80-bit centre to 390 bits, takes three steps at
+    # 406 bits, the first unbounded.  No evaluation runs at any other
+    # precision: the seeds are floats.
     fixed = spectra._delta_fixed
     calls = Counter()
 
@@ -214,7 +217,7 @@ def test_cold_solves_keep_their_newton_step_counts(monkeypatch):
     for k in range(5, 54, 2):
         spectra.clear_cache()
         odd_k_reduce(k)
-    assert calls == {(P, False): 375, (P, True): 375, (406, False): 25, (406, True): 25}
+    assert calls == {(80, True): 375, (406, False): 25, (406, True): 50}
 
 
 def test_stop_margin_holds_at_the_range_end(monkeypatch):
@@ -240,6 +243,20 @@ def test_stop_margin_holds_at_the_range_end(monkeypatch):
         if k % 2:
             ball = spectra.refine_root(rs, k - 1, 390)
             assert ball.prec == 390 and tight(ball, 390), k
+
+
+def test_64_bit_systems_certify_without_escalation(monkeypatch):
+    # verify and the odd reduction solve at the 64-bit floor, where a
+    # float seed already meets the stop; no order of the paper's range,
+    # nor k = 1001 or 2000, needs a precision doubling there.
+    def no_escalation(prec):
+        raise AssertionError(f"escalated from {prec} bits")
+
+    monkeypatch.setattr(spectra, "escalate", no_escalation)
+    for k in (2, 3, 4, 5, 86, 499, 500, 1001, 2000):
+        spectra.clear_cache()
+        rs = spectra.solve_roots(k, PREC_FLOOR)
+        assert (rs.prec, rs.P) == (PREC_FLOOR, spectra._scale(k, PREC_FLOOR)), k
 
 
 def test_guard_bits_grow_only_past_k_511():

@@ -9,7 +9,9 @@ Hypothesis-drawn balls; that the radius covers the stated bound |mid -
 N0/D0| + (R |D0| + |N0| eD) / (|D0| (|D0| - eD)) for the evaluator's own
 centre values; that conjugate inputs give conjugate weights bit for bit;
 and that the exact dyadic zeros of the denominator raise
-ZeroDivisionEnclosure.
+ZeroDivisionEnclosure.  The bounds on |D0| and |N0| come from the top
+bits of their squares (spectra._top_sqrt_bounds), checked against an
+exact oracle.
 """
 
 import math
@@ -17,7 +19,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pellzero import spectra
@@ -195,3 +197,21 @@ def test_denominator_zero_raises(k, zero):
             spectra.eval_gk(k, x)
         with pytest.raises(ZeroDivisionEnclosure):
             spectra.eval_gk(k, _fball(zero, Fraction(0), Fraction(0), prec, True))
+
+
+@given(st.integers(0, 700).flatmap(lambda b: st.integers(0, 1 << b)))
+@example(0)
+@example((1 << 62) - 1)
+@example(1 << 62)
+@example((1 << 63) + 1)
+@example(((1 << 200) + 1) ** 2)
+@example(((1 << 200) - 1) ** 2)
+def test_top_sqrt_bounds_hold_exactly(n):
+    # lo <= sqrt(n) <= hi, decided on exact squares, and hi / lo <= 1 +
+    # 2^-30 once n has more than 62 bits; below that lo is isqrt(n).
+    lo, hi = spectra._top_sqrt_bounds(n)
+    assert 0 <= lo and Fraction(lo) ** 2 <= n <= Fraction(hi) ** 2
+    if n.bit_length() > 62:
+        assert Fraction(hi, lo) <= 1 + Fraction(1, 1 << 30)
+    else:
+        assert (lo, hi) == (math.isqrt(n), math.isqrt(n) + 1)

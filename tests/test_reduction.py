@@ -12,6 +12,7 @@ import pytest
 
 from pellzero import reduction, spectra
 from pellzero.ball import Ball, PrecisionExhausted
+from pellzero.precision import PREC_FLOOR
 from pellzero.reduction import (
     DEFAULT_M,
     MAX_ATTEMPTS,
@@ -336,7 +337,9 @@ def test_odd_reduce_bound_is_bracketed_exactly(k, R, monkeypatch):
     out = odd_k_reduce(k)
     monkeypatch.undo()
     x, y = calls[-1]
-    inst = odd_k_instance(solve_roots(k), DEFAULT_M, working_prec_for(DEFAULT_M))
+    # The instance of the system odd_k_reduce reads: B comes from its
+    # modulus intervals.
+    inst = odd_k_instance(solve_roots(k, PREC_FLOOR), DEFAULT_M, working_prec_for(DEFAULT_M))
     assert out.R == R
     assert y == inst.B.fr_lo()
     assert out.epsilon.fr_lo() <= inst.A.fr_hi() * out.q_used / x <= out.epsilon.fr_hi()

@@ -1,6 +1,6 @@
 """Refining single roots by nested Newton inclusion disks.
 
-odd_k_reduce certifies the root system once at 128 bits and refines only
+odd_k_reduce certifies the root system once at 64 bits and refines only
 gamma_s of the smallest pair (spectra.refine_root).  The tests check, for
 gamma_s and root k - 3, that each refined ball lies inside its 128-bit
 ball and holds the matching root of a 512-bit system, that a refinement
@@ -190,7 +190,7 @@ def test_odd_reduce_refines_tau_through_its_callback(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [21, 53])
-def test_odd_reduce_certifies_once_at_128_bits(k, monkeypatch):
+def test_odd_reduce_certifies_once_at_64_bits(k, monkeypatch):
     certify = spectra._certify
     precs = []
 
@@ -200,7 +200,7 @@ def test_odd_reduce_certifies_once_at_128_bits(k, monkeypatch):
 
     monkeypatch.setattr(spectra, "_certify", counting)
     out = odd_k_reduce(k)
-    assert precs == [128]
+    assert precs == [64]
     assert out.nonvanishing_certified is True
 
 

@@ -1,11 +1,13 @@
 """The verify record that pellzero.verify builds: the one `verify`
-prints, and the depth an odd --full scan reaches."""
+prints, the depth an odd --full scan reaches, and the same records from
+the 64-bit root systems verify solves and from 128-bit ones."""
 
 import json
 
 import pytest
 
-from pellzero import cli, verify_order
+from pellzero import cli, spectra, verify, verify_order
+from pellzero.precision import PREC_FLOOR, PREC_START
 
 
 @pytest.mark.parametrize("k, full", [(2, False), (3, False), (4, False),
@@ -30,3 +32,29 @@ def test_odd_full_scan_reaches_where_the_side_conditions_hold():
     assert rec["bound_used"]["R"] == 92
     assert rec["scan_floor"] == -127
     assert rec["checks"]["scan"]["residue_through"] == 127
+
+
+def _records(capsys, args):
+    spectra.clear_cache()
+    cli.main(["verify", *args])
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+@pytest.mark.parametrize("args", [("--k-range", "2:60"),
+                                  ("--k-range", "4:40", "--even-only", "--full")])
+def test_records_on_64_and_128_bit_systems_agree(capsys, monkeypatch, args):
+    # Every check is decided exactly on the integer disks, so the label of
+    # the system moves only precision_used and the last ulps of the float
+    # min_margin.
+    low = _records(capsys, args)
+    monkeypatch.setattr(verify, "PREC_FLOOR", PREC_START)
+    high = _records(capsys, args)
+    assert [r["k"] for r in low] == [r["k"] for r in high] and low
+    for a, b in zip(low, high):
+        assert (a.pop("precision_used"), b.pop("precision_used")) == (PREC_FLOOR, PREC_START)
+        margins = [r["checks"]["root_bounds"]["modulus_ratio_floor"].pop("min_margin")
+                   for r in (a, b)]
+        assert margins[0] == pytest.approx(margins[1], rel=1e-14, abs=0), a["k"]
+        a.pop("timestamp")
+        b.pop("timestamp")
+        assert a == b
