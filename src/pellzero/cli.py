@@ -266,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--k", type=int, default=None)
     sel.add_argument("--k-range", type=_parse_k_range, default=None,
                      metavar="LO:HI", help="inclusive range lo:hi")
-    p.add_argument("--odd-only", action="store_true")
-    p.add_argument("--even-only", action="store_true")
+    parity = p.add_mutually_exclusive_group()
+    parity.add_argument("--odd-only", action="store_true")
+    parity.add_argument("--even-only", action="store_true")
     p.add_argument("--full", action="store_true",
                    help="odd k >= 5: scan down to the reduced bound R")
     p.add_argument("--M", type=_parse_m, default=None,

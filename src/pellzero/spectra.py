@@ -67,14 +67,12 @@ precision doubling moves the centres to the new P by a shift.  The
 values come from _delta_fixed, the evaluation the radii use; its
 products are written out inline, since a function call per product
 would cost about a third of an evaluation.  Every step carries the
-error lines, since the step that passes the stop also gives the disk,
-except the first of a run whose stop lies past the 53 bits of a float
-seed (_SEED_BITS): that step cannot pass the stop from a float seed, so
-it skips them, and the same products and floors give the same values,
-bit for bit, and no bound.  The representation, not the precision, is
-what makes this fast: at k = 53 one evaluation costs about 10 us at 144
-bits and 20 us at 406, against about 150 us for a step at any
-precision in mpmath's pure-Python backend (2-vCPU machine).
+error lines, since any step may pass the stop, and the step that passes
+it also gives the disk.  The representation, not the precision, is
+what makes this fast: at k = 53 one evaluation at a pair's centre
+costs about 10 us at 144 bits and 25 us at 406, against about 150 us
+for a step at any precision in mpmath's pure-Python backend (2-vCPU
+machine).
 
 Newton stops by quadratic convergence: after the first step dz with
 mag(dz) < mag(z) - (P + 2 bitlen(k)) / 2 it keeps that step's
@@ -90,11 +88,9 @@ the step that passes the stop gives the disk of its iterate (Radius
 soundness, the last-step rows).  The stop is (P + 2 bitlen(k)) / 2 bits:
 at prec = 64 it is at most 53 for every k < 4096, so the float seed's
 first step, about |z| 2^-53, passes it, and each conjugate class costs
-one bounded evaluation (every class of k = 2..500 and 1001; at k =
-2000, 273 of the 1001 classes take a second).  At prec = 128 the stop
-lies past the seed's bits: the first step is unbounded, and each class
-costs two evaluations; a first step that passes a stop past 53 bits (a
-seed finer than a float's) is taken again with bounds.
+one evaluation (every class of k = 2..500 and 1001; at k = 2000, 273
+of the 1001 classes take a second).  At prec = 128 the stop lies past
+the seed's bits, and each class costs two evaluations.
 
 Radius soundness.  The radius comes from the same fixed-point
 evaluation (_delta_fixed), with an integer E carried beside each value
@@ -269,8 +265,8 @@ JCAM 156, 2003), instead of solving every class again.  The root's
 certified disk rs.disks[i], (z0, R0) in units of 2^-rs.P, moves exactly
 to P = _scale(k, prec) by a shift; Newton runs at P from z0 (to 390 bits,
 three steps at 406 bits from a 64-bit system and two from a 128-bit
-one, the first unbounded), and its last step gives the new centre z1 with its
-inclusion radius R1, so D(z1, R1) holds at least one root of delta_k.
+one), and its last step gives the new centre z1 with its inclusion
+radius R1, so D(z1, R1) holds at least one root of delta_k.
 The old disk D(z0, R0) is the one certification found disjoint from the
 k others, so it holds exactly one root, the certified one.  If R0 >= R1
 and |z1 - z0| <= R0 - R1, decided exactly at P, the new disk lies in the
@@ -286,7 +282,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 import threading
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
@@ -390,11 +385,6 @@ def _record(prec: int) -> None:
         seen.append(prec)
 
 
-# The bits a float seed (_seed) carries: its first Newton step is about
-# |z| 2^-53.
-_SEED_BITS = sys.float_info.mant_dig
-
-
 def _scale(k: int, prec: int) -> int:
     """The fraction bits P of the fixed point that a system labelled prec
     is solved and certified at (module docstring): prec + 16, plus one
@@ -429,16 +419,14 @@ def _fmul(P: int, a: int, b: int, ea: int, c: int, d: int, ec: int):
     return (a * c - b * d) >> P, (a * d + b * c) >> P, e
 
 
-def _delta_fixed(k: int, X: int, Y: int, P: int, bounded: bool = True):
+def _delta_fixed(k: int, X: int, Y: int, P: int):
     """(delta_k(z), delta_k'(z)) at z = (X + iY) 2^-P in fixed point, as
     (DX, DY, eD, SX, SY, eS, W): each exact value lies within e 2^-P of
     (X + iY) 2^-P for its own (X, Y, e), and W >= |z|^(k-2) 2^P bounds the
     power both come from, z^(k-2), whose first square is z^2 itself.
     Every product is taken inline with the floors and the error bound of
     _fmul, bit for bit, and an integer combination adds sum |c_i| e_i.
-    With bounded false the error lines are skipped, eD, eS and W are None,
-    and the values are the same products and floors, bit for bit.  Real
-    coefficients keep Y = 0 exactly 0."""
+    Real coefficients keep Y = 0 exactly 0."""
     one = 1 << P
     zzX, zzY, ezz = (X * X - Y * Y) >> P, (X * Y << 1) >> P, 2
     # w = z^(k-2) by binary powering, b running through z^(2^i); wX is
@@ -451,33 +439,27 @@ def _delta_fixed(k: int, X: int, Y: int, P: int, bounded: bool = True):
     bX, bY, eb = zzX, zzY, ezz
     n >>= 1
     while n:
-        if bounded:
-            ab = abs(bX) + abs(bY)
+        ab = abs(bX) + abs(bY)
         if n & 1:
             if wX is None:
                 wX, wY, ew = bX, bY, eb
             else:
-                if bounded:
-                    ew = 2 - (-((abs(wX) + abs(wY)) * eb + ab * ew + ew * eb) >> P)
+                ew = 2 - (-((abs(wX) + abs(wY)) * eb + ab * ew + ew * eb) >> P)
                 wX, wY = (wX * bX - wY * bY) >> P, (wX * bY + wY * bX) >> P
         n >>= 1
         if n:
-            if bounded:
-                eb = 2 - (-((ab * eb << 1) + eb * eb) >> P)
+            eb = 2 - (-((ab * eb << 1) + eb * eb) >> P)
             bX, bY = (bX * bX - bY * bY) >> P, (bX * bY << 1) >> P
     # d = z (z^2 - 3z + 1), its second factor off by ezz; s = delta_k' / z^(k-2).
     cX, cY = zzX - 3 * X + one, zzY - 3 * Y
     dX, dY = (X * cX - Y * cY) >> P, (X * cY + Y * cX) >> P
     sX, sY = (k + 1) * zzX - 3 * k * X + (k - 1) * one, (k + 1) * zzY - 3 * k * Y
-    ed = es = W = None
-    if bounded:
-        ed, es, W = 2 - (-((abs(X) + abs(Y)) * ezz) >> P), (k + 1) * ezz, one
+    ed, es, W = 2 - (-((abs(X) + abs(Y)) * ezz) >> P), (k + 1) * ezz, one
     if wX is not None:
-        if bounded:
-            aw = abs(wX) + abs(wY)
-            ed = 2 - (-(aw * ed + (abs(dX) + abs(dY)) * ew + ew * ed) >> P)
-            es = 2 - (-(aw * es + (abs(sX) + abs(sY)) * ew + ew * es) >> P)
-            W = aw + ew
+        aw = abs(wX) + abs(wY)
+        ed = 2 - (-(aw * ed + (abs(dX) + abs(dY)) * ew + ew * ed) >> P)
+        es = 2 - (-(aw * es + (abs(sX) + abs(sY)) * ew + ew * es) >> P)
+        W = aw + ew
         dX, dY = (wX * dX - wY * dY) >> P, (wX * dY + wY * dX) >> P
         sX, sY = (wX * sX - wY * sY) >> P, (wX * sY + wY * sX) >> P
     return dX + one, dY, ed, sX, sY, es, W
@@ -524,30 +506,22 @@ def _newton_disk(k: int, X: int, Y: int, P: int, prec: int):
     kept, so it is off by about k |z| 2^-(S + 2 bitlen(k)) < |z| 2^-S / k.
     mag is _mag, compared on bit lengths.  Returns the kept iterate with
     its inclusion radius, (X', Y', R') at P, taken by _step_radius from
-    the evaluation of the step that reached it.  Every step after the
-    first evaluates with error bounds, and so does the first when the
-    stop is within the 53 bits of a float seed (_SEED_BITS); otherwise
-    the first skips them, and a first step that passes the stop is taken
-    again with bounds.  R' is None when no disk is certified: delta_k'
-    vanishes at an iterate (which is returned), no step passes the stop
-    in 64, or _step_radius gives None."""
+    the evaluation of the step that reached it, since every step
+    evaluates with error bounds.  R' is None when no disk is certified:
+    delta_k' vanishes at an iterate (which is returned), no step passes
+    the stop in 64, or _step_radius gives None."""
     stop = (_scale(k, prec) + 2 * k.bit_length()) // 2
-    # A float seed's first step is about |z| 2^-53, so it passes a stop of
-    # 53 bits or fewer, and then carries its bounds at once.
-    bounded = stop <= _SEED_BITS
     for _ in range(64):
-        ev = _delta_fixed(k, X, Y, P, bounded)
+        ev = _delta_fixed(k, X, Y, P)
         dX, dY, _, sX, sY, _, _ = ev
         norm = sX * sX + sY * sY
         if not norm:
             return X, Y, None
         HX, HY = ((dX * sX + dY * sY) << P) // norm, ((dY * sX - dX * sY) << P) // norm
         X1, Y1 = X - HX, Y - HY
-        if _mag(HX, HY) >= _mag(X1, Y1) - stop:
-            X, Y = X1, Y1
-        elif bounded:
+        if _mag(HX, HY) < _mag(X1, Y1) - stop:
             return X1, Y1, _step_radius(k, X, Y, HX, HY, P, ev)
-        bounded = True
+        X, Y = X1, Y1
     return X, Y, None
 
 

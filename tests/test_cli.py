@@ -401,6 +401,16 @@ def test_verify_guard_rails(capsys):
     assert "empty" in err
 
 
+def test_verify_parity_flags_are_mutually_exclusive(capsys):
+    # Both flags would select no k; the usage error names them instead.
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--k-range", "2:10", "--odd-only", "--even-only"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --even-only: not allowed with argument --odd-only" in err
+    assert "empty" not in err
+
+
 def test_verify_below_two_names_the_floor_not_the_flag(capsys):
     # --allow-large cannot help k < 2, so that message must not offer it.
     rc, _, err = run_cli(capsys, "verify", "--k", "1")

@@ -15,9 +15,9 @@ partner itself.  The disk tests check that each
 root Ball converts exactly to its certified disk and that
 RootSystem.weights, computed on the disks, is what eval_gk gives at the
 root Balls, bit for bit.  The cost tests pin the evaluations of
-delta_k a class takes, two in a cold 128-bit solve and one of them
-bounded, and one unbounded per class at 390 bits, and check the per-class Binet
-sum against an all-roots sum written here.
+delta_k a class takes, every one with error bounds: two in a cold
+128-bit solve and three or four at 390 bits, and check the per-class
+Binet sum against an all-roots sum written here.
 """
 
 from collections import Counter
@@ -101,13 +101,13 @@ def test_roots_and_weights_are_read_off_the_disks(k):
 
 
 def _count_evaluations(monkeypatch):
-    """A Counter of the _delta_fixed calls, by whether they are bounded."""
+    """A Counter of the _delta_fixed calls, by their fraction bits P."""
     calls = Counter()
     fixed = spectra._delta_fixed
 
-    def counting(k, X, Y, P, bounded=True):
-        calls[bounded] += 1
-        return fixed(k, X, Y, P, bounded)
+    def counting(k, X, Y, P):
+        calls[P] += 1
+        return fixed(k, X, Y, P)
 
     monkeypatch.setattr(spectra, "_delta_fixed", counting)
     return calls
@@ -115,7 +115,7 @@ def _count_evaluations(monkeypatch):
 
 def test_polish_runs_newton_once_per_class(monkeypatch):
     # From a float seed, about 53 bits, Newton at 406 bits passes the
-    # stop on its third or fourth step; only the first is unbounded.
+    # stop on its third or fourth step, each one evaluation at 406 bits.
     k = 53
     seeds = spectra._initial_seeds(k, 406)
     runs = []
@@ -125,16 +125,16 @@ def test_polish_runs_newton_once_per_class(monkeypatch):
     calls = _count_evaluations(monkeypatch)
     spectra._polish(k, seeds, 390)
     assert len(runs) == len(seeds)
-    assert calls[False] == len(seeds)
-    assert 2 * len(seeds) <= calls[True] < 3 * len(seeds)
+    assert list(calls) == [406]
+    assert 3 * len(seeds) <= calls[406] < 4 * len(seeds)
 
 
 @pytest.mark.parametrize("k", [9, 10, 53, 200])
 def test_certify_computes_one_radius_per_class(k, monkeypatch):
-    # A cold 128-bit solve takes two evaluations of delta_k per class:
-    # the first Newton step evaluates without error bounds, and the
-    # second passes the stop, and its bounded evaluation also gives the
-    # class's one radius, so _certify evaluates nothing.
+    # A cold 128-bit solve takes two evaluations of delta_k per class,
+    # both with error bounds: the second Newton step passes the stop, and
+    # its evaluation also gives the class's one radius, so _certify
+    # evaluates nothing.
     radius = spectra._step_radius
     radii = []
     monkeypatch.setattr(spectra, "_step_radius",
@@ -144,7 +144,7 @@ def test_certify_computes_one_radius_per_class(k, monkeypatch):
     assert rs.prec == 128
     classes = len(rs.real_roots) + len(rs.conj_pairs)
     assert len(radii) == classes
-    assert calls == {False: classes, True: classes}
+    assert calls == {rs.P: 2 * classes}
 
 
 @pytest.mark.parametrize("k", range(2, 13))

@@ -7,12 +7,12 @@ float seed below 2^-P are truncated towards zero.  The polish tests check each p
 and each float seed, with the mirror of each pair's, against the
 matching root of a certified 512-bit system, that real seeds stay real with Y exactly 0, and that seeds with
 a negative real part polish to their own root and not to the node at 1.
-_delta_fixed takes its products inline: its output must equal, bit for
-bit, the same evaluation composed from _fmul, and its unbounded values
-must equal its bounded ones.  The seed tests check the float Newton
-stage at orders whose gamma^k leaves the double range, its fallback to
-the closed-form point, and the number of evaluations, bounded and
-unbounded, that a cold odd reduction takes.
+_delta_fixed takes its products inline: its output, error bounds
+included, must equal, bit for bit, the same evaluation composed from
+_fmul.  The seed tests check the float Newton stage at orders whose
+gamma^k leaves the double range, its fallback to the closed-form point,
+and the number of evaluations, each with error bounds, that a cold odd
+reduction takes.
 The guard-bit tests check that the fixed point keeps P = prec + 16
 below k = 512 and grows past it, so that k = 1460 and 2000 certify at
 128 bits; the 64-bit systems that verify and the odd reduction solve
@@ -190,34 +190,29 @@ def test_inlined_evaluation_matches_the_fmul_reference(k, p, x, y):
     # X and Y reach |z| up to 2^(410 - p), on either side of the unit
     # circle; k = 2 and 3 have no power loop.
     X, Y = x >> (406 - p), y >> (406 - p)
-    out = spectra._delta_fixed(k, X, Y, p)
-    assert out == _fmul_delta(k, X, Y, p)
-    # The first Newton step skips the error lines: the same products and
-    # floors give the same values, and no bound.
-    DX, DY, _, SX, SY, _, _ = out
-    assert spectra._delta_fixed(k, X, Y, p, False) == (DX, DY, None, SX, SY, None, None)
+    assert spectra._delta_fixed(k, X, Y, p) == _fmul_delta(k, X, Y, p)
 
 
 def test_cold_solves_keep_their_newton_step_counts(monkeypatch):
-    # Evaluations of delta_k over cold odd reductions, odd k = 5..53:
-    # each of the 375 conjugate classes of the 64-bit solves takes one
-    # bounded Newton step at 80 bits, since the float seed already meets
-    # the stop, and that evaluation also gives the disk.  Each gamma_s,
-    # refined from its 80-bit centre to 390 bits, takes three steps at
-    # 406 bits, the first unbounded.  No evaluation runs at any other
+    # Evaluations of delta_k over cold odd reductions, odd k = 5..53,
+    # each with error bounds: each of the 375 conjugate classes of the
+    # 64-bit solves takes one Newton step at 80 bits, since the float
+    # seed already meets the stop, and that evaluation also gives the
+    # disk.  Each gamma_s, refined from its 80-bit centre to 390 bits,
+    # takes three steps at 406 bits.  No evaluation runs at any other
     # precision: the seeds are floats.
     fixed = spectra._delta_fixed
     calls = Counter()
 
-    def counting(k, X, Y, p, bounded=True):
-        calls[p, bounded] += 1
-        return fixed(k, X, Y, p, bounded)
+    def counting(k, X, Y, p):
+        calls[p] += 1
+        return fixed(k, X, Y, p)
 
     monkeypatch.setattr(spectra, "_delta_fixed", counting)
     for k in range(5, 54, 2):
         spectra.clear_cache()
         odd_k_reduce(k)
-    assert calls == {(80, True): 375, (406, False): 25, (406, True): 50}
+    assert calls == {80: 375, 406: 75}
 
 
 def test_stop_margin_holds_at_the_range_end(monkeypatch):

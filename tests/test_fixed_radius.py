@@ -18,9 +18,10 @@ included, and of the floored product _fmul holds, and that the radius
 is at least its four bounds, evaluated exactly, for any evaluator output
 and step.  On polished centres the radius is no looser than the
 Ball-arithmetic bound it replaced, and a centre where delta_k' vanishes
-gets no disk.  Newton's first evaluation is at the given centre and
-unbounded, a first step that passes the stop is taken again with
-bounds, and the disk is centred on the last step's iterate.
+gets no disk.  Every Newton evaluation carries its error bounds: the
+first is at the given centre, a first step that passes the stop returns
+the disk of that one evaluation, and the disk is centred on the last
+step's iterate.
 """
 
 import math
@@ -325,47 +326,49 @@ def test_radius_evaluates_at_the_centre_itself(case):
     # A centre moved to a coarser grid would polish another point, and a
     # disk centred off the last step's iterate would certify another
     # point than the one returned.  Newton's first evaluation is at the
-    # given centre itself, unbounded, and the disk's centre is the last
-    # evaluated point less the floored step that evaluation gave.
+    # given centre itself, every evaluation carries its bounds, and the
+    # disk's centre is the last evaluated point less the floored step
+    # that evaluation gave.
     k, z, prec = case
     centre = _at(z, prec)
     fixed = spectra._delta_fixed
     seen = []
 
-    def recording(kk, X, Y, P, bounded=True):
-        out = fixed(kk, X, Y, P, bounded)
-        seen.append(((X, Y, P), bounded, out))
+    def recording(kk, X, Y, P):
+        out = fixed(kk, X, Y, P)
+        seen.append(((X, Y, P), out))
         return out
 
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(spectra, "_delta_fixed", recording)
         X1, Y1, R = spectra._newton_disk(k, *centre, prec)
-    assert seen[0][:2] == (centre, False)
-    assert all(P == centre[2] for (_, _, P), _, _ in seen)
-    (X, Y, P), bounded, (DX, DY, _, SX, SY, _, _) = seen[-1]
+    assert seen[0][0] == centre
+    assert all(P == centre[2] for (_, _, P), _ in seen)
+    for _, (_, _, eD, _, _, eS, W) in seen:
+        assert all(type(e) is int and e >= 0 for e in (eD, eS, W))
+    (X, Y, P), (DX, DY, _, SX, SY, _, _) = seen[-1]
     norm = SX * SX + SY * SY
     if R is not None:
-        assert bounded
         assert (X - X1, Y - Y1) == (((DX * SX + DY * SY) << P) // norm,
                                     ((DY * SX - DX * SY) << P) // norm)
 
 
-def test_a_first_step_that_passes_the_stop_is_taken_again_with_bounds(monkeypatch):
-    # From a polished centre the first step already passes the stop, but
-    # its evaluation carries no bounds, so the same point is evaluated
-    # again with them, and the disk is that of one bounded step.
+def test_a_first_step_that_passes_the_stop_returns_its_own_disk(monkeypatch):
+    # From a polished centre the first step already passes the stop, and
+    # its evaluation carries its bounds, so Newton returns after that one
+    # evaluation, with the disk of one bounded step.
     k, prec = 21, 128
     X, Y, _ = _classes(k, prec)[3]
     fixed = spectra._delta_fixed
     seen = []
 
-    def recording(kk, x, y, p, bounded=True):
-        seen.append((x, y, bounded))
-        return fixed(kk, x, y, p, bounded)
+    def recording(kk, x, y, p):
+        seen.append((x, y, p))
+        return fixed(kk, x, y, p)
 
     monkeypatch.setattr(spectra, "_delta_fixed", recording)
     disk = spectra._newton_disk(k, X, Y, prec + 16, prec)
-    assert seen == [(X, Y, False), (X, Y, True)]
+    assert seen == [(X, Y, prec + 16)]
     assert disk == _step(k, X, Y, prec + 16)
 
 
